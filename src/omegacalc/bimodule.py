@@ -90,18 +90,6 @@ class Bimodule:
     def right_action_coords(self, u: int, j: int) -> list:
         return self.right_mat.column(u * self.right_alg.dim + j)
 
-    def left_tensor(self):
-        return [
-            [self.left_action_coords(i, u) for u in range(self.dim)]
-            for i in range(self.left_alg.dim)
-        ]
-
-    def right_tensor(self):
-        return [
-            [self.right_action_coords(u, j) for j in range(self.right_alg.dim)]
-            for u in range(self.dim)
-        ]
-
     def __eq__(self, other):
         return (
             isinstance(other, Bimodule)
@@ -360,14 +348,14 @@ def bimodule_hom_basis(m: Bimodule, n: Bimodule) -> list[Mat]:
                 row: dict[int, object] = {}
                 for x in range(mm):
                     c = m.left_mat.data[x][i * mm + u]
-                    if c != zero:
+                    if c:
                         row[w * mm + x] = f.add(row.get(w * mm + x, zero), c)
                 for y in range(mn):
                     c = n.left_mat.data[w][i * mn + y]
-                    if c != zero:
+                    if c:
                         key = y * mm + u
                         row[key] = f.sub(row.get(key, zero), c)
-                row = {k: v for k, v in row.items() if v != zero}
+                row = {k: v for k, v in row.items() if v}
                 if row:
                     rows.append(row)
     # h . r_M = r_N . (h (x) 1)
@@ -377,14 +365,14 @@ def bimodule_hom_basis(m: Bimodule, n: Bimodule) -> list[Mat]:
                 row = {}
                 for x in range(mm):
                     c = m.right_mat.data[x][u * nb + j]
-                    if c != zero:
+                    if c:
                         row[w * mm + x] = f.add(row.get(w * mm + x, zero), c)
                 for y in range(mn):
                     c = n.right_mat.data[w][y * nb + j]
-                    if c != zero:
+                    if c:
                         key = y * mm + u
                         row[key] = f.sub(row.get(key, zero), c)
-                row = {k: v for k, v in row.items() if v != zero}
+                row = {k: v for k, v in row.items() if v}
                 if row:
                     rows.append(row)
     nunk = mn * mm

@@ -129,7 +129,11 @@ def _load_calculus(spec: str, alg: Algebra, base: Path) -> FirstOrderCalculus:
 
 
 def _dim_guard(alg: Algebra, max_degree: int, force: bool) -> None:
-    limit = int(os.environ.get("OMEGA_MAX_DIM", DEFAULT_MAX_DIM))
+    raw = os.environ.get("OMEGA_MAX_DIM", DEFAULT_MAX_DIM)
+    try:
+        limit = int(raw)
+    except ValueError:
+        raise _Failure(EXIT_USAGE, {"error": f"OMEGA_MAX_DIM must be an integer, got {raw!r}"})
     projected = alg.dim * max(alg.dim - 1, 1) ** max_degree if alg.dim > 1 else 1
     if projected > limit and not force:
         raise _Failure(EXIT_PRECONDITION, {
@@ -321,8 +325,7 @@ def _cmd_hopf_check(args) -> dict:
 
 
 def _cmd_bicovariant(args) -> dict:
-    doc = load_json(args.algebra)
-    alg, _ = _load_algebra(args.algebra)
+    alg, doc = _load_algebra(args.algebra)
     if "comult" not in doc or "counit" not in doc:
         raise _Failure(EXIT_PRECONDITION, {"error": "file has no comult/counit fields"})
     try:

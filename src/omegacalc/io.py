@@ -16,10 +16,6 @@ from .hopf import Bimonoid
 from .linalg import Field, LinAlgError, Mat, field_from_json, field_to_json
 
 
-def scalar_str(field: Field, x) -> str:
-    return field.format(x)
-
-
 def mat_to_lists(m: Mat) -> list[list[str]]:
     return [[m.field.format(x) for x in row] for row in m.data]
 

@@ -2,8 +2,12 @@
 
 Everything downstream (algebras, bimodules, calculi, cohomology) reduces to
 kernels, images, cokernels and solves of matrices over an exact field, so
-this module is the single computational substrate.  No floating point: Q uses
-`fractions.Fraction`, GF(p) uses ints in [0, p).
+this module is the single computational substrate.  No floating point.
+
+Scalar normal form: over Q an integral value is an `int` and only a
+non-integral value is a `fractions.Fraction` (never an integral Fraction,
+never a float); over GF(p) a value is an `int` in [0, p).  Zero is tested by
+truthiness, which is exact for both representations.
 
 Canonical form convention: bases of subspaces are returned in reduced column
 echelon form (the transpose of a reduced row echelon form), so two subspaces
@@ -13,7 +17,9 @@ ordered row-major: e_i (x) e_j  ->  index i*dim2 + j.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from itertools import compress
 
 
 class LinAlgError(ValueError):
@@ -48,6 +54,21 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _q(x):
+    """Normal form of a rational: a Fraction with denominator 1 becomes its numerator."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+def _q_row(row: list) -> None:
+    """Normalize a row of rationals in place; a row of ints is only scanned."""
+    if not set(map(type, row)) <= {int}:
+        for j, v in enumerate(row):
+            if type(v) is not int and v.denominator == 1:
+                row[j] = v.numerator
+
+
 class Field:
     """A computable exact field: the rationals or a prime field GF(p)."""
 
@@ -73,12 +94,10 @@ class Field:
 
     def coerce(self, x):
         if self.p is None:
-            if isinstance(x, Fraction):
+            if type(x) is int:
                 return x
-            if isinstance(x, int):
-                return Fraction(x)
-            if isinstance(x, str):
-                return Fraction(x)
+            if isinstance(x, (int, Fraction, str)):
+                return _q(Fraction(x))
             raise LinAlgError(f"cannot coerce {x!r} into {self}")
         if isinstance(x, str):
             x = int(x)
@@ -91,28 +110,29 @@ class Field:
         return x % self.p
 
     def zero(self):
-        return Fraction(0) if self.p is None else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.p is None else 1
+        return 1
 
     def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
+        return _q(a + b) if self.p is None else (a + b) % self.p
 
     def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
+        return _q(a - b) if self.p is None else (a - b) % self.p
 
     def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
+        return _q(a * b) if self.p is None else (a * b) % self.p
 
     def neg(self, a):
         return -a if self.p is None else (-a) % self.p
 
     def inv(self, a):
         if self.p is None:
-            if a == 0:
+            if not a:
                 raise ZeroDivisionError("inverse of 0")
-            return 1 / a
+            # Fraction(1, a), never 1 / a: two ints would divide to a float
+            return _q(Fraction(1, a))
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, self.p - 2, self.p)
@@ -231,8 +251,7 @@ class Mat:
         return self.data[i][j]
 
     def is_zero(self) -> bool:
-        z = self.field.zero()
-        return all(x == z for row in self.data for x in row)
+        return not any(map(any, self.data))
 
     def column(self, j: int) -> list:
         return [self.data[i][j] for i in range(self.rows)]
@@ -254,27 +273,24 @@ class Mat:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise LinAlgError(f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
-    def __add__(self, other: "Mat") -> "Mat":
+    def _entrywise(self, other: "Mat", op) -> "Mat":
         self._check_same_shape(other)
-        f = self.field
+        p = self.field.p
         m = Mat.__new__(Mat)
-        m.field, m.rows, m.cols = f, self.rows, self.cols
-        m.data = [
-            [f.add(a, b) for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.data, other.data)
-        ]
+        m.field, m.rows, m.cols = self.field, self.rows, self.cols
+        if p is None:
+            m.data = [list(map(op, r1, r2)) for r1, r2 in zip(self.data, other.data)]
+            for row in m.data:
+                _q_row(row)
+        else:
+            m.data = [[x % p for x in map(op, r1, r2)] for r1, r2 in zip(self.data, other.data)]
         return m
 
+    def __add__(self, other: "Mat") -> "Mat":
+        return self._entrywise(other, operator.add)
+
     def __sub__(self, other: "Mat") -> "Mat":
-        self._check_same_shape(other)
-        f = self.field
-        m = Mat.__new__(Mat)
-        m.field, m.rows, m.cols = f, self.rows, self.cols
-        m.data = [
-            [f.sub(a, b) for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.data, other.data)
-        ]
-        return m
+        return self._entrywise(other, operator.sub)
 
     def __neg__(self) -> "Mat":
         f = self.field
@@ -296,22 +312,28 @@ class Mat:
             raise LinAlgError("field mismatch")
         if self.cols != other.rows:
             raise LinAlgError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        f = self.field
-        zero = f.zero()
-        out = Mat.zeros(f, self.rows, other.cols)
+        p = self.field.p
+        out = Mat.zeros(self.field, self.rows, other.cols)
         bdata = other.data
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = out.data[i]
-            for k in range(self.cols):
+        ks, js = range(self.cols), range(other.cols)
+        # nonzero (j, b) of each row of other, built on first use so that
+        # zero columns of self cost nothing
+        bnz = [None] * other.rows
+        for arow, orow in zip(self.data, out.data):
+            for k in compress(ks, arow):
                 a = arow[k]
-                if a == zero:
-                    continue
-                brow = bdata[k]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if b != zero:
-                        orow[j] = f.add(orow[j], f.mul(a, b))
+                row = bnz[k]
+                if row is None:
+                    brow = bdata[k]
+                    row = bnz[k] = [(j, brow[j]) for j in compress(js, brow)]
+                if p is None:
+                    for j, b in row:
+                        orow[j] += a * b
+                else:
+                    for j, b in row:
+                        orow[j] = (orow[j] + a * b) % p
+            if p is None:
+                _q_row(orow)
         return out
 
     # block operations ---------------------------------------------------------
@@ -341,22 +363,18 @@ def kronecker(a: Mat, b: Mat) -> Mat:
     """Tensor product of linear maps in the row-major basis order."""
     if a.field != b.field:
         raise LinAlgError("field mismatch")
-    f = a.field
-    zero = f.zero()
-    out = Mat.zeros(f, a.rows * b.rows, a.cols * b.cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            x = a.data[i][j]
-            if x == zero:
-                continue
-            for k in range(b.rows):
-                brow = b.data[k]
-                orow = out.data[i * b.rows + k]
-                off = j * b.cols
-                for l in range(b.cols):
-                    y = brow[l]
-                    if y != zero:
-                        orow[off + l] = f.mul(x, y)
+    mul = a.field.mul
+    out = Mat.zeros(a.field, a.rows * b.rows, a.cols * b.cols)
+    ls = range(b.cols)
+    bnz = [[(l, brow[l]) for l in compress(ls, brow)] for brow in b.data]
+    for i, arow in enumerate(a.data):
+        orows = out.data[i * b.rows:(i + 1) * b.rows]
+        for j in compress(range(a.cols), arow):
+            x = arow[j]
+            off = j * b.cols
+            for orow, row in zip(orows, bnz):
+                for l, y in row:
+                    orow[off + l] = mul(x, y)
     return out
 
 
@@ -399,7 +417,6 @@ def _rref_sparse(field: Field, rows: list[dict], ncols: int, pivot_limit: int | 
     ordered by pivot column.  Pivot search stops at pivot_limit columns when
     given (used by solvers to keep augmented columns pivot-free).
     """
-    zero = field.zero()
     limit = ncols if pivot_limit is None else pivot_limit
     pivots: list[tuple[int, dict]] = []  # (pivot col, row)
     work = [dict(r) for r in rows]
@@ -407,32 +424,32 @@ def _rref_sparse(field: Field, rows: list[dict], ncols: int, pivot_limit: int | 
         # reduce against existing pivots
         for pc, prow in pivots:
             c = r.get(pc)
-            if c is None or c == zero:
+            if not c:
                 continue
             for col, v in prow.items():
-                nv = field.sub(r.get(col, zero), field.mul(c, v))
-                if nv == zero:
-                    r.pop(col, None)
-                else:
+                nv = field.sub(r.get(col, 0), field.mul(c, v))
+                if nv:
                     r[col] = nv
-        live = [c for c in r if c < limit and r[c] != zero]
+                else:
+                    r.pop(col, None)
+        live = [c for c in r if c < limit and r[c]]
         if not live:
             continue
         pc = min(live)
         inv = field.inv(r[pc])
-        r = {c: field.mul(inv, v) for c, v in r.items() if v != zero}
+        r = {c: field.mul(inv, v) for c, v in r.items() if v}
         # back-substitute into earlier pivot rows
         for k, (opc, orow) in enumerate(pivots):
             c = orow.get(pc)
-            if c is None or c == zero:
+            if not c:
                 continue
             nrow = dict(orow)
             for col, v in r.items():
-                nv = field.sub(nrow.get(col, zero), field.mul(c, v))
-                if nv == zero:
-                    nrow.pop(col, None)
-                else:
+                nv = field.sub(nrow.get(col, 0), field.mul(c, v))
+                if nv:
                     nrow[col] = nv
+                else:
+                    nrow.pop(col, None)
             pivots[k] = (opc, nrow)
         pivots.append((pc, r))
     pivots.sort(key=lambda t: t[0])
@@ -440,11 +457,7 @@ def _rref_sparse(field: Field, rows: list[dict], ncols: int, pivot_limit: int | 
 
 
 def _to_sparse_rows(m: Mat) -> list[dict]:
-    zero = m.field.zero()
-    return [
-        {j: v for j, v in enumerate(row) if v != zero}
-        for row in m.data
-    ]
+    return [{j: v for j, v in enumerate(row) if v} for row in m.data]
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
@@ -499,13 +512,12 @@ def solve(m: Mat, b: Mat) -> Mat | None:
     if m.rows != b.rows:
         raise LinAlgError("solve: row mismatch")
     field = m.field
-    zero = field.zero()
     aug_rows = []
     for i in range(m.rows):
-        row = {j: v for j, v in enumerate(m.data[i]) if v != zero}
+        row = {j: v for j, v in enumerate(m.data[i]) if v}
         for k in range(b.cols):
             v = b.data[i][k]
-            if v != zero:
+            if v:
                 row[m.cols + k] = v
         aug_rows.append(row)
     prows, pcols = _rref_sparse(field, aug_rows, m.cols + b.cols, pivot_limit=m.cols)
@@ -555,12 +567,11 @@ def quotient_maps(sub_canonical: Mat, ambient_dim: int) -> tuple[Mat, Mat]:
     field = sub_canonical.field
     if sub_canonical.rows not in (ambient_dim,) and sub_canonical.cols != 0:
         raise LinAlgError("subspace basis does not live in the ambient space")
-    zero = field.zero()
     one = field.one()
     pivot_rows = []
     for j in range(sub_canonical.cols):
         col = sub_canonical.column(j)
-        pr = next(i for i, v in enumerate(col) if v != zero)
+        pr = next(i for i, v in enumerate(col) if v)
         pivot_rows.append(pr)
     pivot_of = {pr: j for j, pr in enumerate(pivot_rows)}
     compl = [i for i in range(ambient_dim) if i not in pivot_of]
@@ -571,7 +582,7 @@ def quotient_maps(sub_canonical: Mat, ambient_dim: int) -> tuple[Mat, Mat]:
     for pr, j in pivot_of.items():
         col = sub_canonical.column(j)
         for a, i in enumerate(compl):
-            if col[i] != zero:
+            if col[i]:
                 q.data[a][pr] = field.neg(col[i])
     s = Mat.zeros(field, ambient_dim, len(compl))
     for a, i in enumerate(compl):
@@ -588,10 +599,6 @@ def subspace_leq(sub: Mat, sup: Mat) -> bool:
     if sub.cols == 0:
         return True
     return solve(sup, sub) is not None
-
-
-def subspace_sum(field: Field, dim: int, parts: list[Mat]) -> Mat:
-    return image_basis(Mat.hstack_all(field, parts, dim))
 
 
 def subspace_intersection(a: Mat, b: Mat) -> Mat:
@@ -623,8 +630,3 @@ def factor_through_surjection(rhs: Mat, q: Mat) -> Mat | None:
         return None
     x = xt.transpose()
     return x if x * q == rhs else None
-
-
-def restrict_through_injection(iota: Mat, rhs: Mat) -> Mat | None:
-    """Unique X with iota X = rhs, when im(rhs) lies in im(iota)."""
-    return solve(iota, rhs)

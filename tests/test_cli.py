@@ -69,6 +69,23 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 64
 
 
+def test_bicovariant_missing_file_is_usage_error(capsys):
+    code, out = run_cli(
+        capsys, "bicovariant", "no/such/file.json", "--relations", "r.json", "--format", "json",
+    )
+    assert code == 64
+    assert "error" in json.loads(out)
+
+
+def test_non_integer_max_dim_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("OMEGA_MAX_DIM", "lots")
+    code, out = run_cli(
+        capsys, "prolong", str(FIXTURES / "qx2.json"), "--max-degree", "2", "--format", "json",
+    )
+    assert code == 64
+    assert "OMEGA_MAX_DIM" in json.loads(out)["error"]
+
+
 def test_prolong_dims(capsys):
     code, out = run_cli(
         capsys, "prolong", str(FIXTURES / "qx3.json"),

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from omegacalc.algebra import is_commutative
+from omegacalc.derham import de_rham
 from omegacalc.linalg import (
     GF,
     QQ,
@@ -147,6 +149,54 @@ def test_scalar_strings():
     f5 = GF(5)
     assert f5.format(f5.coerce(-1)) == "4"
     assert f5.parse("3") == 3
+
+
+def test_rational_scalar_normal_form():
+    half = QQ.inv(2)
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    assert type(QQ.inv(Fraction(1, 3))) is int and QQ.inv(Fraction(1, 3)) == 3
+    assert type(QQ.coerce("4/2")) is int and QQ.coerce("4/2") == 2
+    assert type(QQ.zero()) is int
+    assert type(QQ.mul(Fraction(1, 2), 4)) is int
+    assert type(QQ.add(Fraction(1, 2), Fraction(1, 2))) is int
+
+
+def _bad_q_entries(m):
+    """Entries of a Q matrix outside the normal form (floats, integral Fractions)."""
+    return [
+        x for row in m.data for x in row
+        if type(x) is not int and not (type(x) is Fraction and x.denominator != 1)
+    ]
+
+
+@pytest.mark.parametrize("name", ["qx3", "qz3", "m2q", "qs3"])
+def test_pipeline_keeps_q_normal_form(request, monkeypatch, name):
+    alg = request.getfixturevalue(name)
+    seen = []
+    bad = []
+
+    def sweep():
+        for m in seen:
+            bad.extend(_bad_q_entries(m))
+        seen.clear()
+
+    slot = Mat.__dict__["data"]
+
+    def set_data(m, rows):
+        # every construction path assigns .data.  Checking a matrix once the
+        # next one is started is safe: only Mat.__mul__ and Mat._entrywise
+        # hold unnormalized values, and neither starts a matrix meanwhile.
+        if len(seen) >= 64:
+            sweep()
+        slot.__set__(m, rows)
+        seen.append(m)
+
+    monkeypatch.setattr(Mat, "data", property(slot.__get__, set_data))
+    de_rham(alg, "universal", 2)  # builds universal_prolongation(alg, 2)
+    if is_commutative(alg):
+        de_rham(alg, "kahler", 2)
+    sweep()
+    assert bad == []
 
 
 def test_inverse_round_trip():
