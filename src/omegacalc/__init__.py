@@ -4,12 +4,12 @@ from .algebra import (
     Algebra,
     AlgMap,
     AxiomError,
+    alg_map_report,
+    algebra_axiom_report,
     build_group_algebra,
     build_matrix_algebra,
     build_square_zero,
     build_truncated_poly,
-    check_alg_map,
-    check_algebra,
     is_commutative,
     opposite,
 )
@@ -52,7 +52,7 @@ from .fodc import (
 from .hopf import (
     Bimonoid,
     bicovariance_check,
-    check_bimonoid,
+    bimonoid_axiom_report,
     check_hopf_module,
     group_like_bimonoid,
     universal_coactions,
@@ -75,7 +75,6 @@ from .linalg import (
 from .prolong import (
     AmitsurComplex,
     GradedCalculus,
-    amitsur_complex,
     maximal_prolongation,
     trivial_extension,
     truncation_adjoints_check,

@@ -27,19 +27,21 @@ class AxiomError(ValueError):
 
 def _mult_matrix(field: Field, dim: int, mult) -> Mat:
     """Multiplication as a matrix A(x)A -> A, column (i*dim+j) = coords of e_i e_j."""
-    m = Mat.zeros(field, dim, dim * dim)
-    for i in range(dim):
-        for j in range(dim):
-            coords = mult[i][j]
-            if len(coords) != dim:
-                raise LinAlgError("structure tensor shape mismatch")
-            for k in range(dim):
-                m.data[k][i * dim + j] = field.coerce(coords[k])
-    return m
+    def entries():
+        for i in range(dim):
+            for j in range(dim):
+                coords = mult[i][j]
+                if len(coords) != dim:
+                    raise LinAlgError("structure tensor shape mismatch")
+                for k in range(dim):
+                    yield k, i * dim + j, coords[k]
+
+    return Mat.from_entries(field, dim, dim * dim, entries())
 
 
 def algebra_axiom_report(field: Field, dim: int, mult, unit) -> list[str]:
-    """Every violated monoid axiom, with a witnessing triple or unit index."""
+    """Every violated monoid axiom on raw structure data, with a witnessing
+    triple or unit index; empty iff the data is a monoid."""
     report = []
     try:
         m = _mult_matrix(field, dim, mult)
@@ -112,11 +114,6 @@ class Algebra:
         return (self.mult_mat * kronecker(xv, yv)).column(0)
 
 
-def check_algebra(field: Field, dim: int, mult, unit) -> list[str]:
-    """Diagnostic report on raw structure data; empty iff the data is a monoid."""
-    return algebra_axiom_report(field, dim, mult, unit)
-
-
 def is_commutative(a: Algebra) -> bool:
     return a.mult_mat * swap_matrix(a.field, a.dim, a.dim) == a.mult_mat
 
@@ -174,10 +171,6 @@ def alg_map_report(f: AlgMap) -> list[str]:
     if f.matrix * f.source.unit_mat != f.target.unit_mat:
         report.append("unit is not preserved")
     return report
-
-
-def check_alg_map(source: Algebra, target: Algebra, matrix: Mat) -> list[str]:
-    return alg_map_report(AlgMap(source, target, matrix, check=False))
 
 
 # ---------------------------------------------------------------------------

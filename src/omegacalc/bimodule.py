@@ -18,6 +18,7 @@ from .linalg import (
     quotient_maps,
     rank,
     solve,
+    _null_vectors,
     _rref_sparse,
 )
 
@@ -72,16 +73,15 @@ class Bimodule:
     def from_tensors(left_alg: Algebra, right_alg: Algebra, dim: int, left, right, check=True) -> "Bimodule":
         """left[i][u] = coords of e_i.x_u, right[u][j] = coords of x_u.e_j."""
         f = left_alg.field
-        lm = Mat.zeros(f, dim, left_alg.dim * dim)
-        for i in range(left_alg.dim):
-            for u in range(dim):
-                for v, x in enumerate(left[i][u]):
-                    lm.data[v][i * dim + u] = f.coerce(x)
-        rm = Mat.zeros(f, dim, dim * right_alg.dim)
-        for u in range(dim):
-            for j in range(right_alg.dim):
-                for v, x in enumerate(right[u][j]):
-                    rm.data[v][u * right_alg.dim + j] = f.coerce(x)
+        nb = right_alg.dim
+        lm = Mat.from_entries(f, dim, left_alg.dim * dim, (
+            (v, i * dim + u, x)
+            for i in range(left_alg.dim) for u in range(dim) for v, x in enumerate(left[i][u])
+        ))
+        rm = Mat.from_entries(f, dim, dim * nb, (
+            (v, u * nb + j, x)
+            for u in range(dim) for j in range(nb) for v, x in enumerate(right[u][j])
+        ))
         return Bimodule(left_alg, right_alg, dim, lm, rm, check=check)
 
     def left_action_coords(self, i: int, u: int) -> list:
@@ -179,14 +179,12 @@ def action_closed(m: Bimodule, basis: Mat) -> str | None:
     """None if col(basis) is closed under both actions, else a witness string."""
     f = m.field
     for i in range(m.left_alg.dim):
-        e_i = Mat.zeros(f, m.left_alg.dim, 1)
-        e_i.data[i][0] = f.one()
+        e_i = Mat.from_entries(f, m.left_alg.dim, 1, [(i, 0, 1)])
         moved = m.left_mat * kronecker(e_i, basis)
         if solve(basis, moved) is None:
             return f"left action of e{i} leaves the subspace"
     for j in range(m.right_alg.dim):
-        e_j = Mat.zeros(f, m.right_alg.dim, 1)
-        e_j.data[j][0] = f.one()
+        e_j = Mat.from_entries(f, m.right_alg.dim, 1, [(j, 0, 1)])
         moved = m.right_mat * kronecker(basis, e_j)
         if solve(basis, moved) is None:
             return f"right action of e{j} leaves the subspace"
@@ -255,12 +253,10 @@ def saturate_subspace(m: Bimodule, gens) -> Mat:
     while True:
         pieces = [current]
         for i in range(m.left_alg.dim):
-            e_i = Mat.zeros(f, m.left_alg.dim, 1)
-            e_i.data[i][0] = f.one()
+            e_i = Mat.from_entries(f, m.left_alg.dim, 1, [(i, 0, 1)])
             pieces.append(m.left_mat * kronecker(e_i, current))
         for j in range(m.right_alg.dim):
-            e_j = Mat.zeros(f, m.right_alg.dim, 1)
-            e_j.data[j][0] = f.one()
+            e_j = Mat.from_entries(f, m.right_alg.dim, 1, [(j, 0, 1)])
             pieces.append(m.right_mat * kronecker(current, e_j))
         bigger = image_basis(Mat.hstack_all(f, pieces, m.dim))
         if bigger.cols == current.cols:
@@ -337,62 +333,31 @@ def bimodule_hom_basis(m: Bimodule, n: Bimodule) -> list[Mat]:
     if m.left_alg != n.left_alg or m.right_alg != n.right_alg:
         raise LinAlgError("hom between bimodules over different algebra pairs")
     f = m.field
-    zero = f.zero()
     na, nb = m.left_alg.dim, m.right_alg.dim
     mm, mn = m.dim, n.dim
-    rows: list[dict] = []
-    # h . l_M = l_N . (1 (x) h), unknown h indexed row-major (w * mm + x)
-    for w in range(mn):
-        for i in range(na):
-            for u in range(mm):
-                row: dict[int, object] = {}
-                for x in range(mm):
-                    c = m.left_mat.data[x][i * mm + u]
-                    if c:
-                        row[w * mm + x] = f.add(row.get(w * mm + x, zero), c)
-                for y in range(mn):
-                    c = n.left_mat.data[w][i * mn + y]
-                    if c:
-                        key = y * mm + u
-                        row[key] = f.sub(row.get(key, zero), c)
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    rows.append(row)
+
+    def relation(w, u, m_coeffs, n_coeffs):
+        """sum_x m_x h[w, x] - sum_y n_y h[y, u] as a sparse row over the
+        unknowns h, indexed row-major (w * mm + x)."""
+        row = {w * mm + x: c for x, c in enumerate(m_coeffs) if c}
+        for y, c in enumerate(n_coeffs):
+            if c:
+                row[y * mm + u] = f.sub(row.get(y * mm + u, 0), c)
+        return {k: v for k, v in row.items() if v}
+
+    # h . l_M = l_N . (1 (x) h)
+    rows = [
+        relation(w, u, m.left_mat.column(i * mm + u), [n.left_mat[w, i * mn + y] for y in range(mn)])
+        for w in range(mn) for i in range(na) for u in range(mm)
+    ]
     # h . r_M = r_N . (h (x) 1)
-    for w in range(mn):
-        for u in range(mm):
-            for j in range(nb):
-                row = {}
-                for x in range(mm):
-                    c = m.right_mat.data[x][u * nb + j]
-                    if c:
-                        row[w * mm + x] = f.add(row.get(w * mm + x, zero), c)
-                for y in range(mn):
-                    c = n.right_mat.data[w][y * nb + j]
-                    if c:
-                        key = y * mm + u
-                        row[key] = f.sub(row.get(key, zero), c)
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    rows.append(row)
-    nunk = mn * mm
-    prows, pcols = _rref_sparse(f, rows, nunk)
-    pivot_of = {c: r for c, r in zip(pcols, prows)}
-    free = [c for c in range(nunk) if c not in pivot_of]
-    basis = []
-    for fc in free:
-        vec = [zero] * nunk
-        vec[fc] = f.one()
-        for pc, row in zip(pcols, prows):
-            coeff = row.get(fc)
-            if coeff is not None:
-                vec[pc] = f.neg(coeff)
-        h = Mat.zeros(f, mn, mm)
-        for w in range(mn):
-            for x in range(mm):
-                h.data[w][x] = vec[w * mm + x]
-        basis.append(h)
-    return basis
+    rows += [
+        relation(w, u, m.right_mat.column(u * nb + j), [n.right_mat[w, y * nb + j] for y in range(mn)])
+        for w in range(mn) for u in range(mm) for j in range(nb)
+    ]
+    prows, pcols = _rref_sparse(f, rows)
+    return [Mat.from_entries(f, mn, mm, [(k // mm, k % mm, v) for k, v in vec.items()])
+            for vec in _null_vectors(f, prows, pcols, mn * mm)]
 
 
 def bimodule_hom_dim(m: Bimodule, n: Bimodule) -> int:

@@ -267,10 +267,14 @@ def _transport(args, push: bool) -> dict:
         raise _Failure(EXIT_COMPUTE, {"error": "morphism axioms fail", "violations": exc.report})
     except (OSError, json.JSONDecodeError) as exc:
         raise _Failure(EXIT_USAGE, {"error": f"cannot read {args.map}: {exc}"})
+    except (KeyError, TypeError) as exc:
+        raise _Failure(EXIT_USAGE, {"error": f"malformed map file {args.map}: missing {exc}"})
     try:
         calc_doc = load_json(args.calculus)
     except (OSError, json.JSONDecodeError) as exc:
         raise _Failure(EXIT_USAGE, {"error": f"cannot read {args.calculus}: {exc}"})
+    if not isinstance(calc_doc, dict) or "algebra" not in calc_doc:
+        raise _Failure(EXIT_USAGE, {"error": f"calculus file {args.calculus} has no 'algebra'"})
     calc_base = Path(args.calculus).resolve().parent
     alg = algebra_from_json(calc_doc["algebra"]) if not isinstance(calc_doc["algebra"], str) \
         else _load_algebra(str(calc_base / calc_doc["algebra"]))[0]
@@ -403,7 +407,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("bicovariant", _cmd_bicovariant, help="bicovariance of a quotient calculus")
     p.add_argument("algebra")
-    p.add_argument("--relations", required=True)
+    p.add_argument("--relations", required=True,
+                   help="relations file; a relative path is resolved against the "
+                        "directory of the algebra file, not the working directory")
 
     return parser
 

@@ -61,17 +61,6 @@ class FodcReport:
         else:
             self.classification = "generalized_only"
 
-    def as_dict(self):
-        return {
-            "classification": self.classification,
-            "leibniz": self.leibniz,
-            "left_surjective": self.left_surjective,
-            "right_surjective": self.right_surjective,
-            "two_sided_surjective": self.two_sided_surjective,
-            "d_kills_unit": self.d_kills_unit,
-            "witnesses": list(self.witnesses),
-        }
-
 
 def leibniz_defect(a: Algebra, omega: Bimodule, d: Mat) -> Mat:
     """d m - (d . 1 + 1 . d) as a matrix A(x)A -> Omega; zero iff Leibniz holds."""
@@ -232,7 +221,7 @@ def induced_map_is_unique(u: UniversalCalculus, target: FirstOrderCalculus) -> b
     cols = []
     for h in hom:
         hd = h * u.d
-        cols.append([hd.data[i][j] for i in range(hd.rows) for j in range(hd.cols)])
+        cols.append([x for row in hd.dense_rows() for x in row])
     sys = Mat.from_cols(f, cols, rows=target.dim * u.alg.dim)
     return kernel_basis(sys).cols == 0
 
@@ -306,7 +295,7 @@ def enumerate_action_closed_subspaces(m: Bimodule, max_generators: int = 2) -> l
 
     def record(basis: Mat):
         closed = saturate_subspace(m, basis) if basis.cols else basis
-        key = (closed.cols, tuple(tuple(f.format(x) for x in row) for row in closed.data))
+        key = (closed.cols, tuple(tuple(map(f.format, row)) for row in closed.dense_rows()))
         found.setdefault(key, closed)
 
     zero = Mat.zeros(f, m.dim, 0)
@@ -319,20 +308,18 @@ def enumerate_action_closed_subspaces(m: Bimodule, max_generators: int = 2) -> l
                 span = image_basis(Mat.from_cols(f, [list(v) for v in subset], rows=m.dim))
                 witness_free = True
                 for i in range(m.left_alg.dim):
-                    e_i = Mat.zeros(f, m.left_alg.dim, 1)
-                    e_i.data[i][0] = f.one()
+                    e_i = Mat.from_entries(f, m.left_alg.dim, 1, [(i, 0, 1)])
                     if solve(span, m.left_mat * kronecker(e_i, span)) is None:
                         witness_free = False
                         break
                 if witness_free:
                     for j in range(m.right_alg.dim):
-                        e_j = Mat.zeros(f, m.right_alg.dim, 1)
-                        e_j.data[j][0] = f.one()
+                        e_j = Mat.from_entries(f, m.right_alg.dim, 1, [(j, 0, 1)])
                         if solve(span, m.right_mat * kronecker(span, e_j)) is None:
                             witness_free = False
                             break
                 if witness_free:
-                    key = (span.cols, tuple(tuple(f.format(x) for x in row) for row in span.data))
+                    key = (span.cols, tuple(tuple(map(f.format, row)) for row in span.dense_rows()))
                     found.setdefault(key, span)
     else:
         basis_vectors = [Mat.identity(f, m.dim).column(i) for i in range(m.dim)]

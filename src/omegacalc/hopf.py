@@ -82,19 +82,12 @@ class Bimonoid:
         return f"Bimonoid(dim={self.alg.dim})"
 
 
-def check_bimonoid(a: Algebra, comult: Mat, counit: Mat) -> list[str]:
-    return bimonoid_axiom_report(a, comult, counit)
-
-
 def group_like_bimonoid(group_alg: Algebra) -> Bimonoid:
     """Delta(g) = g (x) g, eps(g) = 1 on a group algebra basis."""
     n = group_alg.dim
     f = group_alg.field
-    comult = Mat.zeros(f, n * n, n)
-    one = f.one()
-    for g in range(n):
-        comult.data[g * n + g][g] = one
-    counit = Mat(f, [[one] * n])
+    comult = Mat.from_entries(f, n * n, n, [(g * n + g, g, 1) for g in range(n)])
+    counit = Mat(f, [[1] * n])
     return Bimonoid(group_alg, comult, counit)
 
 

@@ -17,7 +17,7 @@ from .linalg import Field, LinAlgError, Mat, field_from_json, field_to_json
 
 
 def mat_to_lists(m: Mat) -> list[list[str]]:
-    return [[m.field.format(x) for x in row] for row in m.data]
+    return [[m.field.format(x) for x in row] for row in m.dense_rows()]
 
 
 def mat_from_lists(field: Field, rows: list[list], nrows: int, ncols: int) -> Mat:
@@ -42,11 +42,11 @@ def algebra_to_json(a: Algebra, comult: Mat | None = None, counit: Mat | None = 
     if comult is not None:
         n = a.dim
         doc["comult"] = [
-            [[a.field.format(comult.data[j * n + k][i]) for k in range(n)] for j in range(n)]
+            [[a.field.format(comult[j * n + k, i]) for k in range(n)] for j in range(n)]
             for i in range(n)
         ]
     if counit is not None:
-        doc["counit"] = [a.field.format(x) for x in counit.data[0]]
+        doc["counit"] = mat_to_lists(counit)[0]
     return doc
 
 
@@ -63,14 +63,12 @@ def bimonoid_from_json(doc: dict, alg: Algebra | None = None) -> Bimonoid:
     if "comult" not in doc or "counit" not in doc:
         raise LinAlgError("algebra file carries no comultiplication/counit")
     n = a.dim
-    comult = Mat.zeros(a.field, n * n, n)
     raw = doc["comult"]
     if len(raw) != n:
         raise LinAlgError("comult must have one block per basis element")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                comult.data[j * n + k][i] = a.field.coerce(raw[i][j][k])
+    comult = Mat.from_entries(a.field, n * n, n, (
+        (j * n + k, i, raw[i][j][k]) for i in range(n) for j in range(n) for k in range(n)
+    ))
     counit = Mat(a.field, [[a.field.coerce(x) for x in doc["counit"]]])
     return Bimonoid(a, comult, counit)
 

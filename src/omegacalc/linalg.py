@@ -1,8 +1,13 @@
-"""Exact dense linear algebra over Q and GF(p).
+"""Exact sparse linear algebra over Q and GF(p).
 
 Everything downstream (algebras, bimodules, calculi, cohomology) reduces to
 kernels, images, cokernels and solves of matrices over an exact field, so
 this module is the single computational substrate.  No floating point.
+
+Storage: a matrix keeps each row as a dict {col: value} holding only the
+nonzero entries; a zero is never stored, so equality of matrices is equality
+of their row dicts and every kernel costs time in the number of nonzeros.
+Rows are never mutated once a matrix is built, so matrices may share them.
 
 Scalar normal form: over Q an integral value is an `int` and only a
 non-integral value is a `fractions.Fraction` (never an integral Fraction,
@@ -19,7 +24,6 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import compress
 
 
 class LinAlgError(ValueError):
@@ -61,12 +65,14 @@ def _q(x):
     return x
 
 
-def _q_row(row: list) -> None:
-    """Normalize a row of rationals in place; a row of ints is only scanned."""
-    if not set(map(type, row)) <= {int}:
-        for j, v in enumerate(row):
-            if type(v) is not int and v.denominator == 1:
-                row[j] = v.numerator
+def _clean(row: dict, p: int | None) -> dict:
+    """A row of unreduced sums and products in normal form, without zeros."""
+    if p is not None:
+        return {j: r for j, v in row.items() if (r := v % p)}
+    vals = row.values()
+    if Fraction in set(map(type, vals)):
+        return {j: _q(v) for j, v in row.items() if v}
+    return row if all(vals) else {j: v for j, v in row.items() if v}
 
 
 class Field:
@@ -177,37 +183,62 @@ def field_to_json(field: Field):
 # matrices
 # ---------------------------------------------------------------------------
 
+_EMPTY: dict = {}  # the zero row that kronecker shares between its outputs
+
+
+def _mat(field: Field, rows: int, cols: int, data: list[dict]) -> "Mat":
+    """A matrix on finished rows: normal-form values, no zeros, keys < cols."""
+    m = Mat.__new__(Mat)
+    m.field, m.rows, m.cols, m.data = field, rows, cols, data
+    return m
+
+
 class Mat:
-    """Immutable-by-convention dense matrix over an exact field."""
+    """Immutable-by-convention sparse matrix over an exact field.
+
+    `data` holds one dict {col: value} per row with the zero entries absent;
+    `Mat(field, rows)` takes dense rows, and `m[i, j]`, `column(j)` and
+    `dense_rows()` read entries back with the zeros filled in.
+    """
 
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field: Field, data):
+        coerce = field.coerce
+        dense = [[coerce(x) for x in row] for row in data]
+        cols = len(dense[0]) if dense else 0
+        if any(len(row) != cols for row in dense):
+            raise LinAlgError("ragged rows")
         self.field = field
-        self.data = [[field.coerce(x) for x in row] for row in data]
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.data else 0
-        for row in self.data:
-            if len(row) != self.cols:
-                raise LinAlgError("ragged rows")
+        self.rows, self.cols = len(dense), cols
+        self.data = [{j: x for j, x in enumerate(row) if x} for row in dense]
 
     # constructors -----------------------------------------------------------
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Mat":
-        z = field.zero()
-        m = Mat.__new__(Mat)
-        m.field, m.rows, m.cols = field, rows, cols
-        m.data = [[z] * cols for _ in range(rows)]
-        return m
+        return _mat(field, rows, cols, [{} for _ in range(rows)])
 
     @staticmethod
     def identity(field: Field, n: int) -> "Mat":
-        m = Mat.zeros(field, n, n)
-        one = field.one()
-        for i in range(n):
-            m.data[i][i] = one
-        return m
+        return _mat(field, n, n, [{i: 1} for i in range(n)])
+
+    @staticmethod
+    def from_entries(field: Field, rows: int, cols: int, entries) -> "Mat":
+        """The matrix with the given (i, j, value) entries and zeros elsewhere.
+
+        Values are coerced into the field and zeros are dropped; each
+        position is given at most once.
+        """
+        data = [{} for _ in range(rows)]
+        coerce = field.coerce
+        for i, j, x in entries:
+            if not 0 <= j < cols:
+                raise LinAlgError(f"column {j} outside a {rows}x{cols} matrix")
+            x = coerce(x)
+            if x:
+                data[i][j] = x
+        return _mat(field, rows, cols, data)
 
     @staticmethod
     def from_cols(field: Field, cols: list[list], rows: int | None = None) -> "Mat":
@@ -216,19 +247,22 @@ class Mat:
                 raise LinAlgError("from_cols with no columns needs explicit row count")
             return Mat.zeros(field, rows, 0)
         n = len(cols[0])
-        return Mat(field, [[cols[j][i] for j in range(len(cols))] for i in range(n)])
+        coerce = field.coerce
+        data = [{} for _ in range(n)]
+        for j, col in enumerate(cols):
+            if len(col) != n:
+                raise LinAlgError("ragged columns")
+            for row, x in zip(data, col):
+                x = coerce(x)
+                if x:
+                    row[j] = x
+        return _mat(field, n, len(cols), data)
 
     @staticmethod
     def col_vector(field: Field, entries: list) -> "Mat":
         return Mat(field, [[x] for x in entries])
 
     # basics -----------------------------------------------------------------
-
-    def copy(self) -> "Mat":
-        m = Mat.__new__(Mat)
-        m.field, m.rows, m.cols = self.field, self.rows, self.cols
-        m.data = [row[:] for row in self.data]
-        return m
 
     def __eq__(self, other):
         return (
@@ -239,31 +273,39 @@ class Mat:
             and self.data == other.data
         )
 
-    def __hash__(self):
-        return hash((self.field, self.rows, self.cols, tuple(tuple(r) for r in self.data)))
-
     def __repr__(self):
-        body = "; ".join(" ".join(self.field.format(x) for x in row) for row in self.data)
+        body = "; ".join(" ".join(map(self.field.format, row)) for row in self.dense_rows())
         return f"Mat({self.rows}x{self.cols} over {self.field}: [{body}])"
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i][j]
+        return self.data[i].get(j, 0)
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.data))
+        return not any(self.data)
+
+    def dense_rows(self) -> list[list]:
+        """The entries as a list of rows, zeros included."""
+        out = []
+        for row in self.data:
+            dense = [0] * self.cols
+            for j, v in row.items():
+                dense[j] = v
+            out.append(dense)
+        return out
 
     def column(self, j: int) -> list:
-        return [self.data[i][j] for i in range(self.rows)]
+        return [row.get(j, 0) for row in self.data]
 
     def columns(self) -> list[list]:
-        return [self.column(j) for j in range(self.cols)]
+        return self.transpose().dense_rows()
 
     def transpose(self) -> "Mat":
-        m = Mat.__new__(Mat)
-        m.field, m.rows, m.cols = self.field, self.cols, self.rows
-        m.data = [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        return m
+        data = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, v in row.items():
+                data[j][i] = v
+        return _mat(self.field, self.cols, self.rows, data)
 
     # arithmetic ---------------------------------------------------------------
 
@@ -276,15 +318,14 @@ class Mat:
     def _entrywise(self, other: "Mat", op) -> "Mat":
         self._check_same_shape(other)
         p = self.field.p
-        m = Mat.__new__(Mat)
-        m.field, m.rows, m.cols = self.field, self.rows, self.cols
-        if p is None:
-            m.data = [list(map(op, r1, r2)) for r1, r2 in zip(self.data, other.data)]
-            for row in m.data:
-                _q_row(row)
-        else:
-            m.data = [[x % p for x in map(op, r1, r2)] for r1, r2 in zip(self.data, other.data)]
-        return m
+        data = []
+        for r1, r2 in zip(self.data, other.data):
+            row = dict(r1)
+            get = row.get
+            for j, b in r2.items():
+                row[j] = op(get(j, 0), b)
+            data.append(_clean(row, p))
+        return _mat(self.field, self.rows, self.cols, data)
 
     def __add__(self, other: "Mat") -> "Mat":
         return self._entrywise(other, operator.add)
@@ -293,19 +334,12 @@ class Mat:
         return self._entrywise(other, operator.sub)
 
     def __neg__(self) -> "Mat":
-        f = self.field
-        m = Mat.__new__(Mat)
-        m.field, m.rows, m.cols = f, self.rows, self.cols
-        m.data = [[f.neg(a) for a in row] for row in self.data]
-        return m
-
-    def scale(self, c) -> "Mat":
-        f = self.field
-        c = f.coerce(c)
-        m = Mat.__new__(Mat)
-        m.field, m.rows, m.cols = f, self.rows, self.cols
-        m.data = [[f.mul(c, a) for a in row] for row in self.data]
-        return m
+        p = self.field.p
+        if p is None:
+            data = [{j: -v for j, v in row.items()} for row in self.data]
+        else:
+            data = [{j: p - v for j, v in row.items()} for row in self.data]
+        return _mat(self.field, self.rows, self.cols, data)
 
     def __mul__(self, other: "Mat") -> "Mat":
         if self.field != other.field:
@@ -313,69 +347,81 @@ class Mat:
         if self.cols != other.rows:
             raise LinAlgError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         p = self.field.p
-        out = Mat.zeros(self.field, self.rows, other.cols)
         bdata = other.data
-        ks, js = range(self.cols), range(other.cols)
-        # nonzero (j, b) of each row of other, built on first use so that
-        # zero columns of self cost nothing
-        bnz = [None] * other.rows
-        for arow, orow in zip(self.data, out.data):
-            for k in compress(ks, arow):
-                a = arow[k]
-                row = bnz[k]
-                if row is None:
-                    brow = bdata[k]
-                    row = bnz[k] = [(j, brow[j]) for j in compress(js, brow)]
-                if p is None:
-                    for j, b in row:
-                        orow[j] += a * b
+        data = []
+        for arow in self.data:
+            if len(arow) == 1:
+                # a single term: the row of other, scaled (no cancellation)
+                ((k, a),) = arow.items()
+                if a == 1:
+                    data.append(bdata[k])
+                elif p is None:
+                    data.append(_clean({j: a * b for j, b in bdata[k].items()}, None))
                 else:
-                    for j, b in row:
-                        orow[j] = (orow[j] + a * b) % p
-            if p is None:
-                _q_row(orow)
-        return out
+                    data.append({j: a * b % p for j, b in bdata[k].items()})
+                continue
+            orow = {}
+            for k, a in arow.items():
+                brow = bdata[k]
+                if not orow:
+                    orow = dict(brow) if a == 1 else {j: a * b for j, b in brow.items()}
+                else:
+                    get = orow.get
+                    for j, b in brow.items():
+                        orow[j] = get(j, 0) + a * b
+            data.append(_clean(orow, p))
+        return _mat(self.field, self.rows, other.cols, data)
 
     # block operations ---------------------------------------------------------
 
     def hstack(self, other: "Mat") -> "Mat":
-        if self.field != other.field or self.rows != other.rows:
-            raise LinAlgError("hstack mismatch")
-        return Mat(self.field, [r1 + r2 for r1, r2 in zip(self.data, other.data)])
+        return Mat.hstack_all(self.field, [self, other], self.rows)
 
     def vstack(self, other: "Mat") -> "Mat":
         if self.field != other.field or self.cols != other.cols:
             raise LinAlgError("vstack mismatch")
-        m = Mat.__new__(Mat)
-        m.field, m.rows, m.cols = self.field, self.rows + other.rows, self.cols
-        m.data = [row[:] for row in self.data] + [row[:] for row in other.data]
-        return m
+        return _mat(self.field, self.rows + other.rows, self.cols, self.data + other.data)
 
     @staticmethod
     def hstack_all(field: Field, mats: list["Mat"], rows: int) -> "Mat":
-        out = Mat.zeros(field, rows, 0)
+        data = [{} for _ in range(rows)]
+        off = 0
         for m in mats:
-            out = out.hstack(m)
-        return out
+            if m.field != field or m.rows != rows:
+                raise LinAlgError("hstack mismatch")
+            for row, mrow in zip(data, m.data):
+                if mrow:
+                    row.update(zip(map(off.__add__, mrow), mrow.values()))
+            off += m.cols
+        return _mat(field, rows, off, data)
 
 
 def kronecker(a: Mat, b: Mat) -> Mat:
     """Tensor product of linear maps in the row-major basis order."""
     if a.field != b.field:
         raise LinAlgError("field mismatch")
-    mul = a.field.mul
-    out = Mat.zeros(a.field, a.rows * b.rows, a.cols * b.cols)
-    ls = range(b.cols)
-    bnz = [[(l, brow[l]) for l in compress(ls, brow)] for brow in b.data]
-    for i, arow in enumerate(a.data):
-        orows = out.data[i * b.rows:(i + 1) * b.rows]
-        for j in compress(range(a.cols), arow):
-            x = arow[j]
-            off = j * b.cols
-            for orow, row in zip(orows, bnz):
-                for l, y in row:
-                    orow[off + l] = mul(x, y)
-    return out
+    p = a.field.p
+    bc = b.cols
+    bdata = b.data
+    data = []
+    for arow in a.data:
+        if not arow:
+            data.extend([_EMPTY] * len(bdata))
+            continue
+        offs = [(j * bc, x) for j, x in arow.items()]
+        ones = all(x == 1 for _, x in offs)
+        for brow in bdata:
+            if len(brow) == 1:
+                ((l, y),) = brow.items()
+                if y == 1:
+                    data.append({off + l: x for off, x in offs})
+                    continue
+                orow = {off + l: x * y for off, x in offs}
+            else:
+                orow = {off + l: x * y for off, x in offs for l, y in brow.items()}
+            # products of nonzeros are nonzero; only their normal form is owed
+            data.append(orow if ones else _clean(orow, p))
+    return _mat(a.field, a.rows * b.rows, a.cols * bc, data)
 
 
 def kron_all(mats: list[Mat]) -> Mat:
@@ -388,121 +434,109 @@ def kron_all(mats: list[Mat]) -> Mat:
 def direct_sum(a: Mat, b: Mat) -> Mat:
     if a.field != b.field:
         raise LinAlgError("field mismatch")
-    out = Mat.zeros(a.field, a.rows + b.rows, a.cols + b.cols)
-    for i in range(a.rows):
-        out.data[i][: a.cols] = a.data[i][:]
-    for i in range(b.rows):
-        out.data[a.rows + i][a.cols:] = b.data[i][:]
-    return out
+    shifted = [dict(zip(map(a.cols.__add__, row), row.values())) for row in b.data]
+    return _mat(a.field, a.rows + b.rows, a.cols + b.cols, a.data + shifted)
 
 
 def swap_matrix(field: Field, m: int, n: int) -> Mat:
     """Matrix of the braiding V(x)W -> W(x)V on spaces of dims m, n."""
-    out = Mat.zeros(field, m * n, m * n)
-    one = field.one()
+    data = [{} for _ in range(m * n)]
     for i in range(m):
         for j in range(n):
-            out.data[j * m + i][i * n + j] = one
-    return out
+            data[j * m + i] = {i * n + j: 1}
+    return _mat(field, m * n, m * n, data)
 
 
 # ---------------------------------------------------------------------------
 # elimination core (sparse rows over the exact field)
 # ---------------------------------------------------------------------------
 
-def _rref_sparse(field: Field, rows: list[dict], ncols: int, pivot_limit: int | None = None):
+def _rref_sparse(field: Field, rows: list[dict], pivot_limit: int | None = None):
     """Reduced row echelon form of sparse rows; returns (pivot_rows, pivot_cols).
 
-    pivot_rows is a list of fully reduced rows (dicts col->val, pivot value 1)
-    ordered by pivot column.  Pivot search stops at pivot_limit columns when
-    given (used by solvers to keep augmented columns pivot-free).
+    pivot_rows is a list of fully reduced rows (dicts col->val without zeros,
+    pivot value 1) ordered by pivot column.  The input rows are not changed.
+    Pivot search stops at pivot_limit columns when given (used by solvers to
+    keep augmented columns pivot-free).
     """
-    limit = ncols if pivot_limit is None else pivot_limit
-    pivots: list[tuple[int, dict]] = []  # (pivot col, row)
-    work = [dict(r) for r in rows]
-    for r in work:
-        # reduce against existing pivots
-        for pc, prow in pivots:
-            c = r.get(pc)
-            if not c:
-                continue
-            for col, v in prow.items():
-                nv = field.sub(r.get(col, 0), field.mul(c, v))
-                if nv:
-                    r[col] = nv
-                else:
-                    r.pop(col, None)
-        live = [c for c in r if c < limit and r[c]]
+    p = field.p
+    pivots: dict[int, dict] = {}  # pivot col -> fully reduced row
+
+    def axpy(r: dict, c, prow: dict) -> None:
+        """r -= c * prow in place, dropping the entries that cancel."""
+        get = r.get
+        for col, v in prow.items():
+            nv = get(col, 0) - c * v
+            if p is not None:
+                nv %= p
+            elif type(nv) is Fraction and nv.denominator == 1:
+                nv = nv.numerator
+            if nv:
+                r[col] = nv
+            else:
+                del r[col]
+
+    for r in rows:
+        # pivot rows are zero in each other's pivot columns, so one pass over
+        # the pivot columns that r meets reduces it completely
+        hits = [c for c in r if c in pivots]
+        if hits:
+            r = dict(r)
+            for pc in hits:
+                axpy(r, r[pc], pivots[pc])
+        live = r if pivot_limit is None else [c for c in r if c < pivot_limit]
         if not live:
             continue
         pc = min(live)
-        inv = field.inv(r[pc])
-        r = {c: field.mul(inv, v) for c, v in r.items() if v}
+        lead = r[pc]
+        if lead != 1:
+            inv = field.inv(lead)
+            r = {c: field.mul(inv, v) for c, v in r.items()}
         # back-substitute into earlier pivot rows
-        for k, (opc, orow) in enumerate(pivots):
+        for opc, orow in pivots.items():
             c = orow.get(pc)
-            if not c:
-                continue
-            nrow = dict(orow)
-            for col, v in r.items():
-                nv = field.sub(nrow.get(col, 0), field.mul(c, v))
-                if nv:
-                    nrow[col] = nv
-                else:
-                    nrow.pop(col, None)
-            pivots[k] = (opc, nrow)
-        pivots.append((pc, r))
-    pivots.sort(key=lambda t: t[0])
-    return [row for _, row in pivots], [pc for pc, _ in pivots]
+            if c:
+                orow = dict(orow)
+                axpy(orow, c, r)
+                pivots[opc] = orow
+        pivots[pc] = r
+    pcols = sorted(pivots)
+    return [pivots[pc] for pc in pcols], pcols
 
 
-def _to_sparse_rows(m: Mat) -> list[dict]:
-    return [{j: v for j, v in enumerate(row) if v} for row in m.data]
+def _null_vectors(field: Field, prows: list[dict], pcols: list[int], ncols: int) -> list[dict]:
+    """The null space basis read off a reduced row echelon form: for each
+    free column fc in order, 1 at fc and -row[fc] at each pivot column."""
+    pivot_set = set(pcols)
+    vecs = {fc: {fc: 1} for fc in range(ncols) if fc not in pivot_set}
+    for pc, row in zip(pcols, prows):
+        for c, v in row.items():
+            if c != pc:
+                vecs[c][pc] = field.neg(v)
+    return list(vecs.values())
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form (unique) and pivot column indices."""
-    prows, pcols = _rref_sparse(m.field, _to_sparse_rows(m), m.cols)
-    out = Mat.zeros(m.field, len(prows), m.cols)
-    for i, row in enumerate(prows):
-        for c, v in row.items():
-            out.data[i][c] = v
-    return out, pcols
+    prows, pcols = _rref_sparse(m.field, m.data)
+    return _mat(m.field, len(prows), m.cols, prows), pcols
 
 
 def rank(m: Mat) -> int:
-    _, pcols = _rref_sparse(m.field, _to_sparse_rows(m), m.cols)
+    _, pcols = _rref_sparse(m.field, m.data)
     return len(pcols)
 
 
-def column_echelon(m: Mat) -> Mat:
-    """Canonical reduced column echelon basis of the column space."""
-    return rref(m.transpose())[0].transpose()
-
-
 def image_basis(m: Mat) -> Mat:
-    """Canonical basis of col(M), one column per pivot."""
-    return column_echelon(m)
+    """Canonical basis of col(M): reduced column echelon form, one column per pivot."""
+    return rref(m.transpose())[0].transpose()
 
 
 def kernel_basis(m: Mat) -> Mat:
     """Canonical basis (columns) of the null space of M."""
-    prows, pcols = _rref_sparse(m.field, _to_sparse_rows(m), m.cols)
-    field = m.field
-    zero, one = field.zero(), field.one()
-    pivot_of = {c: i for i, c in enumerate(pcols)}
-    free = [c for c in range(m.cols) if c not in pivot_of]
-    cols = []
-    for fc in free:
-        v = [zero] * m.cols
-        v[fc] = one
-        for pc, row in zip(pcols, prows):
-            coeff = row.get(fc)
-            if coeff is not None:
-                v[pc] = field.neg(coeff)
-        cols.append(v)
-    basis = Mat.from_cols(field, cols, rows=m.cols)
-    return column_echelon(basis)
+    prows, pcols = _rref_sparse(m.field, m.data)
+    vecs = _null_vectors(m.field, prows, pcols, m.cols)
+    return rref(_mat(m.field, len(vecs), m.cols, vecs))[0].transpose()
 
 
 def solve(m: Mat, b: Mat) -> Mat | None:
@@ -512,20 +546,17 @@ def solve(m: Mat, b: Mat) -> Mat | None:
     if m.rows != b.rows:
         raise LinAlgError("solve: row mismatch")
     field = m.field
+    n = m.cols
     aug_rows = []
-    for i in range(m.rows):
-        row = {j: v for j, v in enumerate(m.data[i]) if v}
-        for k in range(b.cols):
-            v = b.data[i][k]
-            if v:
-                row[m.cols + k] = v
+    for mrow, brow in zip(m.data, b.data):
+        row = dict(mrow)
+        row.update(zip(map(n.__add__, brow), brow.values()))
         aug_rows.append(row)
-    prows, pcols = _rref_sparse(field, aug_rows, m.cols + b.cols, pivot_limit=m.cols)
-    x = Mat.zeros(field, m.cols, b.cols)
+    prows, pcols = _rref_sparse(field, aug_rows, pivot_limit=n)
+    data = [{} for _ in range(n)]
     for pc, row in zip(pcols, prows):
-        for c, v in row.items():
-            if c >= m.cols:
-                x.data[pc][c - m.cols] = v
+        data[pc] = {c - n: v for c, v in row.items() if c >= n}
+    x = _mat(field, n, b.cols, data)
     # free variables were set to 0; verifying directly doubles as the
     # consistency check for pivotless rows with nonzero augmented part
     if m * x != b:
@@ -567,27 +598,23 @@ def quotient_maps(sub_canonical: Mat, ambient_dim: int) -> tuple[Mat, Mat]:
     field = sub_canonical.field
     if sub_canonical.rows not in (ambient_dim,) and sub_canonical.cols != 0:
         raise LinAlgError("subspace basis does not live in the ambient space")
-    one = field.one()
-    pivot_rows = []
-    for j in range(sub_canonical.cols):
-        col = sub_canonical.column(j)
-        pr = next(i for i, v in enumerate(col) if v)
-        pivot_rows.append(pr)
-    pivot_of = {pr: j for j, pr in enumerate(pivot_rows)}
-    compl = [i for i in range(ambient_dim) if i not in pivot_of]
-    q = Mat.zeros(field, len(compl), ambient_dim)
-    for a, i in enumerate(compl):
-        q.data[a][i] = one
+    basis = sub_canonical.transpose().data  # one dict per basis vector
+    pivot_rows = [min(vec) for vec in basis]
+    pivot_set = set(pivot_rows)
+    compl = [i for i in range(ambient_dim) if i not in pivot_set]
+    index = {i: a for a, i in enumerate(compl)}
+    q_data = [{i: 1} for i in compl]
     # reducing e_p for a pivot row p subtracts the corresponding basis column
-    for pr, j in pivot_of.items():
-        col = sub_canonical.column(j)
-        for a, i in enumerate(compl):
-            if col[i]:
-                q.data[a][pr] = field.neg(col[i])
-    s = Mat.zeros(field, ambient_dim, len(compl))
+    for pr, vec in zip(pivot_rows, basis):
+        for i, v in vec.items():
+            a = index.get(i)
+            if a is not None:
+                q_data[a][pr] = field.neg(v)
+    s_data = [{} for _ in range(ambient_dim)]
     for a, i in enumerate(compl):
-        s.data[i][a] = one
-    return q, s
+        s_data[i] = {a: 1}
+    return (_mat(field, len(compl), ambient_dim, q_data),
+            _mat(field, ambient_dim, len(compl), s_data))
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +636,7 @@ def subspace_intersection(a: Mat, b: Mat) -> Mat:
         return Mat.zeros(a.field, a.rows, 0)
     # columns of k are stacked (x; y) with a x = b y; the intersection is a x
     k = kernel_basis(a.hstack(-b))
-    xs = Mat(a.field, [k.data[i] for i in range(a.cols)])
+    xs = _mat(a.field, a.cols, k.cols, k.data[:a.cols])
     return image_basis(a * xs)
 
 

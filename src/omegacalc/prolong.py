@@ -76,10 +76,6 @@ class AmitsurComplex:
                 raise AssertionError(f"Amitsur differential fails d.d=0 at degree {n}")
 
 
-def amitsur_complex(a: Algebra, max_degree: int) -> AmitsurComplex:
-    return AmitsurComplex(a, max_degree)
-
-
 # ---------------------------------------------------------------------------
 # graded calculi
 # ---------------------------------------------------------------------------

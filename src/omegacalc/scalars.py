@@ -123,12 +123,7 @@ def square_zero_unit_check(a: Algebra, probes=None) -> dict:
     u = universal_calculus(a)
     f = a.field
     ext = build_square_zero(a, u.omega)
-    unit_matrix = Mat.zeros(f, a.dim + u.dim, a.dim)
-    for i in range(a.dim):
-        unit_matrix.data[i][i] = f.one()
-    for r in range(u.dim):
-        for cidx in range(a.dim):
-            unit_matrix.data[a.dim + r][cidx] = u.d.data[r][cidx]
+    unit_matrix = Mat.identity(f, a.dim).vstack(u.d)
     unit_report = alg_map_report(AlgMap(a, ext, unit_matrix, check=False))
     if probes is None:
         zero_h2 = Mat.zeros(f, u.dim, a.dim)

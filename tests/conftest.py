@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -72,3 +73,33 @@ def qs3():
 @pytest.fixture(scope="session")
 def m2q():
     return build_matrix_algebra(QQ, 2)
+
+
+def _storage_violations(m):
+    """Violations of the storage invariant: rows are dicts {col: value} with
+    no zero value, every col in range(cols), and every value in normal form
+    (Q: an int or a non-integral Fraction; GF(p): an int in [0, p))."""
+    if len(m.data) != m.rows:
+        return [("row count", len(m.data), m.rows)]
+    bad = []
+    p = m.field.p
+    for row in m.data:
+        if type(row) is not dict:
+            bad.append(("row type", type(row)))
+            continue
+        for j, x in row.items():
+            if not (type(j) is int and 0 <= j < m.cols):
+                bad.append(("col", j, m.cols))
+            if not x:
+                bad.append(("stored zero", j, x))
+            if p is None:
+                if type(x) is not int and not (type(x) is Fraction and x.denominator != 1):
+                    bad.append(("Q normal form", j, x))
+            elif not (type(x) is int and 0 <= x < p):
+                bad.append(("GF(p) range", j, x))
+    return bad
+
+
+@pytest.fixture(scope="session")
+def storage_violations():
+    return _storage_violations

@@ -24,10 +24,7 @@ from omegacalc.linalg import QQ, Mat, is_invertible, kronecker, solve
 def unit_embedding(alg):
     field = alg.field
     qa = field_algebra(field)
-    col = Mat.zeros(field, alg.dim, 1)
-    for i, v in enumerate(alg.unit):
-        col.data[i][0] = v
-    return AlgMap(qa, alg, col)
+    return AlgMap(qa, alg, Mat.col_vector(field, alg.unit))
 
 
 def test_free_bimodule_dims(qx2, qz2):
@@ -61,8 +58,7 @@ def test_tensor_cancels_the_algebra(qx2):
     t, q = tensor_over_algebra(reg, u.omega)
     assert t.dim == u.omega.dim
     # the splitting 1 (x) unit (x) 1 composed with q is invertible
-    unit_col = Mat.zeros(QQ, 2, 1)
-    unit_col.data[0][0] = QQ.one()
+    unit_col = Mat.col_vector(QQ, [1, 0])
     split = q * kronecker(unit_col, Mat.identity(QQ, u.dim))
     assert is_invertible(split)
 
@@ -225,7 +221,6 @@ def test_tensor_cancels_on_the_right(qx2):
     reg = regular_bimodule(qx2)
     t, q = tensor_over_algebra(u.omega, reg)
     assert t.dim == u.omega.dim
-    unit_col = Mat.zeros(QQ, 2, 1)
-    unit_col.data[0][0] = QQ.one()
+    unit_col = Mat.col_vector(QQ, [1, 0])
     split = q * kronecker(Mat.identity(QQ, u.dim), unit_col)
     assert is_invertible(split)

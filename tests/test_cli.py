@@ -77,6 +77,31 @@ def test_bicovariant_missing_file_is_usage_error(capsys):
     assert "error" in json.loads(out)
 
 
+def test_extend_calculus_without_algebra_is_usage_error(capsys, tmp_path):
+    calc = tmp_path / "calc.json"
+    calc.write_text(json.dumps({"kind": "universal"}))
+    code, out = run_cli(
+        capsys, "extend", "--map", str(FIXTURES / "y_to_x2.json"),
+        "--calculus", str(calc), "--format", "json",
+    )
+    assert code == 64
+    assert "error" in json.loads(out)
+
+
+def test_restrict_map_without_source_is_usage_error(capsys, tmp_path):
+    fmap = json.loads((FIXTURES / "y_to_x2.json").read_text())
+    del fmap["source"]
+    no_source = tmp_path / "map.json"
+    no_source.write_text(json.dumps(fmap))
+    calc = tmp_path / "calc.json"
+    calc.write_text(json.dumps({"algebra": fmap["target"], "kind": "universal"}))
+    code, out = run_cli(
+        capsys, "restrict", "--map", str(no_source), "--calculus", str(calc), "--format", "json",
+    )
+    assert code == 64
+    assert "error" in json.loads(out)
+
+
 def test_non_integer_max_dim_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("OMEGA_MAX_DIM", "lots")
     code, out = run_cli(

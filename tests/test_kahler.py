@@ -102,11 +102,9 @@ def test_leibniz_and_centrality_pointwise(qx3):
     n = qx3.dim
     f = QQ
     for i in range(n):
-        e_i = Mat.zeros(f, n, 1)
-        e_i.data[i][0] = f.one()
+        e_i = Mat.from_entries(f, n, 1, [(i, 0, 1)])
         for j in range(n):
-            e_j = Mat.zeros(f, n, 1)
-            e_j.data[j][0] = f.one()
+            e_j = Mat.from_entries(f, n, 1, [(j, 0, 1)])
             prod = qx3.mult_mat * kronecker(e_i, e_j)
             lhs = calc.d * prod
             rhs = (calc.omega.left_mat * kronecker(e_i, calc.d * e_j)

@@ -1,0 +1,200 @@
+"""Differential tests of the sparse matrix kernels.
+
+Each kernel runs on small random sparse matrices over Q and GF(p) and is
+compared with a naive dense computation written here from `m[i, j]`; rank is
+also compared with sympy's DomainMatrix.  hypothesis and sympy are test-only.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from omegacalc.linalg import (  # noqa: E402
+    GF,
+    QQ,
+    Mat,
+    kernel_basis,
+    kronecker,
+    rank,
+    solve,
+)
+
+FIELDS = [QQ, GF(2), GF(3), GF(5)]
+
+
+def _entries(field):
+    if field.p is None:
+        nonzero = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    else:
+        nonzero = st.integers(1, field.p - 1)
+    # mostly zeros, as in the tensor-power matrices the library builds
+    return st.one_of(st.just(0), st.just(0), nonzero)
+
+
+@st.composite
+def matrices(draw, field, rows=None, cols=None):
+    rows = draw(st.integers(0, 5)) if rows is None else rows
+    cols = draw(st.integers(0, 5)) if cols is None else cols
+    entry = _entries(field)
+    dense = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    return Mat.from_entries(field, rows, cols, [
+        (i, j, x) for i, row in enumerate(dense) for j, x in enumerate(row)
+    ])
+
+
+fields = st.sampled_from(FIELDS)
+
+
+def dense(m):
+    return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+
+
+def reduce(field, x):
+    """A value of the naive reference in the field's normal form."""
+    x = Fraction(x)
+    if field.p is None:
+        return x.numerator if x.denominator == 1 else x
+    return x.numerator * pow(x.denominator, -1, field.p) % field.p
+
+
+def check(m, expected, storage_violations):
+    assert storage_violations(m) == []
+    assert (m.rows, m.cols) == (len(expected), len(expected[0]) if expected else m.cols)
+    assert dense(m) == [[reduce(m.field, x) for x in row] for row in expected]
+
+
+def naive_rref(field, rows, ncols, limit=None):
+    """Dense Gauss-Jordan with Fractions; pivots only in the first `limit` columns."""
+    limit = ncols if limit is None else limit
+    p = field.p
+    rows = [[Fraction(x) for x in row] for row in rows]
+    norm = (lambda x: x) if p is None else (lambda x: Fraction(reduce(field, x)))
+    inverse = (lambda x: 1 / x) if p is None else (lambda x: pow(int(x), -1, p))
+    pivots, r = [], 0
+    for c in range(limit):
+        piv = next((i for i in range(r, len(rows)) if norm(rows[i][c])), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = inverse(norm(rows[r][c]))
+        rows[r] = [norm(x * inv) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and norm(rows[i][c]):
+                f = rows[i][c]
+                rows[i] = [norm(x - f * y) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), fields)
+def test_matmul_matches_dense(storage_violations, data, field):
+    a = data.draw(matrices(field))
+    b = data.draw(matrices(field, rows=a.cols))
+    da, db = dense(a), dense(b)
+    expected = [[sum((Fraction(da[i][k]) * db[k][j] for k in range(a.cols)), Fraction(0))
+                 for j in range(b.cols)] for i in range(a.rows)]
+    check(a * b, expected, storage_violations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), fields)
+def test_kronecker_matches_dense(storage_violations, data, field):
+    a = data.draw(matrices(field))
+    b = data.draw(matrices(field))
+    da, db = dense(a), dense(b)
+    expected = [[Fraction(da[i][j]) * db[k][l] for j in range(a.cols) for l in range(b.cols)]
+                for i in range(a.rows) for k in range(b.rows)]
+    check(kronecker(a, b), expected, storage_violations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), fields)
+def test_add_sub_transpose_match_dense(storage_violations, data, field):
+    a = data.draw(matrices(field))
+    b = data.draw(matrices(field, rows=a.rows, cols=a.cols))
+    da, db = dense(a), dense(b)
+    check(a + b, [[Fraction(x) + y for x, y in zip(r, s)] for r, s in zip(da, db)],
+          storage_violations)
+    check(a - b, [[Fraction(x) - y for x, y in zip(r, s)] for r, s in zip(da, db)],
+          storage_violations)
+    check(a.transpose(), [[da[i][j] for i in range(a.rows)] for j in range(a.cols)],
+          storage_violations)
+    assert (a - a).is_zero() and a - a == Mat.zeros(field, a.rows, a.cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), fields)
+def test_hstack_all_matches_dense(storage_violations, data, field):
+    rows = data.draw(st.integers(0, 4))
+    mats = data.draw(st.lists(matrices(field, rows=rows), max_size=4))
+    out = Mat.hstack_all(field, mats, rows)
+    assert out.cols == sum(m.cols for m in mats)
+    expected = [sum((dense(m)[i] for m in mats), []) for i in range(rows)]
+    check(out, expected, storage_violations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), fields)
+def test_rank_and_kernel_match_naive_elimination(storage_violations, data, field):
+    m = data.draw(matrices(field))
+    prows, pivots = naive_rref(field, dense(m), m.cols)
+    assert rank(m) == len(pivots)
+    # the canonical kernel basis: null vectors from the free columns, in
+    # reduced column echelon form
+    free = [c for c in range(m.cols) if c not in pivots]
+    vecs = []
+    for fc in free:
+        v = [Fraction(0)] * m.cols
+        v[fc] = Fraction(1)
+        for pc, row in zip(pivots, prows):
+            v[pc] = -row[fc]
+        vecs.append(v)
+    canon, _ = naive_rref(field, vecs, m.cols)
+    k = kernel_basis(m)
+    assert (k.rows, k.cols) == (m.cols, len(free))
+    assert storage_violations(k) == []
+    assert dense(k.transpose()) == [[reduce(field, x) for x in row] for row in canon]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), fields)
+def test_solve_matches_naive_elimination(storage_violations, data, field):
+    m = data.draw(matrices(field))
+    b = data.draw(matrices(field, rows=m.rows))
+    aug = [r + s for r, s in zip(dense(m), dense(b))]
+    prows, pivots = naive_rref(field, aug, m.cols + b.cols, limit=m.cols)
+    _, all_pivots = naive_rref(field, aug, m.cols + b.cols)
+    x = solve(m, b)
+    if len(all_pivots) > len(pivots):  # a pivot in the augmented part
+        assert x is None
+        return
+    expected = [[Fraction(0)] * b.cols for _ in range(m.cols)]
+    for pc, row in zip(pivots, prows):
+        expected[pc] = row[m.cols:]
+    assert x is not None and x.rows == m.cols and x.cols == b.cols
+    check(x, expected, storage_violations)
+
+
+def test_rank_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), fields)
+    def run(data, field):
+        m = data.draw(matrices(field))
+        if field.p is None:
+            dom = sympy.QQ
+            rows = [[dom(Fraction(x).numerator, Fraction(x).denominator) for x in row]
+                    for row in dense(m)]
+        else:
+            dom = sympy.GF(field.p)
+            rows = [[dom(x) for x in row] for row in dense(m)]
+        assert rank(m) == DomainMatrix(rows, (m.rows, m.cols), dom).rank()
+
+    run()

@@ -17,7 +17,7 @@ from omegacalc.linalg import (
     rank,
 )
 from omegacalc.prolong import (
-    amitsur_complex,
+    AmitsurComplex,
     amitsur_differential,
     maximal_prolongation,
     trivial_extension,
@@ -61,7 +61,7 @@ def test_validation_report_empty(qx2):
 
 
 def test_amitsur_complex_over_field(qq_alg):
-    am = amitsur_complex(qq_alg, 4)
+    am = AmitsurComplex(qq_alg, 4)
     assert am.dims == [1, 1, 1, 1, 1]
     assert am.diff[0].is_zero()
     assert am.diff[1] == Mat.identity(QQ, 1)
@@ -70,7 +70,7 @@ def test_amitsur_complex_over_field(qq_alg):
 @pytest.mark.parametrize("fixture", ["qx2", "qz2"])
 def test_amitsur_d_squared_zero(fixture, request):
     alg = request.getfixturevalue(fixture)
-    amitsur_complex(alg, 3)  # constructor asserts d.d = 0
+    AmitsurComplex(alg, 3)  # constructor asserts d.d = 0
 
 
 def test_maximal_prolongation_of_universal_is_universal(qx2):
@@ -139,9 +139,7 @@ def pushout_chain_oracle(c, max_degree):
             rel_cols.append(vec)
         rel = Mat.from_cols(f, rel_cols, rows=total)
         q, _s = quotient_maps(image_basis(rel), total)
-        incl_z = Mat.zeros(f, total, zdim)
-        for r in range(zdim):
-            incl_z.data[r][r] = f.one()
+        incl_z = Mat.from_entries(f, total, zdim, [(r, r, 1) for r in range(zdim)])
         g_n = q * incl_z
         # the colimit is covered by the universal component
         assert rank(g_n) == q.rows
@@ -245,7 +243,7 @@ def test_amitsur_cohomology_is_contractible(fixture, request):
     from omegacalc.derham import CochainComplex, cohomology
 
     alg = request.getfixturevalue(fixture)
-    am = amitsur_complex(alg, 3)
+    am = AmitsurComplex(alg, 3)
     rep = cohomology(CochainComplex(am.dims, am.diff))
     assert rep.dims() == [1, 0, 0]
 
