@@ -1,20 +1,22 @@
-"""Differential calculi in all degrees: the universal prolongation via the
+"""Differential calculi in all degrees: the universal prolongation inside the
 Amitsur complex, maximal prolongations of first-order calculi, and unique
 morphisms of graded calculi.
 
-The universal prolongation has degree-n component the n-fold tensor power of
-the universal calculus over A, embedded in A^(x)(n+1) by a split inclusion
-iota^n whose left inverse p^n realizes the surjectivity condition.  A maximal
-prolongation is computed degreewise as a quotient of the universal one by the
-relations generated in lower degrees (wedge products with the defining kernel
-plus its differential), which is the vector-space form of the recursive
-colimit.
+The universal prolongation has degree-n component the joint kernel of the
+maps 1^(x)i (x) m (x) 1^(x)(n-1-i), i < n, inside A^(x)(n+1); it is spanned
+by the forms a0 da1 ... dan.  Its canonical basis iota^n has the left
+inverse p^n that reads the pivot rows, and d and wedge are the Amitsur
+differential and 1 (x) m (x) 1 read back through p^n.  A maximal
+prolongation is computed degreewise as a quotient of the universal one by
+the relations generated in lower degrees (wedge products with the defining
+kernel plus its differential), which is the vector-space form of the
+recursive colimit.
 """
 
 from __future__ import annotations
 
 from .algebra import Algebra, AlgMap, alg_map_report
-from .bimodule import Bimodule, regular_bimodule, tensor_over_algebra
+from .bimodule import Bimodule, bimodule_axiom_report, regular_bimodule
 from .fodc import (
     FirstOrderCalculus,
     PreconditionError,
@@ -30,6 +32,7 @@ from .linalg import (
     kernel_basis,
     kron_all,
     kronecker,
+    pivot_retraction,
     quotient_maps,
     rank,
     solve,
@@ -43,7 +46,6 @@ from .linalg import (
 def amitsur_differential(a: Algebra, n: int) -> Mat:
     """d_A^n = sum_i (-1)^i (1 (x) unit insertion at slot i (x) 1) on A^(x)(n+1)."""
     f = a.field
-    i_n = Mat.identity(f, a.dim)
     total = Mat.zeros(f, a.dim ** (n + 2), a.dim ** (n + 1))
     for i in range(n + 2):
         left = Mat.identity(f, a.dim ** i)
@@ -130,8 +132,6 @@ class GradedCalculus:
             report.append("wedge(0,0) is not the multiplication")
         # bimodule structure on each component
         for n in range(1, big_n + 1):
-            from .bimodule import bimodule_axiom_report
-
             errs = bimodule_axiom_report(
                 self.alg, self.alg, self.dims[n], self.wedge[(0, n)], self.wedge[(n, 0)]
             )
@@ -169,7 +169,11 @@ class GradedCalculus:
 
 
 class UniversalProlongation(GradedCalculus):
-    """The universal graded calculus, with its Amitsur embedding and splitting."""
+    """The universal graded calculus as a subcomplex of the Amitsur complex.
+
+    iota[n] is the canonical basis of Omega^n inside A^(x)(n+1) and proj[n]
+    its left inverse that reads the pivot rows.
+    """
 
     def __init__(self, alg, max_degree, dims, diff, wedge, u, iota, proj):
         super().__init__(alg, max_degree, dims, diff, wedge, check=True)
@@ -183,37 +187,14 @@ def universal_prolongation(a: Algebra, max_degree: int,
     if max_degree < 1:
         raise PreconditionError("max degree must be at least 1")
     u = u or universal_calculus(a)
-    f = a.field
-    n0 = a.dim
-    i_n = Mat.identity(f, n0)
-    i_om = Mat.identity(f, u.dim)
-
-    bims = [regular_bimodule(a), u.omega]
-    dims = [n0, u.dim]
-    iota = [i_n, u.iota]
-    quotients = [None, None]  # q_k: Omega^{k-1} (x) Omega^1 ->> Omega^k for k >= 2
-    totals = [None, Mat.identity(f, u.dim)]  # W_k: (Omega^1)^(x)k ->> Omega^k
-    for k in range(2, max_degree + 1):
-        bim_k, q_k = tensor_over_algebra(bims[k - 1], u.omega)
-        bims.append(bim_k)
-        dims.append(bim_k.dim)
-        quotients.append(q_k)
-        totals.append(q_k * kronecker(totals[k - 1], i_om))
-        glue = kron_all([Mat.identity(f, n0 ** (k - 1)), a.mult_mat, i_n])
-        iota_k = factor_through_surjection(glue * kronecker(iota[k - 1], u.iota), q_k)
-        if iota_k is None:
-            raise AssertionError(f"Amitsur embedding fails to factor at degree {k}")
-        if rank(iota_k) != bim_k.dim:
-            raise AssertionError(f"Amitsur embedding not injective at degree {k}")
-        iota.append(iota_k)
-
-    proj = [i_n, u.retraction]
-    for k in range(2, max_degree + 1):
-        head = kron_all([u.retraction] + [u.d] * (k - 1))
-        p_k = totals[k] * head
-        if p_k * iota[k] != Mat.identity(f, dims[k]):
-            raise AssertionError(f"splitting p iota = id fails at degree {k}")
-        proj.append(p_k)
+    iota = [Mat.identity(a.field, a.dim)]
+    for k in range(1, max_degree + 1):
+        glue = amitsur_wedge(a, 0, k - 1)
+        for i in range(1, k):
+            glue = glue.vstack(amitsur_wedge(a, i, k - 1 - i))
+        iota.append(kernel_basis(glue))
+    proj = [pivot_retraction(b) for b in iota]
+    dims = [b.cols for b in iota]
 
     wedge = {}
     for i in range(max_degree + 1):
@@ -227,8 +208,9 @@ def universal_prolongation(a: Algebra, max_degree: int,
 
     diff = []
     for k in range(max_degree):
-        d_k = totals[k + 1] * kron_all([u.d] * (k + 1)) * iota[k]
-        if iota[k + 1] * d_k != amitsur_differential(a, k) * iota[k]:
+        rhs = amitsur_differential(a, k) * iota[k]
+        d_k = proj[k + 1] * rhs
+        if iota[k + 1] * d_k != rhs:
             raise AssertionError(f"differential fails Amitsur compatibility at degree {k}")
         diff.append(d_k)
 

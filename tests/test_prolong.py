@@ -1,5 +1,6 @@
 import pytest
 
+from omegacalc.bimodule import tensor_over_algebra
 from omegacalc.fodc import (
     induced_map,
     quotient_calculus,
@@ -19,6 +20,7 @@ from omegacalc.linalg import (
 from omegacalc.prolong import (
     AmitsurComplex,
     amitsur_differential,
+    amitsur_wedge,
     maximal_prolongation,
     trivial_extension,
     truncation_adjoints_check,
@@ -47,6 +49,61 @@ def test_splitting_and_embedding(qx3):
     for n in range(4):
         assert up.proj[n] * up.iota[n] == Mat.identity(QQ, up.dims[n])
         assert rank(up.iota[n]) == up.dims[n]
+
+
+def universal_forms_oracle(alg, k):
+    """The forms a0 da1 ... dak in A^(x)(k+1), each ai a basis element, built
+    from the structure constants alone: da = 1 (x) a - a (x) 1, and a product
+    of tensors multiplies the two factors where they touch."""
+    f, n = alg.field, alg.dim
+
+    def d(a):
+        w = {}
+        for c, u in enumerate(alg.unit):
+            if u:
+                w[c * n + a] = f.add(w.get(c * n + a, f.zero()), u)
+                w[a * n + c] = f.sub(w.get(a * n + c, f.zero()), u)
+        return w
+
+    def times(v, w):  # v in A^(x)(m+1), w in A^(x)2
+        out = {}
+        for iv, x in v.items():
+            head, last = divmod(iv, n)
+            for iw, y in w.items():
+                first, tail = divmod(iw, n)
+                for c, s in enumerate(alg.mult[last][first]):
+                    if s:
+                        idx = (head * n + c) * n + tail
+                        out[idx] = f.add(out.get(idx, f.zero()), f.mul(f.mul(x, y), s))
+        return out
+
+    forms = [{a0: f.one()} for a0 in range(n)]
+    for _ in range(k):
+        forms = [times(v, d(a)) for v in forms for a in range(n)]
+    size = n ** (k + 1)
+    return Mat.from_cols(f, [[v.get(i, f.zero()) for i in range(size)] for v in forms], rows=size)
+
+
+@pytest.mark.parametrize("fixture,max_degree", [
+    ("qx2", 3), ("qx3", 3), ("m2q", 3), ("f2x2", 3), ("qz3", 3), ("qs3", 2),
+])
+def test_universal_prolongation_is_span_of_forms(fixture, max_degree, request):
+    alg = request.getfixturevalue(fixture)
+    up = universal_prolongation(alg, max_degree)
+    for k in range(max_degree + 1):
+        assert image_basis(up.iota[k]) == up.iota[k]
+        assert image_basis(universal_forms_oracle(alg, k)) == up.iota[k]
+        assert up.proj[k] * up.iota[k] == Mat.identity(alg.field, up.dims[k])
+
+
+@pytest.mark.parametrize("fixture", ["qx2", "qx3", "m2q", "f2x2", "qz2", "qz3"])
+def test_degree_two_matches_tensor_over_algebra(fixture, request):
+    alg = request.getfixturevalue(fixture)
+    u = universal_calculus(alg)
+    up = universal_prolongation(alg, 2, u)
+    t, _ = tensor_over_algebra(u.omega, u.omega)
+    assert t.dim == up.dims[2]
+    assert image_basis(amitsur_wedge(alg, 1, 1) * kronecker(u.iota, u.iota)) == up.iota[2]
 
 
 def test_amitsur_compatibility(qx2):
