@@ -89,8 +89,12 @@ def _load_algebra(path: str) -> tuple[Algebra, dict]:
         doc = load_json(path)
     except (OSError, json.JSONDecodeError) as exc:
         raise _Failure(EXIT_USAGE, {"error": f"cannot read {path}: {exc}"})
+    return _parse_algebra(doc), doc
+
+
+def _parse_algebra(doc) -> Algebra:
     try:
-        return algebra_from_json(doc), doc
+        return algebra_from_json(doc)
     except AxiomError as exc:
         raise _Failure(EXIT_COMPUTE, {"error": "algebra axioms fail", "violations": exc.report})
     except (LinAlgError, KeyError, TypeError, ValueError) as exc:
@@ -109,23 +113,26 @@ def _load_calculus(spec: str, alg: Algebra, base: Path) -> FirstOrderCalculus:
             rel_doc = load_json(rel_path)
         except (OSError, json.JSONDecodeError) as exc:
             raise _Failure(EXIT_USAGE, {"error": f"cannot read {rel_path}: {exc}"})
-        u = universal_calculus(alg)
-        gens = relations_from_json(rel_doc, alg.field, alg.dim * alg.dim)
-        cols = []
-        for g in gens:
-            v = Mat.col_vector(alg.field, g)
-            w = solve(u.iota, v)
-            if w is None:
-                raise _Failure(EXIT_COMPUTE, {
-                    "error": "relation vector is not in the universal calculus "
-                             "(does not lie in the kernel of multiplication)",
-                })
-            cols.append(w.column(0))
-        sub = Mat.from_cols(alg.field, cols, rows=u.dim)
-        closed = saturate_subspace(u.omega, sub)
-        calc, _ = quotient_calculus(u, closed)
-        return calc
+        return _quotient_of_universal(alg, rel_doc)
     raise _Failure(EXIT_USAGE, {"error": f"unknown calculus spec {spec!r}"})
+
+
+def _quotient_of_universal(alg: Algebra, rel_doc) -> FirstOrderCalculus:
+    """The universal calculus divided by the sub-bimodule generated by the
+    relation vectors, which are given in A (x) A coordinates."""
+    u = universal_calculus(alg)
+    cols = []
+    for g in relations_from_json(rel_doc, alg.field, alg.dim * alg.dim):
+        w = solve(u.iota, Mat.col_vector(alg.field, g))
+        if w is None:
+            raise _Failure(EXIT_COMPUTE, {
+                "error": "relation vector is not in the universal calculus "
+                         "(does not lie in the kernel of multiplication)",
+            })
+        cols.append(w.column(0))
+    closed = saturate_subspace(u.omega, Mat.from_cols(alg.field, cols, rows=u.dim))
+    calc, _ = quotient_calculus(u, closed)
+    return calc
 
 
 def _dim_guard(alg: Algebra, max_degree: int, force: bool) -> None:
@@ -276,7 +283,7 @@ def _transport(args, push: bool) -> dict:
     if not isinstance(calc_doc, dict) or "algebra" not in calc_doc:
         raise _Failure(EXIT_USAGE, {"error": f"calculus file {args.calculus} has no 'algebra'"})
     calc_base = Path(args.calculus).resolve().parent
-    alg = algebra_from_json(calc_doc["algebra"]) if not isinstance(calc_doc["algebra"], str) \
+    alg = _parse_algebra(calc_doc["algebra"]) if not isinstance(calc_doc["algebra"], str) \
         else _load_algebra(str(calc_base / calc_doc["algebra"]))[0]
     expected = fmap.source if push else fmap.target
     if alg != expected:
@@ -285,17 +292,7 @@ def _transport(args, push: bool) -> dict:
         })
     kind = calc_doc.get("kind", "universal")
     if kind == "quotient" and "relations" in calc_doc:
-        u = universal_calculus(alg)
-        gens = relations_from_json({"generators": calc_doc["relations"]},
-                                   alg.field, alg.dim * alg.dim)
-        cols = []
-        for g in gens:
-            w = solve(u.iota, Mat.col_vector(alg.field, g))
-            if w is None:
-                raise _Failure(EXIT_COMPUTE, {"error": "relation not in the universal calculus"})
-            cols.append(w.column(0))
-        sub = saturate_subspace(u.omega, Mat.from_cols(alg.field, cols, rows=u.dim))
-        calc, _ = quotient_calculus(u, sub)
+        calc = _quotient_of_universal(alg, {"generators": calc_doc["relations"]})
     else:
         if kind in ("universal", "kahler"):
             spec = kind
@@ -314,15 +311,11 @@ def _transport(args, push: bool) -> dict:
 
 
 def _cmd_hopf_check(args) -> dict:
-    try:
-        doc = load_json(args.algebra)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _Failure(EXIT_USAGE, {"error": f"cannot read {args.algebra}: {exc}"})
-    alg, _ = _load_algebra(args.algebra)
+    alg, doc = _load_algebra(args.algebra)
     if "comult" not in doc or "counit" not in doc:
         raise _Failure(EXIT_PRECONDITION, {"error": "file has no comult/counit fields"})
     try:
-        h = bimonoid_from_json(doc, alg)
+        bimonoid_from_json(doc, alg)
     except AxiomError as exc:
         raise _Failure(EXIT_COMPUTE, {"valid": False, "violations": exc.report})
     return {"valid": True, "violations": []}

@@ -13,6 +13,7 @@ from .algebra import Algebra, AxiomError
 from .bimodule import (
     BimodMap,
     Bimodule,
+    action_closed,
     bimodule_axiom_report,
     bimodule_hom_basis,
     field_algebra,
@@ -306,19 +307,7 @@ def enumerate_action_closed_subspaces(m: Bimodule, max_generators: int = 2) -> l
         for r in range(1, len(vectors) + 1):
             for subset in combinations(vectors, r):
                 span = image_basis(Mat.from_cols(f, [list(v) for v in subset], rows=m.dim))
-                witness_free = True
-                for i in range(m.left_alg.dim):
-                    e_i = Mat.from_entries(f, m.left_alg.dim, 1, [(i, 0, 1)])
-                    if solve(span, m.left_mat * kronecker(e_i, span)) is None:
-                        witness_free = False
-                        break
-                if witness_free:
-                    for j in range(m.right_alg.dim):
-                        e_j = Mat.from_entries(f, m.right_alg.dim, 1, [(j, 0, 1)])
-                        if solve(span, m.right_mat * kronecker(span, e_j)) is None:
-                            witness_free = False
-                            break
-                if witness_free:
+                if action_closed(m, span) is None:
                     key = (span.cols, tuple(tuple(map(f.format, row)) for row in span.dense_rows()))
                     found.setdefault(key, span)
     else:

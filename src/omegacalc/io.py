@@ -112,14 +112,19 @@ def bimodule_from_json(doc: dict) -> Bimodule:
 
 
 def relations_from_json(doc: dict, field: Field, expected_dim: int) -> list[list]:
-    gens = doc.get("generators", [])
+    gens = doc.get("generators", []) if isinstance(doc, dict) else None
+    if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
+        raise LinAlgError('"generators" must be a list of relation vectors (lists of scalars)')
     out = []
     for g in gens:
         if len(g) != expected_dim:
             raise LinAlgError(
                 f"relation vector has length {len(g)}, expected {expected_dim}"
             )
-        out.append([field.coerce(x) for x in g])
+        try:
+            out.append([field.coerce(x) for x in g])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise LinAlgError(f"bad scalar in relation vector: {exc}")
     return out
 
 

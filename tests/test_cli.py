@@ -216,6 +216,35 @@ def test_extend_restrict_roundtrip(capsys, tmp_path):
     assert json.loads(out)["input_dim"] == 2
 
 
+@pytest.mark.parametrize("rel_doc", [
+    {"generators": 5},
+    {"generators": [5]},
+    {"generators": [["1", "0"]]},
+    {"generators": [["x", "0", "0", "0"]]},
+    [["1", "1", "-1", "-1"]],
+], ids=["int", "list-of-int", "short-vector", "bad-scalar", "not-an-object"])
+def test_malformed_relations_are_compute_errors(capsys, tmp_path, rel_doc):
+    rel = tmp_path / "rel.json"
+    rel.write_text(json.dumps(rel_doc))
+    code, out = run_cli(
+        capsys, "bicovariant", str(FIXTURES / "qz2.json"),
+        "--relations", str(rel), "--format", "json",
+    )
+    assert code == 1
+    assert "error" in json.loads(out)
+
+
+def test_inline_calculus_algebra_is_checked(capsys, tmp_path):
+    calc = tmp_path / "calc.json"
+    calc.write_text(json.dumps({"algebra": {}, "kind": "universal"}))
+    code, out = run_cli(
+        capsys, "restrict", "--map", str(FIXTURES / "y_to_x2.json"),
+        "--calculus", str(calc), "--format", "json",
+    )
+    assert code == 1
+    assert json.loads(out)["error"].startswith("bad algebra file:")
+
+
 def test_relation_not_in_kernel_is_compute_error(capsys, tmp_path):
     rel = tmp_path / "rel.json"
     rel.write_text(json.dumps({"generators": [["1", "0", "0", "0"]]}))
