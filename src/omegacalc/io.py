@@ -121,10 +121,7 @@ def relations_from_json(doc: dict, field: Field, expected_dim: int) -> list[list
             raise LinAlgError(
                 f"relation vector has length {len(g)}, expected {expected_dim}"
             )
-        try:
-            out.append([field.coerce(x) for x in g])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise LinAlgError(f"bad scalar in relation vector: {exc}")
+        out.append([field.coerce(x) for x in g])
     return out
 
 

@@ -103,10 +103,16 @@ class Field:
             if type(x) is int:
                 return x
             if isinstance(x, (int, Fraction, str)):
-                return _q(Fraction(x))
+                try:
+                    return _q(Fraction(x))
+                except (ValueError, ZeroDivisionError):
+                    raise LinAlgError(f"cannot coerce {x!r} into {self}") from None
             raise LinAlgError(f"cannot coerce {x!r} into {self}")
         if isinstance(x, str):
-            x = int(x)
+            try:
+                x = int(x)
+            except ValueError:
+                raise LinAlgError(f"cannot coerce {x!r} into {self}") from None
         if isinstance(x, Fraction):
             if x.denominator != 1:
                 raise LinAlgError(f"cannot coerce {x} into {self}")

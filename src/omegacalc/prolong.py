@@ -189,10 +189,10 @@ def universal_prolongation(a: Algebra, max_degree: int,
     u = u or universal_calculus(a)
     iota = [Mat.identity(a.field, a.dim)]
     for k in range(1, max_degree + 1):
-        glue = amitsur_wedge(a, 0, k - 1)
+        stacked = amitsur_wedge(a, 0, k - 1)
         for i in range(1, k):
-            glue = glue.vstack(amitsur_wedge(a, i, k - 1 - i))
-        iota.append(kernel_basis(glue))
+            stacked = stacked.vstack(amitsur_wedge(a, i, k - 1 - i))
+        iota.append(kernel_basis(stacked))
     proj = [pivot_retraction(b) for b in iota]
     dims = [b.cols for b in iota]
 

@@ -234,6 +234,20 @@ def test_malformed_relations_are_compute_errors(capsys, tmp_path, rel_doc):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("command,fixture,field", [
+    ("universal", "qx2.json", "unit"),
+    ("hopf-check", "qz2.json", "counit"),
+])
+def test_unparsable_scalar_is_compute_error(capsys, tmp_path, command, fixture, field):
+    doc = json.loads((FIXTURES / fixture).read_text())
+    doc[field] = ["1/0"] + doc[field][1:]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, command, str(bad), "--format", "json")
+    assert code == 1
+    assert "cannot coerce '1/0'" in json.loads(out)["error"]
+
+
 def test_inline_calculus_algebra_is_checked(capsys, tmp_path):
     calc = tmp_path / "calc.json"
     calc.write_text(json.dumps({"algebra": {}, "kind": "universal"}))
