@@ -148,7 +148,7 @@ def de_rham_comparison(a: Algebra, max_degree: int) -> dict:
     if not is_commutative(a):
         raise PreconditionError("comparison needs a commutative algebra")
     up = universal_prolongation(a, max_degree)
-    kp = maximal_prolongation(kahler_calculus(a, up.universal), max_degree, up)
+    kp = maximal_prolongation(kahler_calculus(a, up.universal), max_degree)
     maps = unique_dg_morphism(up, kp, a.identity_map())
     if maps is None:
         raise AssertionError("comparison morphism does not exist")

@@ -6,24 +6,24 @@ The universal prolongation has degree-n component the joint kernel of the
 maps 1^(x)i (x) m (x) 1^(x)(n-1-i), i < n, inside A^(x)(n+1); it is spanned
 by the forms a0 da1 ... dan.  Its canonical basis iota^n has the left
 inverse p^n that reads the pivot rows, and d and wedge are the Amitsur
-differential and 1 (x) m (x) 1 read back through p^n.  A maximal
-prolongation is computed degreewise as a quotient of the universal one by
-the relations generated in lower degrees (wedge products with the defining
-kernel plus its differential), which is the vector-space form of the
-recursive colimit.
+differential and 1 (x) m (x) 1 read back through p^n.  The maximal
+prolongation of a first-order calculus (Omega^1, d) is read off its
+presentation: the tensor algebra T_A(Omega^1) divided by the ideal generated
+by the sums da_i (x) db_i with sum a_i db_i = 0 (Woronowicz 1989), built one
+degree at a time as Omega^k = Omega^(k-1) (x)_A Omega^1 / Omega^(k-2) ^ R.
 """
 
 from __future__ import annotations
 
 from .algebra import Algebra, AlgMap, alg_map_report
-from .bimodule import Bimodule, bimodule_axiom_report, regular_bimodule
-from .fodc import (
-    FirstOrderCalculus,
-    PreconditionError,
-    UniversalCalculus,
-    induced_map,
-    universal_calculus,
+from .bimodule import (
+    Bimodule,
+    bimodule_axiom_report,
+    quotient_bimodule,
+    regular_bimodule,
+    tensor_over_algebra,
 )
+from .fodc import FirstOrderCalculus, PreconditionError, universal_calculus
 from .linalg import (
     LinAlgError,
     Mat,
@@ -33,9 +33,7 @@ from .linalg import (
     kron_all,
     kronecker,
     pivot_retraction,
-    quotient_maps,
     rank,
-    solve,
 )
 
 
@@ -182,11 +180,10 @@ class UniversalProlongation(GradedCalculus):
         self.proj = proj        # proj[n]: A^(x)(n+1) ->> Omega^n, proj iota = id
 
 
-def universal_prolongation(a: Algebra, max_degree: int,
-                           u: UniversalCalculus | None = None) -> UniversalProlongation:
+def universal_prolongation(a: Algebra, max_degree: int) -> UniversalProlongation:
     if max_degree < 1:
         raise PreconditionError("max degree must be at least 1")
-    u = u or universal_calculus(a)
+    u = universal_calculus(a)
     iota = [Mat.identity(a.field, a.dim)]
     for k in range(1, max_degree + 1):
         stacked = amitsur_wedge(a, 0, k - 1)
@@ -235,59 +232,55 @@ def trivial_extension(c: FirstOrderCalculus, max_degree: int) -> GradedCalculus:
     return GradedCalculus(a, max_degree, dims, diff, wedge, check=True)
 
 
-def maximal_prolongation(c: FirstOrderCalculus, max_degree: int,
-                         prolongation: UniversalProlongation | None = None) -> GradedCalculus:
-    """The largest graded calculus extending c, realized degreewise.
+def _descend(rhs: Mat, surj: Mat, what: str) -> Mat:
+    """The map X with X surj = rhs; rhs must kill the kernel of surj."""
+    x = factor_through_surjection(rhs, surj)
+    if x is None:
+        raise AssertionError(f"{what} does not descend")
+    return x
 
-    With f^n the running quotients from the universal prolongation, degree n
-    divides out S_n = wedge(ker f^i (x) Omega^j + Omega^i (x) ker f^j) summed
-    over i + j = n plus d(ker f^{n-1}); degree 1 is kept equal to c itself.
+
+def maximal_prolongation(c: FirstOrderCalculus, max_degree: int) -> GradedCalculus:
+    """The largest graded calculus extending c, from its presentation.
+
+    Degree 1 is c itself, and Omega^k = Omega^(k-1) (x)_A Omega^1 /
+    Omega^(k-2) ^ R, where R holds the sums da_i (x) db_i with
+    sum a_i db_i = 0.  The maps g_k: x (x) b -> x ^ db cover Omega^k, and the
+    other wedges and d are read through them from x ^ (y ^ db) = (x ^ y) ^ db
+    and d(x ^ db) = dx ^ db.
     """
+    if max_degree < 1:
+        raise PreconditionError("max degree must be at least 1")
     a = c.alg
     f = a.field
-    up = prolongation or universal_prolongation(a, max_degree)
-    n0 = a.dim
-    f1 = induced_map(up.universal, c).matrix
-
-    f_maps = [Mat.identity(f, n0), f1]
-    sections = [Mat.identity(f, n0), solve(f1, Mat.identity(f, c.dim))]
-    dims = [n0, c.dim]
-    kers = [Mat.zeros(f, n0, 0), kernel_basis(f1)]
-    for n in range(2, max_degree + 1):
-        pieces = []
-        for i in range(1, n):
-            j = n - i
-            if kers[i].cols:
-                pieces.append(up.wedge[(i, j)] * kronecker(kers[i], Mat.identity(f, up.dims[j])))
-            if kers[j].cols:
-                pieces.append(up.wedge[(i, j)] * kronecker(Mat.identity(f, up.dims[i]), kers[j]))
-        if kers[n - 1].cols:
-            pieces.append(up.diff[n - 1] * kers[n - 1])
-        stacked = Mat.hstack_all(f, pieces, up.dims[n]) if pieces else Mat.zeros(f, up.dims[n], 0)
-        s_n = image_basis(stacked)
-        q_n, sec_n = quotient_maps(s_n, up.dims[n])
-        f_maps.append(q_n)
-        sections.append(sec_n)
-        dims.append(q_n.rows)
-        kers.append(kernel_basis(q_n))
-
-    wedge = {}
-    for i in range(max_degree + 1):
-        for j in range(max_degree + 1 - i):
-            w = f_maps[i + j] * up.wedge[(i, j)] * kronecker(sections[i], sections[j])
-            if w * kronecker(f_maps[i], f_maps[j]) != f_maps[i + j] * up.wedge[(i, j)]:
-                raise AssertionError(f"wedge does not descend at ({i},{j})")
-            wedge[(i, j)] = w
-    diff = []
-    for n in range(max_degree):
-        d_n = f_maps[n + 1] * up.diff[n] * sections[n]
-        if d_n * f_maps[n] != f_maps[n + 1] * up.diff[n]:
-            raise AssertionError(f"differential does not descend at degree {n}")
-        diff.append(d_n)
-
-    result = GradedCalculus(a, max_degree, dims, diff, wedge, check=True)
-    result.from_universal = f_maps
-    return result
+    i_a = Mat.identity(f, a.dim)
+    i_1 = Mat.identity(f, c.dim)
+    g1 = c.omega.left_mat * kronecker(i_a, c.d)
+    rel = kronecker(c.d, c.d) * kernel_basis(g1)
+    dims = [a.dim, c.dim]
+    omegas = [regular_bimodule(a), c.omega]
+    wedge = {(0, 0): a.mult_mat, (0, 1): c.omega.left_mat, (1, 0): c.omega.right_mat}
+    g = [None, g1]          # g[k]: Omega^(k-1) (x) A ->> Omega^k, x (x) b -> x ^ db
+    diff = [c.d]
+    for k in range(2, max_degree + 1):
+        t, q = tensor_over_algebra(omegas[k - 1], c.omega)
+        gens = q * kronecker(wedge[(k - 2, 1)], i_1) * kronecker(Mat.identity(f, dims[k - 2]), rel)
+        quo, proj, _s = quotient_bimodule(t, image_basis(gens))
+        omegas.append(quo)
+        dims.append(quo.dim)
+        wedge[(k - 1, 1)] = proj.matrix * q
+        wedge[(0, k)] = quo.left_mat
+        wedge[(k, 0)] = quo.right_mat
+        g.append(wedge[(k - 1, 1)] * kronecker(Mat.identity(f, dims[k - 1]), c.d))
+        for i in range(1, k - 1):
+            wedge[(i, k - i)] = _descend(
+                g[k] * kronecker(wedge[(i, k - i - 1)], i_a),
+                kronecker(Mat.identity(f, dims[i]), g[k - i]),
+                f"wedge at ({i},{k - i})",
+            )
+        diff.append(_descend(g[k] * kronecker(diff[k - 2], i_a), g[k - 1],
+                             f"differential at degree {k - 1}"))
+    return GradedCalculus(a, max_degree, dims, diff, wedge, check=True)
 
 
 def unique_dg_morphism(src: GradedCalculus, tgt: GradedCalculus, f0: AlgMap):
@@ -335,14 +328,13 @@ def truncation_adjoints_check(a: Algebra, fodcs: list[FirstOrderCalculus],
     trivial extension of c match calculus maps from the truncation to c.
     """
     u = universal_calculus(a)
-    up = universal_prolongation(a, max_degree, u)
     ident = a.identity_map()
     from .fodc import calculus_morphism_exists
 
     rows = []
     agree = True
     for ci, c in enumerate(fodcs):
-        maxi = maximal_prolongation(c, max_degree, up)
+        maxi = maximal_prolongation(c, max_degree)
         trivial = trivial_extension(c, max_degree)
         for ti, theta in enumerate(gradeds):
             pi_theta = FirstOrderCalculus(

@@ -106,7 +106,7 @@ def h_matrix(chain_maps, rep_src, rep_tgt):
 def test_cohomology_functoriality(qx3):
     up = universal_prolongation(qx3, 3)
     k = kahler_calculus(qx3)
-    mk = maximal_prolongation(k, 3, up)
+    mk = maximal_prolongation(k, 3)
     te = trivial_extension(k, 3)
     ident = qx3.identity_map()
     f_maps = unique_dg_morphism(up, mk, ident)

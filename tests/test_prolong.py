@@ -2,6 +2,7 @@ import pytest
 
 from omegacalc.bimodule import tensor_over_algebra
 from omegacalc.fodc import (
+    enumerate_action_closed_subspaces,
     induced_map,
     quotient_calculus,
     universal_calculus,
@@ -99,8 +100,8 @@ def test_universal_prolongation_is_span_of_forms(fixture, max_degree, request):
 @pytest.mark.parametrize("fixture", ["qx2", "qx3", "m2q", "f2x2", "qz2", "qz3"])
 def test_degree_two_matches_tensor_over_algebra(fixture, request):
     alg = request.getfixturevalue(fixture)
-    u = universal_calculus(alg)
-    up = universal_prolongation(alg, 2, u)
+    up = universal_prolongation(alg, 2)
+    u = up.universal
     t, _ = tensor_over_algebra(u.omega, u.omega)
     assert t.dim == up.dims[2]
     assert image_basis(amitsur_wedge(alg, 1, 1) * kronecker(u.iota, u.iota)) == up.iota[2]
@@ -135,9 +136,11 @@ def test_maximal_prolongation_of_universal_is_universal(qx2):
     maxi = maximal_prolongation(u, 3)
     up = universal_prolongation(qx2, 3)
     assert maxi.dims == up.dims
-    # every degreewise kernel is zero
-    for f in maxi.from_universal[1:]:
-        assert kernel_basis(f).cols == 0
+    # the dg morphism from the universal prolongation is injective in every degree
+    maps = unique_dg_morphism(up, maxi, qx2.identity_map())
+    assert maps is not None
+    for m in maps:
+        assert kernel_basis(m).cols == 0
 
 
 def test_maximal_prolongation_of_zero(qx2):
@@ -206,23 +209,43 @@ def pushout_chain_oracle(c, max_degree):
     return dims, kernels
 
 
-@pytest.mark.parametrize("build", ["kahler_qx3", "kahler_qx2", "quot_qz2"])
-def test_maximal_prolongation_matches_pushout_oracle(build, qx2, qx3, qz2):
-    if build == "kahler_qx3":
-        c, deg = kahler_calculus(qx3), 3
-    elif build == "kahler_qx2":
-        c, deg = kahler_calculus(qx2), 3
-    else:
-        u = universal_calculus(qz2)
-        from omegacalc.fodc import enumerate_action_closed_subspaces
+def proper_quotient(alg, index):
+    """The quotient of the universal calculus by its index-th proper nonzero
+    action-closed subspace, in the enumeration order."""
+    u = universal_calculus(alg)
+    subs = [n for n in enumerate_action_closed_subspaces(u.omega) if 0 < n.cols < u.dim]
+    return quotient_calculus(u, subs[index])[0]
 
-        sub = [n for n in enumerate_action_closed_subspaces(u.omega) if n.cols == 1][0]
-        c, deg = quotient_calculus(u, sub)[0], 3
+
+@pytest.mark.parametrize("fixture,build,deg,dims", [
+    ("qx3", "kahler", 3, [3, 2, 0, 0]),
+    ("qx2", "kahler", 3, [2, 1, 0, 0]),
+    ("f2x2", "kahler", 3, [2, 2, 2, 2]),
+    ("qz2", "quotient 0", 3, [2, 1, 0, 0]),
+    ("qx3", "quotient 0", 3, [3, 5, 8, 13]),
+    ("m2q", "quotient 1", 2, [4, 8, 12]),
+    ("qz3", "universal", 3, [3, 6, 12, 24]),
+    ("qz3", "zero", 3, [3, 0, 0, 0]),
+])
+def test_maximal_prolongation_matches_pushout_oracle(fixture, build, deg, dims, request):
+    # the dg morphism from the universal prolongation carries d and wedge, so
+    # equal kernels in every degree make the two realizations isomorphic
+    alg = request.getfixturevalue(fixture)
+    if build == "kahler":
+        c = kahler_calculus(alg)
+    elif build == "universal":
+        c = universal_calculus(alg)
+    elif build == "zero":
+        c = zero_calculus(alg)
+    else:
+        c = proper_quotient(alg, int(build.split()[1]))
     maxi = maximal_prolongation(c, deg)
     oracle_dims, oracle_kernels = pushout_chain_oracle(c, deg)
-    assert maxi.dims == oracle_dims
-    for n in range(2, deg + 1):
-        assert kernel_basis(maxi.from_universal[n]) == oracle_kernels[n]
+    assert maxi.dims == oracle_dims == dims
+    maps = unique_dg_morphism(universal_prolongation(alg, deg), maxi, alg.identity_map())
+    assert maps is not None
+    for n in range(deg + 1):
+        assert kernel_basis(maps[n]) == oracle_kernels[n]
 
 
 def test_trivial_extension_is_valid(qx3):
@@ -241,7 +264,7 @@ def test_unique_dg_morphism_identity(qx2):
 def test_unique_dg_morphism_to_maximal_kahler(qx2):
     up = universal_prolongation(qx2, 3)
     k = kahler_calculus(qx2)
-    maxi = maximal_prolongation(k, 3, up)
+    maxi = maximal_prolongation(k, 3)
     maps = unique_dg_morphism(up, maxi, qx2.identity_map())
     assert maps is not None
     assert all(rank(m) == d for m, d in zip(maps, maxi.dims))
