@@ -64,13 +64,19 @@ def bimonoid_from_json(doc: dict, alg: Algebra | None = None) -> Bimonoid:
         raise LinAlgError("algebra file carries no comultiplication/counit")
     n = a.dim
     raw = doc["comult"]
-    if len(raw) != n:
-        raise LinAlgError("comult must have one block per basis element")
+    if not _is_list_of(raw, n, lambda block: _is_list_of(block, n, lambda row: _is_list_of(row, n))):
+        raise LinAlgError(f"comult must be {n} blocks of {n}x{n} scalars")
+    if not isinstance(doc["counit"], list):
+        raise LinAlgError("counit must be a list of scalars")
     comult = Mat.from_entries(a.field, n * n, n, (
         (j * n + k, i, raw[i][j][k]) for i in range(n) for j in range(n) for k in range(n)
     ))
     counit = Mat(a.field, [[a.field.coerce(x) for x in doc["counit"]]])
     return Bimonoid(a, comult, counit)
+
+
+def _is_list_of(value, length: int, item_ok=lambda _item: True) -> bool:
+    return isinstance(value, list) and len(value) == length and all(map(item_ok, value))
 
 
 def morphism_from_json(doc: dict, base: Path | None = None) -> AlgMap:

@@ -120,6 +120,19 @@ def test_prolong_dims(capsys):
     assert json.loads(out)["dims"] == [3, 2, 0, 0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["prolong", "--calculus", "kahler"],
+    ["cohomology", "--flavor", "kahler"],
+], ids=["prolong", "cohomology"])
+def test_max_degree_zero_is_precondition_error(capsys, argv):
+    code, out = run_cli(
+        capsys, argv[0], str(FIXTURES / "qx2.json"), *argv[1:],
+        "--max-degree", "0", "--format", "json",
+    )
+    assert code == 2
+    assert json.loads(out)["error"] == "max degree must be at least 1"
+
+
 def test_prolong_guardrail(capsys, monkeypatch):
     monkeypatch.setenv("OMEGA_MAX_DIM", "10")
     code, out = run_cli(
@@ -246,6 +259,27 @@ def test_unparsable_scalar_is_compute_error(capsys, tmp_path, command, fixture, 
     code, out = run_cli(capsys, command, str(bad), "--format", "json")
     assert code == 1
     assert "cannot coerce '1/0'" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("command", ["check", "hopf-check", "bicovariant"])
+@pytest.mark.parametrize("field,value", [
+    ("comult", 5),
+    ("comult", [[["1", "0"], ["0", "0"]], [["0", "1"]]]),
+    ("counit", 7),
+], ids=["comult-int", "comult-ragged", "counit-int"])
+def test_malformed_bimonoid_is_compute_error(capsys, tmp_path, command, field, value):
+    doc = json.loads((FIXTURES / "qz2.json").read_text())
+    doc[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rel = tmp_path / "rel.json"
+    rel.write_text(json.dumps({"generators": []}))
+    extra = ["--relations", str(rel)] if command == "bicovariant" else []
+    code = main([command, str(bad), *extra, "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert field in json.loads(captured.out)["error"]
+    assert "Traceback" not in captured.err
 
 
 def test_inline_calculus_algebra_is_checked(capsys, tmp_path):
