@@ -64,7 +64,10 @@ def bimonoid_from_json(doc: dict, alg: Algebra | None = None) -> Bimonoid:
         raise LinAlgError("algebra file carries no comultiplication/counit")
     n = a.dim
     raw = doc["comult"]
-    if not _is_list_of(raw, n, lambda block: _is_list_of(block, n, lambda row: _is_list_of(row, n))):
+    if not (isinstance(raw, list) and len(raw) == n and all(
+            isinstance(block, list) and len(block) == n
+            and all(isinstance(row, list) and len(row) == n for row in block)
+            for block in raw)):
         raise LinAlgError(f"comult must be {n} blocks of {n}x{n} scalars")
     if not isinstance(doc["counit"], list):
         raise LinAlgError("counit must be a list of scalars")
@@ -73,10 +76,6 @@ def bimonoid_from_json(doc: dict, alg: Algebra | None = None) -> Bimonoid:
     ))
     counit = Mat(a.field, [[a.field.coerce(x) for x in doc["counit"]]])
     return Bimonoid(a, comult, counit)
-
-
-def _is_list_of(value, length: int, item_ok=lambda _item: True) -> bool:
-    return isinstance(value, list) and len(value) == length and all(map(item_ok, value))
 
 
 def morphism_from_json(doc: dict, base: Path | None = None) -> AlgMap:

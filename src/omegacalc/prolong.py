@@ -258,19 +258,18 @@ def maximal_prolongation(c: FirstOrderCalculus, max_degree: int) -> GradedCalcul
     g1 = c.omega.left_mat * kronecker(i_a, c.d)
     rel = kronecker(c.d, c.d) * kernel_basis(g1)
     dims = [a.dim, c.dim]
-    omegas = [regular_bimodule(a), c.omega]
+    prev = c.omega
     wedge = {(0, 0): a.mult_mat, (0, 1): c.omega.left_mat, (1, 0): c.omega.right_mat}
     g = [None, g1]          # g[k]: Omega^(k-1) (x) A ->> Omega^k, x (x) b -> x ^ db
     diff = [c.d]
     for k in range(2, max_degree + 1):
-        t, q = tensor_over_algebra(omegas[k - 1], c.omega)
+        t, q = tensor_over_algebra(prev, c.omega)
         gens = q * kronecker(wedge[(k - 2, 1)], i_1) * kronecker(Mat.identity(f, dims[k - 2]), rel)
-        quo, proj, _s = quotient_bimodule(t, image_basis(gens))
-        omegas.append(quo)
-        dims.append(quo.dim)
+        prev, proj, _s = quotient_bimodule(t, image_basis(gens))
+        dims.append(prev.dim)
         wedge[(k - 1, 1)] = proj.matrix * q
-        wedge[(0, k)] = quo.left_mat
-        wedge[(k, 0)] = quo.right_mat
+        wedge[(0, k)] = prev.left_mat
+        wedge[(k, 0)] = prev.right_mat
         g.append(wedge[(k - 1, 1)] * kronecker(Mat.identity(f, dims[k - 1]), c.d))
         for i in range(1, k - 1):
             wedge[(i, k - i)] = _descend(

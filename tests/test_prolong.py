@@ -226,7 +226,8 @@ def proper_quotient(alg, index):
     ("m2q", "quotient 1", 2, [4, 8, 12]),
     ("qz3", "universal", 3, [3, 6, 12, 24]),
     ("qz3", "zero", 3, [3, 0, 0, 0]),
-])
+], ids=["kahler_qx3", "kahler_qx2", "kahler_f2x2", "quot_qz2", "quot_qx3", "quot_m2q",
+        "universal_qz3", "zero_qz3"])
 def test_maximal_prolongation_matches_pushout_oracle(fixture, build, deg, dims, request):
     # the dg morphism from the universal prolongation carries d and wedge, so
     # equal kernels in every degree make the two realizations isomorphic
