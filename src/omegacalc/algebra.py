@@ -13,6 +13,8 @@ from .linalg import (
     LinAlgError,
     Mat,
     kronecker,
+    mul_id_kron,
+    mul_kron_id,
     swap_matrix,
 )
 
@@ -25,18 +27,22 @@ class AxiomError(ValueError):
         super().__init__("; ".join(report) if report else "axiom violation")
 
 
+def is_cube(raw, n: int) -> bool:
+    """Whether raw is n lists of n lists of n entries, the shape of a structure tensor."""
+    return isinstance(raw, list) and len(raw) == n and all(
+        isinstance(block, list) and len(block) == n
+        and all(isinstance(row, list) and len(row) == n for row in block)
+        for block in raw)
+
+
 def _mult_matrix(field: Field, dim: int, mult) -> Mat:
     """Multiplication as a matrix A(x)A -> A, column (i*dim+j) = coords of e_i e_j."""
-    def entries():
-        for i in range(dim):
-            for j in range(dim):
-                coords = mult[i][j]
-                if len(coords) != dim:
-                    raise LinAlgError("structure tensor shape mismatch")
-                for k in range(dim):
-                    yield k, i * dim + j, coords[k]
-
-    return Mat.from_entries(field, dim, dim * dim, entries())
+    if not is_cube(mult, dim):
+        raise LinAlgError(f"mult must be {dim} blocks of {dim} rows of {dim} scalars")
+    return Mat.from_entries(field, dim, dim * dim, (
+        (k, i * dim + j, x)
+        for i in range(dim) for j in range(dim) for k, x in enumerate(mult[i][j])
+    ))
 
 
 def algebra_axiom_report(field: Field, dim: int, mult, unit) -> list[str]:
@@ -51,8 +57,8 @@ def algebra_axiom_report(field: Field, dim: int, mult, unit) -> list[str]:
         raise LinAlgError("unit vector has wrong length")
     u = Mat.col_vector(field, unit)
     i_n = Mat.identity(field, dim)
-    assoc_l = m * kronecker(m, i_n)
-    assoc_r = m * kronecker(i_n, m)
+    assoc_l = mul_kron_id(m, m, dim)
+    assoc_r = mul_id_kron(m, dim, m)
     if assoc_l != assoc_r:
         for i in range(dim):
             for j in range(dim):
@@ -62,8 +68,8 @@ def algebra_axiom_report(field: Field, dim: int, mult, unit) -> list[str]:
                         report.append(
                             f"associativity fails at (e{i}*e{j})*e{k} != e{i}*(e{j}*e{k})"
                         )
-    left_unit = m * kronecker(u, i_n)
-    right_unit = m * kronecker(i_n, u)
+    left_unit = mul_kron_id(m, u, dim)
+    right_unit = mul_id_kron(m, dim, u)
     for name, got in (("left", left_unit), ("right", right_unit)):
         if got != i_n:
             for j in range(dim):
@@ -76,17 +82,15 @@ class Algebra:
     """A monoid in the category of finite-dimensional vector spaces."""
 
     def __init__(self, field: Field, dim: int, mult, unit, basis_labels=None, check=True):
+        self.mult_mat = _mult_matrix(field, dim, mult)  # checks the shape of mult first
         self.field = field
         self.dim = dim
-        self.mult = [
-            [[field.coerce(x) for x in mult[i][j]] for j in range(dim)]
-            for i in range(dim)
-        ]
+        cols = self.mult_mat.columns()
+        self.mult = [cols[i * dim:(i + 1) * dim] for i in range(dim)]
         self.unit = [field.coerce(x) for x in unit]
         self.basis_labels = list(basis_labels) if basis_labels else [f"e{i}" for i in range(dim)]
         if len(self.basis_labels) != dim:
             raise LinAlgError("basis label count mismatch")
-        self.mult_mat = _mult_matrix(field, dim, self.mult)
         self.unit_mat = Mat.col_vector(field, self.unit)
         if check:
             report = algebra_axiom_report(field, dim, self.mult, self.unit)
@@ -160,10 +164,10 @@ class AlgMap:
 def alg_map_report(f: AlgMap) -> list[str]:
     """Multiplicativity/unit failures of f with basis witnesses."""
     report = []
-    lhs = f.target.mult_mat * kronecker(f.matrix, f.matrix)
+    n = f.source.dim
+    lhs = mul_id_kron(mul_kron_id(f.target.mult_mat, f.matrix, f.target.dim), n, f.matrix)
     rhs = f.matrix * f.source.mult_mat
     if lhs != rhs:
-        n = f.source.dim
         for i in range(n):
             for j in range(n):
                 if lhs.column(i * n + j) != rhs.column(i * n + j):

@@ -15,8 +15,9 @@ from .linalg import (
     image_basis,
     kernel_basis,
     kronecker,
+    mul_id_kron,
+    mul_kron_id,
     quotient_maps,
-    rank,
     solve,
     _null_vectors,
     _rref_sparse,
@@ -30,23 +31,20 @@ def field_algebra(field) -> Algebra:
 
 def bimodule_axiom_report(a: Algebra, b: Algebra, dim: int, left_mat: Mat, right_mat: Mat) -> list[str]:
     report = []
-    f = a.field
-    i_m = Mat.identity(f, dim)
-    i_na = Mat.identity(f, a.dim)
-    i_nb = Mat.identity(f, b.dim)
+    i_m = Mat.identity(a.field, dim)
     if (left_mat.rows, left_mat.cols) != (dim, a.dim * dim):
         raise LinAlgError("left action matrix has wrong shape")
     if (right_mat.rows, right_mat.cols) != (dim, dim * b.dim):
         raise LinAlgError("right action matrix has wrong shape")
-    if left_mat * kronecker(a.mult_mat, i_m) != left_mat * kronecker(i_na, left_mat):
+    if mul_kron_id(left_mat, a.mult_mat, dim) != mul_id_kron(left_mat, a.dim, left_mat):
         report.append("left action not associative")
-    if left_mat * kronecker(a.unit_mat, i_m) != i_m:
+    if mul_kron_id(left_mat, a.unit_mat, dim) != i_m:
         report.append("left action not unital")
-    if right_mat * kronecker(right_mat, i_nb) != right_mat * kronecker(i_m, b.mult_mat):
+    if mul_kron_id(right_mat, right_mat, b.dim) != mul_id_kron(right_mat, dim, b.mult_mat):
         report.append("right action not associative")
-    if right_mat * kronecker(i_m, b.unit_mat) != i_m:
+    if mul_id_kron(right_mat, dim, b.unit_mat) != i_m:
         report.append("right action not unital")
-    if left_mat * kronecker(i_na, right_mat) != right_mat * kronecker(left_mat, i_nb):
+    if mul_id_kron(left_mat, a.dim, right_mat) != mul_kron_id(right_mat, left_mat, b.dim):
         report.append("left and right actions do not commute (middle associativity)")
     return report
 
@@ -128,10 +126,9 @@ def bimod_map_report(f: BimodMap) -> list[str]:
     report = []
     na = f.source.left_alg.dim
     nb = f.source.right_alg.dim
-    fld = f.source.field
-    if f.matrix * f.source.left_mat != f.target.left_mat * kronecker(Mat.identity(fld, na), f.matrix):
+    if f.matrix * f.source.left_mat != mul_id_kron(f.target.left_mat, na, f.matrix):
         report.append("does not commute with the left action")
-    if f.matrix * f.source.right_mat != f.target.right_mat * kronecker(f.matrix, Mat.identity(fld, nb)):
+    if f.matrix * f.source.right_mat != mul_kron_id(f.target.right_mat, f.matrix, nb):
         report.append("does not commute with the right action")
     return report
 
@@ -177,16 +174,16 @@ def zero_bimodule(a: Algebra, b: Algebra) -> Bimodule:
 
 def action_closed(m: Bimodule, basis: Mat) -> str | None:
     """None if col(basis) is closed under both actions, else a witness string."""
-    f = m.field
-    for i in range(m.left_alg.dim):
-        e_i = Mat.from_entries(f, m.left_alg.dim, 1, [(i, 0, 1)])
-        moved = m.left_mat * kronecker(e_i, basis)
-        if solve(basis, moved) is None:
+    na, nb, k = m.left_alg.dim, m.right_alg.dim, basis.cols
+    # column i*k + l of the left product is e_i . b_l, column l*nb + j of the
+    # right one is b_l . e_j
+    left = mul_id_kron(m.left_mat, na, basis)
+    for i in range(na):
+        if solve(basis, left.select_cols(range(i * k, (i + 1) * k))) is None:
             return f"left action of e{i} leaves the subspace"
-    for j in range(m.right_alg.dim):
-        e_j = Mat.from_entries(f, m.right_alg.dim, 1, [(j, 0, 1)])
-        moved = m.right_mat * kronecker(basis, e_j)
-        if solve(basis, moved) is None:
+    right = mul_kron_id(m.right_mat, basis, nb)
+    for j in range(nb):
+        if solve(basis, right.select_cols(range(j, k * nb, nb))) is None:
             return f"right action of e{j} leaves the subspace"
     return None
 
@@ -197,11 +194,8 @@ def sub_bimodule(m: Bimodule, basis: Mat, check=True) -> tuple[Bimodule, BimodMa
         witness = action_closed(m, basis)
         if witness is not None:
             raise LinAlgError(f"subspace is not action-closed: {witness}")
-    f = m.field
-    i_na = Mat.identity(f, m.left_alg.dim)
-    i_nb = Mat.identity(f, m.right_alg.dim)
-    lm = solve(basis, m.left_mat * kronecker(i_na, basis))
-    rm = solve(basis, m.right_mat * kronecker(basis, i_nb))
+    lm = solve(basis, mul_id_kron(m.left_mat, m.left_alg.dim, basis))
+    rm = solve(basis, mul_kron_id(m.right_mat, basis, m.right_alg.dim))
     sub = Bimodule(m.left_alg, m.right_alg, basis.cols, lm, rm, check=False)
     return sub, BimodMap(sub, m, basis, check=False)
 
@@ -211,12 +205,9 @@ def quotient_bimodule(m: Bimodule, sub_canonical: Mat) -> tuple[Bimodule, BimodM
     witness = action_closed(m, sub_canonical)
     if witness is not None:
         raise LinAlgError(f"subspace is not action-closed: {witness}")
-    f = m.field
     q, s = quotient_maps(sub_canonical, m.dim)
-    i_na = Mat.identity(f, m.left_alg.dim)
-    i_nb = Mat.identity(f, m.right_alg.dim)
-    lm = q * m.left_mat * kronecker(i_na, s)
-    rm = q * m.right_mat * kronecker(s, i_nb)
+    lm = mul_id_kron(q * m.left_mat, m.left_alg.dim, s)
+    rm = mul_kron_id(q * m.right_mat, s, m.right_alg.dim)
     quo = Bimodule(m.left_alg, m.right_alg, q.rows, lm, rm, check=False)
     return quo, BimodMap(m, quo, q, check=False), s
 
@@ -251,13 +242,8 @@ def saturate_subspace(m: Bimodule, gens) -> Mat:
                 raise LinAlgError("generator has wrong dimension")
         current = image_basis(Mat.from_cols(f, [list(g) for g in gens], rows=m.dim))
     while True:
-        pieces = [current]
-        for i in range(m.left_alg.dim):
-            e_i = Mat.from_entries(f, m.left_alg.dim, 1, [(i, 0, 1)])
-            pieces.append(m.left_mat * kronecker(e_i, current))
-        for j in range(m.right_alg.dim):
-            e_j = Mat.from_entries(f, m.right_alg.dim, 1, [(j, 0, 1)])
-            pieces.append(m.right_mat * kronecker(current, e_j))
+        pieces = [current, mul_id_kron(m.left_mat, m.left_alg.dim, current),
+                  mul_kron_id(m.right_mat, current, m.right_alg.dim)]
         bigger = image_basis(Mat.hstack_all(f, pieces, m.dim))
         if bigger.cols == current.cols:
             return current
@@ -277,10 +263,8 @@ def tensor_over_algebra(m: Bimodule, n: Bimodule) -> tuple[Bimodule, Mat]:
     i_n = Mat.identity(f, n.dim)
     rel = kronecker(m.right_mat, i_n) - kronecker(i_m, n.left_mat)
     q, s = quotient_maps(image_basis(rel), m.dim * n.dim)
-    i_na = Mat.identity(f, m.left_alg.dim)
-    i_nc = Mat.identity(f, n.right_alg.dim)
-    lm = q * kronecker(m.left_mat, i_n) * kronecker(i_na, s)
-    rm = q * kronecker(i_m, n.right_mat) * kronecker(s, i_nc)
+    lm = mul_id_kron(mul_kron_id(q, m.left_mat, n.dim), m.left_alg.dim, s)
+    rm = mul_kron_id(mul_id_kron(q, m.dim, n.right_mat), s, n.right_alg.dim)
     t = Bimodule(m.left_alg, n.right_alg, q.rows, lm, rm, check=False)
     return t, q
 
@@ -289,11 +273,10 @@ def restrict_bimodule(f: AlgMap, g: AlgMap, m: Bimodule) -> Bimodule:
     """Restriction of scalars along f: A -> B and g: A' -> B'."""
     if f.target != m.left_alg or g.target != m.right_alg:
         raise LinAlgError("restriction maps do not land in the acting algebras")
-    i_m = Mat.identity(m.field, m.dim)
     return Bimodule(
         f.source, g.source, m.dim,
-        m.left_mat * kronecker(f.matrix, i_m),
-        m.right_mat * kronecker(i_m, g.matrix),
+        mul_kron_id(m.left_mat, f.matrix, m.dim),
+        mul_id_kron(m.right_mat, m.dim, g.matrix),
         check=False,
     )
 
@@ -304,23 +287,22 @@ def extend_bimodule(f: AlgMap, g: AlgMap, m: Bimodule) -> tuple[Bimodule, Mat]:
     if f.source != m.left_alg or g.source != m.right_alg:
         raise LinAlgError("extension maps do not start at the acting algebras")
     b, bp = f.target, g.target
-    fld = m.field
     # B as a (B, A)-bimodule via f, B' as an (A', B')-bimodule via g
     b_bimod = Bimodule(
         b, m.left_alg, b.dim,
         b.mult_mat,
-        b.mult_mat * kronecker(Mat.identity(fld, b.dim), f.matrix),
+        mul_id_kron(b.mult_mat, b.dim, f.matrix),
         check=False,
     )
     bp_bimod = Bimodule(
         m.right_alg, bp, bp.dim,
-        bp.mult_mat * kronecker(g.matrix, Mat.identity(fld, bp.dim)),
+        mul_kron_id(bp.mult_mat, g.matrix, bp.dim),
         bp.mult_mat,
         check=False,
     )
     t1, q1 = tensor_over_algebra(b_bimod, m)
     t2, q2 = tensor_over_algebra(t1, bp_bimod)
-    q_total = q2 * kronecker(q1, Mat.identity(fld, bp.dim))
+    q_total = mul_kron_id(q2, q1, bp.dim)
     return t2, q_total
 
 

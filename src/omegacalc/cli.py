@@ -21,7 +21,7 @@ from .derham import (
     CochainComplex,
     cohomology,
     de_rham_comparison,
-    graded_calculus_for,
+    kahler_flavor,
 )
 from .fodc import (
     FirstOrderCalculus,
@@ -41,6 +41,7 @@ from .io import (
 )
 from .kahler import kahler_calculus
 from .linalg import LinAlgError, Mat, field_from_json, solve
+from .prolong import GradedCalculus, maximal_prolongation, universal_prolongation
 from .scalars import calc_pullback, calc_pushforward
 
 EXIT_OK = 0
@@ -135,13 +136,17 @@ def _quotient_of_universal(alg: Algebra, rel_doc) -> FirstOrderCalculus:
     return calc
 
 
-def _dim_guard(alg: Algebra, max_degree: int, force: bool) -> None:
+def _universal_top_dim(alg: Algebra, max_degree: int) -> int:
+    """n(n-1)^N, the dimension of the universal Omega^N."""
+    return alg.dim * max(alg.dim - 1, 1) ** max_degree if alg.dim > 1 else 1
+
+
+def _dim_guard(projected: int, force: bool) -> None:
     raw = os.environ.get("OMEGA_MAX_DIM", DEFAULT_MAX_DIM)
     try:
         limit = int(raw)
     except ValueError:
         raise _Failure(EXIT_USAGE, {"error": f"OMEGA_MAX_DIM must be an integer, got {raw!r}"})
-    projected = alg.dim * max(alg.dim - 1, 1) ** max_degree if alg.dim > 1 else 1
     if projected > limit and not force:
         raise _Failure(EXIT_PRECONDITION, {
             "error": f"projected component dimension {projected} exceeds limit {limit}",
@@ -200,17 +205,25 @@ def _cmd_kahler(args) -> dict:
     }
 
 
+def _guarded_prolongation(alg: Algebra, spec: str, max_degree: int, force: bool,
+                          base: Path) -> GradedCalculus:
+    """The universal prolongation, or the maximal prolongation of the calculus
+    c that spec names, once the dimension guard passes.  For c the guard
+    projects max(n, (dim c)^N): each Omega^k is a quotient of
+    Omega^(k-1) (x)_A Omega^1, and also of the universal Omega^k."""
+    if spec == "universal":
+        _dim_guard(_universal_top_dim(alg, max_degree), force)
+        return universal_prolongation(alg, max_degree)
+    calc = kahler_flavor(alg) if spec == "kahler" else _load_calculus(spec, alg, base)
+    top = max(alg.dim, calc.dim ** max(max_degree, 0))
+    _dim_guard(min(top, _universal_top_dim(alg, max_degree)), force)
+    return maximal_prolongation(calc, max_degree)
+
+
 def _cmd_prolong(args) -> dict:
     alg, _ = _load_algebra(args.algebra)
-    _dim_guard(alg, args.max_degree, args.force)
     base = Path(args.algebra).resolve().parent
-    if args.calculus in ("universal", "kahler"):
-        graded = graded_calculus_for(alg, args.calculus, args.max_degree)
-    else:
-        from .prolong import maximal_prolongation
-
-        calc = _load_calculus(args.calculus, alg, base)
-        graded = maximal_prolongation(calc, args.max_degree)
+    graded = _guarded_prolongation(alg, args.calculus, args.max_degree, args.force, base)
     out = {"dims": graded.dims, "max_degree": graded.max_degree}
     if args.matrices:
         out["differentials"] = [mat_to_lists(d) for d in graded.diff]
@@ -222,8 +235,8 @@ def _cmd_prolong(args) -> dict:
 
 def _cmd_cohomology(args) -> dict:
     alg, _ = _load_algebra(args.algebra)
-    _dim_guard(alg, args.max_degree, args.force)
-    graded = graded_calculus_for(alg, args.flavor, args.max_degree)
+    base = Path(args.algebra).resolve().parent
+    graded = _guarded_prolongation(alg, args.flavor, args.max_degree, args.force, base)
     report = cohomology(CochainComplex.from_graded(graded))
     return {
         "degrees": [
@@ -240,7 +253,7 @@ def _cmd_cohomology(args) -> dict:
 
 def _cmd_compare(args) -> dict:
     alg, _ = _load_algebra(args.algebra)
-    _dim_guard(alg, args.max_degree, args.force)
+    _dim_guard(_universal_top_dim(alg, args.max_degree), args.force)
     result = de_rham_comparison(alg, args.max_degree)
     # degrees describe the source (universal) theory; each comparison matrix
     # maps its classes to the Kaehler ones, so target dims are the row counts

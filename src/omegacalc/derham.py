@@ -12,7 +12,7 @@ reported.
 from __future__ import annotations
 
 from .algebra import Algebra, is_commutative
-from .fodc import PreconditionError
+from .fodc import FirstOrderCalculus, PreconditionError
 from .kahler import kahler_calculus
 from .linalg import (
     LinAlgError,
@@ -122,13 +122,18 @@ def rank_identity_report(c: CochainComplex, rep: CohomologyReport) -> list[str]:
     return errs
 
 
+def kahler_flavor(a: Algebra) -> FirstOrderCalculus:
+    """The first-order calculus of the Kaehler flavor."""
+    if not is_commutative(a):
+        raise PreconditionError("kahler flavor needs a commutative algebra")
+    return kahler_calculus(a)
+
+
 def graded_calculus_for(a: Algebra, flavor: str, max_degree: int) -> GradedCalculus:
     if flavor == "universal":
         return universal_prolongation(a, max_degree)
     if flavor == "kahler":
-        if not is_commutative(a):
-            raise PreconditionError("kahler flavor needs a commutative algebra")
-        return maximal_prolongation(kahler_calculus(a), max_degree)
+        return maximal_prolongation(kahler_flavor(a), max_degree)
     raise LinAlgError(f"unknown flavor {flavor!r}")
 
 

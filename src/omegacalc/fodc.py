@@ -14,12 +14,9 @@ from .bimodule import (
     BimodMap,
     Bimodule,
     action_closed,
-    bimodule_axiom_report,
     bimodule_hom_basis,
-    field_algebra,
     quotient_bimodule,
     saturate_subspace,
-    sub_bimodule,
     tensor_over_algebra,
     tensor_square_bimodule,
     zero_bimodule,
@@ -27,11 +24,15 @@ from .bimodule import (
 from .linalg import (
     LinAlgError,
     Mat,
+    factor_through_surjection,
     image_basis,
     kernel_basis,
     kronecker,
+    mul_id_kron,
+    mul_kron_id,
     rank,
     solve,
+    subspace_leq,
 )
 
 
@@ -63,14 +64,6 @@ class FodcReport:
             self.classification = "generalized_only"
 
 
-def leibniz_defect(a: Algebra, omega: Bimodule, d: Mat) -> Mat:
-    """d m - (d . 1 + 1 . d) as a matrix A(x)A -> Omega; zero iff Leibniz holds."""
-    i_n = Mat.identity(a.field, a.dim)
-    d_right = omega.right_mat * kronecker(d, i_n)
-    d_left = omega.left_mat * kronecker(i_n, d)
-    return d * a.mult_mat - (d_right + d_left)
-
-
 def check_fodc(a: Algebra, omega: Bimodule, d: Mat) -> FodcReport:
     """Classify (Omega, d) as fodc / generalized-only / not even generalized."""
     if omega.left_alg != a or omega.right_alg != a:
@@ -78,8 +71,10 @@ def check_fodc(a: Algebra, omega: Bimodule, d: Mat) -> FodcReport:
     if (d.rows, d.cols) != (omega.dim, a.dim):
         raise LinAlgError("differential has wrong shape")
     witnesses = []
-    i_n = Mat.identity(a.field, a.dim)
-    defect = leibniz_defect(a, omega, d)
+    one_d = mul_id_kron(omega.left_mat, a.dim, d)
+    d_one = mul_kron_id(omega.right_mat, d, a.dim)
+    # d m - (d . 1 + 1 . d) as a matrix A(x)A -> Omega; zero iff Leibniz holds
+    defect = d * a.mult_mat - (d_one + one_d)
     leibniz = defect.is_zero()
     if not leibniz:
         n = a.dim
@@ -87,9 +82,7 @@ def check_fodc(a: Algebra, omega: Bimodule, d: Mat) -> FodcReport:
             if any(defect.column(col)):
                 witnesses.append(f"Leibniz fails on e{col // n} (x) e{col % n}")
                 break
-    one_d = omega.left_mat * kronecker(i_n, d)
-    d_one = omega.right_mat * kronecker(d, i_n)
-    two_sided = omega.left_mat * kronecker(i_n, omega.right_mat * kronecker(d, i_n))
+    two_sided = mul_id_kron(omega.left_mat, a.dim, d_one)
     left_surj = rank(one_d) == omega.dim
     right_surj = rank(d_one) == omega.dim
     two_surj = rank(two_sided) == omega.dim
@@ -167,8 +160,8 @@ def universal_calculus(a: Algebra) -> UniversalCalculus:
     i_n = Mat.identity(f, a.dim)
     iota = kernel_basis(a.mult_mat)
     sq = tensor_square_bimodule(a)
-    lm = solve(iota, sq.left_mat * kronecker(i_n, iota))
-    rm = solve(iota, sq.right_mat * kronecker(iota, i_n))
+    lm = solve(iota, mul_id_kron(sq.left_mat, a.dim, iota))
+    rm = solve(iota, mul_kron_id(sq.right_mat, iota, a.dim))
     if lm is None or rm is None:
         raise AssertionError("kernel of multiplication is not action-closed")
     omega = Bimodule(a, a, iota.cols, lm, rm, check=False)
@@ -176,10 +169,10 @@ def universal_calculus(a: Algebra) -> UniversalCalculus:
     d = solve(iota, d0)
     if d is None:
         raise AssertionError("universal differential does not factor through the kernel")
-    retraction = lm * kronecker(i_n, d)
+    retraction = mul_id_kron(lm, a.dim, d)
     if retraction * iota != Mat.identity(f, iota.cols):
         raise AssertionError("retraction identity (1 . d) iota = id fails")
-    if rm * kronecker(d, i_n) * iota != -Mat.identity(f, iota.cols):
+    if mul_kron_id(rm, d, a.dim) * iota != -Mat.identity(f, iota.cols):
         raise AssertionError("split identity (d . 1) iota = -id fails")
     return UniversalCalculus(a, omega, d, iota, retraction)
 
@@ -202,9 +195,7 @@ def induced_map(u: UniversalCalculus, target: FirstOrderCalculus) -> BimodMap:
     report = check_fodc(target.alg, target.omega, target.d)
     if report.classification != "fodc":
         raise PreconditionError("target fails the calculus axioms: " + "; ".join(report.witnesses))
-    a = u.alg
-    i_n = Mat.identity(a.field, a.dim)
-    f_mat = target.omega.left_mat * kronecker(i_n, target.d) * u.iota
+    f_mat = mul_id_kron(target.omega.left_mat, u.alg.dim, target.d) * u.iota
     f = BimodMap(u.omega, target.omega, f_mat, check=True)
     if f_mat * u.d != target.d:
         raise AssertionError("induced map does not intertwine the differentials")
@@ -248,16 +239,12 @@ def kernel_from_universal(u: UniversalCalculus, c: FirstOrderCalculus) -> Mat:
 def calculus_morphism_exists(u: UniversalCalculus, src: FirstOrderCalculus,
                              dst: FirstOrderCalculus) -> bool:
     """Calc morphisms src -> dst over one algebra exist iff ker(src) <= ker(dst)."""
-    from .linalg import subspace_leq
-
     return subspace_leq(kernel_from_universal(u, src), kernel_from_universal(u, dst))
 
 
 def calculus_morphism(u: UniversalCalculus, src: FirstOrderCalculus,
                       dst: FirstOrderCalculus) -> Mat | None:
     """The unique morphism matrix src -> dst when it exists, else None."""
-    from .linalg import factor_through_surjection
-
     f_src = induced_map(u, src).matrix
     f_dst = induced_map(u, dst).matrix
     return factor_through_surjection(f_dst, f_src)
@@ -340,14 +327,11 @@ def kernel_counit_comparison(u: UniversalCalculus, left_module: Bimodule) -> dic
     mu = left_module.left_mat
     k_basis = kernel_basis(mu)
     t_mod, q = tensor_over_algebra(u.omega, left_module)
-    i_m = Mat.identity(f, left_module.dim)
-    g_rhs = kronecker(Mat.identity(f, a.dim), mu) * kronecker(u.iota, i_m)
-    from .linalg import factor_through_surjection
-
+    g_rhs = mul_kron_id(kronecker(Mat.identity(f, a.dim), mu), u.iota, left_module.dim)
     g = factor_through_surjection(g_rhs, q)
     if g is None:
         raise AssertionError("comparison map does not descend to the tensor product")
-    t_map = q * kronecker(u.d, i_m) * k_basis
+    t_map = mul_kron_id(q, u.d, left_module.dim) * k_basis
     s_raw = solve(k_basis, g)
     if s_raw is None:
         raise AssertionError("comparison does not land in the kernel of the action")

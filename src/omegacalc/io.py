@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .algebra import Algebra, AlgMap
+from .algebra import Algebra, AlgMap, is_cube
 from .bimodule import Bimodule
 from .hopf import Bimonoid
 from .linalg import Field, LinAlgError, Mat, field_from_json, field_to_json
@@ -64,10 +64,7 @@ def bimonoid_from_json(doc: dict, alg: Algebra | None = None) -> Bimonoid:
         raise LinAlgError("algebra file carries no comultiplication/counit")
     n = a.dim
     raw = doc["comult"]
-    if not (isinstance(raw, list) and len(raw) == n and all(
-            isinstance(block, list) and len(block) == n
-            and all(isinstance(row, list) and len(row) == n for row in block)
-            for block in raw)):
+    if not is_cube(raw, n):
         raise LinAlgError(f"comult must be {n} blocks of {n}x{n} scalars")
     if not isinstance(doc["counit"], list):
         raise LinAlgError("counit must be a list of scalars")

@@ -17,7 +17,7 @@ from .fodc import (
     quotient_calculus,
     universal_calculus,
 )
-from .linalg import Mat, image_basis, kronecker, swap_matrix
+from .linalg import Mat, image_basis, mul_id_kron, mul_kron_id, swap_matrix
 
 
 def kahler_relations(u: UniversalCalculus) -> Mat:
@@ -28,9 +28,8 @@ def kahler_relations(u: UniversalCalculus) -> Mat:
     both actions (for dim >= 3 it is not action-closed on its own).
     """
     a = u.alg
-    i_n = Mat.identity(a.field, a.dim)
-    d_one = u.omega.right_mat * kronecker(u.d, i_n)
-    one_d = u.omega.left_mat * kronecker(i_n, u.d)
+    d_one = mul_kron_id(u.omega.right_mat, u.d, a.dim)
+    one_d = mul_id_kron(u.omega.left_mat, a.dim, u.d)
     rel = d_one - one_d * swap_matrix(a.field, a.dim, a.dim)
     return saturate_subspace(u.omega, image_basis(rel))
 

@@ -380,6 +380,12 @@ class Mat:
 
     # block operations ---------------------------------------------------------
 
+    def select_cols(self, cols) -> "Mat":
+        """The matrix of the listed columns, in the listed order."""
+        index = {c: a for a, c in enumerate(cols)}
+        data = [{index[j]: v for j, v in row.items() if j in index} for row in self.data]
+        return _mat(self.field, self.rows, len(index), data)
+
     def hstack(self, other: "Mat") -> "Mat":
         return Mat.hstack_all(self.field, [self, other], self.rows)
 
@@ -428,6 +434,42 @@ def kronecker(a: Mat, b: Mat) -> Mat:
             # products of nonzeros are nonzero; only their normal form is owed
             data.append(orow if ones else _clean(orow, p))
     return _mat(a.field, a.rows * b.rows, a.cols * bc, data)
+
+
+def _mul_id_kron_id(m: Mat, p: int, x: Mat, q: int) -> Mat:
+    """m (I_p (x) x (x) I_q) blockwise, without forming the Kronecker product:
+    a nonzero a of m at column (i*x.rows + k)*q + l adds a*x[k, j] at column
+    (i*x.cols + j)*q + l, so the cost is that of the nonzeros of m and x."""
+    if m.field != x.field:
+        raise LinAlgError("field mismatch")
+    if m.cols != p * x.rows * q:
+        raise LinAlgError(f"cannot multiply {m.rows}x{m.cols} by I_{p} (x) "
+                          f"{x.rows}x{x.cols} (x) I_{q}")
+    xr, block = x.rows, x.cols * q
+    strided = x.data if q == 1 else [{j * q: b for j, b in xrow.items()} for xrow in x.data]
+    data = []
+    for row in m.data:
+        orow = {}
+        get = orow.get
+        for c, a in row.items():
+            ik, l = divmod(c, q)
+            i, k = divmod(ik, xr)
+            base = i * block + l
+            for jq, b in strided[k].items():
+                t = base + jq
+                orow[t] = get(t, 0) + a * b
+        data.append(_clean(orow, m.field.p))
+    return _mat(m.field, m.rows, p * block, data)
+
+
+def mul_id_kron(m: Mat, p: int, x: Mat) -> Mat:
+    """m (I_p (x) x): column i*x.rows + k of m meets row k of x in block i."""
+    return _mul_id_kron_id(m, p, x, 1)
+
+
+def mul_kron_id(m: Mat, x: Mat, q: int) -> Mat:
+    """m (x (x) I_q): column i*q + l of m meets row i of x at offset l."""
+    return _mul_id_kron_id(m, 1, x, q)
 
 
 def kron_all(mats: list[Mat]) -> Mat:

@@ -32,6 +32,8 @@ from .linalg import (
     kernel_basis,
     kron_all,
     kronecker,
+    mul_id_kron,
+    mul_kron_id,
     pivot_retraction,
     rank,
 )
@@ -114,14 +116,15 @@ class GradedCalculus:
         n0 = self.alg.dim
         ps = [Mat.identity(f, n0)]
         if self.max_degree >= 1:
-            ps.append(self.wedge[(0, 1)] * kronecker(Mat.identity(f, n0), self.diff[0]))
+            ps.append(mul_id_kron(self.wedge[(0, 1)], n0, self.diff[0]))
         for n in range(2, self.max_degree + 1):
-            ps.append(self.wedge[(n - 1, 1)] * kronecker(ps[n - 1], self.diff[0]))
+            # wedge (p (x) d) = wedge (p (x) 1)(1 (x) d)
+            w_p = mul_kron_id(self.wedge[(n - 1, 1)], ps[n - 1], self.dims[1])
+            ps.append(mul_id_kron(w_p, ps[n - 1].cols, self.diff[0]))
         return ps
 
     def validation_report(self) -> list[str]:
         report = []
-        f = self.alg.field
         n0 = self.alg.dim
         big_n = self.max_degree
         if self.dims[0] != n0:
@@ -142,20 +145,16 @@ class GradedCalculus:
         for i in range(big_n + 1):
             for j in range(big_n + 1 - i):
                 for k in range(big_n + 1 - i - j):
-                    lhs = self.wedge[(i + j, k)] * kronecker(
-                        self.wedge[(i, j)], Mat.identity(f, self.dims[k])
-                    )
-                    rhs = self.wedge[(i, j + k)] * kronecker(
-                        Mat.identity(f, self.dims[i]), self.wedge[(j, k)]
-                    )
+                    lhs = mul_kron_id(self.wedge[(i + j, k)], self.wedge[(i, j)], self.dims[k])
+                    rhs = mul_id_kron(self.wedge[(i, j + k)], self.dims[i], self.wedge[(j, k)])
                     if lhs != rhs:
                         report.append(f"wedge associativity fails at ({i},{j},{k})")
         # graded Leibniz with sign (-1)^i at all pairs with i + j < N
         for i in range(big_n):
             for j in range(big_n - i):
                 lhs = self.diff[i + j] * self.wedge[(i, j)]
-                term1 = self.wedge[(i + 1, j)] * kronecker(self.diff[i], Mat.identity(f, self.dims[j]))
-                term2 = self.wedge[(i, j + 1)] * kronecker(Mat.identity(f, self.dims[i]), self.diff[j])
+                term1 = mul_kron_id(self.wedge[(i + 1, j)], self.diff[i], self.dims[j])
+                term2 = mul_id_kron(self.wedge[(i, j + 1)], self.dims[i], self.diff[j])
                 rhs = term1 + term2 if i % 2 == 0 else term1 - term2
                 if lhs != rhs:
                     report.append(f"graded Leibniz fails at ({i},{j})")
@@ -253,9 +252,7 @@ def maximal_prolongation(c: FirstOrderCalculus, max_degree: int) -> GradedCalcul
         raise PreconditionError("max degree must be at least 1")
     a = c.alg
     f = a.field
-    i_a = Mat.identity(f, a.dim)
-    i_1 = Mat.identity(f, c.dim)
-    g1 = c.omega.left_mat * kronecker(i_a, c.d)
+    g1 = mul_id_kron(c.omega.left_mat, a.dim, c.d)
     rel = kronecker(c.d, c.d) * kernel_basis(g1)
     dims = [a.dim, c.dim]
     prev = c.omega
@@ -264,20 +261,20 @@ def maximal_prolongation(c: FirstOrderCalculus, max_degree: int) -> GradedCalcul
     diff = [c.d]
     for k in range(2, max_degree + 1):
         t, q = tensor_over_algebra(prev, c.omega)
-        gens = q * kronecker(wedge[(k - 2, 1)], i_1) * kronecker(Mat.identity(f, dims[k - 2]), rel)
+        gens = mul_id_kron(mul_kron_id(q, wedge[(k - 2, 1)], c.dim), dims[k - 2], rel)
         prev, proj, _s = quotient_bimodule(t, image_basis(gens))
         dims.append(prev.dim)
         wedge[(k - 1, 1)] = proj.matrix * q
         wedge[(0, k)] = prev.left_mat
         wedge[(k, 0)] = prev.right_mat
-        g.append(wedge[(k - 1, 1)] * kronecker(Mat.identity(f, dims[k - 1]), c.d))
+        g.append(mul_id_kron(wedge[(k - 1, 1)], dims[k - 1], c.d))
         for i in range(1, k - 1):
             wedge[(i, k - i)] = _descend(
-                g[k] * kronecker(wedge[(i, k - i - 1)], i_a),
+                mul_kron_id(g[k], wedge[(i, k - i - 1)], a.dim),
                 kronecker(Mat.identity(f, dims[i]), g[k - i]),
                 f"wedge at ({i},{k - i})",
             )
-        diff.append(_descend(g[k] * kronecker(diff[k - 2], i_a), g[k - 1],
+        diff.append(_descend(mul_kron_id(g[k], diff[k - 2], a.dim), g[k - 1],
                              f"differential at degree {k - 1}"))
     return GradedCalculus(a, max_degree, dims, diff, wedge, check=True)
 
@@ -313,7 +310,8 @@ def unique_dg_morphism(src: GradedCalculus, tgt: GradedCalculus, f0: AlgMap):
             return None
     for i in range(src.max_degree + 1):
         for j in range(src.max_degree + 1 - i):
-            if maps[i + j] * src.wedge[(i, j)] != tgt.wedge[(i, j)] * kronecker(maps[i], maps[j]):
+            w_h = mul_kron_id(tgt.wedge[(i, j)], maps[i], maps[j].rows)
+            if maps[i + j] * src.wedge[(i, j)] != mul_id_kron(w_h, maps[i].cols, maps[j]):
                 return None
     return maps
 

@@ -16,7 +16,6 @@ from .fodc import (
     FirstOrderCalculus,
     PreconditionError,
     UniversalCalculus,
-    check_fodc,
     induced_map,
     induced_map_is_unique,
     kernel_from_universal,
@@ -26,7 +25,6 @@ from .fodc import (
 )
 from .linalg import (
     Mat,
-    factor_through_surjection,
     image_basis,
     kernel_basis,
     kronecker,

@@ -2,6 +2,7 @@ from omegacalc.algebra import AlgMap
 from omegacalc.bimodule import (
     BimodMap,
     Bimodule,
+    action_closed,
     bimod_cokernel,
     bimod_kernel,
     bimodule_axiom_report,
@@ -224,3 +225,31 @@ def test_tensor_cancels_on_the_right(qx2):
     unit_col = Mat.col_vector(QQ, [1, 0])
     split = q * kronecker(Mat.identity(QQ, u.dim), unit_col)
     assert is_invertible(split)
+
+
+def _span(alg, cols):
+    return Mat.from_cols(alg.field, cols, rows=alg.dim)
+
+
+def test_action_closed_names_the_first_failing_left_action(qx3, m2q):
+    # span(1) in Q[x]/x^3: x and x^2 both move 1 out; e1 = x is reported
+    assert action_closed(regular_bimodule(qx3), _span(qx3, [[1, 0, 0]])) == (
+        "left action of e1 leaves the subspace")
+    # the first row span(E00, E01) of M2 is a right ideal: only E10 moves it out
+    first_row = _span(m2q, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    assert action_closed(regular_bimodule(m2q), first_row) == (
+        "left action of e2 leaves the subspace")
+
+
+def test_action_closed_names_the_first_failing_right_action(qx3, m2q):
+    # A (x) 1 in A (x) A is closed on the left; x and x^2 move it out on the right
+    ones = [[1 if k == 3 * i else 0 for k in range(9)] for i in range(3)]
+    square = tensor_square_bimodule(qx3)
+    assert action_closed(square, Mat.from_cols(qx3.field, ones, rows=9)) == (
+        "right action of e1 leaves the subspace")
+    # the second column span(E01, E11) of M2 is a left ideal: only E10 moves it out
+    second_col = _span(m2q, [[0, 1, 0, 0], [0, 0, 0, 1]])
+    assert action_closed(regular_bimodule(m2q), second_col) == (
+        "right action of e2 leaves the subspace")
+    assert action_closed(regular_bimodule(m2q), _span(m2q, [[1, 0, 0, 0], [0, 0, 1, 0]])) == (
+        "right action of e1 leaves the subspace")

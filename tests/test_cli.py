@@ -282,6 +282,70 @@ def test_malformed_bimonoid_is_compute_error(capsys, tmp_path, command, field, v
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["universal"],
+    ["kahler"],
+    ["check"],
+    ["prolong", "--max-degree", "2"],
+    ["cohomology", "--flavor", "kahler", "--max-degree", "2"],
+], ids=["universal", "kahler", "check", "prolong", "cohomology"])
+@pytest.mark.parametrize("mult", [
+    [[["1", "0"], ["0", "1"]], [["0", "1"]]],
+    [[["1", "0"], ["0", "1"]], [["0", "1"], ["0"]]],
+    [[["1", "0"], ["0", "1"]], 5],
+], ids=["short-block", "short-row", "int-block"])
+def test_ragged_mult_is_compute_error(capsys, tmp_path, argv, mult):
+    doc = json.loads((FIXTURES / "qx2.json").read_text())
+    doc["mult"] = mult
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main([argv[0], str(bad), *argv[1:], "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "mult must be 2 blocks of 2 rows of 2 scalars" in json.loads(captured.out)["error"]
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["prolong", "--calculus", "kahler"], 0),
+    (["cohomology", "--flavor", "kahler"], 0),
+    (["prolong", "--calculus", "universal"], 2),
+    (["cohomology", "--flavor", "universal"], 2),
+    (["compare"], 2),
+], ids=["prolong-kahler", "cohomology-kahler", "prolong-universal",
+        "cohomology-universal", "compare"])
+def test_dim_guard_projects_per_calculus(capsys, monkeypatch, argv, code):
+    # Kaehler on Q[x]/x^4 has dim 3 in degree 1, so Omega^12 has dim at most
+    # 3^12 = 531441; the universal Omega^12 has dim 4 * 3^12 = 2125764
+    monkeypatch.delenv("OMEGA_MAX_DIM", raising=False)
+    got, out = run_cli(capsys, argv[0], str(FIXTURES / "qx4.json"), *argv[1:],
+                       "--max-degree", "12", "--format", "json")
+    assert got == code
+    if code == 2:
+        assert json.loads(out)["error"] == (
+            "projected component dimension 2125764 exceeds limit 1000000")
+    else:
+        assert "error" not in json.loads(out)
+
+
+def test_dim_guard_on_a_quotient_uses_its_degree_one_dim(capsys, monkeypatch, tmp_path):
+    # [dx, x] = 1 (x) x^2 - 2 x (x) x + x^2 (x) 1 generates the Kaehler relations
+    # of Q[x]/x^3: Omega^1 has dim 2, so Omega^4 has dim at most 2^4 = 16,
+    # where the universal Omega^4 has dim 3 * 2^4 = 48
+    rel = tmp_path / "rel.json"
+    rel.write_text(json.dumps({"generators": [["0", "0", "1", "0", "-2", "0", "1", "0", "0"]]}))
+    argv = ["prolong", str(FIXTURES / "qx3.json"), "--calculus", f"quotient:{rel}",
+            "--max-degree", "4", "--format", "json"]
+    monkeypatch.setenv("OMEGA_MAX_DIM", "15")
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"] == "projected component dimension 16 exceeds limit 15"
+    monkeypatch.setenv("OMEGA_MAX_DIM", "16")
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["dims"] == [3, 2, 0, 0, 0]
+
+
 def test_inline_calculus_algebra_is_checked(capsys, tmp_path):
     calc = tmp_path / "calc.json"
     calc.write_text(json.dumps({"algebra": {}, "kind": "universal"}))

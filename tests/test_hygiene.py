@@ -1,0 +1,48 @@
+"""Every name a library module imports is used in that module.
+
+Each src/omegacalc/*.py except the package's __init__.py (whose imports are
+its public surface) is parsed with ast; an imported name that is never read
+is a dead import.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "omegacalc"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    loaded = {n.id for n in ast.walk(tree)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(imported - loaded)
+
+
+def test_modules_are_found():
+    assert {"linalg.py", "bimodule.py", "cli.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_an_unused_import_is_seen():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from .linalg import Mat, rank as r, solve\n"
+        "def f(m: Mat):\n"
+        "    from .fodc import check_fodc\n"
+        "    return solve(m, m)\n"
+    )
+    assert unused_imports(source) == ["check_fodc", "os", "r"]

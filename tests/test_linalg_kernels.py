@@ -2,7 +2,9 @@
 
 Each kernel runs on small random sparse matrices over Q and GF(p) and is
 compared with a naive dense computation written here from `m[i, j]`; rank is
-also compared with sympy's DomainMatrix.  hypothesis and sympy are test-only.
+also compared with sympy's DomainMatrix, and the blockwise products by I (x) x
+and x (x) I with the product by the materialized Kronecker factor.
+hypothesis and sympy are test-only.
 """
 
 from fractions import Fraction
@@ -15,9 +17,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from omegacalc.linalg import (  # noqa: E402
     GF,
     QQ,
+    LinAlgError,
     Mat,
     kernel_basis,
     kronecker,
+    mul_id_kron,
+    mul_kron_id,
     rank,
     solve,
 )
@@ -110,6 +115,77 @@ def test_kronecker_matches_dense(storage_violations, data, field):
     expected = [[Fraction(da[i][j]) * db[k][l] for j in range(a.cols) for l in range(b.cols)]
                 for i in range(a.rows) for k in range(b.rows)]
     check(kronecker(a, b), expected, storage_violations)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), fields, st.integers(0, 3))
+def test_mul_id_kron_matches_dense(storage_violations, data, field, p):
+    x = data.draw(matrices(field))
+    m = data.draw(matrices(field, cols=p * x.rows))
+    dm, dx = dense(m), dense(x)
+    # (I_p (x) x)[(i, k), (i2, l)] = [i == i2] x[k, l]
+    expected = [[sum((Fraction(dm[r][i * x.rows + k]) * dx[k][l] for k in range(x.rows)),
+                     Fraction(0))
+                 for i in range(p) for l in range(x.cols)] for r in range(m.rows)]
+    out = mul_id_kron(m, p, x)
+    assert out.cols == p * x.cols
+    check(out, expected, storage_violations)
+    assert out == m * kronecker(Mat.identity(field, p), x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), fields, st.integers(0, 3))
+def test_mul_kron_id_matches_dense(storage_violations, data, field, q):
+    x = data.draw(matrices(field))
+    m = data.draw(matrices(field, cols=x.rows * q))
+    dm, dx = dense(m), dense(x)
+    # (x (x) I_q)[(i, l), (j, l2)] = x[i, j] [l == l2]
+    expected = [[sum((Fraction(dm[r][i * q + l]) * dx[i][j] for i in range(x.rows)),
+                     Fraction(0))
+                 for j in range(x.cols) for l in range(q)] for r in range(m.rows)]
+    out = mul_kron_id(m, x, q)
+    assert out.cols == x.cols * q
+    check(out, expected, storage_violations)
+    assert out == m * kronecker(x, Mat.identity(field, q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), fields)
+def test_product_by_a_kronecker_product_is_the_two_kernels(storage_violations, data, field):
+    x = data.draw(matrices(field))
+    y = data.draw(matrices(field))
+    m = data.draw(matrices(field, cols=x.rows * y.rows))
+    out = mul_id_kron(mul_kron_id(m, x, y.rows), x.cols, y)
+    assert storage_violations(out) == []
+    assert out == m * kronecker(x, y)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("p,xr,xc", [(0, 0, 0), (0, 2, 3), (2, 0, 0), (2, 0, 3), (2, 3, 0)],
+                         ids=["all-empty", "p-zero", "x-empty", "x-no-rows", "x-no-cols"])
+def test_identity_kernels_on_empty_factors(storage_violations, field, p, xr, xc):
+    x = Mat.zeros(field, xr, xc)
+    m = Mat.zeros(field, 4, p * xr)
+    for out, ref in ((mul_id_kron(m, p, x), kronecker(Mat.identity(field, p), x)),
+                     (mul_kron_id(m, x, p), kronecker(x, Mat.identity(field, p)))):
+        assert storage_violations(out) == []
+        assert (out.rows, out.cols) == (4, p * xc)
+        assert out == m * ref and out.is_zero()
+
+
+@pytest.mark.parametrize("kernel", ["id_kron", "kron_id"])
+def test_identity_kernels_reject_shape_and_field_mismatch(kernel):
+    def apply(m, x, p):
+        return mul_id_kron(m, p, x) if kernel == "id_kron" else mul_kron_id(m, x, p)
+
+    x = Mat(QQ, [[1, 2], [3, 4], [5, 6]])
+    with pytest.raises(LinAlgError):
+        apply(Mat.zeros(QQ, 2, 5), x, 2)    # 5 columns, I_2 (x) x has 6 rows
+    with pytest.raises(LinAlgError):
+        apply(Mat.zeros(QQ, 2, 3), x, 2)
+    with pytest.raises(LinAlgError):
+        apply(Mat.zeros(GF(5), 2, 6), x, 2)
+    assert apply(Mat.zeros(QQ, 2, 6), x, 2).cols == 4
 
 
 @settings(max_examples=60, deadline=None)
