@@ -381,7 +381,7 @@ class Mat:
     # block operations ---------------------------------------------------------
 
     def select_cols(self, cols) -> "Mat":
-        """The matrix of the listed columns, in the listed order."""
+        """The matrix of the listed (distinct) columns, in the listed order."""
         index = {c: a for a, c in enumerate(cols)}
         data = [{index[j]: v for j, v in row.items() if j in index} for row in self.data]
         return _mat(self.field, self.rows, len(index), data)
