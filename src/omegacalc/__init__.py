@@ -37,7 +37,6 @@ from .derham import (
 )
 from .fodc import (
     FirstOrderCalculus,
-    GeneralizedCalculus,
     PreconditionError,
     UniversalCalculus,
     check_fodc,
@@ -73,7 +72,6 @@ from .linalg import (
     solve,
 )
 from .prolong import (
-    AmitsurComplex,
     GradedCalculus,
     maximal_prolongation,
     trivial_extension,

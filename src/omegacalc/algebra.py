@@ -48,15 +48,20 @@ def _mult_matrix(field: Field, dim: int, mult) -> Mat:
 def algebra_axiom_report(field: Field, dim: int, mult, unit) -> list[str]:
     """Every violated monoid axiom on raw structure data, with a witnessing
     triple or unit index; empty iff the data is a monoid."""
-    report = []
     try:
         m = _mult_matrix(field, dim, mult)
     except (LinAlgError, IndexError, TypeError) as exc:
         raise LinAlgError(f"bad structure data: {exc}") from exc
-    if len(unit) != dim:
+    return _monoid_report(m, Mat.col_vector(field, unit))
+
+
+def _monoid_report(m: Mat, u: Mat) -> list[str]:
+    """algebra_axiom_report on the multiplication matrix and the unit column."""
+    dim = m.rows
+    if u.rows != dim:
         raise LinAlgError("unit vector has wrong length")
-    u = Mat.col_vector(field, unit)
-    i_n = Mat.identity(field, dim)
+    report = []
+    i_n = Mat.identity(m.field, dim)
     assoc_l = mul_kron_id(m, m, dim)
     assoc_r = mul_id_kron(m, dim, m)
     if assoc_l != assoc_r:
@@ -93,7 +98,7 @@ class Algebra:
             raise LinAlgError("basis label count mismatch")
         self.unit_mat = Mat.col_vector(field, self.unit)
         if check:
-            report = algebra_axiom_report(field, dim, self.mult, self.unit)
+            report = _monoid_report(self.mult_mat, self.unit_mat)
             if report:
                 raise AxiomError(report)
 

@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .algebra import Algebra, AxiomError, algebra_axiom_report
+from .algebra import Algebra, AxiomError
 from .bimodule import saturate_subspace
 from .derham import (
     CochainComplex,
@@ -40,7 +40,7 @@ from .io import (
     relations_from_json,
 )
 from .kahler import kahler_calculus
-from .linalg import LinAlgError, Mat, field_from_json, solve
+from .linalg import LinAlgError, Mat, solve
 from .prolong import GradedCalculus, maximal_prolongation, universal_prolongation
 from .scalars import calc_pullback, calc_pushforward
 
@@ -164,9 +164,12 @@ def _cmd_check(args) -> dict:
         doc = load_json(args.algebra)
     except (OSError, json.JSONDecodeError) as exc:
         raise _Failure(EXIT_USAGE, {"error": f"cannot read {args.algebra}: {exc}"})
+    # the loader itself, so that check accepts exactly what the other commands load
+    violations = []
     try:
-        field = field_from_json(doc["field"])
-        violations = algebra_axiom_report(field, int(doc["dim"]), doc["mult"], doc["unit"])
+        algebra_from_json(doc)
+    except AxiomError as exc:
+        violations = exc.report
     except (LinAlgError, KeyError, TypeError, ValueError) as exc:
         raise _Failure(EXIT_COMPUTE, {"error": f"bad algebra file: {exc}"})
     out = {"valid": not violations, "violations": violations}
@@ -287,8 +290,12 @@ def _transport(args, push: bool) -> dict:
         raise _Failure(EXIT_COMPUTE, {"error": "morphism axioms fail", "violations": exc.report})
     except (OSError, json.JSONDecodeError) as exc:
         raise _Failure(EXIT_USAGE, {"error": f"cannot read {args.map}: {exc}"})
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise _Failure(EXIT_USAGE, {"error": f"malformed map file {args.map}: missing {exc}"})
+    except TypeError as exc:
+        raise _Failure(EXIT_USAGE, {"error": f"malformed map file {args.map}: {exc}"})
+    except ValueError as exc:  # a bad scalar, dim, field or shape; LinAlgError too
+        raise _Failure(EXIT_COMPUTE, {"error": f"bad map file {args.map}: {exc}"})
     try:
         calc_doc = load_json(args.calculus)
     except (OSError, json.JSONDecodeError) as exc:

@@ -92,15 +92,13 @@ def cohomology(c: CochainComplex) -> CohomologyReport:
         else:
             boundaries = image_basis(c.diff[n - 1])
         q, _s = quotient_maps(boundaries, c.dims[n])
-        class_basis = image_basis(q * cycles)
-        reps_cols = []
-        for j in range(class_basis.cols):
-            target = Mat.from_cols(field, [class_basis.column(j)], rows=class_basis.rows)
-            x = solve(q * cycles, target)
-            if x is None:
-                raise AssertionError("canonical class fails to lift to a cycle")
-            reps_cols.append((cycles * x).column(0))
-        reps = Mat.from_cols(field, reps_cols, rows=c.dims[n])
+        classes = q * cycles
+        class_basis = image_basis(classes)
+        # solve lifts each column of class_basis on its own, one cycle per class
+        x = solve(classes, class_basis)
+        if x is None:
+            raise AssertionError("canonical class fails to lift to a cycle")
+        reps = cycles * x
         dim_h = cycles.cols - boundaries.cols
         if dim_h != class_basis.cols:
             raise AssertionError("rank bookkeeping mismatch in cohomology")
@@ -153,7 +151,7 @@ def de_rham_comparison(a: Algebra, max_degree: int) -> dict:
     if not is_commutative(a):
         raise PreconditionError("comparison needs a commutative algebra")
     up = universal_prolongation(a, max_degree)
-    kp = maximal_prolongation(kahler_calculus(a, up.universal), max_degree)
+    kp = maximal_prolongation(kahler_calculus(a), max_degree)
     maps = unique_dg_morphism(up, kp, a.identity_map())
     if maps is None:
         raise AssertionError("comparison morphism does not exist")

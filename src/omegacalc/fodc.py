@@ -123,23 +123,6 @@ class FirstOrderCalculus:
         return f"FirstOrderCalculus(dim={self.dim} over algebra of dim {self.alg.dim})"
 
 
-class GeneralizedCalculus:
-    """Leibniz only; surjectivity not required."""
-
-    def __init__(self, alg: Algebra, omega: Bimodule, d: Mat, check=True):
-        self.alg = alg
-        self.omega = omega
-        self.d = d
-        if check:
-            report = check_fodc(alg, omega, d)
-            if not report.leibniz:
-                raise AxiomError(["Leibniz rule fails"] + report.witnesses)
-
-    @property
-    def dim(self) -> int:
-        return self.omega.dim
-
-
 class UniversalCalculus(FirstOrderCalculus):
     """ker(m) with iota d = (i (x) 1) - (1 (x) i), plus the standard splitting.
 

@@ -34,14 +34,14 @@ def kahler_relations(u: UniversalCalculus) -> Mat:
     return saturate_subspace(u.omega, image_basis(rel))
 
 
-def kahler_calculus(a: Algebra, u: UniversalCalculus | None = None) -> FirstOrderCalculus:
+def kahler_calculus(a: Algebra) -> FirstOrderCalculus:
     """The central quotient of the universal calculus of a commutative algebra."""
     if not is_commutative(a):
         i, j = commutativity_witness(a)
         raise PreconditionError(
             f"algebra is not commutative: e{i}*e{j} != e{j}*e{i}"
         )
-    u = u or universal_calculus(a)
+    u = universal_calculus(a)
     relations = kahler_relations(u)
     calc, _proj = quotient_calculus(u, relations)
     if not centrality_check(calc.omega):

@@ -716,8 +716,6 @@ def factor_through_surjection(rhs: Mat, q: Mat) -> Mat | None:
     """Unique X with X q = rhs, when it exists (q surjective)."""
     if rhs.cols != q.cols:
         raise LinAlgError("factor: shape mismatch")
+    # solve checks q^T x^T = rhs^T, which is x q = rhs
     xt = solve(q.transpose(), rhs.transpose())
-    if xt is None:
-        return None
-    x = xt.transpose()
-    return x if x * q == rhs else None
+    return None if xt is None else xt.transpose()

@@ -2,15 +2,17 @@
 Amitsur complex, maximal prolongations of first-order calculi, and unique
 morphisms of graded calculi.
 
-The universal prolongation has degree-n component the joint kernel of the
-maps 1^(x)i (x) m (x) 1^(x)(n-1-i), i < n, inside A^(x)(n+1); it is spanned
-by the forms a0 da1 ... dan.  Its canonical basis iota^n has the left
-inverse p^n that reads the pivot rows, and d and wedge are the Amitsur
-differential and 1 (x) m (x) 1 read back through p^n.  The maximal
-prolongation of a first-order calculus (Omega^1, d) is read off its
-presentation: the tensor algebra T_A(Omega^1) divided by the ideal generated
-by the sums da_i (x) db_i with sum a_i db_i = 0 (Woronowicz 1989), built one
-degree at a time as Omega^k = Omega^(k-1) (x)_A Omega^1 / Omega^(k-2) ^ R.
+The universal prolongation sits inside the Amitsur complex.  Its degree-n
+component is spanned by the forms a0 da1 ... dan with a1, ..., an in a
+complement of the scalars, so Omega^n = Omega^(n-1) . dA and
+Omega^n ~ A (x) (A/k)^(x)n (Cuntz-Quillen 1995).  Its canonical basis
+iota^n is the image basis of those forms, p^n is the left inverse that reads
+the pivot rows, and d and wedge are the Amitsur differential and
+1 (x) m (x) 1 read back through p^n.  The maximal prolongation of a
+first-order calculus (Omega^1, d) is read off its presentation: the tensor
+algebra T_A(Omega^1) divided by the ideal generated by the sums
+da_i (x) db_i with sum a_i db_i = 0 (Woronowicz 1989), built one degree at a
+time as Omega^k = Omega^(k-1) (x)_A Omega^1 / Omega^(k-2) ^ R.
 """
 
 from __future__ import annotations
@@ -63,19 +65,6 @@ def amitsur_wedge(a: Algebra, n: int, m: int) -> Mat:
         a.mult_mat,
         Mat.identity(f, a.dim ** m),
     ])
-
-
-class AmitsurComplex:
-    """The cochain complex A^(x)(n+1) with alternating unit insertions."""
-
-    def __init__(self, alg: Algebra, max_degree: int):
-        self.alg = alg
-        self.max_degree = max_degree
-        self.dims = [alg.dim ** (n + 1) for n in range(max_degree + 1)]
-        self.diff = [amitsur_differential(alg, n) for n in range(max_degree)]
-        for n in range(max_degree - 1):
-            if not (self.diff[n + 1] * self.diff[n]).is_zero():
-                raise AssertionError(f"Amitsur differential fails d.d=0 at degree {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +157,13 @@ class GradedCalculus:
 class UniversalProlongation(GradedCalculus):
     """The universal graded calculus as a subcomplex of the Amitsur complex.
 
-    iota[n] is the canonical basis of Omega^n inside A^(x)(n+1) and proj[n]
-    its left inverse that reads the pivot rows.
+    iota[n] is the canonical basis of Omega^n inside A^(x)(n+1), the image
+    basis of the forms a0 da1 ... dan, and proj[n] its left inverse that
+    reads the pivot rows.
     """
 
-    def __init__(self, alg, max_degree, dims, diff, wedge, u, iota, proj):
+    def __init__(self, alg, max_degree, dims, diff, wedge, iota, proj):
         super().__init__(alg, max_degree, dims, diff, wedge, check=True)
-        self.universal = u
         self.iota = iota        # iota[n]: Omega^n >-> A^(x)(n+1)
         self.proj = proj        # proj[n]: A^(x)(n+1) ->> Omega^n, proj iota = id
 
@@ -182,13 +171,14 @@ class UniversalProlongation(GradedCalculus):
 def universal_prolongation(a: Algebra, max_degree: int) -> UniversalProlongation:
     if max_degree < 1:
         raise PreconditionError("max degree must be at least 1")
-    u = universal_calculus(a)
+    # d1 = 0 writes de_p, p the unit's first nonzero coordinate, through the
+    # other de_j, and those span dA; the zero algebra has no such p
+    pivot = next((i for i, x in enumerate(a.unit) if x), None)
+    d_bar = amitsur_differential(a, 0).select_cols([j for j in range(a.dim) if j != pivot])
     iota = [Mat.identity(a.field, a.dim)]
     for k in range(1, max_degree + 1):
-        stacked = amitsur_wedge(a, 0, k - 1)
-        for i in range(1, k):
-            stacked = stacked.vstack(amitsur_wedge(a, i, k - 1 - i))
-        iota.append(kernel_basis(stacked))
+        # Omega^k = Omega^(k-1) . dA, spanned by the columns omega . da
+        iota.append(image_basis(amitsur_wedge(a, k - 1, 1) * kronecker(iota[k - 1], d_bar)))
     proj = [pivot_retraction(b) for b in iota]
     dims = [b.cols for b in iota]
 
@@ -210,7 +200,7 @@ def universal_prolongation(a: Algebra, max_degree: int) -> UniversalProlongation
             raise AssertionError(f"differential fails Amitsur compatibility at degree {k}")
         diff.append(d_k)
 
-    return UniversalProlongation(a, max_degree, dims, diff, wedge, u, iota, proj)
+    return UniversalProlongation(a, max_degree, dims, diff, wedge, iota, proj)
 
 
 def trivial_extension(c: FirstOrderCalculus, max_degree: int) -> GradedCalculus:

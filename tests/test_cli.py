@@ -60,6 +60,27 @@ def test_check_invalid_algebra_exits_1(capsys, tmp_path):
     assert doc["valid"] is False and doc["violations"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["check"],
+    ["universal"],
+    ["kahler"],
+    ["prolong", "--max-degree", "2"],
+    ["cohomology", "--flavor", "universal", "--max-degree", "2"],
+    ["compare", "--max-degree", "2"],
+], ids=lambda a: a[0])
+@pytest.mark.parametrize("basis", [3, ["1"]], ids=["int", "short"])
+def test_check_rejects_what_the_loader_rejects(capsys, tmp_path, argv, basis):
+    doc = json.loads((FIXTURES / "qx2.json").read_text())
+    doc["basis"] = basis
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main([argv[0], str(bad), *argv[1:], "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["error"].startswith("bad algebra file:")
+    assert "Traceback" not in captured.err
+
+
 def test_usage_error_is_64(capsys):
     assert main(["no-such-command"]) == 64
 
@@ -100,6 +121,38 @@ def test_restrict_map_without_source_is_usage_error(capsys, tmp_path):
     )
     assert code == 64
     assert "error" in json.loads(out)
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize("command", ["extend", "restrict"])
+@pytest.mark.parametrize("path,value,code,prefix", [
+    (["source", "dim"], "abc", 1, "bad map file"),
+    (["target", "dim"], "abc", 1, "bad map file"),
+    (["source", "field"], {"Fp": "x"}, 1, "bad map file"),
+    (["target", "field"], {"Fp": "x"}, 1, "bad map file"),
+    (["matrix"], [["1"]], 1, "bad map file"),
+    (["matrix"], 5, 64, "malformed map file"),
+], ids=["source-dim", "target-dim", "source-field", "target-field", "matrix-shape",
+        "matrix-int"])
+def test_malformed_map_is_json_error(capsys, tmp_path, command, path, value, code, prefix):
+    fmap = json.loads((FIXTURES / "y_to_x2.json").read_text())
+    calc = tmp_path / "calc.json"
+    end = "source" if command == "extend" else "target"
+    calc.write_text(json.dumps({"algebra": fmap[end], "kind": "universal"}))
+    _set(fmap, path, value)
+    bad = tmp_path / "map.json"
+    bad.write_text(json.dumps(fmap))
+    got = main([command, "--map", str(bad), "--calculus", str(calc), "--format", "json"])
+    captured = capsys.readouterr()
+    assert got == code
+    error = json.loads(captured.out)["error"]
+    assert error.startswith(f"{prefix} {bad}: ") and "missing" not in error
+    assert "Traceback" not in captured.err
 
 
 def test_non_integer_max_dim_is_usage_error(capsys, monkeypatch):

@@ -1,5 +1,9 @@
+import json
+from pathlib import Path
+
 import pytest
 
+from omegacalc.algebra import Algebra
 from omegacalc.bimodule import tensor_over_algebra
 from omegacalc.fodc import (
     enumerate_action_closed_subspaces,
@@ -8,6 +12,7 @@ from omegacalc.fodc import (
     universal_calculus,
     zero_calculus,
 )
+from omegacalc.io import algebra_from_json
 from omegacalc.kahler import kahler_calculus
 from omegacalc.linalg import (
     QQ,
@@ -19,7 +24,6 @@ from omegacalc.linalg import (
     rank,
 )
 from omegacalc.prolong import (
-    AmitsurComplex,
     amitsur_differential,
     amitsur_wedge,
     maximal_prolongation,
@@ -43,6 +47,10 @@ def test_universal_prolongation_dims_qx3(qx3):
 def test_universal_prolongation_over_field(qq_alg):
     up = universal_prolongation(qq_alg, 3)
     assert up.dims == [1, 0, 0, 0]
+
+
+def test_universal_prolongation_of_zero_algebra():
+    assert universal_prolongation(Algebra(QQ, 0, [], []), 2).dims == [0, 0, 0]
 
 
 def test_splitting_and_embedding(qx3):
@@ -97,11 +105,49 @@ def test_universal_prolongation_is_span_of_forms(fixture, max_degree, request):
         assert up.proj[k] * up.iota[k] == Mat.identity(alg.field, up.dims[k])
 
 
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "omegacalc" / "fixtures"
+
+
+def joint_kernel_oracle(alg, k):
+    """Omega^k of the universal calculus as the joint kernel in A^(x)(k+1) of
+    the maps 1^(x)i (x) m (x) 1^(x)(k-1-i), i < k, stacked into one matrix."""
+    stacked = amitsur_wedge(alg, 0, k - 1)
+    for i in range(1, k):
+        stacked = stacked.vstack(amitsur_wedge(alg, i, k - 1 - i))
+    return kernel_basis(stacked)
+
+
+def permuted(alg, perm):
+    """alg in the basis e_perm[0], e_perm[1], ..."""
+    n = alg.dim
+    mult = [[[alg.mult[perm[i]][perm[j]][perm[k]] for k in range(n)] for j in range(n)]
+            for i in range(n)]
+    return Algebra(alg.field, n, mult, [alg.unit[p] for p in perm])
+
+
+@pytest.mark.parametrize("name,perm,max_degree", [
+    ("f2x2", None, 3), ("f3x3", None, 3), ("m2q", None, 3), ("q", None, 3), ("qs3", None, 2),
+    ("qx2", None, 3), ("qx3", None, 3), ("qx4", None, 3), ("qz2", None, 3), ("qz3", None, 3),
+    ("qx3", [1, 0, 2], 3),
+])
+def test_universal_prolongation_is_joint_kernel(name, perm, max_degree):
+    # the image basis of the forms omega . da is the canonical basis of the
+    # joint kernel; Q[x]/x^3 in the basis x, 1, x^2 has its unit at e1, which
+    # moves the basis index that universal_prolongation leaves out of dA
+    alg = algebra_from_json(json.loads((FIXTURES / f"{name}.json").read_text()))
+    if perm:
+        alg = permuted(alg, perm)
+        assert alg.unit == [0, 1, 0]
+    up = universal_prolongation(alg, max_degree)
+    for k in range(1, max_degree + 1):
+        assert up.iota[k] == joint_kernel_oracle(alg, k)
+
+
 @pytest.mark.parametrize("fixture", ["qx2", "qx3", "m2q", "f2x2", "qz2", "qz3"])
 def test_degree_two_matches_tensor_over_algebra(fixture, request):
     alg = request.getfixturevalue(fixture)
     up = universal_prolongation(alg, 2)
-    u = up.universal
+    u = universal_calculus(alg)
     t, _ = tensor_over_algebra(u.omega, u.omega)
     assert t.dim == up.dims[2]
     assert image_basis(amitsur_wedge(alg, 1, 1) * kronecker(u.iota, u.iota)) == up.iota[2]
@@ -119,16 +165,17 @@ def test_validation_report_empty(qx2):
 
 
 def test_amitsur_complex_over_field(qq_alg):
-    am = AmitsurComplex(qq_alg, 4)
-    assert am.dims == [1, 1, 1, 1, 1]
-    assert am.diff[0].is_zero()
-    assert am.diff[1] == Mat.identity(QQ, 1)
+    diff = [amitsur_differential(qq_alg, n) for n in range(4)]
+    assert [(d.rows, d.cols) for d in diff] == [(1, 1)] * 4
+    assert diff[0].is_zero()
+    assert diff[1] == Mat.identity(QQ, 1)
 
 
 @pytest.mark.parametrize("fixture", ["qx2", "qz2"])
 def test_amitsur_d_squared_zero(fixture, request):
     alg = request.getfixturevalue(fixture)
-    AmitsurComplex(alg, 3)  # constructor asserts d.d = 0
+    for n in range(2):
+        assert (amitsur_differential(alg, n + 1) * amitsur_differential(alg, n)).is_zero()
 
 
 def test_maximal_prolongation_of_universal_is_universal(qx2):
@@ -164,7 +211,7 @@ def pushout_chain_oracle(c, max_degree):
     alg = c.alg
     f = alg.field
     up = universal_prolongation(alg, max_degree)
-    g = [Mat.identity(f, alg.dim), induced_map(up.universal, c).matrix]
+    g = [Mat.identity(f, alg.dim), induced_map(universal_calculus(alg), c).matrix]
     dims = [alg.dim, c.dim]
     kernels = [kernel_basis(g[0]), kernel_basis(g[1])]
     for n in range(2, max_degree + 1):
@@ -269,7 +316,7 @@ def test_unique_dg_morphism_to_maximal_kahler(qx2):
     maps = unique_dg_morphism(up, maxi, qx2.identity_map())
     assert maps is not None
     assert all(rank(m) == d for m, d in zip(maps, maxi.dims))
-    assert maps[1] == induced_map(up.universal, k).matrix
+    assert maps[1] == induced_map(universal_calculus(qx2), k).matrix
 
 
 def test_no_morphism_from_zero_prolongation(qx2):
@@ -324,8 +371,8 @@ def test_amitsur_cohomology_is_contractible(fixture, request):
     from omegacalc.derham import CochainComplex, cohomology
 
     alg = request.getfixturevalue(fixture)
-    am = AmitsurComplex(alg, 3)
-    rep = cohomology(CochainComplex(am.dims, am.diff))
+    dims = [alg.dim ** (n + 1) for n in range(4)]
+    rep = cohomology(CochainComplex(dims, [amitsur_differential(alg, n) for n in range(3)]))
     assert rep.dims() == [1, 0, 0]
 
 
