@@ -123,33 +123,28 @@ def test_restrict_map_without_source_is_usage_error(capsys, tmp_path):
     assert "error" in json.loads(out)
 
 
-def _set(doc, path, value):
-    for key in path[:-1]:
-        doc = doc[key]
-    doc[path[-1]] = value
-
-
 @pytest.mark.parametrize("command", ["extend", "restrict"])
-@pytest.mark.parametrize("path,value,code,prefix", [
-    (["source", "dim"], "abc", 1, "bad map file"),
-    (["target", "dim"], "abc", 1, "bad map file"),
-    (["source", "field"], {"Fp": "x"}, 1, "bad map file"),
-    (["target", "field"], {"Fp": "x"}, 1, "bad map file"),
-    (["matrix"], [["1"]], 1, "bad map file"),
-    (["matrix"], 5, 64, "malformed map file"),
+@pytest.mark.parametrize("end,key,value,code", [
+    ("source", "dim", "abc", 1),
+    ("target", "dim", "abc", 1),
+    ("source", "field", {"Fp": "x"}, 1),
+    ("target", "field", {"Fp": "x"}, 1),
+    (None, "matrix", [["1"]], 1),
+    (None, "matrix", 5, 64),
 ], ids=["source-dim", "target-dim", "source-field", "target-field", "matrix-shape",
         "matrix-int"])
-def test_malformed_map_is_json_error(capsys, tmp_path, command, path, value, code, prefix):
+def test_malformed_map_is_json_error(capsys, tmp_path, command, end, key, value, code):
     fmap = json.loads((FIXTURES / "y_to_x2.json").read_text())
     calc = tmp_path / "calc.json"
-    end = "source" if command == "extend" else "target"
-    calc.write_text(json.dumps({"algebra": fmap[end], "kind": "universal"}))
-    _set(fmap, path, value)
+    calc_end = "source" if command == "extend" else "target"
+    calc.write_text(json.dumps({"algebra": fmap[calc_end], "kind": "universal"}))
+    (fmap[end] if end else fmap)[key] = value
     bad = tmp_path / "map.json"
     bad.write_text(json.dumps(fmap))
     got = main([command, "--map", str(bad), "--calculus", str(calc), "--format", "json"])
     captured = capsys.readouterr()
     assert got == code
+    prefix = "bad map file" if code == 1 else "malformed map file"
     error = json.loads(captured.out)["error"]
     assert error.startswith(f"{prefix} {bad}: ") and "missing" not in error
     assert "Traceback" not in captured.err
