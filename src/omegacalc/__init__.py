@@ -60,6 +60,7 @@ from .kahler import centrality_check, kahler_calculus
 from .linalg import (
     GF,
     QQ,
+    EngineError,
     Field,
     LinAlgError,
     Mat,

@@ -3,8 +3,9 @@
 Subcommands: check, universal, kahler, prolong, cohomology, compare, extend,
 restrict, hopf-check, bicovariant.  Exit codes: 0 success, 1 computation
 error (axiom failure in the input data), 2 precondition violation, 64 usage
-error.  JSON output has sorted keys and canonical scalar strings, so repeated
-runs are byte-identical.
+error, 70 internal invariant failure (an EngineError: a bug, not bad input).
+JSON output has sorted keys and canonical scalar strings, so repeated runs
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .io import (
     relations_from_json,
 )
 from .kahler import kahler_calculus
-from .linalg import LinAlgError, Mat, solve
+from .linalg import EngineError, LinAlgError, Mat, solve
 from .prolong import GradedCalculus, maximal_prolongation, universal_prolongation
 from .scalars import calc_pullback, calc_pushforward
 
@@ -48,6 +49,7 @@ EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_PRECONDITION = 2
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70
 
 DEFAULT_MAX_DIM = 10 ** 6
 
@@ -448,6 +450,9 @@ def main(argv=None) -> int:
     except LinAlgError as exc:
         _emit({"error": str(exc)}, fmt)
         return EXIT_COMPUTE
+    except EngineError as exc:
+        _emit({"error": f"internal invariant failed: {exc}"}, fmt)
+        return EXIT_SOFTWARE
     _emit(result, fmt)
     return EXIT_OK
 

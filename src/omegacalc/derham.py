@@ -15,6 +15,7 @@ from .algebra import Algebra, is_commutative
 from .fodc import FirstOrderCalculus, PreconditionError
 from .kahler import kahler_calculus
 from .linalg import (
+    EngineError,
     LinAlgError,
     Mat,
     image_basis,
@@ -97,11 +98,11 @@ def cohomology(c: CochainComplex) -> CohomologyReport:
         # solve lifts each column of class_basis on its own, one cycle per class
         x = solve(classes, class_basis)
         if x is None:
-            raise AssertionError("canonical class fails to lift to a cycle")
+            raise EngineError("canonical class fails to lift to a cycle")
         reps = cycles * x
         dim_h = cycles.cols - boundaries.cols
         if dim_h != class_basis.cols:
-            raise AssertionError("rank bookkeeping mismatch in cohomology")
+            raise EngineError("rank bookkeeping mismatch in cohomology")
         out.append(DegreeReport(
             n, c.dims[n], dim_h, boundaries.cols, reps, q, class_basis,
         ))
@@ -154,7 +155,7 @@ def de_rham_comparison(a: Algebra, max_degree: int) -> dict:
     kp = maximal_prolongation(kahler_calculus(a), max_degree)
     maps = unique_dg_morphism(up, kp, a.identity_map())
     if maps is None:
-        raise AssertionError("comparison morphism does not exist")
+        raise EngineError("comparison morphism does not exist")
     rep_u = cohomology(CochainComplex.from_graded(up))
     rep_k = cohomology(CochainComplex.from_graded(kp))
     comparison = []

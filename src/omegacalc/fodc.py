@@ -22,6 +22,7 @@ from .bimodule import (
     zero_bimodule,
 )
 from .linalg import (
+    EngineError,
     LinAlgError,
     Mat,
     factor_through_surjection,
@@ -87,7 +88,7 @@ def check_fodc(a: Algebra, omega: Bimodule, d: Mat) -> FodcReport:
     right_surj = rank(d_one) == omega.dim
     two_surj = rank(two_sided) == omega.dim
     if leibniz and not (left_surj == right_surj == two_surj):
-        raise AssertionError(
+        raise EngineError(
             "surjectivity variants disagree under Leibniz; engine inconsistency"
         )
     if not left_surj:
@@ -146,17 +147,17 @@ def universal_calculus(a: Algebra) -> UniversalCalculus:
     lm = solve(iota, mul_id_kron(sq.left_mat, a.dim, iota))
     rm = solve(iota, mul_kron_id(sq.right_mat, iota, a.dim))
     if lm is None or rm is None:
-        raise AssertionError("kernel of multiplication is not action-closed")
+        raise EngineError("kernel of multiplication is not action-closed")
     omega = Bimodule(a, a, iota.cols, lm, rm, check=False)
     d0 = kronecker(a.unit_mat, i_n) - kronecker(i_n, a.unit_mat)
     d = solve(iota, d0)
     if d is None:
-        raise AssertionError("universal differential does not factor through the kernel")
+        raise EngineError("universal differential does not factor through the kernel")
     retraction = mul_id_kron(lm, a.dim, d)
     if retraction * iota != Mat.identity(f, iota.cols):
-        raise AssertionError("retraction identity (1 . d) iota = id fails")
+        raise EngineError("retraction identity (1 . d) iota = id fails")
     if mul_kron_id(rm, d, a.dim) * iota != -Mat.identity(f, iota.cols):
-        raise AssertionError("split identity (d . 1) iota = -id fails")
+        raise EngineError("split identity (d . 1) iota = -id fails")
     return UniversalCalculus(a, omega, d, iota, retraction)
 
 
@@ -181,9 +182,9 @@ def induced_map(u: UniversalCalculus, target: FirstOrderCalculus) -> BimodMap:
     f_mat = mul_id_kron(target.omega.left_mat, u.alg.dim, target.d) * u.iota
     f = BimodMap(u.omega, target.omega, f_mat, check=True)
     if f_mat * u.d != target.d:
-        raise AssertionError("induced map does not intertwine the differentials")
+        raise EngineError("induced map does not intertwine the differentials")
     if rank(f_mat) != target.dim:
-        raise AssertionError("induced map from the universal calculus is not surjective")
+        raise EngineError("induced map from the universal calculus is not surjective")
     return f
 
 
@@ -313,11 +314,11 @@ def kernel_counit_comparison(u: UniversalCalculus, left_module: Bimodule) -> dic
     g_rhs = mul_kron_id(kronecker(Mat.identity(f, a.dim), mu), u.iota, left_module.dim)
     g = factor_through_surjection(g_rhs, q)
     if g is None:
-        raise AssertionError("comparison map does not descend to the tensor product")
+        raise EngineError("comparison map does not descend to the tensor product")
     t_map = mul_kron_id(q, u.d, left_module.dim) * k_basis
     s_raw = solve(k_basis, g)
     if s_raw is None:
-        raise AssertionError("comparison does not land in the kernel of the action")
+        raise EngineError("comparison does not land in the kernel of the action")
     # with iota d(a) = 1 (x) a - a (x) 1 the raw pair composes to -id, so the
     # inverse of t is -s
     s_map = -s_raw

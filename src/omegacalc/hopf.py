@@ -22,6 +22,7 @@ from .fodc import (
     universal_calculus,
 )
 from .linalg import (
+    EngineError,
     LinAlgError,
     Mat,
     factor_through_surjection,
@@ -199,19 +200,19 @@ def universal_coactions(h: Bimonoid, u: UniversalCalculus | None = None) -> Hopf
     lam = solve(kronecker(i_n, u.iota), lam_reg * u.iota)
     rho = solve(kronecker(u.iota, i_n), rho_reg * u.iota)
     if lam is None or rho is None:
-        raise AssertionError("canonical coactions do not restrict to the kernel")
+        raise EngineError("canonical coactions do not restrict to the kernel")
     # composite formulas from the construction
     if rho != kronecker(u.retraction, i_n) * rho_reg * u.iota:
-        raise AssertionError("right coaction differs from its defining composite")
+        raise EngineError("right coaction differs from its defining composite")
     d_dot_one = u.omega.right_mat * kronecker(u.d, i_n)
     if lam != -(kronecker(i_n, d_dot_one) * lam_reg * u.iota):
-        raise AssertionError("left coaction differs from its defining composite (sign)")
+        raise EngineError("left coaction differs from its defining composite (sign)")
     axioms = check_hopf_module(h, u.omega, lam, rho)
     if axioms:
-        raise AssertionError("universal Hopf module fails axioms: " + "; ".join(axioms))
+        raise EngineError("universal Hopf module fails axioms: " + "; ".join(axioms))
     d_rep = d_comodule_report(h, u, lam, rho)
     if d_rep:
-        raise AssertionError("; ".join(d_rep))
+        raise EngineError("; ".join(d_rep))
     return HopfCalculus(u, lam, rho)
 
 
@@ -239,7 +240,7 @@ def bicovariance_check(h: Bimonoid, c: FirstOrderCalculus) -> dict:
     lam_c = factor_through_surjection(kronecker(i_n, proj) * hopf_u.lam, proj)
     rho_c = factor_through_surjection(kronecker(proj, i_n) * hopf_u.rho, proj)
     if lam_c is None or rho_c is None:
-        raise AssertionError("coactions fail to descend despite the subcomodule check")
+        raise EngineError("coactions fail to descend despite the subcomodule check")
     axioms = check_hopf_module(h, c.omega, lam_c, rho_c)
     d_rep = d_comodule_report(h, c, lam_c, rho_c)
     return {

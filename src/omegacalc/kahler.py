@@ -17,7 +17,7 @@ from .fodc import (
     quotient_calculus,
     universal_calculus,
 )
-from .linalg import Mat, image_basis, mul_id_kron, mul_kron_id, swap_matrix
+from .linalg import EngineError, Mat, image_basis, mul_id_kron, mul_kron_id, swap_matrix
 
 
 def kahler_relations(u: UniversalCalculus) -> Mat:
@@ -45,7 +45,7 @@ def kahler_calculus(a: Algebra) -> FirstOrderCalculus:
     relations = kahler_relations(u)
     calc, _proj = quotient_calculus(u, relations)
     if not centrality_check(calc.omega):
-        raise AssertionError("Kaehler quotient is not a central bimodule")
+        raise EngineError("Kaehler quotient is not a central bimodule")
     return calc
 
 

@@ -30,6 +30,10 @@ class LinAlgError(ValueError):
     """Invalid input to a linear-algebra operation (shape/field mismatch)."""
 
 
+class EngineError(AssertionError):
+    """An internal invariant of the engine failed: a bug, not bad input."""
+
+
 # ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------

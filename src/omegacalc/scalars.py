@@ -24,6 +24,7 @@ from .fodc import (
     zero_calculus,
 )
 from .linalg import (
+    EngineError,
     Mat,
     image_basis,
     kernel_basis,
@@ -41,7 +42,7 @@ def universal_map(f: AlgMap, u_src: UniversalCalculus | None = None,
     u_dst = u_dst or universal_calculus(f.target)
     f_u = solve(u_dst.iota, kronecker(f.matrix, f.matrix) * u_src.iota)
     if f_u is None:
-        raise AssertionError("f (x) f does not preserve the multiplication kernels")
+        raise EngineError("f (x) f does not preserve the multiplication kernels")
     return f_u
 
 
@@ -83,7 +84,7 @@ def calc_pullback(f: AlgMap, t: FirstOrderCalculus) -> FirstOrderCalculus:
     p = preimage_basis(f_u, n_b)
     result, proj = quotient_calculus(u_a, p)
     if kernel_basis(proj.matrix) != p:
-        raise AssertionError("pullback subspace is not the kernel of its quotient")
+        raise EngineError("pullback subspace is not the kernel of its quotient")
     return result
 
 

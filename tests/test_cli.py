@@ -450,3 +450,24 @@ def test_prolong_quotient_calculus_spec(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["dims"] == [2, 1, 0, 0]
+
+
+def test_internal_invariant_failure_exits_70():
+    # break the Amitsur embedding from outside: the retraction is no longer a
+    # left inverse of iota, so a kept invariant of universal_prolongation fails
+    script = (
+        "import sys\n"
+        "import omegacalc.prolong as prolong\n"
+        "real = prolong.pivot_retraction\n"
+        "prolong.pivot_retraction = lambda b: real(b) + real(b)\n"
+        "from omegacalc.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    cmd = [sys.executable, "-c", script, "prolong", str(FIXTURES / "qx2.json"),
+           "--calculus", "universal", "--max-degree", "2", "--format", "json"]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 70
+    error = json.loads(proc.stdout)["error"]
+    assert error.startswith("internal invariant failed: ")
+    assert "Amitsur compatibility" in error
+    assert "Traceback" not in proc.stdout + proc.stderr

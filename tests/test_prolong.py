@@ -3,9 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from omegacalc.algebra import Algebra
-from omegacalc.bimodule import tensor_over_algebra
+from omegacalc.algebra import Algebra, build_matrix_algebra, build_square_zero, opposite
+from omegacalc.bimodule import regular_bimodule, tensor_over_algebra
 from omegacalc.fodc import (
+    PreconditionError,
     enumerate_action_closed_subspaces,
     induced_map,
     quotient_calculus,
@@ -15,7 +16,10 @@ from omegacalc.fodc import (
 from omegacalc.io import algebra_from_json
 from omegacalc.kahler import kahler_calculus
 from omegacalc.linalg import (
+    GF,
     QQ,
+    EngineError,
+    LinAlgError,
     Mat,
     image_basis,
     kernel_basis,
@@ -24,6 +28,7 @@ from omegacalc.linalg import (
     rank,
 )
 from omegacalc.prolong import (
+    GradedCalculus,
     amitsur_differential,
     amitsur_wedge,
     maximal_prolongation,
@@ -108,6 +113,10 @@ def test_universal_prolongation_is_span_of_forms(fixture, max_degree, request):
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "omegacalc" / "fixtures"
 
 
+def load_fixture(name):
+    return algebra_from_json(json.loads((FIXTURES / f"{name}.json").read_text()))
+
+
 def joint_kernel_oracle(alg, k):
     """Omega^k of the universal calculus as the joint kernel in A^(x)(k+1) of
     the maps 1^(x)i (x) m (x) 1^(x)(k-1-i), i < k, stacked into one matrix."""
@@ -134,7 +143,7 @@ def test_universal_prolongation_is_joint_kernel(name, perm, max_degree):
     # the image basis of the forms omega . da is the canonical basis of the
     # joint kernel; Q[x]/x^3 in the basis x, 1, x^2 has its unit at e1, which
     # moves the basis index that universal_prolongation leaves out of dA
-    alg = algebra_from_json(json.loads((FIXTURES / f"{name}.json").read_text()))
+    alg = load_fixture(name)
     if perm:
         alg = permuted(alg, perm)
         assert alg.unit == [0, 1, 0]
@@ -388,3 +397,101 @@ def test_maximal_prolongation_universal_property(fixture, request):
     assert maps[1] == Mat.identity(QQ, u.dim)
     # and nothing maps the other way once the differential dies early
     assert unique_dg_morphism(te, maxi, alg.identity_map()) is None
+
+
+def square_zero_over_qx2(bimodule):
+    qx2 = load_fixture("qx2")
+    return build_square_zero(qx2, bimodule(qx2))
+
+
+GENERATED = {
+    "opposite(qs3)": lambda: opposite(load_fixture("qs3")),
+    "qx2 + Omega_u(qx2)": lambda: square_zero_over_qx2(lambda a: universal_calculus(a).omega),
+    "qx2 + qx2": lambda: square_zero_over_qx2(regular_bimodule),
+    "M2(GF(3))": lambda: build_matrix_algebra(GF(3), 2),
+    "qx3 in the basis x, 1, x^2": lambda: permuted(load_fixture("qx3"), [1, 0, 2]),
+}
+
+
+@pytest.mark.parametrize("name,max_degree", [
+    ("f2x2", 3), ("f3x3", 3), ("m2q", 3), ("q", 3), ("qs3", 2), ("qx2", 3), ("qx3", 3),
+    ("qx4", 3), ("qz2", 3), ("qz3", 3), ("opposite(qs3)", 2), ("qx2 + Omega_u(qx2)", 3),
+    ("qx2 + qx2", 3), ("M2(GF(3))", 3), ("qx3 in the basis x, 1, x^2", 3),
+])
+def test_universal_prolongation_passes_full_validation(name, max_degree):
+    # the oracle behind the Amitsur certificate: universal_prolongation no
+    # longer runs validation_report, so the suite runs it here
+    alg = GENERATED[name]() if name in GENERATED else load_fixture(name)
+    up = universal_prolongation(alg, max_degree)
+    assert up.validation_report() == []
+
+
+def test_universal_prolongation_is_certified_not_validated(qx3, monkeypatch):
+    def refuse(self):
+        raise RuntimeError("validation_report called")
+
+    monkeypatch.setattr(GradedCalculus, "validation_report", refuse)
+    assert universal_prolongation(qx3, 3).dims == [3, 6, 12, 24]
+    # the constructions without a certificate still run the full check
+    with pytest.raises(RuntimeError):
+        maximal_prolongation(universal_calculus(qx3), 2)
+    with pytest.raises(RuntimeError):
+        trivial_extension(kahler_calculus(qx3), 2)
+
+
+def test_broken_amitsur_embedding_is_an_engine_error(qx2, monkeypatch):
+    # a retraction that is not a left inverse of iota breaks iota w = w_A (iota (x) iota)
+    import omegacalc.prolong as prolong
+
+    real = prolong.pivot_retraction
+    monkeypatch.setattr(prolong, "pivot_retraction", lambda b: real(b) + real(b))
+    with pytest.raises(EngineError, match="Amitsur compatibility"):
+        universal_prolongation(qx2, 2)
+    assert issubclass(EngineError, AssertionError)
+
+
+@pytest.mark.parametrize("max_degree", [0, -1])
+def test_trivial_extension_needs_degree_one(qx2, max_degree):
+    with pytest.raises(PreconditionError, match="max degree must be at least 1"):
+        trivial_extension(universal_calculus(qx2), max_degree)
+
+
+def _drop_top_dim(g):
+    return dict(dims=g.dims[:-1])
+
+
+def _drop_diff(g):
+    return dict(diff=g.diff[:-1])
+
+
+def _transpose_diff(g):
+    return dict(diff=[g.diff[0].transpose()] + g.diff[1:])
+
+
+def _drop_wedge(g):
+    return dict(wedge={k: w for k, w in g.wedge.items() if k != (1, 1)})
+
+
+def _extra_wedge(g):
+    return dict(wedge={**g.wedge, (2, 1): Mat.zeros(QQ, 0, g.dims[2] * g.dims[1])})
+
+
+def _wedge_shape(g):
+    w = g.wedge[(1, 1)]
+    return dict(wedge={**g.wedge, (1, 1): Mat.zeros(QQ, w.rows, w.cols + 1)})
+
+
+@pytest.mark.parametrize("change,message", [
+    (_drop_top_dim, "one component per degree"),
+    (_drop_diff, "one differential per adjacent pair"),
+    (_transpose_diff, "differential 0 has wrong shape"),
+    (_drop_wedge, "one wedge map per pair"),
+    (_extra_wedge, "one wedge map per pair"),
+    (_wedge_shape, r"wedge \(1,1\) has wrong shape"),
+])
+def test_graded_calculus_shapes_are_checked_without_check(qx3, change, message):
+    g = universal_prolongation(qx3, 2)
+    parts = dict(max_degree=g.max_degree, dims=g.dims, diff=g.diff, wedge=g.wedge)
+    parts.update(change(g))
+    with pytest.raises(LinAlgError, match=message):
+        GradedCalculus(qx3, check=False, **parts)
