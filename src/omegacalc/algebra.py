@@ -86,7 +86,7 @@ def _monoid_report(m: Mat, u: Mat) -> list[str]:
 class Algebra:
     """A monoid in the category of finite-dimensional vector spaces."""
 
-    def __init__(self, field: Field, dim: int, mult, unit, basis_labels=None, check=True):
+    def __init__(self, field: Field, dim: int, mult, unit, basis_labels=None):
         self.mult_mat = _mult_matrix(field, dim, mult)  # checks the shape of mult first
         self.field = field
         self.dim = dim
@@ -97,10 +97,9 @@ class Algebra:
         if len(self.basis_labels) != dim:
             raise LinAlgError("basis label count mismatch")
         self.unit_mat = Mat.col_vector(field, self.unit)
-        if check:
-            report = _monoid_report(self.mult_mat, self.unit_mat)
-            if report:
-                raise AxiomError(report)
+        report = _monoid_report(self.mult_mat, self.unit_mat)
+        if report:
+            raise AxiomError(report)
 
     def __eq__(self, other):
         return (

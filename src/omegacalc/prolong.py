@@ -216,8 +216,8 @@ def universal_prolongation(a: Algebra, max_degree: int) -> UniversalProlongation
         diff.append(d_k)
 
     # Certificate for the graded axioms, in place of validation_report:
-    # 1. A is associative and unital: every Algebra runs _monoid_report at
-    #    construction, and no caller builds one with check=False.
+    # 1. A is associative and unital: Algebra runs _monoid_report on every
+    #    construction and has no way to skip it.
     # 2. So the Amitsur complex A^(x)(k+1), with product 1 (x) m (x) 1 and
     #    d_A = sum_i (-1)^i (unit at slot i), is a dg algebra: the product is
     #    associative with unit 1 in A, d_A d_A = 0, and

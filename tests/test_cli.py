@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import omegacalc.prolong as prolong
 from omegacalc.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "omegacalc" / "fixtures"
@@ -452,22 +453,18 @@ def test_prolong_quotient_calculus_spec(capsys, tmp_path):
     assert json.loads(out)["dims"] == [2, 1, 0, 0]
 
 
-def test_internal_invariant_failure_exits_70():
+def test_internal_invariant_failure_exits_70(capsys, monkeypatch):
     # break the Amitsur embedding from outside: the retraction is no longer a
     # left inverse of iota, so a kept invariant of universal_prolongation fails
-    script = (
-        "import sys\n"
-        "import omegacalc.prolong as prolong\n"
-        "real = prolong.pivot_retraction\n"
-        "prolong.pivot_retraction = lambda b: real(b) + real(b)\n"
-        "from omegacalc.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))\n"
-    )
-    cmd = [sys.executable, "-c", script, "prolong", str(FIXTURES / "qx2.json"),
-           "--calculus", "universal", "--max-degree", "2", "--format", "json"]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    assert proc.returncode == 70
-    error = json.loads(proc.stdout)["error"]
+    real = prolong.pivot_retraction
+    monkeypatch.setattr(prolong, "pivot_retraction", lambda b: real(b) + real(b))
+    code = main([
+        "prolong", str(FIXTURES / "qx2.json"),
+        "--calculus", "universal", "--max-degree", "2", "--format", "json",
+    ])
+    captured = capsys.readouterr()
+    assert code == 70
+    error = json.loads(captured.out)["error"]
     assert error.startswith("internal invariant failed: ")
     assert "Amitsur compatibility" in error
-    assert "Traceback" not in proc.stdout + proc.stderr
+    assert "Traceback" not in captured.out + captured.err

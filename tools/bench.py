@@ -6,13 +6,13 @@ runs once (workloads alternate, so a drift in host speed spreads over all of
 them), and the last line each run prints, one JSON object, is read back.  The file
 holds, per workload, the median and quartiles of every end-to-end metric that
 BENCHMARK.json declares, each run's value, the ops attempted and failed, and
-whether every run was correct; plus the seed, the run length, the host and
-the Python version.  Run from the repository root:
+whether every run was correct; plus the seed (always 1), the run length,
+the host and the Python version.  Run from the repository root:
 
     python3 tools/bench.py --number 8
-    python3 tools/bench.py --number 8 --workload graded-fp --runs 10 --seed 3
+    python3 tools/bench.py --number 8 --workload graded-fp --runs 10
 
-Defaults: every workload of BENCHMARK.json, 5 runs, its run_seconds, seed 1.
+Defaults: every workload of BENCHMARK.json, 5 runs, its run_seconds.
 Fewer than 5 runs make a smoke test, not a measurement.
 """
 
@@ -28,11 +28,12 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
 
 
-def run_once(workload: str, seed: int, seconds: float) -> dict:
+def run_once(workload: str, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds)]
+           "--seed", str(SEED), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
@@ -67,7 +68,6 @@ def main(argv=None) -> int:
                         help="repeat to choose several (default: all)")
     parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
@@ -76,12 +76,12 @@ def main(argv=None) -> int:
     results = {w: [] for w in workloads}
     for run in range(args.runs):
         for w in workloads:
-            results[w].append(run_once(w, args.seed, args.seconds))
+            results[w].append(run_once(w, args.seconds))
             ops = results[w][-1]["metrics"]["ops_per_s"]["value"]
             print(f"run {run + 1}/{args.runs} {w}: ops_per_s {ops:.6g}", flush=True)
 
     doc = {
-        "seed": args.seed,
+        "seed": SEED,
         "seconds": args.seconds,
         "runs": args.runs,
         "host": {"node": platform.node(), "cpu_count": os.cpu_count()},
