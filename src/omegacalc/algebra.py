@@ -143,40 +143,40 @@ def opposite(a: Algebra) -> Algebra:
 class AlgMap:
     """Algebra morphism; matrix[k][i] = coefficient of target e_k in f(e_i)."""
 
-    def __init__(self, source: Algebra, target: Algebra, matrix: Mat, check=True):
-        if source.field != target.field:
-            raise LinAlgError("field mismatch between source and target")
-        if (matrix.rows, matrix.cols) != (target.dim, source.dim):
-            raise LinAlgError("morphism matrix has wrong shape")
+    def __init__(self, source: Algebra, target: Algebra, matrix: Mat):
+        report = alg_map_report(source, target, matrix)
+        if report:
+            raise AxiomError(report)
         self.source = source
         self.target = target
         self.matrix = matrix
-        if check:
-            report = alg_map_report(self)
-            if report:
-                raise AxiomError(report)
 
     def compose(self, inner: "AlgMap") -> "AlgMap":
         if inner.target is not self.source and inner.target != self.source:
             raise LinAlgError("composition mismatch")
-        return AlgMap(inner.source, self.target, self.matrix * inner.matrix, check=False)
+        return AlgMap(inner.source, self.target, self.matrix * inner.matrix)
 
     def __repr__(self):
         return f"AlgMap({self.source.dim} -> {self.target.dim})"
 
 
-def alg_map_report(f: AlgMap) -> list[str]:
-    """Multiplicativity/unit failures of f with basis witnesses."""
+def alg_map_report(source: Algebra, target: Algebra, matrix: Mat) -> list[str]:
+    """Multiplicativity/unit failures of the linear map source -> target given
+    by matrix, with basis witnesses; empty iff it is an algebra map."""
+    if source.field != target.field:
+        raise LinAlgError("field mismatch between source and target")
+    if (matrix.rows, matrix.cols) != (target.dim, source.dim):
+        raise LinAlgError("morphism matrix has wrong shape")
     report = []
-    n = f.source.dim
-    lhs = mul_id_kron(mul_kron_id(f.target.mult_mat, f.matrix, f.target.dim), n, f.matrix)
-    rhs = f.matrix * f.source.mult_mat
+    n = source.dim
+    lhs = mul_id_kron(mul_kron_id(target.mult_mat, matrix, target.dim), n, matrix)
+    rhs = matrix * source.mult_mat
     if lhs != rhs:
         for i in range(n):
             for j in range(n):
                 if lhs.column(i * n + j) != rhs.column(i * n + j):
                     report.append(f"multiplicativity fails at f(e{i} e{j}) != f(e{i}) f(e{j})")
-    if f.matrix * f.source.unit_mat != f.target.unit_mat:
+    if matrix * source.unit_mat != target.unit_mat:
         report.append("unit is not preserved")
     return report
 

@@ -68,7 +68,7 @@ class Bimodule:
                 raise AxiomError(report)
 
     @staticmethod
-    def from_tensors(left_alg: Algebra, right_alg: Algebra, dim: int, left, right, check=True) -> "Bimodule":
+    def from_tensors(left_alg: Algebra, right_alg: Algebra, dim: int, left, right) -> "Bimodule":
         """left[i][u] = coords of e_i.x_u, right[u][j] = coords of x_u.e_j."""
         f = left_alg.field
         nb = right_alg.dim
@@ -80,7 +80,7 @@ class Bimodule:
             (v, u * nb + j, x)
             for u in range(dim) for j in range(nb) for v, x in enumerate(right[u][j])
         ))
-        return Bimodule(left_alg, right_alg, dim, lm, rm, check=check)
+        return Bimodule(left_alg, right_alg, dim, lm, rm)
 
     def left_action_coords(self, i: int, u: int) -> list:
         return self.left_mat.column(i * self.dim + u)

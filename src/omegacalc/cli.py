@@ -18,12 +18,7 @@ from pathlib import Path
 
 from .algebra import Algebra, AxiomError
 from .bimodule import saturate_subspace
-from .derham import (
-    CochainComplex,
-    cohomology,
-    de_rham_comparison,
-    kahler_flavor,
-)
+from .derham import CochainComplex, cohomology, de_rham_comparison
 from .fodc import (
     FirstOrderCalculus,
     PreconditionError,
@@ -219,7 +214,7 @@ def _guarded_prolongation(alg: Algebra, spec: str, max_degree: int, force: bool,
     if spec == "universal":
         _dim_guard(_universal_top_dim(alg, max_degree), force)
         return universal_prolongation(alg, max_degree)
-    calc = kahler_flavor(alg) if spec == "kahler" else _load_calculus(spec, alg, base)
+    calc = _load_calculus(spec, alg, base)
     top = max(alg.dim, calc.dim ** max(max_degree, 0))
     _dim_guard(min(top, _universal_top_dim(alg, max_degree)), force)
     return maximal_prolongation(calc, max_degree)

@@ -11,8 +11,7 @@ reported.
 
 from __future__ import annotations
 
-from .algebra import Algebra, is_commutative
-from .fodc import FirstOrderCalculus, PreconditionError
+from .algebra import Algebra
 from .kahler import kahler_calculus
 from .linalg import (
     EngineError,
@@ -35,22 +34,21 @@ from .prolong import (
 class CochainComplex:
     """Components and differentials d[n]: n -> n+1 with d.d = 0."""
 
-    def __init__(self, dims: list[int], diff: list[Mat], check=True):
+    def __init__(self, dims: list[int], diff: list[Mat]):
         if len(diff) != len(dims) - 1:
             raise LinAlgError("need exactly one differential per adjacent pair")
         for n, d in enumerate(diff):
             if (d.rows, d.cols) != (dims[n + 1], dims[n]):
                 raise LinAlgError(f"differential {n} has wrong shape")
+        for n in range(len(diff) - 1):
+            if not (diff[n + 1] * diff[n]).is_zero():
+                raise LinAlgError(f"d.d != 0 at degree {n}")
         self.dims = list(dims)
         self.diff = list(diff)
-        if check:
-            for n in range(len(diff) - 1):
-                if not (diff[n + 1] * diff[n]).is_zero():
-                    raise LinAlgError(f"d.d != 0 at degree {n}")
 
     @staticmethod
     def from_graded(g: GradedCalculus) -> "CochainComplex":
-        return CochainComplex(g.dims, g.diff, check=True)
+        return CochainComplex(g.dims, g.diff)
 
 
 class DegreeReport:
@@ -121,18 +119,11 @@ def rank_identity_report(c: CochainComplex, rep: CohomologyReport) -> list[str]:
     return errs
 
 
-def kahler_flavor(a: Algebra) -> FirstOrderCalculus:
-    """The first-order calculus of the Kaehler flavor."""
-    if not is_commutative(a):
-        raise PreconditionError("kahler flavor needs a commutative algebra")
-    return kahler_calculus(a)
-
-
 def graded_calculus_for(a: Algebra, flavor: str, max_degree: int) -> GradedCalculus:
     if flavor == "universal":
         return universal_prolongation(a, max_degree)
     if flavor == "kahler":
-        return maximal_prolongation(kahler_flavor(a), max_degree)
+        return maximal_prolongation(kahler_calculus(a), max_degree)
     raise LinAlgError(f"unknown flavor {flavor!r}")
 
 
@@ -148,11 +139,11 @@ def de_rham(a: Algebra, flavor: str, max_degree: int) -> CohomologyReport:
 
 def de_rham_comparison(a: Algebra, max_degree: int) -> dict:
     """The canonical surjection from the universal to the Kaehler theory, on
-    cohomology, degree by degree in the canonical representatives."""
-    if not is_commutative(a):
-        raise PreconditionError("comparison needs a commutative algebra")
-    up = universal_prolongation(a, max_degree)
+    cohomology, degree by degree in the canonical representatives.  The
+    Kaehler side is built first: it rejects a noncommutative algebra before
+    the universal prolongation is computed."""
     kp = maximal_prolongation(kahler_calculus(a), max_degree)
+    up = universal_prolongation(a, max_degree)
     maps = unique_dg_morphism(up, kp, a.identity_map())
     if maps is None:
         raise EngineError("comparison morphism does not exist")

@@ -104,17 +104,16 @@ def check_fodc(a: Algebra, omega: Bimodule, d: Mat) -> FodcReport:
 class FirstOrderCalculus:
     """A bimodule with a differential passing the full calculus check."""
 
-    def __init__(self, alg: Algebra, omega: Bimodule, d: Mat, check=True):
+    def __init__(self, alg: Algebra, omega: Bimodule, d: Mat):
+        report = check_fodc(alg, omega, d)
+        if report.classification != "fodc":
+            raise AxiomError(
+                [f"not a first-order calculus ({report.classification})"]
+                + report.witnesses
+            )
         self.alg = alg
         self.omega = omega
         self.d = d
-        if check:
-            report = check_fodc(alg, omega, d)
-            if report.classification != "fodc":
-                raise AxiomError(
-                    [f"not a first-order calculus ({report.classification})"]
-                    + report.witnesses
-                )
 
     @property
     def dim(self) -> int:
@@ -134,7 +133,7 @@ class UniversalCalculus(FirstOrderCalculus):
     """
 
     def __init__(self, alg: Algebra, omega: Bimodule, d: Mat, iota: Mat, retraction: Mat):
-        super().__init__(alg, omega, d, check=True)
+        super().__init__(alg, omega, d)
         self.iota = iota
         self.retraction = retraction
 
@@ -162,23 +161,19 @@ def universal_calculus(a: Algebra) -> UniversalCalculus:
 
 
 def zero_calculus(a: Algebra) -> FirstOrderCalculus:
-    return FirstOrderCalculus(
-        a, zero_bimodule(a, a), Mat.zeros(a.field, 0, a.dim), check=False
-    )
+    return FirstOrderCalculus(a, zero_bimodule(a, a), Mat.zeros(a.field, 0, a.dim))
 
 
 def induced_map(u: UniversalCalculus, target: FirstOrderCalculus) -> BimodMap:
     """The unique calculus morphism from the universal calculus.
 
-    f = (1 . d_target) iota; existence and the universal property f d_u = d
-    are verified, surjectivity is asserted, and uniqueness is certified by
-    checking that no nonzero bimodule map kills d_u.
+    f = (1 . d_target) iota; the target passed the calculus check when it was
+    built, existence and the universal property f d_u = d are verified,
+    surjectivity is asserted, and uniqueness is certified by checking that no
+    nonzero bimodule map kills d_u.
     """
     if target.alg != u.alg:
         raise LinAlgError("calculi over different algebras")
-    report = check_fodc(target.alg, target.omega, target.d)
-    if report.classification != "fodc":
-        raise PreconditionError("target fails the calculus axioms: " + "; ".join(report.witnesses))
     f_mat = mul_id_kron(target.omega.left_mat, u.alg.dim, target.d) * u.iota
     f = BimodMap(u.omega, target.omega, f_mat, check=True)
     if f_mat * u.d != target.d:
@@ -211,7 +206,7 @@ def quotient_calculus(c: FirstOrderCalculus, sub_basis: Mat) -> tuple[FirstOrder
     basis = image_basis(sub_basis)
     quo, proj, _s = quotient_bimodule(c.omega, basis)
     d_new = proj.matrix * c.d
-    result = FirstOrderCalculus(c.alg, quo, d_new, check=True)
+    result = FirstOrderCalculus(c.alg, quo, d_new)
     return result, BimodMap(c.omega, result.omega, proj.matrix, check=False)
 
 

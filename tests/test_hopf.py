@@ -1,6 +1,6 @@
 import pytest
 
-from omegacalc.algebra import build_truncated_poly
+from omegacalc.algebra import AxiomError, build_truncated_poly
 from omegacalc.bimodule import regular_bimodule
 from omegacalc.fodc import (
     enumerate_action_closed_subspaces,
@@ -42,6 +42,14 @@ def test_bad_comultiplication_reported(qz2):
     counit = Mat(QQ, [[1, 1]])
     report = bimonoid_axiom_report(qz2, comult, counit)
     assert report
+
+
+def test_bimonoid_rejects_bad_comultiplication(qz2):
+    comult = Mat.from_entries(QQ, 4, 2, [(0, 0, 1), (1, 1, 1)])
+    counit = Mat(QQ, [[1, 1]])
+    with pytest.raises(AxiomError) as exc:
+        Bimonoid(qz2, comult, counit)
+    assert exc.value.report == bimonoid_axiom_report(qz2, comult, counit) != []
 
 
 def test_algebra_as_hopf_module(h_z2, h_z3):

@@ -1,8 +1,10 @@
-"""Every name a library module imports is used in that module.
+"""Static checks on the library source, parsed with ast.
 
-Each src/omegacalc/*.py except the package's __init__.py (whose imports are
-its public surface) is parsed with ast; an imported name that is never read
-is a dead import.
+Every name a library module imports is used in that module: each
+src/omegacalc/*.py except the package's __init__.py (whose imports are its
+public surface) is parsed, and an imported name that is never read is a dead
+import.  Only the four constructions named in the README's verification
+policy take a `check` switch.
 """
 
 import ast
@@ -46,3 +48,32 @@ def test_an_unused_import_is_seen():
         "    return solve(m, m)\n"
     )
     assert unused_imports(source) == ["check_fodc", "os", "r"]
+
+
+# Both a checked and an unchecked value are in use for each; see the README.
+KEPT_CHECK_SWITCHES = {
+    "Bimodule.__init__", "BimodMap.__init__", "GradedCalculus.__init__", "sub_bimodule",
+}
+
+
+def check_switches(source: str) -> set[str]:
+    """Qualified names of the functions and methods with a `check` parameter."""
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            elif isinstance(child, ast.FunctionDef):
+                a = child.args
+                if "check" in {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}:
+                    found.add(prefix + child.name)
+                visit(child, prefix + child.name + ".")
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_check_switches_are_the_kept_ones():
+    found = set().union(*(check_switches(p.read_text()) for p in SRC.glob("*.py")))
+    assert found == KEPT_CHECK_SWITCHES

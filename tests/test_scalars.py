@@ -1,5 +1,9 @@
+import importlib
+import pkgutil
+
 import pytest
 
+import omegacalc
 from omegacalc.algebra import AlgMap
 from omegacalc.bimodule import (
     extend_bimodule,
@@ -15,6 +19,7 @@ from omegacalc.fodc import (
     universal_calculus,
     zero_calculus,
 )
+from omegacalc.hopf import group_like_bimonoid, universal_coactions
 from omegacalc.kahler import kahler_calculus
 from omegacalc.linalg import (
     QQ,
@@ -25,6 +30,7 @@ from omegacalc.linalg import (
     kronecker,
     rank,
 )
+from omegacalc.prolong import maximal_prolongation, unique_dg_morphism, universal_prolongation
 from omegacalc.scalars import (
     calc1_category_adjoints_check,
     calc_pullback,
@@ -224,3 +230,39 @@ def test_poset_adjunction_along_surjection(qx4, qx2):
     ts = [quotient_calculus(u2, s)[0] for s in enumerate_action_closed_subspaces(u2.omega)]
     rep = verify_poset_adjunction(g, cs, ts)
     assert rep["all_agree"]
+
+
+def test_typed_inputs_are_not_rechecked(monkeypatch, y_to_x2, qx2, qy2, qx4, qz2):
+    """A typed value was checked when it was built, so a function that takes
+    one does not run its axiom check again.  In every module that binds them,
+    the three report functions refuse exactly the data of the inputs; values
+    built inside the functions are still checked."""
+    u = universal_calculus(qx2)
+    target = kahler_calculus(qx2)
+    c = kahler_calculus(qy2)
+    t = kahler_calculus(qx4)
+    ident = qx2.identity_map()
+    up = universal_prolongation(qx2, 2)
+    kp = maximal_prolongation(target, 2)
+    h = group_like_bimonoid(qz2)
+    inputs = [y_to_x2, y_to_x2.matrix, ident, ident.matrix, h, h.comult]
+    inputs += [x for calc in (target, c, t) for x in (calc.omega, calc.d)]
+
+    def refusing(report):
+        def wrapped(*args):
+            if any(arg is x for arg in args for x in inputs):
+                raise RuntimeError(f"{report.__name__} re-checks a typed input")
+            return report(*args)
+        return wrapped
+
+    modules = [omegacalc] + [importlib.import_module(f"omegacalc.{m.name}")
+                             for m in pkgutil.iter_modules(omegacalc.__path__)]
+    for module in modules:
+        for name in ("check_fodc", "alg_map_report", "bimonoid_axiom_report"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refusing(getattr(module, name)))
+    assert rank(induced_map(u, target).matrix) == target.dim
+    assert calc_pushforward(y_to_x2, c).alg == qx4
+    assert calc_pullback(y_to_x2, t).alg == qy2
+    assert unique_dg_morphism(up, kp, ident) is not None
+    assert universal_coactions(h).dim == 2
