@@ -119,12 +119,16 @@ def test_induced_map_to_kahler_quotient(qx2):
 
 
 def test_induced_map_rejects_non_calculus(qx2):
-    # a non-calculus cannot be built, so it cannot reach induced_map
+    # induced_map no longer checks its target: a non-calculus cannot be built,
+    # and the constructor's error says which axiom fails.
     sq = tensor_square_bimodule(qx2)
     i2 = Mat.identity(QQ, 2)
     d = kronecker(qx2.unit_mat, i2) - kronecker(i2, qx2.unit_mat)
-    with pytest.raises(AxiomError):
+    with pytest.raises(AxiomError) as exc:
         FirstOrderCalculus(qx2, sq, d)
+    report = check_fodc(qx2, sq, d)
+    assert exc.value.report == ["not a first-order calculus (generalized_only)"] + report.witnesses
+    assert report.witnesses
 
 
 def test_quotient_by_zero_and_everything(qx2):

@@ -37,19 +37,46 @@ def test_group_like_bimonoids_valid(h_z2, h_z3):
 
 
 def test_bad_comultiplication_reported(qz2):
-    # Delta(e) = e (x) e but Delta(g) = e (x) g: fails to be an algebra map
+    # Delta(e) = e (x) e, Delta(g) = e (x) g is multiplicative, but
+    # (1 (x) eps) Delta(g) = e != g
     comult = Mat.from_entries(QQ, 4, 2, [(0, 0, 1), (1, 1, 1)])
     counit = Mat(QQ, [[1, 1]])
     report = bimonoid_axiom_report(qz2, comult, counit)
-    assert report
+    assert report == ["right counit law fails"]
 
 
-def test_bimonoid_rejects_bad_comultiplication(qz2):
-    comult = Mat.from_entries(QQ, 4, 2, [(0, 0, 1), (1, 1, 1)])
-    counit = Mat(QQ, [[1, 1]])
+# Structure maps on Q[Z2] (basis e, g) that are not algebra maps.
+NOT_ALGEBRA_MAPS = {
+    # g primitive: Delta(g)^2 = 2 e(x)e + 2 g(x)g != Delta(e), eps(g)^2 = 0 != eps(e)
+    "primitive": (
+        [(0, 0, 1), (1, 1, 1), (2, 1, 1)], [[1, 0]],
+        ["comultiplication is not an algebra map", "counit is not an algebra map"],
+    ),
+    # Delta(e) = 0: Delta(g)^2 = e(x)e != Delta(e), and the unit is not kept
+    "zero_on_unit": (
+        [(3, 1, 1)], [[1, 1]],
+        ["left counit law fails", "right counit law fails",
+         "comultiplication is not an algebra map",
+         "comultiplication does not preserve the unit"],
+    ),
+    # eps(e) = 0, eps(g) = 1: eps(g)^2 = 1 != eps(e), and the unit is not kept
+    "counit_off_unit": (
+        [(0, 0, 1), (3, 1, 1)], [[0, 1]],
+        ["left counit law fails", "right counit law fails",
+         "counit is not an algebra map", "counit does not preserve the unit"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_ALGEBRA_MAPS))
+def test_bimonoid_rejects_structure_maps_that_are_not_algebra_maps(qz2, case):
+    entries, counit_rows, expected = NOT_ALGEBRA_MAPS[case]
+    comult = Mat.from_entries(QQ, 4, 2, entries)
+    counit = Mat(QQ, counit_rows)
+    assert bimonoid_axiom_report(qz2, comult, counit) == expected
     with pytest.raises(AxiomError) as exc:
         Bimonoid(qz2, comult, counit)
-    assert exc.value.report == bimonoid_axiom_report(qz2, comult, counit) != []
+    assert exc.value.report == expected
 
 
 def test_algebra_as_hopf_module(h_z2, h_z3):
