@@ -93,7 +93,11 @@ class Algebra:
         cols = self.mult_mat.columns()
         self.mult = [cols[i * dim:(i + 1) * dim] for i in range(dim)]
         self.unit = [field.coerce(x) for x in unit]
-        self.basis_labels = list(basis_labels) if basis_labels else [f"e{i}" for i in range(dim)]
+        if basis_labels is None:
+            basis_labels = [f"e{i}" for i in range(dim)]
+        if not (isinstance(basis_labels, list) and all(isinstance(x, str) for x in basis_labels)):
+            raise LinAlgError("basis labels must be a list of strings")
+        self.basis_labels = list(basis_labels)
         if len(self.basis_labels) != dim:
             raise LinAlgError("basis label count mismatch")
         self.unit_mat = Mat.col_vector(field, self.unit)

@@ -45,16 +45,14 @@ class FodcReport:
     """Outcome of the calculus axiom check.
 
     classification is one of "not_generalized", "generalized_only", "fodc".
-    The three surjectivity variants are reported separately; they provably
-    agree whenever Leibniz holds, and the checker asserts that agreement.
+    Surjectivity is read as Omega = A dA.  Under Leibniz it is the same as
+    Omega = dA A and as Omega = A dA A, because a db = d(ab) - da b; the
+    test suite compares the three ranks.
     """
 
-    def __init__(self, leibniz, left_surjective, right_surjective,
-                 two_sided_surjective, d_kills_unit, witnesses):
+    def __init__(self, leibniz, left_surjective, d_kills_unit, witnesses):
         self.leibniz = leibniz
         self.left_surjective = left_surjective
-        self.right_surjective = right_surjective
-        self.two_sided_surjective = two_sided_surjective
         self.d_kills_unit = d_kills_unit
         self.witnesses = witnesses
         if not leibniz:
@@ -83,22 +81,15 @@ def check_fodc(a: Algebra, omega: Bimodule, d: Mat) -> FodcReport:
             if any(defect.column(col)):
                 witnesses.append(f"Leibniz fails on e{col // n} (x) e{col % n}")
                 break
-    two_sided = mul_id_kron(omega.left_mat, a.dim, d_one)
-    left_surj = rank(one_d) == omega.dim
-    right_surj = rank(d_one) == omega.dim
-    two_surj = rank(two_sided) == omega.dim
-    if leibniz and not (left_surj == right_surj == two_surj):
-        raise EngineError(
-            "surjectivity variants disagree under Leibniz; engine inconsistency"
-        )
-    if not left_surj:
+    left_rank = rank(one_d)
+    if left_rank != omega.dim:
         witnesses.append(
-            f"dA generates a left submodule of dimension {rank(one_d)} < {omega.dim}"
+            f"dA generates a left submodule of dimension {left_rank} < {omega.dim}"
         )
     d_unit = d * a.unit_mat
     if not d_unit.is_zero():
         witnesses.append("d(1) != 0")
-    return FodcReport(leibniz, left_surj, right_surj, two_surj, d_unit.is_zero(), witnesses)
+    return FodcReport(leibniz, left_rank == omega.dim, d_unit.is_zero(), witnesses)
 
 
 class FirstOrderCalculus:

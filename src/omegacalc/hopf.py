@@ -5,8 +5,10 @@ Coactions are plain matrices into tensor product spaces: lambda: M -> A(x)M
 and rho: M -> M(x)A.  The canonical coactions on A(x)A apply the
 comultiplication to both legs and multiply the outer (resp. inner) halves;
 the universal calculus inherits them by restricting through its inclusion,
-which is simultaneously the composite formulas of the construction (the
-left one up to the sign of the splitting (d . 1) iota = -id).
+and that restriction is a Hopf calculus by construction (the certificate sits
+in `universal_coactions`).  `check_hopf_module` and `d_comodule_report` stay
+public: `bicovariance_check` runs them on the quotient coactions it builds,
+and the tests run them on the universal ones.
 Antipodes are never needed and are not modeled.
 """
 
@@ -182,33 +184,29 @@ def universal_coactions(h: Bimonoid, u: UniversalCalculus | None = None) -> Hopf
     """The Hopf structure on the universal calculus of a bimonoid.
 
     The coactions are the restrictions of the canonical A(x)A coactions
-    through iota; the retraction composites reproduce them exactly (the left
-    one with the sign carried by (d . 1) iota = -id), and all Hopf-module
-    and d-comodule axioms are verified before returning.  The bimonoid
-    axioms of h were checked when h was built.
+    through iota.  The bimonoid axioms of h were checked when h was built.
     """
     a = h.alg
     u = u or universal_calculus(a)
-    n = a.dim
-    f = a.field
-    i_n = Mat.identity(f, n)
+    i_n = Mat.identity(a.field, a.dim)
     lam_reg, rho_reg = regular_coactions(h)
     lam = solve(kronecker(i_n, u.iota), lam_reg * u.iota)
     rho = solve(kronecker(u.iota, i_n), rho_reg * u.iota)
     if lam is None or rho is None:
         raise EngineError("canonical coactions do not restrict to the kernel")
-    # composite formulas from the construction
-    if rho != kronecker(u.retraction, i_n) * rho_reg * u.iota:
-        raise EngineError("right coaction differs from its defining composite")
-    d_dot_one = u.omega.right_mat * kronecker(u.d, i_n)
-    if lam != -(kronecker(i_n, d_dot_one) * lam_reg * u.iota):
-        raise EngineError("left coaction differs from its defining composite (sign)")
-    axioms = check_hopf_module(h, u.omega, lam, rho)
-    if axioms:
-        raise EngineError("universal Hopf module fails axioms: " + "; ".join(axioms))
-    d_rep = d_comodule_report(h, u, lam, rho)
-    if d_rep:
-        raise EngineError("; ".join(d_rep))
+    # Certificate for the Hopf-module and d-comodule axioms, in place of
+    # check_hopf_module and d_comodule_report:
+    # 1. A(x)A with the codiagonal coactions lam_reg and rho_reg is a Hopf
+    #    bimodule, because Bimonoid checked that Delta is coassociative, that
+    #    eps is its counit and that both are unital algebra maps.
+    # 2. iota is injective and a bimodule map (universal_calculus solves the
+    #    actions of Omega_u through it), and the solves above make it a map of
+    #    comodules: (1 (x) iota) lam = lam_reg iota, (iota (x) 1) rho = rho_reg iota.
+    # 3. So every Hopf-module axiom pulls back to Omega_u: each side of an
+    #    identity composed with 1 (x) iota (x) 1 is the same side on A(x)A.
+    #    d-colinearity pulls back the same way from iota d = 1 (x) a - a (x) 1,
+    #    since lam_reg (1 (x) a - a (x) 1) = (1 (x) iota d) Delta(a) by Delta(1) = 1 (x) 1,
+    #    and likewise for rho.
     return HopfCalculus(u, lam, rho)
 
 

@@ -243,6 +243,8 @@ class Mat:
         data = [{} for _ in range(rows)]
         coerce = field.coerce
         for i, j, x in entries:
+            if not 0 <= i < rows:
+                raise LinAlgError(f"row {i} outside a {rows}x{cols} matrix")
             if not 0 <= j < cols:
                 raise LinAlgError(f"column {j} outside a {rows}x{cols} matrix")
             x = coerce(x)

@@ -69,7 +69,7 @@ def test_check_invalid_algebra_exits_1(capsys, tmp_path):
     ["cohomology", "--flavor", "universal", "--max-degree", "2"],
     ["compare", "--max-degree", "2"],
 ], ids=lambda a: a[0])
-@pytest.mark.parametrize("basis", [3, ["1"]], ids=["int", "short"])
+@pytest.mark.parametrize("basis", [3, ["1"], "ab"], ids=["int", "short", "string"])
 def test_check_rejects_what_the_loader_rejects(capsys, tmp_path, argv, basis):
     doc = json.loads((FIXTURES / "qx2.json").read_text())
     doc["basis"] = basis

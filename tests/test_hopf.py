@@ -18,7 +18,7 @@ from omegacalc.hopf import (
     regular_coactions,
     universal_coactions,
 )
-from omegacalc.linalg import QQ, Mat, kernel_basis, kronecker, rank
+from omegacalc.linalg import GF, QQ, Mat, kernel_basis, kronecker, rank
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +29,30 @@ def h_z2(qz2):
 @pytest.fixture(scope="module")
 def h_z3(qz3):
     return group_like_bimonoid(qz3)
+
+
+@pytest.fixture(scope="module")
+def h_s3(qs3):
+    return group_like_bimonoid(qs3)
+
+
+def primitive_bimonoid(field):
+    """field[x]/x^2 (basis 1, x) with Delta(x) = x (x) 1 + 1 (x) x, eps(x) = 0."""
+    comult = Mat.from_entries(field, 4, 2, [(0, 0, 1), (2, 1, 1), (1, 1, 1)])
+    return build_truncated_poly(field, 2), comult, Mat(field, [[1, 0]])
+
+
+@pytest.fixture(scope="module")
+def h_prim():
+    # Delta(x)^2 = 2 x (x) x, which vanishes only in characteristic 2
+    return Bimonoid(*primitive_bimonoid(GF(2)))
+
+
+def test_primitive_bimonoid_needs_characteristic_two(h_prim):
+    assert h_prim.alg.dim == 2
+    assert bimonoid_axiom_report(*primitive_bimonoid(GF(3))) == [
+        "comultiplication is not an algebra map"
+    ]
 
 
 def test_group_like_bimonoids_valid(h_z2, h_z3):
@@ -92,13 +116,25 @@ def test_trivial_bimonoid_universal_is_zero_dim():
     assert hc.dim == 0
 
 
-@pytest.mark.parametrize("name,expected_dim", [("h_z2", 2), ("h_z3", 6)])
+@pytest.mark.parametrize("name,expected_dim", [
+    ("h_z2", 2), ("h_z3", 6), ("h_s3", 30), ("h_prim", 2),
+])
 def test_universal_coactions_pass_axioms(name, expected_dim, request):
+    # the oracle behind the certificate in universal_coactions, which runs
+    # neither report nor the composites below
     h = request.getfixturevalue(name)
     hc = universal_coactions(h)
+    u = hc.calculus
     assert hc.dim == expected_dim
-    assert check_hopf_module(h, hc.calculus.omega, hc.lam, hc.rho) == []
-    assert d_comodule_report(h, hc.calculus, hc.lam, hc.rho) == []
+    assert check_hopf_module(h, u.omega, hc.lam, hc.rho) == []
+    assert d_comodule_report(h, u, hc.lam, hc.rho) == []
+    # the coactions through the two left inverses of iota: the retraction
+    # (1 . d) and minus the right-action composite (d . 1)
+    i_n = Mat.identity(h.alg.field, h.alg.dim)
+    lam_reg, rho_reg = regular_coactions(h)
+    assert hc.rho == kronecker(u.retraction, i_n) * rho_reg * u.iota
+    d_dot_one = u.omega.right_mat * kronecker(u.d, i_n)
+    assert hc.lam == -(kronecker(i_n, d_dot_one) * lam_reg * u.iota)
 
 
 def test_inclusion_is_hopf_module_morphism(h_z2):

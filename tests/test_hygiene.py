@@ -3,8 +3,9 @@
 Every name a library module imports is used in that module: each
 src/omegacalc/*.py except the package's __init__.py (whose imports are its
 public surface) is parsed, and an imported name that is never read is a dead
-import.  Only the four constructions named in the README's verification
-policy take a `check` switch.
+import.  Only the two constructors named in the README's verification
+policy take a `check` switch, and the constructions certified there call no
+full axiom report.
 """
 
 import ast
@@ -51,7 +52,7 @@ def test_an_unused_import_is_seen():
 
 
 # Both a checked and an unchecked value are in use for each; see the README.
-KEPT_CHECK_SWITCHES = {"Bimodule.__init__", "BimodMap.__init__", "GradedCalculus.__init__"}
+KEPT_CHECK_SWITCHES = {"Bimodule.__init__", "BimodMap.__init__"}
 
 
 def check_switches(source: str) -> set[str]:
@@ -75,3 +76,36 @@ def check_switches(source: str) -> set[str]:
 def test_check_switches_are_the_kept_ones():
     found = set().union(*(check_switches(p.read_text()) for p in SRC.glob("*.py")))
     assert found == KEPT_CHECK_SWITCHES
+
+
+def called_names(node) -> set[str]:
+    """The names of the functions and methods called anywhere inside node."""
+    found = set()
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            f = call.func
+            found.add(f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None))
+    return found
+
+
+def test_certified_constructions_call_no_full_report():
+    # the reports stay public and run in the tests, but the library builds
+    # its graded calculi and universal coactions under certificates
+    for path in SRC.glob("*.py"):
+        assert "validation_report" not in called_names(ast.parse(path.read_text())), path.name
+    hopf = ast.parse((SRC / "hopf.py").read_text())
+    coactions = next(n for n in hopf.body
+                     if isinstance(n, ast.FunctionDef) and n.name == "universal_coactions")
+    assert not called_names(coactions) & {"check_hopf_module", "d_comodule_report"}
+
+
+def test_every_mutant_text_occurs_once():
+    # tools/mutants.py runs the mutants in CI; this catches a drifted text early
+    import importlib.util
+
+    path = SRC.parent.parent / "tools" / "mutants.py"
+    spec = importlib.util.spec_from_file_location("mutants", path)
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert mutants.MUTANTS
+    assert mutants.texts_not_found_once() == []

@@ -34,6 +34,13 @@ def rand_mat(field, rows, cols, rng, lo=-3, hi=3):
     return Mat(field, [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
 
 
+@pytest.mark.parametrize("entry", [(-1, 0, 5), (2, 0, 5), (0, -1, 5), (0, 2, 5)],
+                         ids=["row -1", "row 2", "column -1", "column 2"])
+def test_from_entries_rejects_positions_outside_the_matrix(entry):
+    with pytest.raises(LinAlgError, match="outside a 2x2 matrix"):
+        Mat.from_entries(QQ, 2, 2, [entry])
+
+
 def test_kernel_of_row_vector():
     k = kernel_basis(Mat(QQ, [[1, 1]]))
     assert k.columns() == [[Fraction(1), Fraction(-1)]]

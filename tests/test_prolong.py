@@ -3,8 +3,14 @@ from pathlib import Path
 
 import pytest
 
-from omegacalc.algebra import Algebra, build_matrix_algebra, build_square_zero, opposite
-from omegacalc.bimodule import regular_bimodule, tensor_over_algebra
+from omegacalc.algebra import (
+    Algebra,
+    build_matrix_algebra,
+    build_square_zero,
+    is_commutative,
+    opposite,
+)
+from omegacalc.bimodule import regular_bimodule, saturate_subspace, tensor_over_algebra
 from omegacalc.fodc import (
     PreconditionError,
     enumerate_action_closed_subspaces,
@@ -111,6 +117,9 @@ def test_universal_prolongation_is_span_of_forms(fixture, max_degree, request):
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "omegacalc" / "fixtures"
+
+
+FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.json") if p.stem != "y_to_x2")
 
 
 def load_fixture(name):
@@ -426,17 +435,92 @@ def test_universal_prolongation_passes_full_validation(name, max_degree):
     assert up.validation_report() == []
 
 
-def test_universal_prolongation_is_certified_not_validated(qx3, monkeypatch):
-    def refuse(self):
-        raise RuntimeError("validation_report called")
+def incidence_algebra(n, relations):
+    """The incidence algebra over Q of the poset on 0..n-1 with the strict
+    relations i < j given, from its structure constants: the basis is e_ii
+    then e_ij, e_ij e_kl = e_il when j = k and 0 otherwise, 1 = sum e_ii."""
+    basis = [(i, i) for i in range(n)] + list(relations)
+    index = {b: k for k, b in enumerate(basis)}
+    dim = len(basis)
+    mult = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for x, (i, j) in enumerate(basis):
+        for y, (k, l) in enumerate(basis):
+            if j == k:
+                mult[x][y][index[(i, l)]] = 1
+    return Algebra(QQ, dim, mult, [1] * n + [0] * len(relations))
+
+
+INCIDENCE = {
+    "chain 0<1<2": lambda: incidence_algebra(3, [(0, 1), (1, 2), (0, 2)]),
+    "V 0<1, 0<2": lambda: incidence_algebra(3, [(0, 1), (0, 2)]),
+}
+
+
+def first_proper_quotients(alg, count=2):
+    """Quotients of the universal calculus by the first `count` distinct
+    proper saturations of its basis vectors."""
+    u = universal_calculus(alg)
+    subs = []
+    for i in range(u.dim):
+        sub = saturate_subspace(u.omega, Mat.identity(alg.field, u.dim).select_cols([i]))
+        if sub.cols < u.dim and sub not in subs:
+            subs.append(sub)
+    return [quotient_calculus(u, sub)[0] for sub in subs[:count]]
+
+
+def oracle_calculi(name, alg):
+    """The universal, Kaehler (commutative algebras only), zero and first two
+    proper quotient calculi of alg.  Enumerating every action-closed subspace
+    of a universal calculus of dimension 20 or more takes from 0.2 s to 4 s, so
+    qs3 and the generated algebras take their quotients from saturated basis
+    vectors instead."""
+    u = universal_calculus(alg)
+    calculi = {"universal": u, "zero": zero_calculus(alg)}
+    if is_commutative(alg):
+        calculi["kahler"] = kahler_calculus(alg)
+    if name == "qs3" or name not in FIXTURE_NAMES:
+        quotients = first_proper_quotients(alg)
+    else:
+        # proper_quotient(alg, 0) and proper_quotient(alg, 1), enumerated once
+        subs = [n for n in enumerate_action_closed_subspaces(u.omega) if 0 < n.cols < u.dim]
+        quotients = [quotient_calculus(u, n)[0] for n in subs[:2]]
+    calculi.update((f"quotient {i}", c) for i, c in enumerate(quotients))
+    return calculi
+
+
+@pytest.mark.parametrize("name,max_degree", [
+    ("f2x2", 3), ("f3x3", 3), ("m2q", 3), ("q", 3), ("qs3", 2), ("qx2", 3), ("qx3", 3),
+    ("qx4", 3), ("qz2", 3), ("qz3", 3), ("opposite(qs3)", 2), ("qx2 + Omega_u(qx2)", 3),
+    ("qx2 + qx2", 3), ("M2(GF(3))", 3), ("qx3 in the basis x, 1, x^2", 3),
+    ("chain 0<1<2", 2), ("V 0<1, 0<2", 3),
+])
+def test_maximal_prolongation_and_trivial_extension_pass_full_validation(name, max_degree):
+    # the oracle behind their certificates: neither construction runs
+    # validation_report, so the suite runs it here
+    build = GENERATED.get(name) or INCIDENCE.get(name)
+    alg = build() if build else load_fixture(name)
+    for label, c in oracle_calculi(name, alg).items():
+        assert maximal_prolongation(c, max_degree).validation_report() == [], label
+        assert trivial_extension(c, max_degree).validation_report() == [], label
+
+
+def test_constructions_are_certified_not_validated(qx3, qz2, monkeypatch):
+    import omegacalc.hopf as hopf
+
+    def refuse(*args):
+        raise RuntimeError("report called")
 
     monkeypatch.setattr(GradedCalculus, "validation_report", refuse)
+    monkeypatch.setattr(hopf, "check_hopf_module", refuse)
+    monkeypatch.setattr(hopf, "d_comodule_report", refuse)
     assert universal_prolongation(qx3, 3).dims == [3, 6, 12, 24]
-    # the constructions without a certificate still run the full check
-    with pytest.raises(RuntimeError):
-        maximal_prolongation(universal_calculus(qx3), 2)
-    with pytest.raises(RuntimeError):
-        trivial_extension(kahler_calculus(qx3), 2)
+    assert maximal_prolongation(universal_calculus(qx3), 3).dims == [3, 6, 12, 24]
+    assert trivial_extension(kahler_calculus(qx3), 3).dims == [3, 2, 0, 0]
+    h = hopf.group_like_bimonoid(qz2)
+    assert hopf.universal_coactions(h).dim == 2
+    # bicovariance_check still runs the reports on the quotient coactions
+    with pytest.raises(RuntimeError, match="report called"):
+        hopf.bicovariance_check(h, universal_calculus(qz2))
 
 
 def test_broken_amitsur_embedding_is_an_engine_error(qx2, monkeypatch):
@@ -445,9 +529,26 @@ def test_broken_amitsur_embedding_is_an_engine_error(qx2, monkeypatch):
 
     real = prolong.pivot_retraction
     monkeypatch.setattr(prolong, "pivot_retraction", lambda b: real(b) + real(b))
-    with pytest.raises(EngineError, match="Amitsur compatibility"):
+    with pytest.raises(EngineError, match=r"wedge fails Amitsur compatibility at \(0,0\)"):
         universal_prolongation(qx2, 2)
     assert issubclass(EngineError, AssertionError)
+
+
+def test_broken_amitsur_differential_is_an_engine_error(qx3, monkeypatch):
+    # only the unit insertion at slot 0 above degree 0 maps Omega^1 out of
+    # Omega^2; the wedges and dA (built from degree 0) stay intact
+    import omegacalc.prolong as prolong
+
+    real = prolong.amitsur_differential
+
+    def slot_zero(a, n):
+        if n == 0:
+            return real(a, n)
+        return kronecker(a.unit_mat, Mat.identity(a.field, a.dim ** (n + 1)))
+
+    monkeypatch.setattr(prolong, "amitsur_differential", slot_zero)
+    with pytest.raises(EngineError, match="differential fails Amitsur compatibility at degree 1"):
+        universal_prolongation(qx3, 2)
 
 
 @pytest.mark.parametrize("max_degree", [0, -1])
@@ -494,4 +595,4 @@ def test_graded_calculus_shapes_are_checked_without_check(qx3, change, message):
     parts = dict(max_degree=g.max_degree, dims=g.dims, diff=g.diff, wedge=g.wedge)
     parts.update(change(g))
     with pytest.raises(LinAlgError, match=message):
-        GradedCalculus(qx3, check=False, **parts)
+        GradedCalculus(qx3, **parts)

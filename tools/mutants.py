@@ -1,0 +1,124 @@
+#!/usr/bin/env python3
+"""Mutation check: break each certified construction and see a test fail.
+
+Each mutant is a tuple (file, exact text, replacement, pytest selection).
+The tool copies src/, tests/ and pyproject.toml into a temporary directory,
+runs every selection once on the unmutated copy (each must pass), then for
+each mutant replaces the text in the copy, runs its selection there and puts
+the text back.  A mutant is killed when its selection fails.  The working
+tree is only read, never written.
+
+Exits 1 if a text does not occur exactly once in its file, if a selection
+fails on the unmutated copy, or if any mutant survives.  Run from anywhere:
+
+    python tools/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+FULL_VALIDATION = ("tests/test_prolong.py -k "
+                   "maximal_prolongation_and_trivial_extension_pass_full_validation")
+COACTION_ORACLE = "tests/test_hopf.py -k universal_coactions_pass_axioms"
+
+MUTANTS = [
+    # maximal_prolongation: a descended wedge and a descended d
+    ("src/omegacalc/prolong.py",
+     "            wedge[(i, k - i)] = _descend(",
+     "            wedge[(i, k - i)] = -_descend(",
+     FULL_VALIDATION),
+    ("src/omegacalc/prolong.py",
+     "        diff.append(_descend(",
+     "        diff.append(-_descend(",
+     FULL_VALIDATION),
+    # trivial_extension: its left action on Omega^1
+    ("src/omegacalc/prolong.py",
+     "    wedge = {(0, 0): a.mult_mat, (0, 1): c.omega.left_mat, (1, 0): c.omega.right_mat}\n"
+     "    for i in range(max_degree + 1):",
+     "    wedge = {(0, 0): a.mult_mat, (0, 1): c.omega.left_mat + c.omega.left_mat,"
+     " (1, 0): c.omega.right_mat}\n"
+     "    for i in range(max_degree + 1):",
+     FULL_VALIDATION),
+    # universal_coactions: lambda and rho
+    ("src/omegacalc/hopf.py",
+     "    lam = solve(kronecker(i_n, u.iota), lam_reg * u.iota)",
+     "    lam = -solve(kronecker(i_n, u.iota), lam_reg * u.iota)",
+     COACTION_ORACLE),
+    ("src/omegacalc/hopf.py",
+     "    rho = solve(kronecker(u.iota, i_n), rho_reg * u.iota)",
+     "    rho = solve(kronecker(u.iota, i_n), rho_reg * u.iota + rho_reg * u.iota)",
+     COACTION_ORACLE),
+    # check_fodc: the left-surjectivity rank
+    ("src/omegacalc/fodc.py",
+     "    left_rank = rank(one_d)",
+     "    left_rank = omega.dim",
+     "tests/test_fodc.py"),
+    # universal_prolongation: the two Amitsur asserts
+    ("src/omegacalc/prolong.py",
+     "            if iota[i + j] * w != rhs:",
+     "            if False:",
+     "tests/test_prolong.py -k amitsur"),
+    ("src/omegacalc/prolong.py",
+     "        if iota[k + 1] * d_k != rhs:",
+     "        if False:",
+     "tests/test_prolong.py -k amitsur"),
+]
+
+
+def texts_not_found_once(root: Path = ROOT) -> list[str]:
+    """One line per mutant whose text does not occur exactly once."""
+    bad = []
+    for path, text, _new, _sel in MUTANTS:
+        count = (root / path).read_text().count(text)
+        if count != 1:
+            bad.append(f"{path}: text found {count} times: {text!r}")
+    return bad
+
+
+def passes(tree: Path, selection: str) -> bool:
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           *shlex.split(selection)]
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(cmd, cwd=tree, env=env, capture_output=True).returncode == 0
+
+
+def main() -> int:
+    bad = texts_not_found_once()
+    if bad:
+        print("\n".join(bad))
+        return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, tree / name, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", tree / "pyproject.toml")
+        for selection in dict.fromkeys(sel for *_rest, sel in MUTANTS):
+            if not passes(tree, selection):
+                print(f"unmutated copy fails: {selection}")
+                return 1
+        survivors = 0
+        for path, text, new, selection in MUTANTS:
+            target = tree / path
+            original = target.read_text()
+            target.write_text(original.replace(text, new))
+            killed = not passes(tree, selection)
+            target.write_text(original)
+            survivors += not killed
+            first_line = text.strip().splitlines()[0]
+            print(f"{'killed ' if killed else 'SURVIVED'} {path}: {first_line}")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
