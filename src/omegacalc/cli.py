@@ -138,17 +138,24 @@ def _universal_top_dim(alg: Algebra, max_degree: int) -> int:
     return alg.dim * max(alg.dim - 1, 1) ** max_degree if alg.dim > 1 else 1
 
 
-def _dim_guard(projected: int, force: bool) -> None:
+def _dim_guard(projected: int, max_degree: int, force: bool) -> None:
+    """Refuse, unless forced, a run whose top component dimension or number
+    of wedge maps exceeds OMEGA_MAX_DIM: a graded calculus to degree N has
+    (N+1)(N+2)/2 wedge maps however small its components are."""
     raw = os.environ.get("OMEGA_MAX_DIM", DEFAULT_MAX_DIM)
     try:
         limit = int(raw)
     except ValueError:
         raise _Failure(EXIT_USAGE, {"error": f"OMEGA_MAX_DIM must be an integer, got {raw!r}"})
-    if projected > limit and not force:
-        raise _Failure(EXIT_PRECONDITION, {
-            "error": f"projected component dimension {projected} exceeds limit {limit}",
-            "hint": "pass --force or raise OMEGA_MAX_DIM",
-        })
+    if force:
+        return
+    wedges = (max_degree + 1) * (max_degree + 2) // 2
+    for what, size in (("component dimension", projected), ("wedge map count", wedges)):
+        if size > limit:
+            raise _Failure(EXIT_PRECONDITION, {
+                "error": f"projected {what} {size} exceeds limit {limit}",
+                "hint": "pass --force or raise OMEGA_MAX_DIM",
+            })
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +219,11 @@ def _guarded_prolongation(alg: Algebra, spec: str, max_degree: int, force: bool,
     projects max(n, (dim c)^N): each Omega^k is a quotient of
     Omega^(k-1) (x)_A Omega^1, and also of the universal Omega^k."""
     if spec == "universal":
-        _dim_guard(_universal_top_dim(alg, max_degree), force)
+        _dim_guard(_universal_top_dim(alg, max_degree), max_degree, force)
         return universal_prolongation(alg, max_degree)
     calc = _load_calculus(spec, alg, base)
     top = max(alg.dim, calc.dim ** max(max_degree, 0))
-    _dim_guard(min(top, _universal_top_dim(alg, max_degree)), force)
+    _dim_guard(min(top, _universal_top_dim(alg, max_degree)), max_degree, force)
     return maximal_prolongation(calc, max_degree)
 
 
@@ -253,7 +260,7 @@ def _cmd_cohomology(args) -> dict:
 
 def _cmd_compare(args) -> dict:
     alg, _ = _load_algebra(args.algebra)
-    _dim_guard(_universal_top_dim(alg, args.max_degree), args.force)
+    _dim_guard(_universal_top_dim(alg, args.max_degree), args.max_degree, args.force)
     result = de_rham_comparison(alg, args.max_degree)
     # degrees describe the source (universal) theory; each comparison matrix
     # maps its classes to the Kaehler ones, so target dims are the row counts

@@ -8,11 +8,16 @@ complement of the scalars, so Omega^n = Omega^(n-1) . dA and
 Omega^n ~ A (x) (A/k)^(x)n (Cuntz-Quillen 1995).  Its canonical basis
 iota^n is the image basis of those forms, p^n is the left inverse that reads
 the pivot rows, and d and wedge are the Amitsur differential and
-1 (x) m (x) 1 read back through p^n.  The maximal prolongation of a
-first-order calculus (Omega^1, d) is read off its presentation: the tensor
-algebra T_A(Omega^1) divided by the ideal generated by the sums
-da_i (x) db_i with sum a_i db_i = 0 (Woronowicz 1989), built one degree at a
-time as Omega^k = Omega^(k-1) (x)_A Omega^1 / Omega^(k-2) ^ R.
+1 (x) m (x) 1 read back through p^n.  Both are applied to the rows of iota
+by two kernels that build neither the ambient map nor a Kronecker product;
+`amitsur_differential` and `amitsur_wedge` build the same maps as matrices
+and are the oracles the tests hold the kernels to.
+
+The maximal prolongation of a first-order calculus (Omega^1, d) is read off
+its presentation: the tensor algebra T_A(Omega^1) divided by the ideal
+generated by the sums da_i (x) db_i with sum a_i db_i = 0 (Woronowicz 1989),
+built one degree at a time as Omega^k = Omega^(k-1) (x)_A Omega^1 /
+Omega^(k-2) ^ R.
 
 None of the three constructions re-runs the full graded axiom check
 (`GradedCalculus.validation_report`).  Each carries a written certificate
@@ -41,6 +46,8 @@ from .linalg import (
     EngineError,
     LinAlgError,
     Mat,
+    _clean,
+    _mat,
     factor_through_surjection,
     image_basis,
     kernel_basis,
@@ -77,6 +84,64 @@ def amitsur_wedge(a: Algebra, n: int, m: int) -> Mat:
         a.mult_mat,
         Mat.identity(f, a.dim ** m),
     ])
+
+
+def _amitsur_differential_times(a: Algebra, n: int, x: Mat) -> Mat:
+    """amitsur_differential(a, n) * x without building d_A^n: the unit
+    inserted at slot i sends row (l, r) of x, l of length i, to the rows
+    (l, c, r), scaled by (-1)^i u_c for each nonzero unit coordinate u_c."""
+    dim, p = a.dim, a.field.p
+    units = [(c, u) for c, u in enumerate(a.unit) if u]
+    data = [{} for _ in range(dim ** (n + 2))]
+    for i in range(n + 2):
+        q = dim ** (n + 1 - i)
+        terms = [(c * q, -u if i % 2 else u) for c, u in units]
+        for s, row in enumerate(x.data):
+            if not row:
+                continue
+            l, r = divmod(s, q)
+            base = l * dim * q + r
+            for off, u in terms:
+                orow = data[base + off]
+                get = orow.get
+                for j, v in row.items():
+                    orow[j] = get(j, 0) + u * v
+    return _mat(a.field, len(data), x.cols, [_clean(row, p) for row in data])
+
+
+def _amitsur_wedge_times(a: Algebra, n: int, m: int, x: Mat, y: Mat) -> Mat:
+    """amitsur_wedge(a, n, m) * kronecker(x, y) without building either
+    factor: row (l, c, r), l of length n and r of length m, is the sum of
+    s x[(l, e)] (x) y[(f, r)] over the structure constants s = m[c; e, f],
+    the tensor product of two rows in kronecker's column order."""
+    dim, p = a.dim, a.field.p
+    left, right = dim ** n, dim ** m
+    xd, yd, yc = x.data, y.data, y.cols
+    # terms[c]: the triples (e, f, s) with s = m[c; e, f] != 0
+    terms = [[(*divmod(ef, dim), s) for ef, s in row.items()] for row in a.mult_mat.data]
+    data = []
+    for l in range(left):
+        xrows = xd[l * dim:(l + 1) * dim]
+        for products in terms:
+            live = [(xrows[e], f * right, s) for e, f, s in products if xrows[e]]
+            for r in range(right):
+                orow = None
+                for xrow, fr, s in live:
+                    yrow = yd[fr + r]
+                    if not yrow:
+                        continue
+                    if orow is None:
+                        orow = {j * yc + k: s * v * w
+                                for j, v in xrow.items() for k, w in yrow.items()}
+                        continue
+                    get = orow.get
+                    for j, v in xrow.items():
+                        base, sv = j * yc, s * v
+                        for k, w in yrow.items():
+                            t = base + k
+                            orow[t] = get(t, 0) + sv * w
+                data.append({} if orow is None else _clean(orow, p))
+    return _mat(a.field, len(data), x.cols * yc, data)
 
 
 # ---------------------------------------------------------------------------
@@ -199,19 +264,20 @@ def universal_prolongation(a: Algebra, max_degree: int) -> UniversalProlongation
     # d1 = 0 writes de_p, p the unit's first nonzero coordinate, through the
     # other de_j, and those span dA; the zero algebra has no such p
     pivot = next((i for i, x in enumerate(a.unit) if x), None)
-    d_bar = amitsur_differential(a, 0).select_cols([j for j in range(a.dim) if j != pivot])
-    iota = [Mat.identity(a.field, a.dim)]
+    ident = Mat.identity(a.field, a.dim)
+    d_bar = _amitsur_differential_times(a, 0, ident.select_cols(
+        [j for j in range(a.dim) if j != pivot]))
+    iota = [ident]
     for k in range(1, max_degree + 1):
         # Omega^k = Omega^(k-1) . dA, spanned by the columns omega . da
-        iota.append(image_basis(amitsur_wedge(a, k - 1, 1) * kronecker(iota[k - 1], d_bar)))
+        iota.append(image_basis(_amitsur_wedge_times(a, k - 1, 1, iota[k - 1], d_bar)))
     proj = [pivot_retraction(b) for b in iota]
     dims = [b.cols for b in iota]
 
     wedge = {}
     for i in range(max_degree + 1):
         for j in range(max_degree + 1 - i):
-            w_a = amitsur_wedge(a, i, j)
-            rhs = w_a * kronecker(iota[i], iota[j])
+            rhs = _amitsur_wedge_times(a, i, j, iota[i], iota[j])
             w = proj[i + j] * rhs
             if iota[i + j] * w != rhs:
                 raise EngineError(f"wedge fails Amitsur compatibility at ({i},{j})")
@@ -219,7 +285,7 @@ def universal_prolongation(a: Algebra, max_degree: int) -> UniversalProlongation
 
     diff = []
     for k in range(max_degree):
-        rhs = amitsur_differential(a, k) * iota[k]
+        rhs = _amitsur_differential_times(a, k, iota[k])
         d_k = proj[k + 1] * rhs
         if iota[k + 1] * d_k != rhs:
             raise EngineError(f"differential fails Amitsur compatibility at degree {k}")

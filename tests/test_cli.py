@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -393,6 +394,38 @@ def test_dim_guard_on_a_quotient_uses_its_degree_one_dim(capsys, monkeypatch, tm
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert json.loads(out)["dims"] == [3, 2, 0, 0, 0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["prolong"],
+    ["prolong", "--calculus", "kahler"],
+    ["cohomology", "--flavor", "universal"],
+    ["compare"],
+], ids=["prolong", "prolong-kahler", "cohomology", "compare"])
+def test_dim_guard_projects_the_wedge_map_count(capsys, monkeypatch, argv):
+    # every component of Q above degree 0 is zero, but a graded calculus to
+    # degree N still has (N+1)(N+2)/2 wedge maps
+    monkeypatch.delenv("OMEGA_MAX_DIM", raising=False)
+    start = time.perf_counter()
+    code, out = run_cli(capsys, argv[0], str(FIXTURES / "q.json"), *argv[1:],
+                        "--max-degree", "100000", "--format", "json")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "projected wedge map count 5000150001 exceeds limit 1000000",
+        "hint": "pass --force or raise OMEGA_MAX_DIM",
+    }
+
+
+def test_force_overrides_the_wedge_map_count(capsys, monkeypatch):
+    monkeypatch.setenv("OMEGA_MAX_DIM", "5")
+    argv = ["prolong", str(FIXTURES / "q.json"), "--max-degree", "2", "--format", "json"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"] == "projected wedge map count 6 exceeds limit 5"
+    code, out = run_cli(capsys, *argv, "--force")
+    assert code == 0
+    assert json.loads(out)["dims"] == [1, 0, 0]
 
 
 def test_inline_calculus_algebra_is_checked(capsys, tmp_path):

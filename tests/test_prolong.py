@@ -1,10 +1,13 @@
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from omegacalc.algebra import (
     Algebra,
+    build_group_algebra,
     build_matrix_algebra,
     build_square_zero,
     is_commutative,
@@ -30,9 +33,11 @@ from omegacalc.linalg import (
     image_basis,
     kernel_basis,
     kronecker,
+    pivot_retraction,
     quotient_maps,
     rank,
 )
+from omegacalc import prolong
 from omegacalc.prolong import (
     GradedCalculus,
     amitsur_differential,
@@ -435,6 +440,86 @@ def test_universal_prolongation_passes_full_validation(name, max_degree):
     assert up.validation_report() == []
 
 
+KERNEL_ALGEBRAS = {name: (lambda name=name: load_fixture(name)) for name in FIXTURE_NAMES}
+KERNEL_ALGEBRAS.update(GENERATED)
+KERNEL_ALGEBRAS.update({
+    "zero algebra": lambda: Algebra(QQ, 0, [], []),
+    "GF(5)[Z/3]": lambda: build_group_algebra(GF(5), [[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
+    # e0 = 2, e1 = x: the unit is e0 / 2
+    "Q[x]/x^2 in the basis 2, x": lambda: Algebra(
+        QQ, 2, [[[2, 0], [0, 2]], [[0, 2], [0, 0]]], ["1/2", 0]),
+})
+
+
+def kernel_degree(alg):
+    """The top degree the kernel oracles reach: A^(x)4 has 1296 rows at dim 6."""
+    return 2 if alg.dim > 4 else 3
+
+
+def random_sparse(field, rows, cols, rng):
+    """A seeded matrix with about a third of its entries nonzero."""
+    values = [1, -1, 2, 3] if field.p else [1, -1, 2, Fraction(1, 3), Fraction(-5, 2)]
+    return Mat.from_entries(field, rows, cols, (
+        (i, j, rng.choice(values))
+        for i in range(rows) for j in range(cols) if rng.random() < 0.35))
+
+
+@pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
+def test_amitsur_differential_kernel_matches_materialized(name, storage_violations):
+    alg = KERNEL_ALGEBRAS[name]()
+    rng = random.Random(name)
+    top = kernel_degree(alg)
+    iota = universal_prolongation(alg, top).iota
+    for k in range(top):
+        d_a = amitsur_differential(alg, k)
+        for x in (iota[k], random_sparse(alg.field, alg.dim ** (k + 1), 3, rng)):
+            got = prolong._amitsur_differential_times(alg, k, x)
+            assert storage_violations(got) == []
+            assert got == d_a * x, (name, k)
+
+
+@pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
+def test_amitsur_wedge_kernel_matches_materialized(name, storage_violations):
+    alg = KERNEL_ALGEBRAS[name]()
+    rng = random.Random(name)
+    top = kernel_degree(alg)
+    iota = universal_prolongation(alg, top - 1).iota
+    for i in range(top):
+        for j in range(top - i):
+            w_a = amitsur_wedge(alg, i, j)
+            rand_x = random_sparse(alg.field, alg.dim ** (i + 1), 2, rng)
+            rand_y = random_sparse(alg.field, alg.dim ** (j + 1), 3, rng)
+            for x, y in ((iota[i], iota[j]), (rand_x, rand_y), (rand_x, iota[j])):
+                got = prolong._amitsur_wedge_times(alg, i, j, x, y)
+                assert storage_violations(got) == []
+                assert got == w_a * kronecker(x, y), (name, i, j)
+
+
+def materialized_universal_prolongation(alg, max_degree):
+    """iota, proj, wedge and d of the universal prolongation with every
+    Amitsur map built as a matrix: the forms omega . da through
+    amitsur_wedge and kronecker, d and wedge read back through proj."""
+    f, n = alg.field, alg.dim
+    pivot = next((i for i, x in enumerate(alg.unit) if x), None)
+    d_bar = amitsur_differential(alg, 0).select_cols([j for j in range(n) if j != pivot])
+    iota = [Mat.identity(f, n)]
+    for k in range(1, max_degree + 1):
+        iota.append(image_basis(amitsur_wedge(alg, k - 1, 1) * kronecker(iota[k - 1], d_bar)))
+    proj = [pivot_retraction(b) for b in iota]
+    wedge = {(i, j): proj[i + j] * amitsur_wedge(alg, i, j) * kronecker(iota[i], iota[j])
+             for i in range(max_degree + 1) for j in range(max_degree + 1 - i)}
+    diff = [proj[k + 1] * amitsur_differential(alg, k) * iota[k] for k in range(max_degree)]
+    return iota, proj, wedge, diff
+
+
+@pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
+def test_universal_prolongation_equals_its_materialized_definition(name):
+    alg = KERNEL_ALGEBRAS[name]()
+    top = kernel_degree(alg)
+    up = universal_prolongation(alg, top)
+    assert (up.iota, up.proj, up.wedge, up.diff) == materialized_universal_prolongation(alg, top)
+
+
 def incidence_algebra(n, relations):
     """The incidence algebra over Q of the poset on 0..n-1 with the strict
     relations i < j given, from its structure constants: the basis is e_ii
@@ -523,10 +608,17 @@ def test_constructions_are_certified_not_validated(qx3, qz2, monkeypatch):
         hopf.bicovariance_check(h, universal_calculus(qz2))
 
 
+def test_universal_prolongation_builds_no_ambient_map(qs3, monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("ambient map built")
+
+    for name in ("amitsur_differential", "amitsur_wedge", "kron_all", "kronecker"):
+        monkeypatch.setattr(prolong, name, refuse)
+    assert universal_prolongation(qs3, 2).dims == [6, 30, 150]
+
+
 def test_broken_amitsur_embedding_is_an_engine_error(qx2, monkeypatch):
     # a retraction that is not a left inverse of iota breaks iota w = w_A (iota (x) iota)
-    import omegacalc.prolong as prolong
-
     real = prolong.pivot_retraction
     monkeypatch.setattr(prolong, "pivot_retraction", lambda b: real(b) + real(b))
     with pytest.raises(EngineError, match=r"wedge fails Amitsur compatibility at \(0,0\)"):
@@ -537,16 +629,14 @@ def test_broken_amitsur_embedding_is_an_engine_error(qx2, monkeypatch):
 def test_broken_amitsur_differential_is_an_engine_error(qx3, monkeypatch):
     # only the unit insertion at slot 0 above degree 0 maps Omega^1 out of
     # Omega^2; the wedges and dA (built from degree 0) stay intact
-    import omegacalc.prolong as prolong
+    real = prolong._amitsur_differential_times
 
-    real = prolong.amitsur_differential
-
-    def slot_zero(a, n):
+    def slot_zero(a, n, x):
         if n == 0:
-            return real(a, n)
-        return kronecker(a.unit_mat, Mat.identity(a.field, a.dim ** (n + 1)))
+            return real(a, n, x)
+        return kronecker(a.unit_mat, Mat.identity(a.field, a.dim ** (n + 1))) * x
 
-    monkeypatch.setattr(prolong, "amitsur_differential", slot_zero)
+    monkeypatch.setattr(prolong, "_amitsur_differential_times", slot_zero)
     with pytest.raises(EngineError, match="differential fails Amitsur compatibility at degree 1"):
         universal_prolongation(qx3, 2)
 

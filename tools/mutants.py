@@ -29,6 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 FULL_VALIDATION = ("tests/test_prolong.py -k "
                    "maximal_prolongation_and_trivial_extension_pass_full_validation")
 COACTION_ORACLE = "tests/test_hopf.py -k universal_coactions_pass_axioms"
+AMITSUR_KERNELS = "tests/test_prolong.py -k kernel_matches_materialized"
 
 MUTANTS = [
     # maximal_prolongation: a descended wedge and a descended d
@@ -62,6 +63,20 @@ MUTANTS = [
      "    left_rank = rank(one_d)",
      "    left_rank = omega.dim",
      "tests/test_fodc.py"),
+    # the Amitsur kernels: the alternating sign and the slot of the unit
+    # insertion, and the order of the factors of the product
+    ("src/omegacalc/prolong.py",
+     "-u if i % 2 else u",
+     "u if i % 2 else -u",
+     AMITSUR_KERNELS),
+    ("src/omegacalc/prolong.py",
+     "            base = l * dim * q + r",
+     "            base = l * q + r",
+     AMITSUR_KERNELS),
+    ("src/omegacalc/prolong.py",
+     "(*divmod(ef, dim), s)",
+     "(*reversed(divmod(ef, dim)), s)",
+     AMITSUR_KERNELS),
     # universal_prolongation: the two Amitsur asserts
     ("src/omegacalc/prolong.py",
      "            if iota[i + j] * w != rhs:",
