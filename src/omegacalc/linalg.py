@@ -642,23 +642,6 @@ def cokernel_projection(m: Mat) -> tuple[Mat, int]:
     return q, q.rows
 
 
-def _basis_pivots(sub_canonical: Mat) -> tuple[list[dict], list[int]]:
-    """The basis vectors of a canonical basis, one dict each, and their pivot rows."""
-    basis = sub_canonical.transpose().data
-    return basis, [min(vec) for vec in basis]
-
-
-def pivot_retraction(sub_canonical: Mat) -> Mat:
-    """The left inverse P of a canonical basis B that reads its pivot rows.
-
-    Column j of B is 1 in its pivot row and every other column is 0 there,
-    so P B = id, and B P x = x for each x in col(B).
-    """
-    _, pivot_rows = _basis_pivots(sub_canonical)
-    return _mat(sub_canonical.field, sub_canonical.cols, sub_canonical.rows,
-                [{pr: 1} for pr in pivot_rows])
-
-
 def quotient_maps(sub_canonical: Mat, ambient_dim: int) -> tuple[Mat, Mat]:
     """(Q, s) for the quotient by a subspace given by its canonical basis.
 
@@ -669,7 +652,8 @@ def quotient_maps(sub_canonical: Mat, ambient_dim: int) -> tuple[Mat, Mat]:
     field = sub_canonical.field
     if sub_canonical.rows not in (ambient_dim,) and sub_canonical.cols != 0:
         raise LinAlgError("subspace basis does not live in the ambient space")
-    basis, pivot_rows = _basis_pivots(sub_canonical)
+    basis = sub_canonical.transpose().data
+    pivot_rows = [min(vec) for vec in basis]
     pivot_set = set(pivot_rows)
     compl = [i for i in range(ambient_dim) if i not in pivot_set]
     index = {i: a for a, i in enumerate(compl)}

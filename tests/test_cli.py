@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-import omegacalc.prolong as prolong
+import omegacalc.derham as derham
 from omegacalc.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "omegacalc" / "fixtures"
@@ -487,17 +487,13 @@ def test_prolong_quotient_calculus_spec(capsys, tmp_path):
 
 
 def test_internal_invariant_failure_exits_70(capsys, monkeypatch):
-    # break the Amitsur embedding from outside: the retraction is no longer a
-    # left inverse of iota, so a kept invariant of universal_prolongation fails
-    real = prolong.pivot_retraction
-    monkeypatch.setattr(prolong, "pivot_retraction", lambda b: real(b) + real(b))
-    code = main([
-        "prolong", str(FIXTURES / "qx2.json"),
-        "--calculus", "universal", "--max-degree", "2", "--format", "json",
-    ])
+    # break a kept invariant of compare from outside: the universal and
+    # Kaehler prolongations of Q[x]/x^2 always have a comparison morphism
+    monkeypatch.setattr(derham, "unique_dg_morphism", lambda *args: None)
+    code = main(["compare", str(FIXTURES / "qx2.json"), "--max-degree", "2", "--format", "json"])
     captured = capsys.readouterr()
     assert code == 70
     error = json.loads(captured.out)["error"]
     assert error.startswith("internal invariant failed: ")
-    assert "Amitsur compatibility" in error
+    assert "comparison morphism does not exist" in error
     assert "Traceback" not in captured.out + captured.err

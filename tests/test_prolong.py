@@ -1,6 +1,4 @@
 import json
-import random
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -27,15 +25,15 @@ from omegacalc.kahler import kahler_calculus
 from omegacalc.linalg import (
     GF,
     QQ,
-    EngineError,
     LinAlgError,
     Mat,
     image_basis,
     kernel_basis,
+    kron_all,
     kronecker,
-    pivot_retraction,
     quotient_maps,
     rank,
+    solve,
 )
 from omegacalc import prolong
 from omegacalc.prolong import (
@@ -67,6 +65,10 @@ def test_universal_prolongation_over_field(qq_alg):
 
 def test_universal_prolongation_of_zero_algebra():
     assert universal_prolongation(Algebra(QQ, 0, [], []), 2).dims == [0, 0, 0]
+
+
+def test_maximal_prolongation_of_zero_algebra():
+    assert maximal_prolongation(zero_calculus(Algebra(QQ, 0, [], [])), 2).dims == [0, 0, 0]
 
 
 def test_splitting_and_embedding(qx3):
@@ -116,8 +118,8 @@ def test_universal_prolongation_is_span_of_forms(fixture, max_degree, request):
     alg = request.getfixturevalue(fixture)
     up = universal_prolongation(alg, max_degree)
     for k in range(max_degree + 1):
-        assert image_basis(up.iota[k]) == up.iota[k]
-        assert image_basis(universal_forms_oracle(alg, k)) == up.iota[k]
+        assert rank(up.iota[k]) == up.dims[k]
+        assert image_basis(universal_forms_oracle(alg, k)) == image_basis(up.iota[k])
         assert up.proj[k] * up.iota[k] == Mat.identity(alg.field, up.dims[k])
 
 
@@ -154,16 +156,17 @@ def permuted(alg, perm):
     ("qx3", [1, 0, 2], 3),
 ])
 def test_universal_prolongation_is_joint_kernel(name, perm, max_degree):
-    # the image basis of the forms omega . da is the canonical basis of the
-    # joint kernel; Q[x]/x^3 in the basis x, 1, x^2 has its unit at e1, which
-    # moves the basis index that universal_prolongation leaves out of dA
+    # the forms a0 da1 ... dak span the joint kernel and are independent;
+    # Q[x]/x^3 in the basis x, 1, x^2 has its unit at e1, which moves the
+    # basis index that universal_prolongation leaves out of A-bar
     alg = load_fixture(name)
     if perm:
         alg = permuted(alg, perm)
         assert alg.unit == [0, 1, 0]
     up = universal_prolongation(alg, max_degree)
     for k in range(1, max_degree + 1):
-        assert up.iota[k] == joint_kernel_oracle(alg, k)
+        assert rank(up.iota[k]) == up.dims[k]
+        assert image_basis(up.iota[k]) == joint_kernel_oracle(alg, k)
 
 
 @pytest.mark.parametrize("fixture", ["qx2", "qx3", "m2q", "f2x2", "qz2", "qz3"])
@@ -173,7 +176,8 @@ def test_degree_two_matches_tensor_over_algebra(fixture, request):
     u = universal_calculus(alg)
     t, _ = tensor_over_algebra(u.omega, u.omega)
     assert t.dim == up.dims[2]
-    assert image_basis(amitsur_wedge(alg, 1, 1) * kronecker(u.iota, u.iota)) == up.iota[2]
+    forms = amitsur_wedge(alg, 1, 1) * kronecker(u.iota, u.iota)
+    assert image_basis(forms) == image_basis(up.iota[2])
 
 
 def test_amitsur_compatibility(qx2):
@@ -234,7 +238,10 @@ def pushout_chain_oracle(c, max_degree):
     alg = c.alg
     f = alg.field
     up = universal_prolongation(alg, max_degree)
-    g = [Mat.identity(f, alg.dim), induced_map(universal_calculus(alg), c).matrix]
+    u = universal_calculus(alg)
+    # degree 1 of up in the basis of u, both inside A (x) A
+    up_to_u = solve(u.iota, up.iota[1])
+    g = [Mat.identity(f, alg.dim), induced_map(u, c).matrix * up_to_u]
     dims = [alg.dim, c.dim]
     kernels = [kernel_basis(g[0]), kernel_basis(g[1])]
     for n in range(2, max_degree + 1):
@@ -440,86 +447,6 @@ def test_universal_prolongation_passes_full_validation(name, max_degree):
     assert up.validation_report() == []
 
 
-KERNEL_ALGEBRAS = {name: (lambda name=name: load_fixture(name)) for name in FIXTURE_NAMES}
-KERNEL_ALGEBRAS.update(GENERATED)
-KERNEL_ALGEBRAS.update({
-    "zero algebra": lambda: Algebra(QQ, 0, [], []),
-    "GF(5)[Z/3]": lambda: build_group_algebra(GF(5), [[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
-    # e0 = 2, e1 = x: the unit is e0 / 2
-    "Q[x]/x^2 in the basis 2, x": lambda: Algebra(
-        QQ, 2, [[[2, 0], [0, 2]], [[0, 2], [0, 0]]], ["1/2", 0]),
-})
-
-
-def kernel_degree(alg):
-    """The top degree the kernel oracles reach: A^(x)4 has 1296 rows at dim 6."""
-    return 2 if alg.dim > 4 else 3
-
-
-def random_sparse(field, rows, cols, rng):
-    """A seeded matrix with about a third of its entries nonzero."""
-    values = [1, -1, 2, 3] if field.p else [1, -1, 2, Fraction(1, 3), Fraction(-5, 2)]
-    return Mat.from_entries(field, rows, cols, (
-        (i, j, rng.choice(values))
-        for i in range(rows) for j in range(cols) if rng.random() < 0.35))
-
-
-@pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
-def test_amitsur_differential_kernel_matches_materialized(name, storage_violations):
-    alg = KERNEL_ALGEBRAS[name]()
-    rng = random.Random(name)
-    top = kernel_degree(alg)
-    iota = universal_prolongation(alg, top).iota
-    for k in range(top):
-        d_a = amitsur_differential(alg, k)
-        for x in (iota[k], random_sparse(alg.field, alg.dim ** (k + 1), 3, rng)):
-            got = prolong._amitsur_differential_times(alg, k, x)
-            assert storage_violations(got) == []
-            assert got == d_a * x, (name, k)
-
-
-@pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
-def test_amitsur_wedge_kernel_matches_materialized(name, storage_violations):
-    alg = KERNEL_ALGEBRAS[name]()
-    rng = random.Random(name)
-    top = kernel_degree(alg)
-    iota = universal_prolongation(alg, top - 1).iota
-    for i in range(top):
-        for j in range(top - i):
-            w_a = amitsur_wedge(alg, i, j)
-            rand_x = random_sparse(alg.field, alg.dim ** (i + 1), 2, rng)
-            rand_y = random_sparse(alg.field, alg.dim ** (j + 1), 3, rng)
-            for x, y in ((iota[i], iota[j]), (rand_x, rand_y), (rand_x, iota[j])):
-                got = prolong._amitsur_wedge_times(alg, i, j, x, y)
-                assert storage_violations(got) == []
-                assert got == w_a * kronecker(x, y), (name, i, j)
-
-
-def materialized_universal_prolongation(alg, max_degree):
-    """iota, proj, wedge and d of the universal prolongation with every
-    Amitsur map built as a matrix: the forms omega . da through
-    amitsur_wedge and kronecker, d and wedge read back through proj."""
-    f, n = alg.field, alg.dim
-    pivot = next((i for i, x in enumerate(alg.unit) if x), None)
-    d_bar = amitsur_differential(alg, 0).select_cols([j for j in range(n) if j != pivot])
-    iota = [Mat.identity(f, n)]
-    for k in range(1, max_degree + 1):
-        iota.append(image_basis(amitsur_wedge(alg, k - 1, 1) * kronecker(iota[k - 1], d_bar)))
-    proj = [pivot_retraction(b) for b in iota]
-    wedge = {(i, j): proj[i + j] * amitsur_wedge(alg, i, j) * kronecker(iota[i], iota[j])
-             for i in range(max_degree + 1) for j in range(max_degree + 1 - i)}
-    diff = [proj[k + 1] * amitsur_differential(alg, k) * iota[k] for k in range(max_degree)]
-    return iota, proj, wedge, diff
-
-
-@pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
-def test_universal_prolongation_equals_its_materialized_definition(name):
-    alg = KERNEL_ALGEBRAS[name]()
-    top = kernel_degree(alg)
-    up = universal_prolongation(alg, top)
-    assert (up.iota, up.proj, up.wedge, up.diff) == materialized_universal_prolongation(alg, top)
-
-
 def incidence_algebra(n, relations):
     """The incidence algebra over Q of the poset on 0..n-1 with the strict
     relations i < j given, from its structure constants: the basis is e_ii
@@ -539,6 +466,90 @@ INCIDENCE = {
     "chain 0<1<2": lambda: incidence_algebra(3, [(0, 1), (1, 2), (0, 2)]),
     "V 0<1, 0<2": lambda: incidence_algebra(3, [(0, 1), (0, 2)]),
 }
+
+
+AMITSUR_ALGEBRAS = {name: (lambda name=name: load_fixture(name)) for name in FIXTURE_NAMES}
+AMITSUR_ALGEBRAS.update(GENERATED)
+AMITSUR_ALGEBRAS.update(INCIDENCE)
+AMITSUR_ALGEBRAS.update({
+    "zero algebra": lambda: Algebra(QQ, 0, [], []),
+    "GF(5)[Z/3]": lambda: build_group_algebra(GF(5), [[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
+    # e0 = 2, e1 = x: the unit is e0 / 2
+    "Q[x]/x^2 in the basis 2, x": lambda: Algebra(
+        QQ, 2, [[[2, 0], [0, 2]], [[0, 2], [0, 0]]], ["1/2", 0]),
+})
+
+
+def oracle_degree(alg):
+    """The top degree the Amitsur oracles reach: A^(x)4 has 1296 rows at dim 6."""
+    return 2 if alg.dim > 4 else 3
+
+
+def materialized_universal_prolongation(alg, max_degree):
+    """iota, proj, wedge and d of the universal prolongation with every
+    Amitsur map built as a matrix: the forms a0 da1 ... dak through
+    amitsur_wedge and kronecker, proj = 1 (x) pi^(x)k with pi: A ->> A-bar
+    the projection along the unit, d and wedge read back through proj."""
+    f, n = alg.field, alg.dim
+    pivot = next((i for i, x in enumerate(alg.unit) if x), None)
+    bar = [j for j in range(n) if j != pivot]
+    if pivot is None:
+        pi = Mat.zeros(f, 0, 0)
+    else:
+        # a - (a_p / u_p) 1, at the rows other than p
+        along = Mat.from_entries(f, 1, n, [(0, pivot, f.inv(alg.unit[pivot]))])
+        pi = (Mat.identity(f, n) - alg.unit_mat * along).transpose().select_cols(bar).transpose()
+    d_bar = amitsur_differential(alg, 0).select_cols(bar)
+    iota = [Mat.identity(f, n)]
+    for k in range(1, max_degree + 1):
+        iota.append(amitsur_wedge(alg, k - 1, 1) * kronecker(iota[k - 1], d_bar))
+    proj = [kron_all([Mat.identity(f, n)] + [pi] * k) for k in range(max_degree + 1)]
+    wedge = {(i, j): proj[i + j] * amitsur_wedge(alg, i, j) * kronecker(iota[i], iota[j])
+             for i in range(max_degree + 1) for j in range(max_degree + 1 - i)}
+    diff = [proj[k + 1] * amitsur_differential(alg, k) * iota[k] for k in range(max_degree)]
+    return iota, proj, wedge, diff
+
+
+@pytest.mark.parametrize("name", AMITSUR_ALGEBRAS)
+def test_universal_prolongation_equals_its_materialized_definition(name):
+    alg = AMITSUR_ALGEBRAS[name]()
+    top = oracle_degree(alg)
+    up = universal_prolongation(alg, top)
+    assert (up.iota, up.proj, up.wedge, up.diff) == materialized_universal_prolongation(alg, top)
+
+
+@pytest.mark.parametrize("name", AMITSUR_ALGEBRAS)
+def test_universal_prolongation_is_amitsur_compatible(name):
+    # the oracle behind the Cuntz-Quillen certificate: iota embeds the
+    # universal prolongation into the Amitsur complex as a dg subalgebra
+    alg = AMITSUR_ALGEBRAS[name]()
+    top = oracle_degree(alg)
+    up = universal_prolongation(alg, top)
+    for k in range(top + 1):
+        assert rank(up.iota[k]) == up.dims[k], k
+        assert up.proj[k] * up.iota[k] == Mat.identity(alg.field, up.dims[k]), k
+    for k in range(top):
+        assert up.iota[k + 1] * up.diff[k] == amitsur_differential(alg, k) * up.iota[k], k
+    for i in range(top + 1):
+        for j in range(top + 1 - i):
+            rhs = amitsur_wedge(alg, i, j) * kronecker(up.iota[i], up.iota[j])
+            assert up.iota[i + j] * up.wedge[(i, j)] == rhs, (i, j)
+
+
+@pytest.mark.parametrize("name", AMITSUR_ALGEBRAS)
+def test_universal_prolongation_is_maximal_prolongation_of_universal_calculus(name):
+    # two bases of one dg algebra: the unique dg morphisms both ways are
+    # mutually inverse
+    alg = AMITSUR_ALGEBRAS[name]()
+    top = oracle_degree(alg)
+    up = universal_prolongation(alg, top)
+    maxi = maximal_prolongation(universal_calculus(alg), top)
+    there = unique_dg_morphism(up, maxi, alg.identity_map())
+    back = unique_dg_morphism(maxi, up, alg.identity_map())
+    assert there is not None and back is not None
+    for k in range(top + 1):
+        assert back[k] * there[k] == Mat.identity(alg.field, up.dims[k]), k
+        assert there[k] * back[k] == Mat.identity(alg.field, maxi.dims[k]), k
 
 
 def first_proper_quotients(alg, count=2):
@@ -612,33 +623,20 @@ def test_universal_prolongation_builds_no_ambient_map(qs3, monkeypatch):
     def refuse(*args):
         raise RuntimeError("ambient map built")
 
-    for name in ("amitsur_differential", "amitsur_wedge", "kron_all", "kronecker"):
+    rows = []
+
+    def recording(x, y):
+        out = kronecker(x, y)
+        rows.append(out.rows)
+        return out
+
+    for name in ("amitsur_differential", "amitsur_wedge", "kron_all"):
         monkeypatch.setattr(prolong, name, refuse)
-    assert universal_prolongation(qs3, 2).dims == [6, 30, 150]
-
-
-def test_broken_amitsur_embedding_is_an_engine_error(qx2, monkeypatch):
-    # a retraction that is not a left inverse of iota breaks iota w = w_A (iota (x) iota)
-    real = prolong.pivot_retraction
-    monkeypatch.setattr(prolong, "pivot_retraction", lambda b: real(b) + real(b))
-    with pytest.raises(EngineError, match=r"wedge fails Amitsur compatibility at \(0,0\)"):
-        universal_prolongation(qx2, 2)
-    assert issubclass(EngineError, AssertionError)
-
-
-def test_broken_amitsur_differential_is_an_engine_error(qx3, monkeypatch):
-    # only the unit insertion at slot 0 above degree 0 maps Omega^1 out of
-    # Omega^2; the wedges and dA (built from degree 0) stay intact
-    real = prolong._amitsur_differential_times
-
-    def slot_zero(a, n, x):
-        if n == 0:
-            return real(a, n, x)
-        return kronecker(a.unit_mat, Mat.identity(a.field, a.dim ** (n + 1))) * x
-
-    monkeypatch.setattr(prolong, "_amitsur_differential_times", slot_zero)
-    with pytest.raises(EngineError, match="differential fails Amitsur compatibility at degree 1"):
-        universal_prolongation(qx3, 2)
+    monkeypatch.setattr(prolong, "kronecker", recording)
+    up = universal_prolongation(qs3, 3)
+    assert up.dims == [6, 30, 150, 750]
+    # A^(x)4 has 1296 rows; every Kronecker product stays inside Omega^3
+    assert rows and max(rows) <= up.dims[3]
 
 
 @pytest.mark.parametrize("max_degree", [0, -1])

@@ -29,17 +29,27 @@ ROOT = Path(__file__).resolve().parent.parent
 FULL_VALIDATION = ("tests/test_prolong.py -k "
                    "maximal_prolongation_and_trivial_extension_pass_full_validation")
 COACTION_ORACLE = "tests/test_hopf.py -k universal_coactions_pass_axioms"
-AMITSUR_KERNELS = "tests/test_prolong.py -k kernel_matches_materialized"
+AMITSUR_ORACLE = "tests/test_prolong.py -k amitsur_compatible"
 
 MUTANTS = [
-    # maximal_prolongation: a descended wedge and a descended d
+    # the prolongation builder: the sign of the right-action recursion, the
+    # unit correction of pi, the slot of the unit in d0, and the relations
+    # Omega^(k-2) ^ dN of the maximal prolongation
     ("src/omegacalc/prolong.py",
-     "            wedge[(i, k - i)] = _descend(",
-     "            wedge[(i, k - i)] = -_descend(",
-     FULL_VALIDATION),
+     "pi_m) - kronecker(at_bar, pi)",
+     "pi_m) + kronecker(at_bar, pi)",
+     AMITSUR_ORACLE),
     ("src/omegacalc/prolong.py",
-     "        diff.append(_descend(",
-     "        diff.append(-_descend(",
+     "(r, pivot, f.mul(lead, a.unit[j]))",
+     "(r, pivot, 0)",
+     AMITSUR_ORACLE),
+    ("src/omegacalc/prolong.py",
+     "kronecker(a.unit_mat, pi)",
+     "kronecker(pi, a.unit_mat)",
+     AMITSUR_ORACLE),
+    ("src/omegacalc/prolong.py",
+     "image_basis(acted.hstack(wedged))",
+     "image_basis(acted)",
      FULL_VALIDATION),
     # trivial_extension: its left action on Omega^1
     ("src/omegacalc/prolong.py",
@@ -63,29 +73,6 @@ MUTANTS = [
      "    left_rank = rank(one_d)",
      "    left_rank = omega.dim",
      "tests/test_fodc.py"),
-    # the Amitsur kernels: the alternating sign and the slot of the unit
-    # insertion, and the order of the factors of the product
-    ("src/omegacalc/prolong.py",
-     "-u if i % 2 else u",
-     "u if i % 2 else -u",
-     AMITSUR_KERNELS),
-    ("src/omegacalc/prolong.py",
-     "            base = l * dim * q + r",
-     "            base = l * q + r",
-     AMITSUR_KERNELS),
-    ("src/omegacalc/prolong.py",
-     "(*divmod(ef, dim), s)",
-     "(*reversed(divmod(ef, dim)), s)",
-     AMITSUR_KERNELS),
-    # universal_prolongation: the two Amitsur asserts
-    ("src/omegacalc/prolong.py",
-     "            if iota[i + j] * w != rhs:",
-     "            if False:",
-     "tests/test_prolong.py -k amitsur"),
-    ("src/omegacalc/prolong.py",
-     "        if iota[k + 1] * d_k != rhs:",
-     "        if False:",
-     "tests/test_prolong.py -k amitsur"),
 ]
 
 
