@@ -143,7 +143,8 @@ def regular_bimodule(a: Algebra) -> Bimodule:
 
 
 def tensor_square_bimodule(a: Algebra) -> Bimodule:
-    """A(x)A with outer actions m(x)1 and 1(x)m."""
+    """A(x)A with outer actions m(x)1 and 1(x)m; the tests hold the universal
+    calculus's iota to it as a bimodule map."""
     i_n = Mat.identity(a.field, a.dim)
     return Bimodule(
         a, a, a.dim * a.dim,

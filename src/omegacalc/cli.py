@@ -36,7 +36,7 @@ from .io import (
     relations_from_json,
 )
 from .kahler import kahler_calculus
-from .linalg import EngineError, LinAlgError, Mat, solve
+from .linalg import EngineError, LinAlgError, Mat
 from .prolong import GradedCalculus, maximal_prolongation, universal_prolongation
 from .scalars import calc_pullback, calc_pushforward
 
@@ -121,13 +121,14 @@ def _quotient_of_universal(alg: Algebra, rel_doc) -> FirstOrderCalculus:
     u = universal_calculus(alg)
     cols = []
     for g in relations_from_json(rel_doc, alg.field, alg.dim * alg.dim):
-        w = solve(u.iota, Mat.col_vector(alg.field, g))
-        if w is None:
+        v = Mat.col_vector(alg.field, g)
+        if not (alg.mult_mat * v).is_zero():
             raise _Failure(EXIT_COMPUTE, {
                 "error": "relation vector is not in the universal calculus "
                          "(does not lie in the kernel of multiplication)",
             })
-        cols.append(w.column(0))
+        # the retraction inverts iota on its image, the kernel of multiplication
+        cols.append((u.retraction * v).column(0))
     closed = saturate_subspace(u.omega, Mat.from_cols(alg.field, cols, rows=u.dim))
     calc, _ = quotient_calculus(u, closed)
     return calc
@@ -192,6 +193,8 @@ def _cmd_check(args) -> dict:
 def _cmd_universal(args) -> dict:
     alg, _ = _load_algebra(args.algebra)
     u = universal_calculus(alg)
+    # the columns of iota, a0 (x) b - a0 b (x) 1 in A (x) A-bar order: a basis
+    # of the kernel of multiplication, not in echelon form
     return {
         "dim": u.dim,
         "kernel_basis": [

@@ -199,9 +199,12 @@ def universal_coactions(h: Bimonoid, u: UniversalCalculus | None = None) -> Hopf
     # 1. A(x)A with the codiagonal coactions lam_reg and rho_reg is a Hopf
     #    bimodule, because Bimonoid checked that Delta is coassociative, that
     #    eps is its counit and that both are unital algebra maps.
-    # 2. iota is injective and a bimodule map (universal_calculus solves the
-    #    actions of Omega_u through it), and the solves above make it a map of
-    #    comodules: (1 (x) iota) lam = lam_reg iota, (iota (x) 1) rho = rho_reg iota.
+    # 2. iota is injective (retraction iota = id) and a bimodule map by
+    #    Leibniz: it sends a0 (x) b to the form a0 db, and the actions of
+    #    Omega_u are the Leibniz identities of these forms (certified in
+    #    universal_calculus; tests/test_fodc.py runs bimod_map_report on it).
+    #    The solves above make it a map of comodules:
+    #    (1 (x) iota) lam = lam_reg iota, (iota (x) 1) rho = rho_reg iota.
     # 3. So every Hopf-module axiom pulls back to Omega_u: each side of an
     #    identity composed with 1 (x) iota (x) 1 is the same side on A(x)A.
     #    d-colinearity pulls back the same way from iota d = 1 (x) a - a (x) 1,

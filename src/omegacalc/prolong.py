@@ -2,11 +2,10 @@
 prolongations of first-order calculi, built by one route, and unique
 morphisms of graded calculi.
 
-Write p for the unit's first nonzero coordinate, A-bar for the span of the
-other basis vectors and pi: A ->> A-bar for a -> a - (a_p / u_p) u read off
-p, which kills the unit, so d(pi a) = da.  Every first-order calculus is a
-quotient Omega^1 = (A (x) A-bar) / N of the universal one: a0 (x) b maps to
-a0 db, and N is the kernel.  Because (x)_A is right exact, its maximal
+With A-bar and pi: A ->> A-bar as in `fodc` (pi kills the unit, so
+d(pi a) = da), every first-order calculus is a quotient
+Omega^1 = (A (x) A-bar) / N of the universal one: a0 (x) b maps to a0 db,
+and N is the kernel.  Because (x)_A is right exact, its maximal
 prolongation is, one degree at a time,
 
     Omega^k = (Omega^(k-1) (x) A-bar) / (Omega^(k-1) . N + Omega^(k-2) ^ dN),
@@ -39,6 +38,8 @@ from .bimodule import Bimodule, bimodule_axiom_report, regular_bimodule
 from .fodc import (
     FirstOrderCalculus,
     PreconditionError,
+    _phi,
+    _unit_complement,
     calculus_morphism_exists,
     universal_calculus,
 )
@@ -82,21 +83,6 @@ def amitsur_wedge(a: Algebra, n: int, m: int) -> Mat:
         a.mult_mat,
         Mat.identity(f, a.dim ** m),
     ])
-
-
-def _unit_complement(a: Algebra) -> tuple[list[int], Mat]:
-    """The coordinates of A-bar, every one but the unit's pivot p, and
-    pi: A ->> A-bar.  The zero algebra has no pivot, so A-bar = 0 there and
-    every component above degree 0 is zero."""
-    f = a.field
-    pivot = next((i for i, x in enumerate(a.unit) if x), None)
-    if pivot is None:
-        return [], Mat.zeros(f, 0, 0)
-    bar = [j for j in range(a.dim) if j != pivot]
-    # pi(a) = a - (a_p / u_p) u, read at the coordinates j != p
-    lead = f.neg(f.inv(a.unit[pivot]))
-    return bar, Mat.from_entries(f, len(bar), a.dim, [(r, j, 1) for r, j in enumerate(bar)] + [
-        (r, pivot, f.mul(lead, a.unit[j])) for r, j in enumerate(bar)])
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +328,12 @@ def maximal_prolongation(c: FirstOrderCalculus, max_degree: int) -> GradedCalcul
     if max_degree < 1:
         raise PreconditionError("max degree must be at least 1")
     a = c.alg
-    bar, _pi = _unit_complement(a)
-    phi = mul_id_kron(c.omega.left_mat, a.dim, c.d.select_cols(bar))
+    phi = _phi(c)
     section = solve(phi, Mat.identity(a.field, c.dim))
     # Certificate for the graded axioms, in place of validation_report:
-    # 1. phi is onto, because Omega^1 = A dA (c passed the calculus check) and
-    #    d1 = 0, so dA = d(A-bar); solve finds its section.  Its kernel N is
-    #    a sub-bimodule of Omega^1_u = A (x) A-bar, and Omega^1 = Omega^1_u / N.
+    # 1. phi is onto and a bimodule map with phi d_u = d (certified at
+    #    fodc._phi), and solve finds its section.  Its kernel N is a
+    #    sub-bimodule of Omega^1_u = A (x) A-bar, and Omega^1 = Omega^1_u / N.
     # 2. The maximal prolongation is T_A(Omega^1) / <dN>, the quotient by the
     #    ideal generated by the sums da_i ^ db_i with sum a_i (x) b_i in N
     #    (Woronowicz 1989; Beggs-Majid 2020, section 1.5).  It is a dg algebra

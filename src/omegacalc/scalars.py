@@ -16,6 +16,7 @@ from .fodc import (
     FirstOrderCalculus,
     PreconditionError,
     UniversalCalculus,
+    _unit_complement,
     induced_map,
     induced_map_is_unique,
     kernel_from_universal,
@@ -30,20 +31,17 @@ from .linalg import (
     kernel_basis,
     kronecker,
     preimage_basis,
-    solve,
     subspace_leq,
 )
 
 
-def universal_map(f: AlgMap, u_src: UniversalCalculus | None = None,
-                  u_dst: UniversalCalculus | None = None) -> Mat:
-    """f_u: Omega_u(A) -> Omega_u(B), the restriction of f (x) f to the kernels."""
-    u_src = u_src or universal_calculus(f.source)
-    u_dst = u_dst or universal_calculus(f.target)
-    f_u = solve(u_dst.iota, kronecker(f.matrix, f.matrix) * u_src.iota)
-    if f_u is None:
-        raise EngineError("f (x) f does not preserve the multiplication kernels")
-    return f_u
+def universal_map(f: AlgMap) -> Mat:
+    """f_u: Omega_u(A) -> Omega_u(B), a0 db -> f(a0) d f(b), the restriction
+    of f (x) f to the kernels of multiplication: f (x) (pi_B f) on A (x) A-bar,
+    because f is unital, so pi_B only removes a multiple of the unit."""
+    bar, _pi = _unit_complement(f.source)
+    _bar, pi_b = _unit_complement(f.target)
+    return kronecker(f.matrix, pi_b * f.matrix.select_cols(bar))
 
 
 def universal_map_is_bimodule_map(f: AlgMap, f_u: Mat, u_src: UniversalCalculus,
@@ -60,7 +58,7 @@ def calc_pushforward(f: AlgMap, c: FirstOrderCalculus) -> FirstOrderCalculus:
         raise PreconditionError("calculus is not over the source algebra")
     u_a = universal_calculus(f.source)
     u_b = universal_calculus(f.target)
-    f_u = universal_map(f, u_a, u_b)
+    f_u = universal_map(f)
     n_a = kernel_from_universal(u_a, c)
     pushed = saturate_subspace(u_b.omega, image_basis(f_u * n_a))
     result, _proj = quotient_calculus(u_b, pushed)
@@ -73,7 +71,7 @@ def calc_pullback(f: AlgMap, t: FirstOrderCalculus) -> FirstOrderCalculus:
         raise PreconditionError("calculus is not over the target algebra")
     u_a = universal_calculus(f.source)
     u_b = universal_calculus(f.target)
-    f_u = universal_map(f, u_a, u_b)
+    f_u = universal_map(f)
     n_b = kernel_from_universal(u_b, t)
     p = preimage_basis(f_u, n_b)
     result, proj = quotient_calculus(u_a, p)

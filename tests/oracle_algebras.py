@@ -1,0 +1,125 @@
+"""The algebras and calculi the oracle tests run on, shared by the test
+modules: every shipped fixture, five generated algebras, two incidence
+algebras, the zero algebra, GF(5)[Z/3] and Q[x]/x^2 in the basis 2, x.
+"""
+
+import json
+from pathlib import Path
+
+from omegacalc.algebra import (
+    Algebra,
+    build_group_algebra,
+    build_matrix_algebra,
+    build_square_zero,
+    is_commutative,
+    opposite,
+)
+from omegacalc.bimodule import regular_bimodule, saturate_subspace
+from omegacalc.fodc import (
+    enumerate_action_closed_subspaces,
+    quotient_calculus,
+    universal_calculus,
+    zero_calculus,
+)
+from omegacalc.io import algebra_from_json
+from omegacalc.kahler import kahler_calculus
+from omegacalc.linalg import GF, QQ, Mat
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "omegacalc" / "fixtures"
+
+
+FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.json") if p.stem != "y_to_x2")
+
+
+def load_fixture(name):
+    return algebra_from_json(json.loads((FIXTURES / f"{name}.json").read_text()))
+
+
+def permuted(alg, perm):
+    """alg in the basis e_perm[0], e_perm[1], ..."""
+    n = alg.dim
+    mult = [[[alg.mult[perm[i]][perm[j]][perm[k]] for k in range(n)] for j in range(n)]
+            for i in range(n)]
+    return Algebra(alg.field, n, mult, [alg.unit[p] for p in perm])
+
+
+def square_zero_over_qx2(bimodule):
+    qx2 = load_fixture("qx2")
+    return build_square_zero(qx2, bimodule(qx2))
+
+
+GENERATED = {
+    "opposite(qs3)": lambda: opposite(load_fixture("qs3")),
+    "qx2 + Omega_u(qx2)": lambda: square_zero_over_qx2(lambda a: universal_calculus(a).omega),
+    "qx2 + qx2": lambda: square_zero_over_qx2(regular_bimodule),
+    "M2(GF(3))": lambda: build_matrix_algebra(GF(3), 2),
+    "qx3 in the basis x, 1, x^2": lambda: permuted(load_fixture("qx3"), [1, 0, 2]),
+}
+
+
+def incidence_algebra(n, relations):
+    """The incidence algebra over Q of the poset on 0..n-1 with the strict
+    relations i < j given, from its structure constants: the basis is e_ii
+    then e_ij, e_ij e_kl = e_il when j = k and 0 otherwise, 1 = sum e_ii."""
+    basis = [(i, i) for i in range(n)] + list(relations)
+    index = {b: k for k, b in enumerate(basis)}
+    dim = len(basis)
+    mult = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for x, (i, j) in enumerate(basis):
+        for y, (k, l) in enumerate(basis):
+            if j == k:
+                mult[x][y][index[(i, l)]] = 1
+    return Algebra(QQ, dim, mult, [1] * n + [0] * len(relations))
+
+
+INCIDENCE = {
+    "chain 0<1<2": lambda: incidence_algebra(3, [(0, 1), (1, 2), (0, 2)]),
+    "V 0<1, 0<2": lambda: incidence_algebra(3, [(0, 1), (0, 2)]),
+}
+
+
+ORACLE_ALGEBRAS = {name: (lambda name=name: load_fixture(name)) for name in FIXTURE_NAMES}
+ORACLE_ALGEBRAS.update(GENERATED)
+ORACLE_ALGEBRAS.update(INCIDENCE)
+ORACLE_ALGEBRAS.update({
+    "zero algebra": lambda: Algebra(QQ, 0, [], []),
+    "GF(5)[Z/3]": lambda: build_group_algebra(GF(5), [[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
+    # e0 = 2, e1 = x: the unit is e0 / 2
+    "Q[x]/x^2 in the basis 2, x": lambda: Algebra(
+        QQ, 2, [[[2, 0], [0, 2]], [[0, 2], [0, 0]]], ["1/2", 0]),
+})
+
+
+def first_proper_quotients(alg, count=2):
+    """Quotients of the universal calculus by the first `count` distinct
+    proper saturations of its basis vectors."""
+    u = universal_calculus(alg)
+    subs = []
+    for i in range(u.dim):
+        sub = saturate_subspace(u.omega, Mat.identity(alg.field, u.dim).select_cols([i]))
+        if sub.cols < u.dim and sub not in subs:
+            subs.append(sub)
+    return [quotient_calculus(u, sub)[0] for sub in subs[:count]]
+
+
+def oracle_calculi(name, alg):
+    """The universal, Kaehler (commutative algebras only), zero and first two
+    proper quotient calculi of alg.  Enumerating every action-closed subspace
+    of a universal calculus of dimension 20 or more takes from 0.2 s to 4 s, so
+    qs3 and the generated algebras take their quotients from saturated basis
+    vectors instead."""
+    u = universal_calculus(alg)
+    calculi = {"universal": u, "zero": zero_calculus(alg)}
+    if is_commutative(alg):
+        calculi["kahler"] = kahler_calculus(alg)
+    if name == "qs3" or name not in FIXTURE_NAMES:
+        quotients = first_proper_quotients(alg)
+    else:
+        # proper_quotient(alg, 0) and proper_quotient(alg, 1), enumerated once
+        subs = [n for n in enumerate_action_closed_subspaces(u.omega) if 0 < n.cols < u.dim]
+        quotients = [quotient_calculus(u, n)[0] for n in subs[:2]]
+    calculi.update((f"quotient {i}", c) for i, c in enumerate(quotients))
+    return calculi
+
+

@@ -3,7 +3,9 @@ import pytest
 from omegacalc.algebra import AxiomError
 
 from omegacalc.bimodule import (
+    BimodMap,
     Bimodule,
+    bimod_map_report,
     field_algebra,
     free_bimodule,
     tensor_square_bimodule,
@@ -26,11 +28,15 @@ from omegacalc.linalg import (
     GF,
     QQ,
     Mat,
+    image_basis,
     kernel_basis,
     kronecker,
     rank,
     solve,
 )
+from omegacalc.prolong import universal_prolongation
+
+from oracle_algebras import ORACLE_ALGEBRAS, oracle_calculi
 
 
 def omega_coords(u, aa_vector):
@@ -100,15 +106,52 @@ def test_universal_d_of_x(qx2):
     assert dx.column(0) == [QQ.zero(), QQ.one(), -QQ.one(), QQ.zero()]
 
 
-@pytest.mark.parametrize("fixture", ["qx2", "qx3", "qz2", "qz3", "m2q"])
-def test_split_identities(fixture, request):
-    alg = request.getfixturevalue(fixture)
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_split_identities(name):
+    alg = ORACLE_ALGEBRAS[name]()
     u = universal_calculus(alg)
     i_n = Mat.identity(alg.field, alg.dim)
     ident = Mat.identity(alg.field, u.dim)
     assert u.retraction * u.iota == ident
     d_dot_one = u.omega.right_mat * kronecker(u.d, i_n)
     assert d_dot_one * u.iota == -ident
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_universal_calculus_is_the_kernel_of_multiplication(name):
+    # the kernel route the closed form replaced is the oracle: iota is a
+    # bimodule embedding onto ker(m: A (x) A -> A) with iota d(a) = 1 (x) a - a (x) 1
+    alg = ORACLE_ALGEBRAS[name]()
+    u = universal_calculus(alg)
+    i_n = Mat.identity(alg.field, alg.dim)
+    assert u.dim == alg.dim * alg.dim - alg.dim
+    assert image_basis(u.iota) == kernel_basis(alg.mult_mat)
+    incl = BimodMap(u.omega, tensor_square_bimodule(alg), u.iota, check=False)
+    assert bimod_map_report(incl) == []
+    assert u.iota * u.d == kronecker(alg.unit_mat, i_n) - kronecker(i_n, alg.unit_mat)
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_universal_calculus_is_degree_one_of_the_universal_prolongation(name):
+    alg = ORACLE_ALGEBRAS[name]()
+    u = universal_calculus(alg)
+    up = universal_prolongation(alg, 2)
+    assert up.dims[1] == u.dim
+    assert up.diff[0] == u.d
+    assert (up.wedge[(0, 1)], up.wedge[(1, 0)]) == (u.omega.left_mat, u.omega.right_mat)
+    assert (up.iota[1], up.proj[1]) == (u.iota, u.retraction)
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_induced_map_passes_its_certificate_oracles(name):
+    # induced_map builds phi unchecked; the three checks it no longer runs
+    alg = ORACLE_ALGEBRAS[name]()
+    u = universal_calculus(alg)
+    for label, c in oracle_calculi(name, alg).items():
+        phi = induced_map(u, c)
+        assert bimod_map_report(phi) == [], label
+        assert phi.matrix * u.d == c.d, label
+        assert rank(phi.matrix) == c.dim, label
 
 
 def test_induced_map_to_self_is_identity(qx2):

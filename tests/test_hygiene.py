@@ -4,8 +4,9 @@ Every name a library module imports is used in that module: each
 src/omegacalc/*.py except the package's __init__.py (whose imports are its
 public surface) is parsed, and an imported name that is never read is a dead
 import.  Only the two constructors named in the README's verification
-policy take a `check` switch, and the constructions certified there call no
-full axiom report.
+policy take a `check` switch, the constructions certified there call no
+full axiom report, and the universal calculus, its induced maps and f_u are
+closed forms that solve nothing.
 """
 
 import ast
@@ -51,7 +52,9 @@ def test_an_unused_import_is_seen():
     assert unused_imports(source) == ["check_fodc", "os", "r"]
 
 
-# Both a checked and an unchecked value are in use for each; see the README.
+# The public default of each checks a value given from outside; the library
+# builds its own bimodules and maps unchecked, under certificates.  See the
+# README.
 KEPT_CHECK_SWITCHES = {"Bimodule.__init__", "BimodMap.__init__"}
 
 
@@ -88,15 +91,31 @@ def called_names(node) -> set[str]:
     return found
 
 
+def function_node(module: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((SRC / module).read_text())
+    return next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
 def test_certified_constructions_call_no_full_report():
     # the reports stay public and run in the tests, but the library builds
     # its graded calculi and universal coactions under certificates
     for path in SRC.glob("*.py"):
         assert "validation_report" not in called_names(ast.parse(path.read_text())), path.name
-    hopf = ast.parse((SRC / "hopf.py").read_text())
-    coactions = next(n for n in hopf.body
-                     if isinstance(n, ast.FunctionDef) and n.name == "universal_coactions")
+    coactions = function_node("hopf.py", "universal_coactions")
     assert not called_names(coactions) & {"check_hopf_module", "d_comodule_report"}
+
+
+@pytest.mark.parametrize("module,name", [
+    ("fodc.py", "universal_calculus"),
+    ("fodc.py", "induced_map"),
+    ("fodc.py", "_phi"),
+    ("scalars.py", "universal_map"),
+])
+def test_universal_constructions_are_closed_forms(module, name):
+    # Omega_u = A (x) A-bar, phi and f_u are read off their formulas; the
+    # kernel route and the bimodule-map check they replaced are test oracles
+    banned = {"solve", "kernel_basis", "bimod_map_report"}
+    assert not called_names(function_node(module, name)) & banned
 
 
 def test_every_mutant_text_occurs_once():

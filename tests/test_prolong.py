@@ -1,17 +1,7 @@
-import json
-from pathlib import Path
-
 import pytest
 
-from omegacalc.algebra import (
-    Algebra,
-    build_group_algebra,
-    build_matrix_algebra,
-    build_square_zero,
-    is_commutative,
-    opposite,
-)
-from omegacalc.bimodule import regular_bimodule, saturate_subspace, tensor_over_algebra
+from omegacalc.algebra import Algebra
+from omegacalc.bimodule import tensor_over_algebra
 from omegacalc.fodc import (
     PreconditionError,
     enumerate_action_closed_subspaces,
@@ -20,10 +10,8 @@ from omegacalc.fodc import (
     universal_calculus,
     zero_calculus,
 )
-from omegacalc.io import algebra_from_json
 from omegacalc.kahler import kahler_calculus
 from omegacalc.linalg import (
-    GF,
     QQ,
     LinAlgError,
     Mat,
@@ -45,6 +33,15 @@ from omegacalc.prolong import (
     truncation_adjoints_check,
     unique_dg_morphism,
     universal_prolongation,
+)
+
+from oracle_algebras import (
+    GENERATED,
+    INCIDENCE,
+    ORACLE_ALGEBRAS,
+    load_fixture,
+    oracle_calculi,
+    permuted,
 )
 
 
@@ -123,16 +120,6 @@ def test_universal_prolongation_is_span_of_forms(fixture, max_degree, request):
         assert up.proj[k] * up.iota[k] == Mat.identity(alg.field, up.dims[k])
 
 
-FIXTURES = Path(__file__).resolve().parent.parent / "src" / "omegacalc" / "fixtures"
-
-
-FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.json") if p.stem != "y_to_x2")
-
-
-def load_fixture(name):
-    return algebra_from_json(json.loads((FIXTURES / f"{name}.json").read_text()))
-
-
 def joint_kernel_oracle(alg, k):
     """Omega^k of the universal calculus as the joint kernel in A^(x)(k+1) of
     the maps 1^(x)i (x) m (x) 1^(x)(k-1-i), i < k, stacked into one matrix."""
@@ -140,14 +127,6 @@ def joint_kernel_oracle(alg, k):
     for i in range(1, k):
         stacked = stacked.vstack(amitsur_wedge(alg, i, k - 1 - i))
     return kernel_basis(stacked)
-
-
-def permuted(alg, perm):
-    """alg in the basis e_perm[0], e_perm[1], ..."""
-    n = alg.dim
-    mult = [[[alg.mult[perm[i]][perm[j]][perm[k]] for k in range(n)] for j in range(n)]
-            for i in range(n)]
-    return Algebra(alg.field, n, mult, [alg.unit[p] for p in perm])
 
 
 @pytest.mark.parametrize("name,perm,max_degree", [
@@ -420,20 +399,6 @@ def test_maximal_prolongation_universal_property(fixture, request):
     assert unique_dg_morphism(te, maxi, alg.identity_map()) is None
 
 
-def square_zero_over_qx2(bimodule):
-    qx2 = load_fixture("qx2")
-    return build_square_zero(qx2, bimodule(qx2))
-
-
-GENERATED = {
-    "opposite(qs3)": lambda: opposite(load_fixture("qs3")),
-    "qx2 + Omega_u(qx2)": lambda: square_zero_over_qx2(lambda a: universal_calculus(a).omega),
-    "qx2 + qx2": lambda: square_zero_over_qx2(regular_bimodule),
-    "M2(GF(3))": lambda: build_matrix_algebra(GF(3), 2),
-    "qx3 in the basis x, 1, x^2": lambda: permuted(load_fixture("qx3"), [1, 0, 2]),
-}
-
-
 @pytest.mark.parametrize("name,max_degree", [
     ("f2x2", 3), ("f3x3", 3), ("m2q", 3), ("q", 3), ("qs3", 2), ("qx2", 3), ("qx3", 3),
     ("qx4", 3), ("qz2", 3), ("qz3", 3), ("opposite(qs3)", 2), ("qx2 + Omega_u(qx2)", 3),
@@ -445,39 +410,6 @@ def test_universal_prolongation_passes_full_validation(name, max_degree):
     alg = GENERATED[name]() if name in GENERATED else load_fixture(name)
     up = universal_prolongation(alg, max_degree)
     assert up.validation_report() == []
-
-
-def incidence_algebra(n, relations):
-    """The incidence algebra over Q of the poset on 0..n-1 with the strict
-    relations i < j given, from its structure constants: the basis is e_ii
-    then e_ij, e_ij e_kl = e_il when j = k and 0 otherwise, 1 = sum e_ii."""
-    basis = [(i, i) for i in range(n)] + list(relations)
-    index = {b: k for k, b in enumerate(basis)}
-    dim = len(basis)
-    mult = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-    for x, (i, j) in enumerate(basis):
-        for y, (k, l) in enumerate(basis):
-            if j == k:
-                mult[x][y][index[(i, l)]] = 1
-    return Algebra(QQ, dim, mult, [1] * n + [0] * len(relations))
-
-
-INCIDENCE = {
-    "chain 0<1<2": lambda: incidence_algebra(3, [(0, 1), (1, 2), (0, 2)]),
-    "V 0<1, 0<2": lambda: incidence_algebra(3, [(0, 1), (0, 2)]),
-}
-
-
-AMITSUR_ALGEBRAS = {name: (lambda name=name: load_fixture(name)) for name in FIXTURE_NAMES}
-AMITSUR_ALGEBRAS.update(GENERATED)
-AMITSUR_ALGEBRAS.update(INCIDENCE)
-AMITSUR_ALGEBRAS.update({
-    "zero algebra": lambda: Algebra(QQ, 0, [], []),
-    "GF(5)[Z/3]": lambda: build_group_algebra(GF(5), [[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
-    # e0 = 2, e1 = x: the unit is e0 / 2
-    "Q[x]/x^2 in the basis 2, x": lambda: Algebra(
-        QQ, 2, [[[2, 0], [0, 2]], [[0, 2], [0, 0]]], ["1/2", 0]),
-})
 
 
 def oracle_degree(alg):
@@ -510,19 +442,19 @@ def materialized_universal_prolongation(alg, max_degree):
     return iota, proj, wedge, diff
 
 
-@pytest.mark.parametrize("name", AMITSUR_ALGEBRAS)
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
 def test_universal_prolongation_equals_its_materialized_definition(name):
-    alg = AMITSUR_ALGEBRAS[name]()
+    alg = ORACLE_ALGEBRAS[name]()
     top = oracle_degree(alg)
     up = universal_prolongation(alg, top)
     assert (up.iota, up.proj, up.wedge, up.diff) == materialized_universal_prolongation(alg, top)
 
 
-@pytest.mark.parametrize("name", AMITSUR_ALGEBRAS)
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
 def test_universal_prolongation_is_amitsur_compatible(name):
     # the oracle behind the Cuntz-Quillen certificate: iota embeds the
     # universal prolongation into the Amitsur complex as a dg subalgebra
-    alg = AMITSUR_ALGEBRAS[name]()
+    alg = ORACLE_ALGEBRAS[name]()
     top = oracle_degree(alg)
     up = universal_prolongation(alg, top)
     for k in range(top + 1):
@@ -536,52 +468,14 @@ def test_universal_prolongation_is_amitsur_compatible(name):
             assert up.iota[i + j] * up.wedge[(i, j)] == rhs, (i, j)
 
 
-@pytest.mark.parametrize("name", AMITSUR_ALGEBRAS)
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
 def test_universal_prolongation_is_maximal_prolongation_of_universal_calculus(name):
-    # two bases of one dg algebra: the unique dg morphisms both ways are
-    # mutually inverse
-    alg = AMITSUR_ALGEBRAS[name]()
+    # one basis for both: with N = 0, phi is the identity of A (x) A-bar
+    alg = ORACLE_ALGEBRAS[name]()
     top = oracle_degree(alg)
     up = universal_prolongation(alg, top)
     maxi = maximal_prolongation(universal_calculus(alg), top)
-    there = unique_dg_morphism(up, maxi, alg.identity_map())
-    back = unique_dg_morphism(maxi, up, alg.identity_map())
-    assert there is not None and back is not None
-    for k in range(top + 1):
-        assert back[k] * there[k] == Mat.identity(alg.field, up.dims[k]), k
-        assert there[k] * back[k] == Mat.identity(alg.field, maxi.dims[k]), k
-
-
-def first_proper_quotients(alg, count=2):
-    """Quotients of the universal calculus by the first `count` distinct
-    proper saturations of its basis vectors."""
-    u = universal_calculus(alg)
-    subs = []
-    for i in range(u.dim):
-        sub = saturate_subspace(u.omega, Mat.identity(alg.field, u.dim).select_cols([i]))
-        if sub.cols < u.dim and sub not in subs:
-            subs.append(sub)
-    return [quotient_calculus(u, sub)[0] for sub in subs[:count]]
-
-
-def oracle_calculi(name, alg):
-    """The universal, Kaehler (commutative algebras only), zero and first two
-    proper quotient calculi of alg.  Enumerating every action-closed subspace
-    of a universal calculus of dimension 20 or more takes from 0.2 s to 4 s, so
-    qs3 and the generated algebras take their quotients from saturated basis
-    vectors instead."""
-    u = universal_calculus(alg)
-    calculi = {"universal": u, "zero": zero_calculus(alg)}
-    if is_commutative(alg):
-        calculi["kahler"] = kahler_calculus(alg)
-    if name == "qs3" or name not in FIXTURE_NAMES:
-        quotients = first_proper_quotients(alg)
-    else:
-        # proper_quotient(alg, 0) and proper_quotient(alg, 1), enumerated once
-        subs = [n for n in enumerate_action_closed_subspaces(u.omega) if 0 < n.cols < u.dim]
-        quotients = [quotient_calculus(u, n)[0] for n in subs[:2]]
-    calculi.update((f"quotient {i}", c) for i, c in enumerate(quotients))
-    return calculi
+    assert (maxi.dims, maxi.diff, maxi.wedge) == (up.dims, up.diff, up.wedge)
 
 
 @pytest.mark.parametrize("name,max_degree", [

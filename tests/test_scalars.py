@@ -4,10 +4,17 @@ import pkgutil
 import pytest
 
 import omegacalc
-from omegacalc.algebra import AlgMap
+from omegacalc.algebra import (
+    Algebra,
+    AlgMap,
+    build_square_zero,
+    build_truncated_poly,
+    opposite,
+)
 from omegacalc.bimodule import (
     extend_bimodule,
     field_algebra,
+    regular_bimodule,
     restrict_bimodule,
     saturate_subspace,
 )
@@ -29,6 +36,7 @@ from omegacalc.linalg import (
     kernel_basis,
     kronecker,
     rank,
+    solve,
 )
 from omegacalc.prolong import maximal_prolongation, unique_dg_morphism, universal_prolongation
 from omegacalc.scalars import (
@@ -42,6 +50,8 @@ from omegacalc.scalars import (
     verify_poset_adjunction,
 )
 
+from oracle_algebras import INCIDENCE, ORACLE_ALGEBRAS, load_fixture, permuted
+
 
 @pytest.fixture(scope="module")
 def y_to_x2(qy2, qx4):
@@ -51,8 +61,61 @@ def y_to_x2(qy2, qx4):
 def test_universal_map_is_bimodule_map(y_to_x2, qy2, qx4):
     u_src = universal_calculus(qy2)
     u_dst = universal_calculus(qx4)
-    f_u = universal_map(y_to_x2, u_src, u_dst)
+    f_u = universal_map(y_to_x2)
     assert universal_map_is_bimodule_map(y_to_x2, f_u, u_src, u_dst)
+
+
+def parent_universal_map(f):
+    """f_u by the kernel route: solve iota_B f_u = (f (x) f) iota_A."""
+    u_src, u_dst = universal_calculus(f.source), universal_calculus(f.target)
+    return solve(u_dst.iota, kronecker(f.matrix, f.matrix) * u_src.iota)
+
+
+def fields(k):
+    """Q^k on its idempotents: the unit (1, ..., 1) is not a basis vector."""
+    return Algebra(QQ, k, [[[int(i == j == l) for l in range(k)] for j in range(k)]
+                           for i in range(k)], [1] * k)
+
+
+def with_zero_part(a):
+    """The square-zero extension A (+) A, in the basis A then the ideal."""
+    return build_square_zero(a, regular_bimodule(a))
+
+
+def pad(n, extra):
+    """The inclusion of n coordinates into n + extra."""
+    return Mat.identity(QQ, n).vstack(Mat.zeros(QQ, extra, n))
+
+
+MAPS = {
+    "y_to_x2": lambda: AlgMap(build_truncated_poly(QQ, 2, var="y"), build_truncated_poly(QQ, 4),
+                              Mat(QQ, [[1, 0], [0, 0], [0, 1], [0, 0]])),
+    # g -> (1, -1) and g -> diag(1, -1) have a component along the target's unit
+    "Q[Z/2] -> Q x Q": lambda: AlgMap(load_fixture("qz2"), fields(2),
+                                      Mat(QQ, [[1, 1], [1, -1]])),
+    "Q[Z/2] -> M2(Q)": lambda: AlgMap(load_fixture("qz2"), load_fixture("m2q"),
+                                      Mat(QQ, [[1, 1], [0, 0], [0, 0], [1, -1]])),
+    "transpose: M2(Q) -> M2(Q)^op": lambda: AlgMap(
+        load_fixture("m2q"), opposite(load_fixture("m2q")),
+        Mat.identity(QQ, 4).select_cols([0, 2, 1, 3])),
+    "chain 0<1<2 ->> Q^3": lambda: AlgMap(
+        INCIDENCE["chain 0<1<2"](), fields(3), Mat.identity(QQ, 3).hstack(Mat.zeros(QQ, 3, 3))),
+    "qx2 -> qx2 + qx2": lambda: AlgMap(load_fixture("qx2"), with_zero_part(load_fixture("qx2")),
+                                       pad(2, 2)),
+    "qx2 + qx2 ->> qx2": lambda: AlgMap(with_zero_part(load_fixture("qx2")), load_fixture("qx2"),
+                                        pad(2, 2).transpose()),
+    "qx3 -> qx3 in the basis x, 1, x^2": lambda: AlgMap(
+        load_fixture("qx3"), permuted(load_fixture("qx3"), [1, 0, 2]),
+        Mat.identity(QQ, 3).select_cols([1, 0, 2])),
+}
+MAPS.update({f"identity of {name}": (lambda build=build: build().identity_map())
+             for name, build in ORACLE_ALGEBRAS.items()})
+
+
+@pytest.mark.parametrize("name", MAPS)
+def test_universal_map_is_the_restriction_of_f_tensor_f(name):
+    f = MAPS[name]()
+    assert universal_map(f) == parent_universal_map(f)
 
 
 def test_universal_map_functoriality(qx2, y_to_x2, qy2):
@@ -83,7 +146,7 @@ def pushout_oracle_dim(f, c):
     """
     u_a = universal_calculus(f.source)
     u_b = universal_calculus(f.target)
-    f_u = universal_map(f, u_a, u_b)
+    f_u = universal_map(f)
     ext_omega, q_total = extend_bimodule(f, f, u_a.omega)
     nb = f.target.dim
     i_b = Mat.identity(QQ, nb)
@@ -124,7 +187,7 @@ def test_pushforward_preserves_epi_from_universal(y_to_x2, qy2, qx4):
 def test_pullback_of_universal(y_to_x2, qy2, qx4):
     u_a = universal_calculus(qy2)
     u_b = universal_calculus(qx4)
-    f_u = universal_map(y_to_x2, u_a, u_b)
+    f_u = universal_map(y_to_x2)
     result = calc_pullback(y_to_x2, u_b)
     assert result.dim == u_a.dim - kernel_basis(f_u).cols
 

@@ -30,6 +30,9 @@ FULL_VALIDATION = ("tests/test_prolong.py -k "
                    "maximal_prolongation_and_trivial_extension_pass_full_validation")
 COACTION_ORACLE = "tests/test_hopf.py -k universal_coactions_pass_axioms"
 AMITSUR_ORACLE = "tests/test_prolong.py -k amitsur_compatible"
+KERNEL_ORACLE = "tests/test_fodc.py -k universal_calculus_is_the_kernel_of_multiplication"
+PHI_ORACLE = "tests/test_fodc.py -k induced_map_passes_its_certificate_oracles"
+RESTRICTION_ORACLE = "tests/test_scalars.py -k universal_map_is_the_restriction_of_f_tensor_f"
 
 MUTANTS = [
     # the prolongation builder: the sign of the right-action recursion, the
@@ -39,7 +42,7 @@ MUTANTS = [
      "pi_m) - kronecker(at_bar, pi)",
      "pi_m) + kronecker(at_bar, pi)",
      AMITSUR_ORACLE),
-    ("src/omegacalc/prolong.py",
+    ("src/omegacalc/fodc.py",
      "(r, pivot, f.mul(lead, a.unit[j]))",
      "(r, pivot, 0)",
      AMITSUR_ORACLE),
@@ -68,6 +71,23 @@ MUTANTS = [
      "    rho = solve(kronecker(u.iota, i_n), rho_reg * u.iota)",
      "    rho = solve(kronecker(u.iota, i_n), rho_reg * u.iota + rho_reg * u.iota)",
      COACTION_ORACLE),
+    # the universal calculus: the sign of iota's a0 b (x) 1 term, and the
+    # sign of phi, shared by induced_map and maximal_prolongation
+    ("src/omegacalc/fodc.py",
+     "i_n.select_cols(bar)) - kronecker(at_bar, a.unit_mat)",
+     "i_n.select_cols(bar)) + kronecker(at_bar, a.unit_mat)",
+     KERNEL_ORACLE),
+    ("src/omegacalc/fodc.py",
+     "    return mul_id_kron(c.omega.left_mat, a.dim, c.d.select_cols(bar))",
+     "    return -mul_id_kron(c.omega.left_mat, a.dim, c.d.select_cols(bar))",
+     PHI_ORACLE),
+    # universal_map: pi_B replaced by the plain coordinates at B-bar, which
+    # drops its unit correction
+    ("src/omegacalc/scalars.py",
+     "kronecker(f.matrix, pi_b * f.matrix.select_cols(bar))",
+     "kronecker(f.matrix, Mat.identity(pi_b.field, pi_b.cols).select_cols(_bar).transpose()"
+     " * f.matrix.select_cols(bar))",
+     RESTRICTION_ORACLE),
     # check_fodc: the left-surjectivity rank
     ("src/omegacalc/fodc.py",
      "    left_rank = rank(one_d)",
