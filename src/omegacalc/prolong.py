@@ -31,7 +31,7 @@ zero components above degree 1 for the trivial extension.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 
 from .algebra import Algebra, AlgMap
 from .bimodule import Bimodule, bimodule_axiom_report, regular_bimodule
@@ -238,6 +238,17 @@ def _prolongation(a: Algebra, max_degree: int, p1: Mat | None = None,
     diff = [reduce(1, kronecker(a.unit_mat, pi))]       # da = 1 d(pi a)
     wedge = {(0, 0): a.mult_mat}
     for k in range(1, max_degree + 1):
+        if k > 1 and dims[k - 1] == 0:
+            # Omega^k is spanned by Omega^(k-1) ^ dA, so Omega^(k-1) = 0 makes
+            # every component from degree k on zero, and every map into one;
+            # the maps of one width share one immutable zero matrix
+            zero = cache(lambda cols: Mat.zeros(f, 0, cols))
+            dims += [0] * (max_degree + 1 - k)
+            diff += [zero(dims[i]) for i in range(k - 1, max_degree)]
+            wedge.update(((i, j), zero(dims[i] * dims[j]))
+                         for i in range(max_degree + 1)
+                         for j in range(max(k - i, 0), max_degree + 1 - i))
+            break
         if k > 1:
             size = dims[k - 1] * len(bar)
             q = s = None

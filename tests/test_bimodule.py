@@ -1,3 +1,7 @@
+import random
+
+import pytest
+
 from omegacalc.algebra import AlgMap
 from omegacalc.bimodule import (
     BimodMap,
@@ -5,12 +9,14 @@ from omegacalc.bimodule import (
     action_closed,
     bimod_cokernel,
     bimod_kernel,
+    bimod_map_report,
     bimodule_axiom_report,
     bimodule_hom_dim,
     extend_bimodule,
     field_algebra,
     free_bimodule,
     generated_sub_bimodule,
+    quotient_bimodule,
     regular_bimodule,
     restrict_bimodule,
     saturate_subspace,
@@ -18,8 +24,20 @@ from omegacalc.bimodule import (
     tensor_square_bimodule,
     zero_bimodule,
 )
-from omegacalc.fodc import universal_calculus
-from omegacalc.linalg import QQ, Mat, is_invertible, kronecker, solve
+from omegacalc.fodc import enumerate_action_closed_subspaces, universal_calculus
+from omegacalc.linalg import (
+    QQ,
+    LinAlgError,
+    Mat,
+    image_basis,
+    is_invertible,
+    kronecker,
+    mul_id_kron,
+    mul_kron_id,
+    solve,
+)
+
+from oracle_algebras import ORACLE_ALGEBRAS, incidence_algebra
 
 
 def unit_embedding(alg):
@@ -183,13 +201,6 @@ def test_hom_adjunction_dimension_identity(qy2, qx4):
         assert lhs == rhs
 
 
-def test_saturation_stabilizes_within_dim_rounds(qx3):
-    u = universal_calculus(qx3)
-    basis = Mat.identity(QQ, u.dim)
-    sat = saturate_subspace(u.omega, Mat.from_cols(QQ, [basis.column(0)], rows=u.dim))
-    assert sat.cols <= u.dim
-
-
 def test_tensor_assoc_mixed_algebras(qy2, qx4):
     # (M (x)_B N) (x)_Q P vs M (x)_B (N (x)_Q P) with three different algebras
     from omegacalc.linalg import factor_through_surjection
@@ -253,3 +264,132 @@ def test_action_closed_names_the_first_failing_right_action(qx3, m2q):
         "right action of e2 leaves the subspace")
     assert action_closed(regular_bimodule(m2q), _span(m2q, [[1, 0, 0, 0], [0, 0, 1, 0]])) == (
         "right action of e1 leaves the subspace")
+
+
+# ---------------------------------------------------------------------------
+# saturation and the closure check against the routes they replaced
+# ---------------------------------------------------------------------------
+
+def fixpoint_saturation(m, gens):
+    """The smallest action-closed subspace holding col(gens), by adding the
+    left and right basis actions until the dimension stops growing."""
+    current = image_basis(gens)
+    while True:
+        pieces = [current, mul_id_kron(m.left_mat, m.left_alg.dim, current),
+                  mul_kron_id(m.right_mat, current, m.right_alg.dim)]
+        bigger = image_basis(Mat.hstack_all(m.field, pieces, m.dim))
+        if bigger.cols == current.cols:
+            return current
+        current = bigger
+
+
+def solving_closure_witness(m, basis):
+    """The closure witness by one solve per basis element of each algebra."""
+    na, nb, k = m.left_alg.dim, m.right_alg.dim, basis.cols
+    left = mul_id_kron(m.left_mat, na, basis)
+    for i in range(na):
+        if solve(basis, left.select_cols(range(i * k, (i + 1) * k))) is None:
+            return f"left action of e{i} leaves the subspace"
+    right = mul_kron_id(m.right_mat, basis, nb)
+    for j in range(nb):
+        if solve(basis, right.select_cols(range(j, k * nb, nb))) is None:
+            return f"right action of e{j} leaves the subspace"
+    return None
+
+
+MODULES = {
+    "Omega_u": lambda alg: universal_calculus(alg).omega,
+    "A": regular_bimodule,
+    "A (x) A": tensor_square_bimodule,
+}
+
+
+def generator_sets(m, seed):
+    """Seeded samples of at most 12 single basis vectors and of at most 8
+    pairs e_i +- e_j, and three seeded random pairs of vectors with at most
+    three nonzero entries each."""
+    f, n = m.field, m.dim
+    rng = random.Random(seed)
+    e = Mat.identity(f, n)
+    sets = [e.select_cols([i]) for i in sorted(rng.sample(range(n), min(12, n)))]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for i, j in rng.sample(pairs, min(8, len(pairs))):
+        for sign in (1, -1):
+            vec = [0] * n
+            vec[i], vec[j] = 1, sign
+            sets.append(Mat.from_cols(f, [vec], rows=n))
+    for _ in range(3 if n else 0):
+        cols = [[0] * n for _ in range(2)]
+        for col in cols:
+            for i in rng.sample(range(n), min(3, n)):
+                col[i] = rng.choice([-2, -1, 1, 2])
+        sets.append(Mat.from_cols(f, cols, rows=n))
+    return sets
+
+
+def noncanonical(basis):
+    """Another spanning set of col(basis): columns reversed, the first one
+    doubled and added to the others, and a repeated column."""
+    cols = basis.columns()[::-1]
+    if not cols:
+        return basis
+    f = basis.field
+    first = [f.add(x, x) for x in cols[0]]
+    rest = [[f.add(x, y) for x, y in zip(c, first)] for c in cols[1:]]
+    return Mat.from_cols(f, [first] + rest + [first], rows=basis.rows)
+
+
+ORACLE_CASES = [(alg, mod) for alg in ORACLE_ALGEBRAS for mod in MODULES]
+
+
+@pytest.mark.parametrize("alg_name,module", ORACLE_CASES)
+def test_saturation_is_the_fixpoint_of_the_actions(alg_name, module):
+    m = MODULES[module](ORACLE_ALGEBRAS[alg_name]())
+    for gens in generator_sets(m, seed=len(alg_name)):
+        sat = saturate_subspace(m, gens)
+        assert sat == fixpoint_saturation(m, gens), gens
+        assert action_closed(m, sat) is None
+
+
+@pytest.mark.parametrize("alg_name,module", ORACLE_CASES)
+def test_closure_witness_matches_one_solve_per_basis_element(alg_name, module):
+    m = MODULES[module](ORACLE_ALGEBRAS[alg_name]())
+    for gens in generator_sets(m, seed=len(alg_name) + 1):
+        sat = saturate_subspace(m, gens)
+        for basis in (gens, noncanonical(gens), sat, noncanonical(sat)):
+            assert action_closed(m, basis) == solving_closure_witness(m, basis), basis
+
+
+@pytest.mark.parametrize("alg_name,module", ORACLE_CASES)
+def test_quotient_bimodule_checks_closure_through_the_quotient_map(alg_name, module):
+    m = MODULES[module](ORACLE_ALGEBRAS[alg_name]())
+    for gens in generator_sets(m, seed=len(alg_name) + 2):
+        sub = image_basis(gens)
+        witness = solving_closure_witness(m, sub)
+        if witness is None:
+            quo, proj, s = quotient_bimodule(m, sub)
+            assert bimodule_axiom_report(m.left_alg, m.right_alg, quo.dim,
+                                         quo.left_mat, quo.right_mat) == []
+            assert bimod_map_report(proj) == []
+            assert (proj.matrix * sub).is_zero() and quo.dim == m.dim - sub.cols
+        else:
+            with pytest.raises(LinAlgError) as exc:
+                quotient_bimodule(m, sub)
+            assert str(exc.value) == f"subspace is not action-closed: {witness}"
+
+
+@pytest.mark.parametrize("name,build,members", [
+    ("x3", lambda: ORACLE_ALGEBRAS["qx3"](), None),
+    ("m2q", lambda: ORACLE_ALGEBRAS["m2q"](), 18),
+    ("inc3", lambda: incidence_algebra(2, [(0, 1)]), None),
+    ("f2x2 (exhaustive)", lambda: ORACLE_ALGEBRAS["f2x2"](), None),
+])
+def test_enumerated_family_is_the_one_the_replaced_routes_give(name, build, members, monkeypatch):
+    import omegacalc.fodc as fodc
+
+    u = universal_calculus(build())
+    family = enumerate_action_closed_subspaces(u.omega)
+    monkeypatch.setattr(fodc, "saturate_subspace", fixpoint_saturation)
+    monkeypatch.setattr(fodc, "action_closed", solving_closure_witness)
+    assert family == enumerate_action_closed_subspaces(u.omega)
+    assert members is None or len(family) == members

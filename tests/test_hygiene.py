@@ -5,8 +5,8 @@ src/omegacalc/*.py except the package's __init__.py (whose imports are its
 public surface) is parsed, and an imported name that is never read is a dead
 import.  Only the two constructors named in the README's verification
 policy take a `check` switch, the constructions certified there call no
-full axiom report, and the universal calculus, its induced maps and f_u are
-closed forms that solve nothing.
+full axiom report, and the universal calculus, its induced maps, f_u,
+saturation and the closure check are closed forms that solve nothing.
 """
 
 import ast
@@ -116,6 +116,21 @@ def test_universal_constructions_are_closed_forms(module, name):
     # kernel route and the bimodule-map check they replaced are test oracles
     banned = {"solve", "kernel_basis", "bimod_map_report"}
     assert not called_names(function_node(module, name)) & banned
+
+
+@pytest.mark.parametrize("name", [
+    "saturate_subspace", "_closure_witness", "action_closed", "quotient_bimodule",
+])
+def test_sub_bimodule_closure_solves_nothing(name):
+    # A . V . A is two products and the closure check is read off the
+    # quotient map; the fixpoint loop and the per-element solves they
+    # replaced are test oracles
+    assert "solve" not in called_names(function_node("bimodule.py", name))
+
+
+def test_saturation_has_no_loop():
+    node = function_node("bimodule.py", "saturate_subspace")
+    assert not [n for n in ast.walk(node) if isinstance(n, (ast.For, ast.While))]
 
 
 def test_every_mutant_text_occurs_once():

@@ -533,6 +533,28 @@ def test_universal_prolongation_builds_no_ambient_map(qs3, monkeypatch):
     assert rows and max(rows) <= up.dims[3]
 
 
+def test_prolongation_stops_at_the_first_zero_component(qx3, qq_alg, monkeypatch):
+    # Omega^2 = 0 for the Kaehler calculus of Q[x]/x^3 and Omega^1 = 0 over
+    # Q: every map above is zero, and none is computed
+    k = kahler_calculus(qx3)
+    maxi, te = maximal_prolongation(k, 6), trivial_extension(k, 6)
+    assert (maxi.dims, maxi.diff, maxi.wedge) == (te.dims, te.diff, te.wedge)
+    calls = []
+
+    def recording(x, y):
+        calls.append((x.rows, y.rows))
+        return kronecker(x, y)
+
+    monkeypatch.setattr(prolong, "kronecker", recording)
+    counts = []
+    for max_degree in (3, 40):
+        calls.clear()
+        maximal_prolongation(k, max_degree)
+        assert universal_prolongation(qq_alg, max_degree).dims == [1] + [0] * max_degree
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 @pytest.mark.parametrize("max_degree", [0, -1])
 def test_trivial_extension_needs_degree_one(qx2, max_degree):
     with pytest.raises(PreconditionError, match="max degree must be at least 1"):

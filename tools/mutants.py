@@ -33,6 +33,8 @@ AMITSUR_ORACLE = "tests/test_prolong.py -k amitsur_compatible"
 KERNEL_ORACLE = "tests/test_fodc.py -k universal_calculus_is_the_kernel_of_multiplication"
 PHI_ORACLE = "tests/test_fodc.py -k induced_map_passes_its_certificate_oracles"
 RESTRICTION_ORACLE = "tests/test_scalars.py -k universal_map_is_the_restriction_of_f_tensor_f"
+SATURATION_ORACLE = "tests/test_bimodule.py -k saturation_is_the_fixpoint_of_the_actions"
+CLOSURE_ORACLE = "tests/test_bimodule.py -k closure_witness_matches_one_solve_per_basis_element"
 
 MUTANTS = [
     # the prolongation builder: the sign of the right-action recursion, the
@@ -88,6 +90,16 @@ MUTANTS = [
      "kronecker(f.matrix, Mat.identity(pi_b.field, pi_b.cols).select_cols(_bar).transpose()"
      " * f.matrix.select_cols(bar))",
      RESTRICTION_ORACLE),
+    # saturate_subspace without its right-action step, and the closure check
+    # without its right products
+    ("src/omegacalc/bimodule.py",
+     "    return image_basis(mul_kron_id(m.right_mat, left, m.right_alg.dim))",
+     "    return left",
+     SATURATION_ORACLE),
+    ("src/omegacalc/bimodule.py",
+     "    j = min((c % nb for row in right.data for c in row), default=None)",
+     "    j = None",
+     CLOSURE_ORACLE),
     # check_fodc: the left-surjectivity rank
     ("src/omegacalc/fodc.py",
      "    left_rank = rank(one_d)",
