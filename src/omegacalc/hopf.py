@@ -3,12 +3,14 @@ and bicovariance of quotient calculi.
 
 Coactions are plain matrices into tensor product spaces: lambda: M -> A(x)M
 and rho: M -> M(x)A.  The canonical coactions on A(x)A apply the
-comultiplication to both legs and multiply the outer (resp. inner) halves;
-the universal calculus inherits them by restricting through its inclusion,
-and that restriction is a Hopf calculus by construction (the certificate sits
-in `universal_coactions`).  `check_hopf_module` and `d_comodule_report` stay
-public: `bicovariance_check` runs them on the quotient coactions it builds,
-and the tests run them on the universal ones.
+comultiplication to both legs and multiply the outer (resp. inner) halves.
+The universal calculus inherits them by restricting through its inclusion
+iota and reading back through the retraction, and a quotient
+c = Omega_u / N inherits them through phi: Omega_u ->> c when N is a
+subcomodule on both sides.  Both are Hopf calculi by construction
+(Woronowicz 1989), and the certificates sit in `universal_coactions` and
+`bicovariance_check`.  `check_hopf_module` and `d_comodule_report` stay
+public; the tests run them on both constructions.
 Antipodes are never needed and are not modeled.
 """
 
@@ -16,21 +18,13 @@ from __future__ import annotations
 
 from .algebra import Algebra, AxiomError
 from .bimodule import Bimodule
-from .fodc import (
-    FirstOrderCalculus,
-    UniversalCalculus,
-    induced_map,
-    universal_calculus,
-)
+from .fodc import FirstOrderCalculus, induced_map, universal_calculus
 from .linalg import (
-    EngineError,
     LinAlgError,
     Mat,
-    factor_through_surjection,
     kernel_basis,
     kronecker,
     solve,
-    subspace_leq,
     swap_matrix,
 )
 
@@ -180,72 +174,85 @@ def d_comodule_report(h: Bimonoid, calc: FirstOrderCalculus, lam: Mat, rho: Mat)
     return report
 
 
-def universal_coactions(h: Bimonoid, u: UniversalCalculus | None = None) -> HopfCalculus:
+def universal_coactions(h: Bimonoid) -> HopfCalculus:
     """The Hopf structure on the universal calculus of a bimonoid.
 
     The coactions are the restrictions of the canonical A(x)A coactions
-    through iota.  The bimonoid axioms of h were checked when h was built.
+    through iota, read back by the retraction.  The bimonoid axioms of h were
+    checked when h was built.
     """
     a = h.alg
-    u = u or universal_calculus(a)
+    u = universal_calculus(a)
     i_n = Mat.identity(a.field, a.dim)
     lam_reg, rho_reg = regular_coactions(h)
-    lam = solve(kronecker(i_n, u.iota), lam_reg * u.iota)
-    rho = solve(kronecker(u.iota, i_n), rho_reg * u.iota)
-    if lam is None or rho is None:
-        raise EngineError("canonical coactions do not restrict to the kernel")
-    # Certificate for the Hopf-module and d-comodule axioms, in place of
+    lam = kronecker(i_n, u.retraction) * lam_reg * u.iota
+    rho = kronecker(u.retraction, i_n) * rho_reg * u.iota
+    # Certificate for the coactions and the Hopf-module and d-comodule
+    # axioms, in place of solving through 1 (x) iota and iota (x) 1 and of
     # check_hopf_module and d_comodule_report:
     # 1. A(x)A with the codiagonal coactions lam_reg and rho_reg is a Hopf
     #    bimodule, because Bimonoid checked that Delta is coassociative, that
     #    eps is its counit and that both are unital algebra maps.
-    # 2. iota is injective (retraction iota = id) and a bimodule map by
+    # 2. The coactions keep ker m = image of iota: m is a map of left
+    #    comodules, (1 (x) m) lam_reg = Delta m, so lam_reg maps ker m into
+    #    A (x) ker m, and likewise (m (x) 1) rho_reg = Delta m for rho_reg.
+    #    On A (x) ker m, 1 (x) retraction inverts 1 (x) iota (retraction
+    #    iota = id, certified in universal_calculus), so
+    #    (1 (x) iota) lam = lam_reg iota and (iota (x) 1) rho = rho_reg iota:
+    #    iota is a map of comodules.  It is injective and a bimodule map by
     #    Leibniz: it sends a0 (x) b to the form a0 db, and the actions of
-    #    Omega_u are the Leibniz identities of these forms (certified in
-    #    universal_calculus; tests/test_fodc.py runs bimod_map_report on it).
-    #    The solves above make it a map of comodules:
-    #    (1 (x) iota) lam = lam_reg iota, (iota (x) 1) rho = rho_reg iota.
+    #    Omega_u are the Leibniz identities of these forms (tests/test_fodc.py
+    #    runs bimod_map_report on it).
     # 3. So every Hopf-module axiom pulls back to Omega_u: each side of an
     #    identity composed with 1 (x) iota (x) 1 is the same side on A(x)A.
     #    d-colinearity pulls back the same way from iota d = 1 (x) a - a (x) 1,
     #    since lam_reg (1 (x) a - a (x) 1) = (1 (x) iota d) Delta(a) by Delta(1) = 1 (x) 1,
     #    and likewise for rho.
+    # tests/test_hopf.py runs both reports and the intertwining identities
+    # of (2), and checks lam and rho against the other left inverse of iota.
     return HopfCalculus(u, lam, rho)
 
 
 def bicovariance_check(h: Bimonoid, c: FirstOrderCalculus) -> dict:
-    """Is ker(Omega_u -> c) a subcomodule for both canonical coactions?
+    """Is N = ker(Omega_u -> c) a subcomodule for both canonical coactions?
 
-    When it is, the quotient coactions are returned and the full Hopf
-    calculus axioms are verified on the quotient.
+    When it is, the coactions descend to c, which is then a Hopf calculus.
     """
-    u = universal_calculus(h.alg)
-    hopf_u = universal_coactions(h, u)
-    n = h.alg.dim
-    f = h.alg.field
-    i_n = Mat.identity(f, n)
-    proj = induced_map(u, c).matrix
-    nker = kernel_basis(proj)
+    hopf_u = universal_coactions(h)
+    i_n = Mat.identity(h.alg.field, h.alg.dim)
+    phi = induced_map(hopf_u.calculus, c).matrix
+    lam_phi = kronecker(i_n, phi) * hopf_u.lam
+    rho_phi = kronecker(phi, i_n) * hopf_u.rho
+    # A (x) N is the kernel of 1 (x) phi, and N (x) A that of phi (x) 1
+    nker = kernel_basis(phi)
     witnesses = []
-    if nker.cols:
-        if not subspace_leq(hopf_u.lam * nker, kronecker(i_n, nker)):
-            witnesses.append("left coaction moves the defining subobject out of A (x) N")
-        if not subspace_leq(hopf_u.rho * nker, kronecker(nker, i_n)):
-            witnesses.append("right coaction moves the defining subobject out of N (x) A")
+    if not (lam_phi * nker).is_zero():
+        witnesses.append("left coaction moves the defining subobject out of A (x) N")
+    if not (rho_phi * nker).is_zero():
+        witnesses.append("right coaction moves the defining subobject out of N (x) A")
     if witnesses:
         return {"bicovariant": False, "witnesses": witnesses}
-    lam_c = factor_through_surjection(kronecker(i_n, proj) * hopf_u.lam, proj)
-    rho_c = factor_through_surjection(kronecker(proj, i_n) * hopf_u.rho, proj)
-    if lam_c is None or rho_c is None:
-        raise EngineError("coactions fail to descend despite the subcomodule check")
-    axioms = check_hopf_module(h, c.omega, lam_c, rho_c)
-    d_rep = d_comodule_report(h, c, lam_c, rho_c)
+    section = solve(phi, Mat.identity(h.alg.field, c.dim))
+    # Certificate for the quotient coactions and the Hopf calculus axioms, in
+    # place of factoring through phi and of check_hopf_module and
+    # d_comodule_report on the quotient (Woronowicz 1989):
+    # 1. phi is onto, a bimodule map and phi d_u = d (certified at
+    #    fodc.induced_map), and phi section = id.  Omega_u with lam_u and
+    #    rho_u is a Hopf calculus (certified at universal_coactions).
+    # 2. section phi - id maps into N, which lam_phi and rho_phi kill (the
+    #    check above), so lam_c phi = (1 (x) phi) lam_u and
+    #    rho_c phi = (phi (x) 1) rho_u: phi is a map of comodules.
+    # 3. So every Hopf-module axiom of c composed with phi, or with
+    #    1 (x) phi (x) 1 on the tensor factors, is the same axiom on Omega_u
+    #    followed by phi; phi is onto, so each holds on c.  d-colinearity
+    #    pulls back the same way: lam_c d = lam_c phi d_u = (1 (x) phi d_u) Delta
+    #    = (1 (x) d) Delta, and likewise for rho_c.
+    # tests/test_hopf.py runs both reports on the quotient coactions of every
+    # bicovariant quotient in the enumerated lattices.
     return {
         "bicovariant": True,
         "witnesses": [],
-        "lam": lam_c,
-        "rho": rho_c,
-        "quotient_axioms": axioms,
-        "d_comodule": d_rep,
-        "hopf_calculus_ok": not axioms and not d_rep,
+        "lam": lam_phi * section,
+        "rho": rho_phi * section,
+        "hopf_calculus_ok": True,
     }

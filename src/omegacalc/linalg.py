@@ -648,12 +648,16 @@ def quotient_maps(sub_canonical: Mat, ambient_dim: int) -> tuple[Mat, Mat]:
     Q: ambient -> quotient kills the subspace; s is a section with Q s = id.
     Quotient coordinates are the ambient coordinates away from the pivot rows
     of the canonical basis, which makes repeated quotients reproducible.
+    Any other basis raises a LinAlgError: Q would not kill its span.
     """
     field = sub_canonical.field
     if sub_canonical.rows not in (ambient_dim,) and sub_canonical.cols != 0:
         raise LinAlgError("subspace basis does not live in the ambient space")
     basis = sub_canonical.transpose().data
-    pivot_rows = [min(vec) for vec in basis]
+    # reduced column echelon form: the pivots increase (a zero column has
+    # pivot -1), and the only entry in a pivot row is its column's own 1
+    pivot_rows = [min(vec, default=-1) for vec in basis]
+    canonical = all(p < q for p, q in zip([-1] + pivot_rows, pivot_rows))
     pivot_set = set(pivot_rows)
     compl = [i for i in range(ambient_dim) if i not in pivot_set]
     index = {i: a for a, i in enumerate(compl)}
@@ -664,6 +668,10 @@ def quotient_maps(sub_canonical: Mat, ambient_dim: int) -> tuple[Mat, Mat]:
             a = index.get(i)
             if a is not None:
                 q_data[a][pr] = field.neg(v)
+            elif i != pr or v != 1:
+                canonical = False
+    if not canonical:
+        raise LinAlgError("subspace basis is not in reduced column echelon form")
     s_data = [{} for _ in range(ambient_dim)]
     for a, i in enumerate(compl):
         s_data[i] = {a: 1}

@@ -17,10 +17,12 @@ normalized-bar presentation Omega^k = A (x) A-bar^(x)k of a0 da1 ... dak
 identity, applied to the representatives x (x) b and reduced by the
 quotient map: (x db) c = x d(pi(bc)) - (x b) d(pi c) gives the right
 action, x ^ (y ^ db) = (x ^ y) ^ db the wedges and d(x ^ db) = dx ^ db the
-differential.  No map lives in the Amitsur complex A^(x)(k+1);
-`amitsur_differential` and `amitsur_wedge` build it, and
-`UniversalProlongation.iota` embeds the universal prolongation into it for
-the tests to hold the construction to.
+differential.  A morphism of graded calculi is found the same way, one
+degree at a time: it takes x ^ da to h(x) ^ d f0(a), so it factors through
+g_n: Omega^(n-1) (x) A ->> Omega^n, x (x) a -> x ^ da.  No map lives in the
+Amitsur complex A^(x)(k+1); `amitsur_differential` and `amitsur_wedge`
+build it, and `UniversalProlongation.iota` embeds the universal
+prolongation into it for the tests to hold the construction to.
 
 None of the three constructions re-runs the full graded axiom check
 (`GradedCalculus.validation_report`).  Each carries a written certificate
@@ -129,18 +131,9 @@ class GradedCalculus:
             self.wedge[(0, n)], self.wedge[(n, 0)], check=False,
         )
 
-    def surjectivity_maps(self) -> list[Mat]:
-        """p_n: A^(x)(n+1) ->> Omega^n built from d and wedge only."""
-        f = self.alg.field
-        n0 = self.alg.dim
-        ps = [Mat.identity(f, n0)]
-        if self.max_degree >= 1:
-            ps.append(mul_id_kron(self.wedge[(0, 1)], n0, self.diff[0]))
-        for n in range(2, self.max_degree + 1):
-            # wedge (p (x) d) = wedge (p (x) 1)(1 (x) d)
-            w_p = mul_kron_id(self.wedge[(n - 1, 1)], ps[n - 1], self.dims[1])
-            ps.append(mul_id_kron(w_p, ps[n - 1].cols, self.diff[0]))
-        return ps
+    def _generator_map(self, n: int) -> Mat:
+        """g_n = wedge(n-1, 1) (1 (x) d0): Omega^(n-1) (x) A -> Omega^n, x (x) a -> x ^ da."""
+        return mul_id_kron(self.wedge[(n - 1, 1)], self.dims[n - 1], self.diff[0])
 
     def validation_report(self) -> list[str]:
         report = []
@@ -177,9 +170,11 @@ class GradedCalculus:
                 rhs = term1 + term2 if i % 2 == 0 else term1 - term2
                 if lhs != rhs:
                     report.append(f"graded Leibniz fails at ({i},{j})")
-        # surjectivity: A generates via d and wedge
-        for n, p in enumerate(self.surjectivity_maps()):
-            if rank(p) != self.dims[n]:
+        # surjectivity: A generates via d and wedge.  The products
+        # a0 da1 ... dan span Omega^n for every n iff each g_n is onto: they
+        # are g_n applied to (a0 da1 ... da(n-1)) (x) an, by induction on n
+        for n in range(1, big_n + 1):
+            if rank(self._generator_map(n)) != self.dims[n]:
                 report.append(f"surjectivity fails at degree {n}")
         return report
 
@@ -369,27 +364,25 @@ def maximal_prolongation(c: FirstOrderCalculus, max_degree: int) -> GradedCalcul
 def unique_dg_morphism(src: GradedCalculus, tgt: GradedCalculus, f0: AlgMap):
     """The unique graded-calculus morphism extending f0, or None.
 
-    Any morphism must satisfy h^n p_n(src) = p_n(tgt) f0^(x)(n+1); the
-    candidate obtained by factoring through the source surjections is checked
-    against the differential and wedge conditions, and rejection means no
-    morphism exists.
+    A morphism h takes x ^ da to h(x) ^ d f0(a), so h^n g_n(src) =
+    g_n(tgt) (h^(n-1) (x) f0) with g_n: Omega^(n-1) (x) A ->> Omega^n,
+    x (x) a -> x ^ da.  Each h^n is factored through the onto map g_n(src),
+    one degree at a time; the candidate is checked against the differential
+    and wedge conditions, and rejection means no morphism exists.
     """
     if src.max_degree != tgt.max_degree:
         raise LinAlgError("graded calculi truncated at different degrees")
     if f0.source != src.alg or f0.target != tgt.alg:
         raise LinAlgError("degree-0 map does not match the calculi")
-    f = src.alg.field
-    p_src = src.surjectivity_maps()
-    p_tgt = tgt.surjectivity_maps()
-    maps = []
-    for n in range(src.max_degree + 1):
-        rhs = p_tgt[n] * kron_all([f0.matrix] * (n + 1))
-        h_n = factor_through_surjection(rhs, p_src[n])
+    maps = [f0.matrix]
+    for n in range(1, src.max_degree + 1):
+        # g_n(tgt) (h^(n-1) (x) f0) = g_n(tgt) (h^(n-1) (x) 1) (1 (x) f0)
+        g_h = mul_kron_id(tgt._generator_map(n), maps[n - 1], tgt.alg.dim)
+        rhs = mul_id_kron(g_h, src.dims[n - 1], f0.matrix)
+        h_n = factor_through_surjection(rhs, src._generator_map(n))
         if h_n is None:
             return None
         maps.append(h_n)
-    if maps[0] != f0.matrix:
-        return None
     for n in range(src.max_degree):
         if maps[n + 1] * src.diff[n] != tgt.diff[n] * maps[n]:
             return None

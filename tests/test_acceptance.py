@@ -186,8 +186,8 @@ def test_criterion_08_hopf_suite():
         for name in ("qz2.json", "qz3.json"):
             alg = algebra_from_json(load_json(FIXTURES / name))
             h = group_like_bimonoid(alg)
-            u = universal_calculus(alg)
-            hc = universal_coactions(h, u)
+            hc = universal_coactions(h)
+            u = hc.calculus
             assert check_hopf_module(h, hc.calculus.omega, hc.lam, hc.rho) == []
             assert d_comodule_report(h, hc.calculus, hc.lam, hc.rho) == []
             i_n = Mat.identity(alg.field, alg.dim)

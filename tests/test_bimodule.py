@@ -378,6 +378,21 @@ def test_quotient_bimodule_checks_closure_through_the_quotient_map(alg_name, mod
             assert str(exc.value) == f"subspace is not action-closed: {witness}"
 
 
+def test_quotient_bimodule_refuses_a_noncanonical_basis(qx3):
+    # the saturation of e1 + e2 in Omega_u of Q[x]/x^3, once canonical and
+    # once times 2: the quotient map of the second would not kill it
+    u = universal_calculus(qx3)
+    sat = saturate_subspace(u.omega, [[0, 1, 1] + [0] * (u.dim - 3)])
+    assert sat.cols == 4
+    quo, proj, _s = quotient_bimodule(u.omega, sat)
+    assert quo.dim == 2 and (proj.matrix * sat).is_zero()
+    doubled = sat + sat
+    assert image_basis(doubled) == sat
+    for basis in (doubled, noncanonical(sat)):
+        with pytest.raises(LinAlgError, match="not in reduced column echelon form"):
+            quotient_bimodule(u.omega, basis)
+
+
 @pytest.mark.parametrize("name,build,members", [
     ("x3", lambda: ORACLE_ALGEBRAS["qx3"](), None),
     ("m2q", lambda: ORACLE_ALGEBRAS["m2q"](), 18),

@@ -1,6 +1,8 @@
+from itertools import combinations
+
 import pytest
 
-from omegacalc.algebra import AxiomError, build_truncated_poly
+from omegacalc.algebra import Algebra, AxiomError, build_truncated_poly
 from omegacalc.bimodule import regular_bimodule
 from omegacalc.fodc import (
     enumerate_action_closed_subspaces,
@@ -18,7 +20,7 @@ from omegacalc.hopf import (
     regular_coactions,
     universal_coactions,
 )
-from omegacalc.linalg import GF, QQ, Mat, kernel_basis, kronecker, rank
+from omegacalc.linalg import GF, QQ, LinAlgError, Mat, image_basis, kernel_basis, kronecker, rank
 
 
 @pytest.fixture(scope="module")
@@ -128,22 +130,24 @@ def test_universal_coactions_pass_axioms(name, expected_dim, request):
     assert hc.dim == expected_dim
     assert check_hopf_module(h, u.omega, hc.lam, hc.rho) == []
     assert d_comodule_report(h, u, hc.lam, hc.rho) == []
-    # the coactions through the two left inverses of iota: the retraction
-    # (1 . d) and minus the right-action composite (d . 1)
+    # the code reads both coactions back through the retraction (1 . d);
+    # the other left inverse of iota, minus the right-action composite
+    # (d . 1), must give the same maps
     i_n = Mat.identity(h.alg.field, h.alg.dim)
     lam_reg, rho_reg = regular_coactions(h)
-    assert hc.rho == kronecker(u.retraction, i_n) * rho_reg * u.iota
     d_dot_one = u.omega.right_mat * kronecker(u.d, i_n)
     assert hc.lam == -(kronecker(i_n, d_dot_one) * lam_reg * u.iota)
-
-
-def test_inclusion_is_hopf_module_morphism(h_z2):
-    u = universal_calculus(h_z2.alg)
-    hc = universal_coactions(h_z2, u)
-    lam_reg, rho_reg = regular_coactions(h_z2)
-    i_n = Mat.identity(QQ, 2)
+    assert hc.rho == -(kronecker(d_dot_one, i_n) * rho_reg * u.iota)
+    # iota is a map of comodules, the step the retraction relies on
     assert kronecker(i_n, u.iota) * hc.lam == lam_reg * u.iota
     assert kronecker(u.iota, i_n) * hc.rho == rho_reg * u.iota
+
+
+def test_bicovariance_refuses_a_calculus_over_another_algebra(h_z2, qx2):
+    # Q[Z/2] and Q[x]/x^2 both have dimension 2
+    u = universal_calculus(qx2)
+    with pytest.raises(LinAlgError, match="calculi over different algebras"):
+        bicovariance_check(h_z2, u)
 
 
 @pytest.mark.parametrize("name", ["h_z2", "h_z3"])
@@ -164,10 +168,8 @@ def test_universal_and_zero_are_bicovariant(h_z2, qz2):
     assert bicovariance_check(h_z2, zero_calculus(qz2))["bicovariant"]
 
 
-def brute_force_subcomodule(h, nker):
+def brute_force_subcomodule(h, hc, nker):
     """Independent oracle: rank-based span membership of the coaction images."""
-    u = universal_calculus(h.alg)
-    hc = universal_coactions(h, u)
     n = h.alg.dim
     if nker.cols == 0:
         return True
@@ -179,17 +181,90 @@ def brute_force_subcomodule(h, nker):
     return left_in and right_in
 
 
-@pytest.mark.parametrize("name", ["h_z2", "h_z3"])
+# the dimensions of the bicovariant quotients in each enumerated lattice;
+# S3 is the one fixture with proper nonzero ones
+BICOVARIANT_DIMS = {"h_z2": [2, 0], "h_z3": [6, 0], "h_prim": [2, 0],
+                    "h_s3": [30, 12, 12, 12, 6, 0]}
+
+
+@pytest.mark.parametrize("name", BICOVARIANT_DIMS)
 def test_bicovariance_agrees_with_brute_force(name, request):
+    # also the oracle behind the certificate in bicovariance_check, which
+    # runs neither Hopf report on the quotient coactions it descends
     h = request.getfixturevalue(name)
-    u = universal_calculus(h.alg)
+    hc = universal_coactions(h)
+    u = hc.calculus
+    i_n = Mat.identity(h.alg.field, h.alg.dim)
+    found = []
     for nbasis in enumerate_action_closed_subspaces(u.omega):
         calc, proj = quotient_calculus(u, nbasis)
-        got = bicovariance_check(h, calc)
-        expected = brute_force_subcomodule(h, kernel_basis(proj.matrix))
-        assert got["bicovariant"] == expected
-        if got["bicovariant"]:
-            assert got["hopf_calculus_ok"]
+        res = bicovariance_check(h, calc)
+        assert res["bicovariant"] == brute_force_subcomodule(h, hc, kernel_basis(proj.matrix))
+        if not res["bicovariant"]:
+            continue
+        found.append(calc.dim)
+        assert res["hopf_calculus_ok"]
+        assert check_hopf_module(h, calc.omega, res["lam"], res["rho"]) == []
+        assert d_comodule_report(h, calc, res["lam"], res["rho"]) == []
+        # the projection is a map of comodules
+        p = proj.matrix
+        assert res["lam"] * p == kronecker(i_n, p) * hc.lam
+        assert res["rho"] * p == kronecker(p, i_n) * hc.rho
+    assert found == BICOVARIANT_DIMS[name]
+
+
+def function_algebra_bimonoid(table):
+    """k(G) over Q on the delta functions: delta_g delta_h = [g = h] delta_g,
+    1 = sum delta_g, Delta delta_g = sum_{xy = g} delta_x (x) delta_y and
+    eps(delta_g) = [g = e]."""
+    n = len(table)
+    e = table.index(list(range(n)))
+    mult = [[[int(k == i == j) for k in range(n)] for j in range(n)] for i in range(n)]
+    comult = Mat.from_entries(QQ, n * n, n, [(x * n + y, table[x][y], 1)
+                                            for x in range(n) for y in range(n)])
+    return Bimonoid(Algebra(QQ, n, mult, [1] * n), comult, Mat.from_entries(QQ, 1, n, [(0, e, 1)]))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_function_algebra_calculi_are_bicovariant_iff_ad_stable(side, qs3):
+    # k(S3): a subset C of G - {e} gives the quotient of Omega_u by the
+    # delta_x (x) delta_y, x != y, with x^-1 y (side "left") or y x^-1
+    # (side "right") outside C.  Each is covariant on its own side, and
+    # bicovariant iff C is a union of conjugacy classes (Woronowicz 1989;
+    # Majid 2003); then dim Omega^1 = |G| |C|.  Every one-sided quotient
+    # fails exactly one of the two subcomodule tests.
+    table = [[e_ij.index(1) for e_ij in row] for row in qs3.mult]
+    n = len(table)
+    h = function_algebra_bimonoid(table)
+    u = universal_calculus(h.alg)
+    e = table.index(list(range(n)))
+    inv = [row.index(e) for row in table]
+
+    def quotient(x, y):
+        return table[inv[x]][y] if side == "left" else table[y][inv[x]]
+
+    other = "right" if side == "left" else "left"
+    witness = {
+        "left": "left coaction moves the defining subobject out of A (x) N",
+        "right": "right coaction moves the defining subobject out of N (x) A",
+    }
+    verdicts = []
+    for size in range(n):
+        for subset in combinations([g for g in range(n) if g != e], size):
+            rel = [x * n + y for x in range(n) for y in range(n)
+                   if x != y and quotient(x, y) not in subset]
+            nbasis = Mat.from_entries(QQ, n * n, len(rel), [(r, k, 1) for k, r in enumerate(rel)])
+            calc, _proj = quotient_calculus(u, image_basis(u.retraction * nbasis))
+            res = bicovariance_check(h, calc)
+            stable = all(table[table[g][c]][inv[g]] in subset for g in range(n) for c in subset)
+            assert res["bicovariant"] == stable, subset
+            assert res["witnesses"] == ([] if stable else [witness[other]]), subset
+            assert calc.dim == n * size
+            if stable:
+                assert check_hopf_module(h, calc.omega, res["lam"], res["rho"]) == []
+                assert d_comodule_report(h, calc, res["lam"], res["rho"]) == []
+            verdicts.append(stable)
+    assert len(verdicts) == 32 and sum(verdicts) == 4
 
 
 def test_z2_diagonal_quotients_not_bicovariant(h_z2, qz2):
@@ -201,18 +276,3 @@ def test_z2_diagonal_quotients_not_bicovariant(h_z2, qz2):
             calc, _ = quotient_calculus(u, nbasis)
             found.append(bicovariance_check(h_z2, calc)["bicovariant"])
     assert found and not any(found)
-
-
-def test_quotient_coactions_make_projection_equivariant(h_z3, qz3):
-    u = universal_calculus(qz3)
-    hc = universal_coactions(h_z3, u)
-    n = qz3.dim
-    i_n = Mat.identity(QQ, n)
-    for nbasis in enumerate_action_closed_subspaces(u.omega):
-        calc, proj = quotient_calculus(u, nbasis)
-        res = bicovariance_check(h_z3, calc)
-        if not res["bicovariant"]:
-            continue
-        p = proj.matrix
-        assert res["lam"] * p == kronecker(i_n, p) * hc.lam
-        assert res["rho"] * p == kronecker(p, i_n) * hc.rho

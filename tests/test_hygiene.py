@@ -6,7 +6,9 @@ public surface) is parsed, and an imported name that is never read is a dead
 import.  Only the two constructors named in the README's verification
 policy take a `check` switch, the constructions certified there call no
 full axiom report, and the universal calculus, its induced maps, f_u,
-saturation and the closure check are closed forms that solve nothing.
+saturation and the closure check are closed forms that solve nothing.  The
+Hopf coactions solve nothing and re-check nothing, and the dg morphisms
+build no Kronecker product.
 """
 
 import ast
@@ -97,12 +99,29 @@ def function_node(module: str, name: str) -> ast.FunctionDef:
 
 
 def test_certified_constructions_call_no_full_report():
-    # the reports stay public and run in the tests, but the library builds
-    # its graded calculi and universal coactions under certificates
+    # the report stays public and runs in the tests, but the library builds
+    # its graded calculi under certificates
     for path in SRC.glob("*.py"):
         assert "validation_report" not in called_names(ast.parse(path.read_text())), path.name
-    coactions = function_node("hopf.py", "universal_coactions")
-    assert not called_names(coactions) & {"check_hopf_module", "d_comodule_report"}
+
+
+@pytest.mark.parametrize("module,name,banned", [
+    ("hopf.py", "universal_coactions", {"solve", "check_hopf_module", "d_comodule_report"}),
+    ("hopf.py", "bicovariance_check", {"check_hopf_module", "d_comodule_report",
+                                       "subspace_leq", "factor_through_surjection"}),
+    ("prolong.py", "unique_dg_morphism", {"kron_all", "kronecker"}),
+])
+def test_coactions_and_dg_morphisms_are_closed_forms(module, name, banned):
+    # the coactions are read back through the retraction and descended by
+    # one section, and the dg morphism is factored one degree at a time
+    # through Omega^(n-1) (x) A; the Hopf reports run in the tests
+    assert not called_names(function_node(module, name)) & banned
+
+
+def test_no_amitsur_surjections_and_no_engine_error_in_hopf():
+    for path in SRC.glob("*.py"):
+        assert "surjectivity_maps" not in path.read_text(), path.name
+    assert "EngineError" not in (SRC / "hopf.py").read_text()
 
 
 @pytest.mark.parametrize("module,name", [

@@ -212,6 +212,21 @@ def test_quotient_maps_section():
     assert (q * sub).is_zero()
 
 
+@pytest.mark.parametrize("cols", [
+    [[2, 0, 0]],                 # a pivot that is not 1
+    [[0, 1, 0], [1, 0, 0]],      # decreasing pivots
+    [[1, 0, 0], [1, 0, 0]],      # a repeated pivot
+    [[1, 0, 0], [1, 1, 0]],      # another column has an entry in a pivot row
+    [[1, 0, 0], [0, 0, 0]],      # a zero column
+])
+def test_quotient_maps_refuses_a_noncanonical_basis(cols):
+    sub = Mat.from_cols(QQ, cols, rows=3)
+    with pytest.raises(LinAlgError, match="not in reduced column echelon form"):
+        quotient_maps(sub, 3)
+    q, s = quotient_maps(image_basis(sub), 3)
+    assert (q * sub).is_zero() and q * s == Mat.identity(QQ, q.rows)
+
+
 def test_direct_sum_shapes():
     d = direct_sum(Mat.identity(QQ, 2), Mat(QQ, [[1, 2]]))
     assert (d.rows, d.cols) == (3, 4)

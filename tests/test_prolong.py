@@ -1,6 +1,6 @@
 import pytest
 
-from omegacalc.algebra import Algebra
+from omegacalc.algebra import Algebra, AlgMap
 from omegacalc.bimodule import tensor_over_algebra
 from omegacalc.fodc import (
     PreconditionError,
@@ -15,6 +15,7 @@ from omegacalc.linalg import (
     QQ,
     LinAlgError,
     Mat,
+    factor_through_surjection,
     image_basis,
     kernel_basis,
     kron_all,
@@ -39,6 +40,7 @@ from oracle_algebras import (
     GENERATED,
     INCIDENCE,
     ORACLE_ALGEBRAS,
+    ORACLE_MAPS,
     load_fixture,
     oracle_calculi,
     permuted,
@@ -345,6 +347,94 @@ def test_morphism_along_algebra_map(qy2, qx4):
     assert maps[0] == f.matrix
 
 
+def amitsur_route_dg_morphism(src, tgt, f0):
+    """unique_dg_morphism through the Amitsur surjections, the route it
+    replaced: h^n p_n(src) = p_n(tgt) f0^(x)(n+1) with p_n: A^(x)(n+1) ->>
+    Omega^n, a0 (x) ... (x) an -> a0 da1 ... dan, then the same d and wedge
+    checks."""
+    def surjections(g):
+        ps = [Mat.identity(g.alg.field, g.alg.dim)]
+        for n in range(1, g.max_degree + 1):
+            ps.append(g.wedge[(n - 1, 1)] * kronecker(ps[n - 1], g.diff[0]))
+        return ps
+
+    maps = []
+    for n, (p_src, p_tgt) in enumerate(zip(surjections(src), surjections(tgt))):
+        h_n = factor_through_surjection(p_tgt * kron_all([f0.matrix] * (n + 1)), p_src)
+        if h_n is None:
+            return None
+        maps.append(h_n)
+    for n in range(src.max_degree):
+        if maps[n + 1] * src.diff[n] != tgt.diff[n] * maps[n]:
+            return None
+    for (i, j), w in src.wedge.items():
+        if maps[i + j] * w != tgt.wedge[(i, j)] * kronecker(maps[i], maps[j]):
+            return None
+    return maps
+
+
+def graded_family(alg, max_degree=2):
+    """The universal prolongation, and the maximal prolongation and trivial
+    extension of each oracle calculus of alg."""
+    family = {"universal prolongation": universal_prolongation(alg, max_degree)}
+    for label, c in oracle_calculi(None, alg).items():
+        family[f"maximal({label})"] = maximal_prolongation(c, max_degree)
+        family[f"trivial({label})"] = trivial_extension(c, max_degree)
+    return family
+
+
+DG_MORPHISM_MAPS = [name for name in ORACLE_MAPS if not name.startswith("identity of")] + [
+    f"identity of {name}" for name in ("qx3", "qz3", "m2q", "f2x2", "V 0<1, 0<2", "zero algebra")]
+
+
+@pytest.mark.parametrize("name", DG_MORPHISM_MAPS)
+def test_unique_dg_morphism_matches_the_amitsur_route(name):
+    # the oracle behind factoring one degree at a time through g_n:
+    # p_n = g_n (p_(n-1) (x) 1), so both routes find the same maps
+    f0 = ORACLE_MAPS[name]()
+    sources = graded_family(f0.source)
+    targets = graded_family(f0.target)
+    found = 0
+    for s_label, src in sources.items():
+        for t_label, tgt in targets.items():
+            maps = unique_dg_morphism(src, tgt, f0)
+            assert maps == amitsur_route_dg_morphism(src, tgt, f0), (s_label, t_label)
+            found += maps is not None
+    # the universal prolongation maps to every graded calculus
+    assert found >= len(targets)
+
+
+def test_unique_dg_morphism_builds_no_ambient_map(qx3, qy2, qx4, monkeypatch):
+    f = AlgMap(qy2, qx4, Mat(QQ, [[1, 0], [0, 0], [0, 1], [0, 0]]))
+    pairs = [
+        (universal_prolongation(qx3, 3), maximal_prolongation(kahler_calculus(qx3), 3),
+         qx3.identity_map()),
+        (universal_prolongation(qy2, 3), universal_prolongation(qx4, 3), f),
+    ]
+
+    def refuse(*args):
+        raise RuntimeError("ambient map built")
+
+    for name in ("amitsur_differential", "amitsur_wedge", "kron_all", "kronecker"):
+        monkeypatch.setattr(prolong, name, refuse)
+    for src, tgt, f0 in pairs:
+        maps = unique_dg_morphism(src, tgt, f0)
+        assert maps is not None and maps[0] == f0.matrix
+
+
+def test_validation_report_sees_a_calculus_not_generated_in_degree_zero(qq_alg):
+    # over Q, Omega^1 = 0 and Omega^2 = Q: every identity holds, but no
+    # product a0 da1 da2 reaches Omega^2
+    def zero(rows, cols):
+        return Mat.zeros(QQ, rows, cols)
+
+    one = Mat.identity(QQ, 1)
+    wedge = {(0, 0): qq_alg.mult_mat, (0, 1): zero(0, 0), (1, 0): zero(0, 0),
+             (0, 2): one, (2, 0): one, (1, 1): zero(1, 0)}
+    g = GradedCalculus(qq_alg, 2, [1, 0, 1], [zero(0, 1), zero(1, 0)], wedge)
+    assert g.validation_report() == ["surjectivity fails at degree 2"]
+
+
 def test_truncation_adjoints_endpoints(qx2):
     u = universal_calculus(qx2)
     fodcs = [u, zero_calculus(qx2)]
@@ -508,9 +598,9 @@ def test_constructions_are_certified_not_validated(qx3, qz2, monkeypatch):
     assert trivial_extension(kahler_calculus(qx3), 3).dims == [3, 2, 0, 0]
     h = hopf.group_like_bimonoid(qz2)
     assert hopf.universal_coactions(h).dim == 2
-    # bicovariance_check still runs the reports on the quotient coactions
-    with pytest.raises(RuntimeError, match="report called"):
-        hopf.bicovariance_check(h, universal_calculus(qz2))
+    # the quotient coactions are certified too
+    for c in (universal_calculus(qz2), zero_calculus(qz2)):
+        assert hopf.bicovariance_check(h, c)["hopf_calculus_ok"]
 
 
 def test_universal_prolongation_builds_no_ambient_map(qs3, monkeypatch):

@@ -4,20 +4,8 @@ import pkgutil
 import pytest
 
 import omegacalc
-from omegacalc.algebra import (
-    Algebra,
-    AlgMap,
-    build_square_zero,
-    build_truncated_poly,
-    opposite,
-)
-from omegacalc.bimodule import (
-    extend_bimodule,
-    field_algebra,
-    regular_bimodule,
-    restrict_bimodule,
-    saturate_subspace,
-)
+from omegacalc.algebra import AlgMap
+from omegacalc.bimodule import extend_bimodule, field_algebra
 from omegacalc.fodc import (
     enumerate_action_closed_subspaces,
     induced_map,
@@ -50,7 +38,7 @@ from omegacalc.scalars import (
     verify_poset_adjunction,
 )
 
-from oracle_algebras import INCIDENCE, ORACLE_ALGEBRAS, load_fixture, permuted
+from oracle_algebras import ORACLE_MAPS
 
 
 @pytest.fixture(scope="module")
@@ -71,50 +59,9 @@ def parent_universal_map(f):
     return solve(u_dst.iota, kronecker(f.matrix, f.matrix) * u_src.iota)
 
 
-def fields(k):
-    """Q^k on its idempotents: the unit (1, ..., 1) is not a basis vector."""
-    return Algebra(QQ, k, [[[int(i == j == l) for l in range(k)] for j in range(k)]
-                           for i in range(k)], [1] * k)
-
-
-def with_zero_part(a):
-    """The square-zero extension A (+) A, in the basis A then the ideal."""
-    return build_square_zero(a, regular_bimodule(a))
-
-
-def pad(n, extra):
-    """The inclusion of n coordinates into n + extra."""
-    return Mat.identity(QQ, n).vstack(Mat.zeros(QQ, extra, n))
-
-
-MAPS = {
-    "y_to_x2": lambda: AlgMap(build_truncated_poly(QQ, 2, var="y"), build_truncated_poly(QQ, 4),
-                              Mat(QQ, [[1, 0], [0, 0], [0, 1], [0, 0]])),
-    # g -> (1, -1) and g -> diag(1, -1) have a component along the target's unit
-    "Q[Z/2] -> Q x Q": lambda: AlgMap(load_fixture("qz2"), fields(2),
-                                      Mat(QQ, [[1, 1], [1, -1]])),
-    "Q[Z/2] -> M2(Q)": lambda: AlgMap(load_fixture("qz2"), load_fixture("m2q"),
-                                      Mat(QQ, [[1, 1], [0, 0], [0, 0], [1, -1]])),
-    "transpose: M2(Q) -> M2(Q)^op": lambda: AlgMap(
-        load_fixture("m2q"), opposite(load_fixture("m2q")),
-        Mat.identity(QQ, 4).select_cols([0, 2, 1, 3])),
-    "chain 0<1<2 ->> Q^3": lambda: AlgMap(
-        INCIDENCE["chain 0<1<2"](), fields(3), Mat.identity(QQ, 3).hstack(Mat.zeros(QQ, 3, 3))),
-    "qx2 -> qx2 + qx2": lambda: AlgMap(load_fixture("qx2"), with_zero_part(load_fixture("qx2")),
-                                       pad(2, 2)),
-    "qx2 + qx2 ->> qx2": lambda: AlgMap(with_zero_part(load_fixture("qx2")), load_fixture("qx2"),
-                                        pad(2, 2).transpose()),
-    "qx3 -> qx3 in the basis x, 1, x^2": lambda: AlgMap(
-        load_fixture("qx3"), permuted(load_fixture("qx3"), [1, 0, 2]),
-        Mat.identity(QQ, 3).select_cols([1, 0, 2])),
-}
-MAPS.update({f"identity of {name}": (lambda build=build: build().identity_map())
-             for name, build in ORACLE_ALGEBRAS.items()})
-
-
-@pytest.mark.parametrize("name", MAPS)
+@pytest.mark.parametrize("name", ORACLE_MAPS)
 def test_universal_map_is_the_restriction_of_f_tensor_f(name):
-    f = MAPS[name]()
+    f = ORACLE_MAPS[name]()
     assert universal_map(f) == parent_universal_map(f)
 
 

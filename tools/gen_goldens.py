@@ -51,7 +51,8 @@ def relation(doc: dict) -> list[str]:
 
 def write_inputs(out: Path) -> None:
     """The identity map, four calculus files and a relations file per algebra,
-    and two calculus files for the endpoints of the shipped map."""
+    two more relations files on qz3, and two calculus files for the endpoints
+    of the shipped map."""
     def write(name, doc):
         (out / name).write_text(dump_json(doc))
 
@@ -68,6 +69,12 @@ def write_inputs(out: Path) -> None:
               {"algebra": doc, "kind": "quotient", "relations": [rel]})
         write(f"calc_{name}_quotient_file.json",
               {"algebra": str(path), "kind": "quotient", "relations_file": f"rel_{name}.json"})
+    # two relation files on Q[Z/3] (basis e, g, g2): e (x) e + e (x) g - g (x) g2 - g2 (x) g2
+    # spans a quotient that is not bicovariant, and no relations leave the
+    # universal calculus
+    write("rel_qz3_not_bicovariant.json",
+          {"generators": [["1", "1", "0", "0", "0", "-1", "0", "0", "-1"]]})
+    write("rel_none.json", {"generators": []})
     fmap = json.loads((FIXTURES / f"{MAP_FIXTURE}.json").read_text())
     for end in ("source", "target"):
         for kind in ("universal", "kahler"):
@@ -103,6 +110,8 @@ def invocations() -> list[list[str]]:
             ["bicovariant", alg, "--relations", f"inputs/rel_{name}.json"],
         ]
     out.append(["prolong", "fixtures/qz3.json", "--max-degree", "3", "--matrices"])
+    for rel in ("rel_qz3_not_bicovariant", "rel_none"):
+        out.append(["bicovariant", "fixtures/qz3.json", "--relations", f"inputs/{rel}.json"])
     fmap = f"fixtures/{MAP_FIXTURE}.json"
     for kind in ("universal", "kahler"):
         out.append(["extend", "--map", fmap, "--calculus", f"inputs/calc_map_source_{kind}.json"])

@@ -29,6 +29,9 @@ ROOT = Path(__file__).resolve().parent.parent
 FULL_VALIDATION = ("tests/test_prolong.py -k "
                    "maximal_prolongation_and_trivial_extension_pass_full_validation")
 COACTION_ORACLE = "tests/test_hopf.py -k universal_coactions_pass_axioms"
+AD_STABLE_ORACLE = "tests/test_hopf.py -k function_algebra_calculi_are_bicovariant_iff_ad_stable"
+QUOTIENT_HOPF_ORACLE = "tests/test_hopf.py -k bicovariance_agrees_with_brute_force"
+DG_MORPHISM_ORACLE = "tests/test_prolong.py -k unique_dg_morphism_matches_the_amitsur_route"
 AMITSUR_ORACLE = "tests/test_prolong.py -k amitsur_compatible"
 KERNEL_ORACLE = "tests/test_fodc.py -k universal_calculus_is_the_kernel_of_multiplication"
 PHI_ORACLE = "tests/test_fodc.py -k induced_map_passes_its_certificate_oracles"
@@ -66,13 +69,28 @@ MUTANTS = [
      FULL_VALIDATION),
     # universal_coactions: lambda and rho
     ("src/omegacalc/hopf.py",
-     "    lam = solve(kronecker(i_n, u.iota), lam_reg * u.iota)",
-     "    lam = -solve(kronecker(i_n, u.iota), lam_reg * u.iota)",
+     "    lam = kronecker(i_n, u.retraction) * lam_reg * u.iota",
+     "    lam = -kronecker(i_n, u.retraction) * lam_reg * u.iota",
      COACTION_ORACLE),
     ("src/omegacalc/hopf.py",
-     "    rho = solve(kronecker(u.iota, i_n), rho_reg * u.iota)",
-     "    rho = solve(kronecker(u.iota, i_n), rho_reg * u.iota + rho_reg * u.iota)",
+     "    rho = kronecker(u.retraction, i_n) * rho_reg * u.iota",
+     "    rho = kronecker(u.retraction, i_n) * (rho_reg + rho_reg) * u.iota",
      COACTION_ORACLE),
+    # bicovariance_check: the right-side subcomodule test, and the section
+    # the quotient coactions descend through
+    ("src/omegacalc/hopf.py",
+     "    if not (rho_phi * nker).is_zero():",
+     "    if False:",
+     AD_STABLE_ORACLE),
+    ("src/omegacalc/hopf.py",
+     "    section = solve(phi, Mat.identity(h.alg.field, c.dim))",
+     "    section = phi.transpose()",
+     QUOTIENT_HOPF_ORACLE),
+    # unique_dg_morphism: the f0 factor of the right-hand side
+    ("src/omegacalc/prolong.py",
+     "        rhs = mul_id_kron(g_h, src.dims[n - 1], f0.matrix)\n",
+     "        rhs = g_h\n",
+     DG_MORPHISM_ORACLE),
     # the universal calculus: the sign of iota's a0 b (x) 1 term, and the
     # sign of phi, shared by induced_map and maximal_prolongation
     ("src/omegacalc/fodc.py",
