@@ -94,7 +94,12 @@ def check_fodc(a: Algebra, omega: Bimodule, d: Mat) -> FodcReport:
 
 
 class FirstOrderCalculus:
-    """A bimodule with a differential passing the full calculus check."""
+    """A bimodule with a differential passing the full calculus check.
+
+    The constructor checks every value given from outside.  The universal,
+    zero and quotient calculi are built by `_certified` instead, under the
+    certificates written next to them.
+    """
 
     def __init__(self, alg: Algebra, omega: Bimodule, d: Mat):
         report = check_fodc(alg, omega, d)
@@ -130,6 +135,16 @@ class UniversalCalculus(FirstOrderCalculus):
         self.retraction = retraction
 
 
+def _certified(cls, alg: Algebra, omega: Bimodule, d: Mat, **extra):
+    """A calculus of type cls whose axioms its construction proves, built
+    without running check_fodc; extra holds the further attributes of cls."""
+    c = object.__new__(cls)
+    c.alg, c.omega, c.d = alg, omega, d
+    for name, value in extra.items():
+        setattr(c, name, value)
+    return c
+
+
 def _unit_complement(a: Algebra) -> tuple[list[int], Mat]:
     """The coordinates of A-bar, every one but the unit's pivot p, and
     pi: A ->> A-bar.  The zero algebra has no pivot, so A-bar = 0 there and
@@ -160,8 +175,9 @@ def universal_calculus(a: Algebra) -> UniversalCalculus:
     # Certificate for iota and the retraction, in place of solving for them
     # on the kernel of multiplication:
     # 1. omega and d are degree 1 of the universal prolongation, whose
-    #    certificate makes them a bimodule and a derivation, and
-    #    FirstOrderCalculus checks the calculus axioms.
+    #    certificate makes them a bimodule and a derivation: a0 (x) b is the
+    #    form a0 db, so A . dA = omega, and d1 = 1 (x) pi(1) = 0.  These are
+    #    the calculus axioms, so check_fodc does not run.
     # 2. iota sends a0 (x) b to the form a0 db of A (x) A, with
     #    db = 1 (x) b - b (x) 1.  The actions of omega are Leibniz identities
     #    of these forms, so iota is a bimodule map, and
@@ -173,11 +189,13 @@ def universal_calculus(a: Algebra) -> UniversalCalculus:
     #    (1 . d), and (d . 1) iota = -id by Leibniz: da0 b - d(a0 b) = -a0 db.
     # tests/test_fodc.py holds iota to the kernel of multiplication and the
     # split identities on every fixture and generated algebra.
-    return UniversalCalculus(a, omega, diff[0], iota, kronecker(i_n, pi))
+    return _certified(UniversalCalculus, a, omega, diff[0], iota=iota,
+                      retraction=kronecker(i_n, pi))
 
 
 def zero_calculus(a: Algebra) -> FirstOrderCalculus:
-    return FirstOrderCalculus(a, zero_bimodule(a, a), Mat.zeros(a.field, 0, a.dim))
+    """Omega = 0 with d = 0: every calculus axiom is an identity in 0."""
+    return _certified(FirstOrderCalculus, a, zero_bimodule(a, a), Mat.zeros(a.field, 0, a.dim))
 
 
 def _phi(c: FirstOrderCalculus) -> Mat:
@@ -192,9 +210,10 @@ def _phi(c: FirstOrderCalculus) -> Mat:
     #    to a0 d(be) - a0 b de = a0 db e, by Leibniz for c and d1 = 0.
     # 2. phi d_u = d: d_u(a) = 1 (x) pi(a) maps to d(pi a) = da, because pi
     #    only removes a multiple of the unit.
-    # 3. phi is onto: its columns a0 db span A dA, whose dimension is the
-    #    left-surjectivity rank check_fodc found equal to dim c when c was
-    #    built.
+    # 3. phi is onto: its columns a0 db span A dA, and A dA = Omega^1 holds
+    #    by construction for the certified calculi (universal_calculus,
+    #    zero_calculus, quotient_calculus) and by the rank check_fodc ran
+    #    when FirstOrderCalculus built any other.
     # tests/test_fodc.py runs bimod_map_report, phi d_u = d and the rank on
     # the universal, Kaehler, zero and two quotient calculi.
     return mul_id_kron(c.omega.left_mat, a.dim, c.d.select_cols(bar))
@@ -234,7 +253,14 @@ def quotient_calculus(c: FirstOrderCalculus, sub_basis: Mat) -> tuple[FirstOrder
     basis = image_basis(sub_basis)
     quo, proj, _s = quotient_bimodule(c.omega, basis)
     d_new = proj.matrix * c.d
-    result = FirstOrderCalculus(c.alg, quo, d_new)
+    # Certificate, in place of check_fodc on the quotient: quotient_bimodule
+    # checked that the subspace is action-closed, so proj: c ->> c/N is an
+    # onto bimodule map, and d_new = proj d.  Then Leibniz descends,
+    # d_new(ab) = proj(da b + a db) = d_new(a) b + a d_new(b); proj maps
+    # A dA = c onto A d_new(A), so that is c/N; and d_new(1) = proj d(1) = 0.
+    # c itself is a calculus, checked or certified when it was built.
+    # tests/test_fodc.py runs check_fodc on every quotient of the lattices.
+    result = _certified(FirstOrderCalculus, c.alg, quo, d_new)
     return result, BimodMap(c.omega, result.omega, proj.matrix, check=False)
 
 

@@ -103,9 +103,12 @@ class Field:
     # element arithmetic -----------------------------------------------------
 
     def coerce(self, x):
+        if type(x) is int:
+            return x if self.p is None else x % self.p
+        # bool is a subclass of int, so JSON true/false would pass as 1/0
+        if isinstance(x, bool):
+            raise LinAlgError(f"cannot coerce {x!r} into {self}: a boolean is not a scalar")
         if self.p is None:
-            if type(x) is int:
-                return x
             if isinstance(x, (int, Fraction, str)):
                 try:
                     return _q(Fraction(x))

@@ -297,6 +297,18 @@ def test_malformed_relations_are_compute_errors(capsys, tmp_path, rel_doc):
     assert "error" in json.loads(out)
 
 
+def test_boolean_relation_entry_is_compute_error(capsys, tmp_path):
+    # JSON true is not the scalar 1
+    rel = tmp_path / "rel.json"
+    rel.write_text(json.dumps({"generators": [[True, "0", "0", "-1"]]}))
+    code, out = run_cli(
+        capsys, "bicovariant", str(FIXTURES / "qz2.json"),
+        "--relations", str(rel), "--format", "json",
+    )
+    assert code == 1
+    assert "boolean" in json.loads(out)["error"]
+
+
 @pytest.mark.parametrize("command,fixture,field", [
     ("universal", "qx2.json", "unit"),
     ("hopf-check", "qz2.json", "counit"),

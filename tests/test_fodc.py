@@ -24,6 +24,7 @@ from omegacalc.fodc import (
     universal_calculus,
     zero_calculus,
 )
+from omegacalc.kahler import kahler_calculus
 from omegacalc.linalg import (
     GF,
     QQ,
@@ -152,6 +153,27 @@ def test_induced_map_passes_its_certificate_oracles(name):
         assert bimod_map_report(phi) == [], label
         assert phi.matrix * u.d == c.d, label
         assert rank(phi.matrix) == c.dim, label
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_certified_calculi_pass_check_fodc(name):
+    # universal_calculus, zero_calculus and quotient_calculus (so also
+    # kahler_calculus) build their calculi without check_fodc, under the
+    # certificates in fodc.py; the check they skip is the oracle
+    alg = ORACLE_ALGEBRAS[name]()
+    for label, c in oracle_calculi(name, alg).items():
+        assert check_fodc(alg, c.omega, c.d).classification == "fodc", label
+
+
+@pytest.mark.parametrize("fixture", ["qx3", "qz3", "f2x2"])
+def test_every_quotient_in_the_lattice_passes_check_fodc(fixture, request):
+    # quotients of the universal calculus and of its Kaehler quotient, which
+    # is itself certified
+    alg = request.getfixturevalue(fixture)
+    for c in (universal_calculus(alg), kahler_calculus(alg)):
+        for n in enumerate_action_closed_subspaces(c.omega):
+            quo, _ = quotient_calculus(c, n)
+            assert check_fodc(alg, quo.omega, quo.d).classification == "fodc"
 
 
 def test_induced_map_to_self_is_identity(qx2):

@@ -5,7 +5,8 @@ src/omegacalc/*.py except the package's __init__.py (whose imports are its
 public surface) is parsed, and an imported name that is never read is a dead
 import.  Only the two constructors named in the README's verification
 policy take a `check` switch, the constructions certified there call no
-full axiom report, and the universal calculus, its induced maps, f_u,
+full axiom report, only the universal, zero and quotient calculi skip the
+calculus check, and the universal calculus, its induced maps, f_u,
 saturation and the closure check are closed forms that solve nothing.  The
 Hopf coactions solve nothing and re-check nothing, and the dg morphisms
 build no Kronecker product.
@@ -135,6 +136,26 @@ def test_universal_constructions_are_closed_forms(module, name):
     # kernel route and the bimodule-map check they replaced are test oracles
     banned = {"solve", "kernel_basis", "bimod_map_report"}
     assert not called_names(function_node(module, name)) & banned
+
+
+# The calculi built without check_fodc, under the certificates in fodc.py;
+# the public FirstOrderCalculus and UniversalCalculus constructors check
+CERTIFIED_CALCULI = {"universal_calculus", "zero_calculus", "quotient_calculus"}
+
+
+def test_only_the_certified_calculi_skip_the_calculus_check():
+    callers = []
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if "_certified" in called_names(node):
+                callers.append(getattr(node, "name", None))
+    assert sorted(callers) == sorted(CERTIFIED_CALCULI)
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED_CALCULI))
+def test_certified_calculi_run_no_calculus_check(name):
+    banned = {"check_fodc", "FirstOrderCalculus", "UniversalCalculus"}
+    assert not called_names(function_node("fodc.py", name)) & banned
 
 
 @pytest.mark.parametrize("name", [

@@ -14,8 +14,9 @@ from omegacalc.io import (
     dump_json,
     load_json,
     morphism_from_json,
+    relations_from_json,
 )
-from omegacalc.linalg import GF, LinAlgError
+from omegacalc.linalg import GF, QQ, LinAlgError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "omegacalc" / "fixtures"
 
@@ -47,6 +48,37 @@ def test_morphism_fixture_loads():
 def test_bimonoid_requires_fields(qx2):
     with pytest.raises(LinAlgError):
         bimonoid_from_json(algebra_to_json(qx2))
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=repr)
+def test_a_json_boolean_is_not_a_scalar(field, value):
+    # bool is a subclass of int, so true/false must be refused explicitly
+    with pytest.raises(LinAlgError, match="boolean"):
+        field.coerce(value)
+    assert field.coerce(1) == 1 and field.coerce(0) == 0
+
+
+@pytest.mark.parametrize("fixture", ["qx2", "f2x2", "f3x3"])
+def test_boolean_unit_is_rejected(fixture):
+    doc = load_json(FIXTURES / f"{fixture}.json")
+    doc["unit"] = [True] + doc["unit"][1:]
+    with pytest.raises(LinAlgError, match="boolean"):
+        algebra_from_json(doc)
+
+
+def test_boolean_counit_is_rejected():
+    doc = load_json(FIXTURES / "qz2.json")
+    doc["counit"] = [True, "1"]
+    with pytest.raises(LinAlgError, match="boolean"):
+        bimonoid_from_json(doc)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=repr)
+def test_boolean_relation_entry_is_rejected(field):
+    with pytest.raises(LinAlgError, match="boolean"):
+        relations_from_json({"generators": [[True, "0", "0", "-1"]]}, field, 4)
+    assert relations_from_json({"generators": [[1, "0", "0", "-1"]]}, field, 4)
 
 
 def test_grouplike_fixture_has_comultiplication():

@@ -245,8 +245,9 @@ def test_poset_adjunction_along_surjection(qx4, qx2):
 def test_typed_inputs_are_not_rechecked(monkeypatch, y_to_x2, qx2, qy2, qx4, qz2):
     """A typed value was checked when it was built, so a function that takes
     one does not run its axiom check again.  In every module that binds them,
-    the three report functions refuse exactly the data of the inputs; values
-    built inside the functions are still checked."""
+    alg_map_report and bimonoid_axiom_report refuse exactly the data of the
+    inputs, and check_fodc refuses everything: the universal, Kaehler and
+    quotient calculi are certified by their construction."""
     u = universal_calculus(qx2)
     target = kahler_calculus(qx2)
     c = kahler_calculus(qy2)
@@ -256,7 +257,6 @@ def test_typed_inputs_are_not_rechecked(monkeypatch, y_to_x2, qx2, qy2, qx4, qz2
     kp = maximal_prolongation(target, 2)
     h = group_like_bimonoid(qz2)
     inputs = [y_to_x2, y_to_x2.matrix, ident, ident.matrix, h, h.comult]
-    inputs += [x for calc in (target, c, t) for x in (calc.omega, calc.d)]
 
     def refusing(report):
         def wrapped(*args):
@@ -265,12 +265,22 @@ def test_typed_inputs_are_not_rechecked(monkeypatch, y_to_x2, qx2, qy2, qx4, qz2
             return report(*args)
         return wrapped
 
+    def refused(*args):
+        raise RuntimeError("check_fodc runs on a certified calculus")
+
     modules = [omegacalc] + [importlib.import_module(f"omegacalc.{m.name}")
                              for m in pkgutil.iter_modules(omegacalc.__path__)]
     for module in modules:
-        for name in ("check_fodc", "alg_map_report", "bimonoid_axiom_report"):
+        if hasattr(module, "check_fodc"):
+            monkeypatch.setattr(module, "check_fodc", refused)
+        for name in ("alg_map_report", "bimonoid_axiom_report"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refusing(getattr(module, name)))
+    u4 = universal_calculus(qx4)
+    assert u4.dim == 12
+    sub = enumerate_action_closed_subspaces(u.omega)[1]
+    assert quotient_calculus(u, sub)[0].dim == u.dim - sub.cols
+    assert kahler_calculus(qx4).dim == t.dim
     assert rank(induced_map(u, target).matrix) == target.dim
     assert calc_pushforward(y_to_x2, c).alg == qx4
     assert calc_pullback(y_to_x2, t).alg == qy2

@@ -38,6 +38,7 @@ PHI_ORACLE = "tests/test_fodc.py -k induced_map_passes_its_certificate_oracles"
 RESTRICTION_ORACLE = "tests/test_scalars.py -k universal_map_is_the_restriction_of_f_tensor_f"
 SATURATION_ORACLE = "tests/test_bimodule.py -k saturation_is_the_fixpoint_of_the_actions"
 CLOSURE_ORACLE = "tests/test_bimodule.py -k closure_witness_matches_one_solve_per_basis_element"
+CERTIFIED_CALCULUS_ORACLE = "tests/test_fodc.py -k check_fodc"
 
 MUTANTS = [
     # the prolongation builder: the sign of the right-action recursion, the
@@ -118,6 +119,21 @@ MUTANTS = [
      "    j = min((c % nb for row in right.data for c in row), default=None)",
      "    j = None",
      CLOSURE_ORACLE),
+    # the certified calculi: quotient_calculus with a zero differential,
+    # universal_calculus with its left action in place of the right one,
+    # and with -d (still a calculus, so the kernel oracle catches it)
+    ("src/omegacalc/fodc.py",
+     "    d_new = proj.matrix * c.d\n",
+     "    d_new = Mat.zeros(c.alg.field, quo.dim, c.alg.dim)\n",
+     CERTIFIED_CALCULUS_ORACLE),
+    ("src/omegacalc/fodc.py",
+     "wedge[(0, 1)], wedge[(1, 0)], check=False)",
+     "wedge[(0, 1)], wedge[(0, 1)], check=False)",
+     CERTIFIED_CALCULUS_ORACLE),
+    ("src/omegacalc/fodc.py",
+     "_certified(UniversalCalculus, a, omega, diff[0],",
+     "_certified(UniversalCalculus, a, omega, -diff[0],",
+     KERNEL_ORACLE),
     # check_fodc: the left-surjectivity rank
     ("src/omegacalc/fodc.py",
      "    left_rank = rank(one_d)",
