@@ -18,7 +18,6 @@ from .bimodule import (
     action_closed,
     bimodule_hom_basis,
     quotient_bimodule,
-    saturate_subspace,
     tensor_over_algebra,
     zero_bimodule,
 )
@@ -160,18 +159,24 @@ def _unit_complement(a: Algebra) -> tuple[list[int], Mat]:
         (r, pivot, f.mul(lead, a.unit[j])) for r, j in enumerate(bar)])
 
 
+def _splitting(a: Algebra) -> tuple[Mat, Mat]:
+    """iota: Omega_u -> A (x) A, a0 (x) b -> a0 (x) b - a0 b (x) 1, and the
+    retraction 1 (x) pi, certified in universal_calculus."""
+    n = a.dim
+    i_n = Mat.identity(a.field, n)
+    bar, pi = _unit_complement(a)
+    at_bar = a.mult_mat.select_cols([x * n + b for x in range(n) for b in bar])
+    iota = kronecker(i_n, i_n.select_cols(bar)) - kronecker(at_bar, a.unit_mat)
+    return iota, kronecker(i_n, pi)
+
+
 def universal_calculus(a: Algebra) -> UniversalCalculus:
     """Degree 1 of the universal prolongation, with iota and retraction."""
     from .prolong import _prolongation  # prolong builds on this module
 
-    n = a.dim
-    i_n = Mat.identity(a.field, n)
-    bar, pi = _unit_complement(a)
     dims, diff, wedge = _prolongation(a, 1)
     omega = Bimodule(a, a, dims[1], wedge[(0, 1)], wedge[(1, 0)], check=False)
-    # a0 (x) b -> a0 db = a0 (x) b - a0 b (x) 1
-    at_bar = a.mult_mat.select_cols([x * n + b for x in range(n) for b in bar])
-    iota = kronecker(i_n, i_n.select_cols(bar)) - kronecker(at_bar, a.unit_mat)
+    iota, retraction = _splitting(a)
     # Certificate for iota and the retraction, in place of solving for them
     # on the kernel of multiplication:
     # 1. omega and d are degree 1 of the universal prolongation, whose
@@ -190,7 +195,7 @@ def universal_calculus(a: Algebra) -> UniversalCalculus:
     # tests/test_fodc.py holds iota to the kernel of multiplication and the
     # split identities on every fixture and generated algebra.
     return _certified(UniversalCalculus, a, omega, diff[0], iota=iota,
-                      retraction=kronecker(i_n, pi))
+                      retraction=retraction)
 
 
 def zero_calculus(a: Algebra) -> FirstOrderCalculus:
@@ -306,47 +311,62 @@ def enumerate_action_closed_subspaces(m: Bimodule, max_generators: int = 2) -> l
 
     Over a prime field with few enough vectors the enumeration is exhaustive
     over all spans of nonzero vectors; otherwise it saturates every subset of
-    canonical basis vectors of size <= max_generators.  Always contains 0 and
-    the full space; results are deduplicated canonical bases.  Outside the
-    exhaustive case the family depends on the basis of m: on Omega_u of M2(Q)
-    it has 18 members in A (x) A-bar, 14 in the echelon basis of ker(m).
+    canonical basis vectors of size <= max_generators, and every diagonal
+    e_i + e_j and e_i - e_j.  Always contains 0 and the full space; results
+    are deduplicated canonical bases.  Outside the exhaustive case the family
+    depends on the basis of m: on Omega_u of M2(Q) it has 18 members in
+    A (x) A-bar, 14 in the echelon basis of ker(m).
     """
     from itertools import combinations, product
 
     f = m.field
+    dim = m.dim
     found: dict = {}
 
-    def record(basis: Mat):
-        closed = saturate_subspace(m, basis) if basis.cols else basis
-        key = (closed.cols, tuple(tuple(map(f.format, row)) for row in closed.dense_rows()))
-        found.setdefault(key, closed)
+    def rows(canonical: Mat):
+        # canonical bases are equal iff their rows are
+        return tuple(frozenset(row.items()) for row in canonical.data)
 
-    zero = Mat.zeros(f, m.dim, 0)
-    found[(0, tuple(tuple() for _ in range(m.dim)))] = zero
-    record(Mat.identity(f, m.dim))
-    if not f.is_rational and (f.p ** m.dim - 1) <= 15:
-        vectors = [v for v in product(range(f.p), repeat=m.dim) if any(v)]
+    def record(closed: Mat):
+        found.setdefault(rows(closed), closed)
+
+    record(Mat.zeros(f, dim, 0))
+    record(Mat.identity(f, dim))
+    if not f.is_rational and (f.p ** dim - 1) <= 15:
+        vectors = [v for v in product(range(f.p), repeat=dim) if any(v)]
         for r in range(1, len(vectors) + 1):
             for subset in combinations(vectors, r):
-                span = image_basis(Mat.from_cols(f, [list(v) for v in subset], rows=m.dim))
+                span = image_basis(Mat.from_cols(f, [list(v) for v in subset], rows=dim))
                 if action_closed(m, span) is None:
-                    key = (span.cols, tuple(tuple(map(f.format, row)) for row in span.dense_rows()))
-                    found.setdefault(key, span)
+                    record(span)
     else:
-        basis_vectors = [Mat.identity(f, m.dim).column(i) for i in range(m.dim)]
-        indices = range(m.dim)
+        na, nb = m.left_alg.dim, m.right_alg.dim
+        # Column (a*dim + k)*nb + b of w is e_a . e_k . e_b, so
+        # A . v . A = image(w (I_na (x) v (x) I_nb)) is saturate_subspace in
+        # one product.  For v = e_k that is the block of the columns with
+        # middle index k, and for v = e_i +- e_j the sum of two blocks.
+        w = mul_kron_id(m.right_mat, m.left_mat, nb)
+        blocks = [w.select_cols([(a * dim + k) * nb + b for a in range(na) for b in range(nb)])
+                  for k in range(dim)]
+        singles = [image_basis(block) for block in blocks]
+        # saturation is additive, A . (V + W) . A = A . V . A + A . W . A, so
+        # a subset's saturation depends only on the distinct saturations of
+        # its vectors, and each such set is eliminated once
+        kinds: dict = {}
+        kind = [kinds.setdefault(rows(single), len(kinds)) for single in singles]
+        summed = set()
         for r in range(1, max_generators + 1):
-            for subset in combinations(indices, r):
-                cols = [basis_vectors[i] for i in subset]
-                record(Mat.from_cols(f, cols, rows=m.dim))
+            for subset in combinations(range(dim), r):
+                key = frozenset(kind[i] for i in subset)
+                if key not in summed:
+                    summed.add(key)
+                    record(image_basis(Mat.hstack_all(f, [singles[i] for i in subset], dim)))
         # diagonal directions catch the subspaces missed by pure basis spans
-        for i, j in combinations(indices, 2):
-            for sign in (f.one(), f.neg(f.one())):
-                vec = [f.zero()] * m.dim
-                vec[i] = f.one()
-                vec[j] = sign
-                record(Mat.from_cols(f, [vec], rows=m.dim))
-    return [found[k] for k in sorted(found.keys(), key=lambda t: (t[0], t[1]))]
+        for i, j in combinations(range(dim), 2):
+            record(image_basis(blocks[i] + blocks[j]))
+            record(image_basis(blocks[i] - blocks[j]))
+    return sorted(found.values(), key=lambda s: (
+        s.cols, tuple(tuple(map(f.format, row)) for row in s.dense_rows())))
 
 
 def kernel_counit_comparison(u: UniversalCalculus, left_module: Bimodule) -> dict:

@@ -2,8 +2,11 @@
 and bicovariance of quotient calculi.
 
 Coactions are plain matrices into tensor product spaces: lambda: M -> A(x)M
-and rho: M -> M(x)A.  The canonical coactions on A(x)A apply the
-comultiplication to both legs and multiply the outer (resp. inner) halves.
+and rho: M -> M(x)A.  The canonical (codiagonal) coactions on A(x)A are
+lam_reg(a (x) b) = a1 b1 (x) a2 (x) b2 and rho_reg(a (x) b) = a1 (x) b1 (x) a2 b2.
+They are never built as matrices on A^(x)4: `_codiagonal_coactions` applies
+them, factor by factor, to the columns that need them (iota for the
+universal calculus; iota N and iota section for a quotient by N).
 The universal calculus inherits them by restricting through its inclusion
 iota and reading back through the retraction, and a quotient
 c = Omega_u / N inherits them through phi: Omega_u ->> c when N is a
@@ -18,12 +21,14 @@ from __future__ import annotations
 
 from .algebra import Algebra, AxiomError
 from .bimodule import Bimodule
-from .fodc import FirstOrderCalculus, induced_map, universal_calculus
+from .fodc import FirstOrderCalculus, _phi, _splitting, universal_calculus
 from .linalg import (
     LinAlgError,
     Mat,
     kernel_basis,
     kronecker,
+    mul_id_kron,
+    mul_kron_id,
     solve,
     swap_matrix,
 )
@@ -63,7 +68,13 @@ def bimonoid_axiom_report(a: Algebra, comult: Mat, counit: Mat) -> list[str]:
 
 
 class Bimonoid:
-    """An algebra with compatible comultiplication and counit."""
+    """An algebra with compatible comultiplication and counit.
+
+    s_t and t_t are the transposes of the two maps on A (x) A through which
+    `_codiagonal_coactions` applies the codiagonal coactions:
+    s(a (x) c) = a1 c (x) a2 and t(c (x) b) = b1 (x) c b2.  Each has one row
+    per basis vector, so building them costs n^2 rows, not a map on A^(x)4.
+    """
 
     def __init__(self, alg: Algebra, comult: Mat, counit: Mat):
         report = bimonoid_axiom_report(alg, comult, counit)
@@ -72,6 +83,14 @@ class Bimonoid:
         self.alg = alg
         self.comult = comult
         self.counit = counit
+        n = alg.dim
+        i_nn = Mat.identity(alg.field, n * n)
+        dt, mt = comult.transpose(), alg.mult_mat.transpose()
+        sw = swap_matrix(alg.field, n, n)
+        # s: a (x) c -> a1 (x) a2 (x) c -> a1 (x) c (x) a2 -> a1 c (x) a2
+        self.s_t = mul_kron_id(mul_id_kron(mul_kron_id(i_nn, dt, n), n, sw), mt, n)
+        # t: c (x) b -> c (x) b1 (x) b2 -> b1 (x) c (x) b2 -> b1 (x) c b2
+        self.t_t = mul_id_kron(mul_kron_id(mul_id_kron(i_nn, n, dt), sw, n), n, mt)
 
     def __repr__(self):
         return f"Bimonoid(dim={self.alg.dim})"
@@ -86,17 +105,23 @@ def group_like_bimonoid(group_alg: Algebra) -> Bimonoid:
     return Bimonoid(group_alg, comult, counit)
 
 
-def regular_coactions(h: Bimonoid) -> tuple[Mat, Mat]:
-    """The canonical coactions of A(x)A: left and right codiagonals."""
-    a = h.alg
-    n = a.dim
-    f = a.field
-    i_n = Mat.identity(f, n)
-    i_nn = Mat.identity(f, n * n)
-    mid = kronecker(i_n, kronecker(swap_matrix(f, n, n), i_n))
-    lam = kronecker(a.mult_mat, i_nn) * mid * kronecker(h.comult, h.comult)
-    rho = kronecker(i_nn, a.mult_mat) * mid * kronecker(h.comult, h.comult)
-    return lam, rho
+def _codiagonal_coactions(h: Bimonoid, x: Mat, g: Mat) -> tuple[Mat, Mat]:
+    """(1 (x) g) lam_reg x and (g (x) 1) rho_reg x, where x has its columns in
+    A (x) A, g is a map out of A (x) A, and lam_reg(a (x) b) = a1 b1 (x) a2 (x) b2
+    and rho_reg(a (x) b) = a1 (x) b1 (x) a2 b2 are the codiagonal coactions.
+
+    Each factor is a right product on the transposed rows of x, so only the
+    columns of x are coacted on and no map on A^(x)4 is built.  One leg is
+    comultiplied and the other comultiplication is fused with the product,
+    lam_reg = (s (x) 1)(1 (x) Delta) and rho_reg = (1 (x) t)(Delta (x) 1) with
+    the maps s and t that h keeps, so a row grows by one comultiplication,
+    not by two.
+    """
+    n = h.alg.dim
+    dt, gt, xt = h.comult.transpose(), g.transpose(), x.transpose()
+    lam = mul_id_kron(mul_kron_id(mul_id_kron(xt, n, dt), h.s_t, n), n, gt)
+    rho = mul_kron_id(mul_id_kron(mul_kron_id(xt, dt, n), n, h.t_t), gt, n)
+    return lam.transpose(), rho.transpose()
 
 
 def check_hopf_module(h: Bimonoid, m: Bimodule, lam: Mat, rho: Mat) -> list[str]:
@@ -181,12 +206,9 @@ def universal_coactions(h: Bimonoid) -> HopfCalculus:
     through iota, read back by the retraction.  The bimonoid axioms of h were
     checked when h was built.
     """
-    a = h.alg
-    u = universal_calculus(a)
-    i_n = Mat.identity(a.field, a.dim)
-    lam_reg, rho_reg = regular_coactions(h)
-    lam = kronecker(i_n, u.retraction) * lam_reg * u.iota
-    rho = kronecker(u.retraction, i_n) * rho_reg * u.iota
+    u = universal_calculus(h.alg)
+    # lam = (1 (x) retraction) lam_reg iota and rho = (retraction (x) 1) rho_reg iota
+    lam, rho = _codiagonal_coactions(h, u.iota, u.retraction)
     # Certificate for the coactions and the Hopf-module and d-comodule
     # axioms, in place of solving through 1 (x) iota and iota (x) 1 and of
     # check_hopf_module and d_comodule_report:
@@ -218,30 +240,36 @@ def bicovariance_check(h: Bimonoid, c: FirstOrderCalculus) -> dict:
 
     When it is, the coactions descend to c, which is then a Hopf calculus.
     """
-    hopf_u = universal_coactions(h)
-    i_n = Mat.identity(h.alg.field, h.alg.dim)
-    phi = induced_map(hopf_u.calculus, c).matrix
-    lam_phi = kronecker(i_n, phi) * hopf_u.lam
-    rho_phi = kronecker(phi, i_n) * hopf_u.rho
-    # A (x) N is the kernel of 1 (x) phi, and N (x) A that of phi (x) 1
-    nker = kernel_basis(phi)
+    if c.alg != h.alg:
+        raise LinAlgError("calculi over different algebras")
+    # Omega_u itself is not built: only iota, the retraction and phi enter.
+    # (1 (x) phi) lam_u N = (1 (x) phi retraction) lam_reg (iota N) by the
+    # formula of lam_u, and likewise for rho_u; A (x) N is the kernel of
+    # 1 (x) phi, and N (x) A that of phi (x) 1
+    iota, retraction = _splitting(h.alg)
+    phi = _phi(c)
+    to_c = phi * retraction
+    lam_n, rho_n = _codiagonal_coactions(h, iota * kernel_basis(phi), to_c)
     witnesses = []
-    if not (lam_phi * nker).is_zero():
+    if not lam_n.is_zero():
         witnesses.append("left coaction moves the defining subobject out of A (x) N")
-    if not (rho_phi * nker).is_zero():
+    if not rho_n.is_zero():
         witnesses.append("right coaction moves the defining subobject out of N (x) A")
     if witnesses:
         return {"bicovariant": False, "witnesses": witnesses}
     section = solve(phi, Mat.identity(h.alg.field, c.dim))
+    lam, rho = _codiagonal_coactions(h, iota * section, to_c)
     # Certificate for the quotient coactions and the Hopf calculus axioms, in
     # place of factoring through phi and of check_hopf_module and
     # d_comodule_report on the quotient (Woronowicz 1989):
     # 1. phi is onto, a bimodule map and phi d_u = d (certified at
-    #    fodc.induced_map), and phi section = id.  Omega_u with lam_u and
+    #    fodc._phi), and phi section = id.  Omega_u with lam_u and
     #    rho_u is a Hopf calculus (certified at universal_coactions).
-    # 2. section phi - id maps into N, which lam_phi and rho_phi kill (the
-    #    check above), so lam_c phi = (1 (x) phi) lam_u and
-    #    rho_c phi = (phi (x) 1) rho_u: phi is a map of comodules.
+    # 2. lam_c = (1 (x) phi) lam_u section and rho_c = (phi (x) 1) rho_u section,
+    #    regrouped as above.  section phi - id maps into N, which
+    #    (1 (x) phi) lam_u and (phi (x) 1) rho_u kill (the check above), so
+    #    lam_c phi = (1 (x) phi) lam_u and rho_c phi = (phi (x) 1) rho_u:
+    #    phi is a map of comodules.
     # 3. So every Hopf-module axiom of c composed with phi, or with
     #    1 (x) phi (x) 1 on the tensor factors, is the same axiom on Omega_u
     #    followed by phi; phi is onto, so each holds on c.  d-colinearity
@@ -252,7 +280,7 @@ def bicovariance_check(h: Bimonoid, c: FirstOrderCalculus) -> dict:
     return {
         "bicovariant": True,
         "witnesses": [],
-        "lam": lam_phi * section,
-        "rho": rho_phi * section,
+        "lam": lam,
+        "rho": rho,
         "hopf_calculus_ok": True,
     }

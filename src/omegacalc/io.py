@@ -50,10 +50,18 @@ def algebra_to_json(a: Algebra, comult: Mat | None = None, counit: Mat | None = 
     return doc
 
 
+def _dim_from_json(doc: dict) -> int:
+    """The "dim" field, which must be a JSON integer: int() would truncate
+    2.7 to 2 and read true as 1."""
+    dim = doc["dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise LinAlgError(f'"dim" must be an integer, not {json.dumps(dim)}')
+    return dim
+
+
 def algebra_from_json(doc: dict) -> Algebra:
     field = field_from_json(doc["field"])
-    dim = int(doc["dim"])
-    return Algebra(field, dim, doc["mult"], doc["unit"], doc.get("basis"))
+    return Algebra(field, _dim_from_json(doc), doc["mult"], doc["unit"], doc.get("basis"))
 
 
 def bimonoid_from_json(doc: dict, alg: Algebra | None = None) -> Bimonoid:
@@ -110,7 +118,8 @@ def bimodule_to_json(m: Bimodule) -> dict:
 def bimodule_from_json(doc: dict) -> Bimodule:
     left_alg = algebra_from_json(doc["left_alg"])
     right_alg = algebra_from_json(doc["right_alg"])
-    return Bimodule.from_tensors(left_alg, right_alg, int(doc["dim"]), doc["left"], doc["right"])
+    return Bimodule.from_tensors(left_alg, right_alg, _dim_from_json(doc), doc["left"],
+                                 doc["right"])
 
 
 def relations_from_json(doc: dict, field: Field, expected_dim: int) -> list[list]:

@@ -16,6 +16,7 @@ from .fodc import (
     FirstOrderCalculus,
     PreconditionError,
     UniversalCalculus,
+    _phi,
     _unit_complement,
     induced_map,
     induced_map_is_unique,
@@ -56,11 +57,9 @@ def calc_pushforward(f: AlgMap, c: FirstOrderCalculus) -> FirstOrderCalculus:
     """Pushout realization: Omega_u(B) / <f_u(ker(Omega_u(A) -> c))>."""
     if c.alg != f.source:
         raise PreconditionError("calculus is not over the source algebra")
-    u_a = universal_calculus(f.source)
+    # ker(Omega_u(A) -> c) is ker phi, which needs no Omega_u(A)
     u_b = universal_calculus(f.target)
-    f_u = universal_map(f)
-    n_a = kernel_from_universal(u_a, c)
-    pushed = saturate_subspace(u_b.omega, image_basis(f_u * n_a))
+    pushed = saturate_subspace(u_b.omega, image_basis(universal_map(f) * kernel_basis(_phi(c))))
     result, _proj = quotient_calculus(u_b, pushed)
     return result
 
@@ -69,11 +68,9 @@ def calc_pullback(f: AlgMap, t: FirstOrderCalculus) -> FirstOrderCalculus:
     """Pullback realization: Omega_u(A) / f_u^{-1}(ker(Omega_u(B) -> t))."""
     if t.alg != f.target:
         raise PreconditionError("calculus is not over the target algebra")
+    # ker(Omega_u(B) -> t) is ker phi, which needs no Omega_u(B)
     u_a = universal_calculus(f.source)
-    u_b = universal_calculus(f.target)
-    f_u = universal_map(f)
-    n_b = kernel_from_universal(u_b, t)
-    p = preimage_basis(f_u, n_b)
+    p = preimage_basis(universal_map(f), kernel_basis(_phi(t)))
     result, proj = quotient_calculus(u_a, p)
     if kernel_basis(proj.matrix) != p:
         raise EngineError("pullback subspace is not the kernel of its quotient")
@@ -83,12 +80,11 @@ def calc_pullback(f: AlgMap, t: FirstOrderCalculus) -> FirstOrderCalculus:
 def verify_poset_adjunction(f: AlgMap, cs: list[FirstOrderCalculus],
                             ts: list[FirstOrderCalculus]) -> dict:
     """Morphisms F_! c -> t exist iff morphisms c -> F* t do, on every pair."""
-    u_a = universal_calculus(f.source)
-    u_b = universal_calculus(f.target)
-    pushed = [kernel_from_universal(u_b, calc_pushforward(f, c)) for c in cs]
-    pulled = [kernel_from_universal(u_a, calc_pullback(f, t)) for t in ts]
-    ker_cs = [kernel_from_universal(u_a, c) for c in cs]
-    ker_ts = [kernel_from_universal(u_b, t) for t in ts]
+    # every kernel is ker phi of its calculus, so neither Omega_u is built here
+    pushed = [kernel_basis(_phi(calc_pushforward(f, c))) for c in cs]
+    pulled = [kernel_basis(_phi(calc_pullback(f, t))) for t in ts]
+    ker_cs = [kernel_basis(_phi(c)) for c in cs]
+    ker_ts = [kernel_basis(_phi(t)) for t in ts]
     pairs = []
     agree = True
     for ci in range(len(cs)):

@@ -1,10 +1,13 @@
 """The algebras, maps and calculi the oracle tests run on, shared by the
 test modules: every shipped fixture, five generated algebras, two incidence
 algebras, the zero algebra, GF(5)[Z/3] and Q[x]/x^2 in the basis 2, x; eight
-algebra maps between them and the identity of each.
+algebra maps between them and the identity of each.  Also the routes the
+library replaced by closed forms, kept as oracles: the materialized
+codiagonal coactions and the enumeration that saturates each candidate.
 """
 
 import json
+from itertools import combinations, product
 from pathlib import Path
 
 from omegacalc.algebra import (
@@ -17,7 +20,7 @@ from omegacalc.algebra import (
     is_commutative,
     opposite,
 )
-from omegacalc.bimodule import regular_bimodule, saturate_subspace
+from omegacalc.bimodule import action_closed, regular_bimodule, saturate_subspace
 from omegacalc.fodc import (
     enumerate_action_closed_subspaces,
     quotient_calculus,
@@ -26,7 +29,7 @@ from omegacalc.fodc import (
 )
 from omegacalc.io import algebra_from_json
 from omegacalc.kahler import kahler_calculus
-from omegacalc.linalg import GF, QQ, Mat
+from omegacalc.linalg import GF, QQ, Mat, image_basis, kronecker, swap_matrix
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "omegacalc" / "fixtures"
@@ -167,3 +170,54 @@ def oracle_calculi(name, alg):
     return calculi
 
 
+def enumerate_by_saturation(m, max_generators=2):
+    """The enumeration of fodc.enumerate_action_closed_subspaces in its
+    earlier form, which saturates every candidate on its own through
+    saturate_subspace and keys each by its formatted rows: the oracle for
+    the family and its order."""
+    f = m.field
+    found = {}
+
+    def key(basis):
+        return (basis.cols, tuple(tuple(map(f.format, row)) for row in basis.dense_rows()))
+
+    def record(basis):
+        closed = saturate_subspace(m, basis) if basis.cols else basis
+        found.setdefault(key(closed), closed)
+
+    zero = Mat.zeros(f, m.dim, 0)
+    found[key(zero)] = zero
+    record(Mat.identity(f, m.dim))
+    if not f.is_rational and (f.p ** m.dim - 1) <= 15:
+        vectors = [v for v in product(range(f.p), repeat=m.dim) if any(v)]
+        for r in range(1, len(vectors) + 1):
+            for subset in combinations(vectors, r):
+                span = image_basis(Mat.from_cols(f, [list(v) for v in subset], rows=m.dim))
+                if action_closed(m, span) is None:
+                    found.setdefault(key(span), span)
+    else:
+        basis_vectors = [Mat.identity(f, m.dim).column(i) for i in range(m.dim)]
+        for r in range(1, max_generators + 1):
+            for subset in combinations(range(m.dim), r):
+                record(Mat.from_cols(f, [basis_vectors[i] for i in subset], rows=m.dim))
+        for i, j in combinations(range(m.dim), 2):
+            for sign in (f.one(), f.neg(f.one())):
+                vec = [f.zero()] * m.dim
+                vec[i] = f.one()
+                vec[j] = sign
+                record(Mat.from_cols(f, [vec], rows=m.dim))
+    return [found[k] for k in sorted(found)]
+
+
+def regular_coactions(h):
+    """The codiagonal coactions of A(x)A as matrices on A^(x)4:
+    lam_reg(a (x) b) = a1 b1 (x) a2 (x) b2, rho_reg(a (x) b) = a1 (x) b1 (x) a2 b2."""
+    a = h.alg
+    n = a.dim
+    f = a.field
+    i_n = Mat.identity(f, n)
+    i_nn = Mat.identity(f, n * n)
+    mid = kronecker(i_n, kronecker(swap_matrix(f, n, n), i_n))
+    lam = kronecker(a.mult_mat, i_nn) * mid * kronecker(h.comult, h.comult)
+    rho = kronecker(i_nn, a.mult_mat) * mid * kronecker(h.comult, h.comult)
+    return lam, rho

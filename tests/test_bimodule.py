@@ -37,7 +37,8 @@ from omegacalc.linalg import (
     solve,
 )
 
-from oracle_algebras import ORACLE_ALGEBRAS, incidence_algebra
+import oracle_algebras
+from oracle_algebras import ORACLE_ALGEBRAS, enumerate_by_saturation, incidence_algebra
 
 
 def unit_embedding(alg):
@@ -400,11 +401,11 @@ def test_quotient_bimodule_refuses_a_noncanonical_basis(qx3):
     ("f2x2 (exhaustive)", lambda: ORACLE_ALGEBRAS["f2x2"](), None),
 ])
 def test_enumerated_family_is_the_one_the_replaced_routes_give(name, build, members, monkeypatch):
-    import omegacalc.fodc as fodc
-
+    # the per-candidate enumeration, saturating by the fixpoint loop and
+    # testing closure by one solve per basis element
     u = universal_calculus(build())
     family = enumerate_action_closed_subspaces(u.omega)
-    monkeypatch.setattr(fodc, "saturate_subspace", fixpoint_saturation)
-    monkeypatch.setattr(fodc, "action_closed", solving_closure_witness)
-    assert family == enumerate_action_closed_subspaces(u.omega)
+    monkeypatch.setattr(oracle_algebras, "saturate_subspace", fixpoint_saturation)
+    monkeypatch.setattr(oracle_algebras, "action_closed", solving_closure_witness)
+    assert family == enumerate_by_saturation(u.omega)
     assert members is None or len(family) == members

@@ -100,6 +100,17 @@ def test_bicovariant_missing_file_is_usage_error(capsys):
     assert "error" in json.loads(out)
 
 
+def test_fractional_dimension_exits_1(capsys, tmp_path):
+    # a dim of 2.7 was read as 2, and the command exited 0
+    doc = json.loads((FIXTURES / "qx2.json").read_text())
+    doc["dim"] = 2.7
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "universal", str(bad), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["error"] == 'bad algebra file: "dim" must be an integer, not 2.7'
+
+
 def test_extend_calculus_without_algebra_is_usage_error(capsys, tmp_path):
     calc = tmp_path / "calc.json"
     calc.write_text(json.dumps({"kind": "universal"}))

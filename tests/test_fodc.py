@@ -37,7 +37,7 @@ from omegacalc.linalg import (
 )
 from omegacalc.prolong import universal_prolongation
 
-from oracle_algebras import ORACLE_ALGEBRAS, oracle_calculi
+from oracle_algebras import ORACLE_ALGEBRAS, enumerate_by_saturation, oracle_calculi
 
 
 def omega_coords(u, aa_vector):
@@ -163,6 +163,15 @@ def test_certified_calculi_pass_check_fodc(name):
     alg = ORACLE_ALGEBRAS[name]()
     for label, c in oracle_calculi(name, alg).items():
         assert check_fodc(alg, c.omega, c.d).classification == "fodc", label
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_enumeration_matches_saturation_per_candidate(name):
+    # every fixture (qs3 included), the generated and incidence algebras and
+    # the GF(p) ones: the same family in the same order as saturating each
+    # candidate on its own
+    m = universal_calculus(ORACLE_ALGEBRAS[name]()).omega
+    assert enumerate_action_closed_subspaces(m) == enumerate_by_saturation(m)
 
 
 @pytest.mark.parametrize("fixture", ["qx3", "qz3", "f2x2"])

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from omegacalc import fodc, hopf, linalg, prolong
 from omegacalc.algebra import Algebra, AxiomError, build_truncated_poly
 from omegacalc.bimodule import regular_bimodule
 from omegacalc.fodc import (
@@ -12,15 +13,17 @@ from omegacalc.fodc import (
 )
 from omegacalc.hopf import (
     Bimonoid,
+    _codiagonal_coactions,
     bicovariance_check,
     bimonoid_axiom_report,
     check_hopf_module,
     d_comodule_report,
     group_like_bimonoid,
-    regular_coactions,
     universal_coactions,
 )
 from omegacalc.linalg import GF, QQ, LinAlgError, Mat, image_basis, kernel_basis, kronecker, rank
+
+from oracle_algebras import regular_coactions
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +144,41 @@ def test_universal_coactions_pass_axioms(name, expected_dim, request):
     # iota is a map of comodules, the step the retraction relies on
     assert kronecker(i_n, u.iota) * hc.lam == lam_reg * u.iota
     assert kronecker(u.iota, i_n) * hc.rho == rho_reg * u.iota
+
+
+@pytest.mark.parametrize("name", ["h_z2", "h_z3", "h_s3", "h_prim"])
+def test_codiagonal_coactions_match_the_materialized_ones(name, request):
+    # the library applies lam_reg and rho_reg factor by factor to the
+    # columns it needs; the oracle builds them on A^(x)4
+    h = request.getfixturevalue(name)
+    f, n = h.alg.field, h.alg.dim
+    lam_reg, rho_reg = regular_coactions(h)
+    i_nn = Mat.identity(f, n * n)
+    assert _codiagonal_coactions(h, i_nn, i_nn) == (lam_reg, rho_reg)
+    u = universal_calculus(h.alg)
+    i_n = Mat.identity(f, n)
+    assert _codiagonal_coactions(h, u.iota, u.retraction) == (
+        kronecker(i_n, u.retraction) * lam_reg * u.iota,
+        kronecker(u.retraction, i_n) * rho_reg * u.iota)
+
+
+def test_bicovariance_builds_no_map_on_a_fourth_tensor_power(h_s3, qs3, monkeypatch):
+    u = universal_calculus(qs3)
+    calcs = [quotient_calculus(u, s)[0] for s in enumerate_action_closed_subspaces(u.omega)]
+    cols = []
+
+    def recording(x, y):
+        out = kronecker(x, y)
+        cols.append(out.cols)
+        return out
+
+    for module in (fodc, hopf, linalg, prolong):
+        monkeypatch.setattr(module, "kronecker", recording)
+    verdicts = [bicovariance_check(h_s3, c)["bicovariant"] for c in calcs]
+    assert sum(verdicts) == 6
+    # A^(x)4 has 1296 coordinates; the Kronecker products left build iota
+    # and the retraction, with at most n^2 = 36 columns
+    assert cols and max(cols) < qs3.dim ** 4
 
 
 def test_bicovariance_refuses_a_calculus_over_another_algebra(h_z2, qx2):

@@ -8,8 +8,10 @@ policy take a `check` switch, the constructions certified there call no
 full axiom report, only the universal, zero and quotient calculi skip the
 calculus check, and the universal calculus, its induced maps, f_u,
 saturation and the closure check are closed forms that solve nothing.  The
-Hopf coactions solve nothing and re-check nothing, and the dg morphisms
-build no Kronecker product.
+Hopf coactions solve nothing, re-check nothing and build no Kronecker
+product, bicovariance_check builds no universal calculus, the lattice
+enumeration saturates no candidate on its own, and the dg morphisms build no
+Kronecker product.
 """
 
 import ast
@@ -107,15 +109,21 @@ def test_certified_constructions_call_no_full_report():
 
 
 @pytest.mark.parametrize("module,name,banned", [
-    ("hopf.py", "universal_coactions", {"solve", "check_hopf_module", "d_comodule_report"}),
+    ("hopf.py", "universal_coactions", {"solve", "check_hopf_module", "d_comodule_report",
+                                        "kronecker"}),
     ("hopf.py", "bicovariance_check", {"check_hopf_module", "d_comodule_report",
-                                       "subspace_leq", "factor_through_surjection"}),
+                                       "subspace_leq", "factor_through_surjection",
+                                       "universal_coactions", "universal_calculus",
+                                       "kronecker"}),
+    ("hopf.py", "_codiagonal_coactions", {"kronecker"}),
     ("prolong.py", "unique_dg_morphism", {"kron_all", "kronecker"}),
 ])
 def test_coactions_and_dg_morphisms_are_closed_forms(module, name, banned):
     # the coactions are read back through the retraction and descended by
-    # one section, and the dg morphism is factored one degree at a time
-    # through Omega^(n-1) (x) A; the Hopf reports run in the tests
+    # one section, each applied factor by factor to the columns it acts on
+    # with no map on A^(x)4 and no Omega_u rebuilt per calculus; the dg
+    # morphism is factored one degree at a time through Omega^(n-1) (x) A;
+    # the Hopf reports run in the tests
     assert not called_names(function_node(module, name)) & banned
 
 
@@ -127,6 +135,7 @@ def test_no_amitsur_surjections_and_no_engine_error_in_hopf():
 
 @pytest.mark.parametrize("module,name", [
     ("fodc.py", "universal_calculus"),
+    ("fodc.py", "_splitting"),
     ("fodc.py", "induced_map"),
     ("fodc.py", "_phi"),
     ("scalars.py", "universal_map"),
@@ -166,6 +175,14 @@ def test_sub_bimodule_closure_solves_nothing(name):
     # quotient map; the fixpoint loop and the per-element solves they
     # replaced are test oracles
     assert "solve" not in called_names(function_node("bimodule.py", name))
+
+
+def test_enumeration_saturates_through_one_sandwich_map():
+    # each basis vector is saturated once, pairs are sums of those, and each
+    # diagonal is one elimination on w; the per-candidate saturation it
+    # replaced is the test oracle
+    node = function_node("fodc.py", "enumerate_action_closed_subspaces")
+    assert "saturate_subspace" not in called_names(node)
 
 
 def test_saturation_has_no_loop():

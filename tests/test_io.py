@@ -81,6 +81,19 @@ def test_boolean_relation_entry_is_rejected(field):
     assert relations_from_json({"generators": [[1, "0", "0", "-1"]]}, field, 4)
 
 
+@pytest.mark.parametrize("dim", [2.7, 2.0, True, "2", None], ids=repr)
+def test_a_dimension_that_is_not_an_integer_is_rejected(dim, qx2):
+    # int() would read 2.7 as 2 and true as 1
+    doc = load_json(FIXTURES / "qx2.json")
+    doc["dim"] = dim
+    with pytest.raises(LinAlgError, match='"dim" must be an integer'):
+        algebra_from_json(doc)
+    doc = bimodule_to_json(free_bimodule(qx2, 1, qx2))
+    doc["dim"] = dim
+    with pytest.raises(LinAlgError, match='"dim" must be an integer'):
+        bimodule_from_json(doc)
+
+
 def test_grouplike_fixture_has_comultiplication():
     h = bimonoid_from_json(load_json(FIXTURES / "qz2.json"))
     # Delta(g) = g (x) g on the non-identity group element

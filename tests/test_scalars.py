@@ -4,9 +4,11 @@ import pkgutil
 import pytest
 
 import omegacalc
+from omegacalc import scalars
 from omegacalc.algebra import AlgMap
 from omegacalc.bimodule import extend_bimodule, field_algebra
 from omegacalc.fodc import (
+    PreconditionError,
     enumerate_action_closed_subspaces,
     induced_map,
     kernel_from_universal,
@@ -240,6 +242,38 @@ def test_poset_adjunction_along_surjection(qx4, qx2):
     ts = [quotient_calculus(u2, s)[0] for s in enumerate_action_closed_subspaces(u2.omega)]
     rep = verify_poset_adjunction(g, cs, ts)
     assert rep["all_agree"]
+
+
+def test_transport_builds_the_universal_calculus_of_one_algebra(monkeypatch, y_to_x2, qy2, qx4):
+    # ker(Omega_u -> c) is read off phi of c: a push builds only Omega_u of
+    # the target, a pull only that of the source, and the adjunction check
+    # none besides those of its pushes and pulls
+    built = []
+
+    def counting(a):
+        built.append(a)
+        return universal_calculus(a)
+
+    monkeypatch.setattr(scalars, "universal_calculus", counting)
+    c, t = kahler_calculus(qy2), kahler_calculus(qx4)
+    assert calc_pushforward(y_to_x2, c).alg == qx4
+    assert built == [qx4]
+    assert calc_pullback(y_to_x2, t).alg == qy2
+    assert built == [qx4, qy2]
+    assert verify_poset_adjunction(y_to_x2, [c], [t])["all_agree"]
+    assert built == [qx4, qy2, qx4, qy2]
+
+
+def test_transport_refuses_a_calculus_over_the_wrong_algebra(y_to_x2, qy2, qx4):
+    on_source, on_target = kahler_calculus(qy2), kahler_calculus(qx4)
+    with pytest.raises(PreconditionError, match="not over the source algebra"):
+        calc_pushforward(y_to_x2, on_target)
+    with pytest.raises(PreconditionError, match="not over the target algebra"):
+        calc_pullback(y_to_x2, on_source)
+    with pytest.raises(PreconditionError, match="not over the source algebra"):
+        verify_poset_adjunction(y_to_x2, [on_target], [on_target])
+    with pytest.raises(PreconditionError, match="not over the target algebra"):
+        verify_poset_adjunction(y_to_x2, [on_source], [on_source])
 
 
 def test_typed_inputs_are_not_rechecked(monkeypatch, y_to_x2, qx2, qy2, qx4, qz2):

@@ -29,6 +29,8 @@ ROOT = Path(__file__).resolve().parent.parent
 FULL_VALIDATION = ("tests/test_prolong.py -k "
                    "maximal_prolongation_and_trivial_extension_pass_full_validation")
 COACTION_ORACLE = "tests/test_hopf.py -k universal_coactions_pass_axioms"
+CODIAGONAL_ORACLE = "tests/test_hopf.py -k codiagonal_coactions_match_the_materialized_ones"
+ENUMERATION_ORACLE = "tests/test_fodc.py -k enumeration_matches_saturation_per_candidate"
 AD_STABLE_ORACLE = "tests/test_hopf.py -k function_algebra_calculi_are_bicovariant_iff_ad_stable"
 QUOTIENT_HOPF_ORACLE = "tests/test_hopf.py -k bicovariance_agrees_with_brute_force"
 DG_MORPHISM_ORACLE = "tests/test_prolong.py -k unique_dg_morphism_matches_the_amitsur_route"
@@ -68,19 +70,25 @@ MUTANTS = [
      " (1, 0): c.omega.right_mat}\n"
      "    for i in range(max_degree + 1):",
      FULL_VALIDATION),
-    # universal_coactions: lambda and rho
+    # the codiagonal coactions, shared by universal_coactions and
+    # bicovariance_check: lambda, rho, and lambda's Delta applied to the
+    # first leg instead of the second
     ("src/omegacalc/hopf.py",
-     "    lam = kronecker(i_n, u.retraction) * lam_reg * u.iota",
-     "    lam = -kronecker(i_n, u.retraction) * lam_reg * u.iota",
+     "    lam = mul_id_kron(mul_kron_id(mul_id_kron(xt, n, dt), h.s_t, n), n, gt)",
+     "    lam = -mul_id_kron(mul_kron_id(mul_id_kron(xt, n, dt), h.s_t, n), n, gt)",
      COACTION_ORACLE),
     ("src/omegacalc/hopf.py",
-     "    rho = kronecker(u.retraction, i_n) * rho_reg * u.iota",
-     "    rho = kronecker(u.retraction, i_n) * (rho_reg + rho_reg) * u.iota",
+     "    rho = mul_kron_id(mul_id_kron(mul_kron_id(xt, dt, n), n, h.t_t), gt, n)",
+     "    rho = mul_kron_id(mul_id_kron(mul_kron_id(xt + xt, dt, n), n, h.t_t), gt, n)",
      COACTION_ORACLE),
+    ("src/omegacalc/hopf.py",
+     "mul_id_kron(xt, n, dt), h.s_t",
+     "mul_kron_id(xt, dt, n), h.s_t",
+     CODIAGONAL_ORACLE),
     # bicovariance_check: the right-side subcomodule test, and the section
     # the quotient coactions descend through
     ("src/omegacalc/hopf.py",
-     "    if not (rho_phi * nker).is_zero():",
+     "    if not rho_n.is_zero():",
      "    if False:",
      AD_STABLE_ORACLE),
     ("src/omegacalc/hopf.py",
@@ -134,6 +142,16 @@ MUTANTS = [
      "_certified(UniversalCalculus, a, omega, diff[0],",
      "_certified(UniversalCalculus, a, omega, -diff[0],",
      KERNEL_ORACLE),
+    # the lattice enumeration: a pair saturated as its first basis vector
+    # only, and the diagonal e_i - e_j replaced by e_i + e_j
+    ("src/omegacalc/fodc.py",
+     "[singles[i] for i in subset]",
+     "[singles[subset[0]]]",
+     ENUMERATION_ORACLE),
+    ("src/omegacalc/fodc.py",
+     "            record(image_basis(blocks[i] - blocks[j]))",
+     "            record(image_basis(blocks[i] + blocks[j]))",
+     ENUMERATION_ORACLE),
     # check_fodc: the left-surjectivity rank
     ("src/omegacalc/fodc.py",
      "    left_rank = rank(one_d)",
