@@ -11,6 +11,8 @@ lattice of action-closed subspaces.
 """
 from __future__ import annotations
 
+from functools import wraps
+
 from .algebra import Algebra, AxiomError
 from .bimodule import (
     BimodMap,
@@ -28,7 +30,6 @@ from .linalg import (
     factor_through_surjection,
     image_basis,
     kernel_basis,
-    kronecker,
     mul_id_kron,
     mul_kron_id,
     rank,
@@ -134,6 +135,28 @@ class UniversalCalculus(FirstOrderCalculus):
         self.retraction = retraction
 
 
+def _memo(build):
+    """build(x), computed once per instance x and kept in x's own __dict__.
+
+    Equal but distinct instances do not share a value, a value lives as
+    long as its instance, and an exception is not kept.  Values are
+    immutable, so two threads racing on one x at most build an equal value
+    twice.  `slot` names the key, for a construction that has the value in
+    hand to record it.
+    """
+    slot = "_memo_" + build.__name__
+
+    @wraps(build)
+    def memoized(x):
+        kept = x.__dict__
+        if slot not in kept:
+            kept[slot] = build(x)
+        return kept[slot]
+
+    memoized.slot = slot
+    return memoized
+
+
 def _certified(cls, alg: Algebra, omega: Bimodule, d: Mat, **extra):
     """A calculus of type cls whose axioms its construction proves, built
     without running check_fodc; extra holds the further attributes of cls."""
@@ -162,16 +185,26 @@ def _unit_complement(a: Algebra) -> tuple[list[int], Mat]:
 def _splitting(a: Algebra) -> tuple[Mat, Mat]:
     """iota: Omega_u -> A (x) A, a0 (x) b -> a0 (x) b - a0 b (x) 1, and the
     retraction 1 (x) pi, certified in universal_calculus."""
-    n = a.dim
-    i_n = Mat.identity(a.field, n)
+    n, f = a.dim, a.field
     bar, pi = _unit_complement(a)
-    at_bar = a.mult_mat.select_cols([x * n + b for x in range(n) for b in bar])
-    iota = kronecker(i_n, i_n.select_cols(bar)) - kronecker(at_bar, a.unit_mat)
-    return iota, kronecker(i_n, pi)
+    cols = [x * n + b for x in range(n) for b in bar]
+    # the columns of A (x) A at A (x) A-bar, and a (x) b -> ab (x) 1 on them
+    ones = Mat.from_entries(f, n * n, len(cols), [(col, j, 1) for j, col in enumerate(cols)])
+    one_unit = Mat.from_entries(f, n * n, n, [(c * n + k, c, u) for c in range(n)
+                                              for k, u in enumerate(a.unit) if u])
+    iota = ones - one_unit * a.mult_mat.select_cols(cols)
+    # 1 (x) pi: pi's rows repeated in n diagonal blocks
+    retraction = Mat.from_entries(f, len(cols), n * n, [
+        (x * len(bar) + r, x * n + j, v) for x in range(n)
+        for r, row in enumerate(pi.data) for j, v in row.items()])
+    return iota, retraction
 
 
+@_memo
 def universal_calculus(a: Algebra) -> UniversalCalculus:
-    """Degree 1 of the universal prolongation, with iota and retraction."""
+    """Degree 1 of the universal prolongation, with iota and retraction.
+
+    Built once per algebra instance (`_memo`)."""
     from .prolong import _prolongation  # prolong builds on this module
 
     dims, diff, wedge = _prolongation(a, 1)
@@ -224,6 +257,14 @@ def _phi(c: FirstOrderCalculus) -> Mat:
     return mul_id_kron(c.omega.left_mat, a.dim, c.d.select_cols(bar))
 
 
+@_memo
+def _kernel(c: FirstOrderCalculus) -> Mat:
+    """Canonical basis of N = ker(phi: Omega_u -> c), the subobject that
+    classifies c, built once per calculus instance.  A quotient of the
+    universal calculus records its subspace here when it is built."""
+    return kernel_basis(_phi(c))
+
+
 def induced_map(u: UniversalCalculus, target: FirstOrderCalculus) -> BimodMap:
     """The unique calculus morphism from the universal calculus, phi.
 
@@ -265,13 +306,20 @@ def quotient_calculus(c: FirstOrderCalculus, sub_basis: Mat) -> tuple[FirstOrder
     # A dA = c onto A d_new(A), so that is c/N; and d_new(1) = proj d(1) = 0.
     # c itself is a calculus, checked or certified when it was built.
     # tests/test_fodc.py runs check_fodc on every quotient of the lattices.
-    result = _certified(FirstOrderCalculus, c.alg, quo, d_new)
+    # phi of the universal calculus is the identity of A (x) A-bar, so phi of
+    # its quotient is proj, whose kernel is the subspace; a UniversalCalculus
+    # built by its public constructor may be in another basis
+    canonical = isinstance(c, UniversalCalculus) and c is universal_calculus(c.alg)
+    kernel = {_kernel.slot: basis} if canonical else {}
+    result = _certified(FirstOrderCalculus, c.alg, quo, d_new, **kernel)
     return result, BimodMap(c.omega, result.omega, proj.matrix, check=False)
 
 
 def kernel_from_universal(u: UniversalCalculus, c: FirstOrderCalculus) -> Mat:
     """Canonical basis of ker(Omega_u -> c), the subobject classifying c."""
-    return kernel_basis(induced_map(u, c).matrix)
+    if c.alg != u.alg:
+        raise LinAlgError("calculi over different algebras")
+    return _kernel(c)
 
 
 def calculus_morphism_exists(u: UniversalCalculus, src: FirstOrderCalculus,
@@ -382,7 +430,10 @@ def kernel_counit_comparison(u: UniversalCalculus, left_module: Bimodule) -> dic
     mu = left_module.left_mat
     k_basis = kernel_basis(mu)
     t_mod, q = tensor_over_algebra(u.omega, left_module)
-    g_rhs = mul_kron_id(kronecker(Mat.identity(f, a.dim), mu), u.iota, left_module.dim)
+    # (1 (x) mu)(iota (x) 1) on transposed rows: (iota^T (x) 1)(1 (x) mu^T)
+    dm = left_module.dim
+    g_rhs = mul_id_kron(mul_kron_id(Mat.identity(f, u.dim * dm), u.iota.transpose(), dm),
+                        a.dim, mu.transpose()).transpose()
     g = factor_through_surjection(g_rhs, q)
     if g is None:
         raise EngineError("comparison map does not descend to the tensor product")

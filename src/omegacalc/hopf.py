@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from .algebra import Algebra, AxiomError
 from .bimodule import Bimodule
-from .fodc import FirstOrderCalculus, _phi, _splitting, universal_calculus
+from .fodc import FirstOrderCalculus, _kernel, _phi, _splitting, universal_calculus
 from .linalg import (
     LinAlgError,
     Mat,
-    kernel_basis,
     kronecker,
     mul_id_kron,
     mul_kron_id,
@@ -34,8 +33,27 @@ from .linalg import (
 )
 
 
+def _fused_products(a: Algebra, comult: Mat) -> tuple[Mat, Mat]:
+    """The transposes of s(a (x) c) = a1 c (x) a2 and t(c (x) b) = b1 (x) c b2
+    on A (x) A, one row per basis vector, so n^2 rows and no map on A^(x)4."""
+    n = a.dim
+    i_nn = Mat.identity(a.field, n * n)
+    dt, mt = comult.transpose(), a.mult_mat.transpose()
+    sw = swap_matrix(a.field, n, n)
+    # s: a (x) c -> a1 (x) a2 (x) c -> a1 (x) c (x) a2 -> a1 c (x) a2
+    s_t = mul_kron_id(mul_id_kron(mul_kron_id(i_nn, dt, n), n, sw), mt, n)
+    # t: c (x) b -> c (x) b1 (x) b2 -> b1 (x) c (x) b2 -> b1 (x) c b2
+    t_t = mul_id_kron(mul_kron_id(mul_id_kron(i_nn, n, dt), sw, n), n, mt)
+    return s_t, t_t
+
+
 def bimonoid_axiom_report(a: Algebra, comult: Mat, counit: Mat) -> list[str]:
-    """Coassociativity, counit laws, and the algebra-map conditions."""
+    """Coassociativity, counit laws, and the algebra-map conditions.
+
+    Each identity of maps out of A or A (x) A is compared on transposed
+    rows: (X (x) 1) M is the transpose of M^T (X^T (x) 1), a right product,
+    so no map on A^(x)3 or A^(x)4 is built.
+    """
     n = a.dim
     f = a.field
     if (comult.rows, comult.cols) != (n * n, n):
@@ -43,20 +61,24 @@ def bimonoid_axiom_report(a: Algebra, comult: Mat, counit: Mat) -> list[str]:
     if (counit.rows, counit.cols) != (1, n):
         raise LinAlgError("counit has wrong shape")
     i_n = Mat.identity(f, n)
+    dt, ct = comult.transpose(), counit.transpose()
     report = []
-    coassoc_l = kronecker(comult, i_n) * comult
-    coassoc_r = kronecker(i_n, comult) * comult
-    if coassoc_l != coassoc_r:
-        for j in range(n):
-            if coassoc_l.column(j) != coassoc_r.column(j):
-                report.append(f"coassociativity fails on e{j}")
-    if kronecker(counit, i_n) * comult != i_n:
+    # row j of each is column j of (Delta (x) 1) Delta and (1 (x) Delta) Delta
+    coassoc_l = mul_kron_id(dt, dt, n)
+    coassoc_r = mul_id_kron(dt, n, dt)
+    for j in range(n):
+        if coassoc_l.data[j] != coassoc_r.data[j]:
+            report.append(f"coassociativity fails on e{j}")
+    if mul_kron_id(dt, ct, n) != i_n:
         report.append("left counit law fails")
-    if kronecker(i_n, counit) * comult != i_n:
+    if mul_id_kron(dt, n, ct) != i_n:
         report.append("right counit law fails")
-    mid = kronecker(i_n, kronecker(swap_matrix(f, n, n), i_n))
-    mult_aa = kronecker(a.mult_mat, a.mult_mat) * mid
-    if comult * a.mult_mat != mult_aa * kronecker(comult, comult):
+    # (m (x) m)(1 (x) swap (x) 1)(Delta (x) Delta) is a (x) b -> a1 b1 (x) a2 b2,
+    # which is (1 (x) m)(s (x) 1)(1 (x) Delta) for any linear Delta
+    s_t, _t_t = _fused_products(a, comult)
+    one_delta_t = mul_id_kron(Mat.identity(f, n * n), n, dt)
+    mult_aa_t = mul_id_kron(mul_kron_id(one_delta_t, s_t, n), n, a.mult_mat.transpose())
+    if (comult * a.mult_mat).transpose() != mult_aa_t:
         report.append("comultiplication is not an algebra map")
     if comult * a.unit_mat != kronecker(a.unit_mat, a.unit_mat):
         report.append("comultiplication does not preserve the unit")
@@ -83,14 +105,7 @@ class Bimonoid:
         self.alg = alg
         self.comult = comult
         self.counit = counit
-        n = alg.dim
-        i_nn = Mat.identity(alg.field, n * n)
-        dt, mt = comult.transpose(), alg.mult_mat.transpose()
-        sw = swap_matrix(alg.field, n, n)
-        # s: a (x) c -> a1 (x) a2 (x) c -> a1 (x) c (x) a2 -> a1 c (x) a2
-        self.s_t = mul_kron_id(mul_id_kron(mul_kron_id(i_nn, dt, n), n, sw), mt, n)
-        # t: c (x) b -> c (x) b1 (x) b2 -> b1 (x) c (x) b2 -> b1 (x) c b2
-        self.t_t = mul_id_kron(mul_kron_id(mul_id_kron(i_nn, n, dt), sw, n), n, mt)
+        self.s_t, self.t_t = _fused_products(alg, comult)
 
     def __repr__(self):
         return f"Bimonoid(dim={self.alg.dim})"
@@ -249,7 +264,7 @@ def bicovariance_check(h: Bimonoid, c: FirstOrderCalculus) -> dict:
     iota, retraction = _splitting(h.alg)
     phi = _phi(c)
     to_c = phi * retraction
-    lam_n, rho_n = _codiagonal_coactions(h, iota * kernel_basis(phi), to_c)
+    lam_n, rho_n = _codiagonal_coactions(h, iota * _kernel(c), to_c)
     witnesses = []
     if not lam_n.is_zero():
         witnesses.append("left coaction moves the defining subobject out of A (x) N")

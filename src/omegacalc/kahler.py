@@ -14,6 +14,7 @@ from .fodc import (
     FirstOrderCalculus,
     PreconditionError,
     UniversalCalculus,
+    _memo,
     quotient_calculus,
     universal_calculus,
 )
@@ -34,8 +35,10 @@ def kahler_relations(u: UniversalCalculus) -> Mat:
     return saturate_subspace(u.omega, image_basis(rel))
 
 
+@_memo
 def kahler_calculus(a: Algebra) -> FirstOrderCalculus:
-    """The central quotient of the universal calculus of a commutative algebra."""
+    """The central quotient of the universal calculus of a commutative algebra,
+    built once per algebra instance (`_memo`; a refusal is not kept)."""
     if not is_commutative(a):
         i, j = commutativity_witness(a)
         raise PreconditionError(

@@ -40,6 +40,7 @@ from .bimodule import Bimodule, bimodule_axiom_report, regular_bimodule
 from .fodc import (
     FirstOrderCalculus,
     PreconditionError,
+    _kernel,
     _phi,
     _unit_complement,
     calculus_morphism_exists,
@@ -50,7 +51,6 @@ from .linalg import (
     Mat,
     factor_through_surjection,
     image_basis,
-    kernel_basis,
     kron_all,
     kronecker,
     mul_id_kron,
@@ -357,7 +357,7 @@ def maximal_prolongation(c: FirstOrderCalculus, max_degree: int) -> GradedCalcul
     # tests/test_prolong.py runs validation_report on the results and holds
     # the maximal prolongation of the universal calculus to the universal
     # prolongation.
-    dims, diff, wedge = _prolongation(a, max_degree, phi, section, kernel_basis(phi))
+    dims, diff, wedge = _prolongation(a, max_degree, phi, section, _kernel(c))
     return GradedCalculus(a, max_degree, dims, diff, wedge)
 
 

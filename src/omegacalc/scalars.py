@@ -16,7 +16,7 @@ from .fodc import (
     FirstOrderCalculus,
     PreconditionError,
     UniversalCalculus,
-    _phi,
+    _kernel,
     _unit_complement,
     induced_map,
     induced_map_is_unique,
@@ -59,7 +59,7 @@ def calc_pushforward(f: AlgMap, c: FirstOrderCalculus) -> FirstOrderCalculus:
         raise PreconditionError("calculus is not over the source algebra")
     # ker(Omega_u(A) -> c) is ker phi, which needs no Omega_u(A)
     u_b = universal_calculus(f.target)
-    pushed = saturate_subspace(u_b.omega, image_basis(universal_map(f) * kernel_basis(_phi(c))))
+    pushed = saturate_subspace(u_b.omega, image_basis(universal_map(f) * _kernel(c)))
     result, _proj = quotient_calculus(u_b, pushed)
     return result
 
@@ -70,7 +70,7 @@ def calc_pullback(f: AlgMap, t: FirstOrderCalculus) -> FirstOrderCalculus:
         raise PreconditionError("calculus is not over the target algebra")
     # ker(Omega_u(B) -> t) is ker phi, which needs no Omega_u(B)
     u_a = universal_calculus(f.source)
-    p = preimage_basis(universal_map(f), kernel_basis(_phi(t)))
+    p = preimage_basis(universal_map(f), _kernel(t))
     result, proj = quotient_calculus(u_a, p)
     if kernel_basis(proj.matrix) != p:
         raise EngineError("pullback subspace is not the kernel of its quotient")
@@ -80,11 +80,12 @@ def calc_pullback(f: AlgMap, t: FirstOrderCalculus) -> FirstOrderCalculus:
 def verify_poset_adjunction(f: AlgMap, cs: list[FirstOrderCalculus],
                             ts: list[FirstOrderCalculus]) -> dict:
     """Morphisms F_! c -> t exist iff morphisms c -> F* t do, on every pair."""
-    # every kernel is ker phi of its calculus, so neither Omega_u is built here
-    pushed = [kernel_basis(_phi(calc_pushforward(f, c))) for c in cs]
-    pulled = [kernel_basis(_phi(calc_pullback(f, t))) for t in ts]
-    ker_cs = [kernel_basis(_phi(c)) for c in cs]
-    ker_ts = [kernel_basis(_phi(t)) for t in ts]
+    # every kernel is ker phi of its calculus, so neither Omega_u is built
+    # here; a pushed or pulled calculus recorded its kernel when it was built
+    pushed = [_kernel(calc_pushforward(f, c)) for c in cs]
+    pulled = [_kernel(calc_pullback(f, t)) for t in ts]
+    ker_cs = [_kernel(c) for c in cs]
+    ker_ts = [_kernel(t) for t in ts]
     pairs = []
     agree = True
     for ci in range(len(cs)):

@@ -1,6 +1,6 @@
 import pytest
 
-from omegacalc.algebra import AxiomError
+from omegacalc.algebra import AxiomError, is_commutative
 
 from omegacalc.bimodule import (
     BimodMap,
@@ -13,6 +13,10 @@ from omegacalc.bimodule import (
 )
 from omegacalc.fodc import (
     FirstOrderCalculus,
+    PreconditionError,
+    UniversalCalculus,
+    _kernel,
+    _phi,
     check_fodc,
     enumerate_action_closed_subspaces,
     induced_map,
@@ -30,6 +34,7 @@ from omegacalc.linalg import (
     QQ,
     Mat,
     image_basis,
+    inverse,
     kernel_basis,
     kronecker,
     rank,
@@ -37,7 +42,12 @@ from omegacalc.linalg import (
 )
 from omegacalc.prolong import universal_prolongation
 
-from oracle_algebras import ORACLE_ALGEBRAS, enumerate_by_saturation, oracle_calculi
+from oracle_algebras import (
+    ORACLE_ALGEBRAS,
+    enumerate_by_saturation,
+    load_fixture,
+    oracle_calculi,
+)
 
 
 def omega_coords(u, aa_vector):
@@ -313,3 +323,103 @@ def test_generalized_calculus_type(qx2):
     assert check_fodc(qx2, sq, d).classification == "generalized_only"
     with pytest.raises(AxiomError):
         FirstOrderCalculus(qx2, sq, d)
+
+
+@pytest.mark.parametrize("fixture", ["qx3", "qz3", "m2q", "qs3"])
+def test_kernel_counit_comparison_on_the_regular_module(fixture):
+    # (1 (x) mu)(iota (x) 1) is applied blockwise; the comparison must still
+    # descend to the tensor product and be invertible
+    alg = load_fixture(fixture)
+    qa = field_algebra(alg.field)
+    regular = Bimodule(alg, qa, alg.dim, alg.mult_mat, Mat.identity(alg.field, alg.dim))
+    rep = kernel_counit_comparison(universal_calculus(alg), regular)
+    assert rep["invertible"]
+    assert rep["kernel_dim"] == rep["tensor_dim"] == alg.dim * alg.dim - alg.dim
+
+
+# The memo: universal_calculus and kahler_calculus per algebra instance, and
+# _kernel = ker(Omega_u -> c) per calculus instance
+
+
+def test_memo_returns_the_value_built_on_the_first_call():
+    alg = load_fixture("qx3")
+    u = universal_calculus(alg)
+    k = kahler_calculus(alg)
+    assert universal_calculus(alg) is u
+    assert kahler_calculus(alg) is k
+    assert _kernel(k) is _kernel(k)
+    assert alg.__dict__[universal_calculus.slot] is u
+
+
+def test_memo_keeps_equal_instances_apart():
+    a, b = load_fixture("qx3"), load_fixture("qx3")
+    assert a == b and a is not b
+    ua, ub = universal_calculus(a), universal_calculus(b)
+    assert ua is not ub and ua.alg is a and ub.alg is b
+    assert (ua.omega, ua.d, ua.iota) == (ub.omega, ub.d, ub.iota)
+    ka, kb = kahler_calculus(a), kahler_calculus(b)
+    assert ka is not kb and ka.alg is a and kb.alg is b
+    assert _kernel(ka) is not _kernel(kb)
+    assert _kernel(ka) == _kernel(kb)
+    # a different algebra gets its own calculus, not the last one built
+    assert universal_calculus(load_fixture("qz2")).dim == 2
+
+
+def test_memo_keeps_no_refusal():
+    m2 = load_fixture("m2q")
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="not commutative"):
+            kahler_calculus(m2)
+    assert kahler_calculus.slot not in m2.__dict__
+
+
+def recorded_kernel(c):
+    """The kernel c recorded when it was built, or None."""
+    return c.__dict__.get(_kernel.slot)
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_quotients_of_the_universal_calculus_record_the_kernel_of_phi(name):
+    # every quotient of the enumerated lattice and the Kaehler calculus
+    # record their kernel; the elimination it replaces is the oracle
+    alg = ORACLE_ALGEBRAS[name]()
+    u = universal_calculus(alg)
+    calculi = [quotient_calculus(u, n)[0] for n in enumerate_action_closed_subspaces(u.omega)]
+    if is_commutative(alg):
+        calculi.append(kahler_calculus(alg))
+    assert calculi
+    for c in calculi:
+        assert recorded_kernel(c) is not None
+        assert recorded_kernel(c) == kernel_basis(_phi(c))
+        assert _kernel(c) is recorded_kernel(c)
+
+
+def change_of_basis(u, p):
+    """The universal calculus u in the basis of Omega_u given by the columns of
+    p^-1, built by the public constructor, which checks it."""
+    f = u.alg.field
+    n = u.alg.dim
+    p_inv = inverse(p)
+    i_n = Mat.identity(f, n)
+    omega = Bimodule(u.alg, u.alg, u.dim, p * u.omega.left_mat * kronecker(i_n, p_inv),
+                     p * u.omega.right_mat * kronecker(p_inv, i_n))
+    return UniversalCalculus(u.alg, omega, p * u.d, u.iota * p_inv, p * u.retraction)
+
+
+def test_a_quotient_of_a_calculus_in_another_basis_computes_its_kernel(qx3):
+    # the shortcut holds only for the canonical universal calculus: a
+    # UniversalCalculus in another basis, and the Kaehler calculus, are
+    # quotiented by subspaces of their own basis
+    u = universal_calculus(qx3)
+    f = qx3.field
+    shear = Mat.identity(f, u.dim) + Mat.from_entries(f, u.dim, u.dim, [(0, u.dim - 1, 1)])
+    v = change_of_basis(u, shear)
+    assert v is not u and isinstance(v, UniversalCalculus)
+    checked = 0
+    for c in (v, kahler_calculus(qx3)):
+        for n in enumerate_action_closed_subspaces(c.omega):
+            quo, _proj = quotient_calculus(c, n)
+            assert recorded_kernel(quo) is None
+            assert _kernel(quo) == kernel_basis(_phi(quo))
+            checked += _kernel(quo) != n
+    assert checked

@@ -1,9 +1,9 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
-from omegacalc import fodc, hopf, linalg, prolong
-from omegacalc.algebra import Algebra, AxiomError, build_truncated_poly
+from omegacalc import hopf, linalg, prolong
+from omegacalc.algebra import Algebra, AxiomError, build_group_algebra, build_truncated_poly
 from omegacalc.bimodule import regular_bimodule
 from omegacalc.fodc import (
     enumerate_action_closed_subspaces,
@@ -21,7 +21,17 @@ from omegacalc.hopf import (
     group_like_bimonoid,
     universal_coactions,
 )
-from omegacalc.linalg import GF, QQ, LinAlgError, Mat, image_basis, kernel_basis, kronecker, rank
+from omegacalc.linalg import (
+    GF,
+    QQ,
+    LinAlgError,
+    Mat,
+    image_basis,
+    kernel_basis,
+    kronecker,
+    rank,
+    swap_matrix,
+)
 
 from oracle_algebras import regular_coactions
 
@@ -108,6 +118,79 @@ def test_bimonoid_rejects_structure_maps_that_are_not_algebra_maps(qz2, case):
     assert exc.value.report == expected
 
 
+def materialized_bimonoid_report(a, comult, counit):
+    """bimonoid_axiom_report in its earlier form, which builds the maps on
+    A^(x)3 and A^(x)4: the oracle for the transposed-row route."""
+    n = a.dim
+    f = a.field
+    i_n = Mat.identity(f, n)
+    report = []
+    coassoc_l = kronecker(comult, i_n) * comult
+    coassoc_r = kronecker(i_n, comult) * comult
+    for j in range(n):
+        if coassoc_l.column(j) != coassoc_r.column(j):
+            report.append(f"coassociativity fails on e{j}")
+    if kronecker(counit, i_n) * comult != i_n:
+        report.append("left counit law fails")
+    if kronecker(i_n, counit) * comult != i_n:
+        report.append("right counit law fails")
+    mid = kronecker(i_n, kronecker(swap_matrix(f, n, n), i_n))
+    mult_aa = kronecker(a.mult_mat, a.mult_mat) * mid
+    if comult * a.mult_mat != mult_aa * kronecker(comult, comult):
+        report.append("comultiplication is not an algebra map")
+    if comult * a.unit_mat != kronecker(a.unit_mat, a.unit_mat):
+        report.append("comultiplication does not preserve the unit")
+    if counit * a.mult_mat != kronecker(counit, counit):
+        report.append("counit is not an algebra map")
+    if counit * a.unit_mat != Mat.identity(f, 1):
+        report.append("counit does not preserve the unit")
+    return report
+
+
+def bimonoid_cases(qz2, qz3, qs3):
+    """(label, algebra, comult, counit): the fixture bimonoids, k(S3), the
+    primitive one over GF(3) and the bad structure maps on Q[Z2]."""
+    table = [[e_ij.index(1) for e_ij in row] for row in qs3.mult]
+    k_s3 = function_algebra_bimonoid(table)
+    cases = [(f"group-like {h.alg.dim}", h.alg, h.comult, h.counit)
+             for h in (group_like_bimonoid(qz2), group_like_bimonoid(qz3),
+                       group_like_bimonoid(qs3))]
+    cases.append(("k(S3)", k_s3.alg, k_s3.comult, k_s3.counit))
+    cases.append(("primitive GF(2)", *primitive_bimonoid(GF(2))))
+    cases.append(("primitive GF(3)", *primitive_bimonoid(GF(3))))
+    cases.append(("right counit", qz2, Mat.from_entries(QQ, 4, 2, [(0, 0, 1), (1, 1, 1)]),
+                  Mat(QQ, [[1, 1]])))
+    # Delta(g) = g (x) g + e (x) g is not coassociative
+    not_coassociative = Mat.from_entries(QQ, 4, 2, [(0, 0, 1), (3, 1, 1), (1, 1, 1)])
+    cases.append(("not coassociative", qz2, not_coassociative, Mat(QQ, [[1, 1]])))
+    for case, (entries, counit_rows, _expected) in sorted(NOT_ALGEBRA_MAPS.items()):
+        cases.append((case, qz2, Mat.from_entries(QQ, 4, 2, entries), Mat(QQ, counit_rows)))
+    return cases
+
+
+def test_bimonoid_report_matches_the_materialized_one(qz2, qz3, qs3):
+    for label, alg, comult, counit in bimonoid_cases(qz2, qz3, qs3):
+        assert bimonoid_axiom_report(alg, comult, counit) == \
+            materialized_bimonoid_report(alg, comult, counit), label
+
+
+@pytest.mark.parametrize("alg", [
+    build_group_algebra(GF(2), [[0, 1], [1, 0]]), build_truncated_poly(GF(2), 2),
+], ids=["F2[Z2]", "F2[x]/x^2"])
+def test_bimonoid_report_matches_the_materialized_one_on_every_map_over_gf2(alg):
+    # every comultiplication and counit of a 2-dimensional algebra over GF(2):
+    # each message, in the same order
+    f = alg.field
+    seen = set()
+    for bits in product(range(2), repeat=10):
+        comult = Mat(f, [bits[2 * r:2 * r + 2] for r in range(4)])
+        counit = Mat(f, [bits[8:]])
+        report = bimonoid_axiom_report(alg, comult, counit)
+        assert report == materialized_bimonoid_report(alg, comult, counit), bits
+        seen.update(report)
+    assert len(seen) == 8
+
+
 def test_algebra_as_hopf_module(h_z2, h_z3):
     for h in (h_z2, h_z3):
         reg = regular_bimodule(h.alg)
@@ -172,13 +255,14 @@ def test_bicovariance_builds_no_map_on_a_fourth_tensor_power(h_s3, qs3, monkeypa
         cols.append(out.cols)
         return out
 
-    for module in (fodc, hopf, linalg, prolong):
+    # fodc.py binds no kronecker (tests/test_hygiene.py)
+    for module in (hopf, linalg, prolong):
         monkeypatch.setattr(module, "kronecker", recording)
     verdicts = [bicovariance_check(h_s3, c)["bicovariant"] for c in calcs]
     assert sum(verdicts) == 6
-    # A^(x)4 has 1296 coordinates; the Kronecker products left build iota
-    # and the retraction, with at most n^2 = 36 columns
-    assert cols and max(cols) < qs3.dim ** 4
+    # A^(x)4 has 1296 coordinates; iota and the retraction are built
+    # blockwise too, so no Kronecker product is left at all
+    assert cols == []
 
 
 def test_bicovariance_refuses_a_calculus_over_another_algebra(h_z2, qx2):

@@ -11,7 +11,8 @@ saturation and the closure check are closed forms that solve nothing.  The
 Hopf coactions solve nothing, re-check nothing and build no Kronecker
 product, bicovariance_check builds no universal calculus, the lattice
 enumeration saturates no candidate on its own, and the dg morphisms build no
-Kronecker product.
+Kronecker product.  fodc.py builds no Kronecker product, and ker(Omega_u -> c)
+is eliminated in one place, the memoized `_kernel`.
 """
 
 import ast
@@ -145,6 +146,24 @@ def test_universal_constructions_are_closed_forms(module, name):
     # kernel route and the bimodule-map check they replaced are test oracles
     banned = {"solve", "kernel_basis", "bimod_map_report"}
     assert not called_names(function_node(module, name)) & banned
+
+
+def test_fodc_builds_no_kronecker_product():
+    # iota and the retraction are written entry by entry, and the
+    # kernel-counit comparison applies 1 (x) mu blockwise
+    assert "kronecker" not in called_names(ast.parse((SRC / "fodc.py").read_text()))
+
+
+def test_the_kernel_of_phi_is_eliminated_only_in_kernel():
+    # every other caller reads the memoized ker(Omega_u -> c), which a
+    # quotient of the universal calculus records when it is built
+    found = {path.name: path.read_text().count("kernel_basis(_phi(") for path in MODULES}
+    assert {name: k for name, k in found.items() if k} == {"fodc.py": 1}
+    assert "kernel_basis(_phi(" in ast.unparse(function_node("fodc.py", "_kernel"))
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name != "_kernel":
+                assert not {"kernel_basis", "_phi"} <= called_names(node), (path.name, node.name)
 
 
 # The calculi built without check_fodc, under the certificates in fodc.py;

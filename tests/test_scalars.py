@@ -5,10 +5,12 @@ import pytest
 
 import omegacalc
 from omegacalc import scalars
-from omegacalc.algebra import AlgMap
+from omegacalc.algebra import AlgMap, is_commutative
 from omegacalc.bimodule import extend_bimodule, field_algebra
 from omegacalc.fodc import (
     PreconditionError,
+    _kernel,
+    _phi,
     enumerate_action_closed_subspaces,
     induced_map,
     kernel_from_universal,
@@ -65,6 +67,23 @@ def parent_universal_map(f):
 def test_universal_map_is_the_restriction_of_f_tensor_f(name):
     f = ORACLE_MAPS[name]()
     assert universal_map(f) == parent_universal_map(f)
+
+
+def canonical_calculi(alg):
+    return [universal_calculus(alg)] + ([kahler_calculus(alg)] if is_commutative(alg) else [])
+
+
+@pytest.mark.parametrize("name", ORACLE_MAPS)
+def test_pushed_and_pulled_calculi_record_the_kernel_of_phi(name):
+    # a push or pull is a quotient of the universal calculus of the far
+    # algebra, so it records ker(Omega_u -> c) when it is built; the
+    # elimination it replaces is the oracle
+    f = ORACLE_MAPS[name]()
+    results = ([calc_pushforward(f, c) for c in canonical_calculi(f.source)]
+               + [calc_pullback(f, t) for t in canonical_calculi(f.target)])
+    for c in results:
+        recorded = c.__dict__.get(_kernel.slot)
+        assert recorded is not None and recorded == kernel_basis(_phi(c))
 
 
 def test_universal_map_functoriality(qx2, y_to_x2, qy2):

@@ -41,6 +41,9 @@ RESTRICTION_ORACLE = "tests/test_scalars.py -k universal_map_is_the_restriction_
 SATURATION_ORACLE = "tests/test_bimodule.py -k saturation_is_the_fixpoint_of_the_actions"
 CLOSURE_ORACLE = "tests/test_bimodule.py -k closure_witness_matches_one_solve_per_basis_element"
 CERTIFIED_CALCULUS_ORACLE = "tests/test_fodc.py -k check_fodc"
+MEMO_ORACLE = "tests/test_fodc.py -k memo_keeps_equal_instances_apart"
+KERNEL_SHORTCUT_ORACLE = ("tests/test_fodc.py -k "
+                          "quotient_of_a_calculus_in_another_basis_computes_its_kernel")
 
 MUTANTS = [
     # the prolongation builder: the sign of the right-action recursion, the
@@ -103,8 +106,8 @@ MUTANTS = [
     # the universal calculus: the sign of iota's a0 b (x) 1 term, and the
     # sign of phi, shared by induced_map and maximal_prolongation
     ("src/omegacalc/fodc.py",
-     "i_n.select_cols(bar)) - kronecker(at_bar, a.unit_mat)",
-     "i_n.select_cols(bar)) + kronecker(at_bar, a.unit_mat)",
+     "ones - one_unit * ",
+     "ones + one_unit * ",
      KERNEL_ORACLE),
     ("src/omegacalc/fodc.py",
      "    return mul_id_kron(c.omega.left_mat, a.dim, c.d.select_cols(bar))",
@@ -157,6 +160,16 @@ MUTANTS = [
      "    left_rank = rank(one_d)",
      "    left_rank = omega.dim",
      "tests/test_fodc.py"),
+    # the memo: one module-level slot per function instead of one per
+    # instance, and the recorded kernel taken for a quotient of any calculus
+    ("src/omegacalc/fodc.py",
+     "        kept = x.__dict__\n",
+     "        kept = _memo.__dict__\n",
+     MEMO_ORACLE),
+    ("src/omegacalc/fodc.py",
+     "isinstance(c, UniversalCalculus) and c is universal_calculus(c.alg)",
+     "True",
+     KERNEL_SHORTCUT_ORACLE),
 ]
 
 
