@@ -127,12 +127,13 @@ class UniversalCalculus(FirstOrderCalculus):
     A(x)A, with iota d = (i (x) 1) - (1 (x) i); retraction = 1 (x) pi = (1 . d)
     satisfies retraction iota = id, and (d . 1) iota = -id.  Both are stored
     because later constructions move between Omega and A(x)A constantly.
+
+    `universal_calculus(a)` is the only constructor, so every instance is in
+    the A (x) A-bar basis.
     """
 
-    def __init__(self, alg: Algebra, omega: Bimodule, d: Mat, iota: Mat, retraction: Mat):
-        super().__init__(alg, omega, d)
-        self.iota = iota
-        self.retraction = retraction
+    def __init__(self, *args, **kwargs):
+        raise TypeError("UniversalCalculus is built only by universal_calculus(a)")
 
 
 def _memo(build):
@@ -265,19 +266,19 @@ def _kernel(c: FirstOrderCalculus) -> Mat:
     return kernel_basis(_phi(c))
 
 
-def induced_map(u: UniversalCalculus, target: FirstOrderCalculus) -> BimodMap:
+def induced_map(target: FirstOrderCalculus) -> BimodMap:
     """The unique calculus morphism from the universal calculus, phi.
 
     Existence, the universal property phi d_u = d and surjectivity are
     certified at `_phi`; uniqueness is certified by `induced_map_is_unique`.
     """
-    if target.alg != u.alg:
-        raise LinAlgError("calculi over different algebras")
+    u = universal_calculus(target.alg)
     return BimodMap(u.omega, target.omega, _phi(target), check=False)
 
 
-def induced_map_is_unique(u: UniversalCalculus, target: FirstOrderCalculus) -> bool:
+def induced_map_is_unique(target: FirstOrderCalculus) -> bool:
     """No nonzero bimodule map Omega_u -> target kills d_u (0-dim solution space)."""
+    u = universal_calculus(target.alg)
     hom = bimodule_hom_basis(u.omega, target.omega)
     if not hom:
         return True
@@ -306,34 +307,26 @@ def quotient_calculus(c: FirstOrderCalculus, sub_basis: Mat) -> tuple[FirstOrder
     # A dA = c onto A d_new(A), so that is c/N; and d_new(1) = proj d(1) = 0.
     # c itself is a calculus, checked or certified when it was built.
     # tests/test_fodc.py runs check_fodc on every quotient of the lattices.
-    # phi of the universal calculus is the identity of A (x) A-bar, so phi of
-    # its quotient is proj, whose kernel is the subspace; a UniversalCalculus
-    # built by its public constructor may be in another basis
-    canonical = isinstance(c, UniversalCalculus) and c is universal_calculus(c.alg)
-    kernel = {_kernel.slot: basis} if canonical else {}
+    # phi of the universal calculus is the identity of A (x) A-bar, the basis
+    # of every UniversalCalculus, so phi of its quotient is proj, whose kernel
+    # is the subspace
+    kernel = {_kernel.slot: basis} if isinstance(c, UniversalCalculus) else {}
     result = _certified(FirstOrderCalculus, c.alg, quo, d_new, **kernel)
     return result, BimodMap(c.omega, result.omega, proj.matrix, check=False)
 
 
-def kernel_from_universal(u: UniversalCalculus, c: FirstOrderCalculus) -> Mat:
-    """Canonical basis of ker(Omega_u -> c), the subobject classifying c."""
-    if c.alg != u.alg:
-        raise LinAlgError("calculi over different algebras")
-    return _kernel(c)
-
-
-def calculus_morphism_exists(u: UniversalCalculus, src: FirstOrderCalculus,
-                             dst: FirstOrderCalculus) -> bool:
+def calculus_morphism_exists(src: FirstOrderCalculus, dst: FirstOrderCalculus) -> bool:
     """Calc morphisms src -> dst over one algebra exist iff ker(src) <= ker(dst)."""
-    return subspace_leq(kernel_from_universal(u, src), kernel_from_universal(u, dst))
+    if src.alg != dst.alg:
+        raise LinAlgError("calculi over different algebras")
+    return subspace_leq(_kernel(src), _kernel(dst))
 
 
-def calculus_morphism(u: UniversalCalculus, src: FirstOrderCalculus,
-                      dst: FirstOrderCalculus) -> Mat | None:
+def calculus_morphism(src: FirstOrderCalculus, dst: FirstOrderCalculus) -> Mat | None:
     """The unique morphism matrix src -> dst when it exists, else None."""
-    f_src = induced_map(u, src).matrix
-    f_dst = induced_map(u, dst).matrix
-    return factor_through_surjection(f_dst, f_src)
+    if src.alg != dst.alg:
+        raise LinAlgError("calculi over different algebras")
+    return factor_through_surjection(_phi(dst), _phi(src))
 
 
 def sub_calculus_correspondence(a: Algebra, family: list[Mat]) -> list[dict]:
@@ -354,12 +347,12 @@ def sub_calculus_correspondence(a: Algebra, family: list[Mat]) -> list[dict]:
     return out
 
 
-def enumerate_action_closed_subspaces(m: Bimodule, max_generators: int = 2) -> list[Mat]:
+def enumerate_action_closed_subspaces(m: Bimodule) -> list[Mat]:
     """A deterministic family of action-closed subspaces of m.
 
     Over a prime field with few enough vectors the enumeration is exhaustive
     over all spans of nonzero vectors; otherwise it saturates every subset of
-    canonical basis vectors of size <= max_generators, and every diagonal
+    one or two canonical basis vectors, and every diagonal
     e_i + e_j and e_i - e_j.  Always contains 0 and the full space; results
     are deduplicated canonical bases.  Outside the exhaustive case the family
     depends on the basis of m: on Omega_u of M2(Q) it has 18 members in
@@ -403,7 +396,7 @@ def enumerate_action_closed_subspaces(m: Bimodule, max_generators: int = 2) -> l
         kinds: dict = {}
         kind = [kinds.setdefault(rows(single), len(kinds)) for single in singles]
         summed = set()
-        for r in range(1, max_generators + 1):
+        for r in (1, 2):
             for subset in combinations(range(dim), r):
                 key = frozenset(kind[i] for i in subset)
                 if key not in summed:
@@ -417,16 +410,15 @@ def enumerate_action_closed_subspaces(m: Bimodule, max_generators: int = 2) -> l
         s.cols, tuple(tuple(map(f.format, row)) for row in s.dense_rows())))
 
 
-def kernel_counit_comparison(u: UniversalCalculus, left_module: Bimodule) -> dict:
+def kernel_counit_comparison(left_module: Bimodule) -> dict:
     """ker(mu_M: A(x)M -> M) vs Omega_u (x)_A M, with the explicit inverse pair.
 
     left_module is an (A, field) bimodule.  Returns both dimensions and the
     two comparison matrices; "invertible" certifies they are mutually inverse.
     """
-    a = u.alg
+    a = left_module.left_alg
     f = a.field
-    if left_module.left_alg != a:
-        raise LinAlgError("module is not over the calculus algebra")
+    u = universal_calculus(a)
     mu = left_module.left_mat
     k_basis = kernel_basis(mu)
     t_mod, q = tensor_over_algebra(u.omega, left_module)

@@ -95,7 +95,7 @@ def _resolve_algebra(spec, base: Path | None) -> Algebra:
         path = Path(spec)
         if base is not None and not path.is_absolute():
             path = base / path
-        return algebra_from_json(json.loads(path.read_text()))
+        return algebra_from_json(load_json(path))
     return algebra_from_json(spec)
 
 
@@ -137,7 +137,14 @@ def relations_from_json(doc: dict, field: Field, expected_dim: int) -> list[list
 
 
 def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    """The JSON document in a file.  Text that is not UTF-8, or an integer
+    longer than int() reads, is malformed JSON like any other."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        raise json.JSONDecodeError(str(exc), "", 0) from None
 
 
 def dump_json(doc) -> str:

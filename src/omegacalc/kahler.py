@@ -13,7 +13,6 @@ from .bimodule import Bimodule, saturate_subspace
 from .fodc import (
     FirstOrderCalculus,
     PreconditionError,
-    UniversalCalculus,
     _memo,
     quotient_calculus,
     universal_calculus,
@@ -21,14 +20,14 @@ from .fodc import (
 from .linalg import EngineError, Mat, image_basis, mul_id_kron, mul_kron_id, swap_matrix
 
 
-def kahler_relations(u: UniversalCalculus) -> Mat:
-    """The centrality relations: the sub-bimodule generated by the image of
-    (d . 1) - (1 . d) swap on A(x)A.
+def kahler_relations(a: Algebra) -> Mat:
+    """The centrality relations in the universal calculus of a: the
+    sub-bimodule generated by the image of (d . 1) - (1 . d) swap on A(x)A.
 
     The coequalizer lives in bimodules, so the plain image is closed up under
     both actions (for dim >= 3 it is not action-closed on its own).
     """
-    a = u.alg
+    u = universal_calculus(a)
     d_one = mul_kron_id(u.omega.right_mat, u.d, a.dim)
     one_d = mul_id_kron(u.omega.left_mat, a.dim, u.d)
     rel = d_one - one_d * swap_matrix(a.field, a.dim, a.dim)
@@ -44,9 +43,7 @@ def kahler_calculus(a: Algebra) -> FirstOrderCalculus:
         raise PreconditionError(
             f"algebra is not commutative: e{i}*e{j} != e{j}*e{i}"
         )
-    u = universal_calculus(a)
-    relations = kahler_relations(u)
-    calc, _proj = quotient_calculus(u, relations)
+    calc, _proj = quotient_calculus(universal_calculus(a), kahler_relations(a))
     if not centrality_check(calc.omega):
         raise EngineError("Kaehler quotient is not a central bimodule")
     return calc

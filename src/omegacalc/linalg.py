@@ -22,6 +22,7 @@ ordered row-major: e_i (x) e_j  ->  index i*dim2 + j.
 
 from __future__ import annotations
 
+import json
 import operator
 from fractions import Fraction
 
@@ -180,11 +181,15 @@ def GF(p: int) -> Field:
 
 
 def field_from_json(spec) -> Field:
-    """Decode "Q" or {"Fp": p}."""
+    """Decode "Q" or {"Fp": p}, with p a JSON integer: int() would read 5.5
+    as 5, accept "7" and true, and overflow on 1e400."""
     if spec == "Q":
         return QQ
     if isinstance(spec, dict) and set(spec) == {"Fp"}:
-        return GF(int(spec["Fp"]))
+        p = spec["Fp"]
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise LinAlgError(f'"Fp" must be an integer, not {json.dumps(p)}')
+        return GF(p)
     raise LinAlgError(f"bad field spec {spec!r}")
 
 

@@ -520,3 +520,38 @@ def test_internal_invariant_failure_exits_70(capsys, monkeypatch):
     assert error.startswith("internal invariant failed: ")
     assert "comparison morphism does not exist" in error
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("prime", [1e400, 5.5, "7", True, 7.0], ids=str)
+@pytest.mark.parametrize("loader", ["algebra", "map-source", "calculus-algebra"])
+def test_a_prime_that_is_not_a_json_integer_is_refused(capsys, tmp_path, loader, prime):
+    # int() read 5.5 as GF(5), accepted "7", true and 7.0, and overflowed on 1e400
+    doc = json.loads((FIXTURES / "f3x3.json").read_text())
+    bad = dict(doc, field={"Fp": prime})
+    ident = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+    fmap, calc = {"source": doc, "target": doc, "matrix": ident}, {"algebra": doc}
+    if loader == "algebra":
+        argv = ["check", "{alg}"]
+        files = {"alg": bad}
+    else:
+        argv = ["extend", "--map", "{map}", "--calculus", "{calc}"]
+        files = {"map": dict(fmap, source=bad) if loader == "map-source" else fmap,
+                 "calc": dict(calc, algebra=bad) if loader == "calculus-algebra" else calc}
+    names = {}
+    for key, content in files.items():
+        (tmp_path / f"{key}.json").write_text(json.dumps(content))
+        names[key] = str(tmp_path / f"{key}.json")
+    code = main([arg.format(**names) for arg in argv] + ["--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert '"Fp" must be an integer' in json.loads(captured.out)["error"]
+
+
+@pytest.mark.parametrize("text", [b"\xff\xfe{", b'{"dim": ' + b"1" * 5000 + b"}"],
+                         ids=["not-utf8", "long-integer"])
+def test_unreadable_json_is_usage_error(capsys, tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    code, out = run_cli(capsys, "check", str(bad), "--format", "json")
+    assert code == 64
+    assert json.loads(out)["error"].startswith(f"cannot read {bad}: ")

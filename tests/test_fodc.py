@@ -21,8 +21,9 @@ from omegacalc.fodc import (
     enumerate_action_closed_subspaces,
     induced_map,
     induced_map_is_unique,
+    calculus_morphism,
+    calculus_morphism_exists,
     kernel_counit_comparison,
-    kernel_from_universal,
     quotient_calculus,
     sub_calculus_correspondence,
     universal_calculus,
@@ -32,6 +33,7 @@ from omegacalc.kahler import kahler_calculus
 from omegacalc.linalg import (
     GF,
     QQ,
+    LinAlgError,
     Mat,
     image_basis,
     inverse,
@@ -159,7 +161,7 @@ def test_induced_map_passes_its_certificate_oracles(name):
     alg = ORACLE_ALGEBRAS[name]()
     u = universal_calculus(alg)
     for label, c in oracle_calculi(name, alg).items():
-        phi = induced_map(u, c)
+        phi = induced_map(c)
         assert bimod_map_report(phi) == [], label
         assert phi.matrix * u.d == c.d, label
         assert rank(phi.matrix) == c.dim, label
@@ -197,13 +199,12 @@ def test_every_quotient_in_the_lattice_passes_check_fodc(fixture, request):
 
 def test_induced_map_to_self_is_identity(qx2):
     u = universal_calculus(qx2)
-    assert induced_map(u, u).matrix == Mat.identity(QQ, 2)
-    assert induced_map_is_unique(u, u)
+    assert induced_map(u).matrix == Mat.identity(QQ, 2)
+    assert induced_map_is_unique(u)
 
 
 def test_induced_map_to_zero(qx2):
-    u = universal_calculus(qx2)
-    f = induced_map(u, zero_calculus(qx2))
+    f = induced_map(zero_calculus(qx2))
     assert f.matrix.rows == 0
 
 
@@ -212,11 +213,11 @@ def test_induced_map_to_kahler_quotient(qx2):
     n = omega_coords(u, [0, 0, 0, 1])  # x (x) x
     quot, proj = quotient_calculus(u, n)
     assert quot.dim == 1
-    f = induced_map(u, quot)
+    f = induced_map(quot)
     assert f.matrix == proj.matrix
     assert f.matrix * u.d == quot.d
     assert rank(f.matrix) == 1
-    assert induced_map_is_unique(u, quot)
+    assert induced_map_is_unique(quot)
 
 
 def test_induced_map_rejects_non_calculus(qx2):
@@ -243,8 +244,6 @@ def test_quotient_by_zero_and_everything(qx2):
 def test_quotient_rejects_non_closed_subspace(qx2):
     u = universal_calculus(qx2)
     # span{d(x)} is not action-closed: x . dx = x (x) x
-    from omegacalc.linalg import LinAlgError
-
     dx = omega_coords(u, [0, 1, -1, 0])
     with pytest.raises(LinAlgError):
         quotient_calculus(u, dx)
@@ -296,7 +295,6 @@ def test_surjectivity_variants_agree_on_family(qx3):
 
 
 def test_kernel_counit_on_three_modules(qx2):
-    u = universal_calculus(qx2)
     qa = field_algebra(QQ)
     modules = [
         Bimodule(qx2, qa, 2, qx2.mult_mat, Mat.identity(QQ, 2)),       # A itself
@@ -304,15 +302,15 @@ def test_kernel_counit_on_three_modules(qx2):
         free_bimodule(qx2, 2, qa),                                     # free rank 2
     ]
     for m in modules:
-        rep = kernel_counit_comparison(u, m)
+        rep = kernel_counit_comparison(m)
         assert rep["invertible"]
         assert rep["kernel_dim"] == rep["tensor_dim"]
 
 
-def test_kernel_from_universal_is_canonical(qx2):
+def test_the_kernel_of_a_quotient_is_canonical(qx2):
     u = universal_calculus(qx2)
     quot, proj = quotient_calculus(u, omega_coords(u, [0, 0, 0, 1]))
-    assert kernel_from_universal(u, quot) == kernel_basis(proj.matrix)
+    assert _kernel(quot) == kernel_basis(proj.matrix)
 
 
 def test_generalized_calculus_type(qx2):
@@ -332,7 +330,7 @@ def test_kernel_counit_comparison_on_the_regular_module(fixture):
     alg = load_fixture(fixture)
     qa = field_algebra(alg.field)
     regular = Bimodule(alg, qa, alg.dim, alg.mult_mat, Mat.identity(alg.field, alg.dim))
-    rep = kernel_counit_comparison(universal_calculus(alg), regular)
+    rep = kernel_counit_comparison(regular)
     assert rep["invertible"]
     assert rep["kernel_dim"] == rep["tensor_dim"] == alg.dim * alg.dim - alg.dim
 
@@ -396,25 +394,25 @@ def test_quotients_of_the_universal_calculus_record_the_kernel_of_phi(name):
 
 def change_of_basis(u, p):
     """The universal calculus u in the basis of Omega_u given by the columns of
-    p^-1, built by the public constructor, which checks it."""
+    p^-1, built by the public FirstOrderCalculus constructor, which checks it."""
     f = u.alg.field
     n = u.alg.dim
     p_inv = inverse(p)
     i_n = Mat.identity(f, n)
     omega = Bimodule(u.alg, u.alg, u.dim, p * u.omega.left_mat * kronecker(i_n, p_inv),
                      p * u.omega.right_mat * kronecker(p_inv, i_n))
-    return UniversalCalculus(u.alg, omega, p * u.d, u.iota * p_inv, p * u.retraction)
+    return FirstOrderCalculus(u.alg, omega, p * u.d)
 
 
 def test_a_quotient_of_a_calculus_in_another_basis_computes_its_kernel(qx3):
-    # the shortcut holds only for the canonical universal calculus: a
-    # UniversalCalculus in another basis, and the Kaehler calculus, are
-    # quotiented by subspaces of their own basis
+    # the shortcut holds only for the universal calculus, which is always in
+    # the A (x) A-bar basis: a calculus isomorphic to it in another basis, and
+    # the Kaehler calculus, are quotiented by subspaces of their own basis
     u = universal_calculus(qx3)
     f = qx3.field
     shear = Mat.identity(f, u.dim) + Mat.from_entries(f, u.dim, u.dim, [(0, u.dim - 1, 1)])
     v = change_of_basis(u, shear)
-    assert v is not u and isinstance(v, UniversalCalculus)
+    assert _kernel(v).cols == 0 and not isinstance(v, UniversalCalculus)
     checked = 0
     for c in (v, kahler_calculus(qx3)):
         for n in enumerate_action_closed_subspaces(c.omega):
@@ -423,3 +421,22 @@ def test_a_quotient_of_a_calculus_in_another_basis_computes_its_kernel(qx3):
             assert _kernel(quo) == kernel_basis(_phi(quo))
             checked += _kernel(quo) != n
     assert checked
+
+
+def test_universal_calculus_has_no_public_constructor(qx2):
+    # universal_calculus(a) is the only way to a UniversalCalculus, so every
+    # instance is in the A (x) A-bar basis
+    u = universal_calculus(qx2)
+    for args, kwargs in [((), {}), (("anything",), {}),
+                         ((u.alg, u.omega, u.d, u.iota, u.retraction), {}),
+                         ((u.alg, u.omega, u.d), {"iota": u.iota, "retraction": u.retraction})]:
+        with pytest.raises(TypeError, match=r"universal_calculus\(a\)"):
+            UniversalCalculus(*args, **kwargs)
+
+
+@pytest.mark.parametrize("morphism", [calculus_morphism, calculus_morphism_exists])
+def test_calculus_morphisms_refuse_calculi_over_different_algebras(morphism, qx2, qx3, qz2):
+    for src, dst in ((universal_calculus(qx2), universal_calculus(qz2)),
+                     (zero_calculus(qx2), kahler_calculus(qx3))):
+        with pytest.raises(LinAlgError, match="calculi over different algebras"):
+            morphism(src, dst)

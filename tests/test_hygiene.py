@@ -12,7 +12,9 @@ Hopf coactions solve nothing, re-check nothing and build no Kronecker
 product, bicovariance_check builds no universal calculus, the lattice
 enumeration saturates no candidate on its own, and the dg morphisms build no
 Kronecker product.  fodc.py builds no Kronecker product, and ker(Omega_u -> c)
-is eliminated in one place, the memoized `_kernel`.
+is eliminated in one place, the memoized `_kernel`.  The universal calculus is
+a value of its algebra: no function takes one as a parameter, and the helper
+and the option that did are gone.
 """
 
 import ast
@@ -166,8 +168,29 @@ def test_the_kernel_of_phi_is_eliminated_only_in_kernel():
                 assert not {"kernel_basis", "_phi"} <= called_names(node), (path.name, node.name)
 
 
+def test_no_function_takes_the_universal_calculus():
+    # universal_calculus(a) is the only constructor of a UniversalCalculus and
+    # is memoized per algebra, so a function works it out from its inputs
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                annotated = [p.arg for p in params
+                             if p is not None and p.annotation is not None
+                             and "UniversalCalculus" in ast.unparse(p.annotation)]
+                assert annotated == [], (path.name, node.name)
+
+
+@pytest.mark.parametrize("name", ["kernel_from_universal", "max_generators"])
+def test_retired_names_are_gone(name):
+    for path in SRC.glob("*.py"):
+        assert name not in path.read_text(), path.name
+
+
 # The calculi built without check_fodc, under the certificates in fodc.py;
-# the public FirstOrderCalculus and UniversalCalculus constructors check
+# the public FirstOrderCalculus constructor checks, and UniversalCalculus has
+# no public constructor
 CERTIFIED_CALCULI = {"universal_calculus", "zero_calculus", "quotient_calculus"}
 
 

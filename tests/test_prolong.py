@@ -222,7 +222,7 @@ def pushout_chain_oracle(c, max_degree):
     u = universal_calculus(alg)
     # degree 1 of up in the basis of u, both inside A (x) A
     up_to_u = solve(u.iota, up.iota[1])
-    g = [Mat.identity(f, alg.dim), induced_map(u, c).matrix * up_to_u]
+    g = [Mat.identity(f, alg.dim), induced_map(c).matrix * up_to_u]
     dims = [alg.dim, c.dim]
     kernels = [kernel_basis(g[0]), kernel_basis(g[1])]
     for n in range(2, max_degree + 1):
@@ -327,7 +327,7 @@ def test_unique_dg_morphism_to_maximal_kahler(qx2):
     maps = unique_dg_morphism(up, maxi, qx2.identity_map())
     assert maps is not None
     assert all(rank(m) == d for m, d in zip(maps, maxi.dims))
-    assert maps[1] == induced_map(universal_calculus(qx2), k).matrix
+    assert maps[1] == induced_map(k).matrix
 
 
 def test_no_morphism_from_zero_prolongation(qx2):

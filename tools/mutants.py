@@ -167,8 +167,8 @@ MUTANTS = [
      "        kept = _memo.__dict__\n",
      MEMO_ORACLE),
     ("src/omegacalc/fodc.py",
-     "isinstance(c, UniversalCalculus) and c is universal_calculus(c.alg)",
-     "True",
+     "if isinstance(c, UniversalCalculus) else",
+     "if True else",
      KERNEL_SHORTCUT_ORACLE),
 ]
 
