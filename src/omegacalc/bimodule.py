@@ -203,9 +203,12 @@ def action_closed(m: Bimodule, basis: Mat) -> str | None:
 
 
 def sub_bimodule(m: Bimodule, basis: Mat) -> tuple[Bimodule, BimodMap]:
-    """The sub-bimodule on a subspace the caller knows to be action-closed, with its inclusion."""
+    """The sub-bimodule on an action-closed span of a basis, with its inclusion."""
     lm = solve(basis, mul_id_kron(m.left_mat, m.left_alg.dim, basis))
     rm = solve(basis, mul_kron_id(m.right_mat, basis, m.right_alg.dim))
+    if lm is None or rm is None:
+        side = "left" if lm is None else "right"
+        raise LinAlgError(f"subspace is not closed under the {side} action")
     sub = Bimodule(m.left_alg, m.right_alg, basis.cols, lm, rm, check=False)
     return sub, BimodMap(sub, m, basis, check=False)
 

@@ -134,15 +134,23 @@ def _quotient_of_universal(alg: Algebra, rel_doc) -> FirstOrderCalculus:
     return calc
 
 
-def _universal_top_dim(alg: Algebra, max_degree: int) -> int:
-    """n(n-1)^N, the dimension of the universal Omega^N."""
-    return alg.dim * max(alg.dim - 1, 1) ** max_degree if alg.dim > 1 else 1
+def _power(coef: int, base: int, exp: int, cap: int) -> int | str:
+    """coef * base^exp if at most cap, else its formula; never built past cap."""
+    if base < 2:
+        return coef * base ** exp
+    out = coef
+    for _ in range(exp):
+        out *= base
+        if out > cap:
+            return f"{coef}*{base}^{exp}" if coef != 1 else f"{base}^{exp}"
+    return out
 
 
-def _dim_guard(projected: int, max_degree: int, force: bool) -> None:
+def _dim_guard(alg: Algebra, max_degree: int, force: bool, calc_dim: int | None = None) -> None:
     """Refuse, unless forced, a run whose top component dimension or number
-    of wedge maps exceeds OMEGA_MAX_DIM: a graded calculus to degree N has
-    (N+1)(N+2)/2 wedge maps however small its components are."""
+    of wedge maps (N+1)(N+2)/2 exceeds OMEGA_MAX_DIM.  The universal Omega^N
+    has dimension n(n-1)^N, and a calculus of dimension calc_dim bounds it by
+    max(n, calc_dim^N) too: Omega^k is a quotient of Omega^(k-1) (x)_A Omega^1."""
     raw = os.environ.get("OMEGA_MAX_DIM", DEFAULT_MAX_DIM)
     try:
         limit = int(raw)
@@ -150,9 +158,23 @@ def _dim_guard(projected: int, max_degree: int, force: bool) -> None:
         raise _Failure(EXIT_USAGE, {"error": f"OMEGA_MAX_DIM must be an integer, got {raw!r}"})
     if force:
         return
+    n, exp = alg.dim, max(max_degree, 0)
+    # each bound is built up to one factor past the limit and shown as its
+    # formula beyond; one cap for both, so a bound written out is the smaller
+    cap = max(limit, n) * max(n, calc_dim or 0)
+    sizes = [_power(n, max(n - 1, 1), exp, cap)]
+    if calc_dim is not None:
+        top = _power(1, calc_dim, exp, cap)
+        sizes.insert(0, max(n, top) if isinstance(top, int) else top)
+    exact = [size for size in sizes if isinstance(size, int)]
+    if exact:
+        projected = min(exact)
+    else:
+        projected = sizes[0] if len(sizes) == 1 else f"min({', '.join(sizes)})"
     wedges = (max_degree + 1) * (max_degree + 2) // 2
-    for what, size in (("component dimension", projected), ("wedge map count", wedges)):
-        if size > limit:
+    for what, fits, size in (("component dimension", any(x <= limit for x in exact), projected),
+                             ("wedge map count", wedges <= limit, wedges)):
+        if not fits:
             raise _Failure(EXIT_PRECONDITION, {
                 "error": f"projected {what} {size} exceeds limit {limit}",
                 "hint": "pass --force or raise OMEGA_MAX_DIM",
@@ -218,15 +240,12 @@ def _cmd_kahler(args) -> dict:
 def _guarded_prolongation(alg: Algebra, spec: str, max_degree: int, force: bool,
                           base: Path) -> GradedCalculus:
     """The universal prolongation, or the maximal prolongation of the calculus
-    c that spec names, once the dimension guard passes.  For c the guard
-    projects max(n, (dim c)^N): each Omega^k is a quotient of
-    Omega^(k-1) (x)_A Omega^1, and also of the universal Omega^k."""
+    that spec names, once the dimension guard passes."""
     if spec == "universal":
-        _dim_guard(_universal_top_dim(alg, max_degree), max_degree, force)
+        _dim_guard(alg, max_degree, force)
         return universal_prolongation(alg, max_degree)
     calc = _load_calculus(spec, alg, base)
-    top = max(alg.dim, calc.dim ** max(max_degree, 0))
-    _dim_guard(min(top, _universal_top_dim(alg, max_degree)), max_degree, force)
+    _dim_guard(alg, max_degree, force, calc.dim)
     return maximal_prolongation(calc, max_degree)
 
 
@@ -247,36 +266,22 @@ def _cmd_cohomology(args) -> dict:
     alg, _ = _load_algebra(args.algebra)
     base = Path(args.algebra).resolve().parent
     graded = _guarded_prolongation(alg, args.flavor, args.max_degree, args.force, base)
-    report = cohomology(CochainComplex.from_graded(graded))
-    return {
-        "degrees": [
-            {
-                "n": d.n,
-                "dim_omega": d.dim_omega,
-                "dim_H": d.dim_h,
-                "representatives": mat_to_lists(d.representatives),
-            }
-            for d in report.degrees
-        ],
-    }
+    return {"degrees": _degrees(cohomology(CochainComplex.from_graded(graded)))}
+
+
+def _degrees(report) -> list[dict]:
+    return [{"n": d.n, "dim_omega": d.dim_omega, "dim_H": d.dim_h,
+             "representatives": mat_to_lists(d.representatives)} for d in report.degrees]
 
 
 def _cmd_compare(args) -> dict:
     alg, _ = _load_algebra(args.algebra)
-    _dim_guard(_universal_top_dim(alg, args.max_degree), args.max_degree, args.force)
+    _dim_guard(alg, args.max_degree, args.force)
     result = de_rham_comparison(alg, args.max_degree)
     # degrees describe the source (universal) theory; each comparison matrix
     # maps its classes to the Kaehler ones, so target dims are the row counts
     return {
-        "degrees": [
-            {
-                "n": du.n,
-                "dim_omega": du.dim_omega,
-                "dim_H": du.dim_h,
-                "representatives": mat_to_lists(du.representatives),
-            }
-            for du in result["universal"].degrees
-        ],
+        "degrees": _degrees(result["universal"]),
         "comparison": [mat_to_lists(m) for m in result["comparison"]],
     }
 

@@ -183,24 +183,6 @@ def _unit_complement(a: Algebra) -> tuple[list[int], Mat]:
         (r, pivot, f.mul(lead, a.unit[j])) for r, j in enumerate(bar)])
 
 
-def _splitting(a: Algebra) -> tuple[Mat, Mat]:
-    """iota: Omega_u -> A (x) A, a0 (x) b -> a0 (x) b - a0 b (x) 1, and the
-    retraction 1 (x) pi, certified in universal_calculus."""
-    n, f = a.dim, a.field
-    bar, pi = _unit_complement(a)
-    cols = [x * n + b for x in range(n) for b in bar]
-    # the columns of A (x) A at A (x) A-bar, and a (x) b -> ab (x) 1 on them
-    ones = Mat.from_entries(f, n * n, len(cols), [(col, j, 1) for j, col in enumerate(cols)])
-    one_unit = Mat.from_entries(f, n * n, n, [(c * n + k, c, u) for c in range(n)
-                                              for k, u in enumerate(a.unit) if u])
-    iota = ones - one_unit * a.mult_mat.select_cols(cols)
-    # 1 (x) pi: pi's rows repeated in n diagonal blocks
-    retraction = Mat.from_entries(f, len(cols), n * n, [
-        (x * len(bar) + r, x * n + j, v) for x in range(n)
-        for r, row in enumerate(pi.data) for j, v in row.items()])
-    return iota, retraction
-
-
 @_memo
 def universal_calculus(a: Algebra) -> UniversalCalculus:
     """Degree 1 of the universal prolongation, with iota and retraction.
@@ -210,7 +192,19 @@ def universal_calculus(a: Algebra) -> UniversalCalculus:
 
     dims, diff, wedge = _prolongation(a, 1)
     omega = Bimodule(a, a, dims[1], wedge[(0, 1)], wedge[(1, 0)], check=False)
-    iota, retraction = _splitting(a)
+    n, f = a.dim, a.field
+    bar, pi = _unit_complement(a)
+    cols = [x * n + b for x in range(n) for b in bar]
+    # iota: a0 (x) b -> a0 (x) b - a0 b (x) 1 on the columns of A (x) A at
+    # A (x) A-bar, with a (x) b -> ab (x) 1 on them
+    ones = Mat.from_entries(f, n * n, len(cols), [(col, j, 1) for j, col in enumerate(cols)])
+    one_unit = Mat.from_entries(f, n * n, n, [(c * n + k, c, u) for c in range(n)
+                                              for k, u in enumerate(a.unit) if u])
+    iota = ones - one_unit * a.mult_mat.select_cols(cols)
+    # the retraction 1 (x) pi: pi's rows repeated in n diagonal blocks
+    retraction = Mat.from_entries(f, len(cols), n * n, [
+        (x * len(bar) + r, x * n + j, v) for x in range(n)
+        for r, row in enumerate(pi.data) for j, v in row.items()])
     # Certificate for iota and the retraction, in place of solving for them
     # on the kernel of multiplication:
     # 1. omega and d are degree 1 of the universal prolongation, whose
@@ -291,14 +285,11 @@ def induced_map_is_unique(target: FirstOrderCalculus) -> bool:
     return kernel_basis(sys).cols == 0
 
 
-def quotient_calculus(c: FirstOrderCalculus, sub_basis: Mat) -> tuple[FirstOrderCalculus, BimodMap]:
-    """Quotient of a calculus by an action-closed subspace, with the projection.
-
-    The quotient basis is the echelon complement of the subspace, so repeated
-    quotients are reproducible.
-    """
-    basis = image_basis(sub_basis)
-    quo, proj, _s = quotient_bimodule(c.omega, basis)
+def quotient_calculus(c: FirstOrderCalculus, sub: Mat) -> tuple[FirstOrderCalculus, BimodMap]:
+    """Quotient of a calculus by an action-closed subspace given by its
+    canonical basis, with the projection onto the echelon complement of the
+    subspace, so that repeated quotients are reproducible."""
+    quo, proj, _s = quotient_bimodule(c.omega, sub)
     d_new = proj.matrix * c.d
     # Certificate, in place of check_fodc on the quotient: quotient_bimodule
     # checked that the subspace is action-closed, so proj: c ->> c/N is an
@@ -310,7 +301,7 @@ def quotient_calculus(c: FirstOrderCalculus, sub_basis: Mat) -> tuple[FirstOrder
     # phi of the universal calculus is the identity of A (x) A-bar, the basis
     # of every UniversalCalculus, so phi of its quotient is proj, whose kernel
     # is the subspace
-    kernel = {_kernel.slot: basis} if isinstance(c, UniversalCalculus) else {}
+    kernel = {_kernel.slot: sub} if isinstance(c, UniversalCalculus) else {}
     result = _certified(FirstOrderCalculus, c.alg, quo, d_new, **kernel)
     return result, BimodMap(c.omega, result.omega, proj.matrix, check=False)
 
@@ -330,19 +321,17 @@ def calculus_morphism(src: FirstOrderCalculus, dst: FirstOrderCalculus) -> Mat |
 
 
 def sub_calculus_correspondence(a: Algebra, family: list[Mat]) -> list[dict]:
-    """Round-trip each sub-bimodule N through coker and back through ker."""
+    """Round-trip each canonical sub-bimodule N through coker and back through ker."""
     u = universal_calculus(a)
     out = []
-    for n_basis in family:
-        n_canonical = image_basis(n_basis)
-        calc, proj = quotient_calculus(u, n_canonical)
-        back = kernel_basis(proj.matrix)
+    for n in family:
+        calc, proj = quotient_calculus(u, n)
         out.append({
-            "sub_dim": n_canonical.cols,
+            "sub_dim": n.cols,
             "calculus_dim": calc.dim,
-            "roundtrip_equal": back == n_canonical,
+            "roundtrip_equal": kernel_basis(proj.matrix) == n,
             "calculus": calc,
-            "sub": n_canonical,
+            "sub": n,
         })
     return out
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .algebra import Algebra, AxiomError
 from .bimodule import Bimodule
-from .fodc import FirstOrderCalculus, _kernel, _phi, _splitting, universal_calculus
+from .fodc import FirstOrderCalculus, _kernel, _phi, universal_calculus
 from .linalg import (
     LinAlgError,
     Mat,
@@ -257,14 +257,15 @@ def bicovariance_check(h: Bimonoid, c: FirstOrderCalculus) -> dict:
     """
     if c.alg != h.alg:
         raise LinAlgError("calculi over different algebras")
-    # Omega_u itself is not built: only iota, the retraction and phi enter.
+    # The coactions of Omega_u are not built: only iota and the retraction of
+    # the memoized universal calculus, and phi, enter.
     # (1 (x) phi) lam_u N = (1 (x) phi retraction) lam_reg (iota N) by the
     # formula of lam_u, and likewise for rho_u; A (x) N is the kernel of
     # 1 (x) phi, and N (x) A that of phi (x) 1
-    iota, retraction = _splitting(h.alg)
+    u = universal_calculus(h.alg)
     phi = _phi(c)
-    to_c = phi * retraction
-    lam_n, rho_n = _codiagonal_coactions(h, iota * _kernel(c), to_c)
+    to_c = phi * u.retraction
+    lam_n, rho_n = _codiagonal_coactions(h, u.iota * _kernel(c), to_c)
     witnesses = []
     if not lam_n.is_zero():
         witnesses.append("left coaction moves the defining subobject out of A (x) N")
@@ -273,7 +274,7 @@ def bicovariance_check(h: Bimonoid, c: FirstOrderCalculus) -> dict:
     if witnesses:
         return {"bicovariant": False, "witnesses": witnesses}
     section = solve(phi, Mat.identity(h.alg.field, c.dim))
-    lam, rho = _codiagonal_coactions(h, iota * section, to_c)
+    lam, rho = _codiagonal_coactions(h, u.iota * section, to_c)
     # Certificate for the quotient coactions and the Hopf calculus axioms, in
     # place of factoring through phi and of check_hopf_module and
     # d_comodule_report on the quotient (Woronowicz 1989):

@@ -16,7 +16,9 @@ truthiness, which is exact for both representations.
 
 Canonical form convention: bases of subspaces are returned in reduced column
 echelon form (the transpose of a reduced row echelon form), so two subspaces
-are equal iff their canonical matrices are equal.  Tensor product bases are
+are equal iff their canonical matrices are equal.  A function handed a
+subspace takes it in this form, and quotient_maps, which every such function
+reaches, raises on any other basis.  Tensor product bases are
 ordered row-major: e_i (x) e_j  ->  index i*dim2 + j.
 """
 
@@ -692,10 +694,9 @@ def quotient_maps(sub_canonical: Mat, ambient_dim: int) -> tuple[Mat, Mat]:
 # ---------------------------------------------------------------------------
 
 def subspace_leq(sub: Mat, sup: Mat) -> bool:
-    """col(sub) contained in col(sup)?"""
-    if sub.cols == 0:
-        return True
-    return solve(sup, sub) is not None
+    """col(sub) <= col(sup), read off the quotient map of the canonical sup."""
+    q, _s = quotient_maps(sup, sup.rows)
+    return (q * sub).is_zero()
 
 
 def subspace_intersection(a: Mat, b: Mat) -> Mat:
@@ -711,10 +712,10 @@ def subspace_intersection(a: Mat, b: Mat) -> Mat:
 
 
 def preimage_basis(f: Mat, sub: Mat) -> Mat:
-    """Canonical basis of f^{-1}(col(sub)); sub lives in the target of f."""
+    """Canonical basis of f^{-1}(col(sub)), sub canonical in the target of f."""
     if f.rows != sub.rows:
         raise LinAlgError("preimage: ambient mismatch")
-    q, _ = quotient_maps(image_basis(sub), f.rows)
+    q, _ = quotient_maps(sub, f.rows)
     return kernel_basis(q * f)
 
 

@@ -3,7 +3,8 @@ test modules: every shipped fixture, five generated algebras, two incidence
 algebras, the zero algebra, GF(5)[Z/3] and Q[x]/x^2 in the basis 2, x; eight
 algebra maps between them and the identity of each.  Also the routes the
 library replaced by closed forms, kept as oracles: the materialized
-codiagonal coactions and the enumeration that saturates each candidate.
+codiagonal coactions, the enumeration that saturates each candidate and the
+containment that solves for the smaller basis in the larger.
 """
 
 import json
@@ -29,7 +30,7 @@ from omegacalc.fodc import (
 )
 from omegacalc.io import algebra_from_json
 from omegacalc.kahler import kahler_calculus
-from omegacalc.linalg import GF, QQ, Mat, image_basis, kronecker, swap_matrix
+from omegacalc.linalg import GF, QQ, Mat, image_basis, kronecker, solve, swap_matrix
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "omegacalc" / "fixtures"
@@ -207,6 +208,13 @@ def enumerate_by_saturation(m, max_generators=2):
                 vec[j] = sign
                 record(Mat.from_cols(f, [vec], rows=m.dim))
     return [found[k] for k in sorted(found)]
+
+
+def subspace_leq_by_solve(sub, sup):
+    """col(sub) <= col(sup) by solving sup X = sub, for any two spanning sets:
+    linalg.subspace_leq in its earlier form, before it read the quotient map
+    of a canonical sup."""
+    return sub.cols == 0 or solve(sup, sub) is not None
 
 
 def regular_coactions(h):

@@ -20,6 +20,7 @@ from omegacalc.bimodule import (
     regular_bimodule,
     restrict_bimodule,
     saturate_subspace,
+    sub_bimodule,
     tensor_over_algebra,
     tensor_square_bimodule,
     zero_bimodule,
@@ -149,6 +150,15 @@ def test_generated_sub_x_tensor_x(qx2):
     v = solve(u.iota, Mat(QQ, [[0], [0], [0], [1]]))
     sub, _ = generated_sub_bimodule(u.omega, [v.column(0)])
     assert sub.dim == 1
+
+
+def test_sub_bimodule_refuses_a_subspace_that_is_not_action_closed(qx3, m2q):
+    # span(1) in Q[x]/x^3, where x . 1 = x leaves it, and the first column
+    # span(E00, E10) of M2(Q), a left ideal with E00 . E01 = E01 outside it
+    for m, basis, side in ((regular_bimodule(qx3), [[1, 0, 0]], "left"),
+                           (regular_bimodule(m2q), [[1, 0, 0, 0], [0, 0, 1, 0]], "right")):
+        with pytest.raises(LinAlgError, match=f"not closed under the {side} action"):
+            sub_bimodule(m, Mat.from_cols(QQ, basis))
 
 
 def test_restrict_along_identity(qx2):

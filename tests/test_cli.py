@@ -440,6 +440,29 @@ def test_dim_guard_projects_the_wedge_map_count(capsys, monkeypatch, argv):
     }
 
 
+@pytest.mark.parametrize("degree", [10 ** 4, 10 ** 9])
+@pytest.mark.parametrize("argv,bound", [
+    (["prolong"], "4*3^{}"),
+    (["prolong", "--calculus", "kahler"], "min(3^{0}, 4*3^{0})"),
+    (["cohomology", "--flavor", "universal"], "4*3^{}"),
+    (["compare"], "4*3^{}"),
+], ids=["prolong", "prolong-kahler", "cohomology", "compare"])
+def test_dim_guard_builds_no_huge_power(capsys, monkeypatch, argv, bound, degree):
+    # 4 * 3^N has over 4,300 digits at N = 10^4, more than int() writes out,
+    # and takes minutes to build at N = 10^9: each bound is built only up to
+    # one factor past the limit and shown as its formula beyond that
+    monkeypatch.delenv("OMEGA_MAX_DIM", raising=False)
+    start = time.perf_counter()
+    code, out = run_cli(capsys, argv[0], str(FIXTURES / "qx4.json"), *argv[1:],
+                        "--max-degree", str(degree), "--format", "json")
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert json.loads(out) == {
+        "error": f"projected component dimension {bound.format(degree)} exceeds limit 1000000",
+        "hint": "pass --force or raise OMEGA_MAX_DIM",
+    }
+
+
 def test_force_overrides_the_wedge_map_count(capsys, monkeypatch):
     monkeypatch.setenv("OMEGA_MAX_DIM", "5")
     argv = ["prolong", str(FIXTURES / "q.json"), "--max-degree", "2", "--format", "json"]

@@ -41,6 +41,7 @@ from omegacalc.linalg import (
     kronecker,
     rank,
     solve,
+    subspace_leq,
 )
 from omegacalc.prolong import universal_prolongation
 
@@ -49,6 +50,7 @@ from oracle_algebras import (
     enumerate_by_saturation,
     load_fixture,
     oracle_calculi,
+    subspace_leq_by_solve,
 )
 
 
@@ -390,6 +392,36 @@ def test_quotients_of_the_universal_calculus_record_the_kernel_of_phi(name):
         assert recorded_kernel(c) is not None
         assert recorded_kernel(c) == kernel_basis(_phi(c))
         assert _kernel(c) is recorded_kernel(c)
+
+
+def test_a_universal_quotient_records_the_basis_it_was_given(qx3):
+    # a quotient takes the canonical basis of its subspace and re-derives
+    # nothing: the kernel it records is that very basis, and any other basis
+    # of the subspace is refused, also inside sub_calculus_correspondence
+    u = universal_calculus(qx3)
+    for n in enumerate_action_closed_subspaces(u.omega):
+        assert recorded_kernel(quotient_calculus(u, n)[0]) is n
+        assert sub_calculus_correspondence(qx3, [n])[0]["sub"] is n
+        if n.cols:
+            with pytest.raises(LinAlgError, match="not in reduced column echelon form"):
+                quotient_calculus(u, n + n)
+            with pytest.raises(LinAlgError, match="not in reduced column echelon form"):
+                sub_calculus_correspondence(qx3, [n + n])
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_subspace_leq_matches_the_solve_oracle(name):
+    # every ordered pair of the enumerated lattice, and of the kernels of the
+    # oracle calculi.  A lattice with more than 64 members (up to 530, on the
+    # chain incidence algebra) takes every k-th, at most 64 of them.
+    alg = ORACLE_ALGEBRAS[name]()
+    lattice = enumerate_action_closed_subspaces(universal_calculus(alg).omega)
+    members = lattice[::-(-len(lattice) // 64)]
+    kernels = [_kernel(c) for c in oracle_calculi(name, alg).values()]
+    for family in (members, kernels):
+        for sub in family:
+            for sup in family:
+                assert subspace_leq(sub, sup) == subspace_leq_by_solve(sub, sup)
 
 
 def change_of_basis(u, p):

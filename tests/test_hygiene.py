@@ -9,9 +9,11 @@ full axiom report, only the universal, zero and quotient calculi skip the
 calculus check, and the universal calculus, its induced maps, f_u,
 saturation and the closure check are closed forms that solve nothing.  The
 Hopf coactions solve nothing, re-check nothing and build no Kronecker
-product, bicovariance_check builds no universal calculus, the lattice
-enumeration saturates no candidate on its own, and the dg morphisms build no
-Kronecker product.  fodc.py builds no Kronecker product, and ker(Omega_u -> c)
+product, bicovariance_check reads iota and the retraction of the memoized
+universal calculus and rebuilds neither Omega_u nor its splitting, the
+lattice enumeration saturates no candidate on its own, and the dg morphisms
+build no Kronecker product.  The functions handed a subspace take its
+canonical basis and neither re-derive it nor solve for a containment.  fodc.py builds no Kronecker product, and ker(Omega_u -> c)
 is eliminated in one place, the memoized `_kernel`.  The universal calculus is
 a value of its algebra: no function takes one as a parameter, and the helper
 and the option that did are gone.
@@ -116,8 +118,7 @@ def test_certified_constructions_call_no_full_report():
                                         "kronecker"}),
     ("hopf.py", "bicovariance_check", {"check_hopf_module", "d_comodule_report",
                                        "subspace_leq", "factor_through_surjection",
-                                       "universal_coactions", "universal_calculus",
-                                       "kronecker"}),
+                                       "universal_coactions", "kronecker"}),
     ("hopf.py", "_codiagonal_coactions", {"kronecker"}),
     ("prolong.py", "unique_dg_morphism", {"kron_all", "kronecker"}),
 ])
@@ -130,6 +131,31 @@ def test_coactions_and_dg_morphisms_are_closed_forms(module, name, banned):
     assert not called_names(function_node(module, name)) & banned
 
 
+def test_bicovariance_check_reads_the_memoized_splitting():
+    # iota and the retraction are attributes of universal_calculus(h.alg),
+    # built once per algebra; Omega_u and its splitting are not rebuilt
+    node = function_node("hopf.py", "bicovariance_check")
+    called = called_names(node)
+    assert "universal_calculus" in called
+    assert not called & {"_prolongation", "universal_prolongation", "_unit_complement",
+                         "from_entries", "kernel_basis", "Bimodule"}
+    read = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+    assert {"iota", "retraction"} <= read
+
+
+@pytest.mark.parametrize("module,name", [
+    ("fodc.py", "quotient_calculus"),
+    ("fodc.py", "sub_calculus_correspondence"),
+    ("linalg.py", "preimage_basis"),
+    ("linalg.py", "subspace_leq"),
+])
+def test_subspace_takers_rederive_nothing(module, name):
+    # each takes a canonical basis, which quotient_maps checks in O(nnz);
+    # the echelon form is not recomputed and a containment is read off the
+    # quotient map, not solved for
+    assert not called_names(function_node(module, name)) & {"image_basis", "solve"}
+
+
 def test_no_amitsur_surjections_and_no_engine_error_in_hopf():
     for path in SRC.glob("*.py"):
         assert "surjectivity_maps" not in path.read_text(), path.name
@@ -138,7 +164,6 @@ def test_no_amitsur_surjections_and_no_engine_error_in_hopf():
 
 @pytest.mark.parametrize("module,name", [
     ("fodc.py", "universal_calculus"),
-    ("fodc.py", "_splitting"),
     ("fodc.py", "induced_map"),
     ("fodc.py", "_phi"),
     ("scalars.py", "universal_map"),
@@ -182,7 +207,7 @@ def test_no_function_takes_the_universal_calculus():
                 assert annotated == [], (path.name, node.name)
 
 
-@pytest.mark.parametrize("name", ["kernel_from_universal", "max_generators"])
+@pytest.mark.parametrize("name", ["kernel_from_universal", "max_generators", "_splitting"])
 def test_retired_names_are_gone(name):
     for path in SRC.glob("*.py"):
         assert name not in path.read_text(), path.name

@@ -251,6 +251,20 @@ def test_preimage_and_intersection():
     assert subspace_leq(inter, a) and subspace_leq(inter, b)
 
 
+def test_subspace_functions_refuse_a_noncanonical_basis():
+    # twice a canonical basis spans the same subspace; preimage_basis and the
+    # larger side of subspace_leq take canonical bases, and quotient_maps
+    # refuses any other, even where the smaller side is empty
+    a = image_basis(Mat(QQ, [[1, 0], [0, 1], [0, 0]]))
+    f = Mat(QQ, [[1, 1], [0, 1], [1, 0]])
+    assert preimage_basis(f, a) == Mat(QQ, [[0], [1]])
+    assert subspace_leq(a + a, a) and not subspace_leq(Mat(QQ, [[0], [0], [1]]), a)
+    for call in (lambda: preimage_basis(f, a + a), lambda: subspace_leq(a, a + a),
+                 lambda: subspace_leq(Mat.zeros(QQ, 3, 0), a + a)):
+        with pytest.raises(LinAlgError, match="not in reduced column echelon form"):
+            call()
+
+
 def test_factor_through_surjection():
     q = Mat(QQ, [[1, 0, 1], [0, 1, 0]])
     rhs = Mat(QQ, [[2, 3, 2]])

@@ -42,6 +42,7 @@ SATURATION_ORACLE = "tests/test_bimodule.py -k saturation_is_the_fixpoint_of_the
 CLOSURE_ORACLE = "tests/test_bimodule.py -k closure_witness_matches_one_solve_per_basis_element"
 CERTIFIED_CALCULUS_ORACLE = "tests/test_fodc.py -k check_fodc"
 MEMO_ORACLE = "tests/test_fodc.py -k memo_keeps_equal_instances_apart"
+CONTAINMENT_ORACLE = "tests/test_fodc.py -k subspace_leq_matches_the_solve_oracle"
 KERNEL_SHORTCUT_ORACLE = ("tests/test_fodc.py -k "
                           "quotient_of_a_calculus_in_another_basis_computes_its_kernel")
 
@@ -170,6 +171,12 @@ MUTANTS = [
      "if isinstance(c, UniversalCalculus) else",
      "if True else",
      KERNEL_SHORTCUT_ORACLE),
+    # subspace_leq reading the quotient map of sup off sup itself, which
+    # makes every containment true
+    ("src/omegacalc/linalg.py",
+     "    return (q * sub).is_zero()",
+     "    return (q * sup).is_zero()",
+     CONTAINMENT_ORACLE),
 ]
 
 
