@@ -20,6 +20,13 @@ are equal iff their canonical matrices are equal.  A function handed a
 subspace takes it in this form, and quotient_maps, which every such function
 reaches, raises on any other basis.  Tensor product bases are
 ordered row-major: e_i (x) e_j  ->  index i*dim2 + j.
+
+Kernels: the product `Mat.__mul__`, `kronecker`, elimination
+(`_rref_sparse`, behind rank, image_basis, kernel_basis and solve), and
+three products with identity factors that form no Kronecker product:
+m (I (x) x) (`mul_id_kron`), m (x (x) I) (`mul_kron_id`) and
+(x (x) I)(I (x) m) (`kron_id_mul`), each in time linear in the nonzeros of
+its operands and its output.
 """
 
 from __future__ import annotations
@@ -486,6 +493,42 @@ def mul_id_kron(m: Mat, p: int, x: Mat) -> Mat:
 def mul_kron_id(m: Mat, x: Mat, q: int) -> Mat:
     """m (x (x) I_q): column i*q + l of m meets row i of x at offset l."""
     return _mul_id_kron_id(m, 1, x, q)
+
+
+def kron_id_mul(x: Mat, q: int, p: int, m: Mat) -> Mat:
+    """(x (x) I_q)(I_p (x) m) blockwise, without forming either product: a
+    nonzero v of x at (r, c) meets row k of m in block i, where
+    c*q + l = i*m.rows + k, and adds v*m[k, j] at (r*q + l, i*m.cols + j)."""
+    if x.field != m.field:
+        raise LinAlgError("field mismatch")
+    if x.cols * q != p * m.rows:
+        raise LinAlgError(f"cannot multiply {x.rows}x{x.cols} (x) I_{q} by I_{p} (x) "
+                          f"{m.rows}x{m.cols}")
+    mr, mc, mdata, fp = m.rows, m.cols, m.data, x.field.p
+    data = []
+    for xrow in x.data:
+        if len(xrow) == 1:
+            # a single term: rows of m, shifted and scaled (no cancellation)
+            ((c, v),) = xrow.items()
+            for l in range(q):
+                i, k = divmod(c * q + l, mr)
+                base, mrow = i * mc, mdata[k]
+                if v != 1:
+                    data.append(_clean({base + j: v * b for j, b in mrow.items()}, fp))
+                else:
+                    data.append({base + j: b for j, b in mrow.items()} if base else mrow)
+            continue
+        for l in range(q):
+            orow = {}
+            get = orow.get
+            for c, v in xrow.items():
+                i, k = divmod(c * q + l, mr)
+                base = i * mc
+                for j, b in mdata[k].items():
+                    t = base + j
+                    orow[t] = get(t, 0) + v * b
+            data.append(_clean(orow, fp))
+    return _mat(x.field, x.rows * q, p * mc, data)
 
 
 def kron_all(mats: list[Mat]) -> Mat:

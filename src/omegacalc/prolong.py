@@ -29,6 +29,13 @@ None of the three constructions re-runs the full graded axiom check
 next to its code: the Cuntz-Quillen basis for the universal prolongation,
 the presentation with right exactness for the maximal prolongation, and the
 zero components above degree 1 for the trivial extension.
+
+No Kronecker product is built only to be multiplied.  The relations, the
+wedges and the differentials are products (x (x) I)(I (x) m), with m the
+relations or a section, and `linalg.kron_id_mul` applies both identity
+factors blockwise; the right action is written entry by entry from its
+Leibniz identity.  A Kronecker product x (x) I is formed only where it is
+the map itself: in the universal case, where no section is applied.
 """
 
 from __future__ import annotations
@@ -48,9 +55,12 @@ from .fodc import (
 from .linalg import (
     LinAlgError,
     Mat,
+    _clean,
+    _mat,
     factor_through_surjection,
     image_basis,
     kron_all,
+    kron_id_mul,
     kronecker,
     mul_id_kron,
     mul_kron_id,
@@ -206,6 +216,40 @@ class UniversalProlongation(GradedCalculus):
         return [kron_all([ident] + [pi] * k) for k in range(self.max_degree + 1)]
 
 
+def _right_action(pi: Mat, pi_m: Mat, at_bar: Mat, s: Mat | None) -> Mat:
+    """Omega^k (x) A -> Omega^(k-1) (x) A-bar, v (x) c -> vc before the
+    reduction, written entry by entry from (x db) c = x d(pi(bc)) - (x b) d(pi c).
+
+    s writes each v in Omega^k as the sum of s[x (x) b, v] x ^ db (None where
+    v is x (x) b itself), and at_bar: Omega^(k-1) (x) A-bar -> Omega^(k-1) is
+    x (x) b -> xb.  So the entry at row x (x) b' and column v (x) c is the
+    sum over b of s[x (x) b, v] pi(bc)_b', minus (at_bar s)[x, v] pi(c)_b'.
+    """
+    f, n, nb = pi.field, pi.cols, pi.rows
+    at_s = at_bar if s is None else at_bar * s
+    s_rows = (Mat.identity(f, at_bar.cols) if s is None else s).data
+    # row b' of pi_m as the triples (b, c, pi(bc)_b'), and of pi as (c, pi(c)_b')
+    pi_bc = [[(*divmod(col, n), y) for col, y in row.items()] for row in pi_m.data]
+    pi_c = [list(row.items()) for row in pi.data]
+    rows = []
+    for x in range(at_bar.rows):
+        s_block = s_rows[x * nb:(x + 1) * nb]
+        at_s_row = at_s.data[x].items()
+        for bp in range(nb):
+            acc = {}
+            get = acc.get
+            for b, c, y in pi_bc[bp]:           # x d(pi(bc))
+                for v, z in s_block[b].items():
+                    t = v * n + c
+                    acc[t] = get(t, 0) + z * y
+            for v, z in at_s_row:               # (x b) d(pi c)
+                for c, y in pi_c[bp]:
+                    t = v * n + c
+                    acc[t] = get(t, 0) - z * y
+            rows.append(_clean(acc, f.p))
+    return _mat(f, at_bar.cols, at_s.cols * n, rows)
+
+
 def _prolongation(a: Algebra, max_degree: int, p1: Mat | None = None,
                   s1: Mat | None = None, rel: Mat | None = None):
     """dims, diff and wedge of the maximal prolongation of the calculus
@@ -215,20 +259,37 @@ def _prolongation(a: Algebra, max_degree: int, p1: Mat | None = None,
     rel a basis of its kernel N.  Left out, they are the universal calculus:
     p1 = s1 = I and N = 0.  Omega^k is (Omega^(k-1) (x) A-bar) / R_k, with
     quotient map quot[k] and section sect[k], both None where R_k = 0.
+
+    `kron_id_mul` applies the identity factors blockwise, without forming
+    either Kronecker product: Omega^(k-1) . N = (R_(k-1) (x) I)(I (x) N),
+    Omega^(k-2) ^ dN = (Q_(k-1) (x) I)(I (x) dN), each wedge
+    (W (x) I)(I (x) s_j) and each differential (d_(k-2) (x) I) s_(k-1),
+    with R the right action, Q the quotient maps and s the sections.  The
+    right action is written entry by entry (`_right_action`).  Where a
+    section is None, the map before reduction is the Kronecker product
+    itself, so that product is formed: the wedges and differentials of the
+    universal case, which have nothing else to compute.
     """
     f, n = a.field, a.dim
     bar, pi = _unit_complement(a)
-    i_bar = Mat.identity(f, len(bar))
+    nb = len(bar)
+    i_bar = Mat.identity(f, nb)
     # pi m (iota (x) 1): A-bar (x) A -> A-bar, b (x) c -> pi(bc)
     pi_m = pi * a.mult_mat.select_cols([x * n + y for x in bar for y in range(n)])
     # (pi (x) 1) N: the sums da_i (x) b_i with sum a_i (x) b_i in N
-    d_rel = None if rel is None else kronecker(pi, i_bar) * rel
+    d_rel = None if rel is None else kron_id_mul(pi, nb, 1, rel)
     quot, sect = [None, p1], [None, s1]
 
     def reduce(k, x):
         return x if quot[k] is None else quot[k] * x
 
-    dims = [n, n * len(bar) if p1 is None else p1.rows]
+    def wedge_d(k, x, p, j):
+        """quot[k] (x (x) I)(I_p (x) s_j): y (x) v -> x(y (x) w) ^ db, where
+        s_j writes v in Omega^j as a sum of w ^ db with w in Omega^(j-1)."""
+        out = kronecker(x, i_bar) if sect[j] is None else kron_id_mul(x, nb, p, sect[j])
+        return reduce(k, out)
+
+    dims = [n, n * nb if p1 is None else p1.rows]
     diff = [reduce(1, kronecker(a.unit_mat, pi))]       # da = 1 d(pi a)
     wedge = {(0, 0): a.mult_mat}
     for k in range(1, max_degree + 1):
@@ -244,14 +305,15 @@ def _prolongation(a: Algebra, max_degree: int, p1: Mat | None = None,
                          for j in range(max(k - i, 0), max_degree + 1 - i))
             break
         if k > 1:
-            size = dims[k - 1] * len(bar)
+            size = dims[k - 1] * nb
             q = s = None
             if rel is not None and rel.cols:
                 # Omega^(k-1) . N and Omega^(k-2) ^ dN, in Omega^(k-1) (x) A-bar
-                acted = mul_id_kron(kronecker(wedge[(k - 1, 0)], i_bar), dims[k - 1], rel)
-                wedged = kronecker(Mat.identity(f, dims[k - 2]), d_rel)
-                if quot[k - 1] is not None:
-                    wedged = kronecker(quot[k - 1], i_bar) * wedged
+                acted = kron_id_mul(wedge[(k - 1, 0)], nb, dims[k - 1], rel)
+                if quot[k - 1] is None:
+                    wedged = kronecker(Mat.identity(f, dims[k - 2]), d_rel)
+                else:
+                    wedged = kron_id_mul(quot[k - 1], nb, dims[k - 2], d_rel)
                 basis = image_basis(acted.hstack(wedged))
                 if basis.cols:
                     q, s = quotient_maps(basis, size)
@@ -261,20 +323,13 @@ def _prolongation(a: Algebra, max_degree: int, p1: Mat | None = None,
         # the right action: (x db) c = x d(pi(bc)) - (x b) d(pi c)
         at_bar = wedge[(k - 1, 0)].select_cols(
             [w * n + x for w in range(dims[k - 1]) for x in bar])
-        right = kronecker(Mat.identity(f, dims[k - 1]), pi_m) - kronecker(at_bar, pi)
-        if sect[k] is not None:
-            right = mul_kron_id(right, sect[k], n)
-        wedge[(k, 0)] = reduce(k, right)
+        wedge[(k, 0)] = reduce(k, _right_action(pi, pi_m, at_bar, sect[k]))
         # the wedges into degree k: x ^ (y ^ db) = (x ^ y) ^ db
         for j in range(1, k + 1):
-            w = kronecker(wedge[(k - j, j - 1)], i_bar)
-            if sect[j] is not None:
-                w = mul_id_kron(w, dims[k - j], sect[j])
-            wedge[(k - j, j)] = reduce(k, w)
+            wedge[(k - j, j)] = wedge_d(k, wedge[(k - j, j - 1)], dims[k - j], j)
         if k > 1:
             # d(x ^ db) = dx ^ db
-            d_k = kronecker(diff[k - 2], i_bar)
-            diff.append(reduce(k, d_k if sect[k - 1] is None else d_k * sect[k - 1]))
+            diff.append(wedge_d(k, diff[k - 2], 1, k - 1))
     return dims, diff, wedge
 
 

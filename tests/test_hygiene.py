@@ -12,11 +12,14 @@ Hopf coactions solve nothing, re-check nothing and build no Kronecker
 product, bicovariance_check reads iota and the retraction of the memoized
 universal calculus and rebuilds neither Omega_u nor its splitting, the
 lattice enumeration saturates no candidate on its own, and the dg morphisms
-build no Kronecker product.  The functions handed a subspace take its
-canonical basis and neither re-derive it nor solve for a containment.  fodc.py builds no Kronecker product, and ker(Omega_u -> c)
-is eliminated in one place, the memoized `_kernel`.  The universal calculus is
-a value of its algebra: no function takes one as a parameter, and the helper
-and the option that did are gone.
+build no Kronecker product.  The prolongation applies every identity
+factor blockwise: it calls neither whiskered product, and no Kronecker
+product it forms is multiplied or subtracted from the left.  The
+functions handed a subspace take its canonical basis and neither re-derive
+it nor solve for a containment.  fodc.py builds no Kronecker product, and
+ker(Omega_u -> c) is eliminated in one place, the memoized `_kernel`.  The
+universal calculus is a value of its algebra: no function takes one as a
+parameter, and the helper and the option that did are gone.
 """
 
 import ast
@@ -129,6 +132,40 @@ def test_coactions_and_dg_morphisms_are_closed_forms(module, name, banned):
     # morphism is factored one degree at a time through Omega^(n-1) (x) A;
     # the Hopf reports run in the tests
     assert not called_names(function_node(module, name)) & banned
+
+
+def kronecker_left_operands(node) -> list[str]:
+    """The products and differences inside node whose left operand is a
+    kronecker(...) call, or a name bound to one."""
+    bound = {t.id for a in ast.walk(node) if isinstance(a, ast.Assign)
+             and isinstance(a.value, ast.Call) and getattr(a.value.func, "id", None) == "kronecker"
+             for t in a.targets if isinstance(t, ast.Name)}
+
+    def is_kronecker(e):
+        return ((isinstance(e, ast.Call) and getattr(e.func, "id", None) == "kronecker")
+                or (isinstance(e, ast.Name) and e.id in bound))
+
+    return [ast.unparse(b) for b in ast.walk(node) if isinstance(b, ast.BinOp)
+            and isinstance(b.op, (ast.Mult, ast.Sub)) and is_kronecker(b.left)]
+
+
+def test_prolongation_applies_identity_factors_blockwise():
+    # (x (x) I)(I (x) m) is kron_id_mul and the right action is written entry
+    # by entry; a Kronecker product is formed only where it is the answer
+    node = function_node("prolong.py", "_prolongation")
+    assert not called_names(node) & {"mul_id_kron", "mul_kron_id"}
+    assert "kron_id_mul" in called_names(node)
+    assert kronecker_left_operands(node) == []
+    assert "kronecker" not in called_names(function_node("prolong.py", "_right_action"))
+
+
+def test_a_kronecker_left_operand_is_seen():
+    source = ("def f(a, b, c):\n"
+              "    d = kronecker(a, b) * c\n"
+              "    e = kronecker(a, c)\n"
+              "    return d - e, e * c, c * kronecker(b, c), kronecker(a, a) - c\n")
+    assert kronecker_left_operands(ast.parse(source)) == [
+        "kronecker(a, b) * c", "e * c", "kronecker(a, a) - c"]
 
 
 def test_bicovariance_check_reads_the_memoized_splitting():

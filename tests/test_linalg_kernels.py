@@ -3,7 +3,8 @@
 Each kernel runs on small random sparse matrices over Q and GF(p) and is
 compared with a naive dense computation written here from `m[i, j]`; rank is
 also compared with sympy's DomainMatrix, and the blockwise products by I (x) x
-and x (x) I with the product by the materialized Kronecker factor.
+and x (x) I, and (x (x) I)(I (x) m), with the products of the materialized
+Kronecker factors.
 hypothesis and sympy are test-only.
 """
 
@@ -20,6 +21,7 @@ from omegacalc.linalg import (  # noqa: E402
     LinAlgError,
     Mat,
     kernel_basis,
+    kron_id_mul,
     kronecker,
     mul_id_kron,
     mul_kron_id,
@@ -186,6 +188,54 @@ def test_identity_kernels_reject_shape_and_field_mismatch(kernel):
     with pytest.raises(LinAlgError):
         apply(Mat.zeros(GF(5), 2, 6), x, 2)
     assert apply(Mat.zeros(QQ, 2, 6), x, 2).cols == 4
+
+
+def shapes_for_kron_id_mul():
+    """(x.cols, q, p, m.rows) with x.cols * q = p * m.rows; a column of x may
+    straddle two blocks of I_p (x) m, as with (3, 2, 2, 3)."""
+    return st.tuples(st.integers(0, 4), st.integers(1, 3), st.integers(1, 3)).filter(
+        lambda t: t[0] * t[1] % t[2] == 0).map(lambda t: (*t, t[0] * t[1] // t[2]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), fields, shapes_for_kron_id_mul())
+def test_kron_id_mul_matches_the_materialized_products(storage_violations, data, field, shape):
+    xc, q, p, mr = shape
+    x = data.draw(matrices(field, cols=xc))
+    m = data.draw(matrices(field, rows=mr))
+    out = kron_id_mul(x, q, p, m)
+    assert storage_violations(out) == []
+    assert (out.rows, out.cols) == (x.rows * q, p * m.cols)
+    assert out == kronecker(x, Mat.identity(field, q)) * kronecker(Mat.identity(field, p), m)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)])
+@pytest.mark.parametrize("xr,xc,q,p,mr,mc", [
+    (0, 0, 0, 0, 0, 0), (2, 3, 0, 0, 4, 2), (2, 0, 2, 3, 0, 2), (0, 3, 2, 2, 3, 4),
+    (3, 2, 2, 1, 4, 0), (2, 4, 1, 2, 2, 3), (3, 3, 2, 2, 3, 2), (3, 2, 3, 1, 6, 2),
+], ids=["all-empty", "q-zero", "x-no-cols", "x-no-rows", "m-no-cols", "q-one", "straddle",
+        "p-one"])
+def test_kron_id_mul_on_fixed_shapes(storage_violations, field, xr, xc, q, p, mr, mc):
+    # every third entry in row-major order is zero, and so are row 1 of x and row 0 of m
+    x = Mat.from_entries(field, xr, xc, [(i, j, i + 2 * j + 1) for i in range(xr)
+                                         for j in range(xc) if (i * xc + j) % 3 and i != 1])
+    m = Mat.from_entries(field, mr, mc, [(i, j, 3 * i - j + 2) for i in range(mr)
+                                         for j in range(mc) if (i * mc + j) % 3 and i != 0])
+    out = kron_id_mul(x, q, p, m)
+    assert storage_violations(out) == []
+    assert out == kronecker(x, Mat.identity(field, q)) * kronecker(Mat.identity(field, p), m)
+
+
+def test_kron_id_mul_rejects_shape_and_field_mismatch():
+    x = Mat(QQ, [[1, 2, 0], [0, 3, 4]])
+    m = Mat(QQ, [[1, 0], [2, 5], [0, 1]])
+    assert kron_id_mul(x, 2, 2, m).cols == 4
+    with pytest.raises(LinAlgError):
+        kron_id_mul(x, 2, 1, m)     # x (x) I_2 has 6 columns, I_1 (x) m 3 rows
+    with pytest.raises(LinAlgError):
+        kron_id_mul(x, 1, 2, m)
+    with pytest.raises(LinAlgError):
+        kron_id_mul(x, 2, 2, Mat(GF(5), [[1, 0], [2, 5], [0, 1]]))
 
 
 @settings(max_examples=60, deadline=None)

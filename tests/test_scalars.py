@@ -41,7 +41,7 @@ from omegacalc.scalars import (
     verify_poset_adjunction,
 )
 
-from oracle_algebras import ORACLE_MAPS
+from oracle_algebras import ORACLE_MAPS, first_proper_quotients
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +80,31 @@ def test_pushed_and_pulled_calculi_record_the_kernel_of_phi(name):
     for c in results:
         recorded = c.__dict__.get(_kernel.slot)
         assert recorded is not None and recorded == kernel_basis(_phi(c))
+
+
+@pytest.mark.parametrize("name", ORACLE_MAPS)
+def test_pullback_projection_kills_exactly_the_recorded_kernel(name, monkeypatch):
+    # calc_pullback hands quotient_calculus the canonical preimage p, and
+    # quotient_maps builds a projection whose kernel is exactly p; this is
+    # the check calc_pullback ran on every call, held here on every oracle
+    # map and on the universal, Kaehler, zero and two quotient calculi
+    f = ORACLE_MAPS[name]()
+    built = []
+
+    def recording(c, sub):
+        result, proj = quotient_calculus(c, sub)
+        built.append((sub, result, proj))
+        return result, proj
+
+    monkeypatch.setattr(scalars, "quotient_calculus", recording)
+    targets = (canonical_calculi(f.target) + [zero_calculus(f.target)]
+               + first_proper_quotients(f.target))
+    for t in targets:
+        result = calc_pullback(f, t)
+        sub, last, proj = built[-1]
+        assert last is result
+        assert kernel_basis(proj.matrix) == sub == _kernel(result)
+    assert len(built) == len(targets)
 
 
 def test_universal_map_functoriality(qx2, y_to_x2, qy2):

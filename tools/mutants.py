@@ -43,6 +43,7 @@ CLOSURE_ORACLE = "tests/test_bimodule.py -k closure_witness_matches_one_solve_pe
 CERTIFIED_CALCULUS_ORACLE = "tests/test_fodc.py -k check_fodc"
 MEMO_ORACLE = "tests/test_fodc.py -k memo_keeps_equal_instances_apart"
 CONTAINMENT_ORACLE = "tests/test_fodc.py -k subspace_leq_matches_the_solve_oracle"
+KRON_ID_MUL_ORACLE = "tests/test_linalg_kernels.py -k kron_id_mul"
 KERNEL_SHORTCUT_ORACLE = ("tests/test_fodc.py -k "
                           "quotient_of_a_calculus_in_another_basis_computes_its_kernel")
 
@@ -51,8 +52,8 @@ MUTANTS = [
     # unit correction of pi, the slot of the unit in d0, and the relations
     # Omega^(k-2) ^ dN of the maximal prolongation
     ("src/omegacalc/prolong.py",
-     "pi_m) - kronecker(at_bar, pi)",
-     "pi_m) + kronecker(at_bar, pi)",
+     "acc[t] = get(t, 0) - z * y",
+     "acc[t] = get(t, 0) + z * y",
      AMITSUR_ORACLE),
     ("src/omegacalc/fodc.py",
      "(r, pivot, f.mul(lead, a.unit[j]))",
@@ -171,6 +172,11 @@ MUTANTS = [
      "if isinstance(c, UniversalCalculus) else",
      "if True else",
      KERNEL_SHORTCUT_ORACLE),
+    # kron_id_mul with the offset l inside a block of x (x) I_q dropped
+    ("src/omegacalc/linalg.py",
+     "divmod(c * q + l, mr)\n                base = i * mc\n",
+     "divmod(c * q, mr)\n                base = i * mc\n",
+     KRON_ID_MUL_ORACLE),
     # subspace_leq reading the quotient map of sup off sup itself, which
     # makes every containment true
     ("src/omegacalc/linalg.py",
