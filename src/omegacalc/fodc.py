@@ -260,6 +260,24 @@ def _kernel(c: FirstOrderCalculus) -> Mat:
     return kernel_basis(_phi(c))
 
 
+@_memo
+def _section(c: FirstOrderCalculus) -> Mat:
+    """A section s of phi: Omega_u ->> c, phi s = I, built once per calculus
+    instance.  A quotient of the universal calculus records the section its
+    quotient map was built with; any other calculus solves for one.
+
+    Certificate that the choice does not matter: two sections differ by a
+    map into N = ker(phi).  The maximal prolongation applies s only to
+    representatives it then reduces, where N enters as Omega^(k-1) . N and
+    Omega^(k-2) ^ dN, both inside the relations R_k that every reduction
+    kills; and the quotient coactions of `hopf.bicovariance_check` apply
+    (1 (x) phi) lam_u and (phi (x) 1) rho_u to it, which kill N once N is a
+    subcomodule.  So no output depends on which section is kept.
+    tests/test_prolong.py and tests/test_hopf.py compare the outputs for a
+    recorded and a solved section."""
+    return solve(_phi(c), Mat.identity(c.alg.field, c.dim))
+
+
 def induced_map(target: FirstOrderCalculus) -> BimodMap:
     """The unique calculus morphism from the universal calculus, phi.
 
@@ -289,7 +307,7 @@ def quotient_calculus(c: FirstOrderCalculus, sub: Mat) -> tuple[FirstOrderCalcul
     """Quotient of a calculus by an action-closed subspace given by its
     canonical basis, with the projection onto the echelon complement of the
     subspace, so that repeated quotients are reproducible."""
-    quo, proj, _s = quotient_bimodule(c.omega, sub)
+    quo, proj, s = quotient_bimodule(c.omega, sub)
     d_new = proj.matrix * c.d
     # Certificate, in place of check_fodc on the quotient: quotient_bimodule
     # checked that the subspace is action-closed, so proj: c ->> c/N is an
@@ -300,9 +318,10 @@ def quotient_calculus(c: FirstOrderCalculus, sub: Mat) -> tuple[FirstOrderCalcul
     # tests/test_fodc.py runs check_fodc on every quotient of the lattices.
     # phi of the universal calculus is the identity of A (x) A-bar, the basis
     # of every UniversalCalculus, so phi of its quotient is proj, whose kernel
-    # is the subspace
-    kernel = {_kernel.slot: sub} if isinstance(c, UniversalCalculus) else {}
-    result = _certified(FirstOrderCalculus, c.alg, quo, d_new, **kernel)
+    # is the subspace and whose section is s
+    split = {_kernel.slot: sub, _section.slot: s}
+    result = _certified(FirstOrderCalculus, c.alg, quo, d_new,
+                        **(split if isinstance(c, UniversalCalculus) else {}))
     return result, BimodMap(c.omega, result.omega, proj.matrix, check=False)
 
 

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 from .algebra import Algebra, AxiomError
 from .bimodule import Bimodule
-from .fodc import FirstOrderCalculus, _kernel, _phi, universal_calculus
+from .fodc import FirstOrderCalculus, _kernel, _phi, _section, universal_calculus
 from .linalg import (
     LinAlgError,
     Mat,
     kronecker,
     mul_id_kron,
     mul_kron_id,
-    solve,
     swap_matrix,
 )
 
@@ -273,14 +272,13 @@ def bicovariance_check(h: Bimonoid, c: FirstOrderCalculus) -> dict:
         witnesses.append("right coaction moves the defining subobject out of N (x) A")
     if witnesses:
         return {"bicovariant": False, "witnesses": witnesses}
-    section = solve(phi, Mat.identity(h.alg.field, c.dim))
-    lam, rho = _codiagonal_coactions(h, u.iota * section, to_c)
+    lam, rho = _codiagonal_coactions(h, u.iota * _section(c), to_c)
     # Certificate for the quotient coactions and the Hopf calculus axioms, in
     # place of factoring through phi and of check_hopf_module and
     # d_comodule_report on the quotient (Woronowicz 1989):
     # 1. phi is onto, a bimodule map and phi d_u = d (certified at
-    #    fodc._phi), and phi section = id.  Omega_u with lam_u and
-    #    rho_u is a Hopf calculus (certified at universal_coactions).
+    #    fodc._phi), and phi section = id (fodc._section).  Omega_u with
+    #    lam_u and rho_u is a Hopf calculus (certified at universal_coactions).
     # 2. lam_c = (1 (x) phi) lam_u section and rho_c = (phi (x) 1) rho_u section,
     #    regrouped as above.  section phi - id maps into N, which
     #    (1 (x) phi) lam_u and (phi (x) 1) rho_u kill (the check above), so

@@ -36,10 +36,17 @@ relations or a section, and `linalg.kron_id_mul` applies both identity
 factors blockwise; the right action is written entry by entry from its
 Leibniz identity.  A Kronecker product x (x) I is formed only where it is
 the map itself: in the universal case, where no section is applied.
+
+A prolongation builds its wedge maps on first read.  The degree loop
+builds the dims, the quotient maps and the differentials; each wedge is
+built from its identity when a caller first reads it, and kept, and its
+shape is checked then.  So the dims, the differentials and cohomology
+cost no wedge beyond the actions the relations read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import cache, cached_property
 
 from .algebra import Algebra, AlgMap
@@ -49,6 +56,7 @@ from .fodc import (
     PreconditionError,
     _kernel,
     _phi,
+    _section,
     _unit_complement,
     calculus_morphism_exists,
 )
@@ -66,7 +74,6 @@ from .linalg import (
     mul_kron_id,
     quotient_maps,
     rank,
-    solve,
 )
 
 
@@ -100,19 +107,58 @@ def amitsur_wedge(a: Algebra, n: int, m: int) -> Mat:
 # graded calculi
 # ---------------------------------------------------------------------------
 
+class _Wedges(Mapping):
+    """The wedge maps (i, j), i + j <= max_degree, of a graded calculus, each
+    built by make(self, i, j) on its first read and kept in `built`, which may
+    hold some from the start.  check(i, j, w) runs on each map when it is
+    built: the GradedCalculus that holds the mapping sets it to its shape
+    check.  make gets the mapping as an argument and check closes over the
+    dims only, so no reference cycle keeps a calculus alive past its last
+    use."""
+
+    def __init__(self, max_degree: int, built: dict, make):
+        self._keys = {(i, j) for i in range(max_degree + 1) for j in range(max_degree + 1 - i)}
+        self.built = built
+        self._make = make
+        self.check = lambda i, j, w: None
+
+    def __getitem__(self, key):
+        try:
+            return self.built[key]
+        except KeyError:
+            if key not in self._keys:
+                raise
+        w = self._make(self, *key)
+        self.check(*key, w)
+        self.built[key] = w
+        return w
+
+    def __contains__(self, key):
+        return key in self._keys
+
+    def __iter__(self):
+        return iter(sorted(self._keys))
+
+    def __len__(self):
+        return len(self._keys)
+
+
 class GradedCalculus:
     """A degreewise-finite dg-algebra generated in degree 0 by d and wedge.
 
     Holds the component dimensions, differentials diff[n]: n -> n+1 for
     n < max_degree, and wedge maps wedge[(i, j)] for i + j <= max_degree,
     where (0,0) is the multiplication and (0,n)/(n,0) are the actions.
-    The constructor checks shapes only.  The constructions below build their
-    maps under a written certificate; `validation_report` checks every graded
-    axiom and is the oracle the test suite runs on their results.
+    wedge is kept as given: a dict, or the mapping of a prolongation, which
+    builds each map on its first read.  The constructor checks shapes only,
+    a dict's in full and a lazy map's when it is built.  The constructions
+    below build their maps under a written certificate; `validation_report`
+    checks every graded axiom and is the oracle the test suite runs on their
+    results.
     """
 
     def __init__(self, alg: Algebra, max_degree: int, dims: list[int],
-                 diff: list[Mat], wedge: dict):
+                 diff: list[Mat], wedge: Mapping):
         # shapes only: O(N^2) comparisons and no matrix work
         if len(dims) != max_degree + 1 or len(diff) != max_degree:
             raise LinAlgError("need one component per degree up to the max degree "
@@ -123,14 +169,23 @@ class GradedCalculus:
         if set(wedge) != {(i, j) for i in range(max_degree + 1)
                           for j in range(max_degree + 1 - i)}:
             raise LinAlgError("need one wedge map per pair (i, j) with i + j <= max degree")
-        for (i, j), w in wedge.items():
-            if (w.rows, w.cols) != (dims[i + j], dims[i] * dims[j]):
-                raise LinAlgError(f"wedge ({i},{j}) has wrong shape")
         self.alg = alg
         self.max_degree = max_degree
         self.dims = list(dims)
         self.diff = list(diff)
-        self.wedge = dict(wedge)
+        self.wedge = wedge
+        dims = self.dims
+
+        def check(i, j, w):
+            if (w.rows, w.cols) != (dims[i + j], dims[i] * dims[j]):
+                raise LinAlgError(f"wedge ({i},{j}) has wrong shape")
+
+        built = wedge
+        if isinstance(wedge, _Wedges):
+            wedge.check = check
+            built = wedge.built
+        for (i, j), w in built.items():
+            check(i, j, w)
 
     def component_bimodule(self, n: int) -> Bimodule:
         if n == 0:
@@ -269,6 +324,13 @@ def _prolongation(a: Algebra, max_degree: int, p1: Mat | None = None,
     section is None, the map before reduction is the Kronecker product
     itself, so that product is formed: the wedges and differentials of the
     universal case, which have nothing else to compute.
+
+    The degree loop builds dims, the quotient maps and sections and the
+    differentials.  The wedges are a `_Wedges` mapping: each is built from
+    its identity on its first read and kept, so a caller that reads only the
+    dims and the differentials builds none above the actions the relations
+    need.  Where a component is zero, every map into it and above is a
+    stored zero matrix.
     """
     f, n = a.field, a.dim
     bar, pi = _unit_complement(a)
@@ -289,9 +351,19 @@ def _prolongation(a: Algebra, max_degree: int, p1: Mat | None = None,
         out = kronecker(x, i_bar) if sect[j] is None else kron_id_mul(x, nb, p, sect[j])
         return reduce(k, out)
 
+    def make(wedge, i, j):
+        if j == 0:
+            # the right action: (x db) c = x d(pi(bc)) - (x b) d(pi c)
+            at_bar = wedge[(i - 1, 0)].select_cols(
+                [w * n + x for w in range(dims[i - 1]) for x in bar])
+            return reduce(i, _right_action(pi, pi_m, at_bar, sect[i]))
+        # x ^ (y ^ db) = (x ^ y) ^ db
+        return wedge_d(i + j, wedge[(i, j - 1)], dims[i], j)
+
     dims = [n, n * nb if p1 is None else p1.rows]
     diff = [reduce(1, kronecker(a.unit_mat, pi))]       # da = 1 d(pi a)
-    wedge = {(0, 0): a.mult_mat}
+    built = {(0, 0): a.mult_mat}
+    wedge = _Wedges(max_degree, built, make)
     for k in range(1, max_degree + 1):
         if k > 1 and dims[k - 1] == 0:
             # Omega^k is spanned by Omega^(k-1) ^ dA, so Omega^(k-1) = 0 makes
@@ -300,7 +372,7 @@ def _prolongation(a: Algebra, max_degree: int, p1: Mat | None = None,
             zero = cache(lambda cols: Mat.zeros(f, 0, cols))
             dims += [0] * (max_degree + 1 - k)
             diff += [zero(dims[i]) for i in range(k - 1, max_degree)]
-            wedge.update(((i, j), zero(dims[i] * dims[j]))
+            built.update(((i, j), zero(dims[i] * dims[j]))
                          for i in range(max_degree + 1)
                          for j in range(max(k - i, 0), max_degree + 1 - i))
             break
@@ -320,13 +392,6 @@ def _prolongation(a: Algebra, max_degree: int, p1: Mat | None = None,
             quot.append(q)
             sect.append(s)
             dims.append(size if q is None else q.rows)
-        # the right action: (x db) c = x d(pi(bc)) - (x b) d(pi c)
-        at_bar = wedge[(k - 1, 0)].select_cols(
-            [w * n + x for w in range(dims[k - 1]) for x in bar])
-        wedge[(k, 0)] = reduce(k, _right_action(pi, pi_m, at_bar, sect[k]))
-        # the wedges into degree k: x ^ (y ^ db) = (x ^ y) ^ db
-        for j in range(1, k + 1):
-            wedge[(k - j, j)] = wedge_d(k, wedge[(k - j, j - 1)], dims[k - j], j)
         if k > 1:
             # d(x ^ db) = dx ^ db
             diff.append(wedge_d(k, diff[k - 2], 1, k - 1))
@@ -389,10 +454,9 @@ def maximal_prolongation(c: FirstOrderCalculus, max_degree: int) -> GradedCalcul
         raise PreconditionError("max degree must be at least 1")
     a = c.alg
     phi = _phi(c)
-    section = solve(phi, Mat.identity(a.field, c.dim))
     # Certificate for the graded axioms, in place of validation_report:
     # 1. phi is onto and a bimodule map with phi d_u = d (certified at
-    #    fodc._phi), and solve finds its section.  Its kernel N is a
+    #    fodc._phi), and fodc._section is a section of it.  Its kernel N is a
     #    sub-bimodule of Omega^1_u = A (x) A-bar, and Omega^1 = Omega^1_u / N.
     # 2. The maximal prolongation is T_A(Omega^1) / <dN>, the quotient by the
     #    ideal generated by the sums da_i ^ db_i with sum a_i (x) b_i in N
@@ -411,7 +475,7 @@ def maximal_prolongation(c: FirstOrderCalculus, max_degree: int) -> GradedCalcul
     # tests/test_prolong.py runs validation_report on the results and holds
     # the maximal prolongation of the universal calculus to the universal
     # prolongation.
-    dims, diff, wedge = _prolongation(a, max_degree, phi, section, _kernel(c))
+    dims, diff, wedge = _prolongation(a, max_degree, phi, _section(c), _kernel(c))
     return GradedCalculus(a, max_degree, dims, diff, wedge)
 
 

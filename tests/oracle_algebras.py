@@ -1,10 +1,11 @@
 """The algebras, maps and calculi the oracle tests run on, shared by the
 test modules: every shipped fixture, five generated algebras, two incidence
 algebras, the zero algebra, GF(5)[Z/3] and Q[x]/x^2 in the basis 2, x; eight
-algebra maps between them and the identity of each.  Also the routes the
-library replaced by closed forms, kept as oracles: the materialized
-codiagonal coactions, the enumeration that saturates each candidate and the
-containment that solves for the smaller basis in the larger.
+algebra maps between them and the identity of each; the product A x B of
+two algebras.  Also the routes the library replaced by closed forms, kept
+as oracles: the materialized codiagonal coactions, the enumeration that
+saturates each candidate and the containment that solves for the smaller
+basis in the larger.
 """
 
 import json
@@ -49,6 +50,25 @@ def permuted(alg, perm):
     mult = [[[alg.mult[perm[i]][perm[j]][perm[k]] for k in range(n)] for j in range(n)]
             for i in range(n)]
     return Algebra(alg.field, n, mult, [alg.unit[p] for p in perm])
+
+
+def product_algebra(a: Algebra, b: Algebra) -> Algebra:
+    """A x B, in the basis of A followed by that of B."""
+    assert a.field == b.field
+    f = a.field
+    dim = a.dim + b.dim
+    zero = f.zero()
+    mult = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    for i in range(a.dim):
+        for j in range(a.dim):
+            for k in range(a.dim):
+                mult[i][j][k] = a.mult[i][j][k]
+    for i in range(b.dim):
+        for j in range(b.dim):
+            for k in range(b.dim):
+                mult[a.dim + i][a.dim + j][a.dim + k] = b.mult[i][j][k]
+    unit = list(a.unit) + list(b.unit)
+    return Algebra(f, dim, mult, unit)
 
 
 def square_zero_over_qx2(bimodule):

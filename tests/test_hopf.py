@@ -6,6 +6,7 @@ from omegacalc import hopf, linalg, prolong
 from omegacalc.algebra import Algebra, AxiomError, build_group_algebra, build_truncated_poly
 from omegacalc.bimodule import regular_bimodule
 from omegacalc.fodc import (
+    FirstOrderCalculus,
     enumerate_action_closed_subspaces,
     quotient_calculus,
     universal_calculus,
@@ -326,6 +327,10 @@ def test_bicovariance_agrees_with_brute_force(name, request):
             continue
         found.append(calc.dim)
         assert res["hopf_calculus_ok"]
+        # the quotient keeps the section of its quotient map; the same
+        # calculus checked anew solves for one (fodc._section)
+        solved = bicovariance_check(h, FirstOrderCalculus(h.alg, calc.omega, calc.d))
+        assert (solved["lam"], solved["rho"]) == (res["lam"], res["rho"])
         assert check_hopf_module(h, calc.omega, res["lam"], res["rho"]) == []
         assert d_comodule_report(h, calc, res["lam"], res["rho"]) == []
         # the projection is a map of comodules

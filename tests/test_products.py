@@ -4,29 +4,13 @@ Kaehler differentials and their cohomology commute with finite products, so
 A x B gives independent expected values (including a 2-dimensional H^0, which
 the connected fixtures can never produce)."""
 
-from omegacalc.algebra import Algebra, build_truncated_poly, is_commutative
+from omegacalc.algebra import build_truncated_poly, is_commutative
 from omegacalc.derham import de_rham
 from omegacalc.fodc import universal_calculus
 from omegacalc.kahler import kahler_calculus
 from omegacalc.linalg import GF, QQ, Mat
 
-
-def product_algebra(a: Algebra, b: Algebra) -> Algebra:
-    assert a.field == b.field
-    f = a.field
-    dim = a.dim + b.dim
-    zero = f.zero()
-    mult = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k in range(a.dim):
-                mult[i][j][k] = a.mult[i][j][k]
-    for i in range(b.dim):
-        for j in range(b.dim):
-            for k in range(b.dim):
-                mult[a.dim + i][a.dim + j][a.dim + k] = b.mult[i][j][k]
-    unit = list(a.unit) + list(b.unit)
-    return Algebra(f, dim, mult, unit)
+from oracle_algebras import product_algebra
 
 
 def test_product_is_a_valid_algebra(qx2, qx3):

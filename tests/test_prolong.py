@@ -1,9 +1,17 @@
 import pytest
 
-from omegacalc.algebra import Algebra, AlgMap
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # hypothesis is test-only: the one test that needs it is skipped
+    given = None
+
+from omegacalc.algebra import Algebra, AlgMap, is_commutative
 from omegacalc.bimodule import tensor_over_algebra
+from omegacalc.derham import de_rham
 from omegacalc.fodc import (
+    FirstOrderCalculus,
     PreconditionError,
+    _section,
     enumerate_action_closed_subspaces,
     induced_map,
     quotient_calculus,
@@ -411,6 +419,11 @@ def test_unique_dg_morphism_builds_no_ambient_map(qx3, qy2, qx4, monkeypatch):
          qx3.identity_map()),
         (universal_prolongation(qy2, 3), universal_prolongation(qx4, 3), f),
     ]
+    # the universal wedges are Kronecker products W (x) I, built on first
+    # read: read them all first, so what is refused below is a map that
+    # unique_dg_morphism itself would build
+    for src, tgt, _f0 in pairs:
+        dict(src.wedge), dict(tgt.wedge)
 
     def refuse(*args):
         raise RuntimeError("ambient map built")
@@ -690,3 +703,141 @@ def test_graded_calculus_shapes_are_checked_without_check(qx3, change, message):
     parts.update(change(g))
     with pytest.raises(LinAlgError, match=message):
         GradedCalculus(qx3, **parts)
+
+
+def transposition_calculus():
+    """The calculus on k(S3), the functions on S3 in the basis of the delta_g,
+    spanned by the delta_x d delta_y with x^-1 y a transposition: the
+    quotient of Omega_u by the delta_x (x) delta_y, x != y, with x^-1 y a
+    3-cycle (Woronowicz 1989)."""
+    table = [[e_ij.index(1) for e_ij in row] for row in load_fixture("qs3").mult]
+    n = len(table)
+    e = table.index(list(range(n)))
+    inv = [row.index(e) for row in table]
+    alg = Algebra(QQ, n, [[[int(k == i == j) for k in range(n)] for j in range(n)]
+                          for i in range(n)], [1] * n)
+    u = universal_calculus(alg)
+    cycle = [x * n + y for x in range(n) for y in range(n)
+             if x != y and table[table[inv[x]][y]][table[inv[x]][y]] != e]
+    rel = Mat.from_entries(QQ, n * n, len(cycle), [(r, k, 1) for k, r in enumerate(cycle)])
+    return quotient_calculus(u, image_basis(u.retraction * rel))[0]
+
+
+def test_transposition_calculus_prolongs_to_the_maximal_dims():
+    g = maximal_prolongation(transposition_calculus(), 4)
+    assert g.dims == [6, 18, 42, 90, 186]
+    assert g.validation_report() == []
+
+
+SMALL_ALGEBRAS = [name for name in ORACLE_ALGEBRAS if ORACLE_ALGEBRAS[name]().dim <= 3]
+
+
+def fresh_graded(name, label):
+    """A new instance, from a new algebra up, of the universal prolongation
+    or of the maximal prolongation of one oracle calculus of a small oracle
+    algebra, to degree 3, or of the k(S3) transposition calculus to degree 4."""
+    if name == "k(S3)":
+        return maximal_prolongation(transposition_calculus(), 4)
+    alg = ORACLE_ALGEBRAS[name]()
+    if label == "universal prolongation":
+        return universal_prolongation(alg, 3)
+    return maximal_prolongation(oracle_calculi(name, alg)[label], 3)
+
+
+def drawn(test):
+    """test(data), driven by Hypothesis, or skipped where it is not installed."""
+    if given is None:
+        return pytest.mark.skip(reason="needs hypothesis")(test)
+    return settings(max_examples=40, deadline=None, derandomize=True)(given(st.data())(test))
+
+
+@drawn
+def test_wedges_do_not_depend_on_the_order_they_are_read(data):
+    # each wedge is built on its first read, from the wedges it reads in turn
+    name = data.draw(st.sampled_from(SMALL_ALGEBRAS + ["k(S3)"]))
+    labels = ["transpositions"] if name == "k(S3)" else (
+        ["universal prolongation"] + list(oracle_calculi(name, ORACLE_ALGEBRAS[name]())))
+    label = data.draw(st.sampled_from(labels))
+    graded = fresh_graded(name, label)
+    order = data.draw(st.permutations(sorted(graded.wedge)))
+    read = {key: graded.wedge[key] for key in order}
+    fresh = fresh_graded(name, label)
+    assert read == {key: fresh.wedge[key] for key in sorted(fresh.wedge)}
+
+
+@pytest.mark.parametrize("name", ["qx3", "qz3", "m2q", "f2x2", "qs3", "chain 0<1<2"])
+def test_dims_and_de_rham_build_no_wedge_beyond_the_actions(name, monkeypatch):
+    # only the actions are read: the relations read Omega^(k-1) . N, and the
+    # universal calculus reads both actions of Omega^1
+    built = []
+
+    class Recording(prolong._Wedges):
+        def __init__(self, max_degree, maps, make):
+            super().__init__(max_degree, maps,
+                             lambda wedge, i, j: built.append((i, j)) or make(wedge, i, j))
+
+    monkeypatch.setattr(prolong, "_Wedges", Recording)
+    alg = INCIDENCE[name]() if name in INCIDENCE else load_fixture(name)
+    top = oracle_degree(alg)
+    assert len(universal_prolongation(alg, top).dims) == top + 1
+    de_rham(alg, "universal", top)
+    if is_commutative(alg):
+        de_rham(alg, "kahler", top)
+    assert [(i, j) for i, j in built if j >= 1 and i + j >= 2] == []
+
+
+def test_a_lazy_wedge_of_the_wrong_shape_raises_when_read(qx3):
+    g = universal_prolongation(qx3, 2)
+    w = g.wedge[(1, 1)]
+
+    def make(_wedge, i, j):
+        return Mat.zeros(QQ, w.rows, w.cols + 1) if (i, j) == (1, 1) else g.wedge[(i, j)]
+
+    bad = GradedCalculus(qx3, 2, g.dims, g.diff, prolong._Wedges(2, {(0, 0): qx3.mult_mat}, make))
+    assert bad.wedge[(0, 1)] == g.wedge[(0, 1)]
+    with pytest.raises(LinAlgError, match=r"wedge \(1,1\) has wrong shape"):
+        bad.wedge[(1, 1)]
+    # a map the mapping holds from the start is checked at construction
+    with pytest.raises(LinAlgError, match=r"wedge \(0,0\) has wrong shape"):
+        GradedCalculus(qx3, 2, g.dims, g.diff, prolong._Wedges(2, {(0, 0): w}, make))
+
+
+@pytest.mark.parametrize("name", SMALL_ALGEBRAS)
+def test_maximal_prolongation_does_not_depend_on_the_section(name):
+    # the certificate at fodc._section: a quotient of the universal calculus
+    # keeps the section of its quotient map, the same calculus checked anew
+    # solves for one, and the two differ by a map into N
+    alg = ORACLE_ALGEBRAS[name]()
+    top = oracle_degree(alg)
+    for label, c in oracle_calculi(name, alg).items():
+        solved = FirstOrderCalculus(alg, c.omega, c.d)
+        kept, other = maximal_prolongation(c, top), maximal_prolongation(solved, top)
+        assert (kept.dims, kept.diff, dict(kept.wedge)) == (
+            other.dims, other.diff, dict(other.wedge)), label
+
+
+def test_a_kept_section_can_differ_from_a_solved_one(qz3):
+    # so the test above compares two constructions, not one twice
+    c = oracle_calculi("qz3", qz3)["quotient 0"]
+    assert _section(c) != _section(FirstOrderCalculus(qz3, c.omega, c.d))
+
+
+def test_a_graded_calculus_is_freed_by_reference_counting(qx3):
+    # the lazy wedges hold no reference cycle, so a prolongation and every
+    # map it built are freed as soon as the caller drops it, not at the next
+    # garbage collection
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        for build in (lambda: universal_prolongation(qx3, 3),
+                      lambda: maximal_prolongation(kahler_calculus(qx3), 3),
+                      lambda: maximal_prolongation(proper_quotient(qx3, 0), 3)):
+            g = build()
+            dict(g.wedge)
+            ref = weakref.ref(g)
+            del g
+            assert ref() is None
+    finally:
+        gc.enable()

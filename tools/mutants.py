@@ -35,6 +35,7 @@ AD_STABLE_ORACLE = "tests/test_hopf.py -k function_algebra_calculi_are_bicovaria
 QUOTIENT_HOPF_ORACLE = "tests/test_hopf.py -k bicovariance_agrees_with_brute_force"
 DG_MORPHISM_ORACLE = "tests/test_prolong.py -k unique_dg_morphism_matches_the_amitsur_route"
 AMITSUR_ORACLE = "tests/test_prolong.py -k amitsur_compatible"
+ORDER_ORACLE = "tests/test_prolong.py -k wedges_do_not_depend_on_the_order_they_are_read"
 KERNEL_ORACLE = "tests/test_fodc.py -k universal_calculus_is_the_kernel_of_multiplication"
 PHI_ORACLE = "tests/test_fodc.py -k induced_map_passes_its_certificate_oracles"
 RESTRICTION_ORACLE = "tests/test_scalars.py -k universal_map_is_the_restriction_of_f_tensor_f"
@@ -67,6 +68,12 @@ MUTANTS = [
      "image_basis(acted.hstack(wedged))",
      "image_basis(acted)",
      FULL_VALIDATION),
+    # the lazy wedges: (i, j) built with the section of degree 1 in place of
+    # that of degree j
+    ("src/omegacalc/prolong.py",
+     "wedge_d(i + j, wedge[(i, j - 1)], dims[i], j)",
+     "wedge_d(i + j, wedge[(i, j - 1)], dims[i], 1)",
+     ORDER_ORACLE),
     # trivial_extension: its left action on Omega^1
     ("src/omegacalc/prolong.py",
      "    wedge = {(0, 0): a.mult_mat, (0, 1): c.omega.left_mat, (1, 0): c.omega.right_mat}\n"
@@ -90,15 +97,15 @@ MUTANTS = [
      "mul_id_kron(xt, n, dt), h.s_t",
      "mul_kron_id(xt, dt, n), h.s_t",
      CODIAGONAL_ORACLE),
-    # bicovariance_check: the right-side subcomodule test, and the section
-    # the quotient coactions descend through
+    # bicovariance_check: the right-side subcomodule test, and the solved
+    # section the quotient coactions descend through
     ("src/omegacalc/hopf.py",
      "    if not rho_n.is_zero():",
      "    if False:",
      AD_STABLE_ORACLE),
-    ("src/omegacalc/hopf.py",
-     "    section = solve(phi, Mat.identity(h.alg.field, c.dim))",
-     "    section = phi.transpose()",
+    ("src/omegacalc/fodc.py",
+     "    return solve(_phi(c), Mat.identity(c.alg.field, c.dim))",
+     "    return _phi(c).transpose()",
      QUOTIENT_HOPF_ORACLE),
     # unique_dg_morphism: the f0 factor of the right-hand side
     ("src/omegacalc/prolong.py",
