@@ -12,7 +12,8 @@ Hopf coactions solve nothing, re-check nothing and build no Kronecker
 product, bicovariance_check reads iota and the retraction of the memoized
 universal calculus and rebuilds neither Omega_u nor its splitting, the
 lattice enumeration saturates no candidate on its own, and the dg morphisms
-build no Kronecker product.  The prolongation applies every identity
+build no Kronecker product and read each calculus only through g_n, with
+no loop that re-checks d or a wedge.  The prolongation applies every identity
 factor blockwise: it calls neither whiskered product, and no Kronecker
 product it forms is multiplied or subtracted from the left.  The
 functions handed a subspace take its canonical basis and neither re-derive
@@ -132,6 +133,16 @@ def test_coactions_and_dg_morphisms_are_closed_forms(module, name, banned):
     # morphism is factored one degree at a time through Omega^(n-1) (x) A;
     # the Hopf reports run in the tests
     assert not called_names(function_node(module, name)) & banned
+
+
+def test_dg_morphism_reads_each_calculus_only_through_g_n():
+    # both calculi are generated in degree 0 by d and wedge, so the degreewise
+    # factoring is the whole answer: no loop re-checks d or a wedge
+    node = function_node("prolong.py", "unique_dg_morphism")
+    read = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+    assert "_generator_map" in read
+    assert not read & {"wedge", "diff"}
+    assert len([n for n in ast.walk(node) if isinstance(n, (ast.For, ast.While))]) == 1
 
 
 def kronecker_left_operands(node) -> list[str]:

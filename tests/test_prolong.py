@@ -7,7 +7,7 @@ except ImportError:  # hypothesis is test-only: the one test that needs it is sk
 
 from omegacalc.algebra import Algebra, AlgMap, is_commutative
 from omegacalc.bimodule import tensor_over_algebra
-from omegacalc.derham import de_rham
+from omegacalc.derham import de_rham, de_rham_comparison
 from omegacalc.fodc import (
     FirstOrderCalculus,
     PreconditionError,
@@ -381,27 +381,40 @@ def amitsur_route_dg_morphism(src, tgt, f0):
     return maps
 
 
-def graded_family(alg, max_degree=2):
+def graded_family(alg, calculi, max_degree=3):
     """The universal prolongation, and the maximal prolongation and trivial
-    extension of each oracle calculus of alg."""
+    extension of each calculus of alg."""
     family = {"universal prolongation": universal_prolongation(alg, max_degree)}
-    for label, c in oracle_calculi(None, alg).items():
+    for label, c in calculi.items():
         family[f"maximal({label})"] = maximal_prolongation(c, max_degree)
         family[f"trivial({label})"] = trivial_extension(c, max_degree)
     return family
 
 
 DG_MORPHISM_MAPS = [name for name in ORACLE_MAPS if not name.startswith("identity of")] + [
-    f"identity of {name}" for name in ("qx3", "qz3", "m2q", "f2x2", "V 0<1, 0<2", "zero algebra")]
+    f"identity of {name}" for name in ("qx3", "qz3", "m2q", "f2x2", "V 0<1, 0<2", "zero algebra")
+] + ["identity of k(S3)"]
+
+
+def dg_morphism_case(name):
+    """f0, and the calculi of its source and of its target: the oracle
+    calculi, or on k(S3) the transposition calculus."""
+    if name == "identity of k(S3)":
+        c = transposition_calculus()
+        return c.alg.identity_map(), {"transpositions": c}, {"transpositions": c}
+    f0 = ORACLE_MAPS[name]()
+    return f0, oracle_calculi(None, f0.source), oracle_calculi(None, f0.target)
 
 
 @pytest.mark.parametrize("name", DG_MORPHISM_MAPS)
 def test_unique_dg_morphism_matches_the_amitsur_route(name):
     # the oracle behind factoring one degree at a time through g_n:
-    # p_n = g_n (p_(n-1) (x) 1), so both routes find the same maps
-    f0 = ORACLE_MAPS[name]()
-    sources = graded_family(f0.source)
-    targets = graded_family(f0.target)
+    # p_n = g_n (p_(n-1) (x) 1), so both routes find the same maps; at
+    # degree 3 the wedges (1, 2) and (2, 1) the oracle re-checks are reached
+    # by the induction steps of the certificate
+    f0, source_calculi, target_calculi = dg_morphism_case(name)
+    sources = graded_family(f0.source, source_calculi)
+    targets = graded_family(f0.target, target_calculi)
     found = 0
     for s_label, src in sources.items():
         for t_label, tgt in targets.items():
@@ -784,6 +797,12 @@ def test_dims_and_de_rham_build_no_wedge_beyond_the_actions(name, monkeypatch):
     if is_commutative(alg):
         de_rham(alg, "kahler", top)
     assert [(i, j) for i, j in built if j >= 1 and i + j >= 2] == []
+    # the comparison morphism reads each calculus only through
+    # g_n = wedge(n-1, 1) (1 (x) d0), so it builds no wedge with j >= 2
+    if is_commutative(alg):
+        de_rham_comparison(alg, top)
+        assert (top - 1, 1) in built
+        assert [(i, j) for i, j in built if j >= 2] == []
 
 
 def test_a_lazy_wedge_of_the_wrong_shape_raises_when_read(qx3):

@@ -107,10 +107,15 @@ MUTANTS = [
      "    return solve(_phi(c), Mat.identity(c.alg.field, c.dim))",
      "    return _phi(c).transpose()",
      QUOTIENT_HOPF_ORACLE),
-    # unique_dg_morphism: the f0 factor of the right-hand side
+    # unique_dg_morphism: the f0 factor of the right-hand side, and the
+    # degrees that factor returned, in place of None, when one does not
     ("src/omegacalc/prolong.py",
      "        rhs = mul_id_kron(g_h, src.dims[n - 1], f0.matrix)\n",
      "        rhs = g_h\n",
+     DG_MORPHISM_ORACLE),
+    ("src/omegacalc/prolong.py",
+     "        if h_n is None:\n            return None\n",
+     "        if h_n is None:\n            break\n",
      DG_MORPHISM_ORACLE),
     # the universal calculus: the sign of iota's a0 b (x) 1 term, and the
     # sign of phi, shared by induced_map and maximal_prolongation
