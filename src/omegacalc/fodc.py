@@ -97,8 +97,8 @@ class FirstOrderCalculus:
     """A bimodule with a differential passing the full calculus check.
 
     The constructor checks every value given from outside.  The universal,
-    zero and quotient calculi are built by `_certified` instead, under the
-    certificates written next to them.
+    zero, quotient and Kaehler calculi are built by `_certified` instead,
+    under the certificates written next to them.
     """
 
     def __init__(self, alg: Algebra, omega: Bimodule, d: Mat):
@@ -168,15 +168,17 @@ def _certified(cls, alg: Algebra, omega: Bimodule, d: Mat, **extra):
     return c
 
 
-def _unit_complement(a: Algebra) -> tuple[list[int], Mat]:
+@_memo
+def _unit_complement(a: Algebra) -> tuple[tuple[int, ...], Mat]:
     """The coordinates of A-bar, every one but the unit's pivot p, and
-    pi: A ->> A-bar.  The zero algebra has no pivot, so A-bar = 0 there and
-    every component above degree 0 is zero."""
+    pi: A ->> A-bar, built once per algebra instance (`_memo`).  The zero
+    algebra has no pivot, so A-bar = 0 there and every component above
+    degree 0 is zero."""
     f = a.field
     pivot = next((i for i, x in enumerate(a.unit) if x), None)
     if pivot is None:
-        return [], Mat.zeros(f, 0, 0)
-    bar = [j for j in range(a.dim) if j != pivot]
+        return (), Mat.zeros(f, 0, 0)
+    bar = tuple(j for j in range(a.dim) if j != pivot)
     # pi(a) = a - (a_p / u_p) u, read at the coordinates j != p
     lead = f.neg(f.inv(a.unit[pivot]))
     return bar, Mat.from_entries(f, len(bar), a.dim, [(r, j, 1) for r, j in enumerate(bar)] + [
@@ -245,8 +247,8 @@ def _phi(c: FirstOrderCalculus) -> Mat:
     #    only removes a multiple of the unit.
     # 3. phi is onto: its columns a0 db span A dA, and A dA = Omega^1 holds
     #    by construction for the certified calculi (universal_calculus,
-    #    zero_calculus, quotient_calculus) and by the rank check_fodc ran
-    #    when FirstOrderCalculus built any other.
+    #    zero_calculus, quotient_calculus, kahler.kahler_calculus) and by
+    #    the rank check_fodc ran when FirstOrderCalculus built any other.
     # tests/test_fodc.py runs bimod_map_report, phi d_u = d and the rank on
     # the universal, Kaehler, zero and two quotient calculi.
     return mul_id_kron(c.omega.left_mat, a.dim, c.d.select_cols(bar))
@@ -256,15 +258,17 @@ def _phi(c: FirstOrderCalculus) -> Mat:
 def _kernel(c: FirstOrderCalculus) -> Mat:
     """Canonical basis of N = ker(phi: Omega_u -> c), the subobject that
     classifies c, built once per calculus instance.  A quotient of the
-    universal calculus records its subspace here when it is built."""
+    universal calculus, and the Kaehler calculus, record their subspace here
+    when they are built."""
     return kernel_basis(_phi(c))
 
 
 @_memo
 def _section(c: FirstOrderCalculus) -> Mat:
     """A section s of phi: Omega_u ->> c, phi s = I, built once per calculus
-    instance.  A quotient of the universal calculus records the section its
-    quotient map was built with; any other calculus solves for one.
+    instance.  A quotient of the universal calculus, and the Kaehler
+    calculus, record the section their quotient map was built with; any
+    other calculus solves for one.
 
     Certificate that the choice does not matter: two sections differ by a
     map into N = ker(phi).  The maximal prolongation applies s only to

@@ -1,60 +1,110 @@
-"""The Kaehler calculus of a commutative algebra.
+"""The Kaehler calculus of a commutative algebra, in closed form.
 
-Realized as the quotient of the universal calculus by the image of
-(d . 1) - (1 . d) swap on A(x)A, which forces a . db = db . a; the result is
-the classical module of Kaehler differentials together with its universal
-derivation.  Only the symmetric swap braiding is supported.
+Omega^1_{A/k} = I / I^2 with I = ker(m: A (x) A -> A) (EGA IV 16.3;
+Matsumura, Commutative Ring Theory, section 25).  In the basis A (x) A-bar
+of the universal calculus (see `fodc`), I is Omega_u and I^2 is spanned by
+the forms x de_i de_j; the Kaehler calculus is the quotient by their span.
+Its left action is m (x) 1, its right action the left one through the swap
+and its d is a -> 1 (x) pi(a), each written from the structure constants
+and reduced by the quotient map.  No universal calculus, saturation or
+generic quotient is built.  Only the symmetric swap braiding is supported.
 """
 
 from __future__ import annotations
 
 from .algebra import Algebra, commutativity_witness, is_commutative
-from .bimodule import Bimodule, saturate_subspace
+from .bimodule import Bimodule
 from .fodc import (
     FirstOrderCalculus,
     PreconditionError,
+    _certified,
+    _kernel,
     _memo,
-    quotient_calculus,
-    universal_calculus,
+    _section,
+    _unit_complement,
 )
-from .linalg import Mat, image_basis, mul_id_kron, mul_kron_id, swap_matrix
+from .linalg import (
+    Mat,
+    _clean,
+    _mat,
+    image_basis,
+    kron_id_mul,
+    kronecker,
+    quotient_maps,
+    swap_matrix,
+)
 
 
 def kahler_relations(a: Algebra) -> Mat:
-    """The centrality relations in the universal calculus of a: the
-    sub-bimodule generated by the image of (d . 1) - (1 . d) swap on A(x)A.
+    """Canonical basis of N = I^2 in the basis A (x) A-bar of Omega_u.
 
-    The coequalizer lives in bimodules, so the plain image is closed up under
-    both actions (for dim >= 3 it is not action-closed on its own).
+    Column (x, i <= j) is the form x de_i de_j of A (x) A read through the
+    retraction 1 (x) pi: x (x) pi(e_i e_j) - x e_j (x) pi(e_i) -
+    x e_i (x) pi(e_j), the term x e_i e_j (x) pi(1) being zero.
     """
-    u = universal_calculus(a)
-    d_one = mul_kron_id(u.omega.right_mat, u.d, a.dim)
-    one_d = mul_id_kron(u.omega.left_mat, a.dim, u.d)
-    rel = d_one - one_d * swap_matrix(a.field, a.dim, a.dim)
-    return saturate_subspace(u.omega, image_basis(rel))
+    f, n = a.field, a.dim
+    _bar, pi = _unit_complement(a)
+    nb = pi.rows
+    # column i*n + j of m is e_i e_j, column k of pi is pi(e_k)
+    prod = a.mult_mat.transpose().data
+    pi_e = pi.transpose().data
+    pi_prod = (pi * a.mult_mat).transpose().data
+    forms = []
+    for x in range(n):
+        for i in range(n):
+            for j in range(i, n):
+                acc = {x * nb + r: v for r, v in pi_prod[i * n + j].items()}
+                get = acc.get
+                for y, z in ((i, j), (j, i)):       # x e_z (x) pi(e_y)
+                    for l, c in prod[x * n + z].items():
+                        for r, v in pi_e[y].items():
+                            t = l * nb + r
+                            acc[t] = get(t, 0) - c * v
+                forms.append(_clean(acc, f.p))
+    return image_basis(_mat(f, len(forms), n * nb, forms).transpose())
 
 
 @_memo
 def kahler_calculus(a: Algebra) -> FirstOrderCalculus:
-    """The central quotient of the universal calculus of a commutative algebra,
-    built once per algebra instance (`_memo`; a refusal is not kept)."""
+    """Omega_u / I^2 of a commutative algebra, with its recorded kernel N and
+    section, built once per algebra instance (`_memo`; a refusal is not
+    kept)."""
     if not is_commutative(a):
         i, j = commutativity_witness(a)
         raise PreconditionError(
             f"algebra is not commutative: e{i}*e{j} != e{j}*e{i}"
         )
-    calc, _proj = quotient_calculus(universal_calculus(a), kahler_relations(a))
-    # Certificate that the quotient is central, in place of centrality_check:
-    # the relations hold (d . 1 - (1 . d) swap)(a (x) b) = da b - b da for
-    # all a, b, and they are saturated, so the quotient is a bimodule in
-    # which da b = b da.  Its elements are sums x db with x in A (the
-    # quotient is a calculus), and for those
-    # (x db) c = x (db c) = x (c db) = (xc) db = (cx) db = c (x db),
-    # by associativity and commutativity of A.  So the left and right actions
-    # agree through the swap.  tests/test_kahler.py runs centrality_check on
-    # the Kaehler calculus of every commutative fixture and of generated
-    # truncated polynomial, group and product algebras over Q and GF(p).
-    return calc
+    f, n = a.field, a.dim
+    _bar, pi = _unit_complement(a)
+    nb = pi.rows
+    rel = kahler_relations(a)
+    q, s = quotient_maps(rel, n * nb)
+    lm = q * kron_id_mul(a.mult_mat, nb, n, s)
+    rm = lm * swap_matrix(f, q.rows, n)
+    omega = Bimodule(a, a, q.rows, lm, rm, check=False)
+    d = q * kronecker(a.unit_mat, pi)
+    # Certificate, in place of check_fodc, a closure check and
+    # centrality_check:
+    # 1. In the commutative ring A (x) A, with da = 1 (x) a - a (x) 1,
+    #    b da - da b = -db da, so the sub-bimodule of Omega_u = I that the
+    #    centrality relations da b - b da generate is the ideal generated by
+    #    the products da db, which is I^2.
+    # 2. dc da db = d(ca) db - c da db - a dc db, so that ideal is the left
+    #    A-span of the de_i de_j, and de_i de_j = de_j de_i, so i <= j
+    #    suffices.  Equal subspaces have equal canonical bases, so N is the
+    #    canonical basis of the saturated relations, and each matrix here is
+    #    that of the quotient of Omega_u by them.
+    # 3. N is an ideal, so it is closed under m (x) 1, the left action of
+    #    Omega_u, and q (m (x) 1)(1 (x) s) is the induced left action.  For w
+    #    in I, w c - c w = w dc lies in I^2, so the quotient is central and
+    #    its right action is the left one through the swap.
+    # 4. d = q d_u with d_u(a) = 1 (x) pi(a), so d is a derivation with
+    #    d1 = 0 and A dA is the whole quotient: the calculus axioms.  q is
+    #    phi: a0 (x) b -> a0 db, with kernel N and section s.
+    # tests/test_kahler.py holds every matrix to the saturated quotient of
+    # Omega_u, and runs check_fodc and centrality_check on the results.
+    return _certified(FirstOrderCalculus, a, omega, d,
+                      **{_kernel.slot: rel, _section.slot: s})
 
 
 def centrality_check(m: Bimodule) -> bool:

@@ -4,12 +4,13 @@ algebras, the zero algebra, GF(5)[Z/3] and Q[x]/x^2 in the basis 2, x; eight
 algebra maps between them and the identity of each; the product A x B of
 two algebras.  Also the routes the library replaced by closed forms, kept
 as oracles: the materialized codiagonal coactions, the enumeration that
-saturates each candidate and the containment that solves for the smaller
-basis in the larger.
+saturates each candidate, the containment that solves for the smaller
+basis in the larger and the Kaehler calculus as a saturated quotient of the
+universal calculus.
 """
 
 import json
-from itertools import combinations, product
+from itertools import combinations, islice, permutations, product
 from pathlib import Path
 
 from omegacalc.algebra import (
@@ -31,7 +32,17 @@ from omegacalc.fodc import (
 )
 from omegacalc.io import algebra_from_json
 from omegacalc.kahler import kahler_calculus
-from omegacalc.linalg import GF, QQ, Mat, image_basis, kronecker, solve, swap_matrix
+from omegacalc.linalg import (
+    GF,
+    QQ,
+    Mat,
+    image_basis,
+    kronecker,
+    mul_id_kron,
+    mul_kron_id,
+    solve,
+    swap_matrix,
+)
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "omegacalc" / "fixtures"
@@ -116,6 +127,19 @@ ORACLE_ALGEBRAS.update({
     "Q[x]/x^2 in the basis 2, x": lambda: Algebra(
         QQ, 2, [[[2, 0], [0, 2]], [[0, 2], [0, 0]]], ["1/2", 0]),
 })
+
+
+def commutative_in_permuted_bases(count=6):
+    """Every commutative oracle algebra in its first `count` basis orders
+    (every order below dimension 3), by name and order."""
+    cases = {}
+    for name, build in ORACLE_ALGEBRAS.items():
+        alg = build()
+        if is_commutative(alg):
+            for perm in islice(permutations(range(alg.dim)), count):
+                cases[f"{name} {perm}"] = (
+                    lambda build=build, perm=perm: permuted(build(), perm))
+    return cases
 
 
 def fields(k):
@@ -249,3 +273,16 @@ def regular_coactions(h):
     lam = kronecker(a.mult_mat, i_nn) * mid * kronecker(h.comult, h.comult)
     rho = kronecker(i_nn, a.mult_mat) * mid * kronecker(h.comult, h.comult)
     return lam, rho
+
+
+def kahler_by_saturation(a):
+    """The Kaehler calculus by its earlier route, the oracle for
+    kahler.kahler_calculus: the quotient of the universal calculus by the
+    sub-bimodule that the image of (d . 1) - (1 . d) swap on A(x)A
+    generates, which forces a db = db a.  The saturated relations are its
+    recorded kernel."""
+    u = universal_calculus(a)
+    d_one = mul_kron_id(u.omega.right_mat, u.d, a.dim)
+    one_d = mul_id_kron(u.omega.left_mat, a.dim, u.d)
+    rel = d_one - one_d * swap_matrix(a.field, a.dim, a.dim)
+    return quotient_calculus(u, saturate_subspace(u.omega, image_basis(rel)))[0]

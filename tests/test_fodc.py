@@ -171,9 +171,10 @@ def test_induced_map_passes_its_certificate_oracles(name):
 
 @pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
 def test_certified_calculi_pass_check_fodc(name):
-    # universal_calculus, zero_calculus and quotient_calculus (so also
-    # kahler_calculus) build their calculi without check_fodc, under the
-    # certificates in fodc.py; the check they skip is the oracle
+    # universal_calculus, zero_calculus, quotient_calculus and
+    # kahler_calculus build their calculi without check_fodc, under the
+    # certificates in fodc.py and kahler.py; the check they skip is the
+    # oracle
     alg = ORACLE_ALGEBRAS[name]()
     for label, c in oracle_calculi(name, alg).items():
         assert check_fodc(alg, c.omega, c.d).classification == "fodc", label

@@ -5,8 +5,8 @@ src/omegacalc/*.py except the package's __init__.py (whose imports are its
 public surface) is parsed, and an imported name that is never read is a dead
 import.  Only the two constructors named in the README's verification
 policy take a `check` switch, the constructions certified there call no
-full axiom report, only the universal, zero and quotient calculi skip the
-calculus check, and the universal calculus, its induced maps, f_u,
+full axiom report, only the universal, zero, quotient and Kaehler calculi
+skip the calculus check, and the universal calculus, its induced maps, f_u,
 saturation and the closure check are closed forms that solve nothing.  The
 Hopf coactions solve nothing, re-check nothing and build no Kronecker
 product, bicovariance_check reads iota and the retraction of the memoized
@@ -20,7 +20,9 @@ functions handed a subspace take its canonical basis and neither re-derive
 it nor solve for a containment.  fodc.py builds no Kronecker product, and
 ker(Omega_u -> c) is eliminated in one place, the memoized `_kernel`.  The
 universal calculus is a value of its algebra: no function takes one as a
-parameter, and the helper and the option that did are gone.
+parameter, and the helper and the option that did are gone.  The Kaehler
+calculus is the closed form I / I^2 and builds neither Omega_u, nor a
+saturation, nor a generic quotient.
 """
 
 import ast
@@ -261,10 +263,15 @@ def test_retired_names_are_gone(name):
         assert name not in path.read_text(), path.name
 
 
-# The calculi built without check_fodc, under the certificates in fodc.py;
-# the public FirstOrderCalculus constructor checks, and UniversalCalculus has
-# no public constructor
-CERTIFIED_CALCULI = {"universal_calculus", "zero_calculus", "quotient_calculus"}
+# The calculi built without check_fodc, as (module, function), under the
+# certificates written next to each; the public FirstOrderCalculus
+# constructor checks, and UniversalCalculus has no public constructor
+CERTIFIED_CALCULI = {
+    ("fodc.py", "universal_calculus"),
+    ("fodc.py", "zero_calculus"),
+    ("fodc.py", "quotient_calculus"),
+    ("kahler.py", "kahler_calculus"),
+}
 
 
 def test_only_the_certified_calculi_skip_the_calculus_check():
@@ -272,14 +279,22 @@ def test_only_the_certified_calculi_skip_the_calculus_check():
     for path in SRC.glob("*.py"):
         for node in ast.parse(path.read_text()).body:
             if "_certified" in called_names(node):
-                callers.append(getattr(node, "name", None))
+                callers.append((path.name, getattr(node, "name", None)))
     assert sorted(callers) == sorted(CERTIFIED_CALCULI)
 
 
-@pytest.mark.parametrize("name", sorted(CERTIFIED_CALCULI))
-def test_certified_calculi_run_no_calculus_check(name):
+@pytest.mark.parametrize("module,name", sorted(CERTIFIED_CALCULI))
+def test_certified_calculi_run_no_calculus_check(module, name):
     banned = {"check_fodc", "FirstOrderCalculus", "UniversalCalculus"}
-    assert not called_names(function_node("fodc.py", name)) & banned
+    assert not called_names(function_node(module, name)) & banned
+
+
+@pytest.mark.parametrize("name", ["kahler_calculus", "kahler_relations"])
+def test_kahler_is_built_without_the_universal_tower(name):
+    # Omega^1 = I / I^2 is written from the structure constants; the
+    # saturated quotient of Omega_u it replaced is the test oracle
+    banned = {"universal_calculus", "quotient_calculus", "saturate_subspace"}
+    assert not called_names(function_node("kahler.py", name)) & banned
 
 
 @pytest.mark.parametrize("name", [

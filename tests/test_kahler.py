@@ -2,11 +2,25 @@ import pytest
 
 from omegacalc.algebra import build_group_algebra, build_truncated_poly, is_commutative
 from omegacalc.bimodule import regular_bimodule
-from omegacalc.fodc import PreconditionError, check_fodc, induced_map, universal_calculus
+from omegacalc.fodc import (
+    PreconditionError,
+    _kernel,
+    _section,
+    check_fodc,
+    induced_map,
+    universal_calculus,
+)
 from omegacalc.kahler import centrality_check, kahler_calculus, kahler_relations
 from omegacalc.linalg import GF, QQ, Mat, image_basis, kronecker, rank
+from omegacalc.prolong import maximal_prolongation
 
-from oracle_algebras import FIXTURE_NAMES, load_fixture, product_algebra
+from oracle_algebras import (
+    FIXTURE_NAMES,
+    commutative_in_permuted_bases,
+    kahler_by_saturation,
+    load_fixture,
+    product_algebra,
+)
 
 
 def classical_kahler_dim(field, n):
@@ -78,6 +92,31 @@ def test_kahler_is_a_calculus_and_central(name):
     calc = kahler_calculus(alg)
     assert check_fodc(alg, calc.omega, calc.d).classification == "fodc"
     assert centrality_check(calc.omega)
+
+
+PERMUTED = commutative_in_permuted_bases()
+
+
+@pytest.mark.parametrize("name", PERMUTED)
+def test_kahler_matches_the_saturated_quotient_of_omega_u(name):
+    # the closed form I / I^2 against the route it replaced, on every
+    # commutative oracle algebra over Q and GF(p) in up to six basis orders:
+    # the relations, both actions, d, the recorded kernel and section, and
+    # the maximal prolongation map for map
+    alg = PERMUTED[name]()
+    calc, oracle = kahler_calculus(alg), kahler_by_saturation(alg)
+    assert kahler_relations(alg) == _kernel(oracle)
+    assert calc.omega.left_mat == oracle.omega.left_mat
+    assert calc.omega.right_mat == oracle.omega.right_mat
+    assert calc.d == oracle.d
+    assert _kernel(calc) == _kernel(oracle)
+    assert _section(calc) == _section(oracle)
+    degree = 2 if alg.dim >= 4 else 3
+    g, h = maximal_prolongation(calc, degree), maximal_prolongation(oracle, degree)
+    assert g.dims == h.dims
+    assert g.diff == h.diff
+    for key in g.wedge:
+        assert g.wedge[key] == h.wedge[key], key
 
 
 def test_noncommutative_rejected_with_witness(m2q):

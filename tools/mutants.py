@@ -47,6 +47,7 @@ CONTAINMENT_ORACLE = "tests/test_fodc.py -k subspace_leq_matches_the_solve_oracl
 KRON_ID_MUL_ORACLE = "tests/test_linalg_kernels.py -k kron_id_mul"
 KERNEL_SHORTCUT_ORACLE = ("tests/test_fodc.py -k "
                           "quotient_of_a_calculus_in_another_basis_computes_its_kernel")
+KAHLER_ORACLE = "tests/test_kahler.py -k matches_the_saturated_quotient_of_omega_u"
 
 MUTANTS = [
     # the prolongation builder: the sign of the right-action recursion, the
@@ -189,6 +190,16 @@ MUTANTS = [
      "divmod(c * q + l, mr)\n                base = i * mc\n",
      "divmod(c * q, mr)\n                base = i * mc\n",
      KRON_ID_MUL_ORACLE),
+    # the Kaehler calculus as I / I^2: the relations without x de_i de_i,
+    # and the right action without the swap
+    ("src/omegacalc/kahler.py",
+     "for j in range(i, n):",
+     "for j in range(i + 1, n):",
+     KAHLER_ORACLE),
+    ("src/omegacalc/kahler.py",
+     "rm = lm * swap_matrix(f, q.rows, n)",
+     "rm = lm",
+     KAHLER_ORACLE),
     # subspace_leq reading the quotient map of sup off sup itself, which
     # makes every containment true
     ("src/omegacalc/linalg.py",
