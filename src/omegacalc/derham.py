@@ -23,12 +23,7 @@ from .linalg import (
     rank,
     solve,
 )
-from .prolong import (
-    GradedCalculus,
-    maximal_prolongation,
-    unique_dg_morphism,
-    universal_prolongation,
-)
+from .prolong import GradedCalculus, maximal_prolongation, universal_prolongation
 
 
 class CochainComplex:
@@ -141,12 +136,17 @@ def de_rham_comparison(a: Algebra, max_degree: int) -> dict:
     """The canonical surjection from the universal to the Kaehler theory, on
     cohomology, degree by degree in the canonical representatives.  The
     Kaehler side is built first: it rejects a noncommutative algebra before
-    the universal prolongation is computed."""
+    the universal prolongation is computed.
+
+    The chain maps are the unique dg map from the universal prolongation
+    extending the identity of A.  The universal dg algebra is initial, so it
+    exists, and it is read off the two presentations with no solve:
+    h^k = Q_k (h^(k-1) (x) I), with Q_k the quotient map of the Kaehler
+    prolongation in degree k (the certificate is at
+    `prolong.MaximalProlongation.from_universal`)."""
     kp = maximal_prolongation(kahler_calculus(a), max_degree)
     up = universal_prolongation(a, max_degree)
-    maps = unique_dg_morphism(up, kp, a.identity_map())
-    if maps is None:
-        raise EngineError("comparison morphism does not exist")
+    maps = kp.from_universal
     rep_u = cohomology(CochainComplex.from_graded(up))
     rep_k = cohomology(CochainComplex.from_graded(kp))
     comparison = []

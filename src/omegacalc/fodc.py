@@ -192,7 +192,7 @@ def universal_calculus(a: Algebra) -> UniversalCalculus:
     Built once per algebra instance (`_memo`)."""
     from .prolong import _prolongation  # prolong builds on this module
 
-    dims, diff, wedge = _prolongation(a, 1)
+    dims, diff, wedge, _quot = _prolongation(a, 1)
     omega = Bimodule(a, a, dims[1], wedge[(0, 1)], wedge[(1, 0)], check=False)
     n, f = a.dim, a.field
     bar, pi = _unit_complement(a)

@@ -38,21 +38,28 @@ from .linalg import (
 def kahler_relations(a: Algebra) -> Mat:
     """Canonical basis of N = I^2 in the basis A (x) A-bar of Omega_u.
 
-    Column (x, i <= j) is the form x de_i de_j of A (x) A read through the
-    retraction 1 (x) pi: x (x) pi(e_i e_j) - x e_j (x) pi(e_i) -
-    x e_i (x) pi(e_j), the term x e_i e_j (x) pi(1) being zero.
+    Column (x, i <= j), with i and j coordinates of A-bar, is the form
+    x de_i de_j of A (x) A read through the retraction 1 (x) pi:
+    x (x) pi(e_i e_j) - x e_j (x) pi(e_i) - x e_i (x) pi(e_j), the term
+    x e_i e_j (x) pi(1) being zero.
     """
     f, n = a.field, a.dim
-    _bar, pi = _unit_complement(a)
+    bar, pi = _unit_complement(a)
     nb = pi.rows
     # column i*n + j of m is e_i e_j, column k of pi is pi(e_k)
     prod = a.mult_mat.transpose().data
     pi_e = pi.transpose().data
     pi_prod = (pi * a.mult_mat).transpose().data
+    # Certificate that the pairs of A-bar coordinates span the same N as all
+    # n(n+1)/2 pairs: with p the unit's pivot, 1 = sum u_j e_j and d1 = 0
+    # give de_p = -sum_(j != p) (u_j / u_p) de_j, so each x de_p de_j and
+    # x de_p de_p is a combination of the forms x de_i de_j with i, j != p
+    # (de_i de_j = de_j de_i).  Where e_p is the unit those forms are zero.
+    # The span is N, so its canonical basis is unchanged.
     forms = []
     for x in range(n):
-        for i in range(n):
-            for j in range(i, n):
+        for k, i in enumerate(bar):
+            for j in bar[k:]:
                 acc = {x * nb + r: v for r, v in pi_prod[i * n + j].items()}
                 get = acc.get
                 for y, z in ((i, j), (j, i)):       # x e_z (x) pi(e_y)
@@ -91,9 +98,10 @@ def kahler_calculus(a: Algebra) -> FirstOrderCalculus:
     #    the products da db, which is I^2.
     # 2. dc da db = d(ca) db - c da db - a dc db, so that ideal is the left
     #    A-span of the de_i de_j, and de_i de_j = de_j de_i, so i <= j
-    #    suffices.  Equal subspaces have equal canonical bases, so N is the
-    #    canonical basis of the saturated relations, and each matrix here is
-    #    that of the quotient of Omega_u by them.
+    #    suffices, over the coordinates of A-bar only (the certificate in
+    #    kahler_relations).  Equal subspaces have equal canonical bases, so
+    #    N is the canonical basis of the saturated relations, and each
+    #    matrix here is that of the quotient of Omega_u by them.
     # 3. N is an ideal, so it is closed under m (x) 1, the left action of
     #    Omega_u, and q (m (x) 1)(1 (x) s) is the induced left action.  For w
     #    in I, w c - c w = w dc lies in I^2, so the quotient is central and

@@ -17,20 +17,26 @@ normalized-bar presentation Omega^k = A (x) A-bar^(x)k of a0 da1 ... dak
 identity, applied to the representatives x (x) b and reduced by the
 quotient map: (x db) c = x d(pi(bc)) - (x b) d(pi c) gives the right
 action, x ^ (y ^ db) = (x ^ y) ^ db the wedges and d(x ^ db) = dx ^ db the
-differential.  A morphism of graded calculi is found the same way, one
-degree at a time: it takes x ^ da to h(x) ^ d f0(a), so it factors through
-g_n: Omega^(n-1) (x) A ->> Omega^n, x (x) a -> x ^ da.  No map lives in the
-Amitsur complex A^(x)(k+1); `amitsur_differential` and `amitsur_wedge`
-build it, and `UniversalProlongation.iota` embeds the universal
-prolongation into it for the tests to hold the construction to.
+differential.  The dg map from the universal prolongation onto a maximal
+prolongation is read off the two presentations too: the universal dg
+algebra is initial, and x (x) b stands for x ^ db in both, so
+h^k = Q_k (h^(k-1) (x) I) with Q_k the quotient map of degree k
+(`MaximalProlongation.from_universal`).  A morphism of graded calculi in
+general is found one degree at a time: it takes x ^ da to h(x) ^ d f0(a),
+so it factors through g_n: Omega^(n-1) (x) A ->> Omega^n, x (x) a -> x ^ da
+(`unique_dg_morphism`).  No map lives in the Amitsur complex A^(x)(k+1);
+`amitsur_differential` and `amitsur_wedge` build it, and
+`UniversalProlongation.iota` embeds the universal prolongation into it for
+the tests to hold the construction to.
 
 None of the three constructions re-runs the full graded axiom check
-(`GradedCalculus.validation_report`), nor does `unique_dg_morphism`
-re-check d or a wedge.  Each carries a written certificate next to its
-code: the Cuntz-Quillen basis for the universal prolongation, the
-presentation with right exactness for the maximal prolongation, the zero
-components above degree 1 for the trivial extension, and generation in
-degree 0 by d and wedge for the morphism.
+(`GradedCalculus.validation_report`), and neither dg map re-checks d or a
+wedge.  Each carries a written certificate next to its code: the
+Cuntz-Quillen basis for the universal prolongation, the presentation with
+right exactness for the maximal prolongation, the zero components above
+degree 1 for the trivial extension, initiality and the two presentations
+for the map from the universal prolongation, and generation in degree 0
+by d and wedge for a morphism in general.
 
 No Kronecker product is built only to be multiplied.  The relations, the
 wedges and the differentials are products (x (x) I)(I (x) m), with m the
@@ -43,8 +49,10 @@ A prolongation builds its wedge maps on first read.  The degree loop
 builds the dims, the quotient maps and the differentials; each wedge is
 built from its identity when a caller first reads it, and kept, and its
 shape is checked then.  So the dims, the differentials and cohomology
-cost no wedge beyond the actions the relations read, and a dg morphism,
-which reads each calculus only through g_n, none (i, j) with j >= 2.
+cost no wedge beyond the actions the relations read, and neither does the
+map from the universal prolongation, which reads the quotient maps only.
+A dg morphism in general reads each calculus only through g_n, so it
+builds none (i, j) with j >= 2.
 """
 
 from __future__ import annotations
@@ -274,6 +282,61 @@ class UniversalProlongation(GradedCalculus):
         return [kron_all([ident] + [pi] * k) for k in range(self.max_degree + 1)]
 
 
+class MaximalProlongation(GradedCalculus):
+    """The maximal prolongation of a first-order calculus, in the basis of
+    its presentation Omega^k = (Omega^(k-1) (x) A-bar) / R_k.
+
+    quot[k] is the quotient map of degree k as `_prolongation` returns it.
+    The maps from the universal prolongation, `from_universal`, are built
+    from them on first use, so a caller that does not read them pays
+    nothing for them.
+    """
+
+    def __init__(self, alg: Algebra, max_degree: int, dims: list[int],
+                 diff: list[Mat], wedge: Mapping, quot: list[Mat | None]):
+        super().__init__(alg, max_degree, dims, diff, wedge)
+        self._quot = quot
+
+    @cached_property
+    def from_universal(self) -> list[Mat]:
+        """h^k: Omega_u^k ->> Omega^k for k <= max_degree, the unique dg map
+        from the universal prolongation that extends the identity of A:
+        h^0 = I, h^1 = phi and h^k = Q_k (h^(k-1) (x) I)."""
+        f = self.alg.field
+        nb = len(_unit_complement(self.alg)[0])
+        maps = [Mat.identity(f, self.alg.dim), self._quot[1]]
+        for k in range(2, self.max_degree + 1):
+            q = self._quot[k]
+            if q is None:
+                # R_k = 0: Omega^k is Omega^(k-1) (x) A-bar itself
+                q = Mat.identity(f, self.dims[k])
+            maps.append(mul_kron_id(q, maps[k - 1], nb))
+        # Certificate that these are the maps unique_dg_morphism(
+        # universal_prolongation(A, N), self, id_A) returns, in place of
+        # factoring one degree at a time:
+        # 1. Initiality: Omega_u is the universal dg algebra of A
+        #    (Cuntz-Quillen 1995, section 1).  For every dg algebra whose
+        #    degree 0 receives an algebra map from A there is exactly one dg
+        #    map from Omega_u extending it; for id_A it takes
+        #    a0 da1 ... dak to a0 da1 ... dak.  So h exists, h^0 = I and
+        #    h(x ^ db) = h(x) ^ db.
+        # 2. The two presentations: in Omega_u^k = Omega_u^(k-1) (x) A-bar
+        #    (universal_prolongation) and in Omega^k = (Omega^(k-1) (x) A-bar)
+        #    / R_k (maximal_prolongation) the basis vector x (x) b stands for
+        #    x ^ db.  So h^1(a0 (x) b) = a0 db is phi = Q_1, and h^k(x (x) b) =
+        #    h^(k-1)(x) ^ db is the class Q_k(h^(k-1)(x) (x) b), which is the
+        #    formula above.  Q_k is the identity where R_k = 0; past a zero
+        #    component Q_k and h^k are zero maps into Omega^k = 0.
+        # 3. Uniqueness: both calculi are generated in degree 0 by d and
+        #    wedge, so a dg map is fixed by its degree-0 part, and
+        #    unique_dg_morphism returns the one extending id_A (its
+        #    certificate).  So every matrix here equals that one's, and, h
+        #    being a dg map, neither d nor a wedge is re-checked.
+        # tests/test_prolong.py holds the maps to unique_dg_morphism on the
+        # Kaehler, lattice, zero and universal calculi of the oracle algebras.
+        return maps
+
+
 def _right_action(pi: Mat, pi_m: Mat, at_bar: Mat, s: Mat | None) -> Mat:
     """Omega^k (x) A -> Omega^(k-1) (x) A-bar, v (x) c -> vc before the
     reduction, written entry by entry from (x db) c = x d(pi(bc)) - (x b) d(pi c).
@@ -317,6 +380,8 @@ def _prolongation(a: Algebra, max_degree: int, p1: Mat | None = None,
     rel a basis of its kernel N.  Left out, they are the universal calculus:
     p1 = s1 = I and N = 0.  Omega^k is (Omega^(k-1) (x) A-bar) / R_k, with
     quotient map quot[k] and section sect[k], both None where R_k = 0.
+    quot is returned with the maps: quot[1] is p1, and past a zero component
+    each quot[k] is the zero map of Omega^(k-1) (x) A-bar = 0.
 
     `kron_id_mul` applies the identity factors blockwise, without forming
     either Kronecker product: Omega^(k-1) . N = (R_(k-1) (x) I)(I (x) N),
@@ -375,6 +440,7 @@ def _prolongation(a: Algebra, max_degree: int, p1: Mat | None = None,
             zero = cache(lambda cols: Mat.zeros(f, 0, cols))
             dims += [0] * (max_degree + 1 - k)
             diff += [zero(dims[i]) for i in range(k - 1, max_degree)]
+            quot += [zero(0)] * (max_degree + 1 - k)
             built.update(((i, j), zero(dims[i] * dims[j]))
                          for i in range(max_degree + 1)
                          for j in range(max(k - i, 0), max_degree + 1 - i))
@@ -398,7 +464,7 @@ def _prolongation(a: Algebra, max_degree: int, p1: Mat | None = None,
         if k > 1:
             # d(x ^ db) = dx ^ db
             diff.append(wedge_d(k, diff[k - 2], 1, k - 1))
-    return dims, diff, wedge
+    return dims, diff, wedge, quot
 
 
 def universal_prolongation(a: Algebra, max_degree: int) -> UniversalProlongation:
@@ -422,7 +488,8 @@ def universal_prolongation(a: Algebra, max_degree: int) -> UniversalProlongation
     # tests/test_prolong.py holds iota w = w_A (iota (x) iota), iota d =
     # d_A iota and proj iota = I on every fixture and generated algebra, and
     # runs validation_report on the results.
-    return UniversalProlongation(a, max_degree, *_prolongation(a, max_degree))
+    dims, diff, wedge, _quot = _prolongation(a, max_degree)
+    return UniversalProlongation(a, max_degree, dims, diff, wedge)
 
 
 def trivial_extension(c: FirstOrderCalculus, max_degree: int) -> GradedCalculus:
@@ -446,12 +513,14 @@ def trivial_extension(c: FirstOrderCalculus, max_degree: int) -> GradedCalculus:
     return GradedCalculus(a, max_degree, dims, diff, wedge)
 
 
-def maximal_prolongation(c: FirstOrderCalculus, max_degree: int) -> GradedCalculus:
+def maximal_prolongation(c: FirstOrderCalculus, max_degree: int) -> MaximalProlongation:
     """The largest graded calculus extending c, from its presentation.
 
     Degree 1 is c itself, in its own basis, the quotient of A (x) A-bar by
     phi: a0 (x) b -> a0 db, and Omega^k = (Omega^(k-1) (x) A-bar) /
-    (Omega^(k-1) . N + Omega^(k-2) ^ dN) with N the kernel of phi.
+    (Omega^(k-1) . N + Omega^(k-2) ^ dN) with N the kernel of phi.  The dg
+    map from the universal prolongation is its `from_universal`, built on
+    first read.
     """
     if max_degree < 1:
         raise PreconditionError("max degree must be at least 1")
@@ -478,8 +547,8 @@ def maximal_prolongation(c: FirstOrderCalculus, max_degree: int) -> GradedCalcul
     # tests/test_prolong.py runs validation_report on the results and holds
     # the maximal prolongation of the universal calculus to the universal
     # prolongation.
-    dims, diff, wedge = _prolongation(a, max_degree, phi, _section(c), _kernel(c))
-    return GradedCalculus(a, max_degree, dims, diff, wedge)
+    return MaximalProlongation(a, max_degree,
+                               *_prolongation(a, max_degree, phi, _section(c), _kernel(c)))
 
 
 def unique_dg_morphism(src: GradedCalculus, tgt: GradedCalculus, f0: AlgMap):

@@ -1,12 +1,13 @@
 """The algebras, maps and calculi the oracle tests run on, shared by the
 test modules: every shipped fixture, five generated algebras, two incidence
-algebras, the zero algebra, GF(5)[Z/3] and Q[x]/x^2 in the basis 2, x; eight
-algebra maps between them and the identity of each; the product A x B of
-two algebras.  Also the routes the library replaced by closed forms, kept
-as oracles: the materialized codiagonal coactions, the enumeration that
-saturates each candidate, the containment that solves for the smaller
-basis in the larger and the Kaehler calculus as a saturated quotient of the
-universal calculus.
+algebras, the zero algebra, GF(5)[Z/3] and Q[x]/x^2 in the basis 2, x; the
+commutative fixtures with six generated commutative algebras over each of
+Q, GF(2), GF(3) and GF(5); eight algebra maps between them and the
+identity of each; the product A x B of two algebras.  Also the routes the
+library replaced by closed forms, kept as oracles: the materialized
+codiagonal coactions, the enumeration that saturates each candidate, the
+containment that solves for the smaller basis in the larger and the Kaehler
+calculus as a saturated quotient of the universal calculus.
 """
 
 import json
@@ -140,6 +141,36 @@ def commutative_in_permuted_bases(count=6):
                 cases[f"{name} {perm}"] = (
                     lambda build=build, perm=perm: permuted(build(), perm))
     return cases
+
+
+def cyclic_table(n):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+# Z/2 x Z/2 on (0,0), (0,1), (1,0), (1,1)
+KLEIN = [[i ^ j for j in range(4)] for i in range(4)]
+
+
+def generated_commutative(f):
+    """Truncated polynomial, group and product algebras over f, by name."""
+    k = "Q" if f.is_rational else f"GF({f.p})"
+    return {
+        f"{k}[x]/x^3": lambda: build_truncated_poly(f, 3),
+        f"{k}[x]/x^4": lambda: build_truncated_poly(f, 4),
+        f"{k}[Z/3]": lambda: build_group_algebra(f, cyclic_table(3)),
+        f"{k}[Z/2 x Z/2]": lambda: build_group_algebra(f, KLEIN),
+        f"{k}[x]/x^2 x {k}[x]/x^3": lambda: product_algebra(
+            build_truncated_poly(f, 2), build_truncated_poly(f, 3)),
+        f"{k}[Z/2] x {k}": lambda: product_algebra(
+            build_group_algebra(f, cyclic_table(2)), build_truncated_poly(f, 1)),
+    }
+
+
+# the commutative fixtures, and six commutative algebras over each field
+COMMUTATIVE = {name: (lambda name=name: load_fixture(name)) for name in FIXTURE_NAMES
+               if is_commutative(load_fixture(name))}
+for field in (QQ, GF(2), GF(3), GF(5)):
+    COMMUTATIVE.update(generated_commutative(field))
 
 
 def fields(k):

@@ -533,15 +533,15 @@ def test_prolong_quotient_calculus_spec(capsys, tmp_path):
 
 
 def test_internal_invariant_failure_exits_70(capsys, monkeypatch):
-    # break a kept invariant of compare from outside: the universal and
-    # Kaehler prolongations of Q[x]/x^2 always have a comparison morphism
-    monkeypatch.setattr(derham, "unique_dg_morphism", lambda *args: None)
+    # break a kept invariant of compare from outside: every canonical class
+    # of a cochain complex lifts to a cycle
+    monkeypatch.setattr(derham, "solve", lambda *args: None)
     code = main(["compare", str(FIXTURES / "qx2.json"), "--max-degree", "2", "--format", "json"])
     captured = capsys.readouterr()
     assert code == 70
     error = json.loads(captured.out)["error"]
     assert error.startswith("internal invariant failed: ")
-    assert "comparison morphism does not exist" in error
+    assert "canonical class fails to lift to a cycle" in error
     assert "Traceback" not in captured.out + captured.err
 
 

@@ -147,6 +147,14 @@ def test_dg_morphism_reads_each_calculus_only_through_g_n():
     assert len([n for n in ast.walk(node) if isinstance(n, (ast.For, ast.While))]) == 1
 
 
+def test_de_rham_comparison_reads_its_chain_maps_off_the_presentation():
+    # the universal dg algebra is initial, so the map to the Kaehler
+    # prolongation is h^k = Q_k (h^(k-1) (x) I), with no solve and no g_n
+    called = called_names(function_node("derham.py", "de_rham_comparison"))
+    assert not called & {"unique_dg_morphism", "identity_map", "factor_through_surjection",
+                         "_generator_map"}
+
+
 def kronecker_left_operands(node) -> list[str]:
     """The products and differences inside node whose left operand is a
     kronecker(...) call, or a name bound to one."""

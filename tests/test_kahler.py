@@ -1,6 +1,6 @@
 import pytest
 
-from omegacalc.algebra import build_group_algebra, build_truncated_poly, is_commutative
+from omegacalc.algebra import build_truncated_poly
 from omegacalc.bimodule import regular_bimodule
 from omegacalc.fodc import (
     PreconditionError,
@@ -14,13 +14,7 @@ from omegacalc.kahler import centrality_check, kahler_calculus, kahler_relations
 from omegacalc.linalg import GF, QQ, Mat, image_basis, kronecker, rank
 from omegacalc.prolong import maximal_prolongation
 
-from oracle_algebras import (
-    FIXTURE_NAMES,
-    commutative_in_permuted_bases,
-    kahler_by_saturation,
-    load_fixture,
-    product_algebra,
-)
+from oracle_algebras import COMMUTATIVE, commutative_in_permuted_bases, kahler_by_saturation
 
 
 def classical_kahler_dim(field, n):
@@ -53,35 +47,6 @@ def test_kahler_dimension_matches_classical_oracle(field, n):
 ])
 def test_kahler_dimension_values(field, n, expected):
     assert kahler_calculus(build_truncated_poly(field, n)).dim == expected
-
-
-def cyclic_table(n):
-    return [[(i + j) % n for j in range(n)] for i in range(n)]
-
-
-# Z/2 x Z/2 on (0,0), (0,1), (1,0), (1,1)
-KLEIN = [[i ^ j for j in range(4)] for i in range(4)]
-
-
-def generated_commutative(f):
-    """Truncated polynomial, group and product algebras over f, by name."""
-    k = "Q" if f.is_rational else f"GF({f.p})"
-    return {
-        f"{k}[x]/x^3": lambda: build_truncated_poly(f, 3),
-        f"{k}[x]/x^4": lambda: build_truncated_poly(f, 4),
-        f"{k}[Z/3]": lambda: build_group_algebra(f, cyclic_table(3)),
-        f"{k}[Z/2 x Z/2]": lambda: build_group_algebra(f, KLEIN),
-        f"{k}[x]/x^2 x {k}[x]/x^3": lambda: product_algebra(
-            build_truncated_poly(f, 2), build_truncated_poly(f, 3)),
-        f"{k}[Z/2] x {k}": lambda: product_algebra(
-            build_group_algebra(f, cyclic_table(2)), build_truncated_poly(f, 1)),
-    }
-
-
-COMMUTATIVE = {name: (lambda name=name: load_fixture(name)) for name in FIXTURE_NAMES
-               if is_commutative(load_fixture(name))}
-for field in (QQ, GF(2), GF(3), GF(5)):
-    COMMUTATIVE.update(generated_commutative(field))
 
 
 @pytest.mark.parametrize("name", COMMUTATIVE)

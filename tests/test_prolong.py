@@ -45,6 +45,7 @@ from omegacalc.prolong import (
 )
 
 from oracle_algebras import (
+    COMMUTATIVE,
     GENERATED,
     INCIDENCE,
     ORACLE_ALGEBRAS,
@@ -448,6 +449,50 @@ def test_unique_dg_morphism_builds_no_ambient_map(qx3, qy2, qx4, monkeypatch):
         assert maps is not None and maps[0] == f0.matrix
 
 
+# every commutative oracle algebra over Q, GF(2), GF(3) and GF(5), and every
+# oracle algebra of dimension at most 4, where the first noncommutative ones
+# (M2(Q), M2(GF(3)), qx2 + Omega_u(qx2)) appear
+PROJECTION_ALGEBRAS = {name: build for name, build in ORACLE_ALGEBRAS.items()
+                       if (alg := build()).dim <= 4 or is_commutative(alg)}
+PROJECTION_ALGEBRAS.update(COMMUTATIVE)
+
+
+def projection_cases(alg):
+    """The calculi whose maximal prolongations the closed-form maps are held
+    to: the universal and zero calculi, the Kaehler calculus of a
+    commutative algebra, and, below dimension 5, the quotient by every
+    subspace of the enumerated lattice of the universal calculus."""
+    u = universal_calculus(alg)
+    calculi = {"universal": u, "zero": zero_calculus(alg)}
+    if is_commutative(alg):
+        calculi["kahler"] = kahler_calculus(alg)
+    if alg.dim <= 4:
+        calculi.update((f"quotient {i}", quotient_calculus(u, sub)[0])
+                       for i, sub in enumerate(enumerate_action_closed_subspaces(u.omega)))
+    return calculi
+
+
+@pytest.mark.parametrize("name", PROJECTION_ALGEBRAS)
+def test_maps_from_the_universal_prolongation_match_unique_dg_morphism(name):
+    # the oracle behind the certificate at MaximalProlongation.from_universal:
+    # h^k = Q_k (h^(k-1) (x) I) is the map the degreewise factoring finds,
+    # through the zero branch past a zero component and, on the universal
+    # calculus, where every Q_k is the identity; de_rham_comparison returns
+    # it as its chain maps
+    alg = PROJECTION_ALGEBRAS[name]()
+    top = 3 if alg.dim <= 4 else 2
+    up = universal_prolongation(alg, top)
+    for label, c in projection_cases(alg).items():
+        maxi = maximal_prolongation(c, top)
+        maps = maxi.from_universal
+        assert maps == unique_dg_morphism(up, maxi, alg.identity_map()), label
+        assert [(m.rows, m.cols) for m in maps] == list(zip(maxi.dims, up.dims)), label
+        if label == "universal":
+            assert maps == [Mat.identity(alg.field, d) for d in up.dims]
+        if label == "kahler":
+            assert de_rham_comparison(alg, top)["chain_maps"] == maps
+
+
 def test_validation_report_sees_a_calculus_not_generated_in_degree_zero(qq_alg):
     # over Q, Omega^1 = 0 and Omega^2 = Q: every identity holds, but no
     # product a0 da1 da2 reaches Omega^2
@@ -797,12 +842,11 @@ def test_dims_and_de_rham_build_no_wedge_beyond_the_actions(name, monkeypatch):
     if is_commutative(alg):
         de_rham(alg, "kahler", top)
     assert [(i, j) for i, j in built if j >= 1 and i + j >= 2] == []
-    # the comparison morphism reads each calculus only through
-    # g_n = wedge(n-1, 1) (1 (x) d0), so it builds no wedge with j >= 2
+    # the comparison morphism is read off the quotient maps, so it builds no
+    # wedge beyond the actions either
     if is_commutative(alg):
         de_rham_comparison(alg, top)
-        assert (top - 1, 1) in built
-        assert [(i, j) for i, j in built if j >= 2] == []
+        assert [(i, j) for i, j in built if j >= 1 and i + j >= 2] == []
 
 
 def test_a_lazy_wedge_of_the_wrong_shape_raises_when_read(qx3):

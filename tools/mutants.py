@@ -48,6 +48,8 @@ KRON_ID_MUL_ORACLE = "tests/test_linalg_kernels.py -k kron_id_mul"
 KERNEL_SHORTCUT_ORACLE = ("tests/test_fodc.py -k "
                           "quotient_of_a_calculus_in_another_basis_computes_its_kernel")
 KAHLER_ORACLE = "tests/test_kahler.py -k matches_the_saturated_quotient_of_omega_u"
+PROJECTION_ORACLE = ("tests/test_prolong.py -k "
+                     "maps_from_the_universal_prolongation_match_unique_dg_morphism")
 
 MUTANTS = [
     # the prolongation builder: the sign of the right-action recursion, the
@@ -193,13 +195,19 @@ MUTANTS = [
     # the Kaehler calculus as I / I^2: the relations without x de_i de_i,
     # and the right action without the swap
     ("src/omegacalc/kahler.py",
-     "for j in range(i, n):",
-     "for j in range(i + 1, n):",
+     "for j in bar[k:]:",
+     "for j in bar[k + 1:]:",
      KAHLER_ORACLE),
     ("src/omegacalc/kahler.py",
      "rm = lm * swap_matrix(f, q.rows, n)",
      "rm = lm",
      KAHLER_ORACLE),
+    # the maps from the universal prolongation with the Kronecker factors
+    # swapped, I (x) h^(k-1) in place of h^(k-1) (x) I
+    ("src/omegacalc/prolong.py",
+     "maps.append(mul_kron_id(q, maps[k - 1], nb))",
+     "maps.append(mul_id_kron(q, nb, maps[k - 1]))",
+     PROJECTION_ORACLE),
     # subspace_leq reading the quotient map of sup off sup itself, which
     # makes every containment true
     ("src/omegacalc/linalg.py",
