@@ -15,7 +15,7 @@ from .linalg import (
     kronecker,
     mul_id_kron,
     mul_kron_id,
-    swap_matrix,
+    mul_swap,
 )
 
 
@@ -127,7 +127,7 @@ class Algebra:
 
 
 def is_commutative(a: Algebra) -> bool:
-    return a.mult_mat * swap_matrix(a.field, a.dim, a.dim) == a.mult_mat
+    return mul_swap(a.mult_mat, a.dim, a.dim) == a.mult_mat
 
 
 def commutativity_witness(a: Algebra):

@@ -213,6 +213,16 @@ def sub_bimodule(m: Bimodule, basis: Mat) -> tuple[Bimodule, BimodMap]:
     return sub, BimodMap(sub, m, basis, check=False)
 
 
+def _mul_section(x: Mat, p: int, s: Mat, q: int) -> Mat:
+    """x (I_p (x) s (x) I_q) for a section s of `quotient_maps`, as a column
+    selection with no arithmetic: s is 0/1 with s e_a = e_c, c the a-th
+    ambient coordinate off the pivot rows, so column (i s.cols + a) q + l of
+    the product is column (i s.rows + c) q + l of x."""
+    compl = [c for c, row in enumerate(s.data) if row]
+    return x.select_cols([(i * s.rows + c) * q + l
+                          for i in range(p) for c in compl for l in range(q)])
+
+
 def quotient_bimodule(m: Bimodule, sub_canonical: Mat) -> tuple[Bimodule, BimodMap, Mat]:
     """Quotient by an action-closed subspace: (quotient, projection, section)."""
     na, nb = m.left_alg.dim, m.right_alg.dim
@@ -221,8 +231,8 @@ def quotient_bimodule(m: Bimodule, sub_canonical: Mat) -> tuple[Bimodule, BimodM
     witness = _closure_witness(q_left, q_right, na, nb, sub_canonical)
     if witness is not None:
         raise LinAlgError(f"subspace is not action-closed: {witness}")
-    lm = mul_id_kron(q_left, na, s)
-    rm = mul_kron_id(q_right, s, nb)
+    lm = _mul_section(q_left, na, s, 1)
+    rm = _mul_section(q_right, 1, s, nb)
     quo = Bimodule(m.left_alg, m.right_alg, q.rows, lm, rm, check=False)
     return quo, BimodMap(m, quo, q, check=False), s
 
@@ -276,8 +286,8 @@ def tensor_over_algebra(m: Bimodule, n: Bimodule) -> tuple[Bimodule, Mat]:
     i_n = Mat.identity(f, n.dim)
     rel = kronecker(m.right_mat, i_n) - kronecker(i_m, n.left_mat)
     q, s = quotient_maps(image_basis(rel), m.dim * n.dim)
-    lm = mul_id_kron(mul_kron_id(q, m.left_mat, n.dim), m.left_alg.dim, s)
-    rm = mul_kron_id(mul_id_kron(q, m.dim, n.right_mat), s, n.right_alg.dim)
+    lm = _mul_section(mul_kron_id(q, m.left_mat, n.dim), m.left_alg.dim, s, 1)
+    rm = _mul_section(mul_id_kron(q, m.dim, n.right_mat), 1, s, n.right_alg.dim)
     t = Bimodule(m.left_alg, n.right_alg, q.rows, lm, rm, check=False)
     return t, q
 
@@ -350,7 +360,7 @@ def bimodule_hom_basis(m: Bimodule, n: Bimodule) -> list[Mat]:
         relation(w, u, m.right_mat.column(u * nb + j), [n.right_mat[w, y * nb + j] for y in range(mn)])
         for w in range(mn) for u in range(mm) for j in range(nb)
     ]
-    prows, pcols = _rref_sparse(f, rows)
+    prows, pcols, _ = _rref_sparse(f, rows)
     return [Mat.from_entries(f, mn, mm, [(k // mm, k % mm, v) for k, v in vec.items()])
             for vec in _null_vectors(f, prows, pcols, mn * mm)]
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .algebra import Algebra, AxiomError
 from .bimodule import saturate_subspace
-from .derham import CochainComplex, cohomology, de_rham_comparison
+from .derham import CochainComplex, cohomology, de_rham, de_rham_comparison
 from .fodc import (
     FirstOrderCalculus,
     PreconditionError,
@@ -264,6 +264,11 @@ def _cmd_prolong(args) -> dict:
 
 def _cmd_cohomology(args) -> dict:
     alg, _ = _load_algebra(args.algebra)
+    if args.flavor == "universal":
+        # the closed form builds no prolongation; the guard bounds its
+        # reports, which are as large as the components
+        _dim_guard(alg, args.max_degree, args.force)
+        return {"degrees": _degrees(de_rham(alg, "universal", args.max_degree))}
     base = Path(args.algebra).resolve().parent
     graded = _guarded_prolongation(alg, args.flavor, args.max_degree, args.force, base)
     return {"degrees": _degrees(cohomology(CochainComplex.from_graded(graded)))}

@@ -7,11 +7,21 @@ canonical class is lifted to the unique cycle over the canonical solve, so
 reports and comparison matrices are reproducible across runs.  The top
 degree of a truncated complex has no outgoing differential and is never
 reported.
+
+The universal theory is read off its closed form, with no prolongation
+built: H^0 = k.1 and H^n = 0 above (Cuntz-Quillen 1995, section 1), in the
+canonical representatives the generic route returns (`_universal_de_rham`).
+So the comparison with the Kaehler theory is the class of the unit in
+degree 0 and the empty map above.  A complex taken from a graded calculus
+the library built skips the d.d products: the construction certifies them.
+One built from any other graded calculus, or from bare matrices, checks
+them.
 """
 
 from __future__ import annotations
 
 from .algebra import Algebra
+from .fodc import PreconditionError
 from .kahler import kahler_calculus
 from .linalg import (
     EngineError,
@@ -19,11 +29,12 @@ from .linalg import (
     Mat,
     image_basis,
     kernel_basis,
+    kronecker,
     quotient_maps,
     rank,
     solve,
 )
-from .prolong import GradedCalculus, maximal_prolongation, universal_prolongation
+from .prolong import GradedCalculus, maximal_prolongation
 
 
 class CochainComplex:
@@ -43,7 +54,16 @@ class CochainComplex:
 
     @staticmethod
     def from_graded(g: GradedCalculus) -> "CochainComplex":
-        return CochainComplex(g.dims, g.diff)
+        if not g._dg_certified:
+            return CochainComplex(g.dims, g.diff)
+        # Certificate, in place of the d.d products: the library marks only
+        # the graded calculi it builds (universal_prolongation,
+        # maximal_prolongation and trivial_extension), each a dg algebra by
+        # the certificate written at its construction, so d.d = 0; and the
+        # GradedCalculus constructor checked the shapes.
+        c = object.__new__(CochainComplex)
+        c.dims, c.diff = list(g.dims), list(g.diff)
+        return c
 
 
 class DegreeReport:
@@ -114,49 +134,90 @@ def rank_identity_report(c: CochainComplex, rep: CohomologyReport) -> list[str]:
     return errs
 
 
-def graded_calculus_for(a: Algebra, flavor: str, max_degree: int) -> GradedCalculus:
-    if flavor == "universal":
-        return universal_prolongation(a, max_degree)
-    if flavor == "kahler":
-        return maximal_prolongation(kahler_calculus(a), max_degree)
-    raise LinAlgError(f"unknown flavor {flavor!r}")
+def _universal_de_rham(a: Algebra, max_degree: int) -> CohomologyReport:
+    """The cohomology of the universal prolongation in closed form, equal to
+    cohomology(CochainComplex.from_graded(universal_prolongation(a, N))),
+    with no prolongation, kernel, image or solve."""
+    if max_degree < 1:
+        raise PreconditionError("max degree must be at least 1")
+    f, n = a.field, a.dim
+    pivot = next((i for i, x in enumerate(a.unit) if x), None)
+    if pivot is None:
+        # the zero algebra: every component is zero, and so is every H
+        zero = Mat.zeros(f, 0, 0)
+        return CohomologyReport([DegreeReport(k, 0, 0, 0, zero, zero, zero)
+                                 for k in range(max_degree)])
+    lead = f.inv(a.unit[pivot])
+    unit = Mat.col_vector(f, [f.mul(lead, x) for x in a.unit])
+    degrees = [DegreeReport(0, n, 1, 0, unit, Mat.identity(f, n), unit)]
+    nb = n - 1  # the dimension of A-bar
+    for k in range(1, max_degree):
+        size = nb ** k
+        boundaries = kronecker(unit, Mat.identity(f, size))
+        q, _s = quotient_maps(boundaries, n * size)
+        degrees.append(DegreeReport(k, n * size, 0, size, Mat.zeros(f, n * size, 0), q,
+                                    Mat.zeros(f, q.rows, 0)))
+    # Certificate that these are the reports `cohomology` returns on the
+    # universal prolongation, with u the unit and p its pivot, the first
+    # coordinate with u_p != 0 (fodc._unit_complement's):
+    # 1. Omega_u^k = A (x) A-bar^(x)k and d(a0 (x) w) = u (x) pi(a0) (x) w
+    #    (prolong.universal_prolongation), with pi: A ->> A-bar and
+    #    ker pi = k.u.  So ker d^0 = k.u, and d^(k-1) maps onto
+    #    u (x) A-bar^(x)k = ker d^k: the complement of u in A, tensored with
+    #    A-bar^(x)(k-1), goes isomorphically onto u (x) A-bar^(x)k.  Hence
+    #    H^0 = k.u and H^k = 0 for k >= 1 (Cuntz-Quillen 1995, section 1).
+    # 2. Degree 0: the cycles have the canonical basis u / u_p, with its 1 at
+    #    row p; there are no boundaries, so the quotient map is the identity
+    #    and the class basis and the lifted representative are u / u_p.
+    # 3. Degree k >= 1: the boundaries span u (x) A-bar^(x)k, and its basis
+    #    u / u_p (x) I has column w's 1 at row p nb^k + w, the first row it
+    #    touches and one no other column touches: reduced column echelon
+    #    form, which is unique, so image_basis returns it and quotient_maps
+    #    reads it with no elimination.  The cycles are the same space, so
+    #    the classes, the class basis and the representatives are empty.
+    # 4. A 1-dimensional algebra has A-bar = 0, so nb^k = 0 above degree 0
+    #    and every such component is zero; the zero algebra has no pivot and
+    #    zero components, the branch above.
+    # tests/test_derham.py holds the reports to the generic route on every
+    # oracle algebra up to degree 4.
+    return CohomologyReport(degrees)
 
 
 def de_rham(a: Algebra, flavor: str, max_degree: int) -> CohomologyReport:
-    """Calculus construction -> maximal prolongation -> cohomology.
+    """H^n of the universal or the Kaehler theory for n < max_degree: the
+    universal one in closed form, the Kaehler one as the cohomology of the
+    maximal prolongation of the Kaehler calculus.
 
     Reports degrees 0..max_degree-1; H at the truncation edge would need the
     next differential.
     """
-    g = graded_calculus_for(a, flavor, max_degree)
-    return cohomology(CochainComplex.from_graded(g))
+    if flavor == "universal":
+        return _universal_de_rham(a, max_degree)
+    if flavor == "kahler":
+        g = maximal_prolongation(kahler_calculus(a), max_degree)
+        return cohomology(CochainComplex.from_graded(g))
+    raise LinAlgError(f"unknown flavor {flavor!r}")
 
 
 def de_rham_comparison(a: Algebra, max_degree: int) -> dict:
     """The canonical surjection from the universal to the Kaehler theory, on
     cohomology, degree by degree in the canonical representatives.  The
-    Kaehler side is built first: it rejects a noncommutative algebra before
-    the universal prolongation is computed.
+    Kaehler side is built first: it rejects a noncommutative algebra.
 
-    The chain maps are the unique dg map from the universal prolongation
-    extending the identity of A.  The universal dg algebra is initial, so it
-    exists, and it is read off the two presentations with no solve:
-    h^k = Q_k (h^(k-1) (x) I), with Q_k the quotient map of the Kaehler
-    prolongation in degree k (the certificate is at
-    `prolong.MaximalProlongation.from_universal`)."""
+    The chain maps are the unique dg map h from the universal prolongation
+    extending the identity of A (`prolong.MaximalProlongation.from_universal`
+    builds it).  On cohomology only h^0 = I is read: H^0 of the universal
+    theory is spanned by the unit u / u_p, whose Kaehler class is the
+    comparison in degree 0, and the universal H^k is 0 for k >= 1, so the
+    comparison there is the dim H^k_K x 0 matrix (`_universal_de_rham`)."""
     kp = maximal_prolongation(kahler_calculus(a), max_degree)
-    up = universal_prolongation(a, max_degree)
-    maps = kp.from_universal
-    rep_u = cohomology(CochainComplex.from_graded(up))
+    rep_u = _universal_de_rham(a, max_degree)
     rep_k = cohomology(CochainComplex.from_graded(kp))
-    comparison = []
-    for deg_u, deg_k in zip(rep_u.degrees, rep_k.degrees):
-        n = deg_u.n
-        mapped = maps[n] * deg_u.representatives
-        comparison.append(deg_k.class_coordinates(mapped))
+    # h^0 = I: the class of the universal representative, read in H^0_K
+    comparison = [rep_k.degrees[0].class_coordinates(rep_u.degrees[0].representatives)]
+    comparison += [Mat.zeros(a.field, d.dim_h, 0) for d in rep_k.degrees[1:]]
     return {
         "universal": rep_u,
         "kahler": rep_k,
-        "chain_maps": maps,
         "comparison": comparison,
     }

@@ -30,6 +30,7 @@ from .linalg import (
     image_basis,
     kron_id_mul,
     kronecker,
+    mul_swap,
     quotient_maps,
     swap_matrix,
 )
@@ -81,13 +82,13 @@ def kahler_calculus(a: Algebra) -> FirstOrderCalculus:
         raise PreconditionError(
             f"algebra is not commutative: e{i}*e{j} != e{j}*e{i}"
         )
-    f, n = a.field, a.dim
+    n = a.dim
     _bar, pi = _unit_complement(a)
     nb = pi.rows
     rel = kahler_relations(a)
     q, s = quotient_maps(rel, n * nb)
     lm = q * kron_id_mul(a.mult_mat, nb, n, s)
-    rm = lm * swap_matrix(f, q.rows, n)
+    rm = mul_swap(lm, q.rows, n)
     omega = Bimodule(a, a, q.rows, lm, rm, check=False)
     d = q * kronecker(a.unit_mat, pi)
     # Certificate, in place of check_fodc, a closure check and

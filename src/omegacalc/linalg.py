@@ -22,11 +22,13 @@ reaches, raises on any other basis.  Tensor product bases are
 ordered row-major: e_i (x) e_j  ->  index i*dim2 + j.
 
 Kernels: the product `Mat.__mul__`, `kronecker`, elimination
-(`_rref_sparse`, behind rank, image_basis, kernel_basis and solve), and
-three products with identity factors that form no Kronecker product:
-m (I (x) x) (`mul_id_kron`), m (x (x) I) (`mul_kron_id`) and
+(`_rref_sparse`, behind rank, image_basis, kernel_basis and solve, each one
+elimination), three products with identity factors that form no Kronecker
+product: m (I (x) x) (`mul_id_kron`), m (x (x) I) (`mul_kron_id`) and
 (x (x) I)(I (x) m) (`kron_id_mul`), each in time linear in the nonzeros of
-its operands and its output.
+its operands and its output, and the braiding m swap as a column relabel
+(`mul_swap`).  solve reads consistency off its elimination and multiplies
+nothing out.
 """
 
 from __future__ import annotations
@@ -554,20 +556,36 @@ def swap_matrix(field: Field, m: int, n: int) -> Mat:
     return _mat(field, m * n, m * n, data)
 
 
+def mul_swap(x: Mat, m: int, n: int) -> Mat:
+    """x swap_matrix(m, n), the braiding V (x) W -> W (x) V applied on the
+    right, as a column relabel with no arithmetic: column k of x is
+    w_j (x) v_i with k = j m + i, and it goes to v_i (x) w_j, column
+    (k mod m) n + k div m."""
+    if x.cols != m * n:
+        raise LinAlgError(f"cannot multiply {x.rows}x{x.cols} by the swap of {m} and {n}")
+    data = [{(k % m) * n + k // m: v for k, v in row.items()} for row in x.data]
+    return _mat(x.field, x.rows, x.cols, data)
+
+
 # ---------------------------------------------------------------------------
 # elimination core (sparse rows over the exact field)
 # ---------------------------------------------------------------------------
 
 def _rref_sparse(field: Field, rows: list[dict], pivot_limit: int | None = None):
-    """Reduced row echelon form of sparse rows; returns (pivot_rows, pivot_cols).
+    """Reduced row echelon form of sparse rows; returns (pivot_rows,
+    pivot_cols, inconsistent).
 
     pivot_rows is a list of fully reduced rows (dicts col->val without zeros,
     pivot value 1) ordered by pivot column.  The input rows are not changed.
     Pivot search stops at pivot_limit columns when given (used by solvers to
-    keep augmented columns pivot-free).
+    keep augmented columns pivot-free).  inconsistent is True when some row
+    reduces to zero left of pivot_limit but not right of it: that row is a
+    combination of the input rows reading 0 = b with b != 0.  Without a
+    limit a row that is left nonzero always takes a pivot, so it is False.
     """
     p = field.p
     pivots: dict[int, dict] = {}  # pivot col -> fully reduced row
+    inconsistent = False
 
     def axpy(r: dict, c, prow: dict) -> None:
         """r -= c * prow in place, dropping the entries that cancel."""
@@ -593,6 +611,8 @@ def _rref_sparse(field: Field, rows: list[dict], pivot_limit: int | None = None)
                 axpy(r, r[pc], pivots[pc])
         live = r if pivot_limit is None else [c for c in r if c < pivot_limit]
         if not live:
+            if r:
+                inconsistent = True
             continue
         pc = min(live)
         lead = r[pc]
@@ -608,7 +628,7 @@ def _rref_sparse(field: Field, rows: list[dict], pivot_limit: int | None = None)
                 pivots[opc] = orow
         pivots[pc] = r
     pcols = sorted(pivots)
-    return [pivots[pc] for pc in pcols], pcols
+    return [pivots[pc] for pc in pcols], pcols, inconsistent
 
 
 def _null_vectors(field: Field, prows: list[dict], pcols: list[int], ncols: int) -> list[dict]:
@@ -625,12 +645,12 @@ def _null_vectors(field: Field, prows: list[dict], pcols: list[int], ncols: int)
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form (unique) and pivot column indices."""
-    prows, pcols = _rref_sparse(m.field, m.data)
+    prows, pcols, _ = _rref_sparse(m.field, m.data)
     return _mat(m.field, len(prows), m.cols, prows), pcols
 
 
 def rank(m: Mat) -> int:
-    _, pcols = _rref_sparse(m.field, m.data)
+    _, pcols, _ = _rref_sparse(m.field, m.data)
     return len(pcols)
 
 
@@ -640,10 +660,27 @@ def image_basis(m: Mat) -> Mat:
 
 
 def kernel_basis(m: Mat) -> Mat:
-    """Canonical basis (columns) of the null space of M."""
-    prows, pcols = _rref_sparse(m.field, m.data)
-    vecs = _null_vectors(m.field, prows, pcols, m.cols)
-    return rref(_mat(m.field, len(vecs), m.cols, vecs))[0].transpose()
+    """Canonical basis (columns) of the null space of M, from one elimination.
+
+    M is eliminated with its columns in reverse order, c -> n-1-c.  Read off
+    that form, the null vector of a free column f is 1 at f and nonzero
+    elsewhere only at pivot columns before f in the reversed order, which
+    are columns after f in M's order; and it is zero at every other free
+    column.  Mapped back and ordered by free column, the vectors have their
+    first nonzero, a 1, at increasing rows that no other vector touches:
+    reduced column echelon form, which is unique, so no second elimination
+    brings them into it.
+    """
+    n = m.cols
+    last = n - 1
+    flipped = [{last - c: v for c, v in row.items()} for row in m.data]
+    prows, pcols, _ = _rref_sparse(m.field, flipped)
+    vecs = _null_vectors(m.field, prows, pcols, n)
+    data = [{} for _ in range(n)]
+    for a, vec in enumerate(reversed(vecs)):
+        for c, v in vec.items():
+            data[last - c][a] = v
+    return _mat(m.field, n, len(vecs), data)
 
 
 def solve(m: Mat, b: Mat) -> Mat | None:
@@ -659,23 +696,28 @@ def solve(m: Mat, b: Mat) -> Mat | None:
         row = dict(mrow)
         row.update(zip(map(n.__add__, brow), brow.values()))
         aug_rows.append(row)
-    prows, pcols = _rref_sparse(field, aug_rows, pivot_limit=n)
+    prows, pcols, inconsistent = _rref_sparse(field, aug_rows, pivot_limit=n)
+    # Certificate, in place of multiplying out M X = B: every reduced row is
+    # a combination of rows of (M | B).  A row left zero in M but not in B
+    # reads 0 = b != 0, so no X exists.  Otherwise each row of (M | B) is a
+    # combination of the pivot rows, and X, read off them with the free
+    # variables at 0, satisfies each pivot row: its pivot coordinate is the
+    # row's B part and it is zero at the row's free columns.
+    if inconsistent:
+        return None
     data = [{} for _ in range(n)]
     for pc, row in zip(pcols, prows):
         data[pc] = {c - n: v for c, v in row.items() if c >= n}
-    x = _mat(field, n, b.cols, data)
-    # free variables were set to 0; verifying directly doubles as the
-    # consistency check for pivotless rows with nonzero augmented part
-    if m * x != b:
-        return None
-    return x
+    return _mat(field, n, b.cols, data)
 
 
 def inverse(m: Mat) -> Mat:
     if m.rows != m.cols:
         raise LinAlgError("inverse of non-square matrix")
+    # M X = I for square M makes X a two-sided inverse: rank X = n, so X is
+    # onto and X M X = X forces X M = I; no product re-checks it
     x = solve(m, Mat.identity(m.field, m.rows))
-    if x is None or x * m != Mat.identity(m.field, m.rows):
+    if x is None:
         raise LinAlgError("matrix is not invertible")
     return x
 

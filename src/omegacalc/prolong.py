@@ -36,7 +36,10 @@ Cuntz-Quillen basis for the universal prolongation, the presentation with
 right exactness for the maximal prolongation, the zero components above
 degree 1 for the trivial extension, initiality and the two presentations
 for the map from the universal prolongation, and generation in degree 0
-by d and wedge for a morphism in general.
+by d and wedge for a morphism in general.  The three constructions mark
+their results (`_certified_dg`), so that `derham.CochainComplex.from_graded`
+skips the d.d products on them; a GradedCalculus built by hand is never
+marked, and its d.d is checked.
 
 No Kronecker product is built only to be multiplied.  The relations, the
 wedges and the differentials are products (x (x) I)(I (x) m), with m the
@@ -185,6 +188,9 @@ class GradedCalculus:
         self.dims = list(dims)
         self.diff = list(diff)
         self.wedge = wedge
+        # a value built here satisfies no axiom it was not checked for; the
+        # constructions below mark theirs (`_certified_dg`)
+        self._dg_certified = False
         dims = self.dims
 
         def check(i, j, w):
@@ -252,6 +258,14 @@ class GradedCalculus:
             if rank(self._generator_map(n)) != self.dims[n]:
                 report.append(f"surjectivity fails at degree {n}")
         return report
+
+
+def _certified_dg(g: GradedCalculus) -> GradedCalculus:
+    """g, marked as a dg algebra by the certificate of the construction that
+    built it, so that derham.CochainComplex.from_graded skips the d.d
+    products.  Only the constructions of this module mark their results."""
+    g._dg_certified = True
+    return g
 
 
 class UniversalProlongation(GradedCalculus):
@@ -489,7 +503,7 @@ def universal_prolongation(a: Algebra, max_degree: int) -> UniversalProlongation
     # d_A iota and proj iota = I on every fixture and generated algebra, and
     # runs validation_report on the results.
     dims, diff, wedge, _quot = _prolongation(a, max_degree)
-    return UniversalProlongation(a, max_degree, dims, diff, wedge)
+    return _certified_dg(UniversalProlongation(a, max_degree, dims, diff, wedge))
 
 
 def trivial_extension(c: FirstOrderCalculus, max_degree: int) -> GradedCalculus:
@@ -510,7 +524,7 @@ def trivial_extension(c: FirstOrderCalculus, max_degree: int) -> GradedCalculus:
     # identity.  What is left are the bimodule axioms of A and Omega^1 (the
     # wedges with degree-0 factors), Leibniz at (0, 0) and surjectivity in
     # degree 1, which are the axioms of c, checked when c was built.
-    return GradedCalculus(a, max_degree, dims, diff, wedge)
+    return _certified_dg(GradedCalculus(a, max_degree, dims, diff, wedge))
 
 
 def maximal_prolongation(c: FirstOrderCalculus, max_degree: int) -> MaximalProlongation:
@@ -547,8 +561,8 @@ def maximal_prolongation(c: FirstOrderCalculus, max_degree: int) -> MaximalProlo
     # tests/test_prolong.py runs validation_report on the results and holds
     # the maximal prolongation of the universal calculus to the universal
     # prolongation.
-    return MaximalProlongation(a, max_degree,
-                               *_prolongation(a, max_degree, phi, _section(c), _kernel(c)))
+    return _certified_dg(MaximalProlongation(
+        a, max_degree, *_prolongation(a, max_degree, phi, _section(c), _kernel(c))))
 
 
 def unique_dg_morphism(src: GradedCalculus, tgt: GradedCalculus, f0: AlgMap):

@@ -6,8 +6,11 @@ Q, GF(2), GF(3) and GF(5); eight algebra maps between them and the
 identity of each; the product A x B of two algebras.  Also the routes the
 library replaced by closed forms, kept as oracles: the materialized
 codiagonal coactions, the enumeration that saturates each candidate, the
-containment that solves for the smaller basis in the larger and the Kaehler
-calculus as a saturated quotient of the universal calculus.
+containment that solves for the smaller basis in the larger, the Kaehler
+calculus as a saturated quotient of the universal calculus, the kernel basis
+brought into echelon form by a second elimination, the solve that multiplies
+its answer out, and the universal de Rham theory as the cohomology of the
+universal prolongation.
 """
 
 import json
@@ -25,6 +28,7 @@ from omegacalc.algebra import (
     opposite,
 )
 from omegacalc.bimodule import action_closed, regular_bimodule, saturate_subspace
+from omegacalc.derham import CochainComplex, cohomology
 from omegacalc.fodc import (
     enumerate_action_closed_subspaces,
     quotient_calculus,
@@ -37,13 +41,18 @@ from omegacalc.linalg import (
     GF,
     QQ,
     Mat,
+    _mat,
+    _null_vectors,
+    _rref_sparse,
     image_basis,
     kronecker,
     mul_id_kron,
     mul_kron_id,
+    rref,
     solve,
     swap_matrix,
 )
+from omegacalc.prolong import universal_prolongation
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "omegacalc" / "fixtures"
@@ -317,3 +326,34 @@ def kahler_by_saturation(a):
     one_d = mul_id_kron(u.omega.left_mat, a.dim, u.d)
     rel = d_one - one_d * swap_matrix(a.field, a.dim, a.dim)
     return quotient_calculus(u, saturate_subspace(u.omega, image_basis(rel)))[0]
+
+
+def kernel_basis_by_two_eliminations(m):
+    """linalg.kernel_basis in its earlier form: the null vectors read off the
+    reduced row echelon form of M, then eliminated a second time into
+    reduced column echelon form."""
+    prows, pcols, _ = _rref_sparse(m.field, m.data)
+    vecs = _null_vectors(m.field, prows, pcols, m.cols)
+    return rref(_mat(m.field, len(vecs), m.cols, vecs))[0].transpose()
+
+
+def solve_by_product_check(m, b):
+    """linalg.solve in its earlier form: X read off the elimination of
+    (M | B) with the free variables at 0, and kept only if M X = B when
+    multiplied out; the elimination's own consistency flag is not read."""
+    n = m.cols
+    aug = [{**mrow, **{n + c: v for c, v in brow.items()}} for mrow, brow in zip(m.data, b.data)]
+    prows, pcols, _ = _rref_sparse(m.field, aug, pivot_limit=n)
+    data = [{} for _ in range(n)]
+    for pc, row in zip(pcols, prows):
+        data[pc] = {c - n: v for c, v in row.items() if c >= n}
+    x = _mat(m.field, n, b.cols, data)
+    return x if m * x == b else None
+
+
+def universal_de_rham_by_prolongation(a, max_degree):
+    """The universal de Rham theory by the generic route that
+    derham.de_rham took before its closed form: the cohomology of the
+    universal prolongation, with d.d checked."""
+    g = universal_prolongation(a, max_degree)
+    return cohomology(CochainComplex(g.dims, g.diff))

@@ -6,6 +6,7 @@ from omegacalc.algebra import AlgMap
 from omegacalc.bimodule import (
     BimodMap,
     Bimodule,
+    _mul_section,
     action_closed,
     bimod_cokernel,
     bimod_kernel,
@@ -35,6 +36,7 @@ from omegacalc.linalg import (
     kronecker,
     mul_id_kron,
     mul_kron_id,
+    quotient_maps,
     solve,
 )
 
@@ -419,3 +421,15 @@ def test_enumerated_family_is_the_one_the_replaced_routes_give(name, build, memb
     monkeypatch.setattr(oracle_algebras, "action_closed", solving_closure_witness)
     assert family == enumerate_by_saturation(u.omega)
     assert members is None or len(family) == members
+
+
+@pytest.mark.parametrize("p,q", [(0, 1), (1, 1), (2, 1), (1, 3), (2, 2)])
+def test_a_section_product_is_a_column_selection(p, q):
+    # quotient_bimodule and tensor_over_algebra pick the columns of their
+    # 0/1 section instead of multiplying by I_p (x) s (x) I_q
+    rng = random.Random(p * 10 + q)
+    sub = image_basis(Mat(QQ, [[1, 0], [2, 0], [0, 1], [0, 0], [3, -1]]))
+    _q, s = quotient_maps(sub, 5)
+    x = Mat(QQ, [[rng.randint(-2, 2) for _ in range(p * 5 * q)] for _ in range(3)])
+    whiskered = kronecker(kronecker(Mat.identity(QQ, p), s), Mat.identity(QQ, q))
+    assert _mul_section(x, p, s, q) == x * whiskered

@@ -1,5 +1,6 @@
 import pytest
 
+from omegacalc import cli, derham, prolong
 from omegacalc.derham import (
     CochainComplex,
     cohomology,
@@ -7,14 +8,21 @@ from omegacalc.derham import (
     de_rham_comparison,
     rank_identity_report,
 )
-from omegacalc.fodc import universal_calculus
+from omegacalc.fodc import PreconditionError, universal_calculus
 from omegacalc.kahler import kahler_calculus, kahler_relations
-from omegacalc.linalg import QQ, LinAlgError, Mat, is_invertible
+from omegacalc.linalg import QQ, LinAlgError, Mat, image_basis, is_invertible, kernel_basis
 from omegacalc.prolong import (
+    GradedCalculus,
     maximal_prolongation,
     trivial_extension,
     unique_dg_morphism,
     universal_prolongation,
+)
+from oracle_algebras import (
+    FIXTURES,
+    ORACLE_ALGEBRAS,
+    oracle_calculi,
+    universal_de_rham_by_prolongation,
 )
 
 
@@ -89,7 +97,7 @@ def test_comparison_char2_is_isomorphism(f2x2):
     # in characteristic 2 the centrality relation vanishes, Omega_K = Omega_u
     assert kahler_relations(f2x2).cols == 0
     comp = de_rham_comparison(f2x2, 2)
-    assert is_invertible(comp["chain_maps"][1])
+    assert is_invertible(maximal_prolongation(kahler_calculus(f2x2), 2).from_universal[1])
     for m_u, m_k in zip(comp["universal"].dims(), comp["kahler"].dims()):
         assert m_u == m_k
 
@@ -135,3 +143,109 @@ def test_representatives_are_cycles_mod_boundaries(qz2):
 
 def test_de_rham_universal_matrix_algebra(m2q):
     assert de_rham(m2q, "universal", 2).dims() == [1, 0]
+
+
+def degree_data(d):
+    return (d.n, d.dim_omega, d.dim_h, d.boundary_rank, d.representatives,
+            d._boundary_quotient, d._class_basis)
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+@pytest.mark.parametrize("top", [1, 2, 3, 4])
+def test_universal_de_rham_matches_the_generic_route(name, top):
+    # the oracle behind the certificate at derham._universal_de_rham: the
+    # cohomology of the universal prolongation, with d.d checked, gives the
+    # same dims, representatives, boundary quotients and class bases; the
+    # basis 2, x of Q[x]/x^2 has u_p = 1/2, so u / u_p is not u there
+    alg = ORACLE_ALGEBRAS[name]()
+    closed = de_rham(alg, "universal", top)
+    generic = universal_de_rham_by_prolongation(alg, top)
+    assert [degree_data(d) for d in closed.degrees] == [degree_data(d) for d in generic.degrees]
+    up = universal_prolongation(alg, top)
+    for deg_c, deg_g in zip(closed.degrees, generic.degrees):
+        n = deg_c.n
+        # every cycle, and every boundary, has the same class coordinates
+        cycles = kernel_basis(up.diff[n])
+        assert deg_c.class_coordinates(cycles) == deg_g.class_coordinates(cycles)
+        if n:
+            boundaries = image_basis(up.diff[n - 1])
+            assert deg_c.class_coordinates(boundaries) == deg_g.class_coordinates(boundaries)
+            assert deg_c.class_coordinates(boundaries).is_zero()
+
+
+def test_universal_de_rham_normalizes_the_unit():
+    alg = ORACLE_ALGEBRAS["Q[x]/x^2 in the basis 2, x"]()
+    assert alg.unit == [QQ.inv(2), 0]
+    assert de_rham(alg, "universal", 2).degrees[0].representatives == Mat.identity(QQ, 2).select_cols([0])
+
+
+def test_universal_de_rham_needs_a_degree(qx2):
+    with pytest.raises(PreconditionError, match="max degree must be at least 1"):
+        de_rham(qx2, "universal", 0)
+
+
+def test_the_universal_theory_builds_no_prolongation(monkeypatch, capsys, qx3):
+    # de_rham on the universal flavor, de_rham_comparison and the CLI's
+    # universal cohomology read the universal theory off its closed form:
+    # no universal prolongation is built and no universal complex reaches
+    # cohomology; the comparison eliminates the Kaehler complex only
+    def refuse(*_args):
+        raise AssertionError("universal_prolongation called")
+
+    for module in (prolong, derham, cli):
+        monkeypatch.setattr(module, "universal_prolongation", refuse, raising=False)
+    seen = []
+    real = derham.cohomology
+
+    def recording(c):
+        seen.append(c.dims)
+        return real(c)
+
+    monkeypatch.setattr(derham, "cohomology", recording)
+    monkeypatch.setattr(cli, "cohomology", recording)
+    assert de_rham(qx3, "universal", 3).dims() == [1, 0, 0]
+    assert seen == []
+    comp = de_rham_comparison(qx3, 3)
+    assert seen == [maximal_prolongation(kahler_calculus(qx3), 3).dims]
+    assert comp["comparison"][0] == Mat.identity(QQ, 1)
+    assert [(m.rows, m.cols) for m in comp["comparison"][1:]] == [(0, 0), (0, 0)]
+    assert "chain_maps" not in comp
+    seen.clear()
+    code = cli.main(["cohomology", str(FIXTURES / "qx3.json"), "--flavor", "universal",
+                     "--max-degree", "3", "--format", "json"])
+    capsys.readouterr()
+    assert code == 0 and seen == []
+
+
+def d_squared_nonzero_calculus():
+    """A GradedCalculus built by hand over Q with d.d = 1 != 0: the
+    constructor checks shapes only."""
+    qq = ORACLE_ALGEBRAS["q"]()
+    one = Mat.identity(QQ, 1)
+    wedge = {(0, 0): qq.mult_mat, (0, 1): one, (1, 0): one, (0, 2): one, (2, 0): one,
+             (1, 1): one}
+    return GradedCalculus(qq, 2, [1, 1, 1], [one, one], wedge)
+
+
+def test_a_user_built_graded_calculus_keeps_the_d_squared_check():
+    g = d_squared_nonzero_calculus()
+    assert not g._dg_certified
+    with pytest.raises(LinAlgError, match=r"d\.d != 0 at degree 0"):
+        CochainComplex.from_graded(g)
+
+
+@pytest.mark.parametrize("name", ["qx3", "m2q", "f2x2", "chain 0<1<2", "zero algebra",
+                                  "Q[x]/x^2 in the basis 2, x"])
+def test_library_prolongations_are_marked_and_pass_the_d_squared_check(name):
+    # the certificate behind from_graded skipping d.d, against the check it
+    # skips, on the universal prolongation and on the maximal prolongation
+    # and trivial extension of every oracle calculus
+    alg = ORACLE_ALGEBRAS[name]()
+    gradeds = [universal_prolongation(alg, 3)]
+    for c in oracle_calculi(name, alg).values():
+        gradeds += [maximal_prolongation(c, 3), trivial_extension(c, 3)]
+    for g in gradeds:
+        assert g._dg_certified
+        checked = CochainComplex(g.dims, g.diff)
+        marked = CochainComplex.from_graded(g)
+        assert (marked.dims, marked.diff) == (checked.dims, checked.diff)

@@ -147,12 +147,56 @@ def test_dg_morphism_reads_each_calculus_only_through_g_n():
     assert len([n for n in ast.walk(node) if isinstance(n, (ast.For, ast.While))]) == 1
 
 
-def test_de_rham_comparison_reads_its_chain_maps_off_the_presentation():
-    # the universal dg algebra is initial, so the map to the Kaehler
-    # prolongation is h^k = Q_k (h^(k-1) (x) I), with no solve and no g_n
-    called = called_names(function_node("derham.py", "de_rham_comparison"))
-    assert not called & {"unique_dg_morphism", "identity_map", "factor_through_surjection",
-                         "_generator_map"}
+def test_de_rham_comparison_reads_the_universal_theory_off_its_closed_form():
+    # H_u is k.1 in degree 0 and zero above, and h^0 = I, so the comparison
+    # is the Kaehler class of the unit: no universal prolongation, no chain
+    # map above degree 0, no solve for one and no g_n
+    node = function_node("derham.py", "de_rham_comparison")
+    assert not called_names(node) & {"unique_dg_morphism", "identity_map",
+                                     "factor_through_surjection", "_generator_map",
+                                     "universal_prolongation", "_prolongation"}
+    assert "from_universal" not in {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def test_the_universal_de_rham_theory_builds_no_prolongation():
+    # derham reads the universal theory off its closed form and imports no
+    # constructor of the universal prolongation; the CLI's universal
+    # cohomology goes through de_rham
+    source = (SRC / "derham.py").read_text()
+    assert "universal_prolongation" not in {
+        a.name for n in ast.walk(ast.parse(source)) if isinstance(n, ast.ImportFrom)
+        for a in n.names}
+    for name in ("de_rham", "_universal_de_rham"):
+        assert not called_names(function_node("derham.py", name)) & {
+            "universal_prolongation", "_prolongation", "kernel_basis", "image_basis", "solve"}
+    assert "de_rham" in called_names(function_node("cli.py", "_cmd_cohomology"))
+
+
+@pytest.mark.parametrize("name", ["solve", "inverse"])
+def test_solve_and_inverse_form_no_product(name):
+    # solve reads consistency off its elimination and inverse trusts that a
+    # right inverse of a square matrix is two-sided: neither multiplies out
+    node = function_node("linalg.py", name)
+    assert not [n for n in ast.walk(node) if isinstance(n, ast.BinOp)
+                and isinstance(n.op, ast.Mult)]
+
+
+def test_kernel_basis_eliminates_once():
+    # the reversed column order leaves the null vectors in reduced column
+    # echelon form, so no second elimination brings them into it
+    called = called_names(function_node("linalg.py", "kernel_basis"))
+    assert "_rref_sparse" in called
+    assert not called & {"rref", "image_basis", "rank"}
+
+
+@pytest.mark.parametrize("module,name,banned", [
+    ("bimodule.py", "quotient_bimodule", {"mul_id_kron", "mul_kron_id"}),
+    ("algebra.py", "is_commutative", {"swap_matrix"}),
+    ("kahler.py", "kahler_calculus", {"swap_matrix"}),
+])
+def test_permutation_products_are_column_relabels(module, name, banned):
+    # the 0/1 section picks columns and the swap relabels them: no product
+    assert not called_names(function_node(module, name)) & banned
 
 
 def kronecker_left_operands(node) -> list[str]:

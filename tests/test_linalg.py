@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from omegacalc.algebra import is_commutative
-from omegacalc.derham import de_rham
+from omegacalc.derham import CochainComplex, cohomology, de_rham
 from omegacalc.linalg import (
     GF,
     QQ,
@@ -26,6 +26,7 @@ from omegacalc.linalg import (
     subspace_leq,
     swap_matrix,
 )
+from omegacalc.prolong import universal_prolongation
 
 
 def rand_mat(field, rows, cols, rng, lo=-3, hi=3):
@@ -148,6 +149,26 @@ def test_prime_field_rejects_composite():
         Field(6)
 
 
+@pytest.mark.parametrize("p", [41, 2 ** 31 - 1])
+def test_a_prime_past_the_trial_divisors_builds_a_field(p):
+    # no divisor up to 37, so Miller-Rabin decides; for 41 a square reaches
+    # p - 1 only after the first witness power
+    f = Field(p)
+    assert f.p == p
+    assert f.mul(3, f.inv(3)) == 1
+
+
+def test_a_composite_past_the_trial_divisors_is_refused():
+    with pytest.raises(LinAlgError, match="1763 is not prime"):
+        Field(41 * 43)
+
+
+@pytest.mark.parametrize("p", [7, 11, 41])
+def test_every_nonzero_element_has_its_inverse(p):
+    f = GF(p)
+    assert all(f.mul(a, f.inv(a)) == 1 for a in range(1, p))
+
+
 def test_scalar_strings():
     assert QQ.format(Fraction(-3, 4)) == "-3/4"
     assert QQ.format(Fraction(5)) == "5"
@@ -190,7 +211,8 @@ def test_pipeline_keeps_q_normal_form(request, monkeypatch, storage_violations, 
         seen.append(m)
 
     monkeypatch.setattr(Mat, "data", property(slot.__get__, set_data))
-    de_rham(alg, "universal", 2)  # builds universal_prolongation(alg, 2)
+    de_rham(alg, "universal", 2)  # the closed form, and the generic route
+    cohomology(CochainComplex.from_graded(universal_prolongation(alg, 2)))
     if is_commutative(alg):
         de_rham(alg, "kahler", 2)
     sweep()

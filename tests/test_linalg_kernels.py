@@ -4,7 +4,11 @@ Each kernel runs on small random sparse matrices over Q and GF(p) and is
 compared with a naive dense computation written here from `m[i, j]`; rank is
 also compared with sympy's DomainMatrix, and the blockwise products by I (x) x
 and x (x) I, and (x (x) I)(I (x) m), with the products of the materialized
-Kronecker factors.
+Kronecker factors.  The elimination and the solve run over GF(7) and
+GF(11) too, where an inverse is not the element's cube.  kernel_basis and
+solve are held to their earlier routes, kept in tests/oracle_algebras.py
+(the second elimination, and the product check), over Q and GF(2, 3, 5, 7,
+11); the braiding as a column relabel is held to the product by the swap.
 hypothesis and sympy are test-only.
 """
 
@@ -25,9 +29,12 @@ from omegacalc.linalg import (  # noqa: E402
     kronecker,
     mul_id_kron,
     mul_kron_id,
+    mul_swap,
     rank,
     solve,
+    swap_matrix,
 )
+from oracle_algebras import kernel_basis_by_two_eliminations, solve_by_product_check  # noqa: E402
 
 FIELDS = [QQ, GF(2), GF(3), GF(5)]
 
@@ -267,7 +274,11 @@ def test_hstack_all_matches_dense(storage_violations, data, field):
 @settings(max_examples=60, deadline=None)
 @given(st.data(), fields)
 def test_rank_and_kernel_match_naive_elimination(storage_violations, data, field):
-    m = data.draw(matrices(field))
+    check_rank_and_kernel(data.draw(matrices(field)), storage_violations)
+
+
+def check_rank_and_kernel(m, storage_violations):
+    field = m.field
     prows, pivots = naive_rref(field, dense(m), m.cols)
     assert rank(m) == len(pivots)
     # the canonical kernel basis: null vectors from the free columns, in
@@ -291,7 +302,11 @@ def test_rank_and_kernel_match_naive_elimination(storage_violations, data, field
 @given(st.data(), fields)
 def test_solve_matches_naive_elimination(storage_violations, data, field):
     m = data.draw(matrices(field))
-    b = data.draw(matrices(field, rows=m.rows))
+    check_solve(m, data.draw(matrices(field, rows=m.rows)), storage_violations)
+
+
+def check_solve(m, b, storage_violations):
+    field = m.field
     aug = [r + s for r, s in zip(dense(m), dense(b))]
     prows, pivots = naive_rref(field, aug, m.cols + b.cols, limit=m.cols)
     _, all_pivots = naive_rref(field, aug, m.cols + b.cols)
@@ -304,6 +319,73 @@ def test_solve_matches_naive_elimination(storage_violations, data, field):
         expected[pc] = row[m.cols:]
     assert x is not None and x.rows == m.cols and x.cols == b.cols
     check(x, expected, storage_violations)
+
+
+# GF(7) and GF(11) invert elements whose inverse is not their cube: a
+# wrong exponent in Field.inv is the identity map on GF(2), GF(3) and GF(5)
+LARGER_PRIMES = [GF(7), GF(11)]
+
+
+@pytest.mark.parametrize("field", LARGER_PRIMES, ids=str)
+def test_elimination_and_solve_over_larger_primes_match_naive(storage_violations, field):
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def run(data):
+        m = data.draw(matrices(field))
+        check_rank_and_kernel(m, storage_violations)
+        check_solve(m, data.draw(matrices(field, rows=m.rows)), storage_violations)
+
+    run()
+
+
+@pytest.mark.parametrize("field", LARGER_PRIMES, ids=str)
+def test_a_pivot_past_plus_minus_one_is_inverted(storage_violations, field):
+    # 2 x = 1 has the solution 1/2, which is (p + 1) / 2
+    x = solve(Mat(field, [[2]]), Mat(field, [[1]]))
+    check(x, [[Fraction(1, 2)]], storage_violations)
+
+
+ORACLE_FIELDS = FIELDS + LARGER_PRIMES
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(ORACLE_FIELDS))
+def test_kernel_basis_matches_its_two_elimination_oracle(storage_violations, data, field):
+    # one elimination with the columns reversed gives the same canonical
+    # basis as the second elimination it replaced
+    m = data.draw(matrices(field, rows=data.draw(st.integers(0, 7)),
+                           cols=data.draw(st.integers(0, 9))))
+    k = kernel_basis(m)
+    assert k == kernel_basis_by_two_eliminations(m)
+    assert storage_violations(k) == []
+    assert (m * k).is_zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(ORACLE_FIELDS), st.sampled_from(["consistent", "random",
+                                                                   "inconsistent"]))
+def test_solve_matches_its_product_check_oracle(data, field, kind):
+    # the inconsistency flag of the elimination decides exactly what
+    # multiplying the answer out decided
+    m = data.draw(matrices(field, rows=data.draw(st.integers(0, 7)),
+                           cols=data.draw(st.integers(0, 7))))
+    cols = data.draw(st.integers(0, 3))
+    if kind == "consistent":
+        b = m * data.draw(matrices(field, rows=m.cols, cols=cols))
+    else:
+        b = data.draw(matrices(field, rows=m.rows, cols=cols))
+    if kind == "inconsistent":
+        # a zero row of M against a nonzero entry of B reads 0 = 1
+        cols = max(cols, 1)
+        b = b.hstack(Mat.zeros(field, b.rows, cols - b.cols)) if b.cols < cols else b
+        m = m.vstack(Mat.zeros(field, 1, m.cols))
+        b = b.vstack(Mat.from_entries(field, 1, cols, [(0, cols - 1, 1)]))
+    x = solve(m, b)
+    assert x == solve_by_product_check(m, b)
+    if kind == "consistent":
+        assert x is not None and m * x == b
+    if kind == "inconsistent":
+        assert x is None
 
 
 def test_rank_matches_sympy():
@@ -324,3 +406,17 @@ def test_rank_matches_sympy():
         assert rank(m) == DomainMatrix(rows, (m.rows, m.cols), dom).rank()
 
     run()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), fields, st.integers(0, 3), st.integers(0, 3))
+def test_mul_swap_is_the_product_by_the_swap(storage_violations, data, field, m, n):
+    x = data.draw(matrices(field, cols=m * n))
+    out = mul_swap(x, m, n)
+    assert out == x * swap_matrix(field, m, n)
+    assert storage_violations(out) == []
+
+
+def test_mul_swap_rejects_a_shape_mismatch():
+    with pytest.raises(LinAlgError, match="swap"):
+        mul_swap(Mat.zeros(QQ, 1, 5), 2, 3)

@@ -7,7 +7,7 @@ except ImportError:  # hypothesis is test-only: the one test that needs it is sk
 
 from omegacalc.algebra import Algebra, AlgMap, is_commutative
 from omegacalc.bimodule import tensor_over_algebra
-from omegacalc.derham import de_rham, de_rham_comparison
+from omegacalc.derham import CochainComplex, cohomology, de_rham, de_rham_comparison
 from omegacalc.fodc import (
     FirstOrderCalculus,
     PreconditionError,
@@ -477,8 +477,9 @@ def test_maps_from_the_universal_prolongation_match_unique_dg_morphism(name):
     # the oracle behind the certificate at MaximalProlongation.from_universal:
     # h^k = Q_k (h^(k-1) (x) I) is the map the degreewise factoring finds,
     # through the zero branch past a zero component and, on the universal
-    # calculus, where every Q_k is the identity; de_rham_comparison returns
-    # it as its chain maps
+    # calculus, where every Q_k is the identity; on the Kaehler calculus,
+    # read on the generic universal theory's representatives, it is the
+    # comparison de_rham_comparison reads off the closed form
     alg = PROJECTION_ALGEBRAS[name]()
     top = 3 if alg.dim <= 4 else 2
     up = universal_prolongation(alg, top)
@@ -490,7 +491,11 @@ def test_maps_from_the_universal_prolongation_match_unique_dg_morphism(name):
         if label == "universal":
             assert maps == [Mat.identity(alg.field, d) for d in up.dims]
         if label == "kahler":
-            assert de_rham_comparison(alg, top)["chain_maps"] == maps
+            rep_u = cohomology(CochainComplex.from_graded(up))
+            rep_k = cohomology(CochainComplex.from_graded(maxi))
+            assert de_rham_comparison(alg, top)["comparison"] == [
+                dk.class_coordinates(maps[du.n] * du.representatives)
+                for du, dk in zip(rep_u.degrees, rep_k.degrees)]
 
 
 def test_validation_report_sees_a_calculus_not_generated_in_degree_zero(qq_alg):

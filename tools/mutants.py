@@ -50,6 +50,12 @@ KERNEL_SHORTCUT_ORACLE = ("tests/test_fodc.py -k "
 KAHLER_ORACLE = "tests/test_kahler.py -k matches_the_saturated_quotient_of_omega_u"
 PROJECTION_ORACLE = ("tests/test_prolong.py -k "
                      "maps_from_the_universal_prolongation_match_unique_dg_morphism")
+UNIVERSAL_DE_RHAM_ORACLE = "tests/test_derham.py -k universal_de_rham_matches_the_generic_route"
+SOLVE_ORACLE = "tests/test_linalg_kernels.py -k solve_matches_its_product_check_oracle"
+KERNEL_BASIS_ORACLE = "tests/test_linalg_kernels.py -k kernel_basis_matches_its_two_elimination_oracle"
+D_SQUARED_PIN = "tests/test_derham.py -k user_built_graded_calculus_keeps_the_d_squared_check"
+LARGER_PRIMES = "tests/test_linalg_kernels.py -k larger_primes"
+MILLER_RABIN = "tests/test_linalg.py -k past_the_trial_divisors"
 
 MUTANTS = [
     # the prolongation builder: the sign of the right-action recursion, the
@@ -199,7 +205,7 @@ MUTANTS = [
      "for j in bar[k + 1:]:",
      KAHLER_ORACLE),
     ("src/omegacalc/kahler.py",
-     "rm = lm * swap_matrix(f, q.rows, n)",
+     "rm = mul_swap(lm, q.rows, n)",
      "rm = lm",
      KAHLER_ORACLE),
     # the maps from the universal prolongation with the Kronecker factors
@@ -214,6 +220,50 @@ MUTANTS = [
      "    return (q * sub).is_zero()",
      "    return (q * sup).is_zero()",
      CONTAINMENT_ORACLE),
+    # the universal de Rham theory in closed form, with the unit not scaled
+    # to 1 at its pivot
+    ("src/omegacalc/derham.py",
+     "unit = Mat.col_vector(f, [f.mul(lead, x) for x in a.unit])",
+     "unit = Mat.col_vector(f, a.unit)",
+     UNIVERSAL_DE_RHAM_ORACLE),
+    # solve with the inconsistency flag of its elimination ignored
+    ("src/omegacalc/linalg.py",
+     "    if inconsistent:\n        return None\n",
+     "    if False:\n        return None\n",
+     SOLVE_ORACLE),
+    # kernel_basis read off the elimination in the given column order: the
+    # null space, but not in reduced column echelon form
+    ("src/omegacalc/linalg.py",
+     "    flipped = [{last - c: v for c, v in row.items()} for row in m.data]\n"
+     "    prows, pcols, _ = _rref_sparse(m.field, flipped)\n"
+     "    vecs = _null_vectors(m.field, prows, pcols, n)\n"
+     "    data = [{} for _ in range(n)]\n"
+     "    for a, vec in enumerate(reversed(vecs)):\n"
+     "        for c, v in vec.items():\n"
+     "            data[last - c][a] = v\n",
+     "    prows, pcols, _ = _rref_sparse(m.field, m.data)\n"
+     "    vecs = _null_vectors(m.field, prows, pcols, n)\n"
+     "    data = [{} for _ in range(n)]\n"
+     "    for a, vec in enumerate(vecs):\n"
+     "        for c, v in vec.items():\n"
+     "            data[c][a] = v\n",
+     KERNEL_BASIS_ORACLE),
+    # a user-built GradedCalculus marked as certified, so that from_graded
+    # skips its d.d check
+    ("src/omegacalc/prolong.py",
+     "        self._dg_certified = False\n",
+     "        self._dg_certified = True\n",
+     D_SQUARED_PIN),
+    # the field: Fermat's inverse with the wrong exponent, and Miller-Rabin
+    # missing a witness square that reaches p - 1
+    ("src/omegacalc/linalg.py",
+     "return pow(a, self.p - 2, self.p)",
+     "return pow(a, self.p + 2, self.p)",
+     LARGER_PRIMES),
+    ("src/omegacalc/linalg.py",
+     "            if x == p - 1:",
+     "            if x == p + 1:",
+     MILLER_RABIN),
 ]
 
 
