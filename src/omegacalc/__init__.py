@@ -4,30 +4,11 @@ from .algebra import (
     Algebra,
     AlgMap,
     AxiomError,
-    alg_map_report,
-    algebra_axiom_report,
     build_group_algebra,
     build_matrix_algebra,
-    build_square_zero,
     build_truncated_poly,
-    is_commutative,
-    opposite,
 )
-from .bimodule import (
-    BimodMap,
-    Bimodule,
-    bimod_cokernel,
-    bimod_kernel,
-    bimodule_hom_basis,
-    bimodule_hom_dim,
-    extend_bimodule,
-    free_bimodule,
-    generated_sub_bimodule,
-    regular_bimodule,
-    restrict_bimodule,
-    tensor_over_algebra,
-    zero_bimodule,
-)
+from .bimodule import BimodMap, Bimodule, tensor_over_algebra
 from .derham import (
     CochainComplex,
     CohomologyReport,
@@ -42,20 +23,12 @@ from .fodc import (
     check_fodc,
     enumerate_action_closed_subspaces,
     induced_map,
-    kernel_counit_comparison,
     quotient_calculus,
     sub_calculus_correspondence,
     universal_calculus,
     zero_calculus,
 )
-from .hopf import (
-    Bimonoid,
-    bicovariance_check,
-    bimonoid_axiom_report,
-    check_hopf_module,
-    group_like_bimonoid,
-    universal_coactions,
-)
+from .hopf import Bimonoid, bicovariance_check, group_like_bimonoid, universal_coactions
 from .kahler import centrality_check, kahler_calculus
 from .linalg import (
     GF,
@@ -64,11 +37,8 @@ from .linalg import (
     Field,
     LinAlgError,
     Mat,
-    cokernel_projection,
-    direct_sum,
     image_basis,
     kernel_basis,
-    kronecker,
     rank,
     solve,
 )
@@ -76,16 +46,8 @@ from .prolong import (
     GradedCalculus,
     maximal_prolongation,
     trivial_extension,
-    truncation_adjoints_check,
-    unique_dg_morphism,
     universal_prolongation,
 )
-from .scalars import (
-    calc1_category_adjoints_check,
-    calc_pullback,
-    calc_pushforward,
-    square_zero_unit_check,
-    verify_poset_adjunction,
-)
+from .scalars import calc_pullback, calc_pushforward, verify_poset_adjunction
 
 __version__ = "0.1.0"

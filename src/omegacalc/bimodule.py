@@ -1,4 +1,6 @@
-"""A-B bimodules with explicit action tensors, and their standard constructions.
+"""A-B bimodules with explicit action tensors, and the constructions the
+calculi are built from: sub-bimodules, quotients, saturation and the tensor
+product over an algebra.
 
 Actions are kept as matrices: left_mat: A(x)M -> M and right_mat: M(x)B -> M
 in the fixed row-major tensor basis.  Left modules and right modules are the
@@ -8,25 +10,17 @@ algebra, so a single type covers all three notions.
 
 from __future__ import annotations
 
-from .algebra import Algebra, AlgMap, AxiomError, build_truncated_poly
+from .algebra import Algebra, AxiomError
 from .linalg import (
     LinAlgError,
     Mat,
     image_basis,
-    kernel_basis,
     kronecker,
     mul_id_kron,
     mul_kron_id,
     quotient_maps,
     solve,
-    _null_vectors,
-    _rref_sparse,
 )
-
-
-def field_algebra(field) -> Algebra:
-    """The base field as the unit algebra (1-dimensional)."""
-    return build_truncated_poly(field, 1, var="t")
 
 
 def bimodule_axiom_report(a: Algebra, b: Algebra, dim: int, left_mat: Mat, right_mat: Mat) -> list[str]:
@@ -133,37 +127,6 @@ def bimod_map_report(f: BimodMap) -> list[str]:
     return report
 
 
-# ---------------------------------------------------------------------------
-# standard bimodules
-# ---------------------------------------------------------------------------
-
-def regular_bimodule(a: Algebra) -> Bimodule:
-    """A acting on itself on both sides."""
-    return Bimodule(a, a, a.dim, a.mult_mat, a.mult_mat, check=False)
-
-
-def tensor_square_bimodule(a: Algebra) -> Bimodule:
-    """A(x)A with outer actions m(x)1 and 1(x)m; the tests hold the universal
-    calculus's iota to it as a bimodule map."""
-    i_n = Mat.identity(a.field, a.dim)
-    return Bimodule(
-        a, a, a.dim * a.dim,
-        kronecker(a.mult_mat, i_n),
-        kronecker(i_n, a.mult_mat),
-        check=False,
-    )
-
-
-def free_bimodule(a: Algebra, d: int, b: Algebra) -> Bimodule:
-    """The free bimodule A(x)k^d(x)B on a d-dimensional space."""
-    f = a.field
-    dim = a.dim * d * b.dim
-    i_rest = Mat.identity(f, d * b.dim)
-    left = kronecker(a.mult_mat, i_rest)
-    right = kronecker(Mat.identity(f, a.dim * d), b.mult_mat)
-    return Bimodule(a, b, dim, left, right, check=False)
-
-
 def zero_bimodule(a: Algebra, b: Algebra) -> Bimodule:
     f = a.field
     return Bimodule(a, b, 0, Mat.zeros(f, 0, 0), Mat.zeros(f, 0, 0), check=False)
@@ -237,23 +200,6 @@ def quotient_bimodule(m: Bimodule, sub_canonical: Mat) -> tuple[Bimodule, BimodM
     return quo, BimodMap(m, quo, q, check=False), s
 
 
-def bimod_kernel(f: BimodMap) -> tuple[Bimodule, BimodMap]:
-    basis = kernel_basis(f.matrix)
-    return sub_bimodule(f.source, basis)
-
-
-def bimod_cokernel(f: BimodMap) -> tuple[Bimodule, BimodMap]:
-    quo, proj, _s = quotient_bimodule(f.target, image_basis(f.matrix))
-    return quo, proj
-
-
-def generated_sub_bimodule(m: Bimodule, gens: list[list]) -> tuple[Bimodule, BimodMap]:
-    """Smallest action-closed subspace containing the generators: the image
-    A . V . A of A (x) V (x) A -> M, see saturate_subspace."""
-    basis = saturate_subspace(m, gens)
-    return sub_bimodule(m, basis)
-
-
 def saturate_subspace(m: Bimodule, gens) -> Mat:
     """Canonical basis of the sub-bimodule A . V . A generated by V = span(gens)."""
     if isinstance(gens, Mat):
@@ -290,80 +236,3 @@ def tensor_over_algebra(m: Bimodule, n: Bimodule) -> tuple[Bimodule, Mat]:
     rm = _mul_section(mul_id_kron(q, m.dim, n.right_mat), 1, s, n.right_alg.dim)
     t = Bimodule(m.left_alg, n.right_alg, q.rows, lm, rm, check=False)
     return t, q
-
-
-def restrict_bimodule(f: AlgMap, g: AlgMap, m: Bimodule) -> Bimodule:
-    """Restriction of scalars along f: A -> B and g: A' -> B'."""
-    if f.target != m.left_alg or g.target != m.right_alg:
-        raise LinAlgError("restriction maps do not land in the acting algebras")
-    return Bimodule(
-        f.source, g.source, m.dim,
-        mul_kron_id(m.left_mat, f.matrix, m.dim),
-        mul_id_kron(m.right_mat, m.dim, g.matrix),
-        check=False,
-    )
-
-
-def extend_bimodule(f: AlgMap, g: AlgMap, m: Bimodule) -> tuple[Bimodule, Mat]:
-    """Extension of scalars (B (x)_A M) (x)_A' B'; also returns the quotient
-    map from B (x) M (x) B'."""
-    if f.source != m.left_alg or g.source != m.right_alg:
-        raise LinAlgError("extension maps do not start at the acting algebras")
-    b, bp = f.target, g.target
-    # B as a (B, A)-bimodule via f, B' as an (A', B')-bimodule via g
-    b_bimod = Bimodule(
-        b, m.left_alg, b.dim,
-        b.mult_mat,
-        mul_id_kron(b.mult_mat, b.dim, f.matrix),
-        check=False,
-    )
-    bp_bimod = Bimodule(
-        m.right_alg, bp, bp.dim,
-        mul_kron_id(bp.mult_mat, g.matrix, bp.dim),
-        bp.mult_mat,
-        check=False,
-    )
-    t1, q1 = tensor_over_algebra(b_bimod, m)
-    t2, q2 = tensor_over_algebra(t1, bp_bimod)
-    q_total = mul_kron_id(q2, q1, bp.dim)
-    return t2, q_total
-
-
-# ---------------------------------------------------------------------------
-# hom spaces
-# ---------------------------------------------------------------------------
-
-def bimodule_hom_basis(m: Bimodule, n: Bimodule) -> list[Mat]:
-    """Basis of the space of bimodule maps M -> N (canonical order)."""
-    if m.left_alg != n.left_alg or m.right_alg != n.right_alg:
-        raise LinAlgError("hom between bimodules over different algebra pairs")
-    f = m.field
-    na, nb = m.left_alg.dim, m.right_alg.dim
-    mm, mn = m.dim, n.dim
-
-    def relation(w, u, m_coeffs, n_coeffs):
-        """sum_x m_x h[w, x] - sum_y n_y h[y, u] as a sparse row over the
-        unknowns h, indexed row-major (w * mm + x)."""
-        row = {w * mm + x: c for x, c in enumerate(m_coeffs) if c}
-        for y, c in enumerate(n_coeffs):
-            if c:
-                row[y * mm + u] = f.sub(row.get(y * mm + u, 0), c)
-        return {k: v for k, v in row.items() if v}
-
-    # h . l_M = l_N . (1 (x) h)
-    rows = [
-        relation(w, u, m.left_mat.column(i * mm + u), [n.left_mat[w, i * mn + y] for y in range(mn)])
-        for w in range(mn) for i in range(na) for u in range(mm)
-    ]
-    # h . r_M = r_N . (h (x) 1)
-    rows += [
-        relation(w, u, m.right_mat.column(u * nb + j), [n.right_mat[w, y * nb + j] for y in range(mn)])
-        for w in range(mn) for u in range(mm) for j in range(nb)
-    ]
-    prows, pcols, _ = _rref_sparse(f, rows)
-    return [Mat.from_entries(f, mn, mm, [(k // mm, k % mm, v) for k, v in vec.items()])
-            for vec in _null_vectors(f, prows, pcols, mn * mm)]
-
-
-def bimodule_hom_dim(m: Bimodule, n: Bimodule) -> int:
-    return len(bimodule_hom_basis(m, n))

@@ -31,7 +31,6 @@ from .linalg import (
     kernel_basis,
     kronecker,
     quotient_maps,
-    rank,
     solve,
 )
 from .prolong import GradedCalculus, maximal_prolongation
@@ -120,18 +119,6 @@ def cohomology(c: CochainComplex) -> CohomologyReport:
             n, c.dims[n], dim_h, boundaries.cols, reps, q, class_basis,
         ))
     return CohomologyReport(out)
-
-
-def rank_identity_report(c: CochainComplex, rep: CohomologyReport) -> list[str]:
-    """dim Omega^n = rank d^n + rank d^(n-1) + dim H^n at interior degrees."""
-    errs = []
-    for d in rep.degrees:
-        n = d.n
-        r_out = rank(c.diff[n])
-        r_in = 0 if n == 0 else rank(c.diff[n - 1])
-        if c.dims[n] != r_out + r_in + d.dim_h:
-            errs.append(f"rank identity fails at degree {n}")
-    return errs
 
 
 def _universal_de_rham(a: Algebra, max_degree: int) -> CohomologyReport:

@@ -18,16 +18,12 @@ from .bimodule import (
     BimodMap,
     Bimodule,
     action_closed,
-    bimodule_hom_basis,
     quotient_bimodule,
-    tensor_over_algebra,
     zero_bimodule,
 )
 from .linalg import (
-    EngineError,
     LinAlgError,
     Mat,
-    factor_through_surjection,
     image_basis,
     kernel_basis,
     mul_id_kron,
@@ -286,25 +282,12 @@ def induced_map(target: FirstOrderCalculus) -> BimodMap:
     """The unique calculus morphism from the universal calculus, phi.
 
     Existence, the universal property phi d_u = d and surjectivity are
-    certified at `_phi`; uniqueness is certified by `induced_map_is_unique`.
+    certified at `_phi`.  It is unique because Omega_u = A dA_u, so a
+    bimodule map is fixed by its values on d_u(A); the tests check that no
+    nonzero bimodule map kills d_u.
     """
     u = universal_calculus(target.alg)
     return BimodMap(u.omega, target.omega, _phi(target), check=False)
-
-
-def induced_map_is_unique(target: FirstOrderCalculus) -> bool:
-    """No nonzero bimodule map Omega_u -> target kills d_u (0-dim solution space)."""
-    u = universal_calculus(target.alg)
-    hom = bimodule_hom_basis(u.omega, target.omega)
-    if not hom:
-        return True
-    f = u.alg.field
-    cols = []
-    for h in hom:
-        hd = h * u.d
-        cols.append([x for row in hd.dense_rows() for x in row])
-    sys = Mat.from_cols(f, cols, rows=target.dim * u.alg.dim)
-    return kernel_basis(sys).cols == 0
 
 
 def quotient_calculus(c: FirstOrderCalculus, sub: Mat) -> tuple[FirstOrderCalculus, BimodMap]:
@@ -334,13 +317,6 @@ def calculus_morphism_exists(src: FirstOrderCalculus, dst: FirstOrderCalculus) -
     if src.alg != dst.alg:
         raise LinAlgError("calculi over different algebras")
     return subspace_leq(_kernel(src), _kernel(dst))
-
-
-def calculus_morphism(src: FirstOrderCalculus, dst: FirstOrderCalculus) -> Mat | None:
-    """The unique morphism matrix src -> dst when it exists, else None."""
-    if src.alg != dst.alg:
-        raise LinAlgError("calculi over different algebras")
-    return factor_through_surjection(_phi(dst), _phi(src))
 
 
 def sub_calculus_correspondence(a: Algebra, family: list[Mat]) -> list[dict]:
@@ -420,42 +396,3 @@ def enumerate_action_closed_subspaces(m: Bimodule) -> list[Mat]:
             record(image_basis(blocks[i] - blocks[j]))
     return sorted(found.values(), key=lambda s: (
         s.cols, tuple(tuple(map(f.format, row)) for row in s.dense_rows())))
-
-
-def kernel_counit_comparison(left_module: Bimodule) -> dict:
-    """ker(mu_M: A(x)M -> M) vs Omega_u (x)_A M, with the explicit inverse pair.
-
-    left_module is an (A, field) bimodule.  Returns both dimensions and the
-    two comparison matrices; "invertible" certifies they are mutually inverse.
-    """
-    a = left_module.left_alg
-    f = a.field
-    u = universal_calculus(a)
-    mu = left_module.left_mat
-    k_basis = kernel_basis(mu)
-    t_mod, q = tensor_over_algebra(u.omega, left_module)
-    # (1 (x) mu)(iota (x) 1) on transposed rows: (iota^T (x) 1)(1 (x) mu^T)
-    dm = left_module.dim
-    g_rhs = mul_id_kron(mul_kron_id(Mat.identity(f, u.dim * dm), u.iota.transpose(), dm),
-                        a.dim, mu.transpose()).transpose()
-    g = factor_through_surjection(g_rhs, q)
-    if g is None:
-        raise EngineError("comparison map does not descend to the tensor product")
-    t_map = mul_kron_id(q, u.d, left_module.dim) * k_basis
-    s_raw = solve(k_basis, g)
-    if s_raw is None:
-        raise EngineError("comparison does not land in the kernel of the action")
-    # with iota d(a) = 1 (x) a - a (x) 1 the raw pair composes to -id, so the
-    # inverse of t is -s
-    s_map = -s_raw
-    invertible = (
-        s_map * t_map == Mat.identity(f, k_basis.cols)
-        and t_map * s_map == Mat.identity(f, t_mod.dim)
-    )
-    return {
-        "kernel_dim": k_basis.cols,
-        "tensor_dim": t_mod.dim,
-        "to_tensor": t_map,
-        "to_kernel": s_map,
-        "invertible": invertible,
-    }

@@ -12,15 +12,14 @@ iota and reading back through the retraction, and a quotient
 c = Omega_u / N inherits them through phi: Omega_u ->> c when N is a
 subcomodule on both sides.  Both are Hopf calculi by construction
 (Woronowicz 1989), and the certificates sit in `universal_coactions` and
-`bicovariance_check`.  `check_hopf_module` and `d_comodule_report` stay
-public; the tests run them on both constructions.
+`bicovariance_check`; the tests hold both constructions to the Hopf-module
+and d-comodule axioms (`tests/oracles.py`).
 Antipodes are never needed and are not modeled.
 """
 
 from __future__ import annotations
 
 from .algebra import Algebra, AxiomError
-from .bimodule import Bimodule
 from .fodc import FirstOrderCalculus, _kernel, _phi, _section, universal_calculus
 from .linalg import (
     LinAlgError,
@@ -138,56 +137,6 @@ def _codiagonal_coactions(h: Bimonoid, x: Mat, g: Mat) -> tuple[Mat, Mat]:
     return lam.transpose(), rho.transpose()
 
 
-def check_hopf_module(h: Bimonoid, m: Bimodule, lam: Mat, rho: Mat) -> list[str]:
-    """Every violated Hopf-module axiom, by name.
-
-    The two compatibility clauses pair each coaction with the opposite-side
-    action through the comultiplication; the same-side pairings hold for all
-    the canonical structures and are reported as well.
-    """
-    a = h.alg
-    n = a.dim
-    f = a.field
-    dim = m.dim
-    if m.left_alg != a or m.right_alg != a:
-        raise LinAlgError("Hopf module must be an A-A bimodule over the bimonoid")
-    if (lam.rows, lam.cols) != (n * dim, dim):
-        raise LinAlgError("left coaction has wrong shape")
-    if (rho.rows, rho.cols) != (dim * n, dim):
-        raise LinAlgError("right coaction has wrong shape")
-    i_n = Mat.identity(f, n)
-    i_m = Mat.identity(f, dim)
-    report = []
-    if kronecker(h.comult, i_m) * lam != kronecker(i_n, lam) * lam:
-        report.append("left coaction coassociativity fails")
-    if kronecker(h.counit, i_m) * lam != i_m:
-        report.append("left coaction counit law fails")
-    if kronecker(i_m, h.comult) * rho != kronecker(rho, i_n) * rho:
-        report.append("right coaction coassociativity fails")
-    if kronecker(i_m, h.counit) * rho != i_m:
-        report.append("right coaction counit law fails")
-    if kronecker(i_n, rho) * lam != kronecker(lam, i_n) * rho:
-        report.append("left and right coactions do not commute")
-    l_mat, r_mat = m.left_mat, m.right_mat
-    delta = h.comult
-    # lambda(x . b) = x_(-1) b_(1) (x) x_(0) . b_(2)
-    shuffle_ma = kronecker(i_n, kronecker(swap_matrix(f, dim, n), i_n))
-    if lam * r_mat != kronecker(a.mult_mat, r_mat) * shuffle_ma * kronecker(lam, delta):
-        report.append("left coaction is not a map of right modules")
-    # rho(a . x) = a_(1) . x_(0) (x) a_(2) x_(1)
-    shuffle_am = kronecker(i_n, kronecker(swap_matrix(f, n, dim), i_n))
-    if rho * l_mat != kronecker(l_mat, a.mult_mat) * shuffle_am * kronecker(delta, rho):
-        report.append("right coaction is not a map of left modules")
-    # same-side diagonals, as engine self-checks
-    shuffle_aa_m = kronecker(i_n, kronecker(swap_matrix(f, n, n), i_m))
-    if lam * l_mat != kronecker(a.mult_mat, l_mat) * shuffle_aa_m * kronecker(delta, lam):
-        report.append("left coaction is not a map of left modules")
-    shuffle_m_aa = kronecker(i_m, kronecker(swap_matrix(f, n, n), i_n))
-    if rho * r_mat != kronecker(r_mat, a.mult_mat) * shuffle_m_aa * kronecker(rho, delta):
-        report.append("right coaction is not a map of right modules")
-    return report
-
-
 class HopfCalculus:
     """A calculus together with compatible coactions (a Hopf calculus)."""
 
@@ -199,18 +148,6 @@ class HopfCalculus:
     @property
     def dim(self):
         return self.calculus.dim
-
-
-def d_comodule_report(h: Bimonoid, calc: FirstOrderCalculus, lam: Mat, rho: Mat) -> list[str]:
-    """d intertwines the coactions with the comultiplication (two identities)."""
-    n = h.alg.dim
-    i_n = Mat.identity(h.alg.field, n)
-    report = []
-    if lam * calc.d != kronecker(i_n, calc.d) * h.comult:
-        report.append("d is not a left comodule map")
-    if rho * calc.d != kronecker(calc.d, i_n) * h.comult:
-        report.append("d is not a right comodule map")
-    return report
 
 
 def universal_coactions(h: Bimonoid) -> HopfCalculus:
@@ -225,7 +162,7 @@ def universal_coactions(h: Bimonoid) -> HopfCalculus:
     lam, rho = _codiagonal_coactions(h, u.iota, u.retraction)
     # Certificate for the coactions and the Hopf-module and d-comodule
     # axioms, in place of solving through 1 (x) iota and iota (x) 1 and of
-    # check_hopf_module and d_comodule_report:
+    # the Hopf-module and d-comodule checks:
     # 1. A(x)A with the codiagonal coactions lam_reg and rho_reg is a Hopf
     #    bimodule, because Bimonoid checked that Delta is coassociative, that
     #    eps is its counit and that both are unital algebra maps.
@@ -244,8 +181,9 @@ def universal_coactions(h: Bimonoid) -> HopfCalculus:
     #    d-colinearity pulls back the same way from iota d = 1 (x) a - a (x) 1,
     #    since lam_reg (1 (x) a - a (x) 1) = (1 (x) iota d) Delta(a) by Delta(1) = 1 (x) 1,
     #    and likewise for rho.
-    # tests/test_hopf.py runs both reports and the intertwining identities
-    # of (2), and checks lam and rho against the other left inverse of iota.
+    # tests/test_hopf.py runs both checks (tests/oracles.py) and the
+    # intertwining identities of (2), and checks lam and rho against the
+    # other left inverse of iota.
     return HopfCalculus(u, lam, rho)
 
 
@@ -274,8 +212,8 @@ def bicovariance_check(h: Bimonoid, c: FirstOrderCalculus) -> dict:
         return {"bicovariant": False, "witnesses": witnesses}
     lam, rho = _codiagonal_coactions(h, u.iota * _section(c), to_c)
     # Certificate for the quotient coactions and the Hopf calculus axioms, in
-    # place of factoring through phi and of check_hopf_module and
-    # d_comodule_report on the quotient (Woronowicz 1989):
+    # place of factoring through phi and of the Hopf-module and d-comodule
+    # checks on the quotient (Woronowicz 1989):
     # 1. phi is onto, a bimodule map and phi d_u = d (certified at
     #    fodc._phi), and phi section = id (fodc._section).  Omega_u with
     #    lam_u and rho_u is a Hopf calculus (certified at universal_coactions).
@@ -289,7 +227,7 @@ def bicovariance_check(h: Bimonoid, c: FirstOrderCalculus) -> dict:
     #    followed by phi; phi is onto, so each holds on c.  d-colinearity
     #    pulls back the same way: lam_c d = lam_c phi d_u = (1 (x) phi d_u) Delta
     #    = (1 (x) d) Delta, and likewise for rho_c.
-    # tests/test_hopf.py runs both reports on the quotient coactions of every
+    # tests/test_hopf.py runs both checks on the quotient coactions of every
     # bicovariant quotient in the enumerated lattices.
     return {
         "bicovariant": True,

@@ -20,7 +20,7 @@ def mat_to_lists(m: Mat) -> list[list[str]]:
     return [[m.field.format(x) for x in row] for row in m.dense_rows()]
 
 
-def mat_from_lists(field: Field, rows: list[list], nrows: int, ncols: int) -> Mat:
+def _mat_from_lists(field: Field, rows: list[list], nrows: int, ncols: int) -> Mat:
     if len(rows) != nrows or any(len(r) != ncols for r in rows):
         raise LinAlgError("matrix block has wrong shape")
     if nrows == 0 or ncols == 0:
@@ -86,7 +86,7 @@ def bimonoid_from_json(doc: dict, alg: Algebra | None = None) -> Bimonoid:
 def morphism_from_json(doc: dict, base: Path | None = None) -> AlgMap:
     src = _resolve_algebra(doc["source"], base)
     dst = _resolve_algebra(doc["target"], base)
-    matrix = mat_from_lists(dst.field, doc["matrix"], dst.dim, src.dim)
+    matrix = _mat_from_lists(dst.field, doc["matrix"], dst.dim, src.dim)
     return AlgMap(src, dst, matrix)
 
 
@@ -97,22 +97,6 @@ def _resolve_algebra(spec, base: Path | None) -> Algebra:
             path = base / path
         return algebra_from_json(load_json(path))
     return algebra_from_json(spec)
-
-
-def bimodule_to_json(m: Bimodule) -> dict:
-    return {
-        "left_alg": algebra_to_json(m.left_alg),
-        "right_alg": algebra_to_json(m.right_alg),
-        "dim": m.dim,
-        "left": [
-            [[m.field.format(x) for x in m.left_action_coords(i, u)] for u in range(m.dim)]
-            for i in range(m.left_alg.dim)
-        ],
-        "right": [
-            [[m.field.format(x) for x in m.right_action_coords(u, j)] for j in range(m.right_alg.dim)]
-            for u in range(m.dim)
-        ],
-    }
 
 
 def bimodule_from_json(doc: dict) -> Bimodule:

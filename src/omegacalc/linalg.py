@@ -1,8 +1,8 @@
 """Exact sparse linear algebra over Q and GF(p).
 
 Everything downstream (algebras, bimodules, calculi, cohomology) reduces to
-kernels, images, cokernels and solves of matrices over an exact field, so
-this module is the single computational substrate.  No floating point.
+kernels, images, quotient maps and solves of matrices over an exact field,
+so this module is the single computational substrate.  No floating point.
 
 Storage: a matrix keeps each row as a dict {col: value} holding only the
 nonzero entries; a zero is never stored, so equality of matrices is equality
@@ -18,7 +18,8 @@ Canonical form convention: bases of subspaces are returned in reduced column
 echelon form (the transpose of a reduced row echelon form), so two subspaces
 are equal iff their canonical matrices are equal.  A function handed a
 subspace takes it in this form, and quotient_maps, which every such function
-reaches, raises on any other basis.  Tensor product bases are
+reaches, raises on any other basis and on a basis of another height, an
+empty one included.  Tensor product bases are
 ordered row-major: e_i (x) e_j  ->  index i*dim2 + j.
 
 Kernels: the product `Mat.__mul__`, `kronecker`, elimination
@@ -533,20 +534,6 @@ def kron_id_mul(x: Mat, q: int, p: int, m: Mat) -> Mat:
     return _mat(x.field, x.rows * q, p * mc, data)
 
 
-def kron_all(mats: list[Mat]) -> Mat:
-    out = mats[0]
-    for m in mats[1:]:
-        out = kronecker(out, m)
-    return out
-
-
-def direct_sum(a: Mat, b: Mat) -> Mat:
-    if a.field != b.field:
-        raise LinAlgError("field mismatch")
-    shifted = [dict(zip(map(a.cols.__add__, row), row.values())) for row in b.data]
-    return _mat(a.field, a.rows + b.rows, a.cols + b.cols, a.data + shifted)
-
-
 def swap_matrix(field: Field, m: int, n: int) -> Mat:
     """Matrix of the braiding V(x)W -> W(x)V on spaces of dims m, n."""
     data = [{} for _ in range(m * n)]
@@ -722,21 +709,6 @@ def inverse(m: Mat) -> Mat:
     return x
 
 
-def is_invertible(m: Mat) -> bool:
-    return m.rows == m.cols and rank(m) == m.rows
-
-
-def cokernel_projection(m: Mat) -> tuple[Mat, int]:
-    """Canonical surjection Q from the ambient row space with Q M = 0.
-
-    The quotient coordinates are the non-pivot rows of the canonical image
-    basis (echelon complement), so Q comes with the canonical section used
-    by quotient_maps.
-    """
-    q, _s = quotient_maps(image_basis(m), m.rows)
-    return q, q.rows
-
-
 def quotient_maps(sub_canonical: Mat, ambient_dim: int) -> tuple[Mat, Mat]:
     """(Q, s) for the quotient by a subspace given by its canonical basis.
 
@@ -746,7 +718,7 @@ def quotient_maps(sub_canonical: Mat, ambient_dim: int) -> tuple[Mat, Mat]:
     Any other basis raises a LinAlgError: Q would not kill its span.
     """
     field = sub_canonical.field
-    if sub_canonical.rows not in (ambient_dim,) and sub_canonical.cols != 0:
+    if sub_canonical.rows != ambient_dim:
         raise LinAlgError("subspace basis does not live in the ambient space")
     basis = sub_canonical.transpose().data
     # reduced column echelon form: the pivots increase (a zero column has
@@ -782,18 +754,6 @@ def subspace_leq(sub: Mat, sup: Mat) -> bool:
     """col(sub) <= col(sup), read off the quotient map of the canonical sup."""
     q, _s = quotient_maps(sup, sup.rows)
     return (q * sub).is_zero()
-
-
-def subspace_intersection(a: Mat, b: Mat) -> Mat:
-    """Canonical basis of col(a) & col(b)."""
-    if a.rows != b.rows or a.field != b.field:
-        raise LinAlgError("subspace mismatch")
-    if a.cols == 0 or b.cols == 0:
-        return Mat.zeros(a.field, a.rows, 0)
-    # columns of k are stacked (x; y) with a x = b y; the intersection is a x
-    k = kernel_basis(a.hstack(-b))
-    xs = _mat(a.field, a.cols, k.cols, k.data[:a.cols])
-    return image_basis(a * xs)
 
 
 def preimage_basis(f: Mat, sub: Mat) -> Mat:

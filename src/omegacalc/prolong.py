@@ -1,6 +1,7 @@
 """Differential calculi in all degrees: the universal and maximal
-prolongations of first-order calculi, built by one route, and unique
-morphisms of graded calculi.
+prolongations of first-order calculi, built by one route, the trivial
+extension, and the dg map from the universal prolongation onto a maximal
+one.
 
 With A-bar and pi: A ->> A-bar as in `fodc` (pi kills the unit, so
 d(pi a) = da), every first-order calculus is a quotient
@@ -21,25 +22,20 @@ differential.  The dg map from the universal prolongation onto a maximal
 prolongation is read off the two presentations too: the universal dg
 algebra is initial, and x (x) b stands for x ^ db in both, so
 h^k = Q_k (h^(k-1) (x) I) with Q_k the quotient map of degree k
-(`MaximalProlongation.from_universal`).  A morphism of graded calculi in
-general is found one degree at a time: it takes x ^ da to h(x) ^ d f0(a),
-so it factors through g_n: Omega^(n-1) (x) A ->> Omega^n, x (x) a -> x ^ da
-(`unique_dg_morphism`).  No map lives in the Amitsur complex A^(x)(k+1);
-`amitsur_differential` and `amitsur_wedge` build it, and
-`UniversalProlongation.iota` embeds the universal prolongation into it for
-the tests to hold the construction to.
+(`MaximalProlongation.from_universal`).  No map lives in the Amitsur
+complex A^(x)(k+1).
 
-None of the three constructions re-runs the full graded axiom check
-(`GradedCalculus.validation_report`), and neither dg map re-checks d or a
-wedge.  Each carries a written certificate next to its code: the
-Cuntz-Quillen basis for the universal prolongation, the presentation with
-right exactness for the maximal prolongation, the zero components above
-degree 1 for the trivial extension, initiality and the two presentations
-for the map from the universal prolongation, and generation in degree 0
-by d and wedge for a morphism in general.  The three constructions mark
-their results (`_certified_dg`), so that `derham.CochainComplex.from_graded`
-skips the d.d products on them; a GradedCalculus built by hand is never
-marked, and its d.d is checked.
+None of the three constructions runs a full graded axiom check, and the dg
+map re-checks neither d nor a wedge.  Each carries a written certificate
+next to its code: the Cuntz-Quillen basis for the universal prolongation,
+the presentation with right exactness for the maximal prolongation, the
+zero components above degree 1 for the trivial extension, and initiality
+and the two presentations for the map from the universal prolongation.
+The three constructions mark their results (`_certified_dg`), so that
+`derham.CochainComplex.from_graded` skips the d.d products on them; a
+GradedCalculus built by hand is never marked, and its d.d is checked.  The
+test suite holds each result to the full graded axiom check and the
+universal prolongation to the Amitsur complex (`tests/oracles.py`).
 
 No Kronecker product is built only to be multiplied.  The relations, the
 wedges and the differentials are products (x (x) I)(I (x) m), with m the
@@ -54,8 +50,6 @@ built from its identity when a caller first reads it, and kept, and its
 shape is checked then.  So the dims, the differentials and cohomology
 cost no wedge beyond the actions the relations read, and neither does the
 map from the universal prolongation, which reads the quotient maps only.
-A dg morphism in general reads each calculus only through g_n, so it
-builds none (i, j) with j >= 2.
 """
 
 from __future__ import annotations
@@ -63,8 +57,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from functools import cache, cached_property
 
-from .algebra import Algebra, AlgMap
-from .bimodule import Bimodule, bimodule_axiom_report, regular_bimodule
+from .algebra import Algebra
 from .fodc import (
     FirstOrderCalculus,
     PreconditionError,
@@ -72,54 +65,19 @@ from .fodc import (
     _phi,
     _section,
     _unit_complement,
-    calculus_morphism_exists,
 )
 from .linalg import (
     LinAlgError,
     Mat,
     _clean,
     _mat,
-    factor_through_surjection,
     image_basis,
-    kron_all,
     kron_id_mul,
     kronecker,
-    mul_id_kron,
     mul_kron_id,
     quotient_maps,
-    rank,
 )
 
-
-# ---------------------------------------------------------------------------
-# the Amitsur complex
-# ---------------------------------------------------------------------------
-
-def amitsur_differential(a: Algebra, n: int) -> Mat:
-    """d_A^n = sum_i (-1)^i (1 (x) unit insertion at slot i (x) 1) on A^(x)(n+1)."""
-    f = a.field
-    total = Mat.zeros(f, a.dim ** (n + 2), a.dim ** (n + 1))
-    for i in range(n + 2):
-        left = Mat.identity(f, a.dim ** i)
-        right = Mat.identity(f, a.dim ** (n + 1 - i))
-        term = kron_all([left, a.unit_mat, right])
-        total = total + (term if i % 2 == 0 else -term)
-    return total
-
-
-def amitsur_wedge(a: Algebra, n: int, m: int) -> Mat:
-    """1 (x) mult (x) 1: A^(x)(n+1) (x) A^(x)(m+1) -> A^(x)(n+m+1)."""
-    f = a.field
-    return kron_all([
-        Mat.identity(f, a.dim ** n),
-        a.mult_mat,
-        Mat.identity(f, a.dim ** m),
-    ])
-
-
-# ---------------------------------------------------------------------------
-# graded calculi
-# ---------------------------------------------------------------------------
 
 class _Wedges(Mapping):
     """The wedge maps (i, j), i + j <= max_degree, of a graded calculus, each
@@ -166,9 +124,8 @@ class GradedCalculus:
     wedge is kept as given: a dict, or the mapping of a prolongation, which
     builds each map on its first read.  The constructor checks shapes only,
     a dict's in full and a lazy map's when it is built.  The constructions
-    below build their maps under a written certificate; `validation_report`
-    checks every graded axiom and is the oracle the test suite runs on their
-    results.
+    below build their maps under a written certificate, and the test suite
+    holds their results to every graded axiom.
     """
 
     def __init__(self, alg: Algebra, max_degree: int, dims: list[int],
@@ -204,96 +161,12 @@ class GradedCalculus:
         for (i, j), w in built.items():
             check(i, j, w)
 
-    def component_bimodule(self, n: int) -> Bimodule:
-        if n == 0:
-            return regular_bimodule(self.alg)
-        return Bimodule(
-            self.alg, self.alg, self.dims[n],
-            self.wedge[(0, n)], self.wedge[(n, 0)], check=False,
-        )
-
-    def _generator_map(self, n: int) -> Mat:
-        """g_n = wedge(n-1, 1) (1 (x) d0): Omega^(n-1) (x) A -> Omega^n, x (x) a -> x ^ da."""
-        return mul_id_kron(self.wedge[(n - 1, 1)], self.dims[n - 1], self.diff[0])
-
-    def validation_report(self) -> list[str]:
-        report = []
-        n0 = self.alg.dim
-        big_n = self.max_degree
-        if self.dims[0] != n0:
-            report.append("degree 0 is not the algebra")
-        if self.wedge.get((0, 0)) != self.alg.mult_mat:
-            report.append("wedge(0,0) is not the multiplication")
-        # bimodule structure on each component
-        for n in range(1, big_n + 1):
-            errs = bimodule_axiom_report(
-                self.alg, self.alg, self.dims[n], self.wedge[(0, n)], self.wedge[(n, 0)]
-            )
-            report.extend(f"degree {n}: {e}" for e in errs)
-        # d . d = 0
-        for n in range(big_n - 1):
-            if not (self.diff[n + 1] * self.diff[n]).is_zero():
-                report.append(f"d.d != 0 at degree {n}")
-        # associativity of wedge on all defined triples
-        for i in range(big_n + 1):
-            for j in range(big_n + 1 - i):
-                for k in range(big_n + 1 - i - j):
-                    lhs = mul_kron_id(self.wedge[(i + j, k)], self.wedge[(i, j)], self.dims[k])
-                    rhs = mul_id_kron(self.wedge[(i, j + k)], self.dims[i], self.wedge[(j, k)])
-                    if lhs != rhs:
-                        report.append(f"wedge associativity fails at ({i},{j},{k})")
-        # graded Leibniz with sign (-1)^i at all pairs with i + j < N
-        for i in range(big_n):
-            for j in range(big_n - i):
-                lhs = self.diff[i + j] * self.wedge[(i, j)]
-                term1 = mul_kron_id(self.wedge[(i + 1, j)], self.diff[i], self.dims[j])
-                term2 = mul_id_kron(self.wedge[(i, j + 1)], self.dims[i], self.diff[j])
-                rhs = term1 + term2 if i % 2 == 0 else term1 - term2
-                if lhs != rhs:
-                    report.append(f"graded Leibniz fails at ({i},{j})")
-        # surjectivity: A generates via d and wedge.  The products
-        # a0 da1 ... dan span Omega^n for every n iff each g_n is onto: they
-        # are g_n applied to (a0 da1 ... da(n-1)) (x) an, by induction on n
-        for n in range(1, big_n + 1):
-            if rank(self._generator_map(n)) != self.dims[n]:
-                report.append(f"surjectivity fails at degree {n}")
-        return report
-
-
 def _certified_dg(g: GradedCalculus) -> GradedCalculus:
     """g, marked as a dg algebra by the certificate of the construction that
     built it, so that derham.CochainComplex.from_graded skips the d.d
     products.  Only the constructions of this module mark their results."""
     g._dg_certified = True
     return g
-
-
-class UniversalProlongation(GradedCalculus):
-    """The universal graded calculus, Omega^n = A (x) A-bar^(x)n.
-
-    iota[n]: Omega^n >-> A^(x)(n+1) sends a0 (x) a1 ... (x) an to the form
-    a0 da1 ... dan of the Amitsur complex, and proj[n] = 1 (x) pi^(x)n is its
-    left inverse.  The construction uses neither; both are built on first
-    use, for the tests that hold d and wedge to the Amitsur complex.
-    """
-
-    @cached_property
-    def iota(self) -> list[Mat]:
-        a = self.alg
-        bar, _pi = _unit_complement(a)
-        d_bar = amitsur_differential(a, 0).select_cols(bar)
-        iota = [Mat.identity(a.field, a.dim)]
-        for k in range(1, self.max_degree + 1):
-            # a0 da1 ... dak = (a0 da1 ... da(k-1)) . dak
-            iota.append(amitsur_wedge(a, k - 1, 1) * kronecker(iota[k - 1], d_bar))
-        return iota
-
-    @cached_property
-    def proj(self) -> list[Mat]:
-        a = self.alg
-        _bar, pi = _unit_complement(a)
-        ident = Mat.identity(a.field, a.dim)
-        return [kron_all([ident] + [pi] * k) for k in range(self.max_degree + 1)]
 
 
 class MaximalProlongation(GradedCalculus):
@@ -325,8 +198,8 @@ class MaximalProlongation(GradedCalculus):
                 # R_k = 0: Omega^k is Omega^(k-1) (x) A-bar itself
                 q = Mat.identity(f, self.dims[k])
             maps.append(mul_kron_id(q, maps[k - 1], nb))
-        # Certificate that these are the maps unique_dg_morphism(
-        # universal_prolongation(A, N), self, id_A) returns, in place of
+        # Certificate that these are the maps of the unique dg map
+        # universal_prolongation(A, N) -> self extending id_A, in place of
         # factoring one degree at a time:
         # 1. Initiality: Omega_u is the universal dg algebra of A
         #    (Cuntz-Quillen 1995, section 1).  For every dg algebra whose
@@ -342,12 +215,13 @@ class MaximalProlongation(GradedCalculus):
         #    formula above.  Q_k is the identity where R_k = 0; past a zero
         #    component Q_k and h^k are zero maps into Omega^k = 0.
         # 3. Uniqueness: both calculi are generated in degree 0 by d and
-        #    wedge, so a dg map is fixed by its degree-0 part, and
-        #    unique_dg_morphism returns the one extending id_A (its
-        #    certificate).  So every matrix here equals that one's, and, h
-        #    being a dg map, neither d nor a wedge is re-checked.
-        # tests/test_prolong.py holds the maps to unique_dg_morphism on the
-        # Kaehler, lattice, zero and universal calculi of the oracle algebras.
+        #    wedge, so a dg map is fixed by its degree-0 part.  So every
+        #    matrix here is that map's, and, h being a dg map, neither d nor
+        #    a wedge is re-checked.
+        # tests/test_prolong.py holds the maps to the degreewise factoring
+        # through g_n: Omega^(n-1) (x) A ->> Omega^n (in tests/oracles.py)
+        # on the Kaehler, lattice, zero and universal calculi of the oracle
+        # algebras.
         return maps
 
 
@@ -481,10 +355,10 @@ def _prolongation(a: Algebra, max_degree: int, p1: Mat | None = None,
     return dims, diff, wedge, quot
 
 
-def universal_prolongation(a: Algebra, max_degree: int) -> UniversalProlongation:
+def universal_prolongation(a: Algebra, max_degree: int) -> GradedCalculus:
     if max_degree < 1:
         raise PreconditionError("max degree must be at least 1")
-    # Certificate for the graded axioms, in place of validation_report:
+    # Certificate for the graded axioms, in place of the full check:
     # 1. A is associative and unital: Algebra runs _monoid_report on every
     #    construction and has no way to skip it.
     # 2. The universal dg algebra Omega_u of A is the tensor algebra
@@ -500,10 +374,12 @@ def universal_prolongation(a: Algebra, max_degree: int) -> UniversalProlongation
     #    axiom holds; every form is a product of a0 and the d(a_i), which is
     #    surjectivity.
     # tests/test_prolong.py holds iota w = w_A (iota (x) iota), iota d =
-    # d_A iota and proj iota = I on every fixture and generated algebra, and
-    # runs validation_report on the results.
+    # d_A iota and proj iota = I on every fixture and generated algebra, with
+    # iota: Omega^k >-> A^(x)(k+1) the embedding into the Amitsur complex
+    # and proj its left inverse, and runs the full graded axiom check on the
+    # results (tests/oracles.py).
     dims, diff, wedge, _quot = _prolongation(a, max_degree)
-    return _certified_dg(UniversalProlongation(a, max_degree, dims, diff, wedge))
+    return _certified_dg(GradedCalculus(a, max_degree, dims, diff, wedge))
 
 
 def trivial_extension(c: FirstOrderCalculus, max_degree: int) -> GradedCalculus:
@@ -519,7 +395,7 @@ def trivial_extension(c: FirstOrderCalculus, max_degree: int) -> GradedCalculus:
             if (i, j) not in wedge:
                 wedge[(i, j)] = Mat.zeros(f, dims[i + j], dims[i] * dims[j])
     diff = [c.d] + [Mat.zeros(f, dims[k + 1], dims[k]) for k in range(1, max_degree)]
-    # Certificate for the graded axioms, in place of validation_report: every
+    # Certificate for the graded axioms, in place of the full check: every
     # component above degree 1 is zero, so every map into one holds any
     # identity.  What is left are the bimodule axioms of A and Omega^1 (the
     # wedges with degree-0 factors), Leibniz at (0, 0) and surjectivity in
@@ -540,7 +416,7 @@ def maximal_prolongation(c: FirstOrderCalculus, max_degree: int) -> MaximalProlo
         raise PreconditionError("max degree must be at least 1")
     a = c.alg
     phi = _phi(c)
-    # Certificate for the graded axioms, in place of validation_report:
+    # Certificate for the graded axioms, in place of the full check:
     # 1. phi is onto and a bimodule map with phi d_u = d (certified at
     #    fodc._phi), and fodc._section is a section of it.  Its kernel N is a
     #    sub-bimodule of Omega^1_u = A (x) A-bar, and Omega^1 = Omega^1_u / N.
@@ -558,82 +434,8 @@ def maximal_prolongation(c: FirstOrderCalculus, max_degree: int) -> MaximalProlo
     #    representatives and reduced by the quotient maps, so they are its
     #    product and d, and every graded axiom holds.  Every class is a sum
     #    of x ^ db, which is surjectivity by induction from (1).
-    # tests/test_prolong.py runs validation_report on the results and holds
+    # tests/test_prolong.py runs the full check on the results and holds
     # the maximal prolongation of the universal calculus to the universal
     # prolongation.
     return _certified_dg(MaximalProlongation(
         a, max_degree, *_prolongation(a, max_degree, phi, _section(c), _kernel(c))))
-
-
-def unique_dg_morphism(src: GradedCalculus, tgt: GradedCalculus, f0: AlgMap):
-    """The unique graded-calculus morphism extending f0, or None.
-
-    A morphism h takes x ^ da to h(x) ^ d f0(a), so h^n g_n(src) =
-    g_n(tgt) (h^(n-1) (x) f0) with g_n: Omega^(n-1) (x) A ->> Omega^n,
-    x (x) a -> x ^ da.  Each h^n is factored through the onto map g_n(src),
-    one degree at a time, and the maps that factor are the morphism (the
-    certificate below); a degree that does not factor means none exists.
-    """
-    if src.max_degree != tgt.max_degree:
-        raise LinAlgError("graded calculi truncated at different degrees")
-    if f0.source != src.alg or f0.target != tgt.alg:
-        raise LinAlgError("degree-0 map does not match the calculi")
-    maps = [f0.matrix]
-    for n in range(1, src.max_degree + 1):
-        # g_n(tgt) (h^(n-1) (x) f0) = g_n(tgt) (h^(n-1) (x) 1) (1 (x) f0)
-        g_h = mul_kron_id(tgt._generator_map(n), maps[n - 1], tgt.alg.dim)
-        rhs = mul_id_kron(g_h, src.dims[n - 1], f0.matrix)
-        h_n = factor_through_surjection(rhs, src._generator_map(n))
-        if h_n is None:
-            return None
-        maps.append(h_n)
-    # Certificate that maps is a morphism, so that neither d nor a wedge is
-    # re-checked and each calculus is read only through g_n:
-    # 1. f0 is a unital algebra map (AlgMap checks it).  Both calculi satisfy
-    #    the graded axioms and each g_n is onto, so each h^n is the unique
-    #    solution of h(x ^ da) = h(x) ^ d f0(a).
-    # 2. Right action, by induction on degree: write x = x' ^ db.  Then
-    #    x c = x' ^ d(bc) - (x' b) ^ dc, so h(xc) = h(x') ^ d(f0(b) f0(c))
-    #    - h(x') f0(b) ^ d f0(c) = h(x) f0(c).
-    # 3. Wedge, by induction on deg y: write y = y' ^ db.  Then
-    #    x ^ y = (x ^ y') ^ db, so h(x ^ y) = h(x ^ y') ^ d f0(b)
-    #    = h(x) ^ h(y') ^ d f0(b) = h(x) ^ h(y).  The base case deg y = 0 is
-    #    (2); the left action is the case deg x = 0.
-    # 4. d: h(da) = h(1 ^ da) = f0(1) d f0(a) = d f0(a), and
-    #    d(x ^ db) = dx ^ db, so h(d(x ^ db)) = h(dx) ^ d f0(b) = d h(x ^ db)
-    #    by induction on degree.
-    # 5. Conversely every morphism satisfies the factoring equation, so where
-    #    some h^n does not factor no morphism exists.
-    # tests/test_prolong.py holds the result to the Amitsur route, which
-    # re-checks d and every wedge, on the graded calculi of every oracle map.
-    return maps
-
-
-def truncation_adjoints_check(a: Algebra, fodcs: list[FirstOrderCalculus],
-                              gradeds: list[GradedCalculus], max_degree: int) -> dict:
-    """Both truncation adjunctions, compared pair by pair on the probe.
-
-    Left: dg maps from the maximal prolongation of c to Theta match calculus
-    maps c -> degree-(0,1) truncation of Theta.  Right: dg maps Theta -> the
-    trivial extension of c match calculus maps from the truncation to c.
-    """
-    ident = a.identity_map()
-    rows = []
-    agree = True
-    for ci, c in enumerate(fodcs):
-        maxi = maximal_prolongation(c, max_degree)
-        trivial = trivial_extension(c, max_degree)
-        for ti, theta in enumerate(gradeds):
-            pi_theta = FirstOrderCalculus(a, theta.component_bimodule(1), theta.diff[0])
-            left_dg = unique_dg_morphism(maxi, theta, ident) is not None
-            left_calc = calculus_morphism_exists(c, pi_theta)
-            right_dg = unique_dg_morphism(theta, trivial, ident) is not None
-            right_calc = calculus_morphism_exists(pi_theta, c)
-            rows.append({
-                "c_index": ci, "theta_index": ti,
-                "left_dg": left_dg, "left_calc": left_calc,
-                "right_dg": right_dg, "right_calc": right_calc,
-                "agree": left_dg == left_calc and right_dg == right_calc,
-            })
-            agree = agree and rows[-1]["agree"]
-    return {"all_agree": agree, "rows": rows}

@@ -10,8 +10,9 @@ from omegacalc.algebra import (
     build_matrix_algebra,
     build_truncated_poly,
 )
-from omegacalc.bimodule import field_algebra
 from omegacalc.linalg import GF, QQ
+
+from oracles import field_algebra
 
 
 def s3_cayley_table():

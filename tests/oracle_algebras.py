@@ -27,7 +27,7 @@ from omegacalc.algebra import (
     is_commutative,
     opposite,
 )
-from omegacalc.bimodule import action_closed, regular_bimodule, saturate_subspace
+from omegacalc.bimodule import action_closed, saturate_subspace
 from omegacalc.derham import CochainComplex, cohomology
 from omegacalc.fodc import (
     enumerate_action_closed_subspaces,
@@ -53,6 +53,8 @@ from omegacalc.linalg import (
     swap_matrix,
 )
 from omegacalc.prolong import universal_prolongation
+
+from oracles import regular_bimodule
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "omegacalc" / "fixtures"

@@ -13,9 +13,10 @@ from omegacalc.algebra import (
     is_commutative,
     opposite,
 )
-from omegacalc.bimodule import regular_bimodule
 from omegacalc.fodc import universal_calculus
 from omegacalc.linalg import GF, QQ, LinAlgError, Mat
+
+from oracles import regular_bimodule
 
 
 def test_truncated_poly_is_valid(qx2):

@@ -4,7 +4,6 @@ import pytest
 
 from omegacalc import hopf, linalg, prolong
 from omegacalc.algebra import Algebra, AxiomError, build_group_algebra, build_truncated_poly
-from omegacalc.bimodule import regular_bimodule
 from omegacalc.fodc import (
     FirstOrderCalculus,
     enumerate_action_closed_subspaces,
@@ -17,8 +16,6 @@ from omegacalc.hopf import (
     _codiagonal_coactions,
     bicovariance_check,
     bimonoid_axiom_report,
-    check_hopf_module,
-    d_comodule_report,
     group_like_bimonoid,
     universal_coactions,
 )
@@ -34,6 +31,7 @@ from omegacalc.linalg import (
     swap_matrix,
 )
 
+from oracles import check_hopf_module, d_comodule_report, regular_bimodule
 from oracle_algebras import regular_coactions
 
 

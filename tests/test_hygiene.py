@@ -11,9 +11,13 @@ saturation and the closure check are closed forms that solve nothing.  The
 Hopf coactions solve nothing, re-check nothing and build no Kronecker
 product, bicovariance_check reads iota and the retraction of the memoized
 universal calculus and rebuilds neither Omega_u nor its splitting, the
-lattice enumeration saturates no candidate on its own, and the dg morphisms
-build no Kronecker product and read each calculus only through g_n, with
-no loop that re-checks d or a wedge.  The prolongation applies every identity
+lattice enumeration saturates no candidate on its own, and the dg morphism
+oracle (tests/oracles.py) builds no Kronecker product and reads each
+calculus only through g_n, with no loop that re-checks d or a wedge.  The
+test-only oracles and the checks of the paper's propositions live in
+tests/oracles.py, and every public name of the package has a reader outside
+its module, in the CLI, the benchmark, the tools or the README (the public
+surface guard).  The prolongation applies every identity
 factor blockwise: it calls neither whiskered product, and no Kronecker
 product it forms is multiplied or subtracted from the left.  The
 functions handed a subspace take its canonical basis and neither re-derive
@@ -26,11 +30,13 @@ saturation, nor a generic quotient.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "omegacalc"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -107,14 +113,16 @@ def called_names(node) -> set[str]:
     return found
 
 
-def function_node(module: str, name: str) -> ast.FunctionDef:
+def function_node(module, name: str) -> ast.FunctionDef:
+    """The top-level function name of a library module, or of a file given
+    by its path."""
     tree = ast.parse((SRC / module).read_text())
     return next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
 
 
 def test_certified_constructions_call_no_full_report():
-    # the report stays public and runs in the tests, but the library builds
-    # its graded calculi under certificates
+    # the report runs in the tests (tests/oracles.py), and the library
+    # builds its graded calculi under certificates
     for path in SRC.glob("*.py"):
         assert "validation_report" not in called_names(ast.parse(path.read_text())), path.name
 
@@ -126,7 +134,7 @@ def test_certified_constructions_call_no_full_report():
                                        "subspace_leq", "factor_through_surjection",
                                        "universal_coactions", "kronecker"}),
     ("hopf.py", "_codiagonal_coactions", {"kronecker"}),
-    ("prolong.py", "unique_dg_morphism", {"kron_all", "kronecker"}),
+    (ORACLES, "unique_dg_morphism", {"kron_all", "kronecker"}),
 ])
 def test_coactions_and_dg_morphisms_are_closed_forms(module, name, banned):
     # the coactions are read back through the retraction and descended by
@@ -140,9 +148,9 @@ def test_coactions_and_dg_morphisms_are_closed_forms(module, name, banned):
 def test_dg_morphism_reads_each_calculus_only_through_g_n():
     # both calculi are generated in degree 0 by d and wedge, so the degreewise
     # factoring is the whole answer: no loop re-checks d or a wedge
-    node = function_node("prolong.py", "unique_dg_morphism")
+    node = function_node(ORACLES, "unique_dg_morphism")
     read = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-    assert "_generator_map" in read
+    assert "generator_map" in called_names(node)
     assert not read & {"wedge", "diff"}
     assert len([n for n in ast.walk(node) if isinstance(n, (ast.For, ast.While))]) == 1
 
@@ -153,7 +161,7 @@ def test_de_rham_comparison_reads_the_universal_theory_off_its_closed_form():
     # map above degree 0, no solve for one and no g_n
     node = function_node("derham.py", "de_rham_comparison")
     assert not called_names(node) & {"unique_dg_morphism", "identity_map",
-                                     "factor_through_surjection", "_generator_map",
+                                     "factor_through_surjection", "generator_map",
                                      "universal_prolongation", "_prolongation"}
     assert "from_universal" not in {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
 
@@ -382,3 +390,116 @@ def test_every_mutant_text_occurs_once():
     spec.loader.exec_module(mutants)
     assert mutants.MUTANTS
     assert mutants.texts_not_found_once() == []
+
+
+# ---------------------------------------------------------------------------
+# one public surface
+# ---------------------------------------------------------------------------
+
+ROOT = SRC.parent.parent
+README = (ROOT / "README.md").read_text()
+
+# Kept on purpose although only the tests call them: the paper's chain-level
+# comparison Omega_u -> Omega_max(c) (MaximalProlongation.from_universal),
+# the trivial extension, the sub-calculus correspondence and the centrality
+# check.  README documents all four.
+KEPT_WITHOUT_A_CALLER = {"MaximalProlongation", "trivial_extension",
+                         "sub_calculus_correspondence", "centrality_check"}
+
+
+def read_names(tree) -> set[str]:
+    """The names a module reads: identifiers, attributes, imported names,
+    and string constants that are dotted names, which is how the benchmark
+    looks functions up (`lib("fodc", "universal_calculus")`)."""
+    found = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, ast.alias):
+            found.add(n.name.rsplit(".", 1)[-1])
+        elif (isinstance(n, ast.Constant) and isinstance(n.value, str)
+              and all(part.isidentifier() for part in n.value.split("."))):
+            found.update(n.value.split("."))
+    return found
+
+
+def readme_names(text: str) -> set[str]:
+    return set(re.findall(r"\w+", text))
+
+
+def outside_readers() -> set[str]:
+    """What the CLI, the benchmark and the tools read."""
+    paths = [SRC / "cli.py", *(ROOT / "perfbench").rglob("*.py"), *(ROOT / "tools").glob("*.py")]
+    return set().union(*(read_names(ast.parse(p.read_text())) for p in paths))
+
+
+def public_definitions(tree) -> set[str]:
+    return {n.name for n in tree.body
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")}
+
+
+def surface_offenders() -> list[str]:
+    """Each exported name without a reader in the CLI, the benchmark, the
+    tools or README's Library section, and each public top-level def or
+    class without a reader in another library module, the CLI, the
+    benchmark, the tools or the README."""
+    outside = outside_readers()
+    library = readme_names(README[README.index("## Library"):])
+    init = ast.parse((SRC / "__init__.py").read_text())
+    exported = [a.asname or a.name for n in init.body if isinstance(n, ast.ImportFrom)
+                for a in n.names]
+    offenders = [f"__init__.py exports {name}" for name in exported
+                 if name not in outside | library]
+    trees = {p.name: ast.parse(p.read_text()) for p in MODULES}
+    reads = {name: read_names(tree) for name, tree in trees.items()}
+    anywhere = outside | readme_names(README)
+    for name, tree in sorted(trees.items()):
+        others = set().union(*(r for other, r in reads.items() if other != name))
+        offenders += [f"{name}: {d}" for d in sorted(public_definitions(tree))
+                      if d not in others | anywhere | KEPT_WITHOUT_A_CALLER]
+    return offenders
+
+
+def test_every_public_name_has_a_reader():
+    # oracles and checks of the paper's propositions live in tests/oracles.py;
+    # a name only the tests read does not belong to the library's surface
+    assert surface_offenders() == []
+
+
+def test_the_kept_names_are_defined_and_documented():
+    defined = set().union(*(public_definitions(ast.parse(p.read_text())) for p in MODULES))
+    assert KEPT_WITHOUT_A_CALLER <= defined
+    assert "from_universal" in {n.name for n in ast.walk(ast.parse((SRC / "prolong.py").read_text()))
+                                if isinstance(n, ast.FunctionDef)}
+    assert all(f"`{name}" in README for name in KEPT_WITHOUT_A_CALLER | {"from_universal"})
+
+
+def test_a_name_without_a_reader_is_seen(monkeypatch):
+    # a public helper no one reads, and an export no one reads, are listed
+    real_read = Path.read_text
+
+    def read_text(path, *args, **kwargs):
+        text = real_read(path, *args, **kwargs)
+        if path == SRC / "linalg.py":
+            text += "\n\ndef helper_nobody_reads():\n    return 0\n"
+        if path == SRC / "__init__.py":
+            text += "\nfrom .linalg import swap_matrix\n"
+        return text
+
+    monkeypatch.setattr(Path, "read_text", read_text)
+    assert surface_offenders() == ["__init__.py exports swap_matrix",
+                                   "linalg.py: helper_nobody_reads"]
+
+
+@pytest.mark.parametrize("name", [
+    "amitsur_differential", "amitsur_wedge", "UniversalProlongation", "validation_report",
+    "kron_all", "unique_dg_morphism", "check_hopf_module", "d_comodule_report",
+    "truncation_adjoints_check", "rank_identity_report", "square_zero_unit_check",
+    "calc1_category_adjoints_check", "kernel_counit_comparison", "bimodule_to_json",
+])
+def test_test_only_code_is_not_in_the_library(name):
+    # reference implementations and proposition checks live in tests/oracles.py
+    for path in SRC.glob("*.py"):
+        assert not re.search(rf"\b{name}\b", path.read_text()), path.name

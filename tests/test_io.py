@@ -3,13 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from omegacalc.bimodule import free_bimodule, regular_bimodule
 from omegacalc.fodc import universal_calculus
 from omegacalc.io import (
     algebra_from_json,
     algebra_to_json,
     bimodule_from_json,
-    bimodule_to_json,
     bimonoid_from_json,
     dump_json,
     load_json,
@@ -17,6 +15,8 @@ from omegacalc.io import (
     relations_from_json,
 )
 from omegacalc.linalg import GF, QQ, LinAlgError
+
+from oracles import bimodule_to_json, free_bimodule, regular_bimodule
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "omegacalc" / "fixtures"
 

@@ -1,7 +1,6 @@
 import pytest
 
 from omegacalc.algebra import build_truncated_poly
-from omegacalc.bimodule import regular_bimodule
 from omegacalc.fodc import (
     PreconditionError,
     _kernel,
@@ -14,6 +13,7 @@ from omegacalc.kahler import centrality_check, kahler_calculus, kahler_relations
 from omegacalc.linalg import GF, QQ, Mat, image_basis, kronecker, rank
 from omegacalc.prolong import maximal_prolongation
 
+from oracles import regular_bimodule
 from oracle_algebras import COMMUTATIVE, commutative_in_permuted_bases, kahler_by_saturation
 
 

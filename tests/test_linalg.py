@@ -11,8 +11,6 @@ from omegacalc.linalg import (
     Field,
     LinAlgError,
     Mat,
-    cokernel_projection,
-    direct_sum,
     factor_through_surjection,
     image_basis,
     inverse,
@@ -22,7 +20,6 @@ from omegacalc.linalg import (
     quotient_maps,
     rank,
     solve,
-    subspace_intersection,
     subspace_leq,
     swap_matrix,
 )
@@ -61,19 +58,25 @@ def test_kernel_of_truncated_poly_multiplication():
     ]
 
 
+def cokernel(m):
+    """The quotient map onto the cokernel of m, and its dimension."""
+    q, _s = quotient_maps(image_basis(m), m.rows)
+    return q, q.rows
+
+
 def test_cokernel_of_zero_map():
-    q, dim = cokernel_projection(Mat.zeros(QQ, 3, 1))
+    q, dim = cokernel(Mat.zeros(QQ, 3, 1))
     assert dim == 3 and q == Mat.identity(QQ, 3)
 
 
 def test_cokernel_of_identity():
-    _, dim = cokernel_projection(Mat.identity(QQ, 2))
+    _, dim = cokernel(Mat.identity(QQ, 2))
     assert dim == 0
 
 
 def test_cokernel_kills_first_coordinate():
     m = Mat(QQ, [[1, 0], [0, 0]])
-    q, dim = cokernel_projection(m)
+    q, dim = cokernel(m)
     assert dim == 1 and (q * m).is_zero()
     assert q.dense_rows()[0] == [Fraction(0), Fraction(1)]
 
@@ -82,7 +85,7 @@ def test_cokernel_annihilates_image_basis():
     rng = random.Random(7)
     for _ in range(25):
         m = rand_mat(QQ, rng.randint(1, 5), rng.randint(1, 5), rng)
-        q, dim = cokernel_projection(m)
+        q, dim = cokernel(m)
         assert dim == m.rows - rank(m)
         assert (q * image_basis(m)).is_zero()
         assert rank(q) == dim
@@ -249,10 +252,15 @@ def test_quotient_maps_refuses_a_noncanonical_basis(cols):
     assert (q * sub).is_zero() and q * s == Mat.identity(QQ, q.rows)
 
 
-def test_direct_sum_shapes():
-    d = direct_sum(Mat.identity(QQ, 2), Mat(QQ, [[1, 2]]))
-    assert (d.rows, d.cols) == (3, 4)
-    assert rank(d) == 3
+@pytest.mark.parametrize("rows,cols", [(5, 0), (2, 0), (5, 1), (2, 1)])
+def test_quotient_maps_refuses_a_basis_of_another_height(rows, cols):
+    # an empty basis lives in an ambient space too: 5 x 0 is the zero
+    # subspace of a 5-dimensional space, not of a 3-dimensional one
+    sub = Mat.from_entries(QQ, rows, cols, [(0, 0, 1)] if cols else [])
+    with pytest.raises(LinAlgError, match="does not live in the ambient space"):
+        quotient_maps(sub, 3)
+    q, s = quotient_maps(Mat.zeros(QQ, 3, 0), 3)
+    assert q == s == Mat.identity(QQ, 3)
 
 
 def test_swap_matrix_is_inverse_pair():
@@ -268,9 +276,10 @@ def test_preimage_and_intersection():
     assert pre == kernel_basis(f)
     a = image_basis(Mat(QQ, [[1, 0], [0, 1], [0, 0]]))
     b = image_basis(Mat(QQ, [[0, 0], [1, 0], [0, 1]]))
-    inter = subspace_intersection(a, b)
-    assert inter.cols == 1
+    # their intersection is the span of e1
+    inter = Mat(QQ, [[0], [1], [0]])
     assert subspace_leq(inter, a) and subspace_leq(inter, b)
+    assert not subspace_leq(a, b) and not subspace_leq(b, a)
 
 
 def test_subspace_functions_refuse_a_noncanonical_basis():

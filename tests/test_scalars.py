@@ -6,7 +6,6 @@ import pytest
 import omegacalc
 from omegacalc import scalars
 from omegacalc.algebra import AlgMap, is_commutative
-from omegacalc.bimodule import extend_bimodule, field_algebra
 from omegacalc.fodc import (
     PreconditionError,
     _kernel,
@@ -29,18 +28,24 @@ from omegacalc.linalg import (
     rank,
     solve,
 )
-from omegacalc.prolong import maximal_prolongation, unique_dg_morphism, universal_prolongation
+from omegacalc.prolong import maximal_prolongation, universal_prolongation
 from omegacalc.scalars import (
-    calc1_category_adjoints_check,
     calc_pullback,
     calc_pushforward,
-    square_zero_unit_check,
     universal_map,
-    universal_map_functorial,
-    universal_map_is_bimodule_map,
     verify_poset_adjunction,
 )
 
+from oracles import (
+    calc1_category_adjoints_check,
+    calculus_morphism,
+    extend_bimodule,
+    field_algebra,
+    square_zero_unit_check,
+    unique_dg_morphism,
+    universal_map_functorial,
+    universal_map_is_bimodule_map,
+)
 from oracle_algebras import ORACLE_MAPS, first_proper_quotients
 
 
@@ -248,9 +253,6 @@ def test_pushforward_result_passes_fodc(y_to_x2, qy2):
 
 
 def test_identity_transport_comparisons_invertible(qx3):
-    from omegacalc.fodc import calculus_morphism
-    from omegacalc.linalg import is_invertible
-
     u = universal_calculus(qx3)
     k = kahler_calculus(qx3)
     ident = qx3.identity_map()
@@ -261,7 +263,7 @@ def test_identity_transport_comparisons_invertible(qx3):
             fwd = calculus_morphism(c, other)
             back = calculus_morphism(other, c)
             assert fwd is not None and back is not None
-            assert is_invertible(fwd) and back * fwd == Mat.identity(QQ, c.dim)
+            assert rank(fwd) == fwd.rows == fwd.cols and back * fwd == Mat.identity(QQ, c.dim)
 
 
 def test_universal_map_functoriality_truncation(qy2, qx4, qx2):

@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""Mutation check: break each certified construction and see a test fail.
+"""Mutation check: break each certified construction, and the test oracles
+in tests/oracles.py that stand in for the checks it replaced, and see a
+test fail.
 
 Each mutant is a tuple (file, exact text, replacement, pytest selection).
 The tool copies src/, tests/ and pyproject.toml into a temporary directory,
@@ -56,6 +58,7 @@ KERNEL_BASIS_ORACLE = "tests/test_linalg_kernels.py -k kernel_basis_matches_its_
 D_SQUARED_PIN = "tests/test_derham.py -k user_built_graded_calculus_keeps_the_d_squared_check"
 LARGER_PRIMES = "tests/test_linalg_kernels.py -k larger_primes"
 MILLER_RABIN = "tests/test_linalg.py -k past_the_trial_divisors"
+RANK_IDENTITY = "tests/test_derham.py -k rank_identity_all_interior_degrees"
 
 MUTANTS = [
     # the prolongation builder: the sign of the right-action recursion, the
@@ -116,13 +119,14 @@ MUTANTS = [
      "    return solve(_phi(c), Mat.identity(c.alg.field, c.dim))",
      "    return _phi(c).transpose()",
      QUOTIENT_HOPF_ORACLE),
-    # unique_dg_morphism: the f0 factor of the right-hand side, and the
-    # degrees that factor returned, in place of None, when one does not
-    ("src/omegacalc/prolong.py",
+    # the dg morphism oracle of the tests: the f0 factor of the right-hand
+    # side, and the degrees that factor returned, in place of None, when one
+    # does not
+    ("tests/oracles.py",
      "        rhs = mul_id_kron(g_h, src.dims[n - 1], f0.matrix)\n",
      "        rhs = g_h\n",
      DG_MORPHISM_ORACLE),
-    ("src/omegacalc/prolong.py",
+    ("tests/oracles.py",
      "        if h_n is None:\n            return None\n",
      "        if h_n is None:\n            break\n",
      DG_MORPHISM_ORACLE),
@@ -226,6 +230,12 @@ MUTANTS = [
      "unit = Mat.col_vector(f, [f.mul(lead, x) for x in a.unit])",
      "unit = Mat.col_vector(f, a.unit)",
      UNIVERSAL_DE_RHAM_ORACLE),
+    # cohomology with the empty boundary basis of degree 0 given the height
+    # of degree 1, which quotient_maps refuses
+    ("src/omegacalc/derham.py",
+     "boundaries = Mat.zeros(field, c.dims[0], 0)",
+     "boundaries = Mat.zeros(field, c.dims[1], 0)",
+     RANK_IDENTITY),
     # solve with the inconsistency flag of its elimination ignored
     ("src/omegacalc/linalg.py",
      "    if inconsistent:\n        return None\n",
