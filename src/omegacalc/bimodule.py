@@ -6,6 +6,11 @@ Actions are kept as matrices: left_mat: A(x)M -> M and right_mat: M(x)B -> M
 in the fixed row-major tensor basis.  Left modules and right modules are the
 special cases where one side is the base field viewed as a 1-dimensional
 algebra, so a single type covers all three notions.
+
+`quotient_bimodule` refuses a subspace that is not action-closed, reading
+the closure off its quotient map (`_closure_witness`).  The private
+`_closed_quotient` is the same quotient without that check, for the
+library's callers whose subspace is closed by construction.
 """
 
 from __future__ import annotations
@@ -187,15 +192,31 @@ def _mul_section(x: Mat, p: int, s: Mat, q: int) -> Mat:
 
 
 def quotient_bimodule(m: Bimodule, sub_canonical: Mat) -> tuple[Bimodule, BimodMap, Mat]:
-    """Quotient by an action-closed subspace: (quotient, projection, section)."""
-    na, nb = m.left_alg.dim, m.right_alg.dim
+    """Quotient by an action-closed subspace: (quotient, projection, section).
+
+    Refuses a subspace that is not action-closed, with the witness of
+    `_closure_witness`."""
     q, s = quotient_maps(sub_canonical, m.dim)
     q_left, q_right = q * m.left_mat, q * m.right_mat
-    witness = _closure_witness(q_left, q_right, na, nb, sub_canonical)
+    witness = _closure_witness(q_left, q_right, m.left_alg.dim, m.right_alg.dim, sub_canonical)
     if witness is not None:
         raise LinAlgError(f"subspace is not action-closed: {witness}")
-    lm = _mul_section(q_left, na, s, 1)
-    rm = _mul_section(q_right, 1, s, nb)
+    return _descend(m, q, s, q_left, q_right)
+
+
+def _closed_quotient(m: Bimodule, sub_canonical: Mat) -> tuple[Bimodule, BimodMap, Mat]:
+    """quotient_bimodule without the closure witness, for a subspace its
+    caller proved action-closed; each call states that proof next to it."""
+    q, s = quotient_maps(sub_canonical, m.dim)
+    return _descend(m, q, s, q * m.left_mat, q * m.right_mat)
+
+
+def _descend(m: Bimodule, q: Mat, s: Mat, q_left: Mat, q_right: Mat) -> tuple[Bimodule, BimodMap, Mat]:
+    """The quotient bimodule, projection and section from the quotient maps
+    (q, s) of an action-closed subspace and q_left = q . m.left_mat,
+    q_right = q . m.right_mat: the actions descend through the section."""
+    lm = _mul_section(q_left, m.left_alg.dim, s, 1)
+    rm = _mul_section(q_right, 1, s, m.right_alg.dim)
     quo = Bimodule(m.left_alg, m.right_alg, q.rows, lm, rm, check=False)
     return quo, BimodMap(m, quo, q, check=False), s
 

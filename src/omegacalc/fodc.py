@@ -8,6 +8,15 @@ is the normalized bar A (x) A-bar, a0 (x) b standing for a0 db
 (Cuntz-Quillen 1995, section 1).  Every calculus is its quotient by the
 kernel of phi: a0 (x) b -> a0 db, and the lattice of quotients matches the
 lattice of action-closed subspaces.
+
+The public `quotient_calculus` checks that its subspace is action-closed.
+Transport along algebra maps (`scalars`) and the CLI's relation path
+quotient by subspaces that are closed by construction, a saturation or the
+preimage of a sub-bimodule under a bimodule map, and go through the private
+`_closed_quotient_calculus`, which skips that check under the proof written
+at each call.  `enumerate_action_closed_subspaces` eliminates each
+candidate as a list of sparse rows and compares candidates on their reduced
+rows.
 """
 from __future__ import annotations
 
@@ -17,6 +26,7 @@ from .algebra import Algebra, AxiomError
 from .bimodule import (
     BimodMap,
     Bimodule,
+    _closed_quotient,
     action_closed,
     quotient_bimodule,
     zero_bimodule,
@@ -24,6 +34,8 @@ from .bimodule import (
 from .linalg import (
     LinAlgError,
     Mat,
+    _mat,
+    _row_span,
     image_basis,
     kernel_basis,
     mul_id_kron,
@@ -293,12 +305,26 @@ def induced_map(target: FirstOrderCalculus) -> BimodMap:
 def quotient_calculus(c: FirstOrderCalculus, sub: Mat) -> tuple[FirstOrderCalculus, BimodMap]:
     """Quotient of a calculus by an action-closed subspace given by its
     canonical basis, with the projection onto the echelon complement of the
-    subspace, so that repeated quotients are reproducible."""
-    quo, proj, s = quotient_bimodule(c.omega, sub)
+    subspace, so that repeated quotients are reproducible.  A subspace that
+    is not action-closed is refused (`bimodule.quotient_bimodule`)."""
+    return _quotient_on(c, sub, *quotient_bimodule(c.omega, sub))
+
+
+def _closed_quotient_calculus(c: FirstOrderCalculus, sub: Mat) -> tuple[FirstOrderCalculus, BimodMap]:
+    """quotient_calculus for a subspace its caller proved action-closed: the
+    closure witness does not run.  The library's transport and its CLI
+    relation path call it, each with its proof written at the call."""
+    return _quotient_on(c, sub, *_closed_quotient(c.omega, sub))
+
+
+def _quotient_on(c: FirstOrderCalculus, sub: Mat, quo: Bimodule, proj: BimodMap,
+                 s: Mat) -> tuple[FirstOrderCalculus, BimodMap]:
+    """c / sub on the quotient bimodule (quo, proj, s) of c.omega by sub."""
     d_new = proj.matrix * c.d
-    # Certificate, in place of check_fodc on the quotient: quotient_bimodule
-    # checked that the subspace is action-closed, so proj: c ->> c/N is an
-    # onto bimodule map, and d_new = proj d.  Then Leibniz descends,
+    # Certificate, in place of check_fodc on the quotient: the subspace is
+    # action-closed, checked by quotient_bimodule or proved by the caller of
+    # _closed_quotient_calculus, so proj: c ->> c/N is an onto bimodule map,
+    # and d_new = proj d.  Then Leibniz descends,
     # d_new(ab) = proj(da b + a db) = d_new(a) b + a d_new(b); proj maps
     # A dA = c onto A d_new(A), so that is c/N; and d_new(1) = proj d(1) = 0.
     # c itself is a calculus, checked or certified when it was built.
@@ -345,6 +371,10 @@ def enumerate_action_closed_subspaces(m: Bimodule) -> list[Mat]:
     are deduplicated canonical bases.  Outside the exhaustive case the family
     depends on the basis of m: on Omega_u of M2(Q) it has 18 members in
     A (x) A-bar, 14 in the echelon basis of ker(m).
+
+    Each candidate is one elimination of a list of sparse rows
+    (`linalg._row_span`); candidates are compared on their reduced rows, and
+    a basis matrix is built only for a new member.
     """
     from itertools import combinations, product
 
@@ -352,47 +382,48 @@ def enumerate_action_closed_subspaces(m: Bimodule) -> list[Mat]:
     dim = m.dim
     found: dict = {}
 
-    def rows(canonical: Mat):
-        # canonical bases are equal iff their rows are
-        return tuple(frozenset(row.items()) for row in canonical.data)
+    def record(rows: list[dict]):
+        """Keep the span of reduced rows, once; return its key."""
+        # canonical bases are equal iff their reduced rows are
+        key = tuple(frozenset(row.items()) for row in rows)
+        if key not in found:
+            found[key] = _mat(f, len(rows), dim, rows).transpose()
+        return key
 
-    def record(closed: Mat):
-        found.setdefault(rows(closed), closed)
-
-    record(Mat.zeros(f, dim, 0))
-    record(Mat.identity(f, dim))
+    record([])
+    record([{i: 1} for i in range(dim)])
     if not f.is_rational and (f.p ** dim - 1) <= 15:
         vectors = [v for v in product(range(f.p), repeat=dim) if any(v)]
         for r in range(1, len(vectors) + 1):
             for subset in combinations(vectors, r):
                 span = image_basis(Mat.from_cols(f, [list(v) for v in subset], rows=dim))
                 if action_closed(m, span) is None:
-                    record(span)
+                    record(span.transpose().data)
     else:
         na, nb = m.left_alg.dim, m.right_alg.dim
-        # Column (a*dim + k)*nb + b of w is e_a . e_k . e_b, so
-        # A . v . A = image(w (I_na (x) v (x) I_nb)) is saturate_subspace in
-        # one product.  For v = e_k that is the block of the columns with
-        # middle index k, and for v = e_i +- e_j the sum of two blocks.
-        w = mul_kron_id(m.right_mat, m.left_mat, nb)
-        blocks = [w.select_cols([(a * dim + k) * nb + b for a in range(na) for b in range(nb)])
-                  for k in range(dim)]
-        singles = [image_basis(block) for block in blocks]
+        # Row (a*dim + k)*nb + b of w^T is e_a . e_k . e_b, so the rows
+        # with middle index k, gens[k], span A . e_k . A, the saturation
+        # saturate_subspace builds, and for v = e_i +- e_j the rows of
+        # gens[i] +- gens[j] span A . v . A.
+        wt = mul_kron_id(m.right_mat, m.left_mat, nb).transpose().data
+        gens = [_mat(f, na * nb, dim, [wt[(a * dim + k) * nb + b]
+                                       for a in range(na) for b in range(nb)])
+                for k in range(dim)]
+        singles = [_row_span(f, g.data) for g in gens]
         # saturation is additive, A . (V + W) . A = A . V . A + A . W . A, so
-        # a subset's saturation depends only on the distinct saturations of
-        # its vectors, and each such set is eliminated once
+        # a pair's saturation is the span of its two singles' rows, and
+        # depends only on which distinct singles they are: each such pair is
+        # eliminated once
         kinds: dict = {}
-        kind = [kinds.setdefault(rows(single), len(kinds)) for single in singles]
+        kind = [kinds.setdefault(record(single), len(kinds)) for single in singles]
         summed = set()
-        for r in (1, 2):
-            for subset in combinations(range(dim), r):
-                key = frozenset(kind[i] for i in subset)
-                if key not in summed:
-                    summed.add(key)
-                    record(image_basis(Mat.hstack_all(f, [singles[i] for i in subset], dim)))
-        # diagonal directions catch the subspaces missed by pure basis spans
         for i, j in combinations(range(dim), 2):
-            record(image_basis(blocks[i] + blocks[j]))
-            record(image_basis(blocks[i] - blocks[j]))
+            pair = frozenset((kind[i], kind[j]))
+            if len(pair) == 2 and pair not in summed:
+                summed.add(pair)
+                record(_row_span(f, singles[i] + singles[j]))
+            # diagonal directions catch the subspaces missed by pure basis spans
+            record(_row_span(f, (gens[i] + gens[j]).data))
+            record(_row_span(f, (gens[i] - gens[j]).data))
     return sorted(found.values(), key=lambda s: (
         s.cols, tuple(tuple(map(f.format, row)) for row in s.dense_rows())))

@@ -27,7 +27,7 @@ from .linalg import (
     Mat,
     _clean,
     _mat,
-    image_basis,
+    _row_span,
     kron_id_mul,
     kronecker,
     mul_swap,
@@ -69,7 +69,8 @@ def kahler_relations(a: Algebra) -> Mat:
                             t = l * nb + r
                             acc[t] = get(t, 0) - c * v
                 forms.append(_clean(acc, f.p))
-    return image_basis(_mat(f, len(forms), n * nb, forms).transpose())
+    rows = _row_span(f, forms)
+    return _mat(f, len(rows), n * nb, rows).transpose()
 
 
 @_memo

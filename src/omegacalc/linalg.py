@@ -177,9 +177,6 @@ class Field:
             return f"{a.numerator}/{a.denominator}"
         return str(a % self.p)
 
-    def parse(self, s: str):
-        return self.coerce(s)
-
 
 QQ = Field()
 
@@ -641,9 +638,19 @@ def rank(m: Mat) -> int:
     return len(pcols)
 
 
+def _row_span(field: Field, vectors: list[dict]) -> list[dict]:
+    """The canonical basis of the span of sparse vectors, as rows: the
+    reduced row echelon form of one elimination, so two spans are equal iff
+    their rows are.  image_basis puts these rows in the columns of a
+    matrix; a caller that compares spans before it builds one reads the
+    rows."""
+    return _rref_sparse(field, vectors)[0]
+
+
 def image_basis(m: Mat) -> Mat:
     """Canonical basis of col(M): reduced column echelon form, one column per pivot."""
-    return rref(m.transpose())[0].transpose()
+    rows = _row_span(m.field, m.transpose().data)
+    return _mat(m.field, len(rows), m.rows, rows).transpose()
 
 
 def kernel_basis(m: Mat) -> Mat:

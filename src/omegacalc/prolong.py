@@ -259,13 +259,13 @@ def _right_action(pi: Mat, pi_m: Mat, at_bar: Mat, s: Mat | None) -> Mat:
     return _mat(f, at_bar.cols, at_s.cols * n, rows)
 
 
-def _prolongation(a: Algebra, max_degree: int, p1: Mat | None = None,
-                  s1: Mat | None = None, rel: Mat | None = None):
+def _prolongation(a: Algebra, max_degree: int, c: FirstOrderCalculus | None = None):
     """dims, diff and wedge of the maximal prolongation of the calculus
-    Omega^1 = (A (x) A-bar) / N.
+    c = Omega^1 = (A (x) A-bar) / N.
 
-    p1: A (x) A-bar ->> Omega^1 is a0 (x) b -> a0 db, s1 a section of it and
-    rel a basis of its kernel N.  Left out, they are the universal calculus:
+    Its presentation is p1 = phi: A (x) A-bar ->> Omega^1, a0 (x) b -> a0 db,
+    s1 = fodc._section(c) a section of it and rel = fodc._kernel(c) the
+    canonical basis of its kernel N.  Left out, c is the universal calculus:
     p1 = s1 = I and N = 0.  Omega^k is (Omega^(k-1) (x) A-bar) / R_k, with
     quotient map quot[k] and section sect[k], both None where R_k = 0.
     quot is returned with the maps: quot[1] is p1, and past a zero component
@@ -291,6 +291,21 @@ def _prolongation(a: Algebra, max_degree: int, p1: Mat | None = None,
     f, n = a.field, a.dim
     bar, pi = _unit_complement(a)
     nb = len(bar)
+    if c is None:
+        p1 = s1 = rel = None
+        dims = [n, n * nb]
+        diff = [kronecker(a.unit_mat, pi)]              # da = 1 d(pi a)
+        built = {(0, 0): a.mult_mat}
+    else:
+        p1, s1, rel = _phi(c), _section(c), _kernel(c)
+        # Certificate, in place of building degree 1 from the presentation:
+        # phi is an onto bimodule map with phi s1 = I and phi d_u = d
+        # (fodc._phi, fodc._section), so the left action p1 (m (x) 1)(1 (x) s1),
+        # the right action p1 R (s1 (x) 1) and p1 d_u that the presentation
+        # gives are those of c, whose basis Omega^1 is.
+        dims = [n, c.dim]
+        diff = [c.d]
+        built = {(0, 0): a.mult_mat, (0, 1): c.omega.left_mat, (1, 0): c.omega.right_mat}
     i_bar = Mat.identity(f, nb)
     # pi m (iota (x) 1): A-bar (x) A -> A-bar, b (x) c -> pi(bc)
     pi_m = pi * a.mult_mat.select_cols([x * n + y for x in bar for y in range(n)])
@@ -316,9 +331,6 @@ def _prolongation(a: Algebra, max_degree: int, p1: Mat | None = None,
         # x ^ (y ^ db) = (x ^ y) ^ db
         return wedge_d(i + j, wedge[(i, j - 1)], dims[i], j)
 
-    dims = [n, n * nb if p1 is None else p1.rows]
-    diff = [reduce(1, kronecker(a.unit_mat, pi))]       # da = 1 d(pi a)
-    built = {(0, 0): a.mult_mat}
     wedge = _Wedges(max_degree, built, make)
     for k in range(1, max_degree + 1):
         if k > 1 and dims[k - 1] == 0:
@@ -415,7 +427,6 @@ def maximal_prolongation(c: FirstOrderCalculus, max_degree: int) -> MaximalProlo
     if max_degree < 1:
         raise PreconditionError("max degree must be at least 1")
     a = c.alg
-    phi = _phi(c)
     # Certificate for the graded axioms, in place of the full check:
     # 1. phi is onto and a bimodule map with phi d_u = d (certified at
     #    fodc._phi), and fodc._section is a section of it.  Its kernel N is a
@@ -432,10 +443,11 @@ def maximal_prolongation(c: FirstOrderCalculus, max_degree: int) -> MaximalProlo
     # 4. The right action, the wedges and d are the identities of the dg
     #    algebra (2) named at each step of _prolongation, evaluated on
     #    representatives and reduced by the quotient maps, so they are its
-    #    product and d, and every graded axiom holds.  Every class is a sum
-    #    of x ^ db, which is surjectivity by induction from (1).
+    #    product and d, and every graded axiom holds.  In degree 1 they are
+    #    the actions and d of c itself (the certificate in _prolongation).
+    #    Every class is a sum of x ^ db, which is surjectivity by induction
+    #    from (1).
     # tests/test_prolong.py runs the full check on the results and holds
     # the maximal prolongation of the universal calculus to the universal
     # prolongation.
-    return _certified_dg(MaximalProlongation(
-        a, max_degree, *_prolongation(a, max_degree, phi, _section(c), _kernel(c))))
+    return _certified_dg(MaximalProlongation(a, max_degree, *_prolongation(a, max_degree, c)))

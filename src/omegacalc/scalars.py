@@ -18,9 +18,9 @@ from .bimodule import saturate_subspace
 from .fodc import (
     FirstOrderCalculus,
     PreconditionError,
+    _closed_quotient_calculus,
     _kernel,
     _unit_complement,
-    quotient_calculus,
     universal_calculus,
 )
 from .linalg import (
@@ -48,7 +48,11 @@ def calc_pushforward(f: AlgMap, c: FirstOrderCalculus) -> FirstOrderCalculus:
     # ker(Omega_u(A) -> c) is ker phi, which needs no Omega_u(A)
     u_b = universal_calculus(f.target)
     pushed = saturate_subspace(u_b.omega, image_basis(universal_map(f) * _kernel(c)))
-    result, _proj = quotient_calculus(u_b, pushed)
+    # Certificate, in place of the closure witness: saturate_subspace returns
+    # the canonical basis of A . V . A, which is action-closed (its own
+    # certificate).  tests/test_scalars.py runs action_closed on the kernel
+    # of every pushed calculus.
+    result, _proj = _closed_quotient_calculus(u_b, pushed)
     return result
 
 
@@ -60,12 +64,15 @@ def calc_pullback(f: AlgMap, t: FirstOrderCalculus) -> FirstOrderCalculus:
     u_a = universal_calculus(f.source)
     p = preimage_basis(universal_map(f), _kernel(t))
     # Certificate, in place of checking kernel_basis(proj) == p: p is a
-    # canonical basis (preimage_basis returns one), and quotient_calculus
+    # canonical basis (preimage_basis returns one), and the quotient
     # projects onto its echelon complement (quotient_maps), whose kernel is
     # exactly the span of p; it records p as ker(Omega_u -> result).
-    # tests/test_scalars.py holds the projection's kernel to p on every
-    # oracle map.
-    result, _proj = quotient_calculus(u_a, p)
+    # Certificate, in place of the closure witness: f_u is a bimodule map
+    # along f, f_u(a x b) = f(a) f_u(x) f(b), and ker(Omega_u(B) -> t) is a
+    # sub-bimodule, so its preimage p is closed under both actions of A.
+    # tests/test_scalars.py holds the projection's kernel to p, and runs
+    # action_closed on it, on every oracle map.
+    result, _proj = _closed_quotient_calculus(u_a, p)
     return result
 
 

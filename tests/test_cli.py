@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -7,9 +8,14 @@ from pathlib import Path
 import pytest
 
 import omegacalc.derham as derham
+from omegacalc import cli
+from omegacalc.bimodule import action_closed
 from omegacalc.cli import main
+from omegacalc.fodc import _kernel, universal_calculus
+from omegacalc.io import algebra_from_json
 
-FIXTURES = Path(__file__).resolve().parent.parent / "src" / "omegacalc" / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "src" / "omegacalc" / "fixtures"
 ALL_FIXTURE_ALGEBRAS = sorted(
     p.name for p in FIXTURES.glob("*.json") if p.name != "y_to_x2.json"
 )
@@ -518,6 +524,26 @@ def test_text_format_default(capsys):
     code, out = run_cli(capsys, "check", str(FIXTURES / "qx2.json"))
     assert code == 0
     assert "valid: True" in out
+
+
+def test_relation_quotients_are_action_closed(tmp_path):
+    # _quotient_of_universal skips the closure witness, under the certificate
+    # at its call; this is the witness it no longer runs, on every relations
+    # file of the golden snapshot (tools/gen_goldens.py): one per fixture,
+    # and two more on qz3
+    spec = importlib.util.spec_from_file_location("gen_goldens", ROOT / "tools" / "gen_goldens.py")
+    gen_goldens = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_goldens)
+    gen_goldens.write_inputs(tmp_path)
+    rels = sorted(tmp_path.glob("rel_*.json"))
+    assert len(rels) == len(ALL_FIXTURE_ALGEBRAS) + 2
+    for rel in rels:
+        name = rel.stem[len("rel_"):]
+        path = FIXTURES / f"{name}.json"
+        alg = algebra_from_json(json.loads((path if path.exists() else FIXTURES / "qz3.json")
+                                           .read_text()))
+        calc = cli._quotient_of_universal(alg, json.loads(rel.read_text()))
+        assert action_closed(universal_calculus(alg).omega, _kernel(calc)) is None, rel.name
 
 
 def test_prolong_quotient_calculus_spec(capsys, tmp_path):

@@ -1,8 +1,15 @@
 import pytest
 
-from omegacalc.algebra import AxiomError, is_commutative
+from omegacalc import bimodule, cli
+from omegacalc.algebra import AlgMap, AxiomError, is_commutative
 
-from omegacalc.bimodule import BimodMap, Bimodule, bimod_map_report, zero_bimodule
+from omegacalc.bimodule import (
+    BimodMap,
+    Bimodule,
+    action_closed,
+    bimod_map_report,
+    zero_bimodule,
+)
 from omegacalc.fodc import (
     FirstOrderCalculus,
     PreconditionError,
@@ -33,6 +40,7 @@ from omegacalc.linalg import (
     subspace_leq,
 )
 from omegacalc.prolong import universal_prolongation
+from omegacalc.scalars import calc_pullback, calc_pushforward
 
 from oracles import (
     calculus_morphism,
@@ -250,6 +258,53 @@ def test_quotient_rejects_non_closed_subspace(qx2):
     dx = omega_coords(u, [0, 1, -1, 0])
     with pytest.raises(LinAlgError):
         quotient_calculus(u, dx)
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_quotient_calculus_refuses_what_the_closure_witness_refuses(name):
+    # the public quotient runs the closure witness on every subspace it is
+    # given: here span(e_i) for each basis vector of Omega_u, which is
+    # canonical and, on every algebra with Omega_u != 0, not always closed
+    u = universal_calculus(ORACLE_ALGEBRAS[name]())
+    e = Mat.identity(u.alg.field, u.dim)
+    refused = 0
+    for i in range(u.dim):
+        sub = e.select_cols([i])
+        witness = action_closed(u.omega, sub)
+        if witness is None:
+            assert quotient_calculus(u, sub)[0].dim == u.dim - 1
+        else:
+            refused += 1
+            with pytest.raises(LinAlgError) as exc:
+                quotient_calculus(u, sub)
+            assert str(exc.value) == f"subspace is not action-closed: {witness}"
+    assert refused or u.dim == 0
+
+
+def test_only_the_public_quotient_runs_the_closure_witness(monkeypatch, qx3, qx4, qy2):
+    # transport and the CLI relation path quotient by subspaces that are
+    # closed by construction and skip the witness, under the certificates at
+    # their calls; the public quotient_calculus runs it on every call
+    calls = []
+    witness = bimodule._closure_witness
+
+    def counting(*args):
+        calls.append(args)
+        return witness(*args)
+
+    monkeypatch.setattr(bimodule, "_closure_witness", counting)
+    y_to_x2 = AlgMap(qy2, qx4, Mat(QQ, [[1, 0], [0, 0], [0, 1], [0, 0]]))
+    for c in (universal_calculus(qy2), kahler_calculus(qy2)):
+        calc_pushforward(y_to_x2, c)
+    for t in (universal_calculus(qx4), kahler_calculus(qx4)):
+        calc_pullback(y_to_x2, t)
+    # [dx, x] = 1 (x) x^2 - 2 x (x) x + x^2 (x) 1 in A (x) A coordinates
+    relation = ["0", "0", "1", "0", "-2", "0", "1", "0", "0"]
+    assert cli._quotient_of_universal(qx3, {"generators": [relation]}).dim == 2
+    assert calls == []
+    u = universal_calculus(qx3)
+    quotient_calculus(u, Mat.zeros(QQ, u.dim, 0))
+    assert len(calls) == 1
 
 
 def test_quotient_calculus_d_behaviour(qx2):

@@ -26,7 +26,11 @@ ker(Omega_u -> c) is eliminated in one place, the memoized `_kernel`.  The
 universal calculus is a value of its algebra: no function takes one as a
 parameter, and the helper and the option that did are gone.  The Kaehler
 calculus is the closed form I / I^2 and builds neither Omega_u, nor a
-saturation, nor a generic quotient.
+saturation, nor a generic quotient.  The rational lattice enumeration
+eliminates rows of the sandwich map and calls neither image_basis nor
+select_cols, and image_basis and the Kaehler relations share one row-span
+step (`linalg._row_span`).  The certified quotient calculi build on one
+helper, `fodc._quotient_on`.
 """
 
 import ast
@@ -329,9 +333,12 @@ def test_retired_names_are_gone(name):
 CERTIFIED_CALCULI = {
     ("fodc.py", "universal_calculus"),
     ("fodc.py", "zero_calculus"),
-    ("fodc.py", "quotient_calculus"),
+    ("fodc.py", "_quotient_on"),
     ("kahler.py", "kahler_calculus"),
 }
+# the two quotients that build on _quotient_on: the public one, and the one
+# for subspaces closed by construction
+QUOTIENTS = {("fodc.py", "quotient_calculus"), ("fodc.py", "_closed_quotient_calculus")}
 
 
 def test_only_the_certified_calculi_skip_the_calculus_check():
@@ -343,7 +350,7 @@ def test_only_the_certified_calculi_skip_the_calculus_check():
     assert sorted(callers) == sorted(CERTIFIED_CALCULI)
 
 
-@pytest.mark.parametrize("module,name", sorted(CERTIFIED_CALCULI))
+@pytest.mark.parametrize("module,name", sorted(CERTIFIED_CALCULI | QUOTIENTS))
 def test_certified_calculi_run_no_calculus_check(module, name):
     banned = {"check_fodc", "FirstOrderCalculus", "UniversalCalculus"}
     assert not called_names(function_node(module, name)) & banned
@@ -373,6 +380,27 @@ def test_enumeration_saturates_through_one_sandwich_map():
     # replaced is the test oracle
     node = function_node("fodc.py", "enumerate_action_closed_subspaces")
     assert "saturate_subspace" not in called_names(node)
+
+
+def test_the_rational_enumeration_eliminates_rows():
+    # outside the exhaustive GF(p) branch each candidate is one elimination
+    # of rows of w^T (linalg._row_span): no column selection, and no
+    # transpose pair around an elimination per candidate
+    node = function_node("fodc.py", "enumerate_action_closed_subspaces")
+    branch = next(n for n in ast.walk(node) if isinstance(n, ast.If)
+                  and "is_rational" in ast.unparse(n.test))
+    called = set().union(*(called_names(n) for n in branch.orelse))
+    assert "_row_span" in called
+    assert not called & {"image_basis", "select_cols"}
+
+
+def test_image_basis_is_the_row_span_on_the_columns():
+    # one canonical form, one route: image_basis is linalg._row_span on the
+    # columns of its argument, and the Kaehler relations are eliminated as
+    # rows through it
+    assert "_row_span" in called_names(function_node("linalg.py", "image_basis"))
+    called = called_names(function_node("kahler.py", "kahler_relations"))
+    assert "_row_span" in called and "image_basis" not in called
 
 
 def test_saturation_has_no_loop():

@@ -175,10 +175,10 @@ def test_every_nonzero_element_has_its_inverse(p):
 def test_scalar_strings():
     assert QQ.format(Fraction(-3, 4)) == "-3/4"
     assert QQ.format(Fraction(5)) == "5"
-    assert QQ.parse("7/2") == Fraction(7, 2)
+    assert QQ.coerce("7/2") == Fraction(7, 2)
     f5 = GF(5)
     assert f5.format(f5.coerce(-1)) == "4"
-    assert f5.parse("3") == 3
+    assert f5.coerce("3") == 3
 
 
 def test_rational_scalar_normal_form():

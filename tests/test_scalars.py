@@ -6,8 +6,10 @@ import pytest
 import omegacalc
 from omegacalc import scalars
 from omegacalc.algebra import AlgMap, is_commutative
+from omegacalc.bimodule import action_closed
 from omegacalc.fodc import (
     PreconditionError,
+    _closed_quotient_calculus,
     _kernel,
     _phi,
     enumerate_action_closed_subspaces,
@@ -89,19 +91,19 @@ def test_pushed_and_pulled_calculi_record_the_kernel_of_phi(name):
 
 @pytest.mark.parametrize("name", ORACLE_MAPS)
 def test_pullback_projection_kills_exactly_the_recorded_kernel(name, monkeypatch):
-    # calc_pullback hands quotient_calculus the canonical preimage p, and
-    # quotient_maps builds a projection whose kernel is exactly p; this is
-    # the check calc_pullback ran on every call, held here on every oracle
+    # calc_pullback hands its certified quotient the canonical preimage p,
+    # and quotient_maps builds a projection whose kernel is exactly p; this
+    # is the check calc_pullback ran on every call, held here on every oracle
     # map and on the universal, Kaehler, zero and two quotient calculi
     f = ORACLE_MAPS[name]()
     built = []
 
     def recording(c, sub):
-        result, proj = quotient_calculus(c, sub)
+        result, proj = _closed_quotient_calculus(c, sub)
         built.append((sub, result, proj))
         return result, proj
 
-    monkeypatch.setattr(scalars, "quotient_calculus", recording)
+    monkeypatch.setattr(scalars, "_closed_quotient_calculus", recording)
     targets = (canonical_calculi(f.target) + [zero_calculus(f.target)]
                + first_proper_quotients(f.target))
     for t in targets:
@@ -110,6 +112,20 @@ def test_pullback_projection_kills_exactly_the_recorded_kernel(name, monkeypatch
         assert last is result
         assert kernel_basis(proj.matrix) == sub == _kernel(result)
     assert len(built) == len(targets)
+
+
+@pytest.mark.parametrize("name", ORACLE_MAPS)
+def test_pushed_and_pulled_kernels_are_action_closed(name):
+    # calc_pushforward and calc_pullback skip the closure witness, under the
+    # certificates at their calls; this is the witness they no longer run,
+    # on every oracle map and on the universal, Kaehler, zero and two
+    # quotient calculi of each end
+    f = ORACLE_MAPS[name]()
+    for transport, near, far in ((calc_pushforward, f.source, f.target),
+                                 (calc_pullback, f.target, f.source)):
+        u = universal_calculus(far)
+        for c in canonical_calculi(near) + [zero_calculus(near)] + first_proper_quotients(near):
+            assert action_closed(u.omega, _kernel(transport(f, c))) is None
 
 
 def test_universal_map_functoriality(qx2, y_to_x2, qy2):

@@ -33,6 +33,8 @@ FULL_VALIDATION = ("tests/test_prolong.py -k "
 COACTION_ORACLE = "tests/test_hopf.py -k universal_coactions_pass_axioms"
 CODIAGONAL_ORACLE = "tests/test_hopf.py -k codiagonal_coactions_match_the_materialized_ones"
 ENUMERATION_ORACLE = "tests/test_fodc.py -k enumeration_matches_saturation_per_candidate"
+QUOTIENT_REFUSAL = ("tests/test_fodc.py -k "
+                    "quotient_calculus_refuses_what_the_closure_witness_refuses")
 AD_STABLE_ORACLE = "tests/test_hopf.py -k function_algebra_calculi_are_bicovariant_iff_ad_stable"
 QUOTIENT_HOPF_ORACLE = "tests/test_hopf.py -k bicovariance_agrees_with_brute_force"
 DG_MORPHISM_ORACLE = "tests/test_prolong.py -k unique_dg_morphism_matches_the_amitsur_route"
@@ -86,6 +88,12 @@ MUTANTS = [
      "wedge_d(i + j, wedge[(i, j - 1)], dims[i], j)",
      "wedge_d(i + j, wedge[(i, j - 1)], dims[i], 1)",
      ORDER_ORACLE),
+    # the maximal prolongation with the left and right actions of c swapped
+    # where degree 1 is seeded with c itself
+    ("src/omegacalc/prolong.py",
+     "built = {(0, 0): a.mult_mat, (0, 1): c.omega.left_mat, (1, 0): c.omega.right_mat}",
+     "built = {(0, 0): a.mult_mat, (0, 1): c.omega.right_mat, (1, 0): c.omega.left_mat}",
+     FULL_VALIDATION),
     # trivial_extension: its left action on Omega^1
     ("src/omegacalc/prolong.py",
      "    wedge = {(0, 0): a.mult_mat, (0, 1): c.omega.left_mat, (1, 0): c.omega.right_mat}\n"
@@ -172,16 +180,22 @@ MUTANTS = [
      "_certified(UniversalCalculus, a, omega, diff[0],",
      "_certified(UniversalCalculus, a, omega, -diff[0],",
      KERNEL_ORACLE),
-    # the lattice enumeration: a pair saturated as its first basis vector
-    # only, and the diagonal e_i - e_j replaced by e_i + e_j
+    # the lattice enumeration on rows: a pair saturated as its first basis
+    # vector only, and the diagonal e_i - e_j replaced by e_i + e_j
     ("src/omegacalc/fodc.py",
-     "[singles[i] for i in subset]",
-     "[singles[subset[0]]]",
+     "record(_row_span(f, singles[i] + singles[j]))",
+     "record(_row_span(f, singles[i]))",
      ENUMERATION_ORACLE),
     ("src/omegacalc/fodc.py",
-     "            record(image_basis(blocks[i] - blocks[j]))",
-     "            record(image_basis(blocks[i] + blocks[j]))",
+     "            record(_row_span(f, (gens[i] - gens[j]).data))",
+     "            record(_row_span(f, (gens[i] + gens[j]).data))",
      ENUMERATION_ORACLE),
+    # the public quotient_calculus sent down the path that skips the closure
+    # witness
+    ("src/omegacalc/fodc.py",
+     "    return _quotient_on(c, sub, *quotient_bimodule(c.omega, sub))",
+     "    return _quotient_on(c, sub, *_closed_quotient(c.omega, sub))",
+     QUOTIENT_REFUSAL),
     # check_fodc: the left-surjectivity rank
     ("src/omegacalc/fodc.py",
      "    left_rank = rank(one_d)",
