@@ -12,7 +12,6 @@ from .linalg import (
     Field,
     LinAlgError,
     Mat,
-    kronecker,
     mul_id_kron,
     mul_kron_id,
     mul_swap,
@@ -117,14 +116,6 @@ class Algebra:
     def __repr__(self):
         return f"Algebra(dim={self.dim} over {self.field})"
 
-    def identity_map(self) -> "AlgMap":
-        return AlgMap(self, self, Mat.identity(self.field, self.dim))
-
-    def multiply(self, x: list, y: list) -> list:
-        xv = Mat.col_vector(self.field, x)
-        yv = Mat.col_vector(self.field, y)
-        return (self.mult_mat * kronecker(xv, yv)).column(0)
-
 
 def is_commutative(a: Algebra) -> bool:
     return mul_swap(a.mult_mat, a.dim, a.dim) == a.mult_mat
@@ -154,11 +145,6 @@ class AlgMap:
         self.source = source
         self.target = target
         self.matrix = matrix
-
-    def compose(self, inner: "AlgMap") -> "AlgMap":
-        if inner.target is not self.source and inner.target != self.source:
-            raise LinAlgError("composition mismatch")
-        return AlgMap(inner.source, self.target, self.matrix * inner.matrix)
 
     def __repr__(self):
         return f"AlgMap({self.source.dim} -> {self.target.dim})"

@@ -7,6 +7,10 @@ in the fixed row-major tensor basis.  Left modules and right modules are the
 special cases where one side is the base field viewed as a 1-dimensional
 algebra, so a single type covers all three notions.
 
+`Bimodule` and `BimodMap` always check their axioms.  The sub-bimodules,
+quotients, tensor products and zero bimodule built here, and their
+inclusions and projections, satisfy them by construction and are built by
+`linalg._certified` under the proof written at each call.
 `quotient_bimodule` refuses a subspace that is not action-closed, reading
 the closure off its quotient map (`_closure_witness`).  The private
 `_closed_quotient` is the same quotient without that check, for the
@@ -19,6 +23,7 @@ from .algebra import Algebra, AxiomError
 from .linalg import (
     LinAlgError,
     Mat,
+    _certified,
     image_basis,
     kronecker,
     mul_id_kron,
@@ -52,19 +57,21 @@ class Bimodule:
     """An (A, B)-bimodule on a finite-dimensional space."""
 
     def __init__(self, left_alg: Algebra, right_alg: Algebra, dim: int,
-                 left_mat: Mat, right_mat: Mat, check=True):
+                 left_mat: Mat, right_mat: Mat):
         if left_alg.field != right_alg.field:
             raise LinAlgError("bimodule algebras over different fields")
+        report = bimodule_axiom_report(left_alg, right_alg, dim, left_mat, right_mat)
+        if report:
+            raise AxiomError(report)
         self.left_alg = left_alg
         self.right_alg = right_alg
-        self.field = left_alg.field
         self.dim = dim
         self.left_mat = left_mat
         self.right_mat = right_mat
-        if check:
-            report = bimodule_axiom_report(left_alg, right_alg, dim, left_mat, right_mat)
-            if report:
-                raise AxiomError(report)
+
+    @property
+    def field(self):
+        return self.left_alg.field
 
     @staticmethod
     def from_tensors(left_alg: Algebra, right_alg: Algebra, dim: int, left, right) -> "Bimodule":
@@ -104,7 +111,7 @@ class Bimodule:
 class BimodMap:
     """Morphism of (A, B)-bimodules."""
 
-    def __init__(self, source: Bimodule, target: Bimodule, matrix: Mat, check=True):
+    def __init__(self, source: Bimodule, target: Bimodule, matrix: Mat):
         if source.left_alg != target.left_alg or source.right_alg != target.right_alg:
             raise LinAlgError("bimodule morphism between different algebra pairs")
         if (matrix.rows, matrix.cols) != (target.dim, source.dim):
@@ -112,10 +119,9 @@ class BimodMap:
         self.source = source
         self.target = target
         self.matrix = matrix
-        if check:
-            report = bimod_map_report(self)
-            if report:
-                raise AxiomError(report)
+        report = bimod_map_report(self)
+        if report:
+            raise AxiomError(report)
 
     def __repr__(self):
         return f"BimodMap({self.source.dim} -> {self.target.dim})"
@@ -133,8 +139,11 @@ def bimod_map_report(f: BimodMap) -> list[str]:
 
 
 def zero_bimodule(a: Algebra, b: Algebra) -> Bimodule:
-    f = a.field
-    return Bimodule(a, b, 0, Mat.zeros(f, 0, 0), Mat.zeros(f, 0, 0), check=False)
+    """The zero (A, B)-bimodule: every axiom is an identity in 0."""
+    if a.field != b.field:
+        raise LinAlgError("bimodule algebras over different fields")
+    zero = Mat.zeros(a.field, 0, 0)
+    return _certified(Bimodule, left_alg=a, right_alg=b, dim=0, left_mat=zero, right_mat=zero)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +186,11 @@ def sub_bimodule(m: Bimodule, basis: Mat) -> tuple[Bimodule, BimodMap]:
     if lm is None or rm is None:
         side = "left" if lm is None else "right"
         raise LinAlgError(f"subspace is not closed under the {side} action")
-    sub = Bimodule(m.left_alg, m.right_alg, basis.cols, lm, rm, check=False)
-    return sub, BimodMap(sub, m, basis, check=False)
+    # the actions are those of m restricted to an action-closed span, read
+    # back through the basis, so sub is a bimodule and basis a map into m
+    sub = _certified(Bimodule, left_alg=m.left_alg, right_alg=m.right_alg, dim=basis.cols,
+                     left_mat=lm, right_mat=rm)
+    return sub, _certified(BimodMap, source=sub, target=m, matrix=basis)
 
 
 def _mul_section(x: Mat, p: int, s: Mat, q: int) -> Mat:
@@ -217,8 +229,11 @@ def _descend(m: Bimodule, q: Mat, s: Mat, q_left: Mat, q_right: Mat) -> tuple[Bi
     q_right = q . m.right_mat: the actions descend through the section."""
     lm = _mul_section(q_left, m.left_alg.dim, s, 1)
     rm = _mul_section(q_right, 1, s, m.right_alg.dim)
-    quo = Bimodule(m.left_alg, m.right_alg, q.rows, lm, rm, check=False)
-    return quo, BimodMap(m, quo, q, check=False), s
+    # the actions of m descend through q because its kernel is action-closed,
+    # so quo is a bimodule and q an onto map of bimodules
+    quo = _certified(Bimodule, left_alg=m.left_alg, right_alg=m.right_alg, dim=q.rows,
+                     left_mat=lm, right_mat=rm)
+    return quo, _certified(BimodMap, source=m, target=quo, matrix=q), s
 
 
 def saturate_subspace(m: Bimodule, gens) -> Mat:
@@ -255,5 +270,8 @@ def tensor_over_algebra(m: Bimodule, n: Bimodule) -> tuple[Bimodule, Mat]:
     q, s = quotient_maps(image_basis(rel), m.dim * n.dim)
     lm = _mul_section(mul_kron_id(q, m.left_mat, n.dim), m.left_alg.dim, s, 1)
     rm = _mul_section(mul_id_kron(q, m.dim, n.right_mat), 1, s, n.right_alg.dim)
-    t = Bimodule(m.left_alg, n.right_alg, q.rows, lm, rm, check=False)
+    # the outer actions of M (x) N commute with the relations, so they
+    # descend to the cokernel, which is a bimodule
+    t = _certified(Bimodule, left_alg=m.left_alg, right_alg=n.right_alg, dim=q.rows,
+                   left_mat=lm, right_mat=rm)
     return t, q

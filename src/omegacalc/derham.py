@@ -12,10 +12,10 @@ The universal theory is read off its closed form, with no prolongation
 built: H^0 = k.1 and H^n = 0 above (Cuntz-Quillen 1995, section 1), in the
 canonical representatives the generic route returns (`_universal_de_rham`).
 So the comparison with the Kaehler theory is the class of the unit in
-degree 0 and the empty map above.  A complex taken from a graded calculus
-the library built skips the d.d products: the construction certifies them.
-One built from any other graded calculus, or from bare matrices, checks
-them.
+degree 0 and the empty map above.  A complex built from bare matrices
+checks d.d = 0; one taken from a graded calculus does not, because every
+GradedCalculus has d.d = 0, checked by its constructor or certified by
+the construction that built it.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .linalg import (
     EngineError,
     LinAlgError,
     Mat,
+    _certified,
     image_basis,
     kernel_basis,
     kronecker,
@@ -53,16 +54,11 @@ class CochainComplex:
 
     @staticmethod
     def from_graded(g: GradedCalculus) -> "CochainComplex":
-        if not g._dg_certified:
-            return CochainComplex(g.dims, g.diff)
-        # Certificate, in place of the d.d products: the library marks only
-        # the graded calculi it builds (universal_prolongation,
-        # maximal_prolongation and trivial_extension), each a dg algebra by
-        # the certificate written at its construction, so d.d = 0; and the
-        # GradedCalculus constructor checked the shapes.
-        c = object.__new__(CochainComplex)
-        c.dims, c.diff = list(g.dims), list(g.diff)
-        return c
+        # Certificate, in place of the shapes and the d.d products: the
+        # GradedCalculus constructor checks both, and universal_prolongation,
+        # maximal_prolongation and trivial_extension, which build theirs
+        # past it, each certify a dg algebra whose dims fit its maps
+        return _certified(CochainComplex, dims=list(g.dims), diff=list(g.diff))
 
 
 class DegreeReport:

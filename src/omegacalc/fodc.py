@@ -34,6 +34,7 @@ from .bimodule import (
 from .linalg import (
     LinAlgError,
     Mat,
+    _certified,
     _mat,
     _row_span,
     image_basis,
@@ -105,8 +106,8 @@ class FirstOrderCalculus:
     """A bimodule with a differential passing the full calculus check.
 
     The constructor checks every value given from outside.  The universal,
-    zero, quotient and Kaehler calculi are built by `_certified` instead,
-    under the certificates written next to them.
+    zero, quotient and Kaehler calculi are built by `linalg._certified`
+    instead, under the certificates written next to them.
     """
 
     def __init__(self, alg: Algebra, omega: Bimodule, d: Mat):
@@ -166,16 +167,6 @@ def _memo(build):
     return memoized
 
 
-def _certified(cls, alg: Algebra, omega: Bimodule, d: Mat, **extra):
-    """A calculus of type cls whose axioms its construction proves, built
-    without running check_fodc; extra holds the further attributes of cls."""
-    c = object.__new__(cls)
-    c.alg, c.omega, c.d = alg, omega, d
-    for name, value in extra.items():
-        setattr(c, name, value)
-    return c
-
-
 @_memo
 def _unit_complement(a: Algebra) -> tuple[tuple[int, ...], Mat]:
     """The coordinates of A-bar, every one but the unit's pivot p, and
@@ -201,7 +192,8 @@ def universal_calculus(a: Algebra) -> UniversalCalculus:
     from .prolong import _prolongation  # prolong builds on this module
 
     dims, diff, wedge, _quot = _prolongation(a, 1)
-    omega = Bimodule(a, a, dims[1], wedge[(0, 1)], wedge[(1, 0)], check=False)
+    omega = _certified(Bimodule, left_alg=a, right_alg=a, dim=dims[1],
+                       left_mat=wedge[(0, 1)], right_mat=wedge[(1, 0)])
     n, f = a.dim, a.field
     bar, pi = _unit_complement(a)
     cols = [x * n + b for x in range(n) for b in bar]
@@ -232,13 +224,14 @@ def universal_calculus(a: Algebra) -> UniversalCalculus:
     #    (1 . d), and (d . 1) iota = -id by Leibniz: da0 b - d(a0 b) = -a0 db.
     # tests/test_fodc.py holds iota to the kernel of multiplication and the
     # split identities on every fixture and generated algebra.
-    return _certified(UniversalCalculus, a, omega, diff[0], iota=iota,
+    return _certified(UniversalCalculus, alg=a, omega=omega, d=diff[0], iota=iota,
                       retraction=retraction)
 
 
 def zero_calculus(a: Algebra) -> FirstOrderCalculus:
     """Omega = 0 with d = 0: every calculus axiom is an identity in 0."""
-    return _certified(FirstOrderCalculus, a, zero_bimodule(a, a), Mat.zeros(a.field, 0, a.dim))
+    return _certified(FirstOrderCalculus, alg=a, omega=zero_bimodule(a, a),
+                      d=Mat.zeros(a.field, 0, a.dim))
 
 
 def _phi(c: FirstOrderCalculus) -> Mat:
@@ -299,7 +292,7 @@ def induced_map(target: FirstOrderCalculus) -> BimodMap:
     nonzero bimodule map kills d_u.
     """
     u = universal_calculus(target.alg)
-    return BimodMap(u.omega, target.omega, _phi(target), check=False)
+    return _certified(BimodMap, source=u.omega, target=target.omega, matrix=_phi(target))
 
 
 def quotient_calculus(c: FirstOrderCalculus, sub: Mat) -> tuple[FirstOrderCalculus, BimodMap]:
@@ -333,9 +326,9 @@ def _quotient_on(c: FirstOrderCalculus, sub: Mat, quo: Bimodule, proj: BimodMap,
     # of every UniversalCalculus, so phi of its quotient is proj, whose kernel
     # is the subspace and whose section is s
     split = {_kernel.slot: sub, _section.slot: s}
-    result = _certified(FirstOrderCalculus, c.alg, quo, d_new,
+    result = _certified(FirstOrderCalculus, alg=c.alg, omega=quo, d=d_new,
                         **(split if isinstance(c, UniversalCalculus) else {}))
-    return result, BimodMap(c.omega, result.omega, proj.matrix, check=False)
+    return result, proj
 
 
 def calculus_morphism_exists(src: FirstOrderCalculus, dst: FirstOrderCalculus) -> bool:

@@ -52,6 +52,12 @@ def bimonoid_axiom_report(a: Algebra, comult: Mat, counit: Mat) -> list[str]:
     rows: (X (x) 1) M is the transpose of M^T (X^T (x) 1), a right product,
     so no map on A^(x)3 or A^(x)4 is built.
     """
+    return _bimonoid_report(a, comult, counit)[0]
+
+
+def _bimonoid_report(a: Algebra, comult: Mat, counit: Mat) -> tuple[list[str], tuple[Mat, Mat]]:
+    """bimonoid_axiom_report, with the fused products s_t and t_t that its
+    algebra-map identity reads, so that a Bimonoid builds them once."""
     n = a.dim
     f = a.field
     if (comult.rows, comult.cols) != (n * n, n):
@@ -73,9 +79,9 @@ def bimonoid_axiom_report(a: Algebra, comult: Mat, counit: Mat) -> list[str]:
         report.append("right counit law fails")
     # (m (x) m)(1 (x) swap (x) 1)(Delta (x) Delta) is a (x) b -> a1 b1 (x) a2 b2,
     # which is (1 (x) m)(s (x) 1)(1 (x) Delta) for any linear Delta
-    s_t, _t_t = _fused_products(a, comult)
+    fused = _fused_products(a, comult)
     one_delta_t = mul_id_kron(Mat.identity(f, n * n), n, dt)
-    mult_aa_t = mul_id_kron(mul_kron_id(one_delta_t, s_t, n), n, a.mult_mat.transpose())
+    mult_aa_t = mul_id_kron(mul_kron_id(one_delta_t, fused[0], n), n, a.mult_mat.transpose())
     if (comult * a.mult_mat).transpose() != mult_aa_t:
         report.append("comultiplication is not an algebra map")
     if comult * a.unit_mat != kronecker(a.unit_mat, a.unit_mat):
@@ -84,7 +90,7 @@ def bimonoid_axiom_report(a: Algebra, comult: Mat, counit: Mat) -> list[str]:
         report.append("counit is not an algebra map")
     if counit * a.unit_mat != Mat.identity(f, 1):
         report.append("counit does not preserve the unit")
-    return report
+    return report, fused
 
 
 class Bimonoid:
@@ -97,13 +103,12 @@ class Bimonoid:
     """
 
     def __init__(self, alg: Algebra, comult: Mat, counit: Mat):
-        report = bimonoid_axiom_report(alg, comult, counit)
+        report, (self.s_t, self.t_t) = _bimonoid_report(alg, comult, counit)
         if report:
             raise AxiomError(report)
         self.alg = alg
         self.comult = comult
         self.counit = counit
-        self.s_t, self.t_t = _fused_products(alg, comult)
 
     def __repr__(self):
         return f"Bimonoid(dim={self.alg.dim})"

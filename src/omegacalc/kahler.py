@@ -17,7 +17,6 @@ from .bimodule import Bimodule
 from .fodc import (
     FirstOrderCalculus,
     PreconditionError,
-    _certified,
     _kernel,
     _memo,
     _section,
@@ -25,6 +24,7 @@ from .fodc import (
 )
 from .linalg import (
     Mat,
+    _certified,
     _clean,
     _mat,
     _row_span,
@@ -90,7 +90,7 @@ def kahler_calculus(a: Algebra) -> FirstOrderCalculus:
     q, s = quotient_maps(rel, n * nb)
     lm = q * kron_id_mul(a.mult_mat, nb, n, s)
     rm = mul_swap(lm, q.rows, n)
-    omega = Bimodule(a, a, q.rows, lm, rm, check=False)
+    omega = _certified(Bimodule, left_alg=a, right_alg=a, dim=q.rows, left_mat=lm, right_mat=rm)
     d = q * kronecker(a.unit_mat, pi)
     # Certificate, in place of check_fodc, a closure check and
     # centrality_check:
@@ -113,7 +113,7 @@ def kahler_calculus(a: Algebra) -> FirstOrderCalculus:
     #    phi: a0 (x) b -> a0 db, with kernel N and section s.
     # tests/test_kahler.py holds every matrix to the saturated quotient of
     # Omega_u, and runs check_fodc and centrality_check on the results.
-    return _certified(FirstOrderCalculus, a, omega, d,
+    return _certified(FirstOrderCalculus, alg=a, omega=omega, d=d,
                       **{_kernel.slot: rel, _section.slot: s})
 
 

@@ -25,15 +25,14 @@ h^k = Q_k (h^(k-1) (x) I) with Q_k the quotient map of degree k
 (`MaximalProlongation.from_universal`).  No map lives in the Amitsur
 complex A^(x)(k+1).
 
-None of the three constructions runs a full graded axiom check, and the dg
-map re-checks neither d nor a wedge.  Each carries a written certificate
-next to its code: the Cuntz-Quillen basis for the universal prolongation,
-the presentation with right exactness for the maximal prolongation, the
-zero components above degree 1 for the trivial extension, and initiality
-and the two presentations for the map from the universal prolongation.
-The three constructions mark their results (`_certified_dg`), so that
-`derham.CochainComplex.from_graded` skips the d.d products on them; a
-GradedCalculus built by hand is never marked, and its d.d is checked.  The
+The public GradedCalculus constructor checks the shapes and d.d = 0.  The
+three constructions run neither that nor a full graded axiom check: they
+build their results by `linalg._certified`, and the dg map re-checks
+neither d nor a wedge.  Each carries a written certificate next to its
+code: the Cuntz-Quillen basis for the universal prolongation, the
+presentation with right exactness for the maximal prolongation, the zero
+components above degree 1 for the trivial extension, and initiality and
+the two presentations for the map from the universal prolongation.  The
 test suite holds each result to the full graded axiom check and the
 universal prolongation to the Amitsur complex (`tests/oracles.py`).
 
@@ -69,6 +68,7 @@ from .fodc import (
 from .linalg import (
     LinAlgError,
     Mat,
+    _certified,
     _clean,
     _mat,
     image_basis,
@@ -79,20 +79,23 @@ from .linalg import (
 )
 
 
-class _Wedges(Mapping):
-    """The wedge maps (i, j), i + j <= max_degree, of a graded calculus, each
-    built by make(self, i, j) on its first read and kept in `built`, which may
-    hold some from the start.  check(i, j, w) runs on each map when it is
-    built: the GradedCalculus that holds the mapping sets it to its shape
-    check.  make gets the mapping as an argument and check closes over the
-    dims only, so no reference cycle keeps a calculus alive past its last
-    use."""
+def _check_wedge(dims: list[int], i: int, j: int, w: Mat) -> None:
+    if (w.rows, w.cols) != (dims[i + j], dims[i] * dims[j]):
+        raise LinAlgError(f"wedge ({i},{j}) has wrong shape")
 
-    def __init__(self, max_degree: int, built: dict, make):
+
+class _Wedges(Mapping):
+    """The wedge maps (i, j), i + j <= max_degree, of a graded calculus with
+    components of the given dims, each built by make(self, i, j) on its
+    first read, checked against dims and kept in `built`, which may hold
+    some from the start.  make gets the mapping as an argument, so no
+    reference cycle keeps a calculus alive past its last use."""
+
+    def __init__(self, max_degree: int, dims: list[int], built: dict, make):
         self._keys = {(i, j) for i in range(max_degree + 1) for j in range(max_degree + 1 - i)}
+        self._dims = dims
         self.built = built
         self._make = make
-        self.check = lambda i, j, w: None
 
     def __getitem__(self, key):
         try:
@@ -101,7 +104,7 @@ class _Wedges(Mapping):
             if key not in self._keys:
                 raise
         w = self._make(self, *key)
-        self.check(*key, w)
+        _check_wedge(self._dims, *key, w)
         self.built[key] = w
         return w
 
@@ -122,15 +125,16 @@ class GradedCalculus:
     n < max_degree, and wedge maps wedge[(i, j)] for i + j <= max_degree,
     where (0,0) is the multiplication and (0,n)/(n,0) are the actions.
     wedge is kept as given: a dict, or the mapping of a prolongation, which
-    builds each map on its first read.  The constructor checks shapes only,
-    a dict's in full and a lazy map's when it is built.  The constructions
-    below build their maps under a written certificate, and the test suite
-    holds their results to every graded axiom.
+    builds and checks each map on its first read.  The constructor checks
+    the shapes, a dict's wedges in full, and d.d = 0.  The constructions
+    below build their values by `linalg._certified` under a written
+    certificate, and the test suite holds their results to every graded
+    axiom.
     """
 
     def __init__(self, alg: Algebra, max_degree: int, dims: list[int],
                  diff: list[Mat], wedge: Mapping):
-        # shapes only: O(N^2) comparisons and no matrix work
+        # the shapes, O(N^2) comparisons, then one product per pair for d.d
         if len(dims) != max_degree + 1 or len(diff) != max_degree:
             raise LinAlgError("need one component per degree up to the max degree "
                               "and one differential per adjacent pair")
@@ -140,49 +144,29 @@ class GradedCalculus:
         if set(wedge) != {(i, j) for i in range(max_degree + 1)
                           for j in range(max_degree + 1 - i)}:
             raise LinAlgError("need one wedge map per pair (i, j) with i + j <= max degree")
+        for (i, j), w in (wedge.built if isinstance(wedge, _Wedges) else wedge).items():
+            _check_wedge(dims, i, j, w)
+        for k in range(max_degree - 1):
+            if not (diff[k + 1] * diff[k]).is_zero():
+                raise LinAlgError(f"d.d != 0 at degree {k}")
         self.alg = alg
         self.max_degree = max_degree
         self.dims = list(dims)
         self.diff = list(diff)
         self.wedge = wedge
-        # a value built here satisfies no axiom it was not checked for; the
-        # constructions below mark theirs (`_certified_dg`)
-        self._dg_certified = False
-        dims = self.dims
-
-        def check(i, j, w):
-            if (w.rows, w.cols) != (dims[i + j], dims[i] * dims[j]):
-                raise LinAlgError(f"wedge ({i},{j}) has wrong shape")
-
-        built = wedge
-        if isinstance(wedge, _Wedges):
-            wedge.check = check
-            built = wedge.built
-        for (i, j), w in built.items():
-            check(i, j, w)
-
-def _certified_dg(g: GradedCalculus) -> GradedCalculus:
-    """g, marked as a dg algebra by the certificate of the construction that
-    built it, so that derham.CochainComplex.from_graded skips the d.d
-    products.  Only the constructions of this module mark their results."""
-    g._dg_certified = True
-    return g
 
 
 class MaximalProlongation(GradedCalculus):
     """The maximal prolongation of a first-order calculus, in the basis of
     its presentation Omega^k = (Omega^(k-1) (x) A-bar) / R_k.
 
-    quot[k] is the quotient map of degree k as `_prolongation` returns it.
+    _quot[k] is the quotient map of degree k as `_prolongation` returns it.
     The maps from the universal prolongation, `from_universal`, are built
     from them on first use, so a caller that does not read them pays
-    nothing for them.
+    nothing for them.  `maximal_prolongation` builds it with them; the
+    constructor it inherits checks a graded calculus but records no
+    quotient maps, so `from_universal` reads only a built one.
     """
-
-    def __init__(self, alg: Algebra, max_degree: int, dims: list[int],
-                 diff: list[Mat], wedge: Mapping, quot: list[Mat | None]):
-        super().__init__(alg, max_degree, dims, diff, wedge)
-        self._quot = quot
 
     @cached_property
     def from_universal(self) -> list[Mat]:
@@ -331,7 +315,7 @@ def _prolongation(a: Algebra, max_degree: int, c: FirstOrderCalculus | None = No
         # x ^ (y ^ db) = (x ^ y) ^ db
         return wedge_d(i + j, wedge[(i, j - 1)], dims[i], j)
 
-    wedge = _Wedges(max_degree, built, make)
+    wedge = _Wedges(max_degree, dims, built, make)
     for k in range(1, max_degree + 1):
         if k > 1 and dims[k - 1] == 0:
             # Omega^k is spanned by Omega^(k-1) ^ dA, so Omega^(k-1) = 0 makes
@@ -391,7 +375,8 @@ def universal_prolongation(a: Algebra, max_degree: int) -> GradedCalculus:
     # and proj its left inverse, and runs the full graded axiom check on the
     # results (tests/oracles.py).
     dims, diff, wedge, _quot = _prolongation(a, max_degree)
-    return _certified_dg(GradedCalculus(a, max_degree, dims, diff, wedge))
+    return _certified(GradedCalculus, alg=a, max_degree=max_degree, dims=dims, diff=diff,
+                      wedge=wedge)
 
 
 def trivial_extension(c: FirstOrderCalculus, max_degree: int) -> GradedCalculus:
@@ -411,8 +396,10 @@ def trivial_extension(c: FirstOrderCalculus, max_degree: int) -> GradedCalculus:
     # component above degree 1 is zero, so every map into one holds any
     # identity.  What is left are the bimodule axioms of A and Omega^1 (the
     # wedges with degree-0 factors), Leibniz at (0, 0) and surjectivity in
-    # degree 1, which are the axioms of c, checked when c was built.
-    return _certified_dg(GradedCalculus(a, max_degree, dims, diff, wedge))
+    # degree 1, which are the axioms of c, checked when c was built.  The
+    # shapes are those of dims by construction.
+    return _certified(GradedCalculus, alg=a, max_degree=max_degree, dims=dims, diff=diff,
+                      wedge=wedge)
 
 
 def maximal_prolongation(c: FirstOrderCalculus, max_degree: int) -> MaximalProlongation:
@@ -450,4 +437,6 @@ def maximal_prolongation(c: FirstOrderCalculus, max_degree: int) -> MaximalProlo
     # tests/test_prolong.py runs the full check on the results and holds
     # the maximal prolongation of the universal calculus to the universal
     # prolongation.
-    return _certified_dg(MaximalProlongation(a, max_degree, *_prolongation(a, max_degree, c)))
+    dims, diff, wedge, quot = _prolongation(a, max_degree, c)
+    return _certified(MaximalProlongation, alg=a, max_degree=max_degree, dims=dims, diff=diff,
+                      wedge=wedge, _quot=quot)

@@ -40,6 +40,7 @@ from omegacalc.kahler import kahler_calculus
 from omegacalc.linalg import (
     GF,
     QQ,
+    LinAlgError,
     Mat,
     _mat,
     _null_vectors,
@@ -54,7 +55,7 @@ from omegacalc.linalg import (
 )
 from omegacalc.prolong import universal_prolongation
 
-from oracles import regular_bimodule
+from oracles import identity_map, regular_bimodule, vstack
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "omegacalc" / "fixtures"
@@ -197,7 +198,7 @@ def with_zero_part(a):
 
 def pad(n, extra):
     """The inclusion of n coordinates into n + extra."""
-    return Mat.identity(QQ, n).vstack(Mat.zeros(QQ, extra, n))
+    return vstack(Mat.identity(QQ, n), Mat.zeros(QQ, extra, n))
 
 
 ORACLE_MAPS = {
@@ -221,7 +222,7 @@ ORACLE_MAPS = {
         load_fixture("qx3"), permuted(load_fixture("qx3"), [1, 0, 2]),
         Mat.identity(QQ, 3).select_cols([1, 0, 2])),
 }
-ORACLE_MAPS.update({f"identity of {name}": (lambda build=build: build().identity_map())
+ORACLE_MAPS.update({f"identity of {name}": (lambda build=build: identity_map(build()))
                     for name, build in ORACLE_ALGEBRAS.items()})
 
 
@@ -337,6 +338,39 @@ def kernel_basis_by_two_eliminations(m):
     prows, pcols, _ = _rref_sparse(m.field, m.data)
     vecs = _null_vectors(m.field, prows, pcols, m.cols)
     return rref(_mat(m.field, len(vecs), m.cols, vecs))[0].transpose()
+
+
+def quotient_maps_by_columns(sub_canonical, ambient_dim):
+    """linalg.quotient_maps in its earlier form: the canonical basis read
+    column by column off its transpose, each column's pivot the first row
+    it meets."""
+    field = sub_canonical.field
+    if sub_canonical.rows != ambient_dim:
+        raise LinAlgError("subspace basis does not live in the ambient space")
+    basis = sub_canonical.transpose().data
+    # reduced column echelon form: the pivots increase (a zero column has
+    # pivot -1), and the only entry in a pivot row is its column's own 1
+    pivot_rows = [min(vec, default=-1) for vec in basis]
+    canonical = all(p < q for p, q in zip([-1] + pivot_rows, pivot_rows))
+    pivot_set = set(pivot_rows)
+    compl = [i for i in range(ambient_dim) if i not in pivot_set]
+    index = {i: a for a, i in enumerate(compl)}
+    q_data = [{i: 1} for i in compl]
+    # reducing e_p for a pivot row p subtracts the corresponding basis column
+    for pr, vec in zip(pivot_rows, basis):
+        for i, v in vec.items():
+            a = index.get(i)
+            if a is not None:
+                q_data[a][pr] = field.neg(v)
+            elif i != pr or v != 1:
+                canonical = False
+    if not canonical:
+        raise LinAlgError("subspace basis is not in reduced column echelon form")
+    s_data = [{} for _ in range(ambient_dim)]
+    for a, i in enumerate(compl):
+        s_data[i] = {a: 1}
+    return (_mat(field, len(compl), ambient_dim, q_data),
+            _mat(field, ambient_dim, len(compl), s_data))
 
 
 def solve_by_product_check(m, b):

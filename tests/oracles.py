@@ -22,9 +22,14 @@ benchmark and the tools never reach it, so it lives here, next to
   uniqueness of the induced map (through the space of bimodule maps), the
   kernel-of-counit comparison and the calculus morphism between two
   calculi.
-- Test-only builders: the base field as an algebra, A (x) A, free
-  bimodules, the regular bimodule, restriction and extension of scalars,
-  and a bimodule as a JSON document.
+- Test-only builders: the base field as an algebra, the identity algebra
+  map, a matrix stacked on another, A (x) A, free bimodules, the regular
+  bimodule, restriction and extension of scalars, and a bimodule as a JSON
+  document.
+
+The oracles that report on a bimodule or a bimodule map build it with
+`linalg._certified`, past the constructor's check, so that a broken one is
+reported on and not refused.
 """
 
 from __future__ import annotations
@@ -54,6 +59,8 @@ from omegacalc.linalg import (
     EngineError,
     LinAlgError,
     Mat,
+    _certified,
+    _mat,
     _null_vectors,
     _rref_sparse,
     factor_through_surjection,
@@ -130,7 +137,8 @@ def generator_map(g: GradedCalculus, n: int) -> Mat:
 def component_bimodule(g: GradedCalculus, n: int) -> Bimodule:
     if n == 0:
         return regular_bimodule(g.alg)
-    return Bimodule(g.alg, g.alg, g.dims[n], g.wedge[(0, n)], g.wedge[(n, 0)], check=False)
+    return _certified(Bimodule, left_alg=g.alg, right_alg=g.alg, dim=g.dims[n],
+                      left_mat=g.wedge[(0, n)], right_mat=g.wedge[(n, 0)])
 
 
 def validation_report(g: GradedCalculus) -> list[str]:
@@ -228,9 +236,9 @@ def truncation_adjoints_check(a: Algebra, fodcs: list[FirstOrderCalculus],
     maps c -> degree-(0,1) truncation of Theta.  Right: dg maps Theta -> the
     trivial extension of c match calculus maps from the truncation to c.
     Degree 1 of Theta is built with the checked constructor: a
-    GradedCalculus checks only its shapes.
+    GradedCalculus checks only its shapes and d.d = 0.
     """
-    ident = a.identity_map()
+    ident = identity_map(a)
     rows = []
     agree = True
     for ci, c in enumerate(fodcs):
@@ -342,14 +350,15 @@ def rank_identity_report(c, rep) -> list[str]:
 def universal_map_is_bimodule_map(f: AlgMap) -> bool:
     """f_u lands in the restriction of Omega_u(B) as a map of A-bimodules."""
     restricted = restrict_bimodule(f, f, universal_calculus(f.target).omega)
-    candidate = BimodMap(universal_calculus(f.source).omega, restricted, universal_map(f),
-                         check=False)
+    candidate = _certified(BimodMap, source=universal_calculus(f.source).omega,
+                           target=restricted, matrix=universal_map(f))
     return bimod_map_report(candidate) == []
 
 
 def universal_map_functorial(f: AlgMap, g: AlgMap) -> bool:
     """(g f)_u = g_u f_u on a composable pair."""
-    return universal_map(g.compose(f)) == universal_map(g) * universal_map(f)
+    gf = AlgMap(f.source, g.target, g.matrix * f.matrix)
+    return universal_map(gf) == universal_map(g) * universal_map(f)
 
 
 def square_zero_unit_check(a: Algebra, probes=None) -> dict:
@@ -362,7 +371,7 @@ def square_zero_unit_check(a: Algebra, probes=None) -> dict:
     u = universal_calculus(a)
     f = a.field
     ext = build_square_zero(a, u.omega)
-    unit_matrix = Mat.identity(f, a.dim).vstack(u.d)
+    unit_matrix = vstack(Mat.identity(f, a.dim), u.d)
     unit_report = alg_map_report(a, ext, unit_matrix)
     if probes is None:
         zero_h2 = Mat.zeros(f, u.dim, a.dim)
@@ -373,7 +382,7 @@ def square_zero_unit_check(a: Algebra, probes=None) -> dict:
     probe_results = []
     for (b, n, h1, h2) in probes:
         ext_b = build_square_zero(b, n)
-        h_matrix = h1.vstack(h2)
+        h_matrix = vstack(h1, h2)
         h_report = alg_map_report(a, ext_b, h_matrix)
         if h_report:
             probe_results.append({"valid_probe": False, "roundtrip": False})
@@ -513,9 +522,18 @@ def field_algebra(field) -> Algebra:
     return build_truncated_poly(field, 1, var="t")
 
 
+def identity_map(a: Algebra) -> AlgMap:
+    return AlgMap(a, a, Mat.identity(a.field, a.dim))
+
+
+def vstack(top: Mat, bottom: Mat) -> Mat:
+    """The rows of top, then those of bottom (of as many columns)."""
+    return _mat(top.field, top.rows + bottom.rows, top.cols, top.data + bottom.data)
+
+
 def regular_bimodule(a: Algebra) -> Bimodule:
     """A acting on itself on both sides."""
-    return Bimodule(a, a, a.dim, a.mult_mat, a.mult_mat, check=False)
+    return Bimodule(a, a, a.dim, a.mult_mat, a.mult_mat)
 
 
 def tensor_square_bimodule(a: Algebra) -> Bimodule:
@@ -523,7 +541,7 @@ def tensor_square_bimodule(a: Algebra) -> Bimodule:
     calculus's iota to it as a bimodule map."""
     i_n = Mat.identity(a.field, a.dim)
     return Bimodule(a, a, a.dim * a.dim, kronecker(a.mult_mat, i_n),
-                    kronecker(i_n, a.mult_mat), check=False)
+                    kronecker(i_n, a.mult_mat))
 
 
 def free_bimodule(a: Algebra, d: int, b: Algebra) -> Bimodule:
@@ -531,7 +549,7 @@ def free_bimodule(a: Algebra, d: int, b: Algebra) -> Bimodule:
     f = a.field
     left = kronecker(a.mult_mat, Mat.identity(f, d * b.dim))
     right = kronecker(Mat.identity(f, a.dim * d), b.mult_mat)
-    return Bimodule(a, b, a.dim * d * b.dim, left, right, check=False)
+    return Bimodule(a, b, a.dim * d * b.dim, left, right)
 
 
 def restrict_bimodule(f: AlgMap, g: AlgMap, m: Bimodule) -> Bimodule:
@@ -542,7 +560,6 @@ def restrict_bimodule(f: AlgMap, g: AlgMap, m: Bimodule) -> Bimodule:
         f.source, g.source, m.dim,
         mul_kron_id(m.left_mat, f.matrix, m.dim),
         mul_id_kron(m.right_mat, m.dim, g.matrix),
-        check=False,
     )
 
 
@@ -554,9 +571,9 @@ def extend_bimodule(f: AlgMap, g: AlgMap, m: Bimodule) -> tuple[Bimodule, Mat]:
     b, bp = f.target, g.target
     # B as a (B, A)-bimodule via f, B' as an (A', B')-bimodule via g
     b_bimod = Bimodule(b, m.left_alg, b.dim, b.mult_mat,
-                       mul_id_kron(b.mult_mat, b.dim, f.matrix), check=False)
+                       mul_id_kron(b.mult_mat, b.dim, f.matrix))
     bp_bimod = Bimodule(m.right_alg, bp, bp.dim,
-                        mul_kron_id(bp.mult_mat, g.matrix, bp.dim), bp.mult_mat, check=False)
+                        mul_kron_id(bp.mult_mat, g.matrix, bp.dim), bp.mult_mat)
     t1, q1 = tensor_over_algebra(b_bimod, m)
     t2, q2 = tensor_over_algebra(t1, bp_bimod)
     return t2, mul_kron_id(q2, q1, bp.dim)

@@ -40,6 +40,7 @@ from oracles import (
     d_comodule_report,
     field_algebra,
     free_bimodule,
+    identity_map,
     induced_map_is_unique,
     kernel_counit_comparison,
     truncation_adjoints_check,
@@ -173,7 +174,7 @@ def test_criterion_07_adjunction_probes():
         qx3 = build_truncated_poly(QQ, 3)
         u3 = universal_calculus(qx3)
         fam3 = [quotient_calculus(u3, s)[0] for s in enumerate_action_closed_subspaces(u3.omega)]
-        rep_id = verify_poset_adjunction(qx3.identity_map(), fam3, fam3)
+        rep_id = verify_poset_adjunction(identity_map(qx3), fam3, fam3)
         assert rep_id["all_agree"]
         k3 = kahler_calculus(qx3)
         gradeds = [

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from omegacalc.algebra import AlgMap
+from omegacalc.algebra import AlgMap, AxiomError, build_truncated_poly
 from omegacalc.bimodule import (
+    BimodMap,
     Bimodule,
     _mul_section,
     action_closed,
@@ -14,11 +15,14 @@ from omegacalc.bimodule import (
     sub_bimodule,
     tensor_over_algebra,
 )
-from omegacalc.fodc import enumerate_action_closed_subspaces, universal_calculus
+from omegacalc.fodc import check_fodc, enumerate_action_closed_subspaces, universal_calculus
 from omegacalc.linalg import (
+    GF,
     QQ,
     LinAlgError,
     Mat,
+    _certified,
+    _mat,
     image_basis,
     kernel_basis,
     kronecker,
@@ -34,6 +38,7 @@ from oracles import (
     extend_bimodule,
     field_algebra,
     free_bimodule,
+    identity_map,
     regular_bimodule,
     restrict_bimodule,
     tensor_square_bimodule,
@@ -70,6 +75,39 @@ def test_middle_associativity_violation_detected(qx2):
     bad_right = tensor_square_bimodule(qx2).left_mat
     report = bimodule_axiom_report(qx2, qx2, 4, tensor_square_bimodule(qx2).left_mat, bad_right)
     assert report
+
+
+def test_bimodule_refuses_every_corruption_that_check_fodc_accepts():
+    # check_fodc reads the actions only through Leibniz and one rank, so it
+    # passes actions that are no bimodule: flipping any single entry of the
+    # actions of Omega_u of GF(2)[x]/x^3 gives 144 such.  The constructor
+    # refuses each, and has no switch to skip its check.
+    alg = build_truncated_poly(GF(2), 3)
+    u = universal_calculus(alg)
+    accepted = 0
+    for side in ("left_mat", "right_mat"):
+        m = getattr(u.omega, side)
+        for i in range(m.rows):
+            for j in range(m.cols):
+                data = [dict(row) for row in m.data]
+                if not data[i].pop(j, 0):
+                    data[i][j] = 1
+                actions = {"left_mat": u.omega.left_mat, "right_mat": u.omega.right_mat,
+                           side: _mat(m.field, m.rows, m.cols, data)}
+                omega = _certified(Bimodule, left_alg=alg, right_alg=alg, dim=u.dim, **actions)
+                if check_fodc(alg, omega, u.d).classification == "fodc":
+                    accepted += 1
+                    with pytest.raises(AxiomError):
+                        Bimodule(alg, alg, u.dim, actions["left_mat"], actions["right_mat"])
+    assert accepted
+
+
+def test_bimodule_and_its_maps_take_no_check_switch(qx2):
+    reg = regular_bimodule(qx2)
+    with pytest.raises(TypeError):
+        Bimodule(qx2, qx2, 2, qx2.mult_mat, qx2.mult_mat, check=False)
+    with pytest.raises(TypeError):
+        BimodMap(reg, reg, Mat.identity(QQ, 2), check=False)
 
 
 def test_tensor_cancels_the_algebra(qx2):
@@ -149,7 +187,7 @@ def test_sub_bimodule_refuses_a_subspace_that_is_not_action_closed(qx3, m2q):
 
 def test_restrict_along_identity(qx2):
     reg = regular_bimodule(qx2)
-    r = restrict_bimodule(qx2.identity_map(), qx2.identity_map(), reg)
+    r = restrict_bimodule(identity_map(qx2), identity_map(qx2), reg)
     assert r.left_mat == reg.left_mat and r.right_mat == reg.right_mat
 
 
@@ -171,7 +209,7 @@ def test_restrict_universal_along_y_to_x2(qy2, qx4):
 
 def test_extend_along_identity_is_isomorphic(qx2):
     reg = regular_bimodule(qx2)
-    ext, _ = extend_bimodule(qx2.identity_map(), qx2.identity_map(), reg)
+    ext, _ = extend_bimodule(identity_map(qx2), identity_map(qx2), reg)
     assert ext.dim == reg.dim
 
 

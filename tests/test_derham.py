@@ -11,7 +11,7 @@ from omegacalc.prolong import (
     trivial_extension,
     universal_prolongation,
 )
-from oracles import rank_identity_report, unique_dg_morphism
+from oracles import identity_map, rank_identity_report, unique_dg_morphism
 from oracle_algebras import (
     FIXTURES,
     ORACLE_ALGEBRAS,
@@ -110,7 +110,7 @@ def test_cohomology_functoriality(qx3):
     k = kahler_calculus(qx3)
     mk = maximal_prolongation(k, 3)
     te = trivial_extension(k, 3)
-    ident = qx3.identity_map()
+    ident = identity_map(qx3)
     f_maps = unique_dg_morphism(up, mk, ident)
     g_maps = unique_dg_morphism(mk, te, ident)
     assert f_maps is not None and g_maps is not None
@@ -212,35 +212,29 @@ def test_the_universal_theory_builds_no_prolongation(monkeypatch, capsys, qx3):
     assert code == 0 and seen == []
 
 
-def d_squared_nonzero_calculus():
-    """A GradedCalculus built by hand over Q with d.d = 1 != 0: the
-    constructor checks shapes only."""
+def test_a_user_built_graded_calculus_keeps_the_d_squared_check():
+    # the GradedCalculus constructor checks d.d = 0, so from_graded need not
     qq = ORACLE_ALGEBRAS["q"]()
     one = Mat.identity(QQ, 1)
     wedge = {(0, 0): qq.mult_mat, (0, 1): one, (1, 0): one, (0, 2): one, (2, 0): one,
              (1, 1): one}
-    return GradedCalculus(qq, 2, [1, 1, 1], [one, one], wedge)
-
-
-def test_a_user_built_graded_calculus_keeps_the_d_squared_check():
-    g = d_squared_nonzero_calculus()
-    assert not g._dg_certified
     with pytest.raises(LinAlgError, match=r"d\.d != 0 at degree 0"):
-        CochainComplex.from_graded(g)
+        GradedCalculus(qq, 2, [1, 1, 1], [one, one], wedge)
 
 
 @pytest.mark.parametrize("name", ["qx3", "m2q", "f2x2", "chain 0<1<2", "zero algebra",
                                   "Q[x]/x^2 in the basis 2, x"])
-def test_library_prolongations_are_marked_and_pass_the_d_squared_check(name):
-    # the certificate behind from_graded skipping d.d, against the check it
-    # skips, on the universal prolongation and on the maximal prolongation
-    # and trivial extension of every oracle calculus
+def test_library_prolongations_pass_the_d_squared_check(name):
+    # the certificates behind the library's graded calculi skipping the
+    # GradedCalculus constructor, and from_graded skipping d.d, against the
+    # checks they skip, on the universal prolongation and on the maximal
+    # prolongation and trivial extension of every oracle calculus
     alg = ORACLE_ALGEBRAS[name]()
     gradeds = [universal_prolongation(alg, 3)]
     for c in oracle_calculi(name, alg).values():
         gradeds += [maximal_prolongation(c, 3), trivial_extension(c, 3)]
     for g in gradeds:
-        assert g._dg_certified
+        GradedCalculus(alg, g.max_degree, g.dims, g.diff, dict(g.wedge))
         checked = CochainComplex(g.dims, g.diff)
-        marked = CochainComplex.from_graded(g)
-        assert (marked.dims, marked.diff) == (checked.dims, checked.diff)
+        taken = CochainComplex.from_graded(g)
+        assert (taken.dims, taken.diff) == (checked.dims, checked.diff)

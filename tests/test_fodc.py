@@ -31,6 +31,7 @@ from omegacalc.linalg import (
     QQ,
     LinAlgError,
     Mat,
+    _certified,
     image_basis,
     inverse,
     kernel_basis,
@@ -148,7 +149,7 @@ def test_universal_calculus_is_the_kernel_of_multiplication(name):
     i_n = Mat.identity(alg.field, alg.dim)
     assert u.dim == alg.dim * alg.dim - alg.dim
     assert image_basis(u.iota) == kernel_basis(alg.mult_mat)
-    incl = BimodMap(u.omega, tensor_square_bimodule(alg), u.iota, check=False)
+    incl = _certified(BimodMap, source=u.omega, target=tensor_square_bimodule(alg), matrix=u.iota)
     assert bimod_map_report(incl) == []
     assert u.iota * u.d == kronecker(alg.unit_mat, i_n) - kronecker(i_n, alg.unit_mat)
 

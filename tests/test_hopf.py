@@ -74,6 +74,18 @@ def test_group_like_bimonoids_valid(h_z2, h_z3):
     assert bimonoid_axiom_report(h_z3.alg, h_z3.comult, h_z3.counit) == []
 
 
+def test_a_bimonoid_fuses_its_products_once(qz3, monkeypatch):
+    # the axiom report reads s_t, and the bimonoid keeps the same s_t and
+    # t_t for its coactions: one call builds both
+    calls = []
+    fused = hopf._fused_products
+    monkeypatch.setattr(hopf, "_fused_products", lambda *args: calls.append(1) or fused(*args))
+    h = hopf.group_like_bimonoid(qz3)
+    assert len(calls) == 1
+    assert (h.s_t, h.t_t) == fused(qz3, h.comult)
+    assert bimonoid_axiom_report(qz3, h.comult, h.counit) == [] and len(calls) == 2
+
+
 def test_bad_comultiplication_reported(qz2):
     # Delta(e) = e (x) e, Delta(g) = e (x) g is multiplicative, but
     # (1 (x) eps) Delta(g) = e != g

@@ -3,10 +3,12 @@
 Every name a library module imports is used in that module: each
 src/omegacalc/*.py except the package's __init__.py (whose imports are its
 public surface) is parsed, and an imported name that is never read is a dead
-import.  Only the two constructors named in the README's verification
-policy take a `check` switch, the constructions certified there call no
-full axiom report, only the universal, zero, quotient and Kaehler calculi
-skip the calculus check, and the universal calculus, its induced maps, f_u,
+import.  No function takes a `check` switch; every value built past its
+constructor is built by `linalg._certified`, at a call pinned by module,
+function and class, and no other function but `linalg._mat` calls `__new__`.
+The constructions certified in the README's verification policy call no full
+axiom report, only the universal, zero, quotient and Kaehler calculi skip
+the calculus check, and the universal calculus, its induced maps, f_u,
 saturation and the closure check are closed forms that solve nothing.  The
 Hopf coactions solve nothing, re-check nothing and build no Kronecker
 product, bicovariance_check reads iota and the retraction of the memoized
@@ -15,21 +17,22 @@ lattice enumeration saturates no candidate on its own, and the dg morphism
 oracle (tests/oracles.py) builds no Kronecker product and reads each
 calculus only through g_n, with no loop that re-checks d or a wedge.  The
 test-only oracles and the checks of the paper's propositions live in
-tests/oracles.py, and every public name of the package has a reader outside
-its module, in the CLI, the benchmark, the tools or the README (the public
-surface guard).  The prolongation applies every identity
+tests/oracles.py, every public name of the package has a reader outside its
+module, in the CLI, the benchmark, the tools or the README, and every public
+method of a public class is read as an attribute or named in the README's
+code (the public surface guard). The prolongation applies every identity
 factor blockwise: it calls neither whiskered product, and no Kronecker
-product it forms is multiplied or subtracted from the left.  The
-functions handed a subspace take its canonical basis and neither re-derive
-it nor solve for a containment.  fodc.py builds no Kronecker product, and
-ker(Omega_u -> c) is eliminated in one place, the memoized `_kernel`.  The
+product it forms is multiplied or subtracted from the left.  The functions
+handed a subspace take its canonical basis and neither re-derive it nor
+solve for a containment.  fodc.py builds no Kronecker product, and
+ker(Omega_u -> c) is eliminated in one place, the memoized `_kernel`. The
 universal calculus is a value of its algebra: no function takes one as a
 parameter, and the helper and the option that did are gone.  The Kaehler
 calculus is the closed form I / I^2 and builds neither Omega_u, nor a
 saturation, nor a generic quotient.  The rational lattice enumeration
 eliminates rows of the sandwich map and calls neither image_basis nor
 select_cols, and image_basis and the Kaehler relations share one row-span
-step (`linalg._row_span`).  The certified quotient calculi build on one
+step (`linalg._row_span`). The certified quotient calculi build on one
 helper, `fodc._quotient_on`.
 """
 
@@ -78,10 +81,10 @@ def test_an_unused_import_is_seen():
     assert unused_imports(source) == ["check_fodc", "os", "r"]
 
 
-# The public default of each checks a value given from outside; the library
-# builds its own bimodules and maps unchecked, under certificates.  See the
-# README.
-KEPT_CHECK_SWITCHES = {"Bimodule.__init__", "BimodMap.__init__"}
+# No constructor or function has a switch to skip its check: input from
+# outside is always checked, and the library builds the values it certifies
+# through linalg._certified (CERTIFIED_CALCULI below).  See the README.
+KEPT_CHECK_SWITCHES = set()
 
 
 def check_switches(source: str) -> set[str]:
@@ -105,6 +108,17 @@ def check_switches(source: str) -> set[str]:
 def test_check_switches_are_the_kept_ones():
     found = set().union(*(check_switches(p.read_text()) for p in SRC.glob("*.py")))
     assert found == KEPT_CHECK_SWITCHES
+
+
+def test_a_check_switch_is_seen():
+    source = ("class Bimodule:\n"
+              "    def __init__(self, dim, check=True):\n"
+              "        pass\n"
+              "def build(a, *, check=False):\n"
+              "    def inner(check):\n"
+              "        return check\n"
+              "    return inner\n")
+    assert check_switches(source) == {"Bimodule.__init__", "build", "build.inner"}
 
 
 def called_names(node) -> set[str]:
@@ -164,7 +178,7 @@ def test_de_rham_comparison_reads_the_universal_theory_off_its_closed_form():
     # is the Kaehler class of the unit: no universal prolongation, no chain
     # map above degree 0, no solve for one and no g_n
     node = function_node("derham.py", "de_rham_comparison")
-    assert not called_names(node) & {"unique_dg_morphism", "identity_map",
+    assert not called_names(node) & {"unique_dg_morphism",
                                      "factor_through_surjection", "generator_map",
                                      "universal_prolongation", "_prolongation"}
     assert "from_universal" not in {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
@@ -321,36 +335,88 @@ def test_no_function_takes_the_universal_calculus():
                 assert annotated == [], (path.name, node.name)
 
 
-@pytest.mark.parametrize("name", ["kernel_from_universal", "max_generators", "_splitting"])
+@pytest.mark.parametrize("name", ["kernel_from_universal", "max_generators", "_splitting",
+                                  "_certified_dg", "_dg_certified", "self.check"])
 def test_retired_names_are_gone(name):
     for path in SRC.glob("*.py"):
         assert name not in path.read_text(), path.name
 
 
-# The calculi built without check_fodc, as (module, function), under the
-# certificates written next to each; the public FirstOrderCalculus
-# constructor checks, and UniversalCalculus has no public constructor
+# Every value built past its constructor, through linalg._certified, as
+# (module, function, class), under the certificate written next to each
+# call.  The public constructors of these classes check, and
+# UniversalCalculus and MaximalProlongation have no public constructor.
 CERTIFIED_CALCULI = {
-    ("fodc.py", "universal_calculus"),
-    ("fodc.py", "zero_calculus"),
-    ("fodc.py", "_quotient_on"),
-    ("kahler.py", "kahler_calculus"),
+    ("bimodule.py", "zero_bimodule", "Bimodule"),
+    ("bimodule.py", "sub_bimodule", "Bimodule"),
+    ("bimodule.py", "sub_bimodule", "BimodMap"),
+    ("bimodule.py", "_descend", "Bimodule"),
+    ("bimodule.py", "_descend", "BimodMap"),
+    ("bimodule.py", "tensor_over_algebra", "Bimodule"),
+    ("fodc.py", "universal_calculus", "Bimodule"),
+    ("fodc.py", "universal_calculus", "UniversalCalculus"),
+    ("fodc.py", "zero_calculus", "FirstOrderCalculus"),
+    ("fodc.py", "induced_map", "BimodMap"),
+    ("fodc.py", "_quotient_on", "FirstOrderCalculus"),
+    ("kahler.py", "kahler_calculus", "Bimodule"),
+    ("kahler.py", "kahler_calculus", "FirstOrderCalculus"),
+    ("prolong.py", "universal_prolongation", "GradedCalculus"),
+    ("prolong.py", "trivial_extension", "GradedCalculus"),
+    ("prolong.py", "maximal_prolongation", "MaximalProlongation"),
+    ("derham.py", "CochainComplex.from_graded", "CochainComplex"),
 }
 # the two quotients that build on _quotient_on: the public one, and the one
 # for subspaces closed by construction
 QUOTIENTS = {("fodc.py", "quotient_calculus"), ("fodc.py", "_closed_quotient_calculus")}
 
 
+def certified_calls(source: str) -> list[tuple[str, str]]:
+    """(function, class) for each _certified(cls, ...) call, the function
+    qualified by its class where it is a method."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            elif isinstance(child, ast.FunctionDef):
+                found.extend((prefix + child.name, ast.unparse(call.args[0]))
+                             for call in ast.walk(child) if isinstance(call, ast.Call)
+                             and getattr(call.func, "id", None) == "_certified")
+
+    visit(ast.parse(source), "")
+    return found
+
+
 def test_only_the_certified_calculi_skip_the_calculus_check():
-    callers = []
-    for path in SRC.glob("*.py"):
-        for node in ast.parse(path.read_text()).body:
-            if "_certified" in called_names(node):
-                callers.append((path.name, getattr(node, "name", None)))
-    assert sorted(callers) == sorted(CERTIFIED_CALCULI)
+    found = [(path.name, *call) for path in MODULES for call in certified_calls(path.read_text())]
+    assert sorted(found) == sorted(CERTIFIED_CALCULI)
 
 
-@pytest.mark.parametrize("module,name", sorted(CERTIFIED_CALCULI | QUOTIENTS))
+def test_a_certified_call_is_seen():
+    source = ("class CochainComplex:\n"
+              "    def from_graded(g):\n"
+              "        return _certified(CochainComplex, dims=g.dims)\n"
+              "def f(a):\n"
+              "    return _certified(Bimodule, left_alg=a), g(a)\n")
+    assert certified_calls(source) == [("CochainComplex.from_graded", "CochainComplex"),
+                                       ("f", "Bimodule")]
+
+
+def test_only_the_private_constructors_skip_a_constructor():
+    # linalg._certified is the one way past a constructor's check, and
+    # linalg._mat builds a matrix on finished rows
+    found = [(path.name, node.name) for path in SRC.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.FunctionDef) and "__new__" in called_names(node)]
+    assert sorted(found) == [("linalg.py", "_certified"), ("linalg.py", "_mat")]
+
+
+CALCULI = {"FirstOrderCalculus", "UniversalCalculus"}
+
+
+@pytest.mark.parametrize("module,name", sorted(
+    {(module, name) for module, name, cls in CERTIFIED_CALCULI if cls in CALCULI} | QUOTIENTS))
 def test_certified_calculi_run_no_calculus_check(module, name):
     banned = {"check_fodc", "FirstOrderCalculus", "UniversalCalculus"}
     assert not called_names(function_node(module, name)) & banned
@@ -457,6 +523,26 @@ def readme_names(text: str) -> set[str]:
     return set(re.findall(r"\w+", text))
 
 
+def readme_code_names(text: str) -> set[str]:
+    """The names in the README's code: fenced blocks and inline spans."""
+    fenced = re.findall(r"```.*?```", text, flags=re.S)
+    inline = re.findall(r"`[^`]+`", re.sub(r"```.*?```", "", text, flags=re.S))
+    return readme_names(" ".join(fenced + inline))
+
+
+def attribute_reads(tree) -> set[str]:
+    """The attributes a module reads, and the parts of its dotted string
+    constants: the ways a method is reached."""
+    found = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif (isinstance(n, ast.Constant) and isinstance(n.value, str)
+              and all(part.isidentifier() for part in n.value.split("."))):
+            found.update(n.value.split("."))
+    return found
+
+
 def outside_readers() -> set[str]:
     """What the CLI, the benchmark and the tools read."""
     paths = [SRC / "cli.py", *(ROOT / "perfbench").rglob("*.py"), *(ROOT / "tools").glob("*.py")]
@@ -468,11 +554,21 @@ def public_definitions(tree) -> set[str]:
             if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")}
 
 
+def public_methods(tree) -> list[tuple[str, str]]:
+    """(class, method) for each public method of a public top-level class."""
+    return sorted((c.name, n.name) for c in tree.body
+                  if isinstance(c, ast.ClassDef) and not c.name.startswith("_")
+                  for n in c.body
+                  if isinstance(n, ast.FunctionDef) and not n.name.startswith("_"))
+
+
 def surface_offenders() -> list[str]:
     """Each exported name without a reader in the CLI, the benchmark, the
-    tools or README's Library section, and each public top-level def or
-    class without a reader in another library module, the CLI, the
-    benchmark, the tools or the README."""
+    tools or README's Library section, each public top-level def or class
+    without a reader in another library module, the CLI, the benchmark, the
+    tools or the README, and each public method of a public class that no
+    library module, the CLI, the benchmark or the tools read as an attribute
+    and the README names in no code span."""
     outside = outside_readers()
     library = readme_names(README[README.index("## Library"):])
     init = ast.parse((SRC / "__init__.py").read_text())
@@ -483,16 +579,23 @@ def surface_offenders() -> list[str]:
     trees = {p.name: ast.parse(p.read_text()) for p in MODULES}
     reads = {name: read_names(tree) for name, tree in trees.items()}
     anywhere = outside | readme_names(README)
+    paths = [*MODULES, *(ROOT / "perfbench").rglob("*.py"), *(ROOT / "tools").glob("*.py")]
+    method_readers = readme_code_names(README).union(
+        *(attribute_reads(ast.parse(p.read_text())) for p in paths))
     for name, tree in sorted(trees.items()):
         others = set().union(*(r for other, r in reads.items() if other != name))
         offenders += [f"{name}: {d}" for d in sorted(public_definitions(tree))
                       if d not in others | anywhere | KEPT_WITHOUT_A_CALLER]
+        # a definition is no read, so the method's own module may read it
+        offenders += [f"{name}: {cls}.{method}" for cls, method in public_methods(tree)
+                      if method not in method_readers]
     return offenders
 
 
 def test_every_public_name_has_a_reader():
     # oracles and checks of the paper's propositions live in tests/oracles.py;
-    # a name only the tests read does not belong to the library's surface
+    # a name or a method only the tests read does not belong to the
+    # library's surface, and no method is kept without a reader
     assert surface_offenders() == []
 
 
@@ -512,13 +615,16 @@ def test_a_name_without_a_reader_is_seen(monkeypatch):
         text = real_read(path, *args, **kwargs)
         if path == SRC / "linalg.py":
             text += "\n\ndef helper_nobody_reads():\n    return 0\n"
+            text = text.replace("    # constructors ---", "    def method_nobody_reads(self):\n"
+                                "        return 0\n\n    # constructors ---", 1)
         if path == SRC / "__init__.py":
             text += "\nfrom .linalg import swap_matrix\n"
         return text
 
     monkeypatch.setattr(Path, "read_text", read_text)
     assert surface_offenders() == ["__init__.py exports swap_matrix",
-                                   "linalg.py: helper_nobody_reads"]
+                                   "linalg.py: helper_nobody_reads",
+                                   "linalg.py: Mat.method_nobody_reads"]
 
 
 @pytest.mark.parametrize("name", [

@@ -24,17 +24,24 @@ from omegacalc.linalg import (  # noqa: E402
     QQ,
     LinAlgError,
     Mat,
+    image_basis,
     kernel_basis,
     kron_id_mul,
     kronecker,
     mul_id_kron,
     mul_kron_id,
     mul_swap,
+    quotient_maps,
     rank,
     solve,
     swap_matrix,
 )
-from oracle_algebras import kernel_basis_by_two_eliminations, solve_by_product_check  # noqa: E402
+from oracle_algebras import (  # noqa: E402
+    kernel_basis_by_two_eliminations,
+    quotient_maps_by_columns,
+    solve_by_product_check,
+)
+from oracles import vstack  # noqa: E402
 
 FIELDS = [QQ, GF(2), GF(3), GF(5)]
 
@@ -378,8 +385,8 @@ def test_solve_matches_its_product_check_oracle(data, field, kind):
         # a zero row of M against a nonzero entry of B reads 0 = 1
         cols = max(cols, 1)
         b = b.hstack(Mat.zeros(field, b.rows, cols - b.cols)) if b.cols < cols else b
-        m = m.vstack(Mat.zeros(field, 1, m.cols))
-        b = b.vstack(Mat.from_entries(field, 1, cols, [(0, cols - 1, 1)]))
+        m = vstack(m, Mat.zeros(field, 1, m.cols))
+        b = vstack(b, Mat.from_entries(field, 1, cols, [(0, cols - 1, 1)]))
     x = solve(m, b)
     assert x == solve_by_product_check(m, b)
     if kind == "consistent":
@@ -420,3 +427,36 @@ def test_mul_swap_is_the_product_by_the_swap(storage_violations, data, field, m,
 def test_mul_swap_rejects_a_shape_mismatch():
     with pytest.raises(LinAlgError, match="swap"):
         mul_swap(Mat.zeros(QQ, 1, 5), 2, 3)
+
+
+def quotient_maps_or_refusal(quotient_maps, basis, ambient_dim):
+    try:
+        return quotient_maps(basis, ambient_dim)
+    except LinAlgError as e:
+        return str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(ORACLE_FIELDS),
+       st.sampled_from(["canonical", "perturbed", "another height", "random"]))
+def test_quotient_maps_matches_its_column_oracle(storage_violations, data, field, kind):
+    # read row by row, the canonical basis gives the Q and s the column
+    # reading gave, and every other basis the same refusal
+    rows = data.draw(st.integers(0, 8))
+    basis = image_basis(data.draw(matrices(field, rows=rows, cols=data.draw(st.integers(0, 6)))))
+    if kind == "perturbed" and basis.rows and basis.cols:
+        i = data.draw(st.integers(0, basis.rows - 1))
+        j = data.draw(st.integers(0, basis.cols - 1))
+        x = data.draw(_entries(field))
+        entries = [(r, c, v) for r, row in enumerate(basis.data) for c, v in row.items()
+                   if (r, c) != (i, j)]
+        basis = Mat.from_entries(field, basis.rows, basis.cols, entries + [(i, j, x)])
+    elif kind == "random":
+        basis = data.draw(matrices(field, rows=rows))
+    ambient = rows + data.draw(st.integers(-1, 1)) if kind == "another height" else rows
+    found = quotient_maps_or_refusal(quotient_maps, basis, ambient)
+    assert found == quotient_maps_or_refusal(quotient_maps_by_columns, basis, ambient)
+    if not isinstance(found, str):
+        q, s = found
+        assert storage_violations(q) == storage_violations(s) == []
+        assert (q * basis).is_zero() and q * s == Mat.identity(field, q.rows)

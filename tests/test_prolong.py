@@ -43,12 +43,14 @@ import oracles
 from oracles import (
     amitsur_differential,
     amitsur_wedge,
+    identity_map,
     kron_all,
     truncation_adjoints_check,
     unique_dg_morphism,
     universal_iota,
     universal_proj,
     validation_report,
+    vstack,
 )
 from oracle_algebras import (
     COMMUTATIVE,
@@ -144,7 +146,7 @@ def joint_kernel_oracle(alg, k):
     the maps 1^(x)i (x) m (x) 1^(x)(k-1-i), i < k, stacked into one matrix."""
     stacked = amitsur_wedge(alg, 0, k - 1)
     for i in range(1, k):
-        stacked = stacked.vstack(amitsur_wedge(alg, i, k - 1 - i))
+        stacked = vstack(stacked, amitsur_wedge(alg, i, k - 1 - i))
     return kernel_basis(stacked)
 
 
@@ -212,7 +214,7 @@ def test_maximal_prolongation_of_universal_is_universal(qx2):
     up = universal_prolongation(qx2, 3)
     assert maxi.dims == up.dims
     # the dg morphism from the universal prolongation is injective in every degree
-    maps = unique_dg_morphism(up, maxi, qx2.identity_map())
+    maps = unique_dg_morphism(up, maxi, identity_map(qx2))
     assert maps is not None
     for m in maps:
         assert kernel_basis(m).cols == 0
@@ -322,7 +324,7 @@ def test_maximal_prolongation_matches_pushout_oracle(fixture, build, deg, dims, 
     maxi = maximal_prolongation(c, deg)
     oracle_dims, oracle_kernels = pushout_chain_oracle(c, deg)
     assert maxi.dims == oracle_dims == dims
-    maps = unique_dg_morphism(universal_prolongation(alg, deg), maxi, alg.identity_map())
+    maps = unique_dg_morphism(universal_prolongation(alg, deg), maxi, identity_map(alg))
     assert maps is not None
     for n in range(deg + 1):
         assert kernel_basis(maps[n]) == oracle_kernels[n]
@@ -336,7 +338,7 @@ def test_trivial_extension_is_valid(qx3):
 
 def test_unique_dg_morphism_identity(qx2):
     up = universal_prolongation(qx2, 3)
-    maps = unique_dg_morphism(up, up, qx2.identity_map())
+    maps = unique_dg_morphism(up, up, identity_map(qx2))
     assert maps is not None
     assert all(m == Mat.identity(QQ, d) for m, d in zip(maps, up.dims))
 
@@ -345,7 +347,7 @@ def test_unique_dg_morphism_to_maximal_kahler(qx2):
     up = universal_prolongation(qx2, 3)
     k = kahler_calculus(qx2)
     maxi = maximal_prolongation(k, 3)
-    maps = unique_dg_morphism(up, maxi, qx2.identity_map())
+    maps = unique_dg_morphism(up, maxi, identity_map(qx2))
     assert maps is not None
     assert all(rank(m) == d for m, d in zip(maps, maxi.dims))
     assert maps[1] == induced_map(k).matrix
@@ -354,7 +356,7 @@ def test_unique_dg_morphism_to_maximal_kahler(qx2):
 def test_no_morphism_from_zero_prolongation(qx2):
     mz = maximal_prolongation(zero_calculus(qx2), 3)
     up = universal_prolongation(qx2, 3)
-    assert unique_dg_morphism(mz, up, qx2.identity_map()) is None
+    assert unique_dg_morphism(mz, up, identity_map(qx2)) is None
 
 
 def test_morphism_along_algebra_map(qy2, qx4):
@@ -414,7 +416,7 @@ def dg_morphism_case(name):
     calculi, or on k(S3) the transposition calculus."""
     if name == "identity of k(S3)":
         c = transposition_calculus()
-        return c.alg.identity_map(), {"transpositions": c}, {"transpositions": c}
+        return identity_map(c.alg), {"transpositions": c}, {"transpositions": c}
     f0 = ORACLE_MAPS[name]()
     return f0, oracle_calculi(None, f0.source), oracle_calculi(None, f0.target)
 
@@ -442,7 +444,7 @@ def test_unique_dg_morphism_builds_no_ambient_map(qx3, qy2, qx4, monkeypatch):
     f = AlgMap(qy2, qx4, Mat(QQ, [[1, 0], [0, 0], [0, 1], [0, 0]]))
     pairs = [
         (universal_prolongation(qx3, 3), maximal_prolongation(kahler_calculus(qx3), 3),
-         qx3.identity_map()),
+         identity_map(qx3)),
         (universal_prolongation(qy2, 3), universal_prolongation(qx4, 3), f),
     ]
     # the universal wedges are Kronecker products W (x) I, built on first
@@ -498,7 +500,7 @@ def test_maps_from_the_universal_prolongation_match_unique_dg_morphism(name):
     for label, c in projection_cases(alg).items():
         maxi = maximal_prolongation(c, top)
         maps = maxi.from_universal
-        assert maps == unique_dg_morphism(up, maxi, alg.identity_map()), label
+        assert maps == unique_dg_morphism(up, maxi, identity_map(alg)), label
         assert [(m.rows, m.cols) for m in maps] == list(zip(maxi.dims, up.dims)), label
         if label == "universal":
             assert maps == [Mat.identity(alg.field, d) for d in up.dims]
@@ -570,11 +572,11 @@ def test_maximal_prolongation_universal_property(fixture, request):
     u = universal_calculus(alg)
     maxi = maximal_prolongation(u, 3)
     te = trivial_extension(u, 3)
-    maps = unique_dg_morphism(maxi, te, alg.identity_map())
+    maps = unique_dg_morphism(maxi, te, identity_map(alg))
     assert maps is not None
     assert maps[1] == Mat.identity(QQ, u.dim)
     # and nothing maps the other way once the differential dies early
-    assert unique_dg_morphism(te, maxi, alg.identity_map()) is None
+    assert unique_dg_morphism(te, maxi, identity_map(alg)) is None
 
 
 @pytest.mark.parametrize("name,max_degree", [
@@ -848,8 +850,8 @@ def test_dims_and_de_rham_build_no_wedge_beyond_the_actions(name, monkeypatch):
     built = []
 
     class Recording(prolong._Wedges):
-        def __init__(self, max_degree, maps, make):
-            super().__init__(max_degree, maps,
+        def __init__(self, max_degree, dims, maps, make):
+            super().__init__(max_degree, dims, maps,
                              lambda wedge, i, j: built.append((i, j)) or make(wedge, i, j))
 
     monkeypatch.setattr(prolong, "_Wedges", Recording)
@@ -874,13 +876,14 @@ def test_a_lazy_wedge_of_the_wrong_shape_raises_when_read(qx3):
     def make(_wedge, i, j):
         return Mat.zeros(QQ, w.rows, w.cols + 1) if (i, j) == (1, 1) else g.wedge[(i, j)]
 
-    bad = GradedCalculus(qx3, 2, g.dims, g.diff, prolong._Wedges(2, {(0, 0): qx3.mult_mat}, make))
+    bad = GradedCalculus(qx3, 2, g.dims, g.diff,
+                         prolong._Wedges(2, g.dims, {(0, 0): qx3.mult_mat}, make))
     assert bad.wedge[(0, 1)] == g.wedge[(0, 1)]
     with pytest.raises(LinAlgError, match=r"wedge \(1,1\) has wrong shape"):
         bad.wedge[(1, 1)]
     # a map the mapping holds from the start is checked at construction
     with pytest.raises(LinAlgError, match=r"wedge \(0,0\) has wrong shape"):
-        GradedCalculus(qx3, 2, g.dims, g.diff, prolong._Wedges(2, {(0, 0): w}, make))
+        GradedCalculus(qx3, 2, g.dims, g.diff, prolong._Wedges(2, g.dims, {(0, 0): w}, make))
 
 
 @pytest.mark.parametrize("name", SMALL_ALGEBRAS)

@@ -58,6 +58,8 @@ UNIVERSAL_DE_RHAM_ORACLE = "tests/test_derham.py -k universal_de_rham_matches_th
 SOLVE_ORACLE = "tests/test_linalg_kernels.py -k solve_matches_its_product_check_oracle"
 KERNEL_BASIS_ORACLE = "tests/test_linalg_kernels.py -k kernel_basis_matches_its_two_elimination_oracle"
 D_SQUARED_PIN = "tests/test_derham.py -k user_built_graded_calculus_keeps_the_d_squared_check"
+BIMODULE_REFUSAL = "tests/test_bimodule.py -k refuses_every_corruption_that_check_fodc_accepts"
+QUOTIENT_MAPS_ORACLE = "tests/test_linalg_kernels.py -k quotient_maps_matches_its_column_oracle"
 LARGER_PRIMES = "tests/test_linalg_kernels.py -k larger_primes"
 MILLER_RABIN = "tests/test_linalg.py -k past_the_trial_divisors"
 RANK_IDENTITY = "tests/test_derham.py -k rank_identity_all_interior_degrees"
@@ -173,12 +175,12 @@ MUTANTS = [
      "    d_new = Mat.zeros(c.alg.field, quo.dim, c.alg.dim)\n",
      CERTIFIED_CALCULUS_ORACLE),
     ("src/omegacalc/fodc.py",
-     "wedge[(0, 1)], wedge[(1, 0)], check=False)",
-     "wedge[(0, 1)], wedge[(0, 1)], check=False)",
+     "left_mat=wedge[(0, 1)], right_mat=wedge[(1, 0)])",
+     "left_mat=wedge[(0, 1)], right_mat=wedge[(0, 1)])",
      CERTIFIED_CALCULUS_ORACLE),
     ("src/omegacalc/fodc.py",
-     "_certified(UniversalCalculus, a, omega, diff[0],",
-     "_certified(UniversalCalculus, a, omega, -diff[0],",
+     "_certified(UniversalCalculus, alg=a, omega=omega, d=diff[0],",
+     "_certified(UniversalCalculus, alg=a, omega=omega, d=-diff[0],",
      KERNEL_ORACLE),
     # the lattice enumeration on rows: a pair saturated as its first basis
     # vector only, and the diagonal e_i - e_j replaced by e_i + e_j
@@ -272,12 +274,24 @@ MUTANTS = [
      "        for c, v in vec.items():\n"
      "            data[c][a] = v\n",
      KERNEL_BASIS_ORACLE),
-    # a user-built GradedCalculus marked as certified, so that from_graded
-    # skips its d.d check
+    # the public GradedCalculus constructor without its d.d check, which
+    # from_graded relies on; and Bimodule without its axiom report
     ("src/omegacalc/prolong.py",
-     "        self._dg_certified = False\n",
-     "        self._dg_certified = True\n",
+     "        for k in range(max_degree - 1):\n"
+     "            if not (diff[k + 1] * diff[k]).is_zero():\n"
+     "                raise LinAlgError(f\"d.d != 0 at degree {k}\")\n",
+     "",
      D_SQUARED_PIN),
+    ("src/omegacalc/bimodule.py",
+     "        report = bimodule_axiom_report(left_alg, right_alg, dim, left_mat, right_mat)\n",
+     "        report = []\n",
+     BIMODULE_REFUSAL),
+    # quotient_maps read row by row, taking a row with an entry right of
+    # the next pivot column for a quotient coordinate
+    ("src/omegacalc/linalg.py",
+     "        elif row and max(row) >= l:\n",
+     "        elif row and max(row) > l:\n",
+     QUOTIENT_MAPS_ORACLE),
     # the field: Fermat's inverse with the wrong exponent, and Miller-Rabin
     # missing a witness square that reaches p - 1
     ("src/omegacalc/linalg.py",
