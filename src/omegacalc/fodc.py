@@ -14,9 +14,11 @@ Transport along algebra maps (`scalars`) and the CLI's relation path
 quotient by subspaces that are closed by construction, a saturation or the
 preimage of a sub-bimodule under a bimodule map, and go through the private
 `_closed_quotient_calculus`, which skips that check under the proof written
-at each call.  `enumerate_action_closed_subspaces` eliminates each
-candidate as a list of sparse rows and compares candidates on their reduced
-rows.
+at each call.  phi, its kernel and a section of it are memoized per
+calculus, and a quotient of the universal calculus records all three when
+it is built.  `enumerate_action_closed_subspaces` eliminates each
+candidate as a list of sparse rows, a diagonal's rows summed as dicts, and
+compares candidates on their reduced rows.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ from .linalg import (
     LinAlgError,
     Mat,
     _certified,
+    _clean,
     _mat,
     _row_span,
     image_basis,
@@ -234,9 +237,12 @@ def zero_calculus(a: Algebra) -> FirstOrderCalculus:
                       d=Mat.zeros(a.field, 0, a.dim))
 
 
+@_memo
 def _phi(c: FirstOrderCalculus) -> Mat:
     """phi: A (x) A-bar ->> Omega^1 of c, a0 (x) b -> a0 db, the unique
-    calculus morphism from the universal calculus in its basis."""
+    calculus morphism from the universal calculus in its basis, built once
+    per calculus instance.  A quotient of the universal calculus, and the
+    Kaehler calculus, record their quotient map here when they are built."""
     a = c.alg
     bar, _pi = _unit_complement(a)
     # Certificate, in place of a bimodule-map check, an intertwining check
@@ -323,9 +329,12 @@ def _quotient_on(c: FirstOrderCalculus, sub: Mat, quo: Bimodule, proj: BimodMap,
     # c itself is a calculus, checked or certified when it was built.
     # tests/test_fodc.py runs check_fodc on every quotient of the lattices.
     # phi of the universal calculus is the identity of A (x) A-bar, the basis
-    # of every UniversalCalculus, so phi of its quotient is proj, whose kernel
-    # is the subspace and whose section is s
-    split = {_kernel.slot: sub, _section.slot: s}
+    # of every UniversalCalculus: a0 d_u b = a0 (x) b for b in A-bar.  So phi
+    # of its quotient is a0 (x) b -> a0 d_new(b) = proj(a0 d_u b) (proj is a
+    # bimodule map), which is proj itself, whose kernel is the subspace and
+    # whose section is s.  tests/test_fodc.py holds the recorded phi to the
+    # formula of _phi on every quotient of the enumerated lattices.
+    split = {_phi.slot: proj.matrix, _kernel.slot: sub, _section.slot: s}
     result = _certified(FirstOrderCalculus, alg=c.alg, omega=quo, d=d_new,
                         **(split if isinstance(c, UniversalCalculus) else {}))
     return result, proj
@@ -366,8 +375,9 @@ def enumerate_action_closed_subspaces(m: Bimodule) -> list[Mat]:
     A (x) A-bar, 14 in the echelon basis of ker(m).
 
     Each candidate is one elimination of a list of sparse rows
-    (`linalg._row_span`); candidates are compared on their reduced rows, and
-    a basis matrix is built only for a new member.
+    (`linalg._row_span`), a diagonal's rows summed as dicts with no matrix
+    built; candidates are compared on their reduced rows, and a basis matrix
+    is built only for a new member.
     """
     from itertools import combinations, product
 
@@ -397,12 +407,23 @@ def enumerate_action_closed_subspaces(m: Bimodule) -> list[Mat]:
         # Row (a*dim + k)*nb + b of w^T is e_a . e_k . e_b, so the rows
         # with middle index k, gens[k], span A . e_k . A, the saturation
         # saturate_subspace builds, and for v = e_i +- e_j the rows of
-        # gens[i] +- gens[j] span A . v . A.
+        # gens[i] +- gens[j], added row by row, span A . v . A.
         wt = mul_kron_id(m.right_mat, m.left_mat, nb).transpose().data
-        gens = [_mat(f, na * nb, dim, [wt[(a * dim + k) * nb + b]
-                                       for a in range(na) for b in range(nb)])
+        gens = [[wt[(a * dim + k) * nb + b] for a in range(na) for b in range(nb)]
                 for k in range(dim)]
-        singles = [_row_span(f, g.data) for g in gens]
+        singles = [_row_span(f, g) for g in gens]
+
+        def diagonal(i: int, j: int, sign: int) -> list[dict]:
+            """The rows of gens[i] + sign gens[j], one sparse sum per row."""
+            rows = []
+            for x, y in zip(gens[i], gens[j]):
+                row = dict(x)
+                get = row.get
+                for c, v in y.items():
+                    row[c] = get(c, 0) + sign * v
+                rows.append(_clean(row, f.p))
+            return rows
+
         # saturation is additive, A . (V + W) . A = A . V . A + A . W . A, so
         # a pair's saturation is the span of its two singles' rows, and
         # depends only on which distinct singles they are: each such pair is
@@ -416,7 +437,7 @@ def enumerate_action_closed_subspaces(m: Bimodule) -> list[Mat]:
                 summed.add(pair)
                 record(_row_span(f, singles[i] + singles[j]))
             # diagonal directions catch the subspaces missed by pure basis spans
-            record(_row_span(f, (gens[i] + gens[j]).data))
-            record(_row_span(f, (gens[i] - gens[j]).data))
+            for sign in (1, -1):
+                record(_row_span(f, diagonal(i, j, sign)))
     return sorted(found.values(), key=lambda s: (
         s.cols, tuple(tuple(map(f.format, row)) for row in s.dense_rows())))

@@ -19,6 +19,7 @@ from .fodc import (
     PreconditionError,
     _kernel,
     _memo,
+    _phi,
     _section,
     _unit_complement,
 )
@@ -75,8 +76,8 @@ def kahler_relations(a: Algebra) -> Mat:
 
 @_memo
 def kahler_calculus(a: Algebra) -> FirstOrderCalculus:
-    """Omega_u / I^2 of a commutative algebra, with its recorded kernel N and
-    section, built once per algebra instance (`_memo`; a refusal is not
+    """Omega_u / I^2 of a commutative algebra, with its recorded phi, kernel
+    N and section, built once per algebra instance (`_memo`; a refusal is not
     kept)."""
     if not is_commutative(a):
         i, j = commutativity_witness(a)
@@ -110,11 +111,14 @@ def kahler_calculus(a: Algebra) -> FirstOrderCalculus:
     #    its right action is the left one through the swap.
     # 4. d = q d_u with d_u(a) = 1 (x) pi(a), so d is a derivation with
     #    d1 = 0 and A dA is the whole quotient: the calculus axioms.  q is
-    #    phi: a0 (x) b -> a0 db, with kernel N and section s.
+    #    phi: a0 (x) b is the form a0 d_u b of Omega_u, and q is a map of
+    #    left modules, so q sends it to a0 q(d_u b) = a0 db; its kernel is N
+    #    and s is a section of it.
     # tests/test_kahler.py holds every matrix to the saturated quotient of
-    # Omega_u, and runs check_fodc and centrality_check on the results.
+    # Omega_u, and runs check_fodc and centrality_check on the results;
+    # tests/test_fodc.py holds the recorded phi to the formula of fodc._phi.
     return _certified(FirstOrderCalculus, alg=a, omega=omega, d=d,
-                      **{_kernel.slot: rel, _section.slot: s})
+                      **{_phi.slot: q, _kernel.slot: rel, _section.slot: s})
 
 
 def centrality_check(m: Bimodule) -> bool:

@@ -163,10 +163,12 @@ class MaximalProlongation(GradedCalculus):
     _quot[k] is the quotient map of degree k as `_prolongation` returns it.
     The maps from the universal prolongation, `from_universal`, are built
     from them on first use, so a caller that does not read them pays
-    nothing for them.  `maximal_prolongation` builds it with them; the
-    constructor it inherits checks a graded calculus but records no
-    quotient maps, so `from_universal` reads only a built one.
+    nothing for them.  `maximal_prolongation(c, max_degree)` is the only
+    constructor, so every instance has its quotient maps.
     """
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("MaximalProlongation is built only by maximal_prolongation(c, max_degree)")
 
     @cached_property
     def from_universal(self) -> list[Mat]:

@@ -22,6 +22,11 @@ benchmark and the tools never reach it, so it lives here, next to
   uniqueness of the induced map (through the space of bimodule maps), the
   kernel-of-counit comparison and the calculus morphism between two
   calculi.
+- The routes the first-order operations replaced: phi read off its
+  formula for every calculus, the adjunction decided on the pushed and
+  pulled calculi themselves, the bicovariance check on the codiagonal chain
+  through iota and the retraction, and the lattice enumeration with each
+  diagonal e_i +- e_j formed as a matrix sum.
 - Test-only builders: the base field as an algebra, the identity algebra
   map, a matrix stacked on another, A (x) A, free bimodules, the regular
   bimodule, restriction and extension of scalars, and a bimodule as a JSON
@@ -46,14 +51,16 @@ from omegacalc.bimodule import (
 )
 from omegacalc.fodc import (
     FirstOrderCalculus,
+    _kernel,
     _phi,
+    _section,
     _unit_complement,
     calculus_morphism_exists,
     induced_map,
     universal_calculus,
     zero_calculus,
 )
-from omegacalc.hopf import Bimonoid
+from omegacalc.hopf import Bimonoid, _codiagonal_coactions
 from omegacalc.io import algebra_to_json
 from omegacalc.linalg import (
     EngineError,
@@ -62,6 +69,7 @@ from omegacalc.linalg import (
     _certified,
     _mat,
     _null_vectors,
+    _row_span,
     _rref_sparse,
     factor_through_surjection,
     kernel_basis,
@@ -73,7 +81,7 @@ from omegacalc.linalg import (
     swap_matrix,
 )
 from omegacalc.prolong import GradedCalculus, maximal_prolongation, trivial_extension
-from omegacalc.scalars import universal_map
+from omegacalc.scalars import calc_pullback, calc_pushforward, universal_map
 
 
 def kron_all(mats: list[Mat]) -> Mat:
@@ -511,6 +519,79 @@ def kernel_counit_comparison(left_module: Bimodule) -> dict:
         "to_kernel": s_map,
         "invertible": invertible,
     }
+
+
+# ---------------------------------------------------------------------------
+# the routes the first-order operations replaced
+# ---------------------------------------------------------------------------
+
+def phi_by_formula(c: FirstOrderCalculus) -> Mat:
+    """phi: a0 (x) b -> a0 db read off c, (m (x) 1)(1 (x) d) on A (x) A-bar:
+    what fodc._phi computes for a calculus that records no phi."""
+    bar, _pi = _unit_complement(c.alg)
+    return mul_id_kron(c.omega.left_mat, c.alg.dim, c.d.select_cols(bar))
+
+
+def adjunction_by_calculi(f: AlgMap, cs: list[FirstOrderCalculus],
+                          ts: list[FirstOrderCalculus]) -> dict:
+    """scalars.verify_poset_adjunction in its earlier form: it builds F_! c
+    and F* t and decides each morphism by solving for it."""
+    pushed = [calc_pushforward(f, c) for c in cs]
+    pulled = [calc_pullback(f, t) for t in ts]
+    pairs = []
+    for ci, c in enumerate(cs):
+        for ti, t in enumerate(ts):
+            lhs = calculus_morphism(pushed[ci], t) is not None
+            rhs = calculus_morphism(c, pulled[ti]) is not None
+            pairs.append({
+                "c_index": ci, "t_index": ti,
+                "pushforward_to_t": lhs, "c_to_pullback": rhs,
+                "agree": lhs == rhs,
+            })
+    return {"all_agree": all(p["agree"] for p in pairs), "pairs": pairs}
+
+
+def bicovariance_by_codiagonal_chain(h: Bimonoid, c: FirstOrderCalculus) -> dict:
+    """hopf.bicovariance_check in its earlier form: the codiagonal coactions
+    applied to iota N and iota section and read back through
+    phi retraction, with no coactions of Omega_u built."""
+    u = universal_calculus(h.alg)
+    to_c = _phi(c) * u.retraction
+    lam_n, rho_n = _codiagonal_coactions(h, u.iota * _kernel(c), to_c)
+    witnesses = []
+    if not lam_n.is_zero():
+        witnesses.append("left coaction moves the defining subobject out of A (x) N")
+    if not rho_n.is_zero():
+        witnesses.append("right coaction moves the defining subobject out of N (x) A")
+    if witnesses:
+        return {"bicovariant": False, "witnesses": witnesses}
+    lam, rho = _codiagonal_coactions(h, u.iota * _section(c), to_c)
+    return {"bicovariant": True, "witnesses": [], "lam": lam, "rho": rho,
+            "hopf_calculus_ok": True}
+
+
+def enumerate_by_matrix_sums(m: Bimodule) -> list[Mat]:
+    """fodc.enumerate_action_closed_subspaces outside its exhaustive branch,
+    in its earlier form: the generators of A . e_k . A as matrices, each
+    diagonal e_i +- e_j as their matrix sum or difference, and each pair as
+    the span of both generator matrices."""
+    from itertools import combinations
+
+    f, dim = m.field, m.dim
+    na, nb = m.left_alg.dim, m.right_alg.dim
+    wt = mul_kron_id(m.right_mat, m.left_mat, nb).transpose().data
+    gens = [_mat(f, na * nb, dim, [wt[(a * dim + k) * nb + b]
+                                   for a in range(na) for b in range(nb)])
+            for k in range(dim)]
+    spans = [[], [{i: 1} for i in range(dim)]] + [_row_span(f, g.data) for g in gens]
+    for i, j in combinations(range(dim), 2):
+        spans += [_row_span(f, gens[i].data + gens[j].data),
+                  _row_span(f, (gens[i] + gens[j]).data),
+                  _row_span(f, (gens[i] - gens[j]).data)]
+    found = {tuple(frozenset(row.items()) for row in rows): rows for rows in spans}
+    family = [_mat(f, len(rows), dim, rows).transpose() for rows in found.values()]
+    return sorted(family, key=lambda s: (
+        s.cols, tuple(tuple(map(f.format, row)) for row in s.dense_rows())))
 
 
 # ---------------------------------------------------------------------------

@@ -45,15 +45,18 @@ from omegacalc.scalars import calc_pullback, calc_pushforward
 
 from oracles import (
     calculus_morphism,
+    enumerate_by_matrix_sums,
     field_algebra,
     free_bimodule,
     induced_map_is_unique,
     kernel_counit_comparison,
+    phi_by_formula,
     tensor_square_bimodule,
     universal_iota,
     universal_proj,
 )
 from oracle_algebras import (
+    COMMUTATIVE,
     ORACLE_ALGEBRAS,
     enumerate_by_saturation,
     load_fixture,
@@ -449,6 +452,47 @@ def test_quotients_of_the_universal_calculus_record_the_kernel_of_phi(name):
         assert recorded_kernel(c) is not None
         assert recorded_kernel(c) == kernel_basis(_phi(c))
         assert _kernel(c) is recorded_kernel(c)
+
+
+def recorded_phi(c):
+    """The phi c recorded when it was built, or None."""
+    return c.__dict__.get(_phi.slot)
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_quotients_of_the_universal_calculus_record_phi_by_its_formula(name):
+    # every quotient of the enumerated lattice records its projection as
+    # phi, and the Kaehler calculus its quotient map; the formula that
+    # _phi computes for any other calculus is the oracle
+    alg = ORACLE_ALGEBRAS[name]()
+    u = universal_calculus(alg)
+    calculi = [quotient_calculus(u, n)[0] for n in enumerate_action_closed_subspaces(u.omega)]
+    if is_commutative(alg):
+        calculi.append(kahler_calculus(alg))
+    for c in calculi:
+        assert recorded_phi(c) is not None
+        assert recorded_phi(c) == phi_by_formula(c)
+        assert _phi(c) is recorded_phi(c)
+
+
+@pytest.mark.parametrize("name", COMMUTATIVE)
+def test_the_kaehler_calculus_records_phi_by_its_formula(name):
+    c = kahler_calculus(COMMUTATIVE[name]())
+    assert recorded_phi(c) is not None and recorded_phi(c) == phi_by_formula(c)
+
+
+@pytest.mark.parametrize("name", {**ORACLE_ALGEBRAS, **COMMUTATIVE})
+def test_enumeration_matches_the_matrix_sum_route(name):
+    # the diagonals e_i +- e_j summed as rows, against the same family with
+    # each diagonal formed as a matrix sum, over Q and GF(p), on Omega_u and
+    # on the Kaehler module; the exhaustive GF(p) branch has no diagonals
+    alg = {**ORACLE_ALGEBRAS, **COMMUTATIVE}[name]()
+    modules = [universal_calculus(alg).omega]
+    if is_commutative(alg):
+        modules.append(kahler_calculus(alg).omega)
+    for m in modules:
+        if m.field.is_rational or m.field.p ** m.dim - 1 > 15:
+            assert enumerate_action_closed_subspaces(m) == enumerate_by_matrix_sums(m)
 
 
 def test_a_universal_quotient_records_the_basis_it_was_given(qx3):

@@ -31,7 +31,12 @@ from omegacalc.linalg import (
     swap_matrix,
 )
 
-from oracles import check_hopf_module, d_comodule_report, regular_bimodule
+from oracles import (
+    bicovariance_by_codiagonal_chain,
+    check_hopf_module,
+    d_comodule_report,
+    regular_bimodule,
+)
 from oracle_algebras import regular_coactions
 
 
@@ -350,6 +355,37 @@ def test_bicovariance_agrees_with_brute_force(name, request):
     assert found == BICOVARIANT_DIMS[name]
 
 
+@pytest.mark.parametrize("name", BICOVARIANT_DIMS)
+def test_bicovariance_matches_the_codiagonal_chain(name, request):
+    # bicovariance_check applies 1 (x) phi and phi (x) 1 to the coactions of
+    # Omega_u, built once per bimonoid; the chain it replaced, the codiagonal
+    # coactions of iota N and iota section read back through phi retraction,
+    # is the oracle: verdicts, witnesses and coactions, on every lattice
+    # quotient with its recorded phi and section and with solved ones
+    h = request.getfixturevalue(name)
+    u = universal_calculus(h.alg)
+    for n in enumerate_action_closed_subspaces(u.omega):
+        calc = quotient_calculus(u, n)[0]
+        for c in (calc, FirstOrderCalculus(h.alg, calc.omega, calc.d)):
+            assert bicovariance_check(h, c) == bicovariance_by_codiagonal_chain(h, c)
+
+
+def test_the_coactions_of_omega_u_are_built_once_per_bimonoid(qz3, monkeypatch):
+    # a sweep over one bimonoid reads one lam_u and rho_u; an equal but
+    # distinct bimonoid builds its own (fodc._memo)
+    calls = []
+    chain = hopf._codiagonal_coactions
+    monkeypatch.setattr(hopf, "_codiagonal_coactions",
+                        lambda *args: calls.append(1) or chain(*args))
+    h = group_like_bimonoid(qz3)
+    u = universal_calculus(qz3)
+    hc = universal_coactions(h)
+    for n in enumerate_action_closed_subspaces(u.omega):
+        bicovariance_check(h, quotient_calculus(u, n)[0])
+    assert universal_coactions(h) is hc and len(calls) == 1
+    assert universal_coactions(group_like_bimonoid(qz3)) is not hc and len(calls) == 2
+
+
 def function_algebra_bimonoid(table):
     """k(G) over Q on the delta functions: delta_g delta_h = [g = h] delta_g,
     1 = sum delta_g, Delta delta_g = sum_{xy = g} delta_x (x) delta_y and
@@ -393,6 +429,7 @@ def test_function_algebra_calculi_are_bicovariant_iff_ad_stable(side, qs3):
             nbasis = Mat.from_entries(QQ, n * n, len(rel), [(r, k, 1) for k, r in enumerate(rel)])
             calc, _proj = quotient_calculus(u, image_basis(u.retraction * nbasis))
             res = bicovariance_check(h, calc)
+            assert res == bicovariance_by_codiagonal_chain(h, calc), subset
             stable = all(table[table[g][c]][inv[g]] in subset for g in range(n) for c in subset)
             assert res["bicovariant"] == stable, subset
             assert res["witnesses"] == ([] if stable else [witness[other]]), subset

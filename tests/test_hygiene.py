@@ -11,8 +11,9 @@ axiom report, only the universal, zero, quotient and Kaehler calculi skip
 the calculus check, and the universal calculus, its induced maps, f_u,
 saturation and the closure check are closed forms that solve nothing.  The
 Hopf coactions solve nothing, re-check nothing and build no Kronecker
-product, bicovariance_check reads iota and the retraction of the memoized
-universal calculus and rebuilds neither Omega_u nor its splitting, the
+product, bicovariance_check reads the coactions of Omega_u memoized per
+bimonoid and runs no codiagonal chain, verify_poset_adjunction compares the
+pushed and pulled kernels with f_u built once and builds no calculus, the
 lattice enumeration saturates no candidate on its own, and the dg morphism
 oracle (tests/oracles.py) builds no Kronecker product and reads each
 calculus only through g_n, with no loop that re-checks d or a wedge.  The
@@ -150,14 +151,16 @@ def test_certified_constructions_call_no_full_report():
                                         "kronecker"}),
     ("hopf.py", "bicovariance_check", {"check_hopf_module", "d_comodule_report",
                                        "subspace_leq", "factor_through_surjection",
-                                       "universal_coactions", "kronecker"}),
+                                       "_codiagonal_coactions", "kronecker"}),
+    ("hopf.py", "_coacted", {"_codiagonal_coactions", "kronecker"}),
     ("hopf.py", "_codiagonal_coactions", {"kronecker"}),
     (ORACLES, "unique_dg_morphism", {"kron_all", "kronecker"}),
 ])
 def test_coactions_and_dg_morphisms_are_closed_forms(module, name, banned):
-    # the coactions are read back through the retraction and descended by
-    # one section, each applied factor by factor to the columns it acts on
-    # with no map on A^(x)4 and no Omega_u rebuilt per calculus; the dg
+    # the coactions of Omega_u are read back through the retraction once per
+    # bimonoid, applied factor by factor to the columns of iota with no map
+    # on A^(x)4, and a calculus applies 1 (x) phi and phi (x) 1 to them with
+    # no codiagonal chain run per calculus; the dg
     # morphism is factored one degree at a time through Omega^(n-1) (x) A;
     # the Hopf reports run in the tests
     assert not called_names(function_node(module, name)) & banned
@@ -259,16 +262,33 @@ def test_a_kronecker_left_operand_is_seen():
         "kronecker(a, b) * c", "e * c", "kronecker(a, a) - c"]
 
 
-def test_bicovariance_check_reads_the_memoized_splitting():
-    # iota and the retraction are attributes of universal_calculus(h.alg),
-    # built once per algebra; Omega_u and its splitting are not rebuilt
+def test_bicovariance_check_reads_the_memoized_coactions():
+    # lam_u and rho_u are built once per bimonoid by the memoized
+    # universal_coactions; a check reads them, and rebuilds neither Omega_u,
+    # its splitting nor a Hopf report
     node = function_node("hopf.py", "bicovariance_check")
     called = called_names(node)
-    assert "universal_calculus" in called
+    assert "universal_coactions" in called
+    memo = function_node("hopf.py", "universal_coactions").decorator_list
+    assert [ast.unparse(d) for d in memo] == ["_memo"]
     assert not called & {"_prolongation", "universal_prolongation", "_unit_complement",
-                         "from_entries", "kernel_basis", "Bimodule"}
-    read = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-    assert {"iota", "retraction"} <= read
+                         "from_entries", "kernel_basis", "Bimodule", "universal_calculus",
+                         "_codiagonal_coactions", "kronecker", "check_hopf_module",
+                         "d_comodule_report"}
+
+
+def test_the_adjunction_compares_kernels_and_builds_no_calculus():
+    # the pushed and pulled kernels come from the helpers calc_pushforward
+    # and calc_pullback quotient by, with f_u built once for all of them
+    node = function_node("scalars.py", "verify_poset_adjunction")
+    called = called_names(node)
+    assert not called & {"calc_pushforward", "calc_pullback", "_closed_quotient_calculus",
+                         "quotient_calculus"}
+    assert [ast.unparse(c.func) for c in ast.walk(node) if isinstance(c, ast.Call)
+            ].count("universal_map") == 1
+    for name, helper in (("calc_pushforward", "_pushed_kernel"),
+                         ("calc_pullback", "_pulled_kernel")):
+        assert helper in called and helper in called_names(function_node("scalars.py", name))
 
 
 @pytest.mark.parametrize("module,name", [

@@ -34,6 +34,7 @@ from omegacalc.linalg import (
 from omegacalc import prolong
 from omegacalc.prolong import (
     GradedCalculus,
+    MaximalProlongation,
     maximal_prolongation,
     trivial_extension,
     universal_prolongation,
@@ -232,6 +233,18 @@ def test_maximal_prolongation_degree_one_is_input(qx3):
     assert maxi.diff[0] == k.d
     assert maxi.wedge[(0, 1)] == k.omega.left_mat
     assert maxi.wedge[(1, 0)] == k.omega.right_mat
+
+
+def test_maximal_prolongation_has_no_public_constructor(qx3):
+    # maximal_prolongation is the only way to a MaximalProlongation, so every
+    # instance has the quotient maps from_universal reads; the same maps
+    # handed to the public constructor make a checked GradedCalculus
+    built = maximal_prolongation(kahler_calculus(qx3), 2)
+    args = (built.alg, built.max_degree, built.dims, built.diff, dict(built.wedge))
+    for call in (lambda: MaximalProlongation(*args), lambda: MaximalProlongation()):
+        with pytest.raises(TypeError, match=r"maximal_prolongation\(c, max_degree\)"):
+            call()
+    assert GradedCalculus(*args).dims == built.dims == [3, 2, 0]
 
 
 def pushout_chain_oracle(c, max_degree):

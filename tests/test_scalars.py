@@ -39,11 +39,13 @@ from omegacalc.scalars import (
 )
 
 from oracles import (
+    adjunction_by_calculi,
     calc1_category_adjoints_check,
     calculus_morphism,
     extend_bimodule,
     field_algebra,
     identity_map,
+    phi_by_formula,
     square_zero_unit_check,
     unique_dg_morphism,
     universal_map_functorial,
@@ -88,6 +90,36 @@ def test_pushed_and_pulled_calculi_record_the_kernel_of_phi(name):
     for c in results:
         recorded = c.__dict__.get(_kernel.slot)
         assert recorded is not None and recorded == kernel_basis(_phi(c))
+
+
+@pytest.mark.parametrize("name", ORACLE_MAPS)
+def test_pushed_and_pulled_calculi_record_phi_by_its_formula(name):
+    # a push or pull is a quotient of the universal calculus of the far
+    # algebra, so it records its projection as phi; the formula that _phi
+    # computes for any other calculus is the oracle
+    f = ORACLE_MAPS[name]()
+    results = ([calc_pushforward(f, c) for c in canonical_calculi(f.source)]
+               + [calc_pullback(f, t) for t in canonical_calculi(f.target)])
+    for c in results:
+        recorded = c.__dict__.get(_phi.slot)
+        assert recorded is not None and recorded == phi_by_formula(c)
+
+
+def transport_family(alg):
+    return canonical_calculi(alg) + [zero_calculus(alg)] + first_proper_quotients(alg)
+
+
+@pytest.mark.parametrize("name", ORACLE_MAPS)
+def test_adjunction_matches_the_calculus_building_route(name):
+    # verify_poset_adjunction compares the pushed and pulled kernels and
+    # builds no calculus; the oracle builds F_! c and F* t and solves for
+    # each morphism, on the universal, Kaehler, zero and two quotient
+    # calculi of each end
+    f = ORACLE_MAPS[name]()
+    cs, ts = transport_family(f.source), transport_family(f.target)
+    report = verify_poset_adjunction(f, cs, ts)
+    assert report == adjunction_by_calculi(f, cs, ts)
+    assert report["all_agree"]
 
 
 @pytest.mark.parametrize("name", ORACLE_MAPS)

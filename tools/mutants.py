@@ -63,6 +63,10 @@ QUOTIENT_MAPS_ORACLE = "tests/test_linalg_kernels.py -k quotient_maps_matches_it
 LARGER_PRIMES = "tests/test_linalg_kernels.py -k larger_primes"
 MILLER_RABIN = "tests/test_linalg.py -k past_the_trial_divisors"
 RANK_IDENTITY = "tests/test_derham.py -k rank_identity_all_interior_degrees"
+PHI_RECORD_ORACLE = ("tests/test_fodc.py -k "
+                     "quotients_of_the_universal_calculus_record_phi_by_its_formula")
+ADJUNCTION_ORACLE = "tests/test_scalars.py -k adjunction_matches_the_calculus_building_route"
+CHAIN_ORACLE = "tests/test_hopf.py -k bicovariance_matches_the_codiagonal_chain"
 
 MUTANTS = [
     # the prolongation builder: the sign of the right-action recursion, the
@@ -119,12 +123,17 @@ MUTANTS = [
      "mul_id_kron(xt, n, dt), h.s_t",
      "mul_kron_id(xt, dt, n), h.s_t",
      CODIAGONAL_ORACLE),
-    # bicovariance_check: the right-side subcomodule test, and the solved
-    # section the quotient coactions descend through
+    # bicovariance_check: the right-side subcomodule test, the legs 1 (x) phi
+    # and phi (x) 1 swapped, and the solved section the quotient coactions
+    # descend through
     ("src/omegacalc/hopf.py",
      "    if not rho_n.is_zero():",
      "    if False:",
      AD_STABLE_ORACLE),
+    ("src/omegacalc/hopf.py",
+     "return mul_id_kron(xt * lam_t, n, pt), mul_kron_id(xt * rho_t, pt, n)",
+     "return mul_kron_id(xt * lam_t, pt, n), mul_id_kron(xt * rho_t, n, pt)",
+     CHAIN_ORACLE),
     ("src/omegacalc/fodc.py",
      "    return solve(_phi(c), Mat.identity(c.alg.field, c.dim))",
      "    return _phi(c).transpose()",
@@ -157,6 +166,11 @@ MUTANTS = [
      "kronecker(f.matrix, Mat.identity(pi_b.field, pi_b.cols).select_cols(_bar).transpose()"
      " * f.matrix.select_cols(bar))",
      RESTRICTION_ORACLE),
+    # verify_poset_adjunction comparing ker(c) where the pushed kernel belongs
+    ("src/omegacalc/scalars.py",
+     "lhs = (to_ts[ti] * pushed[ci]).is_zero()",
+     "lhs = (to_ts[ti] * ker_cs[ci]).is_zero()",
+     ADJUNCTION_ORACLE),
     # saturate_subspace without its right-action step, and the closure check
     # without its right products
     ("src/omegacalc/bimodule.py",
@@ -189,8 +203,8 @@ MUTANTS = [
      "record(_row_span(f, singles[i]))",
      ENUMERATION_ORACLE),
     ("src/omegacalc/fodc.py",
-     "            record(_row_span(f, (gens[i] - gens[j]).data))",
-     "            record(_row_span(f, (gens[i] + gens[j]).data))",
+     "            for sign in (1, -1):",
+     "            for sign in (1, 1):",
      ENUMERATION_ORACLE),
     # the public quotient_calculus sent down the path that skips the closure
     # witness
@@ -204,7 +218,8 @@ MUTANTS = [
      "    left_rank = omega.dim",
      "tests/test_fodc.py"),
     # the memo: one module-level slot per function instead of one per
-    # instance, and the recorded kernel taken for a quotient of any calculus
+    # instance, the recorded kernel taken for a quotient of any calculus, and
+    # the identity recorded as phi of a quotient of the universal calculus
     ("src/omegacalc/fodc.py",
      "        kept = x.__dict__\n",
      "        kept = _memo.__dict__\n",
@@ -213,6 +228,10 @@ MUTANTS = [
      "if isinstance(c, UniversalCalculus) else",
      "if True else",
      KERNEL_SHORTCUT_ORACLE),
+    ("src/omegacalc/fodc.py",
+     "split = {_phi.slot: proj.matrix,",
+     "split = {_phi.slot: Mat.identity(c.alg.field, c.dim),",
+     PHI_RECORD_ORACLE),
     # kron_id_mul with the offset l inside a block of x (x) I_q dropped
     ("src/omegacalc/linalg.py",
      "divmod(c * q + l, mr)\n                base = i * mc\n",
