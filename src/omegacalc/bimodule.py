@@ -12,9 +12,9 @@ quotients, tensor products and zero bimodule built here, and their
 inclusions and projections, satisfy them by construction and are built by
 `linalg._certified` under the proof written at each call.
 `quotient_bimodule` refuses a subspace that is not action-closed, reading
-the closure off its quotient map (`_closure_witness`).  The private
-`_closed_quotient` is the same quotient without that check, for the
-library's callers whose subspace is closed by construction.
+the closure off its quotient map (`_closure_witness`), with one rule: a
+basis that the construction proving it closed certified for this bimodule
+(`_closed_basis`) skips the witness, and anything else runs it.
 """
 
 from __future__ import annotations
@@ -150,6 +150,24 @@ def zero_bimodule(a: Algebra, b: Algebra) -> Bimodule:
 # sub/quotient machinery
 # ---------------------------------------------------------------------------
 
+class _ClosedBasis(Mat):
+    """A canonical basis of a sub-bimodule of `ambient`, certified by the
+    construction that proved it closed.  Every operation on it returns a
+    plain `Mat`, uncertified, and it equals its plain twin."""
+
+    __slots__ = ("ambient",)
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("_ClosedBasis is built only by bimodule._closed_basis(m, basis)")
+
+
+def _closed_basis(m: Bimodule, basis: Mat) -> _ClosedBasis:
+    """basis, certified for m: quotient_bimodule(m, .) skips the witness on
+    it, and each caller states its proof that the span is closed."""
+    return _certified(_ClosedBasis, field=basis.field, rows=basis.rows, cols=basis.cols,
+                      data=basis.data, ambient=m)
+
+
 def _closure_witness(q_left: Mat, q_right: Mat, na: int, nb: int, basis: Mat) -> str | None:
     """None if col(basis) is closed under both actions, else a witness string.
 
@@ -207,30 +225,17 @@ def quotient_bimodule(m: Bimodule, sub_canonical: Mat) -> tuple[Bimodule, BimodM
     """Quotient by an action-closed subspace: (quotient, projection, section).
 
     Refuses a subspace that is not action-closed, with the witness of
-    `_closure_witness`."""
+    `_closure_witness`, unless it is a basis certified for m itself."""
     q, s = quotient_maps(sub_canonical, m.dim)
     q_left, q_right = q * m.left_mat, q * m.right_mat
-    witness = _closure_witness(q_left, q_right, m.left_alg.dim, m.right_alg.dim, sub_canonical)
-    if witness is not None:
-        raise LinAlgError(f"subspace is not action-closed: {witness}")
-    return _descend(m, q, s, q_left, q_right)
-
-
-def _closed_quotient(m: Bimodule, sub_canonical: Mat) -> tuple[Bimodule, BimodMap, Mat]:
-    """quotient_bimodule without the closure witness, for a subspace its
-    caller proved action-closed; each call states that proof next to it."""
-    q, s = quotient_maps(sub_canonical, m.dim)
-    return _descend(m, q, s, q * m.left_mat, q * m.right_mat)
-
-
-def _descend(m: Bimodule, q: Mat, s: Mat, q_left: Mat, q_right: Mat) -> tuple[Bimodule, BimodMap, Mat]:
-    """The quotient bimodule, projection and section from the quotient maps
-    (q, s) of an action-closed subspace and q_left = q . m.left_mat,
-    q_right = q . m.right_mat: the actions descend through the section."""
+    if not (isinstance(sub_canonical, _ClosedBasis) and sub_canonical.ambient is m):
+        witness = _closure_witness(q_left, q_right, m.left_alg.dim, m.right_alg.dim, sub_canonical)
+        if witness is not None:
+            raise LinAlgError(f"subspace is not action-closed: {witness}")
     lm = _mul_section(q_left, m.left_alg.dim, s, 1)
     rm = _mul_section(q_right, 1, s, m.right_alg.dim)
     # the actions of m descend through q because its kernel is action-closed,
-    # so quo is a bimodule and q an onto map of bimodules
+    # checked above or certified, so quo is a bimodule and q an onto map
     quo = _certified(Bimodule, left_alg=m.left_alg, right_alg=m.right_alg, dim=q.rows,
                      left_mat=lm, right_mat=rm)
     return quo, _certified(BimodMap, source=m, target=quo, matrix=q), s
@@ -249,10 +254,11 @@ def saturate_subspace(m: Bimodule, gens) -> Mat:
     # so A . V is a left submodule.  The two actions commute, so
     # a . ((A . V) . A) = (a A . V) . A, and ((A . V) . A) . b =
     # (A . V) . (A b): the span is closed on both sides, and every
-    # action-closed subspace holding V holds it.  tests/test_bimodule.py
-    # holds it to saturation by a fixpoint loop.
+    # action-closed subspace holding V holds it, so the result is certified
+    # for m.  tests/test_bimodule.py holds it to saturation by a fixpoint
+    # loop and runs the closure witness on it.
     left = image_basis(mul_id_kron(m.left_mat, m.left_alg.dim, v))
-    return image_basis(mul_kron_id(m.right_mat, left, m.right_alg.dim))
+    return _closed_basis(m, image_basis(mul_kron_id(m.right_mat, left, m.right_alg.dim)))
 
 
 # ---------------------------------------------------------------------------

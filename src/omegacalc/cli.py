@@ -22,7 +22,7 @@ from .derham import CochainComplex, cohomology, de_rham, de_rham_comparison
 from .fodc import (
     FirstOrderCalculus,
     PreconditionError,
-    _closed_quotient_calculus,
+    quotient_calculus,
     universal_calculus,
 )
 from .hopf import bicovariance_check
@@ -130,11 +130,7 @@ def _quotient_of_universal(alg: Algebra, rel_doc) -> FirstOrderCalculus:
         # the retraction inverts iota on its image, the kernel of multiplication
         cols.append((u.retraction * v).column(0))
     closed = saturate_subspace(u.omega, Mat.from_cols(alg.field, cols, rows=u.dim))
-    # Certificate, in place of the closure witness: saturate_subspace returns
-    # the canonical basis of A . V . A, which is action-closed (its own
-    # certificate).  tests/test_cli.py runs action_closed on the kernel of
-    # the result for every relation fixture.
-    calc, _ = _closed_quotient_calculus(u, closed)
+    calc, _ = quotient_calculus(u, closed)
     return calc
 
 

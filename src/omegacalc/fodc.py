@@ -9,12 +9,13 @@ is the normalized bar A (x) A-bar, a0 (x) b standing for a0 db
 kernel of phi: a0 (x) b -> a0 db, and the lattice of quotients matches the
 lattice of action-closed subspaces.
 
-The public `quotient_calculus` checks that its subspace is action-closed.
-Transport along algebra maps (`scalars`) and the CLI's relation path
-quotient by subspaces that are closed by construction, a saturation or the
-preimage of a sub-bimodule under a bimodule map, and go through the private
-`_closed_quotient_calculus`, which skips that check under the proof written
-at each call.  phi, its kernel and a section of it are memoized per
+`quotient_calculus` checks that its subspace is action-closed, with the
+rule of `bimodule.quotient_bimodule`: a basis that the construction proving
+it closed certified for this calculus's bimodule skips the witness, and
+anything else runs it.  The certifying constructions are saturation, the
+lattice enumeration and the preimage of a sub-bimodule under a bimodule
+map, so transport (`scalars`), the lattice walkers and the CLI's relation
+path pay no witness.  phi, its kernel and a section of it are memoized per
 calculus, and a quotient of the universal calculus records all three when
 it is built.  `enumerate_action_closed_subspaces` eliminates each
 candidate as a list of sparse rows, a diagonal's rows summed as dicts, and
@@ -28,7 +29,7 @@ from .algebra import Algebra, AxiomError
 from .bimodule import (
     BimodMap,
     Bimodule,
-    _closed_quotient,
+    _closed_basis,
     action_closed,
     quotient_bimodule,
     zero_bimodule,
@@ -306,24 +307,12 @@ def quotient_calculus(c: FirstOrderCalculus, sub: Mat) -> tuple[FirstOrderCalcul
     canonical basis, with the projection onto the echelon complement of the
     subspace, so that repeated quotients are reproducible.  A subspace that
     is not action-closed is refused (`bimodule.quotient_bimodule`)."""
-    return _quotient_on(c, sub, *quotient_bimodule(c.omega, sub))
-
-
-def _closed_quotient_calculus(c: FirstOrderCalculus, sub: Mat) -> tuple[FirstOrderCalculus, BimodMap]:
-    """quotient_calculus for a subspace its caller proved action-closed: the
-    closure witness does not run.  The library's transport and its CLI
-    relation path call it, each with its proof written at the call."""
-    return _quotient_on(c, sub, *_closed_quotient(c.omega, sub))
-
-
-def _quotient_on(c: FirstOrderCalculus, sub: Mat, quo: Bimodule, proj: BimodMap,
-                 s: Mat) -> tuple[FirstOrderCalculus, BimodMap]:
-    """c / sub on the quotient bimodule (quo, proj, s) of c.omega by sub."""
+    quo, proj, s = quotient_bimodule(c.omega, sub)
     d_new = proj.matrix * c.d
     # Certificate, in place of check_fodc on the quotient: the subspace is
-    # action-closed, checked by quotient_bimodule or proved by the caller of
-    # _closed_quotient_calculus, so proj: c ->> c/N is an onto bimodule map,
-    # and d_new = proj d.  Then Leibniz descends,
+    # action-closed, checked or certified by quotient_bimodule, so
+    # proj: c ->> c/N is an onto bimodule map, and d_new = proj d.  Then
+    # Leibniz descends,
     # d_new(ab) = proj(da b + a db) = d_new(a) b + a d_new(b); proj maps
     # A dA = c onto A d_new(A), so that is c/N; and d_new(1) = proj d(1) = 0.
     # c itself is a calculus, checked or certified when it was built.
@@ -390,7 +379,13 @@ def enumerate_action_closed_subspaces(m: Bimodule) -> list[Mat]:
         # canonical bases are equal iff their reduced rows are
         key = tuple(frozenset(row.items()) for row in rows)
         if key not in found:
-            found[key] = _mat(f, len(rows), dim, rows).transpose()
+            # Certificate, in place of the closure witness: 0 and the whole
+            # space are action-closed, the exhaustive branch records only
+            # spans action_closed accepted, and every other member is a
+            # saturation A . V . A (below), closed as saturate_subspace's
+            # certificate shows.  tests/test_fodc.py runs the witness on
+            # every member.
+            found[key] = _closed_basis(m, _mat(f, len(rows), dim, rows).transpose())
         return key
 
     record([])

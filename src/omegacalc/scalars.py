@@ -16,14 +16,14 @@ of derivations and the initial and terminal calculi (`tests/oracles.py`).
 from __future__ import annotations
 
 from .algebra import AlgMap
-from .bimodule import saturate_subspace
+from .bimodule import _closed_basis, saturate_subspace
 from .fodc import (
     FirstOrderCalculus,
     PreconditionError,
     UniversalCalculus,
-    _closed_quotient_calculus,
     _kernel,
     _unit_complement,
+    quotient_calculus,
     universal_calculus,
 )
 from .linalg import (
@@ -60,17 +60,18 @@ def _pulled_kernel(f: AlgMap, f_u: Mat, t: FirstOrderCalculus) -> tuple[Universa
     if t.alg != f.target:
         raise PreconditionError("calculus is not over the target algebra")
     # ker(Omega_u(B) -> t) is ker phi, which needs no Omega_u(B)
-    return universal_calculus(f.source), preimage_basis(f_u, _kernel(t))
+    u_a = universal_calculus(f.source)
+    # Certificate, in place of the closure witness: f_u is a bimodule map
+    # along f, f_u(a x b) = f(a) f_u(x) f(b), and ker(Omega_u(B) -> t) is a
+    # sub-bimodule, so its preimage is closed under both actions of A.
+    # tests/test_scalars.py runs action_closed on it on every oracle map.
+    return u_a, _closed_basis(u_a.omega, preimage_basis(f_u, _kernel(t)))
 
 
 def calc_pushforward(f: AlgMap, c: FirstOrderCalculus) -> FirstOrderCalculus:
     """Pushout realization: Omega_u(B) / <f_u(ker(Omega_u(A) -> c))>."""
     u_b, pushed = _pushed_kernel(f, universal_map(f), c)
-    # Certificate, in place of the closure witness: saturate_subspace returns
-    # the canonical basis of A . V . A, which is action-closed (its own
-    # certificate).  tests/test_scalars.py runs action_closed on the kernel
-    # of every pushed calculus.
-    result, _proj = _closed_quotient_calculus(u_b, pushed)
+    result, _proj = quotient_calculus(u_b, pushed)
     return result
 
 
@@ -81,12 +82,9 @@ def calc_pullback(f: AlgMap, t: FirstOrderCalculus) -> FirstOrderCalculus:
     # canonical basis (preimage_basis returns one), and the quotient
     # projects onto its echelon complement (quotient_maps), whose kernel is
     # exactly the span of p; it records p as ker(Omega_u -> result).
-    # Certificate, in place of the closure witness: f_u is a bimodule map
-    # along f, f_u(a x b) = f(a) f_u(x) f(b), and ker(Omega_u(B) -> t) is a
-    # sub-bimodule, so its preimage p is closed under both actions of A.
-    # tests/test_scalars.py holds the projection's kernel to p, and runs
-    # action_closed on it, on every oracle map.
-    result, _proj = _closed_quotient_calculus(u_a, p)
+    # tests/test_scalars.py holds the projection's kernel to p on every
+    # oracle map.
+    result, _proj = quotient_calculus(u_a, p)
     return result
 
 

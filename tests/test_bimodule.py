@@ -6,6 +6,7 @@ from omegacalc.algebra import AlgMap, AxiomError, build_truncated_poly
 from omegacalc.bimodule import (
     BimodMap,
     Bimodule,
+    _ClosedBasis,
     _mul_section,
     action_closed,
     bimod_map_report,
@@ -383,7 +384,25 @@ def test_saturation_is_the_fixpoint_of_the_actions(alg_name, module):
     for gens in generator_sets(m, seed=len(alg_name)):
         sat = saturate_subspace(m, gens)
         assert sat == fixpoint_saturation(m, gens), gens
+        # certified for m, and passing the closure witness its quotient skips
+        assert isinstance(sat, _ClosedBasis) and sat.ambient is m
         assert action_closed(m, sat) is None
+
+
+def test_a_certified_basis_is_a_mat_that_nothing_derived_from_it_inherits(qx2):
+    # the certificate is a type that only bimodule._closed_basis builds; a
+    # certified basis reads and compares as the matrix it is, and every
+    # matrix operation on it returns a plain Mat
+    m = universal_calculus(qx2).omega
+    sat = saturate_subspace(m, Mat.identity(QQ, m.dim).select_cols([0]))
+    plain = _mat(sat.field, sat.rows, sat.cols, sat.data)
+    with pytest.raises(TypeError):
+        _ClosedBasis(QQ, [[1]])
+    assert type(sat) is _ClosedBasis and type(plain) is Mat
+    assert sat == plain and plain == sat
+    for derived in (sat + plain, sat - plain, -sat, sat.transpose(), plain.transpose() * sat,
+                    sat.select_cols(range(sat.cols)), image_basis(sat)):
+        assert type(derived) is Mat
 
 
 @pytest.mark.parametrize("alg_name,module", ORACLE_CASES)

@@ -527,10 +527,10 @@ def test_text_format_default(capsys):
 
 
 def test_relation_quotients_are_action_closed(tmp_path):
-    # _quotient_of_universal skips the closure witness, under the certificate
-    # at its call; this is the witness it no longer runs, on every relations
-    # file of the golden snapshot (tools/gen_goldens.py): one per fixture,
-    # and two more on qz3
+    # _quotient_of_universal skips the closure witness on a saturation, under
+    # saturate_subspace's certificate; this is the witness it skips, on every
+    # relations file of the golden snapshot (tools/gen_goldens.py): one per
+    # fixture, and two more on qz3
     spec = importlib.util.spec_from_file_location("gen_goldens", ROOT / "tools" / "gen_goldens.py")
     gen_goldens = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen_goldens)

@@ -197,8 +197,19 @@ def test_enumeration_matches_saturation_per_candidate(name):
     # every fixture (qs3 included), the generated and incidence algebras and
     # the GF(p) ones: the same family in the same order as saturating each
     # candidate on its own
-    m = universal_calculus(ORACLE_ALGEBRAS[name]()).omega
-    assert enumerate_action_closed_subspaces(m) == enumerate_by_saturation(m)
+    alg = ORACLE_ALGEBRAS[name]()
+    m = universal_calculus(alg).omega
+    members = enumerate_action_closed_subspaces(m)
+    assert members == enumerate_by_saturation(m)
+    # every member is certified for the bimodule it came from, and passes
+    # the closure witness its quotient skips; so does every member of the
+    # Kaehler module where there is one
+    kahler = [kahler_calculus(alg).omega] if is_commutative(alg) else []
+    for ambient, family in [(m, members)] + [(k, enumerate_action_closed_subspaces(k))
+                                              for k in kahler]:
+        for n in family:
+            assert isinstance(n, bimodule._ClosedBasis) and n.ambient is ambient
+            assert action_closed(ambient, n) is None
 
 
 @pytest.mark.parametrize("fixture", ["qx3", "qz3", "f2x2"])
@@ -285,10 +296,8 @@ def test_quotient_calculus_refuses_what_the_closure_witness_refuses(name):
     assert refused or u.dim == 0
 
 
-def test_only_the_public_quotient_runs_the_closure_witness(monkeypatch, qx3, qx4, qy2):
-    # transport and the CLI relation path quotient by subspaces that are
-    # closed by construction and skip the witness, under the certificates at
-    # their calls; the public quotient_calculus runs it on every call
+def counting_closure_witness(monkeypatch) -> list:
+    """The calls of bimodule._closure_witness from here on, one entry each."""
     calls = []
     witness = bimodule._closure_witness
 
@@ -297,6 +306,16 @@ def test_only_the_public_quotient_runs_the_closure_witness(monkeypatch, qx3, qx4
         return witness(*args)
 
     monkeypatch.setattr(bimodule, "_closure_witness", counting)
+    return calls
+
+
+def test_the_closure_witness_runs_exactly_on_uncertified_input(monkeypatch, qx3, qx4, qy2, qz3):
+    # a basis certified for the quotient's own bimodule, by the construction
+    # that proved it closed, skips the witness: push (a saturation), pull (a
+    # preimage), the CLI relation path (a saturation) and every lattice
+    # member; a bare Mat, a matrix computed from a certified basis and a
+    # basis certified for another bimodule run it once
+    calls = counting_closure_witness(monkeypatch)
     y_to_x2 = AlgMap(qy2, qx4, Mat(QQ, [[1, 0], [0, 0], [0, 1], [0, 0]]))
     for c in (universal_calculus(qy2), kahler_calculus(qy2)):
         calc_pushforward(y_to_x2, c)
@@ -305,10 +324,41 @@ def test_only_the_public_quotient_runs_the_closure_witness(monkeypatch, qx3, qx4
     # [dx, x] = 1 (x) x^2 - 2 x (x) x + x^2 (x) 1 in A (x) A coordinates
     relation = ["0", "0", "1", "0", "-2", "0", "1", "0", "0"]
     assert cli._quotient_of_universal(qx3, {"generators": [relation]}).dim == 2
-    assert calls == []
     u = universal_calculus(qx3)
-    quotient_calculus(u, Mat.zeros(QQ, u.dim, 0))
-    assert len(calls) == 1
+    lattice = enumerate_action_closed_subspaces(u.omega)
+    for n in lattice:
+        quotient_calculus(u, n)
+    assert calls == []
+    n = lattice[len(lattice) // 2]
+    other = enumerate_action_closed_subspaces(universal_calculus(qz3).omega)[-1]
+    for uncertified in (Mat.zeros(QQ, u.dim, 0), n.select_cols(range(n.cols)),
+                        n + Mat.zeros(QQ, n.rows, n.cols), other):
+        calls.clear()
+        quotient_calculus(u, uncertified)
+        assert len(calls) == 1
+
+
+def test_a_basis_certified_for_another_bimodule_is_checked(monkeypatch, qx3, qz3):
+    # Omega_u of Q[Z/3] and of Q[x]/x^3 both have dimension 6; a lattice
+    # member of the first, handed to a quotient of the second, runs the
+    # witness and is refused exactly where action_closed refuses it there
+    u = universal_calculus(qx3)
+    members = enumerate_action_closed_subspaces(universal_calculus(qz3).omega)
+    assert u.dim == members[0].rows == 6
+    calls = counting_closure_witness(monkeypatch)
+    refused = 0
+    for n in members:
+        witness = action_closed(u.omega, n)
+        calls.clear()
+        if witness is None:
+            assert quotient_calculus(u, n)[0].dim == u.dim - n.cols
+        else:
+            refused += 1
+            with pytest.raises(LinAlgError) as exc:
+                quotient_calculus(u, n)
+            assert str(exc.value) == f"subspace is not action-closed: {witness}"
+        assert len(calls) == 1
+    assert refused
 
 
 def test_quotient_calculus_d_behaviour(qx2):

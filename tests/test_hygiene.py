@@ -18,8 +18,9 @@ lattice enumeration saturates no candidate on its own, and the dg morphism
 oracle (tests/oracles.py) builds no Kronecker product and reads each
 calculus only through g_n, with no loop that re-checks d or a wedge.  The
 test-only oracles and the checks of the paper's propositions live in
-tests/oracles.py, every public name of the package has a reader outside its
-module, in the CLI, the benchmark, the tools or the README, and every public
+tests/oracles.py, every public name of the package is imported, read as an
+attribute or named in a dotted string outside its module, in the CLI, the
+benchmark or the tools, or named in the README's code, and every public
 method of a public class is read as an attribute or named in the README's
 code (the public surface guard). The prolongation applies every identity
 factor blockwise: it calls neither whiskered product, and no Kronecker
@@ -33,8 +34,9 @@ calculus is the closed form I / I^2 and builds neither Omega_u, nor a
 saturation, nor a generic quotient.  The rational lattice enumeration
 eliminates rows of the sandwich map and calls neither image_basis nor
 select_cols, and image_basis and the Kaehler relations share one row-span
-step (`linalg._row_span`). The certified quotient calculi build on one
-helper, `fodc._quotient_on`.
+step (`linalg._row_span`). There is one quotient route: `quotient_calculus`
+builds on `quotient_bimodule`, and only saturation, the lattice enumeration
+and the pulled-back kernel certify a basis that skips its closure witness.
 """
 
 import ast
@@ -282,8 +284,7 @@ def test_the_adjunction_compares_kernels_and_builds_no_calculus():
     # and calc_pullback quotient by, with f_u built once for all of them
     node = function_node("scalars.py", "verify_poset_adjunction")
     called = called_names(node)
-    assert not called & {"calc_pushforward", "calc_pullback", "_closed_quotient_calculus",
-                         "quotient_calculus"}
+    assert not called & {"calc_pushforward", "calc_pullback", "quotient_calculus"}
     assert [ast.unparse(c.func) for c in ast.walk(node) if isinstance(c, ast.Call)
             ].count("universal_map") == 1
     for name, helper in (("calc_pushforward", "_pushed_kernel"),
@@ -356,7 +357,9 @@ def test_no_function_takes_the_universal_calculus():
 
 
 @pytest.mark.parametrize("name", ["kernel_from_universal", "max_generators", "_splitting",
-                                  "_certified_dg", "_dg_certified", "self.check"])
+                                  "_certified_dg", "_dg_certified", "self.check",
+                                  "_closed_quotient", "_closed_quotient_calculus", "_descend",
+                                  "_quotient_on"])
 def test_retired_names_are_gone(name):
     for path in SRC.glob("*.py"):
         assert name not in path.read_text(), path.name
@@ -370,14 +373,15 @@ CERTIFIED_CALCULI = {
     ("bimodule.py", "zero_bimodule", "Bimodule"),
     ("bimodule.py", "sub_bimodule", "Bimodule"),
     ("bimodule.py", "sub_bimodule", "BimodMap"),
-    ("bimodule.py", "_descend", "Bimodule"),
-    ("bimodule.py", "_descend", "BimodMap"),
+    ("bimodule.py", "quotient_bimodule", "Bimodule"),
+    ("bimodule.py", "quotient_bimodule", "BimodMap"),
+    ("bimodule.py", "_closed_basis", "_ClosedBasis"),
     ("bimodule.py", "tensor_over_algebra", "Bimodule"),
     ("fodc.py", "universal_calculus", "Bimodule"),
     ("fodc.py", "universal_calculus", "UniversalCalculus"),
     ("fodc.py", "zero_calculus", "FirstOrderCalculus"),
     ("fodc.py", "induced_map", "BimodMap"),
-    ("fodc.py", "_quotient_on", "FirstOrderCalculus"),
+    ("fodc.py", "quotient_calculus", "FirstOrderCalculus"),
     ("kahler.py", "kahler_calculus", "Bimodule"),
     ("kahler.py", "kahler_calculus", "FirstOrderCalculus"),
     ("prolong.py", "universal_prolongation", "GradedCalculus"),
@@ -385,9 +389,6 @@ CERTIFIED_CALCULI = {
     ("prolong.py", "maximal_prolongation", "MaximalProlongation"),
     ("derham.py", "CochainComplex.from_graded", "CochainComplex"),
 }
-# the two quotients that build on _quotient_on: the public one, and the one
-# for subspaces closed by construction
-QUOTIENTS = {("fodc.py", "quotient_calculus"), ("fodc.py", "_closed_quotient_calculus")}
 
 
 def certified_calls(source: str) -> list[tuple[str, str]]:
@@ -432,11 +433,22 @@ def test_only_the_private_constructors_skip_a_constructor():
     assert sorted(found) == [("linalg.py", "_certified"), ("linalg.py", "_mat")]
 
 
+def test_only_the_closure_proving_constructions_certify_a_sub_bimodule_basis():
+    # a basis that skips quotient_bimodule's closure witness is built by
+    # bimodule._closed_basis, called only next to a proof of closure
+    callers = {(path.name, getattr(node, "name", "<module>")) for path in MODULES
+               for node in ast.parse(path.read_text()).body
+               if "_closed_basis" in called_names(node)}
+    assert callers == {("bimodule.py", "saturate_subspace"),
+                       ("fodc.py", "enumerate_action_closed_subspaces"),
+                       ("scalars.py", "_pulled_kernel")}
+
+
 CALCULI = {"FirstOrderCalculus", "UniversalCalculus"}
 
 
 @pytest.mark.parametrize("module,name", sorted(
-    {(module, name) for module, name, cls in CERTIFIED_CALCULI if cls in CALCULI} | QUOTIENTS))
+    {(module, name) for module, name, cls in CERTIFIED_CALCULI if cls in CALCULI}))
 def test_certified_calculi_run_no_calculus_check(module, name):
     banned = {"check_fodc", "FirstOrderCalculus", "UniversalCalculus"}
     assert not called_names(function_node(module, name)) & banned
@@ -521,38 +533,17 @@ KEPT_WITHOUT_A_CALLER = {"MaximalProlongation", "trivial_extension",
                          "sub_calculus_correspondence", "centrality_check"}
 
 
-def read_names(tree) -> set[str]:
-    """The names a module reads: identifiers, attributes, imported names,
-    and string constants that are dotted names, which is how the benchmark
-    looks functions up (`lib("fodc", "universal_calculus")`)."""
-    found = set()
-    for n in ast.walk(tree):
-        if isinstance(n, ast.Name):
-            found.add(n.id)
-        elif isinstance(n, ast.Attribute):
-            found.add(n.attr)
-        elif isinstance(n, ast.alias):
-            found.add(n.name.rsplit(".", 1)[-1])
-        elif (isinstance(n, ast.Constant) and isinstance(n.value, str)
-              and all(part.isidentifier() for part in n.value.split("."))):
-            found.update(n.value.split("."))
-    return found
-
-
-def readme_names(text: str) -> set[str]:
-    return set(re.findall(r"\w+", text))
-
-
 def readme_code_names(text: str) -> set[str]:
     """The names in the README's code: fenced blocks and inline spans."""
     fenced = re.findall(r"```.*?```", text, flags=re.S)
     inline = re.findall(r"`[^`]+`", re.sub(r"```.*?```", "", text, flags=re.S))
-    return readme_names(" ".join(fenced + inline))
+    return set(re.findall(r"\w+", " ".join(fenced + inline)))
 
 
 def attribute_reads(tree) -> set[str]:
     """The attributes a module reads, and the parts of its dotted string
-    constants: the ways a method is reached."""
+    constants, which is how the benchmark looks functions up
+    (`lib("fodc", "universal_calculus")`): the ways a method is reached."""
     found = set()
     for n in ast.walk(tree):
         if isinstance(n, ast.Attribute):
@@ -563,10 +554,12 @@ def attribute_reads(tree) -> set[str]:
     return found
 
 
-def outside_readers() -> set[str]:
-    """What the CLI, the benchmark and the tools read."""
-    paths = [SRC / "cli.py", *(ROOT / "perfbench").rglob("*.py"), *(ROOT / "tools").glob("*.py")]
-    return set().union(*(read_names(ast.parse(p.read_text())) for p in paths))
+def name_reads(tree) -> set[str]:
+    """attribute_reads and the imported names: the ways a top-level name is
+    reached from another module.  A local variable or a word of prose that
+    happens to share the name is no reader."""
+    return attribute_reads(tree) | {n.name.rsplit(".", 1)[-1] for n in ast.walk(tree)
+                                    if isinstance(n, ast.alias)}
 
 
 def public_definitions(tree) -> set[str]:
@@ -583,29 +576,32 @@ def public_methods(tree) -> list[tuple[str, str]]:
 
 
 def surface_offenders() -> list[str]:
-    """Each exported name without a reader in the CLI, the benchmark, the
-    tools or README's Library section, each public top-level def or class
-    without a reader in another library module, the CLI, the benchmark, the
-    tools or the README, and each public method of a public class that no
-    library module, the CLI, the benchmark or the tools read as an attribute
-    and the README names in no code span."""
-    outside = outside_readers()
-    library = readme_names(README[README.index("## Library"):])
+    """Each exported name, and each public top-level def or class, without a
+    reader, and each public method of a public class without one.  A name is
+    read where another library module, the CLI, the benchmark or the tools
+    import it, read it as an attribute or name it in a dotted string
+    constant, or where the README names it in its code (for an export, in
+    the code of its Library section); a method is read as an attribute or
+    a dotted string part anywhere in the library, the benchmark or the
+    tools, or in the README's code."""
+    outside_paths = [SRC / "cli.py", *(ROOT / "perfbench").rglob("*.py"),
+                     *(ROOT / "tools").glob("*.py")]
+    outside = set().union(*(name_reads(ast.parse(p.read_text())) for p in outside_paths))
+    readme_code = readme_code_names(README)
+    library = readme_code_names(README[README.index("## Library"):])
     init = ast.parse((SRC / "__init__.py").read_text())
     exported = [a.asname or a.name for n in init.body if isinstance(n, ast.ImportFrom)
                 for a in n.names]
     offenders = [f"__init__.py exports {name}" for name in exported
                  if name not in outside | library]
     trees = {p.name: ast.parse(p.read_text()) for p in MODULES}
-    reads = {name: read_names(tree) for name, tree in trees.items()}
-    anywhere = outside | readme_names(README)
-    paths = [*MODULES, *(ROOT / "perfbench").rglob("*.py"), *(ROOT / "tools").glob("*.py")]
-    method_readers = readme_code_names(README).union(
-        *(attribute_reads(ast.parse(p.read_text())) for p in paths))
+    reads = {name: name_reads(tree) for name, tree in trees.items()}
+    paths = [*MODULES, *outside_paths[1:]]
+    method_readers = readme_code.union(*(attribute_reads(ast.parse(p.read_text())) for p in paths))
     for name, tree in sorted(trees.items()):
         others = set().union(*(r for other, r in reads.items() if other != name))
         offenders += [f"{name}: {d}" for d in sorted(public_definitions(tree))
-                      if d not in others | anywhere | KEPT_WITHOUT_A_CALLER]
+                      if d not in others | outside | readme_code | KEPT_WITHOUT_A_CALLER]
         # a definition is no read, so the method's own module may read it
         offenders += [f"{name}: {cls}.{method}" for cls, method in public_methods(tree)
                       if method not in method_readers]
@@ -628,21 +624,28 @@ def test_the_kept_names_are_defined_and_documented():
 
 
 def test_a_name_without_a_reader_is_seen(monkeypatch):
-    # a public helper no one reads, and an export no one reads, are listed
+    # a public helper no one reads, an export no one reads, and a helper
+    # that only README prose names, next to a local variable of the same
+    # name in the tools, are listed
     real_read = Path.read_text
 
     def read_text(path, *args, **kwargs):
         text = real_read(path, *args, **kwargs)
         if path == SRC / "linalg.py":
-            text += "\n\ndef helper_nobody_reads():\n    return 0\n"
+            text += ("\n\ndef helper_nobody_reads():\n    return 0\n"
+                     "\n\ndef helper_in_prose():\n    return 0\n")
             text = text.replace("    # constructors ---", "    def method_nobody_reads(self):\n"
                                 "        return 0\n\n    # constructors ---", 1)
         if path == SRC / "__init__.py":
             text += "\nfrom .linalg import swap_matrix\n"
+        if path == ROOT / "tools" / "bench.py":
+            text += "\n\ndef _shadow():\n    helper_in_prose = 0\n    return helper_in_prose\n"
         return text
 
     monkeypatch.setattr(Path, "read_text", read_text)
+    monkeypatch.setitem(globals(), "README", README + "\nThe helper_in_prose is prose.\n")
     assert surface_offenders() == ["__init__.py exports swap_matrix",
+                                   "linalg.py: helper_in_prose",
                                    "linalg.py: helper_nobody_reads",
                                    "linalg.py: Mat.method_nobody_reads"]
 

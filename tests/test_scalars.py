@@ -9,7 +9,6 @@ from omegacalc.algebra import AlgMap, is_commutative
 from omegacalc.bimodule import action_closed
 from omegacalc.fodc import (
     PreconditionError,
-    _closed_quotient_calculus,
     _kernel,
     _phi,
     enumerate_action_closed_subspaces,
@@ -124,7 +123,7 @@ def test_adjunction_matches_the_calculus_building_route(name):
 
 @pytest.mark.parametrize("name", ORACLE_MAPS)
 def test_pullback_projection_kills_exactly_the_recorded_kernel(name, monkeypatch):
-    # calc_pullback hands its certified quotient the canonical preimage p,
+    # calc_pullback hands quotient_calculus the certified canonical preimage p,
     # and quotient_maps builds a projection whose kernel is exactly p; this
     # is the check calc_pullback ran on every call, held here on every oracle
     # map and on the universal, Kaehler, zero and two quotient calculi
@@ -132,11 +131,11 @@ def test_pullback_projection_kills_exactly_the_recorded_kernel(name, monkeypatch
     built = []
 
     def recording(c, sub):
-        result, proj = _closed_quotient_calculus(c, sub)
+        result, proj = quotient_calculus(c, sub)
         built.append((sub, result, proj))
         return result, proj
 
-    monkeypatch.setattr(scalars, "_closed_quotient_calculus", recording)
+    monkeypatch.setattr(scalars, "quotient_calculus", recording)
     targets = (canonical_calculi(f.target) + [zero_calculus(f.target)]
                + first_proper_quotients(f.target))
     for t in targets:
@@ -150,9 +149,9 @@ def test_pullback_projection_kills_exactly_the_recorded_kernel(name, monkeypatch
 @pytest.mark.parametrize("name", ORACLE_MAPS)
 def test_pushed_and_pulled_kernels_are_action_closed(name):
     # calc_pushforward and calc_pullback skip the closure witness, under the
-    # certificates at their calls; this is the witness they no longer run,
-    # on every oracle map and on the universal, Kaehler, zero and two
-    # quotient calculi of each end
+    # certificates of saturate_subspace and _pulled_kernel; this is the
+    # witness they skip, on every oracle map and on the universal, Kaehler,
+    # zero and two quotient calculi of each end
     f = ORACLE_MAPS[name]()
     for transport, near, far in ((calc_pushforward, f.source, f.target),
                                  (calc_pullback, f.target, f.source)):

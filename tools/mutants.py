@@ -33,8 +33,6 @@ FULL_VALIDATION = ("tests/test_prolong.py -k "
 COACTION_ORACLE = "tests/test_hopf.py -k universal_coactions_pass_axioms"
 CODIAGONAL_ORACLE = "tests/test_hopf.py -k codiagonal_coactions_match_the_materialized_ones"
 ENUMERATION_ORACLE = "tests/test_fodc.py -k enumeration_matches_saturation_per_candidate"
-QUOTIENT_REFUSAL = ("tests/test_fodc.py -k "
-                    "quotient_calculus_refuses_what_the_closure_witness_refuses")
 AD_STABLE_ORACLE = "tests/test_hopf.py -k function_algebra_calculi_are_bicovariant_iff_ad_stable"
 QUOTIENT_HOPF_ORACLE = "tests/test_hopf.py -k bicovariance_agrees_with_brute_force"
 DG_MORPHISM_ORACLE = "tests/test_prolong.py -k unique_dg_morphism_matches_the_amitsur_route"
@@ -67,6 +65,9 @@ PHI_RECORD_ORACLE = ("tests/test_fodc.py -k "
                      "quotients_of_the_universal_calculus_record_phi_by_its_formula")
 ADJUNCTION_ORACLE = "tests/test_scalars.py -k adjunction_matches_the_calculus_building_route"
 CHAIN_ORACLE = "tests/test_hopf.py -k bicovariance_matches_the_codiagonal_chain"
+UNCERTIFIED_WITNESS = ("tests/test_fodc.py -k "
+                       "closure_witness_runs_exactly_on_uncertified_input")
+FOREIGN_CERTIFICATE = "tests/test_fodc.py -k basis_certified_for_another_bimodule_is_checked"
 
 MUTANTS = [
     # the prolongation builder: the sign of the right-action recursion, the
@@ -174,8 +175,8 @@ MUTANTS = [
     # saturate_subspace without its right-action step, and the closure check
     # without its right products
     ("src/omegacalc/bimodule.py",
-     "    return image_basis(mul_kron_id(m.right_mat, left, m.right_alg.dim))",
-     "    return left",
+     "    return _closed_basis(m, image_basis(mul_kron_id(m.right_mat, left, m.right_alg.dim)))",
+     "    return _closed_basis(m, left)",
      SATURATION_ORACLE),
     ("src/omegacalc/bimodule.py",
      "    j = min((c % nb for row in right.data for c in row), default=None)",
@@ -206,12 +207,17 @@ MUTANTS = [
      "            for sign in (1, -1):",
      "            for sign in (1, 1):",
      ENUMERATION_ORACLE),
-    # the public quotient_calculus sent down the path that skips the closure
-    # witness
-    ("src/omegacalc/fodc.py",
-     "    return _quotient_on(c, sub, *quotient_bimodule(c.omega, sub))",
-     "    return _quotient_on(c, sub, *_closed_quotient(c.omega, sub))",
-     QUOTIENT_REFUSAL),
+    # quotient_bimodule skipping the closure witness for a basis certified
+    # for any bimodule (the ambient identity test dropped), and for a bare
+    # Mat (the isinstance test widened to Mat, which has no ambient)
+    ("src/omegacalc/bimodule.py",
+     "isinstance(sub_canonical, _ClosedBasis) and sub_canonical.ambient is m",
+     "isinstance(sub_canonical, _ClosedBasis)",
+     FOREIGN_CERTIFICATE),
+    ("src/omegacalc/bimodule.py",
+     "isinstance(sub_canonical, _ClosedBasis) and sub_canonical.ambient is m",
+     "isinstance(sub_canonical, Mat)",
+     UNCERTIFIED_WITNESS),
     # check_fodc: the left-surjectivity rank
     ("src/omegacalc/fodc.py",
      "    left_rank = rank(one_d)",
