@@ -30,7 +30,7 @@ from .bimodule import (
     BimodMap,
     Bimodule,
     _closed_basis,
-    action_closed,
+    _closure_witness,
     quotient_bimodule,
     zero_bimodule,
 )
@@ -45,6 +45,7 @@ from .linalg import (
     kernel_basis,
     mul_id_kron,
     mul_kron_id,
+    quotient_maps,
     rank,
     solve,
     subspace_leq,
@@ -381,7 +382,7 @@ def enumerate_action_closed_subspaces(m: Bimodule) -> list[Mat]:
         if key not in found:
             # Certificate, in place of the closure witness: 0 and the whole
             # space are action-closed, the exhaustive branch records only
-            # spans action_closed accepted, and every other member is a
+            # spans whose closure witness is None, and every other member is a
             # saturation A . V . A (below), closed as saturate_subspace's
             # certificate shows.  tests/test_fodc.py runs the witness on
             # every member.
@@ -390,15 +391,18 @@ def enumerate_action_closed_subspaces(m: Bimodule) -> list[Mat]:
 
     record([])
     record([{i: 1} for i in range(dim)])
+    na, nb = m.left_alg.dim, m.right_alg.dim
     if not f.is_rational and (f.p ** dim - 1) <= 15:
         vectors = [v for v in product(range(f.p), repeat=dim) if any(v)]
         for r in range(1, len(vectors) + 1):
             for subset in combinations(vectors, r):
                 span = image_basis(Mat.from_cols(f, [list(v) for v in subset], rows=dim))
-                if action_closed(m, span) is None:
+                # span is canonical, so its quotient map is read off it and
+                # the witness of action_closed runs with no second elimination
+                q, _s = quotient_maps(span, dim)
+                if _closure_witness(q * m.left_mat, q * m.right_mat, na, nb, span) is None:
                     record(span.transpose().data)
     else:
-        na, nb = m.left_alg.dim, m.right_alg.dim
         # Row (a*dim + k)*nb + b of w^T is e_a . e_k . e_b, so the rows
         # with middle index k, gens[k], span A . e_k . A, the saturation
         # saturate_subspace builds, and for v = e_i +- e_j the rows of

@@ -33,7 +33,6 @@ from .linalg import (
     kronecker,
     mul_swap,
     quotient_maps,
-    swap_matrix,
 )
 
 
@@ -126,10 +125,6 @@ def centrality_check(m: Bimodule) -> bool:
     if m.left_alg != m.right_alg or not is_commutative(m.left_alg):
         raise PreconditionError("centrality needs equal commutative acting algebras")
     n = m.left_alg.dim
-    f = m.field
-    swap_ma = swap_matrix(f, m.dim, n)  # M (x) A -> A (x) M
-    swap_am = swap_matrix(f, n, m.dim)  # A (x) M -> M (x) A
-    return (
-        m.right_mat == m.left_mat * swap_ma
-        and m.left_mat == m.right_mat * swap_am
-    )
+    # the swaps M (x) A -> A (x) M and A (x) M -> M (x) A relabel columns
+    return (m.right_mat == mul_swap(m.left_mat, m.dim, n)
+            and m.left_mat == mul_swap(m.right_mat, n, m.dim))

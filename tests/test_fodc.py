@@ -1,7 +1,7 @@
 import pytest
 
-from omegacalc import bimodule, cli
-from omegacalc.algebra import AlgMap, AxiomError, is_commutative
+from omegacalc import bimodule, cli, linalg
+from omegacalc.algebra import AlgMap, AxiomError, build_truncated_poly, is_commutative
 
 from omegacalc.bimodule import (
     BimodMap,
@@ -395,6 +395,27 @@ def test_correspondence_exhaustive_over_gf2(f2x2):
     assert [m.cols for m in fam] == [0, 1, 2]
     rows = sub_calculus_correspondence(f2x2, fam)
     assert all(r["roundtrip_equal"] for r in rows)
+
+
+@pytest.mark.parametrize("p,candidates", [(2, 7), (3, 255)])
+def test_the_exhaustive_enumeration_eliminates_each_candidate_once(p, candidates, monkeypatch):
+    # Omega_u of GF(p)[x]/x^2 has dimension 2, so the exhaustive branch spans
+    # every nonempty set of the p^2 - 1 nonzero vectors: one elimination each,
+    # the closure witness read off the quotient map of that canonical span,
+    # and the family the route through action_closed gives
+    m = universal_calculus(build_truncated_poly(GF(p), 2)).omega
+    calls = []
+    real = linalg._rref_sparse
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_rref_sparse", counted)
+    members = enumerate_action_closed_subspaces(m)
+    assert len(calls) == candidates
+    monkeypatch.undo()
+    assert members == enumerate_by_saturation(m)
 
 
 def test_surjectivity_variants_agree_on_family(qx3):

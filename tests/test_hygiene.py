@@ -1,46 +1,16 @@
 """Static checks on the library source, parsed with ast.
 
-Every name a library module imports is used in that module: each
-src/omegacalc/*.py except the package's __init__.py (whose imports are its
-public surface) is parsed, and an imported name that is never read is a dead
-import.  No function takes a `check` switch; every value built past its
-constructor is built by `linalg._certified`, at a call pinned by module,
-function and class, and no other function but `linalg._mat` calls `__new__`.
-The constructions certified in the README's verification policy call no full
-axiom report, only the universal, zero, quotient and Kaehler calculi skip
-the calculus check, and the universal calculus, its induced maps, f_u,
-saturation and the closure check are closed forms that solve nothing.  The
-Hopf coactions solve nothing, re-check nothing and build no Kronecker
-product, bicovariance_check reads the coactions of Omega_u memoized per
-bimonoid and runs no codiagonal chain, verify_poset_adjunction compares the
-pushed and pulled kernels with f_u built once and builds no calculus, the
-lattice enumeration saturates no candidate on its own, and the dg morphism
-oracle (tests/oracles.py) builds no Kronecker product and reads each
-calculus only through g_n, with no loop that re-checks d or a wedge.  The
-test-only oracles and the checks of the paper's propositions live in
-tests/oracles.py, every public name of the package is imported, read as an
-attribute or named in a dotted string outside its module, in the CLI, the
-benchmark or the tools, or named in the README's code, and every public
-method of a public class is read as an attribute or named in the README's
-code (the public surface guard). The prolongation applies every identity
-factor blockwise: it calls neither whiskered product, and no Kronecker
-product it forms is multiplied or subtracted from the left.  The functions
-handed a subspace take its canonical basis and neither re-derive it nor
-solve for a containment.  fodc.py builds no Kronecker product, and
-ker(Omega_u -> c) is eliminated in one place, the memoized `_kernel`. The
-universal calculus is a value of its algebra: no function takes one as a
-parameter, and the helper and the option that did are gone.  The Kaehler
-calculus is the closed form I / I^2 and builds neither Omega_u, nor a
-saturation, nor a generic quotient.  The rational lattice enumeration
-eliminates rows of the sandwich map and calls neither image_basis nor
-select_cols, and image_basis and the Kaehler relations share one row-span
-step (`linalg._row_span`). There is one quotient route: `quotient_calculus`
-builds on `quotient_bimodule`, and only saturation, the lattice enumeration
-and the pulled-back kernel certify a basis that skips its closure witness.
+One scan, `facts`, lists what a function or a whole module does, and one
+table, `PINS`, says for a function (or a module) what it must do, what it
+must not do and why; `test_pin` checks every row.  What a row cannot say
+(dead imports, `check` switches, the `_certified` and `__new__` call sites,
+counts, raw text and the public surface) is a test of its own below the
+table.
 """
 
 import ast
 import re
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -124,245 +94,51 @@ def test_a_check_switch_is_seen():
     assert check_switches(source) == {"Bimodule.__init__", "build", "build.inner"}
 
 
-def called_names(node) -> set[str]:
-    """The names of the functions and methods called anywhere inside node."""
+# ---------------------------------------------------------------------------
+# one scan, one table
+# ---------------------------------------------------------------------------
+
+def facts(node) -> set[str]:
+    """What node does, as names a row can require or ban: the name of each
+    function or method it calls, `.x` for each attribute it reads,
+    `import x` for each name it imports, `@d` for each decorator, `*` for a
+    product, `loop` for a for or while loop, and `kronecker*` for a product
+    or difference whose left operand is a kronecker(...) call or a name
+    bound to one."""
+    def is_kronecker(e):
+        return isinstance(e, ast.Call) and getattr(e.func, "id", None) == "kronecker"
+
+    bound = {t.id for a in ast.walk(node) if isinstance(a, ast.Assign) and is_kronecker(a.value)
+             for t in a.targets if isinstance(t, ast.Name)}
     found = set()
-    for call in ast.walk(node):
-        if isinstance(call, ast.Call):
-            f = call.func
+    for n in ast.walk(node):
+        if isinstance(n, ast.Call):
+            f = n.func
             found.add(f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None))
+        elif isinstance(n, ast.Attribute):
+            found.add("." + n.attr)
+        elif isinstance(n, ast.alias):
+            found.add("import " + n.name)
+        elif isinstance(n, (ast.For, ast.While)):
+            found.add("loop")
+        elif isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+            found.update("@" + ast.unparse(d) for d in n.decorator_list)
+        elif isinstance(n, ast.BinOp) and isinstance(n.op, (ast.Mult, ast.Sub)):
+            if isinstance(n.op, ast.Mult):
+                found.add("*")
+            if is_kronecker(n.left) or (isinstance(n.left, ast.Name) and n.left.id in bound):
+                found.add("kronecker*")
     return found
 
 
-def function_node(module, name: str) -> ast.FunctionDef:
-    """The top-level function name of a library module, or of a file given
-    by its path."""
-    tree = ast.parse((SRC / module).read_text())
-    return next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+@cache
+def parsed(module) -> ast.Module:
+    """A library module by its file name, or a file by its path, parsed."""
+    return ast.parse((SRC / module).read_text())
 
 
-def test_certified_constructions_call_no_full_report():
-    # the report runs in the tests (tests/oracles.py), and the library
-    # builds its graded calculi under certificates
-    for path in SRC.glob("*.py"):
-        assert "validation_report" not in called_names(ast.parse(path.read_text())), path.name
-
-
-@pytest.mark.parametrize("module,name,banned", [
-    ("hopf.py", "universal_coactions", {"solve", "check_hopf_module", "d_comodule_report",
-                                        "kronecker"}),
-    ("hopf.py", "bicovariance_check", {"check_hopf_module", "d_comodule_report",
-                                       "subspace_leq", "factor_through_surjection",
-                                       "_codiagonal_coactions", "kronecker"}),
-    ("hopf.py", "_coacted", {"_codiagonal_coactions", "kronecker"}),
-    ("hopf.py", "_codiagonal_coactions", {"kronecker"}),
-    (ORACLES, "unique_dg_morphism", {"kron_all", "kronecker"}),
-])
-def test_coactions_and_dg_morphisms_are_closed_forms(module, name, banned):
-    # the coactions of Omega_u are read back through the retraction once per
-    # bimonoid, applied factor by factor to the columns of iota with no map
-    # on A^(x)4, and a calculus applies 1 (x) phi and phi (x) 1 to them with
-    # no codiagonal chain run per calculus; the dg
-    # morphism is factored one degree at a time through Omega^(n-1) (x) A;
-    # the Hopf reports run in the tests
-    assert not called_names(function_node(module, name)) & banned
-
-
-def test_dg_morphism_reads_each_calculus_only_through_g_n():
-    # both calculi are generated in degree 0 by d and wedge, so the degreewise
-    # factoring is the whole answer: no loop re-checks d or a wedge
-    node = function_node(ORACLES, "unique_dg_morphism")
-    read = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-    assert "generator_map" in called_names(node)
-    assert not read & {"wedge", "diff"}
-    assert len([n for n in ast.walk(node) if isinstance(n, (ast.For, ast.While))]) == 1
-
-
-def test_de_rham_comparison_reads_the_universal_theory_off_its_closed_form():
-    # H_u is k.1 in degree 0 and zero above, and h^0 = I, so the comparison
-    # is the Kaehler class of the unit: no universal prolongation, no chain
-    # map above degree 0, no solve for one and no g_n
-    node = function_node("derham.py", "de_rham_comparison")
-    assert not called_names(node) & {"unique_dg_morphism",
-                                     "factor_through_surjection", "generator_map",
-                                     "universal_prolongation", "_prolongation"}
-    assert "from_universal" not in {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-
-
-def test_the_universal_de_rham_theory_builds_no_prolongation():
-    # derham reads the universal theory off its closed form and imports no
-    # constructor of the universal prolongation; the CLI's universal
-    # cohomology goes through de_rham
-    source = (SRC / "derham.py").read_text()
-    assert "universal_prolongation" not in {
-        a.name for n in ast.walk(ast.parse(source)) if isinstance(n, ast.ImportFrom)
-        for a in n.names}
-    for name in ("de_rham", "_universal_de_rham"):
-        assert not called_names(function_node("derham.py", name)) & {
-            "universal_prolongation", "_prolongation", "kernel_basis", "image_basis", "solve"}
-    assert "de_rham" in called_names(function_node("cli.py", "_cmd_cohomology"))
-
-
-@pytest.mark.parametrize("name", ["solve", "inverse"])
-def test_solve_and_inverse_form_no_product(name):
-    # solve reads consistency off its elimination and inverse trusts that a
-    # right inverse of a square matrix is two-sided: neither multiplies out
-    node = function_node("linalg.py", name)
-    assert not [n for n in ast.walk(node) if isinstance(n, ast.BinOp)
-                and isinstance(n.op, ast.Mult)]
-
-
-def test_kernel_basis_eliminates_once():
-    # the reversed column order leaves the null vectors in reduced column
-    # echelon form, so no second elimination brings them into it
-    called = called_names(function_node("linalg.py", "kernel_basis"))
-    assert "_rref_sparse" in called
-    assert not called & {"rref", "image_basis", "rank"}
-
-
-@pytest.mark.parametrize("module,name,banned", [
-    ("bimodule.py", "quotient_bimodule", {"mul_id_kron", "mul_kron_id"}),
-    ("algebra.py", "is_commutative", {"swap_matrix"}),
-    ("kahler.py", "kahler_calculus", {"swap_matrix"}),
-])
-def test_permutation_products_are_column_relabels(module, name, banned):
-    # the 0/1 section picks columns and the swap relabels them: no product
-    assert not called_names(function_node(module, name)) & banned
-
-
-def kronecker_left_operands(node) -> list[str]:
-    """The products and differences inside node whose left operand is a
-    kronecker(...) call, or a name bound to one."""
-    bound = {t.id for a in ast.walk(node) if isinstance(a, ast.Assign)
-             and isinstance(a.value, ast.Call) and getattr(a.value.func, "id", None) == "kronecker"
-             for t in a.targets if isinstance(t, ast.Name)}
-
-    def is_kronecker(e):
-        return ((isinstance(e, ast.Call) and getattr(e.func, "id", None) == "kronecker")
-                or (isinstance(e, ast.Name) and e.id in bound))
-
-    return [ast.unparse(b) for b in ast.walk(node) if isinstance(b, ast.BinOp)
-            and isinstance(b.op, (ast.Mult, ast.Sub)) and is_kronecker(b.left)]
-
-
-def test_prolongation_applies_identity_factors_blockwise():
-    # (x (x) I)(I (x) m) is kron_id_mul and the right action is written entry
-    # by entry; a Kronecker product is formed only where it is the answer
-    node = function_node("prolong.py", "_prolongation")
-    assert not called_names(node) & {"mul_id_kron", "mul_kron_id"}
-    assert "kron_id_mul" in called_names(node)
-    assert kronecker_left_operands(node) == []
-    assert "kronecker" not in called_names(function_node("prolong.py", "_right_action"))
-
-
-def test_a_kronecker_left_operand_is_seen():
-    source = ("def f(a, b, c):\n"
-              "    d = kronecker(a, b) * c\n"
-              "    e = kronecker(a, c)\n"
-              "    return d - e, e * c, c * kronecker(b, c), kronecker(a, a) - c\n")
-    assert kronecker_left_operands(ast.parse(source)) == [
-        "kronecker(a, b) * c", "e * c", "kronecker(a, a) - c"]
-
-
-def test_bicovariance_check_reads_the_memoized_coactions():
-    # lam_u and rho_u are built once per bimonoid by the memoized
-    # universal_coactions; a check reads them, and rebuilds neither Omega_u,
-    # its splitting nor a Hopf report
-    node = function_node("hopf.py", "bicovariance_check")
-    called = called_names(node)
-    assert "universal_coactions" in called
-    memo = function_node("hopf.py", "universal_coactions").decorator_list
-    assert [ast.unparse(d) for d in memo] == ["_memo"]
-    assert not called & {"_prolongation", "universal_prolongation", "_unit_complement",
-                         "from_entries", "kernel_basis", "Bimodule", "universal_calculus",
-                         "_codiagonal_coactions", "kronecker", "check_hopf_module",
-                         "d_comodule_report"}
-
-
-def test_the_adjunction_compares_kernels_and_builds_no_calculus():
-    # the pushed and pulled kernels come from the helpers calc_pushforward
-    # and calc_pullback quotient by, with f_u built once for all of them
-    node = function_node("scalars.py", "verify_poset_adjunction")
-    called = called_names(node)
-    assert not called & {"calc_pushforward", "calc_pullback", "quotient_calculus"}
-    assert [ast.unparse(c.func) for c in ast.walk(node) if isinstance(c, ast.Call)
-            ].count("universal_map") == 1
-    for name, helper in (("calc_pushforward", "_pushed_kernel"),
-                         ("calc_pullback", "_pulled_kernel")):
-        assert helper in called and helper in called_names(function_node("scalars.py", name))
-
-
-@pytest.mark.parametrize("module,name", [
-    ("fodc.py", "quotient_calculus"),
-    ("fodc.py", "sub_calculus_correspondence"),
-    ("linalg.py", "preimage_basis"),
-    ("linalg.py", "subspace_leq"),
-])
-def test_subspace_takers_rederive_nothing(module, name):
-    # each takes a canonical basis, which quotient_maps checks in O(nnz);
-    # the echelon form is not recomputed and a containment is read off the
-    # quotient map, not solved for
-    assert not called_names(function_node(module, name)) & {"image_basis", "solve"}
-
-
-def test_no_amitsur_surjections_and_no_engine_error_in_hopf():
-    for path in SRC.glob("*.py"):
-        assert "surjectivity_maps" not in path.read_text(), path.name
-    assert "EngineError" not in (SRC / "hopf.py").read_text()
-
-
-@pytest.mark.parametrize("module,name", [
-    ("fodc.py", "universal_calculus"),
-    ("fodc.py", "induced_map"),
-    ("fodc.py", "_phi"),
-    ("scalars.py", "universal_map"),
-])
-def test_universal_constructions_are_closed_forms(module, name):
-    # Omega_u = A (x) A-bar, phi and f_u are read off their formulas; the
-    # kernel route and the bimodule-map check they replaced are test oracles
-    banned = {"solve", "kernel_basis", "bimod_map_report"}
-    assert not called_names(function_node(module, name)) & banned
-
-
-def test_fodc_builds_no_kronecker_product():
-    # iota and the retraction are written entry by entry, and the
-    # kernel-counit comparison applies 1 (x) mu blockwise
-    assert "kronecker" not in called_names(ast.parse((SRC / "fodc.py").read_text()))
-
-
-def test_the_kernel_of_phi_is_eliminated_only_in_kernel():
-    # every other caller reads the memoized ker(Omega_u -> c), which a
-    # quotient of the universal calculus records when it is built
-    found = {path.name: path.read_text().count("kernel_basis(_phi(") for path in MODULES}
-    assert {name: k for name, k in found.items() if k} == {"fodc.py": 1}
-    assert "kernel_basis(_phi(" in ast.unparse(function_node("fodc.py", "_kernel"))
-    for path in MODULES:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.FunctionDef) and node.name != "_kernel":
-                assert not {"kernel_basis", "_phi"} <= called_names(node), (path.name, node.name)
-
-
-def test_no_function_takes_the_universal_calculus():
-    # universal_calculus(a) is the only constructor of a UniversalCalculus and
-    # is memoized per algebra, so a function works it out from its inputs
-    for path in MODULES:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.FunctionDef):
-                a = node.args
-                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
-                annotated = [p.arg for p in params
-                             if p is not None and p.annotation is not None
-                             and "UniversalCalculus" in ast.unparse(p.annotation)]
-                assert annotated == [], (path.name, node.name)
-
-
-@pytest.mark.parametrize("name", ["kernel_from_universal", "max_generators", "_splitting",
-                                  "_certified_dg", "_dg_certified", "self.check",
-                                  "_closed_quotient", "_closed_quotient_calculus", "_descend",
-                                  "_quotient_on"])
-def test_retired_names_are_gone(name):
-    for path in SRC.glob("*.py"):
-        assert name not in path.read_text(), path.name
+def function_node(tree: ast.Module, name: str) -> ast.FunctionDef | None:
+    return next((n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name), None)
 
 
 # Every value built past its constructor, through linalg._certified, as
@@ -389,6 +165,230 @@ CERTIFIED_CALCULI = {
     ("prolong.py", "maximal_prolongation", "MaximalProlongation"),
     ("derham.py", "CochainComplex.from_graded", "CochainComplex"),
 }
+CALCULI = {"FirstOrderCalculus", "UniversalCalculus"}
+
+CLOSED_FORM = ("read off its formula; the kernel route and the bimodule-map check it "
+               "replaced are test oracles")
+KERNEL_ROUTE = {"solve", "kernel_basis", "bimod_map_report"}
+TOWER = {"universal_calculus", "quotient_calculus", "saturate_subspace"}
+HOPF_REPORTS = {"check_hopf_module", "d_comodule_report"}
+SUBSPACE_TAKER = ("takes a canonical basis, which quotient_maps checks in O(nnz), and reads a "
+                  "containment off the quotient map: no echelon form or solve")
+PERMUTATION = "a 0/1 section picks columns and a swap relabels them: no product"
+
+# (module, top-level function or None for the whole module, facts it must
+# have, facts it must not have, why)
+PINS = [
+    ("hopf.py", "universal_coactions", {"@_memo"}, {"solve", "kronecker", *HOPF_REPORTS},
+     "the coactions of Omega_u are read back through the retraction once per bimonoid, "
+     "factor by factor on the columns of iota with no map on A^(x)4; the Hopf reports run "
+     "in the tests"),
+    ("hopf.py", "bicovariance_check", {"universal_coactions"},
+     {"subspace_leq", "factor_through_surjection", "_codiagonal_coactions", "kronecker",
+      "_prolongation", "universal_prolongation", "_unit_complement", "from_entries",
+      "kernel_basis", "Bimodule", "universal_calculus", *HOPF_REPORTS},
+     "a calculus applies 1 (x) phi and phi (x) 1 to the memoized coactions of Omega_u: no "
+     "codiagonal chain per calculus, and neither Omega_u, its splitting nor a report rebuilt"),
+    ("hopf.py", "_coacted", set(), {"_codiagonal_coactions", "kronecker"},
+     "the quotient coactions are right products on the memoized ones"),
+    ("hopf.py", "_codiagonal_coactions", set(), {"kronecker"},
+     "identity factors are applied blockwise"),
+    (ORACLES, "unique_dg_morphism", {"generator_map"},
+     {"kron_all", "kronecker", ".wedge", ".diff"},
+     "the dg morphism is factored one degree at a time through Omega^(n-1) (x) A and reads "
+     "each calculus only through g_n: both are generated in degree 0 by d and wedge"),
+    ("derham.py", None, set(), {"import universal_prolongation"},
+     "derham reads the universal theory off its closed form"),
+    ("derham.py", "de_rham_comparison", set(),
+     {"unique_dg_morphism", "factor_through_surjection", "generator_map",
+      "universal_prolongation", "_prolongation", ".from_universal"},
+     "H_u is k.1 in degree 0 and zero above and h^0 = I, so the comparison is the Kaehler "
+     "class of the unit: no prolongation, no chain map above degree 0, no solve and no g_n"),
+    *(("derham.py", name, set(),
+       {"universal_prolongation", "_prolongation", "kernel_basis", "image_basis", "solve"},
+       "the universal de Rham theory is H^0 = k.1 and H^k = 0, built without a prolongation")
+      for name in ("de_rham", "_universal_de_rham")),
+    ("cli.py", "_cmd_cohomology", {"de_rham"}, set(),
+     "the CLI's universal cohomology goes through the closed form of de_rham"),
+    *(("linalg.py", name, set(), {"*"},
+       "solve reads consistency off its elimination, and a right inverse of a square matrix "
+       "is two-sided: neither multiplies its answer out") for name in ("solve", "inverse")),
+    ("linalg.py", "kernel_basis", {"_rref_sparse"}, {"rref", "image_basis", "rank"},
+     "the reversed column order leaves the null vectors in reduced column echelon form, so "
+     "no second elimination brings them into it"),
+    ("linalg.py", "preimage_basis", set(), {"image_basis", "solve"}, SUBSPACE_TAKER),
+    ("linalg.py", "subspace_leq", set(), {"image_basis", "solve"}, SUBSPACE_TAKER),
+    ("linalg.py", "image_basis", {"_row_span"}, set(),
+     "one canonical form, one route: the row span of the columns"),
+    ("bimodule.py", "quotient_bimodule", set(), {"mul_id_kron", "mul_kron_id", "solve"},
+     PERMUTATION + "; the closure witness is read off the quotient map"),
+    ("bimodule.py", "saturate_subspace", set(), {"solve", "loop"},
+     "A . V . A is two products; the fixpoint loop it replaced is a test oracle"),
+    *(("bimodule.py", name, set(), {"solve"},
+       "the closure check is read off the quotient map; the per-element solves it replaced "
+       "are a test oracle") for name in ("_closure_witness", "action_closed")),
+    ("algebra.py", "is_commutative", set(), {"swap_matrix"}, PERMUTATION),
+    ("kahler.py", "kahler_calculus", set(), {"swap_matrix", *TOWER},
+     PERMUTATION + "; Omega^1 = I / I^2 is written from the structure constants, and the "
+     "saturated quotient of Omega_u it replaced is the test oracle"),
+    ("kahler.py", "kahler_relations", {"_row_span"}, {"image_basis", *TOWER},
+     "the relations I^2 are written from the structure constants and eliminated as rows"),
+    ("kahler.py", "centrality_check", set(), {"swap_matrix"}, PERMUTATION),
+    ("prolong.py", "_prolongation", {"kron_id_mul"}, {"mul_id_kron", "mul_kron_id", "kronecker*"},
+     "(x (x) I)(I (x) m) is kron_id_mul: a Kronecker product is formed only where it is the "
+     "answer, and never multiplied or subtracted from the left"),
+    ("prolong.py", "_right_action", set(), {"kronecker"},
+     "the right action is written entry by entry"),
+    ("scalars.py", "verify_poset_adjunction", {"_pushed_kernel", "_pulled_kernel"},
+     {"calc_pushforward", "calc_pullback", "quotient_calculus"},
+     "the adjunction compares the pushed and pulled kernels and builds no calculus"),
+    ("scalars.py", "calc_pushforward", {"_pushed_kernel"}, set(),
+     "push quotients by the kernel the adjunction compares"),
+    ("scalars.py", "calc_pullback", {"_pulled_kernel"}, set(),
+     "pull quotients by the kernel the adjunction compares"),
+    ("scalars.py", "universal_map", set(), KERNEL_ROUTE, "f_u is " + CLOSED_FORM),
+    ("fodc.py", None, set(), {"kronecker"},
+     "iota and the retraction are written entry by entry, and the kernel-counit comparison "
+     "applies 1 (x) mu blockwise"),
+    ("fodc.py", "universal_calculus", set(), KERNEL_ROUTE,
+     "Omega_u = A (x) A-bar is " + CLOSED_FORM),
+    ("fodc.py", "induced_map", set(), KERNEL_ROUTE, "the induced map is " + CLOSED_FORM),
+    ("fodc.py", "_phi", set(), KERNEL_ROUTE, "phi is " + CLOSED_FORM),
+    ("fodc.py", "quotient_calculus", set(), {"image_basis", "solve"}, SUBSPACE_TAKER),
+    ("fodc.py", "sub_calculus_correspondence", set(), {"image_basis", "solve"}, SUBSPACE_TAKER),
+    ("fodc.py", "enumerate_action_closed_subspaces", set(), {"saturate_subspace", "action_closed"},
+     "each basis vector is saturated once and each candidate eliminated once, its closure "
+     "witness read off the quotient map of its canonical span; the per-candidate saturation "
+     "is the test oracle"),
+    *((module, name, set(), {"check_fodc", *CALCULI},
+       "a certified calculus is built through _certified under its written certificate, "
+       "with no calculus check")
+      for module, name in sorted({(m, f) for m, f, cls in CERTIFIED_CALCULI if cls in CALCULI})),
+    *((path.name, None, set(), {"validation_report"},
+       "the full report runs in the tests; the library builds its graded calculi under "
+       "certificates") for path in sorted(SRC.glob("*.py"))),
+]
+
+
+def row_id(row) -> str:
+    return Path(row[0]).name + (f"-{row[1]}" if row[1] else "")
+
+
+def violations(row, tree: ast.Module | None = None) -> list[str]:
+    """What a row finds wrong in its module, or in tree when one is given."""
+    module, function, must, must_not, reason = row
+    where = row_id(row)
+    if not reason:
+        return [f"{where}: the row gives no reason"]
+    tree = tree or parsed(module)
+    node = tree if function is None else function_node(tree, function)
+    if node is None:
+        return [f"{where}: stale row, no top-level function {function}"]
+    found = facts(node)
+    return ([f"{where} lacks {x}" for x in sorted(must - found)]
+            + [f"{where} has {x}" for x in sorted(must_not & found)])
+
+
+@pytest.mark.parametrize("row", PINS, ids=row_id)
+def test_pin(row):
+    assert violations(row) == []
+
+
+@pytest.mark.parametrize("row,seen", [
+    (("x.py", "f", {"h"}, set(), "why"), ["x.py-f lacks h"]),
+    (("x.py", "f", set(), {"g", "*"}, "why"), ["x.py-f has g"]),
+    (("x.py", "gone", set(), {"g"}, "why"), ["x.py-gone: stale row, no top-level function gone"]),
+    (("x.py", "f", set(), {"g"}, ""), ["x.py-f: the row gives no reason"]),
+], ids=["must", "must_not", "stale", "no_reason"])
+def test_a_broken_row_is_seen(row, seen):
+    assert violations(row, ast.parse("def f(a):\n    return g(a) - a\n")) == seen
+
+
+@pytest.mark.parametrize("source,fact,seen", [
+    ("g(a)", "g", True),
+    ("a.g(b)", "g", True),
+    ("a.rows", ".rows", True),
+    ("import os.path", "import os.path", True),
+    ("from .linalg import kronecker as k", "import kronecker", True),
+    ("@_memo\ndef f():\n    pass", "@_memo", True),
+    ("a * b", "*", True),
+    ("a - b", "*", False),
+    ("for x in a:\n    pass", "loop", True),
+    ("while a:\n    pass", "loop", True),
+    ("kronecker(a, b) * c", "kronecker*", True),
+    ("kronecker(a, a) - c", "kronecker*", True),
+    ("e = kronecker(a, c)\ne * c", "kronecker*", True),
+    ("c * kronecker(b, c)", "kronecker*", False),
+])
+def test_each_fact_is_seen(source, fact, seen):
+    assert (fact in facts(ast.parse(source))) == seen
+
+
+# ---------------------------------------------------------------------------
+# what a row cannot say
+# ---------------------------------------------------------------------------
+
+def test_the_dg_morphism_oracle_has_one_loop():
+    # the degreewise factoring is the whole answer: no loop re-checks d or a wedge
+    node = function_node(parsed(ORACLES), "unique_dg_morphism")
+    assert len([n for n in ast.walk(node) if isinstance(n, (ast.For, ast.While))]) == 1
+
+
+def test_the_adjunction_builds_f_u_once():
+    # one f_u serves every pushed and pulled kernel
+    node = function_node(parsed("scalars.py"), "verify_poset_adjunction")
+    assert [ast.unparse(c.func) for c in ast.walk(node) if isinstance(c, ast.Call)
+            ].count("universal_map") == 1
+
+
+def test_the_kernel_of_phi_is_eliminated_only_in_kernel():
+    # every other caller reads the memoized ker(Omega_u -> c), which a
+    # quotient of the universal calculus records when it is built
+    found = {path.name: path.read_text().count("kernel_basis(_phi(") for path in MODULES}
+    assert {name: k for name, k in found.items() if k} == {"fodc.py": 1}
+    assert "kernel_basis(_phi(" in ast.unparse(function_node(parsed("fodc.py"), "_kernel"))
+    for path in MODULES:
+        for node in ast.walk(parsed(path.name)):
+            if isinstance(node, ast.FunctionDef) and node.name != "_kernel":
+                assert not {"kernel_basis", "_phi"} <= facts(node), (path.name, node.name)
+
+
+def test_no_function_takes_the_universal_calculus():
+    # universal_calculus(a) is the only constructor of a UniversalCalculus and
+    # is memoized per algebra, so a function works it out from its inputs
+    for path in MODULES:
+        for node in ast.walk(parsed(path.name)):
+            if isinstance(node, ast.FunctionDef):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                annotated = [p.arg for p in params
+                             if p is not None and p.annotation is not None
+                             and "UniversalCalculus" in ast.unparse(p.annotation)]
+                assert annotated == [], (path.name, node.name)
+
+
+# Gone from the library's text: retired helpers and switches, and the
+# reference implementations and proposition checks that live in
+# tests/oracles.py.
+RETIRED = [
+    "kernel_from_universal", "max_generators", "_splitting", "_certified_dg", "_dg_certified",
+    "self.check", "_closed_quotient", "_closed_quotient_calculus", "_descend", "_quotient_on",
+    "surjectivity_maps", "amitsur_differential", "amitsur_wedge", "UniversalProlongation",
+    "validation_report", "kron_all", "unique_dg_morphism", "check_hopf_module",
+    "d_comodule_report", "truncation_adjoints_check", "rank_identity_report",
+    "square_zero_unit_check", "calc1_category_adjoints_check", "kernel_counit_comparison",
+    "bimodule_to_json",
+]
+
+
+@pytest.mark.parametrize("name", RETIRED)
+def test_retired_names_are_gone(name):
+    for path in SRC.glob("*.py"):
+        assert name not in path.read_text(), path.name
+
+
+def test_hopf_raises_no_engine_error():
+    assert "EngineError" not in (SRC / "hopf.py").read_text()
 
 
 def certified_calls(source: str) -> list[tuple[str, str]]:
@@ -428,8 +428,8 @@ def test_only_the_private_constructors_skip_a_constructor():
     # linalg._certified is the one way past a constructor's check, and
     # linalg._mat builds a matrix on finished rows
     found = [(path.name, node.name) for path in SRC.glob("*.py")
-             for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.FunctionDef) and "__new__" in called_names(node)]
+             for node in ast.walk(parsed(path.name))
+             if isinstance(node, ast.FunctionDef) and "__new__" in facts(node)]
     assert sorted(found) == [("linalg.py", "_certified"), ("linalg.py", "_mat")]
 
 
@@ -437,73 +437,22 @@ def test_only_the_closure_proving_constructions_certify_a_sub_bimodule_basis():
     # a basis that skips quotient_bimodule's closure witness is built by
     # bimodule._closed_basis, called only next to a proof of closure
     callers = {(path.name, getattr(node, "name", "<module>")) for path in MODULES
-               for node in ast.parse(path.read_text()).body
-               if "_closed_basis" in called_names(node)}
+               for node in parsed(path.name).body if "_closed_basis" in facts(node)}
     assert callers == {("bimodule.py", "saturate_subspace"),
                        ("fodc.py", "enumerate_action_closed_subspaces"),
                        ("scalars.py", "_pulled_kernel")}
-
-
-CALCULI = {"FirstOrderCalculus", "UniversalCalculus"}
-
-
-@pytest.mark.parametrize("module,name", sorted(
-    {(module, name) for module, name, cls in CERTIFIED_CALCULI if cls in CALCULI}))
-def test_certified_calculi_run_no_calculus_check(module, name):
-    banned = {"check_fodc", "FirstOrderCalculus", "UniversalCalculus"}
-    assert not called_names(function_node(module, name)) & banned
-
-
-@pytest.mark.parametrize("name", ["kahler_calculus", "kahler_relations"])
-def test_kahler_is_built_without_the_universal_tower(name):
-    # Omega^1 = I / I^2 is written from the structure constants; the
-    # saturated quotient of Omega_u it replaced is the test oracle
-    banned = {"universal_calculus", "quotient_calculus", "saturate_subspace"}
-    assert not called_names(function_node("kahler.py", name)) & banned
-
-
-@pytest.mark.parametrize("name", [
-    "saturate_subspace", "_closure_witness", "action_closed", "quotient_bimodule",
-])
-def test_sub_bimodule_closure_solves_nothing(name):
-    # A . V . A is two products and the closure check is read off the
-    # quotient map; the fixpoint loop and the per-element solves they
-    # replaced are test oracles
-    assert "solve" not in called_names(function_node("bimodule.py", name))
-
-
-def test_enumeration_saturates_through_one_sandwich_map():
-    # each basis vector is saturated once, pairs are sums of those, and each
-    # diagonal is one elimination on w; the per-candidate saturation it
-    # replaced is the test oracle
-    node = function_node("fodc.py", "enumerate_action_closed_subspaces")
-    assert "saturate_subspace" not in called_names(node)
 
 
 def test_the_rational_enumeration_eliminates_rows():
     # outside the exhaustive GF(p) branch each candidate is one elimination
     # of rows of w^T (linalg._row_span): no column selection, and no
     # transpose pair around an elimination per candidate
-    node = function_node("fodc.py", "enumerate_action_closed_subspaces")
+    node = function_node(parsed("fodc.py"), "enumerate_action_closed_subspaces")
     branch = next(n for n in ast.walk(node) if isinstance(n, ast.If)
                   and "is_rational" in ast.unparse(n.test))
-    called = set().union(*(called_names(n) for n in branch.orelse))
-    assert "_row_span" in called
-    assert not called & {"image_basis", "select_cols"}
-
-
-def test_image_basis_is_the_row_span_on_the_columns():
-    # one canonical form, one route: image_basis is linalg._row_span on the
-    # columns of its argument, and the Kaehler relations are eliminated as
-    # rows through it
-    assert "_row_span" in called_names(function_node("linalg.py", "image_basis"))
-    called = called_names(function_node("kahler.py", "kahler_relations"))
-    assert "_row_span" in called and "image_basis" not in called
-
-
-def test_saturation_has_no_loop():
-    node = function_node("bimodule.py", "saturate_subspace")
-    assert not [n for n in ast.walk(node) if isinstance(n, (ast.For, ast.While))]
+    done = set().union(*(facts(n) for n in branch.orelse))
+    assert "_row_span" in done
+    assert not done & {"image_basis", "select_cols"}
 
 
 def test_every_mutant_text_occurs_once():
@@ -649,14 +598,3 @@ def test_a_name_without_a_reader_is_seen(monkeypatch):
                                    "linalg.py: helper_nobody_reads",
                                    "linalg.py: Mat.method_nobody_reads"]
 
-
-@pytest.mark.parametrize("name", [
-    "amitsur_differential", "amitsur_wedge", "UniversalProlongation", "validation_report",
-    "kron_all", "unique_dg_morphism", "check_hopf_module", "d_comodule_report",
-    "truncation_adjoints_check", "rank_identity_report", "square_zero_unit_check",
-    "calc1_category_adjoints_check", "kernel_counit_comparison", "bimodule_to_json",
-])
-def test_test_only_code_is_not_in_the_library(name):
-    # reference implementations and proposition checks live in tests/oracles.py
-    for path in SRC.glob("*.py"):
-        assert not re.search(rf"\b{name}\b", path.read_text()), path.name

@@ -4,10 +4,10 @@ in tests/oracles.py that stand in for the checks it replaced, and see a
 test fail.
 
 Each mutant is a tuple (file, exact text, replacement, pytest selection).
-The tool copies src/, tests/ and pyproject.toml into a temporary directory,
-runs every selection once on the unmutated copy (each must pass), then for
-each mutant replaces the text in the copy, runs its selection there and puts
-the text back.  A mutant is killed when its selection fails.  The working
+The tool copies src/, tests/, pyproject.toml and README.md into a
+temporary directory, runs every selection once on the unmutated copy (each
+must pass), then for each mutant replaces the text in the copy, runs its
+selection there and puts the text back.  A mutant is killed when its selection fails.  The working
 tree is only read, never written.
 
 Exits 1 if a text does not occur exactly once in its file, if a selection
@@ -68,6 +68,7 @@ CHAIN_ORACLE = "tests/test_hopf.py -k bicovariance_matches_the_codiagonal_chain"
 UNCERTIFIED_WITNESS = ("tests/test_fodc.py -k "
                        "closure_witness_runs_exactly_on_uncertified_input")
 FOREIGN_CERTIFICATE = "tests/test_fodc.py -k basis_certified_for_another_bimodule_is_checked"
+PIN_TABLE = "tests/test_hygiene.py::test_pin"
 
 MUTANTS = [
     # the prolongation builder: the sign of the right-action recursion, the
@@ -317,6 +318,20 @@ MUTANTS = [
      "        elif row and max(row) >= l:\n",
      "        elif row and max(row) > l:\n",
      QUOTIENT_MAPS_ORACLE),
+    # cost, not answers, so only the pin table sees them: the exhaustive
+    # enumeration eliminating each candidate again inside action_closed, and
+    # inverse multiplying its answer back out
+    ("src/omegacalc/fodc.py",
+     "                q, _s = quotient_maps(span, dim)\n",
+     "                from .bimodule import action_closed\n"
+     "                action_closed(m, span)\n"
+     "                q, _s = quotient_maps(span, dim)\n",
+     PIN_TABLE),
+    ("src/omegacalc/linalg.py",
+     "    if x is None:\n        raise LinAlgError(\"matrix is not invertible\")\n",
+     "    if x is None or m * x != Mat.identity(m.field, m.rows):\n"
+     "        raise LinAlgError(\"matrix is not invertible\")\n",
+     PIN_TABLE),
     # the field: Fermat's inverse with the wrong exponent, and Miller-Rabin
     # missing a witness square that reaches p - 1
     ("src/omegacalc/linalg.py",
@@ -357,7 +372,9 @@ def main() -> int:
         ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, tree / name, ignore=ignore)
-        shutil.copy(ROOT / "pyproject.toml", tree / "pyproject.toml")
+        # tests/test_hygiene.py, which holds the pin table, reads the README
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / name, tree / name)
         for selection in dict.fromkeys(sel for *_rest, sel in MUTANTS):
             if not passes(tree, selection):
                 print(f"unmutated copy fails: {selection}")
