@@ -191,10 +191,14 @@ def _closure_witness(q_left: Mat, q_right: Mat, na: int, nb: int, basis: Mat) ->
 def action_closed(m: Bimodule, basis: Mat) -> str | None:
     """None if col(basis) is closed under both actions, else a witness string.
     The basis need not be canonical."""
-    sub = image_basis(basis)
-    q, _s = quotient_maps(sub, m.dim)
-    return _closure_witness(q * m.left_mat, q * m.right_mat,
-                            m.left_alg.dim, m.right_alg.dim, sub)
+    return _span_witness(m, image_basis(basis))
+
+
+def _span_witness(m: Bimodule, span: Mat) -> str | None:
+    """The witness of `action_closed` for a canonical basis, read off its
+    quotient map with no elimination."""
+    q, _s = quotient_maps(span, m.dim)
+    return _closure_witness(q * m.left_mat, q * m.right_mat, m.left_alg.dim, m.right_alg.dim, span)
 
 
 def sub_bimodule(m: Bimodule, basis: Mat) -> tuple[Bimodule, BimodMap]:

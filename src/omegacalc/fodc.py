@@ -30,7 +30,7 @@ from .bimodule import (
     BimodMap,
     Bimodule,
     _closed_basis,
-    _closure_witness,
+    _span_witness,
     quotient_bimodule,
     zero_bimodule,
 )
@@ -45,7 +45,6 @@ from .linalg import (
     kernel_basis,
     mul_id_kron,
     mul_kron_id,
-    quotient_maps,
     rank,
     solve,
     subspace_leq,
@@ -397,10 +396,9 @@ def enumerate_action_closed_subspaces(m: Bimodule) -> list[Mat]:
         for r in range(1, len(vectors) + 1):
             for subset in combinations(vectors, r):
                 span = image_basis(Mat.from_cols(f, [list(v) for v in subset], rows=dim))
-                # span is canonical, so its quotient map is read off it and
-                # the witness of action_closed runs with no second elimination
-                q, _s = quotient_maps(span, dim)
-                if _closure_witness(q * m.left_mat, q * m.right_mat, na, nb, span) is None:
+                # span is canonical, so the witness of action_closed is read
+                # off its quotient map with no second elimination
+                if _span_witness(m, span) is None:
                     record(span.transpose().data)
     else:
         # Row (a*dim + k)*nb + b of w^T is e_a . e_k . e_b, so the rows

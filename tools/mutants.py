@@ -322,10 +322,10 @@ MUTANTS = [
     # enumeration eliminating each candidate again inside action_closed, and
     # inverse multiplying its answer back out
     ("src/omegacalc/fodc.py",
-     "                q, _s = quotient_maps(span, dim)\n",
+     "                if _span_witness(m, span) is None:\n",
      "                from .bimodule import action_closed\n"
      "                action_closed(m, span)\n"
-     "                q, _s = quotient_maps(span, dim)\n",
+     "                if _span_witness(m, span) is None:\n",
      PIN_TABLE),
     ("src/omegacalc/linalg.py",
      "    if x is None:\n        raise LinAlgError(\"matrix is not invertible\")\n",
