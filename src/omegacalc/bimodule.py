@@ -14,7 +14,9 @@ inclusions and projections, satisfy them by construction and are built by
 `quotient_bimodule` refuses a subspace that is not action-closed, reading
 the closure off its quotient map (`_closure_witness`), with one rule: a
 basis that the construction proving it closed certified for this bimodule
-(`_closed_basis`) skips the witness, and anything else runs it.
+(`_closed_basis`) skips the witness, and anything else runs it.  The
+quotient by such a basis is built once and kept on the basis; every other
+input builds a fresh quotient and keeps nothing.
 """
 
 from __future__ import annotations
@@ -152,10 +154,12 @@ def zero_bimodule(a: Algebra, b: Algebra) -> Bimodule:
 
 class _ClosedBasis(Mat):
     """A canonical basis of a sub-bimodule of `ambient`, certified by the
-    construction that proved it closed.  Every operation on it returns a
-    plain `Mat`, uncertified, and it equals its plain twin."""
+    construction that proved it closed, and `quotient`, the quotient of
+    `ambient` by it once `quotient_bimodule` has built it (None before).
+    Every operation on it returns a plain `Mat`, uncertified, and it equals
+    its plain twin."""
 
-    __slots__ = ("ambient",)
+    __slots__ = ("ambient", "quotient")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("_ClosedBasis is built only by bimodule._closed_basis(m, basis)")
@@ -165,7 +169,7 @@ def _closed_basis(m: Bimodule, basis: Mat) -> _ClosedBasis:
     """basis, certified for m: quotient_bimodule(m, .) skips the witness on
     it, and each caller states its proof that the span is closed."""
     return _certified(_ClosedBasis, field=basis.field, rows=basis.rows, cols=basis.cols,
-                      data=basis.data, ambient=m)
+                      data=basis.data, ambient=m, quotient=None)
 
 
 def _closure_witness(q_left: Mat, q_right: Mat, na: int, nb: int, basis: Mat) -> str | None:
@@ -229,10 +233,14 @@ def quotient_bimodule(m: Bimodule, sub_canonical: Mat) -> tuple[Bimodule, BimodM
     """Quotient by an action-closed subspace: (quotient, projection, section).
 
     Refuses a subspace that is not action-closed, with the witness of
-    `_closure_witness`, unless it is a basis certified for m itself."""
+    `_closure_witness`, unless it is a basis certified for m itself; the
+    quotient by such a basis is built once and kept on it."""
+    certified = isinstance(sub_canonical, _ClosedBasis) and sub_canonical.ambient is m
+    if certified and sub_canonical.quotient is not None:
+        return sub_canonical.quotient
     q, s = quotient_maps(sub_canonical, m.dim)
     q_left, q_right = q * m.left_mat, q * m.right_mat
-    if not (isinstance(sub_canonical, _ClosedBasis) and sub_canonical.ambient is m):
+    if not certified:
         witness = _closure_witness(q_left, q_right, m.left_alg.dim, m.right_alg.dim, sub_canonical)
         if witness is not None:
             raise LinAlgError(f"subspace is not action-closed: {witness}")
@@ -242,7 +250,14 @@ def quotient_bimodule(m: Bimodule, sub_canonical: Mat) -> tuple[Bimodule, BimodM
     # checked above or certified, so quo is a bimodule and q an onto map
     quo = _certified(Bimodule, left_alg=m.left_alg, right_alg=m.right_alg, dim=q.rows,
                      left_mat=lm, right_mat=rm)
-    return quo, _certified(BimodMap, source=m, target=quo, matrix=q), s
+    quotient = quo, _certified(BimodMap, source=m, target=quo, matrix=q), s
+    if certified:
+        # Certificate, in place of building the quotient on every call: m
+        # and the basis are immutable and every step above reads only them,
+        # so the triple is a function of (m, basis); it is kept on the basis,
+        # whose ambient is m, and lives as long as the basis does
+        sub_canonical.quotient = quotient
+    return quotient
 
 
 def saturate_subspace(m: Bimodule, gens) -> Mat:

@@ -17,9 +17,12 @@ lattice enumeration and the preimage of a sub-bimodule under a bimodule
 map, so transport (`scalars`), the lattice walkers and the CLI's relation
 path pay no witness.  phi, its kernel and a section of it are memoized per
 calculus, and a quotient of the universal calculus records all three when
-it is built.  `enumerate_action_closed_subspaces` eliminates each
-candidate as a list of sparse rows, a diagonal's rows summed as dicts, and
-compares candidates on their reduced rows.
+it is built.  The lattice of `enumerate_action_closed_subspaces` is
+memoized per bimodule, and each of its members keeps the quotient
+bimodule that `quotient_bimodule` builds on it, so a second round over one
+lattice eliminates nothing and builds no quotient map.  The enumeration
+eliminates each candidate as a list of sparse rows, a diagonal's rows
+summed as dicts, and compares candidates on their reduced rows.
 """
 from __future__ import annotations
 
@@ -363,6 +366,18 @@ def enumerate_action_closed_subspaces(m: Bimodule) -> list[Mat]:
     depends on the basis of m: on Omega_u of M2(Q) it has 18 members in
     A (x) A-bar, 14 in the echelon basis of ker(m).
 
+    The family is built once per bimodule instance (`_closed_subspaces`);
+    each call returns a new list of its members.
+    """
+    return list(_closed_subspaces(m))
+
+
+@_memo
+def _closed_subspaces(m: Bimodule) -> tuple[Mat, ...]:
+    """The family of `enumerate_action_closed_subspaces`, built once per
+    bimodule instance (`_memo`).  Bimodules are immutable and the
+    enumeration is deterministic, so the family is a function of m alone.
+
     Each candidate is one elimination of a list of sparse rows
     (`linalg._row_span`), a diagonal's rows summed as dicts with no matrix
     built; candidates are compared on their reduced rows, and a basis matrix
@@ -436,5 +451,5 @@ def enumerate_action_closed_subspaces(m: Bimodule) -> list[Mat]:
             # diagonal directions catch the subspaces missed by pure basis spans
             for sign in (1, -1):
                 record(_row_span(f, diagonal(i, j, sign)))
-    return sorted(found.values(), key=lambda s: (
-        s.cols, tuple(tuple(map(f.format, row)) for row in s.dense_rows())))
+    return tuple(sorted(found.values(), key=lambda s: (
+        s.cols, tuple(tuple(map(f.format, row)) for row in s.dense_rows()))))

@@ -104,3 +104,21 @@ def _storage_violations(m):
 @pytest.fixture(scope="session")
 def storage_violations():
     return _storage_violations
+
+
+@pytest.fixture
+def calls_of(monkeypatch):
+    """calls_of(module, name) wraps module.name for this test and returns
+    the list that gets the arguments of each of its calls from then on."""
+    def start(module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    return start

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from omegacalc import bimodule
 from omegacalc.algebra import AlgMap, AxiomError, build_truncated_poly
 from omegacalc.bimodule import (
     BimodMap,
@@ -445,6 +446,61 @@ def test_quotient_bimodule_refuses_a_noncanonical_basis(qx3):
     for basis in (doubled, noncanonical(sat)):
         with pytest.raises(LinAlgError, match="not in reduced column echelon form"):
             quotient_bimodule(u.omega, basis)
+
+
+@pytest.mark.parametrize("name", ["qx3", "m2q", "f2x2"])
+def test_the_quotient_by_a_certified_member_is_built_once(name, calls_of):
+    # a lattice member keeps the quotient built on it: a second quotient is
+    # the same triple, with no quotient map and no witness.  Its plain twin
+    # and member + 0 are checked and build their quotient on every call,
+    # and what the member keeps is the quotient the plain twin gives
+    m = universal_calculus(ORACLE_ALGEBRAS[name]()).omega
+    members = enumerate_action_closed_subspaces(m)
+    witnesses = calls_of(bimodule, "_closure_witness")
+    maps = calls_of(bimodule, "quotient_maps")
+    for n in members:
+        assert n.quotient is None
+        kept = quotient_bimodule(m, n)
+        assert n.quotient is kept and len(maps) == 1
+        maps.clear()
+        assert quotient_bimodule(m, n) is kept
+        assert maps == witnesses == []
+        for twin in (_mat(n.field, n.rows, n.cols, n.data), n + Mat.zeros(n.field, n.rows, n.cols)):
+            for _ in range(2):
+                quo, proj, s = quotient_bimodule(m, twin)
+            assert len(maps) == len(witnesses) == 2
+            maps.clear()
+            witnesses.clear()
+            assert (quo, proj.source, proj.matrix, s) == (kept[0], m, kept[1].matrix, kept[2])
+        assert n.quotient is kept
+
+
+def test_a_foreign_member_is_checked_and_keeps_only_its_own_quotient(calls_of):
+    # Omega_u of Q[Z/3] and of Q[x]/x^3 both have dimension 6; a member of
+    # the first's lattice, its quotient kept there, handed to a quotient of
+    # the second runs the witness, is refused exactly where action_closed
+    # refuses it, and keeps the quotient of its own bimodule only
+    m = universal_calculus(ORACLE_ALGEBRAS["qx3"]()).omega
+    home = universal_calculus(ORACLE_ALGEBRAS["qz3"]()).omega
+    members = enumerate_action_closed_subspaces(home)
+    assert m.dim == home.dim == 6
+    kept = [quotient_bimodule(home, n) for n in members]
+    witnesses = calls_of(bimodule, "_closure_witness")
+    refused = 0
+    for n, own in zip(members, kept):
+        witness = action_closed(m, n)
+        for _ in range(2):
+            witnesses.clear()
+            if witness is None:
+                quo, proj, _s = quotient_bimodule(m, n)
+                assert proj.source is m and quo.dim == m.dim - n.cols
+            else:
+                with pytest.raises(LinAlgError) as exc:
+                    quotient_bimodule(m, n)
+                assert str(exc.value) == f"subspace is not action-closed: {witness}"
+            assert len(witnesses) == 1 and n.quotient is own
+        refused += witness is not None
+    assert refused
 
 
 @pytest.mark.parametrize("name,build,members", [

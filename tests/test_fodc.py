@@ -1,6 +1,6 @@
 import pytest
 
-from omegacalc import bimodule, cli, linalg
+from omegacalc import bimodule, cli, fodc, linalg
 from omegacalc.algebra import AlgMap, AxiomError, build_truncated_poly, is_commutative
 
 from omegacalc.bimodule import (
@@ -296,26 +296,13 @@ def test_quotient_calculus_refuses_what_the_closure_witness_refuses(name):
     assert refused or u.dim == 0
 
 
-def counting_closure_witness(monkeypatch) -> list:
-    """The calls of bimodule._closure_witness from here on, one entry each."""
-    calls = []
-    witness = bimodule._closure_witness
-
-    def counting(*args):
-        calls.append(args)
-        return witness(*args)
-
-    monkeypatch.setattr(bimodule, "_closure_witness", counting)
-    return calls
-
-
-def test_the_closure_witness_runs_exactly_on_uncertified_input(monkeypatch, qx3, qx4, qy2, qz3):
+def test_the_closure_witness_runs_exactly_on_uncertified_input(calls_of, qx3, qx4, qy2, qz3):
     # a basis certified for the quotient's own bimodule, by the construction
     # that proved it closed, skips the witness: push (a saturation), pull (a
     # preimage), the CLI relation path (a saturation) and every lattice
     # member; a bare Mat, a matrix computed from a certified basis and a
     # basis certified for another bimodule run it once
-    calls = counting_closure_witness(monkeypatch)
+    calls = calls_of(bimodule, "_closure_witness")
     y_to_x2 = AlgMap(qy2, qx4, Mat(QQ, [[1, 0], [0, 0], [0, 1], [0, 0]]))
     for c in (universal_calculus(qy2), kahler_calculus(qy2)):
         calc_pushforward(y_to_x2, c)
@@ -338,14 +325,14 @@ def test_the_closure_witness_runs_exactly_on_uncertified_input(monkeypatch, qx3,
         assert len(calls) == 1
 
 
-def test_a_basis_certified_for_another_bimodule_is_checked(monkeypatch, qx3, qz3):
+def test_a_basis_certified_for_another_bimodule_is_checked(calls_of, qx3, qz3):
     # Omega_u of Q[Z/3] and of Q[x]/x^3 both have dimension 6; a lattice
     # member of the first, handed to a quotient of the second, runs the
     # witness and is refused exactly where action_closed refuses it there
     u = universal_calculus(qx3)
     members = enumerate_action_closed_subspaces(universal_calculus(qz3).omega)
     assert u.dim == members[0].rows == 6
-    calls = counting_closure_witness(monkeypatch)
+    calls = calls_of(bimodule, "_closure_witness")
     refused = 0
     for n in members:
         witness = action_closed(u.omega, n)
@@ -398,20 +385,14 @@ def test_correspondence_exhaustive_over_gf2(f2x2):
 
 
 @pytest.mark.parametrize("p,candidates", [(2, 7), (3, 255)])
-def test_the_exhaustive_enumeration_eliminates_each_candidate_once(p, candidates, monkeypatch):
+def test_the_exhaustive_enumeration_eliminates_each_candidate_once(p, candidates, calls_of,
+                                                                  monkeypatch):
     # Omega_u of GF(p)[x]/x^2 has dimension 2, so the exhaustive branch spans
     # every nonempty set of the p^2 - 1 nonzero vectors: one elimination each,
     # the closure witness read off the quotient map of that canonical span,
     # and the family the route through action_closed gives
     m = universal_calculus(build_truncated_poly(GF(p), 2)).omega
-    calls = []
-    real = linalg._rref_sparse
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "_rref_sparse", counted)
+    calls = calls_of(linalg, "_rref_sparse")
     members = enumerate_action_closed_subspaces(m)
     assert len(calls) == candidates
     monkeypatch.undo()
@@ -502,6 +483,35 @@ def test_memo_keeps_no_refusal():
         with pytest.raises(PreconditionError, match="not commutative"):
             kahler_calculus(m2)
     assert kahler_calculus.slot not in m2.__dict__
+
+
+@pytest.mark.parametrize("name", ["qx3", "m2q", "f2x2"])
+def test_the_lattice_is_built_once_per_bimodule(name, calls_of):
+    # a second call on one bimodule eliminates nothing and returns a new
+    # list of the same members, which its caller may change without the
+    # next call seeing it; an equal bimodule of a separately parsed algebra
+    # builds its own members.  f2x2 takes the exhaustive branch
+    a, b = load_fixture(name), load_fixture(name)
+    m, twin = universal_calculus(a).omega, universal_calculus(b).omega
+    assert m == twin and m is not twin
+    eliminations = calls_of(linalg, "_rref_sparse")
+    spans = calls_of(fodc, "_row_span")
+    first = enumerate_action_closed_subspaces(m)
+    assert eliminations
+    expected = list(first)
+    eliminations.clear()
+    spans.clear()
+    second = enumerate_action_closed_subspaces(m)
+    assert eliminations == spans == []
+    assert type(second) is list and second is not first
+    assert second == expected and all(x is y for x, y in zip(second, expected))
+    first.clear()
+    second.append(Mat.identity(m.field, m.dim))
+    assert enumerate_action_closed_subspaces(m) == expected
+    assert eliminations == []
+    own = enumerate_action_closed_subspaces(twin)
+    assert eliminations and own == expected
+    assert all(n.ambient is twin and not any(n is x for x in expected) for n in own)
 
 
 def recorded_kernel(c):

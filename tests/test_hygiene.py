@@ -255,10 +255,13 @@ PINS = [
     ("fodc.py", "_phi", set(), KERNEL_ROUTE, "phi is " + CLOSED_FORM),
     ("fodc.py", "quotient_calculus", set(), {"image_basis", "solve"}, SUBSPACE_TAKER),
     ("fodc.py", "sub_calculus_correspondence", set(), {"image_basis", "solve"}, SUBSPACE_TAKER),
-    ("fodc.py", "enumerate_action_closed_subspaces", set(), {"saturate_subspace", "action_closed"},
+    ("fodc.py", "_closed_subspaces", {"@_memo"}, {"saturate_subspace", "action_closed"},
      "each basis vector is saturated once and each candidate eliminated once, its closure "
-     "witness read off the quotient map of its canonical span; the per-candidate saturation "
-     "is the test oracle"),
+     "witness read off the quotient map of its canonical span, once per bimodule; the "
+     "per-candidate saturation is the test oracle"),
+    ("fodc.py", "enumerate_action_closed_subspaces", {"_closed_subspaces", "list"},
+     {"_row_span", "_closed_basis"},
+     "the public enumeration copies the memoized lattice and eliminates nothing itself"),
     *((module, name, set(), {"check_fodc", *CALCULI},
        "a certified calculus is built through _certified under its written certificate, "
        "with no calculus check")
@@ -442,7 +445,7 @@ def test_only_the_closure_proving_constructions_certify_a_sub_bimodule_basis():
     callers = {(path.name, getattr(node, "name", "<module>")) for path in MODULES
                for node in parsed(path.name).body if "_closed_basis" in facts(node)}
     assert callers == {("bimodule.py", "saturate_subspace"),
-                       ("fodc.py", "enumerate_action_closed_subspaces"),
+                       ("fodc.py", "_closed_subspaces"),
                        ("scalars.py", "_pulled_kernel")}
 
 
@@ -450,7 +453,7 @@ def test_the_rational_enumeration_eliminates_rows():
     # outside the exhaustive GF(p) branch each candidate is one elimination
     # of rows of w^T (linalg._row_span): no column selection, and no
     # transpose pair around an elimination per candidate
-    node = function_node(parsed("fodc.py"), "enumerate_action_closed_subspaces")
+    node = function_node(parsed("fodc.py"), "_closed_subspaces")
     branch = next(n for n in ast.walk(node) if isinstance(n, ast.If)
                   and "is_rational" in ast.unparse(n.test))
     done = set().union(*(facts(n) for n in branch.orelse))

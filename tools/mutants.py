@@ -68,6 +68,9 @@ CHAIN_ORACLE = "tests/test_hopf.py -k bicovariance_matches_the_codiagonal_chain"
 UNCERTIFIED_WITNESS = ("tests/test_fodc.py -k "
                        "closure_witness_runs_exactly_on_uncertified_input")
 FOREIGN_CERTIFICATE = "tests/test_fodc.py -k basis_certified_for_another_bimodule_is_checked"
+FOREIGN_QUOTIENT = ("tests/test_bimodule.py -k "
+                    "foreign_member_is_checked_and_keeps_only_its_own_quotient")
+LATTICE_MEMO = "tests/test_fodc.py -k lattice_is_built_once_per_bimodule"
 PIN_TABLE = "tests/test_hygiene.py::test_pin"
 
 MUTANTS = [
@@ -210,15 +213,25 @@ MUTANTS = [
      ENUMERATION_ORACLE),
     # quotient_bimodule skipping the closure witness for a basis certified
     # for any bimodule (the ambient identity test dropped), and for a bare
-    # Mat (the isinstance test widened to Mat, which has no ambient)
+    # Mat (the witness run on no Mat at all); and reading the quotient kept
+    # on a certified basis without asking whether it is this bimodule's
     ("src/omegacalc/bimodule.py",
      "isinstance(sub_canonical, _ClosedBasis) and sub_canonical.ambient is m",
      "isinstance(sub_canonical, _ClosedBasis)",
      FOREIGN_CERTIFICATE),
     ("src/omegacalc/bimodule.py",
-     "isinstance(sub_canonical, _ClosedBasis) and sub_canonical.ambient is m",
-     "isinstance(sub_canonical, Mat)",
+     "    if not certified:\n",
+     "    if not isinstance(sub_canonical, Mat):\n",
      UNCERTIFIED_WITNESS),
+    ("src/omegacalc/bimodule.py",
+     "    if certified and sub_canonical.quotient is not None:\n",
+     "    if isinstance(sub_canonical, _ClosedBasis) and sub_canonical.quotient is not None:\n",
+     FOREIGN_QUOTIENT),
+    # the public enumeration handing out the memoized lattice itself
+    ("src/omegacalc/fodc.py",
+     "    return list(_closed_subspaces(m))\n",
+     "    return _closed_subspaces(m)\n",
+     LATTICE_MEMO),
     # check_fodc: the left-surjectivity rank
     ("src/omegacalc/fodc.py",
      "    left_rank = rank(one_d)",
