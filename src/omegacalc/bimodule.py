@@ -194,13 +194,9 @@ def _closure_witness(q_left: Mat, q_right: Mat, na: int, nb: int, basis: Mat) ->
 
 def action_closed(m: Bimodule, basis: Mat) -> str | None:
     """None if col(basis) is closed under both actions, else a witness string.
-    The basis need not be canonical."""
-    return _span_witness(m, image_basis(basis))
-
-
-def _span_witness(m: Bimodule, span: Mat) -> str | None:
-    """The witness of `action_closed` for a canonical basis, read off its
-    quotient map with no elimination."""
+    The basis need not be canonical: the witness is read off the quotient
+    map of its canonical span."""
+    span = image_basis(basis)
     q, _s = quotient_maps(span, m.dim)
     return _closure_witness(q * m.left_mat, q * m.right_mat, m.left_alg.dim, m.right_alg.dim, span)
 

@@ -82,11 +82,16 @@ def _text_lines(value, prefix: str):
         yield f"{prefix}{value}"
 
 
-def _load_algebra(path: str) -> tuple[Algebra, dict]:
+def _read(path):
+    """The JSON document in a file; one that cannot be read is a usage error."""
     try:
-        doc = load_json(path)
+        return load_json(path)
     except (OSError, json.JSONDecodeError) as exc:
         raise _Failure(EXIT_USAGE, {"error": f"cannot read {path}: {exc}"})
+
+
+def _load_algebra(path: str) -> tuple[Algebra, dict]:
+    doc = _read(path)
     return _parse_algebra(doc), doc
 
 
@@ -106,13 +111,15 @@ def _load_calculus(spec: str, alg: Algebra, base: Path) -> FirstOrderCalculus:
     if spec == "kahler":
         return kahler_calculus(alg)
     if spec.startswith("quotient:"):
-        rel_path = base / spec.split(":", 1)[1]
-        try:
-            rel_doc = load_json(rel_path)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise _Failure(EXIT_USAGE, {"error": f"cannot read {rel_path}: {exc}"})
-        return _quotient_of_universal(alg, rel_doc)
+        return _quotient_from_file(alg, base, spec.split(":", 1)[1])
     raise _Failure(EXIT_USAGE, {"error": f"unknown calculus spec {spec!r}"})
+
+
+def _quotient_from_file(alg: Algebra, base: Path, name) -> FirstOrderCalculus:
+    """The universal calculus divided by the relations in the file base / name."""
+    if not isinstance(name, str):
+        raise _Failure(EXIT_USAGE, {"error": f"relations file must be a path, not {name!r}"})
+    return _quotient_of_universal(alg, _read(base / name))
 
 
 def _quotient_of_universal(alg: Algebra, rel_doc) -> FirstOrderCalculus:
@@ -187,10 +194,7 @@ def _dim_guard(alg: Algebra, max_degree: int, force: bool, calc_dim: int | None 
 
 
 def _cmd_check(args) -> dict:
-    try:
-        doc = load_json(args.algebra)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _Failure(EXIT_USAGE, {"error": f"cannot read {args.algebra}: {exc}"})
+    doc = _read(args.algebra)
     # the loader itself, so that check accepts exactly what the other commands load
     violations = []
     try:
@@ -313,10 +317,7 @@ def _transport(args, push: bool) -> dict:
         raise _Failure(EXIT_USAGE, {"error": f"malformed map file {args.map}: {exc}"})
     except ValueError as exc:  # a bad scalar, dim, field or shape; LinAlgError too
         raise _Failure(EXIT_COMPUTE, {"error": f"bad map file {args.map}: {exc}"})
-    try:
-        calc_doc = load_json(args.calculus)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _Failure(EXIT_USAGE, {"error": f"cannot read {args.calculus}: {exc}"})
+    calc_doc = _read(args.calculus)
     if not isinstance(calc_doc, dict) or "algebra" not in calc_doc:
         raise _Failure(EXIT_USAGE, {"error": f"calculus file {args.calculus} has no 'algebra'"})
     calc_base = Path(args.calculus).resolve().parent
@@ -328,16 +329,19 @@ def _transport(args, push: bool) -> dict:
             "error": "calculus algebra does not match the morphism endpoint",
         })
     kind = calc_doc.get("kind", "universal")
-    if kind == "quotient" and "relations" in calc_doc:
+    given = [key for key in ("relations", "relations_file") if key in calc_doc]
+    if kind not in ("universal", "kahler", "quotient"):
+        raise _Failure(EXIT_USAGE, {"error": f"unknown calculus kind {kind!r}"})
+    if kind != "quotient":
+        if given:
+            raise _Failure(EXIT_USAGE, {"error": f"a {kind} calculus takes no {given[0]}"})
+        calc = _load_calculus(kind, alg, calc_base)
+    elif not given:
+        raise _Failure(EXIT_USAGE, {"error": "quotient calculus needs relations"})
+    elif given[0] == "relations":
         calc = _quotient_of_universal(alg, {"generators": calc_doc["relations"]})
     else:
-        if kind in ("universal", "kahler"):
-            spec = kind
-        elif "relations_file" in calc_doc:
-            spec = f"quotient:{calc_doc['relations_file']}"
-        else:
-            raise _Failure(EXIT_USAGE, {"error": "quotient calculus needs relations"})
-        calc = _load_calculus(spec, alg, calc_base)
+        calc = _quotient_from_file(alg, calc_base, calc_doc["relations_file"])
     result = calc_pushforward(fmap, calc) if push else calc_pullback(fmap, calc)
     return {
         "input_dim": calc.dim,
@@ -367,7 +371,7 @@ def _cmd_bicovariant(args) -> dict:
     except AxiomError as exc:
         raise _Failure(EXIT_COMPUTE, {"error": "bimonoid axioms fail", "violations": exc.report})
     base = Path(args.algebra).resolve().parent
-    calc = _load_calculus(f"quotient:{args.relations}", alg, base)
+    calc = _quotient_from_file(alg, base, args.relations)
     result = bicovariance_check(h, calc)
     out = {
         "bicovariant": result["bicovariant"],

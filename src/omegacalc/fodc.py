@@ -20,9 +20,9 @@ calculus, and a quotient of the universal calculus records all three when
 it is built.  The lattice of `enumerate_action_closed_subspaces` is
 memoized per bimodule, and each of its members keeps the quotient
 bimodule that `quotient_bimodule` builds on it, so a second round over one
-lattice eliminates nothing and builds no quotient map.  The enumeration
-eliminates each candidate as a list of sparse rows, a diagonal's rows
-summed as dicts, and compares candidates on their reduced rows.
+lattice eliminates nothing and builds no quotient map.  Each member of the
+lattice is a saturation A . v . A or a sum of two members, and runs no
+witness.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ from .bimodule import (
     BimodMap,
     Bimodule,
     _closed_basis,
-    _span_witness,
     quotient_bimodule,
     zero_bimodule,
 )
@@ -44,7 +43,6 @@ from .linalg import (
     _clean,
     _mat,
     _row_span,
-    image_basis,
     kernel_basis,
     mul_id_kron,
     mul_kron_id,
@@ -356,15 +354,16 @@ def sub_calculus_correspondence(a: Algebra, family: list[Mat]) -> list[dict]:
 
 
 def enumerate_action_closed_subspaces(m: Bimodule) -> list[Mat]:
-    """A deterministic family of action-closed subspaces of m.
+    """A deterministic family of action-closed subspaces of m: saturations
+    A . v . A and their sums, with no closure witness run.
 
-    Over a prime field with few enough vectors the enumeration is exhaustive
-    over all spans of nonzero vectors; otherwise it saturates every subset of
-    one or two canonical basis vectors, and every diagonal
-    e_i + e_j and e_i - e_j.  Always contains 0 and the full space; results
-    are deduplicated canonical bases.  Outside the exhaustive case the family
-    depends on the basis of m: on Omega_u of M2(Q) it has 18 members in
-    A (x) A-bar, 14 in the echelon basis of ker(m).
+    Over a prime field with few enough vectors it is exhaustive, every
+    nonzero vector's saturation closed under sums; otherwise the saturations
+    of each canonical basis vector e_i and each diagonal e_i +- e_j, and the
+    sum of each two e_i's saturations.  Always contains 0 and the full
+    space; results are deduplicated canonical bases.  Outside the exhaustive
+    case the family depends on the basis of m: on Omega_u of M2(Q) it has 18
+    members in A (x) A-bar, 14 in the echelon basis of ker(m).
 
     The family is built once per bimodule instance (`_closed_subspaces`);
     each call returns a new list of its members.
@@ -375,81 +374,76 @@ def enumerate_action_closed_subspaces(m: Bimodule) -> list[Mat]:
 @_memo
 def _closed_subspaces(m: Bimodule) -> tuple[Mat, ...]:
     """The family of `enumerate_action_closed_subspaces`, built once per
-    bimodule instance (`_memo`).  Bimodules are immutable and the
-    enumeration is deterministic, so the family is a function of m alone.
-
-    Each candidate is one elimination of a list of sparse rows
-    (`linalg._row_span`), a diagonal's rows summed as dicts with no matrix
-    built; candidates are compared on their reduced rows, and a basis matrix
-    is built only for a new member.
-    """
+    bimodule instance (`_memo`): bimodules are immutable and the enumeration
+    is deterministic.  Each saturation or sum is one elimination of sparse
+    rows (`linalg._row_span`), and members are compared on their reduced rows."""
     from itertools import combinations, product
 
-    f = m.field
-    dim = m.dim
-    found: dict = {}
+    f, dim, nb = m.field, m.dim, m.right_alg.dim
+    # Row (a*dim + k)*nb + b of w^T is e_a . e_k . e_b, so row a*nb + b of
+    # gens[k], the rows with middle index k, is e_a . e_k . e_b, and that of
+    # sum_k v_k gens[k] is e_a . v . e_b: its rows span A . v . A
+    wt = mul_kron_id(m.right_mat, m.left_mat, nb).transpose().data
+    gens = [[wt[(a * dim + k) * nb + b] for a in range(m.left_alg.dim) for b in range(nb)]
+            for k in range(dim)]
+    spans, found = [], {}
 
-    def record(rows: list[dict]):
-        """Keep the span of reduced rows, once; return its key."""
+    def record(rows: list[dict]) -> int:
+        """Keep the span of reduced rows, once; return its index in spans."""
         # canonical bases are equal iff their reduced rows are
-        key = tuple(frozenset(row.items()) for row in rows)
-        if key not in found:
-            # Certificate, in place of the closure witness: 0 and the whole
-            # space are action-closed, the exhaustive branch records only
-            # spans whose closure witness is None, and every other member is a
-            # saturation A . V . A (below), closed as saturate_subspace's
-            # certificate shows.  tests/test_fodc.py runs the witness on
-            # every member.
-            found[key] = _closed_basis(m, _mat(f, len(rows), dim, rows).transpose())
-        return key
+        index = found.setdefault(tuple(frozenset(row.items()) for row in rows), len(spans))
+        if index == len(spans):
+            spans.append(rows)
+        return index
+
+    def saturation(v: dict) -> int:
+        """Record A . v . A for v = {k: v_k} whose first coefficient is 1."""
+        first, *rest = v
+        rows = gens[first]
+        if rest:
+            # each row starts from a copy of the first term's
+            rows = [dict(row) for row in rows]
+            for k in rest:
+                c = v[k]
+                for row, term in zip(rows, gens[k]):
+                    get = row.get
+                    for col, x in term.items():
+                        row[col] = get(col, 0) + c * x
+            rows = [_clean(row, f.p) for row in rows]
+        return record(_row_span(f, rows))
 
     record([])
     record([{i: 1} for i in range(dim)])
-    na, nb = m.left_alg.dim, m.right_alg.dim
-    if not f.is_rational and (f.p ** dim - 1) <= 15:
-        vectors = [v for v in product(range(f.p), repeat=dim) if any(v)]
-        for r in range(1, len(vectors) + 1):
-            for subset in combinations(vectors, r):
-                span = image_basis(Mat.from_cols(f, [list(v) for v in subset], rows=dim))
-                # span is canonical, so the witness of action_closed is read
-                # off its quotient map with no second elimination
-                if _span_witness(m, span) is None:
-                    record(span.transpose().data)
+    exhaustive = not f.is_rational and (f.p ** dim - 1) <= 15
+    if exhaustive:
+        # every action-closed W is the sum of the saturations of its
+        # vectors, and v and its multiples have one saturation, so the
+        # vectors whose first nonzero coordinate is 1 give every member
+        vectors = [{k: c for k, c in enumerate(v) if c}
+                   for v in product(range(f.p), repeat=dim) if next(filter(None, v), 0) == 1]
     else:
-        # Row (a*dim + k)*nb + b of w^T is e_a . e_k . e_b, so the rows
-        # with middle index k, gens[k], span A . e_k . A, the saturation
-        # saturate_subspace builds, and for v = e_i +- e_j the rows of
-        # gens[i] +- gens[j], added row by row, span A . v . A.
-        wt = mul_kron_id(m.right_mat, m.left_mat, nb).transpose().data
-        gens = [[wt[(a * dim + k) * nb + b] for a in range(na) for b in range(nb)]
-                for k in range(dim)]
-        singles = [_row_span(f, g) for g in gens]
-
-        def diagonal(i: int, j: int, sign: int) -> list[dict]:
-            """The rows of gens[i] + sign gens[j], one sparse sum per row."""
-            rows = []
-            for x, y in zip(gens[i], gens[j]):
-                row = dict(x)
-                get = row.get
-                for c, v in y.items():
-                    row[c] = get(c, 0) + sign * v
-                rows.append(_clean(row, f.p))
-            return rows
-
-        # saturation is additive, A . (V + W) . A = A . V . A + A . W . A, so
-        # a pair's saturation is the span of its two singles' rows, and
-        # depends only on which distinct singles they are: each such pair is
-        # eliminated once
-        kinds: dict = {}
-        kind = [kinds.setdefault(record(single), len(kinds)) for single in singles]
-        summed = set()
+        vectors = [{k: 1} for k in range(dim)]
+        # diagonal directions catch the subspaces missed by pure basis spans
         for i, j in combinations(range(dim), 2):
-            pair = frozenset((kind[i], kind[j]))
-            if len(pair) == 2 and pair not in summed:
-                summed.add(pair)
-                record(_row_span(f, singles[i] + singles[j]))
-            # diagonal directions catch the subspaces missed by pure basis spans
             for sign in (1, -1):
-                record(_row_span(f, diagonal(i, j, sign)))
-    return tuple(sorted(found.values(), key=lambda s: (
+                saturation({i: 1, j: sign})
+    singles = {saturation(v) for v in vectors}
+    # each round adds every single to each member the last one found; a
+    # single is recorded before any sum, so y < x takes each pair of
+    # singles once in the first round and every single after it.  Outside
+    # the exhaustive case one round, the pairs of singles, is the family
+    fresh = singles
+    while fresh:
+        known = len(spans)
+        for x, y in product(fresh, singles):
+            if y < x:
+                record(_row_span(f, spans[x] + spans[y]))
+        fresh = range(known, len(spans)) if exhaustive else ()
+    # Certificate, in place of the closure witness: 0 and the whole space
+    # are action-closed; A . v . A is, as saturate_subspace's certificate
+    # shows; and so is the sum of two closed subspaces V and W, because
+    # a . (V + W) . b = a . V . b + a . W . b.  tests/test_fodc.py runs the
+    # witness on every member.
+    members = [_closed_basis(m, _mat(f, len(rows), dim, rows).transpose()) for rows in spans]
+    return tuple(sorted(members, key=lambda s: (
         s.cols, tuple(tuple(map(f.format, row)) for row in s.dense_rows()))))

@@ -21,8 +21,8 @@ def mat_to_lists(m: Mat) -> list[list[str]]:
 
 
 def _mat_from_lists(field: Field, rows: list[list], nrows: int, ncols: int) -> Mat:
-    if len(rows) != nrows or any(len(r) != ncols for r in rows):
-        raise LinAlgError("matrix block has wrong shape")
+    if len(rows) != nrows or any(not isinstance(r, list) or len(r) != ncols for r in rows):
+        raise LinAlgError(f"matrix must be {nrows} lists of {ncols} scalars")
     if nrows == 0 or ncols == 0:
         return Mat.zeros(field, nrows, ncols)
     return Mat(field, rows)
@@ -61,6 +61,8 @@ def _dim_from_json(doc: dict) -> int:
 
 def algebra_from_json(doc: dict) -> Algebra:
     field = field_from_json(doc["field"])
+    if not isinstance(doc["unit"], list):
+        raise LinAlgError("unit must be a list of scalars")
     return Algebra(field, _dim_from_json(doc), doc["mult"], doc["unit"], doc.get("basis"))
 
 

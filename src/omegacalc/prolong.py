@@ -318,8 +318,8 @@ def _prolongation(a: Algebra, max_degree: int, c: FirstOrderCalculus | None = No
         return wedge_d(i + j, wedge[(i, j - 1)], dims[i], j)
 
     wedge = _Wedges(max_degree, dims, built, make)
-    for k in range(1, max_degree + 1):
-        if k > 1 and dims[k - 1] == 0:
+    for k in range(2, max_degree + 1):
+        if dims[k - 1] == 0:
             # Omega^k is spanned by Omega^(k-1) ^ dA, so Omega^(k-1) = 0 makes
             # every component from degree k on zero, and every map into one;
             # the maps of one width share one immutable zero matrix
@@ -331,25 +331,23 @@ def _prolongation(a: Algebra, max_degree: int, c: FirstOrderCalculus | None = No
                          for i in range(max_degree + 1)
                          for j in range(max(k - i, 0), max_degree + 1 - i))
             break
-        if k > 1:
-            size = dims[k - 1] * nb
-            q = s = None
-            if rel is not None and rel.cols:
-                # Omega^(k-1) . N and Omega^(k-2) ^ dN, in Omega^(k-1) (x) A-bar
-                acted = kron_id_mul(wedge[(k - 1, 0)], nb, dims[k - 1], rel)
-                if quot[k - 1] is None:
-                    wedged = kronecker(Mat.identity(f, dims[k - 2]), d_rel)
-                else:
-                    wedged = kron_id_mul(quot[k - 1], nb, dims[k - 2], d_rel)
-                basis = image_basis(acted.hstack(wedged))
-                if basis.cols:
-                    q, s = quotient_maps(basis, size)
-            quot.append(q)
-            sect.append(s)
-            dims.append(size if q is None else q.rows)
-        if k > 1:
-            # d(x ^ db) = dx ^ db
-            diff.append(wedge_d(k, diff[k - 2], 1, k - 1))
+        size = dims[k - 1] * nb
+        q = s = None
+        if rel is not None and rel.cols:
+            # Omega^(k-1) . N and Omega^(k-2) ^ dN, in Omega^(k-1) (x) A-bar
+            acted = kron_id_mul(wedge[(k - 1, 0)], nb, dims[k - 1], rel)
+            if quot[k - 1] is None:
+                wedged = kronecker(Mat.identity(f, dims[k - 2]), d_rel)
+            else:
+                wedged = kron_id_mul(quot[k - 1], nb, dims[k - 2], d_rel)
+            basis = image_basis(acted.hstack(wedged))
+            if basis.cols:
+                q, s = quotient_maps(basis, size)
+        quot.append(q)
+        sect.append(s)
+        dims.append(size if q is None else q.rows)
+        # d(x ^ db) = dx ^ db
+        diff.append(wedge_d(k, diff[k - 2], 1, k - 1))
     return dims, diff, wedge, quot
 
 

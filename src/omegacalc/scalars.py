@@ -28,7 +28,6 @@ from .fodc import (
 )
 from .linalg import (
     Mat,
-    image_basis,
     kronecker,
     preimage_basis,
     quotient_maps,
@@ -51,7 +50,7 @@ def _pushed_kernel(f: AlgMap, f_u: Mat, c: FirstOrderCalculus) -> tuple[Universa
         raise PreconditionError("calculus is not over the source algebra")
     # ker(Omega_u(A) -> c) is ker phi, which needs no Omega_u(A)
     u_b = universal_calculus(f.target)
-    return u_b, saturate_subspace(u_b.omega, image_basis(f_u * _kernel(c)))
+    return u_b, saturate_subspace(u_b.omega, f_u * _kernel(c))
 
 
 def _pulled_kernel(f: AlgMap, f_u: Mat, t: FirstOrderCalculus) -> tuple[UniversalCalculus, Mat]:

@@ -261,8 +261,10 @@ def oracle_calculi(name, alg):
 def enumerate_by_saturation(m, max_generators=2):
     """The enumeration of fodc.enumerate_action_closed_subspaces in its
     earlier form, which saturates every candidate on its own through
-    saturate_subspace and keys each by its formatted rows: the oracle for
-    the family and its order."""
+    saturate_subspace, searches every subset of vectors with the closure
+    witness in the exhaustive case, and keys each by its formatted rows:
+    the oracle for the family and its order, sharing no step with the
+    enumeration it checks."""
     f = m.field
     found = {}
 

@@ -604,3 +604,74 @@ def test_unreadable_json_is_usage_error(capsys, tmp_path, text):
     code, out = run_cli(capsys, "check", str(bad), "--format", "json")
     assert code == 64
     assert json.loads(out)["error"].startswith(f"cannot read {bad}: ")
+
+
+@pytest.mark.parametrize("command", ["extend", "restrict"])
+@pytest.mark.parametrize("fields,error", [
+    ({"kind": "bogus", "relations_file": "rel.json"}, "unknown calculus kind 'bogus'"),
+    ({"kind": 5}, "unknown calculus kind 5"),
+    ({"kind": "universal", "relations": [["0", "0", "0", "0"]]},
+     "a universal calculus takes no relations"),
+    ({"kind": "kahler", "relations_file": "rel.json"}, "a kahler calculus takes no relations_file"),
+    ({"relations": [["0", "0", "0", "0"]]}, "a universal calculus takes no relations"),
+    ({"kind": "quotient", "relations_file": 5}, "relations file must be a path, not 5"),
+], ids=["unknown", "not-a-string", "universal-relations", "kahler-relations-file",
+        "default-kind-relations", "relations-file-int"])
+def test_calculus_file_kind_is_checked(capsys, tmp_path, command, fields, error):
+    # a bogus kind was read as a quotient and relations given with universal
+    # were dropped, both exiting 0; kind 5 asked for relations
+    fmap = json.loads((FIXTURES / "y_to_x2.json").read_text())
+    end = "source" if command == "extend" else "target"
+    rows = fmap[end]["dim"] ** 2
+    fields = {k: [["0"] * rows] if k == "relations" else v for k, v in fields.items()}
+    (tmp_path / "rel.json").write_text(json.dumps({"generators": [["0"] * rows]}))
+    calc = tmp_path / "calc.json"
+    calc.write_text(json.dumps({"algebra": fmap[end], **fields}))
+    code, out = run_cli(capsys, command, "--map", str(FIXTURES / "y_to_x2.json"),
+                        "--calculus", str(calc), "--format", "json")
+    assert code == 64
+    assert json.loads(out)["error"] == error
+
+
+def test_a_calculus_file_and_a_quotient_spec_read_one_relations_file(capsys, tmp_path):
+    # extend reads relations_file through the helper that prolong's
+    # --calculus quotient:<file> reads
+    fmap = json.loads((FIXTURES / "y_to_x2.json").read_text())
+    source = tmp_path / "source.json"
+    source.write_text(json.dumps(fmap["source"]))
+    (tmp_path / "rel.json").write_text(json.dumps({"generators": [["0", "0", "0", "1"]]}))
+    calc = tmp_path / "calc.json"
+    calc.write_text(json.dumps({"algebra": "source.json", "kind": "quotient",
+                                "relations_file": "rel.json"}))
+    code, out = run_cli(capsys, "extend", "--map", str(FIXTURES / "y_to_x2.json"),
+                        "--calculus", str(calc), "--format", "json")
+    assert code == 0
+    code, prolonged = run_cli(capsys, "prolong", str(source), "--calculus", "quotient:rel.json",
+                              "--max-degree", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["input_dim"] == json.loads(prolonged)["dims"][1]
+
+
+@pytest.mark.parametrize("unit", ["10", {"1": 0, "0": 1}], ids=["string", "object"])
+def test_a_unit_that_is_not_a_list_is_refused(capsys, tmp_path, unit):
+    # a string unit was read character by character and an object by its keys
+    doc = dict(json.loads((FIXTURES / "qx2.json").read_text()), unit=unit)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "check", str(bad), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["error"] == "bad algebra file: unit must be a list of scalars"
+
+
+def test_map_rows_that_are_strings_are_refused(capsys, tmp_path):
+    # ["10", "00", "01", "00"] has the shape of the matrix and was read
+    # character by character
+    fmap = json.loads((FIXTURES / "y_to_x2.json").read_text())
+    bad = tmp_path / "map.json"
+    bad.write_text(json.dumps(dict(fmap, matrix=["".join(row) for row in fmap["matrix"]])))
+    calc = tmp_path / "calc.json"
+    calc.write_text(json.dumps({"algebra": fmap["source"], "kind": "universal"}))
+    code, out = run_cli(capsys, "extend", "--map", str(bad), "--calculus", str(calc),
+                        "--format", "json")
+    assert code == 1
+    assert json.loads(out)["error"] == f"bad map file {bad}: matrix must be 4 lists of 2 scalars"

@@ -1,7 +1,7 @@
 import pytest
 
 from omegacalc import bimodule, cli, fodc, linalg
-from omegacalc.algebra import AlgMap, AxiomError, build_truncated_poly, is_commutative
+from omegacalc.algebra import AlgMap, AxiomError, is_commutative
 
 from omegacalc.bimodule import (
     BimodMap,
@@ -384,19 +384,34 @@ def test_correspondence_exhaustive_over_gf2(f2x2):
     assert all(r["roundtrip_equal"] for r in rows)
 
 
-@pytest.mark.parametrize("p,candidates", [(2, 7), (3, 255)])
-def test_the_exhaustive_enumeration_eliminates_each_candidate_once(p, candidates, calls_of,
-                                                                  monkeypatch):
-    # Omega_u of GF(p)[x]/x^2 has dimension 2, so the exhaustive branch spans
-    # every nonempty set of the p^2 - 1 nonzero vectors: one elimination each,
-    # the closure witness read off the quotient map of that canonical span,
-    # and the family the route through action_closed gives
-    m = universal_calculus(build_truncated_poly(GF(p), 2)).omega
+def galois_number(q, d):
+    """The number of subspaces of GF(q)^d: the sum over k of the Gaussian
+    binomials [d, k]_q = prod_{i < k} (q^(d-i) - 1) / (q^(i+1) - 1)."""
+    total = 0
+    for k in range(d + 1):
+        count = 1
+        for i in range(k):
+            count = count * (q ** (d - i) - 1) // (q ** (i + 1) - 1)
+        total += count
+    return total
+
+
+@pytest.mark.parametrize("q,d,members", [(2, 1, 2), (2, 2, 5), (2, 3, 16), (2, 4, 67),
+                                         (3, 1, 2), (3, 2, 6)])
+def test_the_exhaustive_enumeration_is_every_subspace_of_a_vector_space(q, d, members,
+                                                                         calls_of):
+    # GF(q) acts on GF(q)^d by scalars, so every subspace is action-closed
+    # and the family is all of them, the Galois number.  Each nonzero vector
+    # is saturated at most once and each member added to each saturation at
+    # most once: no elimination per subset of vectors
+    assert galois_number(q, d) == members
+    k = field_algebra(GF(q))
+    m = free_bimodule(k, d, k)
     calls = calls_of(linalg, "_rref_sparse")
-    members = enumerate_action_closed_subspaces(m)
-    assert len(calls) == candidates
-    monkeypatch.undo()
-    assert members == enumerate_by_saturation(m)
+    family = enumerate_action_closed_subspaces(m)
+    assert len(family) == members
+    assert len(calls) <= (q ** d - 1) * (members + 1)
+    assert all(action_closed(m, n) is None for n in family)
 
 
 def test_surjectivity_variants_agree_on_family(qx3):

@@ -225,7 +225,7 @@ PINS = [
      "A . V . A is two products; the fixpoint loop it replaced is a test oracle"),
     *(("bimodule.py", name, set(), {"solve"},
        "the closure check is read off the quotient map; the per-element solves it replaced "
-       "are a test oracle") for name in ("_closure_witness", "_span_witness", "action_closed")),
+       "are a test oracle") for name in ("_closure_witness", "action_closed")),
     ("algebra.py", "is_commutative", set(), {"swap_matrix"}, PERMUTATION),
     ("kahler.py", "kahler_calculus", set(), {"swap_matrix", *TOWER},
      PERMUTATION + "; Omega^1 = I / I^2 is written from the structure constants, and the "
@@ -255,10 +255,11 @@ PINS = [
     ("fodc.py", "_phi", set(), KERNEL_ROUTE, "phi is " + CLOSED_FORM),
     ("fodc.py", "quotient_calculus", set(), {"image_basis", "solve"}, SUBSPACE_TAKER),
     ("fodc.py", "sub_calculus_correspondence", set(), {"image_basis", "solve"}, SUBSPACE_TAKER),
-    ("fodc.py", "_closed_subspaces", {"@_memo"}, {"saturate_subspace", "action_closed"},
-     "each basis vector is saturated once and each candidate eliminated once, its closure "
-     "witness read off the quotient map of its canonical span, once per bimodule; the "
-     "per-candidate saturation is the test oracle"),
+    ("fodc.py", "_closed_subspaces", {"@_memo"},
+     {"saturate_subspace", "action_closed", "image_basis", "_closure_witness"},
+     "every member is a saturation A . v . A or a sum of two members, one elimination each "
+     "and once per bimodule, with no closure witness; the per-candidate saturation and the "
+     "subset search are the test oracle"),
     ("fodc.py", "enumerate_action_closed_subspaces", {"_closed_subspaces", "list"},
      {"_row_span", "_closed_basis"},
      "the public enumeration copies the memoized lattice and eliminates nothing itself"),
@@ -450,13 +451,10 @@ def test_only_the_closure_proving_constructions_certify_a_sub_bimodule_basis():
 
 
 def test_the_rational_enumeration_eliminates_rows():
-    # outside the exhaustive GF(p) branch each candidate is one elimination
-    # of rows of w^T (linalg._row_span): no column selection, and no
-    # transpose pair around an elimination per candidate
-    node = function_node(parsed("fodc.py"), "_closed_subspaces")
-    branch = next(n for n in ast.walk(node) if isinstance(n, ast.If)
-                  and "is_rational" in ast.unparse(n.test))
-    done = set().union(*(facts(n) for n in branch.orelse))
+    # both branches share one route: each saturation and each sum is one
+    # elimination of rows of w^T or of members (linalg._row_span), with no
+    # column selection and no transpose pair around an elimination
+    done = facts(function_node(parsed("fodc.py"), "_closed_subspaces"))
     assert "_row_span" in done
     assert not done & {"image_basis", "select_cols"}
 

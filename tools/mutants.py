@@ -71,6 +71,7 @@ FOREIGN_CERTIFICATE = "tests/test_fodc.py -k basis_certified_for_another_bimodul
 FOREIGN_QUOTIENT = ("tests/test_bimodule.py -k "
                     "foreign_member_is_checked_and_keeps_only_its_own_quotient")
 LATTICE_MEMO = "tests/test_fodc.py -k lattice_is_built_once_per_bimodule"
+GALOIS_NUMBER = "tests/test_fodc.py -k exhaustive_enumeration_is_every_subspace_of_a_vector_space"
 PIN_TABLE = "tests/test_hygiene.py::test_pin"
 
 MUTANTS = [
@@ -201,16 +202,21 @@ MUTANTS = [
      "_certified(UniversalCalculus, alg=a, omega=omega, d=diff[0],",
      "_certified(UniversalCalculus, alg=a, omega=omega, d=-diff[0],",
      KERNEL_ORACLE),
-    # the lattice enumeration on rows: a pair saturated as its first basis
-    # vector only, and the diagonal e_i - e_j replaced by e_i + e_j
+    # the lattice enumeration on rows: a sum of two members taken as its
+    # first term only, the diagonal e_i - e_j replaced by e_i + e_j, and the
+    # sums stopped after one round, which the exhaustive case needs more of
     ("src/omegacalc/fodc.py",
-     "record(_row_span(f, singles[i] + singles[j]))",
-     "record(_row_span(f, singles[i]))",
+     "record(_row_span(f, spans[x] + spans[y]))",
+     "record(_row_span(f, spans[x]))",
      ENUMERATION_ORACLE),
     ("src/omegacalc/fodc.py",
-     "            for sign in (1, -1):",
-     "            for sign in (1, 1):",
+     "                saturation({i: 1, j: sign})",
+     "                saturation({i: 1, j: 1})",
      ENUMERATION_ORACLE),
+    ("src/omegacalc/fodc.py",
+     "        fresh = range(known, len(spans)) if exhaustive else ()",
+     "        fresh = ()",
+     GALOIS_NUMBER),
     # quotient_bimodule skipping the closure witness for a basis certified
     # for any bimodule (the ambient identity test dropped), and for a bare
     # Mat (the witness run on no Mat at all); and reading the quotient kept
@@ -331,14 +337,14 @@ MUTANTS = [
      "        elif row and max(row) >= l:\n",
      "        elif row and max(row) > l:\n",
      QUOTIENT_MAPS_ORACLE),
-    # cost, not answers, so only the pin table sees them: the exhaustive
-    # enumeration eliminating each candidate again inside action_closed, and
-    # inverse multiplying its answer back out
+    # cost, not answers, so only the pin table sees them: the enumeration
+    # running the closure witness on each member it certifies, and inverse
+    # multiplying its answer back out
     ("src/omegacalc/fodc.py",
-     "                if _span_witness(m, span) is None:\n",
-     "                from .bimodule import action_closed\n"
-     "                action_closed(m, span)\n"
-     "                if _span_witness(m, span) is None:\n",
+     "    return tuple(sorted(members, key=lambda s: (\n",
+     "    from .bimodule import action_closed\n"
+     "    assert all(action_closed(m, s) is None for s in members)\n"
+     "    return tuple(sorted(members, key=lambda s: (\n",
      PIN_TABLE),
     ("src/omegacalc/linalg.py",
      "    if x is None:\n        raise LinAlgError(\"matrix is not invertible\")\n",
