@@ -332,6 +332,8 @@ def _transport(args, push: bool) -> dict:
     given = [key for key in ("relations", "relations_file") if key in calc_doc]
     if kind not in ("universal", "kahler", "quotient"):
         raise _Failure(EXIT_USAGE, {"error": f"unknown calculus kind {kind!r}"})
+    if len(given) > 1:
+        raise _Failure(EXIT_USAGE, {"error": "give relations or relations_file, not both"})
     if kind != "quotient":
         if given:
             raise _Failure(EXIT_USAGE, {"error": f"a {kind} calculus takes no {given[0]}"})

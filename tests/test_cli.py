@@ -615,11 +615,14 @@ def test_unreadable_json_is_usage_error(capsys, tmp_path, text):
     ({"kind": "kahler", "relations_file": "rel.json"}, "a kahler calculus takes no relations_file"),
     ({"relations": [["0", "0", "0", "0"]]}, "a universal calculus takes no relations"),
     ({"kind": "quotient", "relations_file": 5}, "relations file must be a path, not 5"),
+    ({"kind": "quotient", "relations": [], "relations_file": "missing.json"},
+     "give relations or relations_file, not both"),
 ], ids=["unknown", "not-a-string", "universal-relations", "kahler-relations-file",
-        "default-kind-relations", "relations-file-int"])
+        "default-kind-relations", "relations-file-int", "both-relations"])
 def test_calculus_file_kind_is_checked(capsys, tmp_path, command, fields, error):
-    # a bogus kind was read as a quotient and relations given with universal
-    # were dropped, both exiting 0; kind 5 asked for relations
+    # a bogus kind was read as a quotient, relations given with universal
+    # were dropped and a relations_file given next to relations was never
+    # opened, each exiting 0; kind 5 asked for relations
     fmap = json.loads((FIXTURES / "y_to_x2.json").read_text())
     end = "source" if command == "extend" else "target"
     rows = fmap[end]["dim"] ** 2

@@ -1,7 +1,7 @@
 import pytest
 
 from omegacalc import bimodule, cli, fodc, linalg
-from omegacalc.algebra import AlgMap, AxiomError, is_commutative
+from omegacalc.algebra import AlgMap, AxiomError, build_truncated_poly, is_commutative
 
 from omegacalc.bimodule import (
     BimodMap,
@@ -384,27 +384,15 @@ def test_correspondence_exhaustive_over_gf2(f2x2):
     assert all(r["roundtrip_equal"] for r in rows)
 
 
-def galois_number(q, d):
-    """The number of subspaces of GF(q)^d: the sum over k of the Gaussian
-    binomials [d, k]_q = prod_{i < k} (q^(d-i) - 1) / (q^(i+1) - 1)."""
-    total = 0
-    for k in range(d + 1):
-        count = 1
-        for i in range(k):
-            count = count * (q ** (d - i) - 1) // (q ** (i + 1) - 1)
-        total += count
-    return total
-
-
 @pytest.mark.parametrize("q,d,members", [(2, 1, 2), (2, 2, 5), (2, 3, 16), (2, 4, 67),
                                          (3, 1, 2), (3, 2, 6)])
 def test_the_exhaustive_enumeration_is_every_subspace_of_a_vector_space(q, d, members,
                                                                          calls_of):
     # GF(q) acts on GF(q)^d by scalars, so every subspace is action-closed
-    # and the family is all of them, the Galois number.  Each nonzero vector
-    # is saturated at most once and each member added to each saturation at
-    # most once: no elimination per subset of vectors
-    assert galois_number(q, d) == members
+    # and the family is all of them: the Galois number, the sum over k of
+    # the Gaussian binomials [d, k]_q.  Each nonzero vector is saturated at
+    # most once and each member added to each saturation at most once: no
+    # elimination per subset of vectors
     k = field_algebra(GF(q))
     m = free_bimodule(k, d, k)
     calls = calls_of(linalg, "_rref_sparse")
@@ -412,6 +400,26 @@ def test_the_exhaustive_enumeration_is_every_subspace_of_a_vector_space(q, d, me
     assert len(family) == members
     assert len(calls) <= (q ** d - 1) * (members + 1)
     assert all(action_closed(m, n) is None for n in family)
+
+
+@pytest.mark.parametrize("calculus,p,n,members", [
+    (universal_calculus, 3, 2, 3),
+    (kahler_calculus, 2, 3, 3),
+    (kahler_calculus, 2, 4, 5),
+    (kahler_calculus, 3, 3, 4),
+], ids=["universal-GF(3)[x]/x^2", "kahler-GF(2)[x]/x^3", "kahler-GF(2)[x]/x^4",
+        "kahler-GF(3)[x]/x^3"])
+def test_the_enumeration_is_the_subset_search_where_few_subspaces_are_closed(calculus, p, n,
+                                                                             members):
+    # the first three are exhaustive bimodules of dimension 2, 2 and 4 with
+    # 6, 5 and 67 subspaces, only some of them action-closed: the sums of
+    # saturations give the members, in the order, that searching every set
+    # of vectors with the closure witness gives.  The last, of dimension 3
+    # over GF(3), is past the exhaustive bound and runs the row family
+    m = calculus(build_truncated_poly(GF(p), n)).omega
+    family = enumerate_action_closed_subspaces(m)
+    assert len(family) == members
+    assert family == enumerate_by_saturation(m)
 
 
 def test_surjectivity_variants_agree_on_family(qx3):

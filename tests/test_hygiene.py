@@ -450,7 +450,7 @@ def test_only_the_closure_proving_constructions_certify_a_sub_bimodule_basis():
                        ("scalars.py", "_pulled_kernel")}
 
 
-def test_the_rational_enumeration_eliminates_rows():
+def test_the_enumeration_eliminates_rows():
     # both branches share one route: each saturation and each sum is one
     # elimination of rows of w^T or of members (linalg._row_span), with no
     # column selection and no transpose pair around an elimination
