@@ -27,6 +27,7 @@ witness.
 from __future__ import annotations
 
 from functools import wraps
+from weakref import WeakKeyDictionary
 
 from .algebra import Algebra, AxiomError
 from .bimodule import (
@@ -151,22 +152,41 @@ class UniversalCalculus(FirstOrderCalculus):
 
 
 def _memo(build):
-    """build(x), computed once per instance x and kept in x's own __dict__.
+    """build(x), computed once per instance x and kept in x's own __dict__;
+    or build(x, y), computed once per pair of instances and kept in a table
+    in x's __dict__ keyed weakly by y, so that it lives as long as both.
 
     Equal but distinct instances do not share a value, a value lives as
     long as its instance, and an exception is not kept.  Values are
     immutable, so two threads racing on one x at most build an equal value
-    twice.  `slot` names the key, for a construction that has the value in
+    twice.  No build returns None, which would be built again on every
+    call.  `slot` names the key, for a construction that has the value in
     hand to record it.
+
+    Certificate for the pairs, which are the transports of `scalars`, x an
+    algebra map and y a calculus: maps, calculi and `Mat`s are immutable,
+    so F_! c and F* t are functions of (f, c); `FirstOrderCalculus` has
+    identity equality, so a weak key stands for one instance; and a kept
+    value refers to neither the map nor the calculus, so the table adds no
+    reference cycle and an entry goes when its calculus does.
+    tests/test_scalars.py checks the last two and holds every kept result
+    to the one built along a freshly loaded copy of its map.
     """
     slot = "_memo_" + build.__name__
 
     @wraps(build)
-    def memoized(x):
+    def memoized(x, *y):
         kept = x.__dict__
-        if slot not in kept:
-            kept[slot] = build(x)
-        return kept[slot]
+        key = slot
+        if y:
+            (key,) = y
+            if slot not in kept:
+                kept[slot] = WeakKeyDictionary()
+            kept = kept[slot]
+        value = kept.get(key)
+        if value is None:
+            value = kept[key] = build(x, *y)
+        return value
 
     memoized.slot = slot
     return memoized

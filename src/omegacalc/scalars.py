@@ -7,10 +7,19 @@ the preimage of the target's relations.  Both are plain linear algebra in
 vector spaces, and each kernel comes from one private helper,
 `_pushed_kernel` or `_pulled_kernel`.  The posetal adjunction between them
 is checked by comparing those kernels inside the universal calculi, with
-f_u built once and no pushed or pulled calculus built.  The tests hold f_u
-to its functoriality and to being a bimodule map, the adjunction to the
-route that builds the calculi, and check the square-zero characterization
-of derivations and the initial and terminal calculi (`tests/oracles.py`).
+no pushed or pulled calculus built.
+
+Transport is a value of its map (`fodc._memo`): f_u is built once per
+`AlgMap` instance, and each pushed or pulled kernel and calculus once per
+(map, calculus) pair, kept on the map in a table keyed weakly by the
+calculus, so an entry lives as long as both.  A repeated push, pull or
+adjunction builds no f_u, saturation, preimage or quotient map; a calculus
+over the wrong algebra is refused on every call, and nothing is kept for
+it.  The tests hold f_u to its functoriality and to being a bimodule map,
+the adjunction to the route that builds the calculi, each kept result to
+the one built along a freshly loaded copy of its map, and check the
+square-zero characterization of derivations and the initial and terminal
+calculi (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -22,40 +31,42 @@ from .fodc import (
     PreconditionError,
     UniversalCalculus,
     _kernel,
+    _memo,
+    _phi,
     _unit_complement,
     quotient_calculus,
     universal_calculus,
 )
-from .linalg import (
-    Mat,
-    kronecker,
-    preimage_basis,
-    quotient_maps,
-)
+from .linalg import Mat, kronecker, preimage_basis, quotient_maps
 
 
+@_memo
 def universal_map(f: AlgMap) -> Mat:
     """f_u: Omega_u(A) -> Omega_u(B), a0 db -> f(a0) d f(b), the restriction
     of f (x) f to the kernels of multiplication: f (x) (pi_B f) on A (x) A-bar,
-    because f is unital, so pi_B only removes a multiple of the unit."""
+    because f is unital, so pi_B only removes a multiple of the unit.  Built
+    once per map instance (`_memo`)."""
     bar, _pi = _unit_complement(f.source)
     _bar, pi_b = _unit_complement(f.target)
     return kronecker(f.matrix, pi_b * f.matrix.select_cols(bar))
 
 
-def _pushed_kernel(f: AlgMap, f_u: Mat, c: FirstOrderCalculus) -> tuple[UniversalCalculus, Mat]:
+@_memo
+def _pushed_kernel(f: AlgMap, c: FirstOrderCalculus) -> tuple[UniversalCalculus, Mat]:
     """Omega_u(B) and ker(Omega_u(B) -> F_! c) = <f_u(ker(Omega_u(A) -> c))>,
-    with f_u = universal_map(f) built by the caller."""
+    built once per (map, calculus) pair (`_memo`)."""
     if c.alg != f.source:
         raise PreconditionError("calculus is not over the source algebra")
     # ker(Omega_u(A) -> c) is ker phi, which needs no Omega_u(A)
     u_b = universal_calculus(f.target)
-    return u_b, saturate_subspace(u_b.omega, f_u * _kernel(c))
+    return u_b, saturate_subspace(u_b.omega, universal_map(f) * _kernel(c))
 
 
-def _pulled_kernel(f: AlgMap, f_u: Mat, t: FirstOrderCalculus) -> tuple[UniversalCalculus, Mat]:
-    """Omega_u(A) and ker(Omega_u(A) -> F* t) = f_u^{-1}(ker(Omega_u(B) -> t)),
-    with f_u = universal_map(f) built by the caller."""
+@_memo
+def _pulled_kernel(f: AlgMap, t: FirstOrderCalculus) -> tuple[UniversalCalculus, Mat, Mat]:
+    """Omega_u(A), P = ker(Omega_u(A) -> F* t) = f_u^{-1}(ker(Omega_u(B) -> t))
+    and the quotient map of P, the projection onto F* t, built once per
+    (map, calculus) pair (`_memo`)."""
     if t.alg != f.target:
         raise PreconditionError("calculus is not over the target algebra")
     # ker(Omega_u(B) -> t) is ker phi, which needs no Omega_u(B)
@@ -64,19 +75,24 @@ def _pulled_kernel(f: AlgMap, f_u: Mat, t: FirstOrderCalculus) -> tuple[Universa
     # along f, f_u(a x b) = f(a) f_u(x) f(b), and ker(Omega_u(B) -> t) is a
     # sub-bimodule, so its preimage is closed under both actions of A.
     # tests/test_scalars.py runs action_closed on it on every oracle map.
-    return u_a, _closed_basis(u_a.omega, preimage_basis(f_u, _kernel(t)))
+    p = _closed_basis(u_a.omega, preimage_basis(universal_map(f), _kernel(t)))
+    return u_a, p, quotient_maps(p, p.rows)[0]
 
 
+@_memo
 def calc_pushforward(f: AlgMap, c: FirstOrderCalculus) -> FirstOrderCalculus:
-    """Pushout realization: Omega_u(B) / <f_u(ker(Omega_u(A) -> c))>."""
-    u_b, pushed = _pushed_kernel(f, universal_map(f), c)
+    """Pushout realization: Omega_u(B) / <f_u(ker(Omega_u(A) -> c))>, built
+    once per (map, calculus) pair (`_memo`)."""
+    u_b, pushed = _pushed_kernel(f, c)
     result, _proj = quotient_calculus(u_b, pushed)
     return result
 
 
+@_memo
 def calc_pullback(f: AlgMap, t: FirstOrderCalculus) -> FirstOrderCalculus:
-    """Pullback realization: Omega_u(A) / f_u^{-1}(ker(Omega_u(B) -> t))."""
-    u_a, p = _pulled_kernel(f, universal_map(f), t)
+    """Pullback realization: Omega_u(A) / f_u^{-1}(ker(Omega_u(B) -> t)),
+    built once per (map, calculus) pair (`_memo`)."""
+    u_a, p, _proj = _pulled_kernel(f, t)
     # Certificate, in place of checking kernel_basis(proj) == p: p is a
     # canonical basis (preimage_basis returns one), and the quotient
     # projects onto its echelon complement (quotient_maps), whose kernel is
@@ -95,17 +111,17 @@ def verify_poset_adjunction(f: AlgMap, cs: list[FirstOrderCalculus],
     # (calculus_morphism_exists), and calc_pushforward and calc_pullback
     # record as the kernel of their results exactly the subspaces
     # _pushed_kernel and _pulled_kernel return, so comparing those subspaces
-    # gives the same verdicts.  f_u is built once for all of them.
+    # gives the same verdicts.  Each is kept per (map, calculus) pair.
     # tests/test_scalars.py holds the report to the one built from the
     # pushed and pulled calculi on every oracle map.
-    f_u = universal_map(f)
-    pushed = [_pushed_kernel(f, f_u, c)[1] for c in cs]
-    pulled = [_pulled_kernel(f, f_u, t)[1] for t in ts]
+    pushed = [_pushed_kernel(f, c)[1] for c in cs]
     ker_cs = [_kernel(c) for c in cs]
-    # sub <= sup iff the quotient map of the canonical sup kills sub
-    # (linalg.subspace_leq): one quotient map per sup, not one per pair
-    to_ts = [quotient_maps(n, n.rows)[0] for n in map(_kernel, ts)]
-    to_pulled = [quotient_maps(n, n.rows)[0] for n in pulled]
+    # sub <= sup iff a map whose kernel is sup kills sub (linalg.subspace_leq):
+    # one kept map per sup, not one per pair.  phi of t has kernel
+    # ker(Omega_u -> t) by the definition of _kernel, and the pulled kernel
+    # is kept with its quotient map, the projection onto F* t
+    to_ts = [_phi(t) for t in ts]
+    to_pulled = [_pulled_kernel(f, t)[2] for t in ts]
     pairs = []
     agree = True
     for ci in range(len(cs)):

@@ -239,13 +239,20 @@ PINS = [
     ("prolong.py", "_right_action", set(), {"kronecker"},
      "the right action is written entry by entry"),
     ("scalars.py", "verify_poset_adjunction", {"_pushed_kernel", "_pulled_kernel"},
-     {"calc_pushforward", "calc_pullback", "quotient_calculus"},
-     "the adjunction compares the pushed and pulled kernels and builds no calculus"),
-    ("scalars.py", "calc_pushforward", {"_pushed_kernel"}, set(),
-     "push quotients by the kernel the adjunction compares"),
-    ("scalars.py", "calc_pullback", {"_pulled_kernel"}, set(),
-     "pull quotients by the kernel the adjunction compares"),
-    ("scalars.py", "universal_map", set(), KERNEL_ROUTE, "f_u is " + CLOSED_FORM),
+     {"calc_pushforward", "calc_pullback", "quotient_calculus", "universal_map",
+      "quotient_maps", "saturate_subspace", "preimage_basis"},
+     "the adjunction compares the kept pushed and pulled kernels through the kept quotient "
+     "map of each sup, builds no calculus, and builds no f_u, saturation, preimage or "
+     "quotient map itself"),
+    *(("scalars.py", name, {"@_memo"}, set(),
+       "a pushed or pulled kernel is built once per (map, calculus) pair and read by the "
+       "push or pull and by the adjunction") for name in ("_pushed_kernel", "_pulled_kernel")),
+    ("scalars.py", "calc_pushforward", {"@_memo", "_pushed_kernel"}, set(),
+     "push quotients by the kernel the adjunction compares, once per (map, calculus) pair"),
+    ("scalars.py", "calc_pullback", {"@_memo", "_pulled_kernel"}, set(),
+     "pull quotients by the kernel the adjunction compares, once per (map, calculus) pair"),
+    ("scalars.py", "universal_map", {"@_memo"}, KERNEL_ROUTE,
+     "f_u is " + CLOSED_FORM + ", built once per map for every pushed and pulled kernel"),
     ("fodc.py", None, set(), {"kronecker"},
      "iota and the retraction are written entry by entry, and the kernel-counit comparison "
      "applies 1 (x) mu blockwise"),
@@ -339,13 +346,6 @@ def test_nothing_is_stacked_on_the_coaction_memo():
     # its row requires @_memo; a second decorator could change what is cached
     node = function_node(parsed("hopf.py"), "universal_coactions")
     assert len(node.decorator_list) == 1
-
-
-def test_the_adjunction_builds_f_u_once():
-    # one f_u serves every pushed and pulled kernel
-    node = function_node(parsed("scalars.py"), "verify_poset_adjunction")
-    assert [ast.unparse(c.func) for c in ast.walk(node) if isinstance(c, ast.Call)
-            ].count("universal_map") == 1
 
 
 def test_the_kernel_of_phi_is_eliminated_only_in_kernel():

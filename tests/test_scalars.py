@@ -1,10 +1,12 @@
+import gc
 import importlib
 import pkgutil
+import weakref
 
 import pytest
 
 import omegacalc
-from omegacalc import scalars
+from omegacalc import bimodule, linalg, scalars
 from omegacalc.algebra import AlgMap, is_commutative
 from omegacalc.bimodule import action_closed
 from omegacalc.fodc import (
@@ -53,9 +55,15 @@ from oracles import (
 from oracle_algebras import ORACLE_MAPS, first_proper_quotients
 
 
+def load_y_to_x2(qy2, qx4):
+    """y -> x^2, a new map instance on every call, so that no transport kept
+    on another instance is shared with it."""
+    return AlgMap(qy2, qx4, Mat(QQ, [[1, 0], [0, 0], [0, 1], [0, 0]]))
+
+
 @pytest.fixture(scope="module")
 def y_to_x2(qy2, qx4):
-    return AlgMap(qy2, qx4, Mat(QQ, [[1, 0], [0, 0], [0, 1], [0, 0]]))
+    return load_y_to_x2(qy2, qx4)
 
 
 def test_universal_map_is_bimodule_map(y_to_x2):
@@ -332,10 +340,12 @@ def test_poset_adjunction_along_surjection(qx4, qx2):
     assert rep["all_agree"]
 
 
-def test_transport_builds_the_universal_calculus_of_one_algebra(monkeypatch, y_to_x2, qy2, qx4):
+def test_transport_builds_the_universal_calculus_of_one_algebra(monkeypatch, qy2, qx4):
     # ker(Omega_u -> c) is read off phi of c: a push builds only Omega_u of
     # the target, a pull only that of the source, and the adjunction check
-    # none besides those of its pushes and pulls
+    # none besides those of its pushes and pulls.  The maps are loaded here,
+    # so no transport kept on a shared map hides a build; along the map of
+    # the push and the pull, the adjunction reads their kept kernels
     built = []
 
     def counting(a):
@@ -343,12 +353,15 @@ def test_transport_builds_the_universal_calculus_of_one_algebra(monkeypatch, y_t
         return universal_calculus(a)
 
     monkeypatch.setattr(scalars, "universal_calculus", counting)
+    f, g = load_y_to_x2(qy2, qx4), load_y_to_x2(qy2, qx4)
     c, t = kahler_calculus(qy2), kahler_calculus(qx4)
-    assert calc_pushforward(y_to_x2, c).alg == qx4
+    assert calc_pushforward(f, c).alg == qx4
     assert built == [qx4]
-    assert calc_pullback(y_to_x2, t).alg == qy2
+    assert calc_pullback(f, t).alg == qy2
     assert built == [qx4, qy2]
-    assert verify_poset_adjunction(y_to_x2, [c], [t])["all_agree"]
+    assert verify_poset_adjunction(g, [c], [t])["all_agree"]
+    assert built == [qx4, qy2, qx4, qy2]
+    assert verify_poset_adjunction(f, [c], [t])["all_agree"]
     assert built == [qx4, qy2, qx4, qy2]
 
 
@@ -364,7 +377,7 @@ def test_transport_refuses_a_calculus_over_the_wrong_algebra(y_to_x2, qy2, qx4):
         verify_poset_adjunction(y_to_x2, [on_source], [on_source])
 
 
-def test_typed_inputs_are_not_rechecked(monkeypatch, y_to_x2, qx2, qy2, qx4, qz2):
+def test_typed_inputs_are_not_rechecked(monkeypatch, qx2, qy2, qx4, qz2):
     """A typed value was checked when it was built, so a function that takes
     one does not run its axiom check again.  In every module that binds them,
     alg_map_report, bimonoid_axiom_report and the private report behind
@@ -376,6 +389,8 @@ def test_typed_inputs_are_not_rechecked(monkeypatch, y_to_x2, qx2, qy2, qx4, qz2
     c = kahler_calculus(qy2)
     t = kahler_calculus(qx4)
     ident = identity_map(qx2)
+    # loaded here, so that the push and the pull below build their results
+    y_to_x2 = load_y_to_x2(qy2, qx4)
     up = universal_prolongation(qx2, 2)
     kp = maximal_prolongation(target, 2)
     h = group_like_bimonoid(qz2)
@@ -409,3 +424,121 @@ def test_typed_inputs_are_not_rechecked(monkeypatch, y_to_x2, qx2, qy2, qx4, qz2
     assert calc_pullback(y_to_x2, t).alg == qy2
     assert unique_dg_morphism(up, kp, ident) is not None
     assert universal_coactions(h).dim == 2
+
+
+# ---------------------------------------------------------------------------
+# transport kept per (map, calculus) pair
+# ---------------------------------------------------------------------------
+
+# the functions whose values are kept per (map, calculus) pair
+PAIR_MEMOS = (calc_pushforward, calc_pullback, scalars._pushed_kernel, scalars._pulled_kernel)
+
+
+def transports(f, cs, ts):
+    return ([calc_pushforward(f, c) for c in cs], [calc_pullback(f, t) for t in ts],
+            verify_poset_adjunction(f, cs, ts))
+
+
+def test_a_repeated_transport_builds_nothing(calls_of, qy2, qx4):
+    # the first round along a map builds f_u, the saturations, the preimages
+    # and the quotient maps; a second round returns the same calculi and an
+    # equal report in new containers, and builds none of them
+    f = load_y_to_x2(qy2, qx4)
+    cs, ts = canonical_calculi(qy2), canonical_calculi(qx4)
+    calls = [calls_of(scalars, "universal_map"), calls_of(scalars, "saturate_subspace"),
+             calls_of(scalars, "preimage_basis"), calls_of(scalars, "quotient_maps"),
+             calls_of(bimodule, "quotient_maps"), calls_of(linalg, "quotient_maps")]
+    pushed, pulled, report = transports(f, cs, ts)
+    assert all(calls)
+    for seen in calls:
+        seen.clear()
+    again_pushed, again_pulled, again = transports(f, cs, ts)
+    assert calls == [[], [], [], [], [], []]
+    assert all(a is b for a, b in zip(pushed + pulled, again_pushed + again_pulled))
+    assert again == report and again is not report
+    assert again["pairs"] is not report["pairs"]
+    assert all(a is not b for a, b in zip(again["pairs"], report["pairs"]))
+
+
+def test_the_calculi_of_one_algebra_pushed_along_one_map_are_kept_apart(qy2, qx4):
+    # the table is keyed by the calculus, not its algebra: the universal and
+    # Kaehler calculi of y -> x^2 push to kernels of dimension 0 and 4
+    f = load_y_to_x2(qy2, qx4)
+    u, k = calc_pushforward(f, universal_calculus(qy2)), calc_pushforward(f, kahler_calculus(qy2))
+    assert (_kernel(u).cols, _kernel(k).cols) == (0, 4)
+    pu, pk = calc_pullback(f, universal_calculus(qx4)), calc_pullback(f, kahler_calculus(qx4))
+    assert _kernel(pu) != _kernel(pk)
+
+
+def test_maps_do_not_share_a_transport(qy2, qx4):
+    # one table per map instance: y -> x^3 pushes the Kaehler calculus to a
+    # kernel of dimension 1, and y -> x^2 loaded twice gets two equal results
+    c, t = kahler_calculus(qy2), kahler_calculus(qx4)
+    f, twin = load_y_to_x2(qy2, qx4), load_y_to_x2(qy2, qx4)
+    g = AlgMap(qy2, qx4, Mat(QQ, [[1, 0], [0, 0], [0, 0], [0, 1]]))
+    assert (_kernel(calc_pushforward(f, c)).cols, _kernel(calc_pushforward(g, c)).cols) == (4, 1)
+    for transport, x in ((calc_pushforward, c), (calc_pullback, t)):
+        a, b = transport(f, x), transport(twin, x)
+        assert a is not b and (a.omega, a.d) == (b.omega, b.d) and _kernel(a) == _kernel(b)
+    assert universal_map(f) is not universal_map(twin) and universal_map(f) == universal_map(twin)
+
+
+def test_a_refused_transport_is_refused_every_time_and_not_kept(qy2, qx4):
+    f = load_y_to_x2(qy2, qx4)
+    on_source, on_target = kahler_calculus(qy2), kahler_calculus(qx4)
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="not over the source algebra"):
+            calc_pushforward(f, on_target)
+        with pytest.raises(PreconditionError, match="not over the target algebra"):
+            calc_pullback(f, on_source)
+        with pytest.raises(PreconditionError, match="not over the source algebra"):
+            verify_poset_adjunction(f, [on_target], [])
+    kept = [f.__dict__.get(build.slot, {}) for build in PAIR_MEMOS]
+    assert [len(table) for table in kept] == [0, 0, 0, 0]
+
+
+def test_the_pair_memo_keeps_neither_the_calculus_nor_the_map_alive(qy2, qx4):
+    # with the cyclic collector off, a calculus dropped after its push or
+    # pull is freed by its last reference and takes its entries with it,
+    # and so is a dropped map: no kept value refers back to either
+    f = load_y_to_x2(qy2, qx4)
+    u_y, u_x = universal_calculus(qy2), universal_calculus(qx4)
+    c = quotient_calculus(u_y, enumerate_action_closed_subspaces(u_y.omega)[1])[0]
+    t = quotient_calculus(u_x, enumerate_action_closed_subspaces(u_x.omega)[1])[0]
+    gc.disable()
+    try:
+        calc_pushforward(f, c)
+        calc_pullback(f, t)
+        tables = [f.__dict__[build.slot] for build in PAIR_MEMOS]
+        assert [len(table) for table in tables] == [1, 1, 1, 1]
+        refs = weakref.ref(c), weakref.ref(t)
+        del c, t
+        assert [ref() for ref in refs] == [None, None]
+        assert [len(table) for table in tables] == [0, 0, 0, 0]
+        # an entry whose calculus lives on does not hold the map either
+        calc_pushforward(f, u_y)
+        ref = weakref.ref(f)
+        del f, tables
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", ORACLE_MAPS)
+def test_kept_transport_equals_transport_along_a_fresh_copy(name):
+    # a second round along the map returns what it kept, and a copy of the
+    # map loaded afterwards builds equal calculi and an equal report of its
+    # own, on the universal, Kaehler, zero and two quotient calculi of each end
+    f = ORACLE_MAPS[name]()
+    cs, ts = transport_family(f.source), transport_family(f.target)
+    kept = transports(f, cs, ts)
+    again = transports(f, cs, ts)
+    fresh = transports(AlgMap(f.source, f.target, f.matrix), cs, ts)
+    assert all(a is b for a, b in zip(kept[0] + kept[1], again[0] + again[1]))
+    for a, b in zip(kept[0] + kept[1], fresh[0] + fresh[1]):
+        assert a is not b and (a.omega, a.d) == (b.omega, b.d) and _kernel(a) == _kernel(b)
+    assert kept[2] == again[2] == fresh[2]
+    # the adjunction reads each pulled kernel through the quotient map kept
+    # with it, which is the projection the pullback records as phi
+    for t, pulled in zip(ts, kept[1]):
+        assert scalars._pulled_kernel(f, t)[2] == _phi(pulled)

@@ -73,6 +73,9 @@ FOREIGN_QUOTIENT = ("tests/test_bimodule.py -k "
 LATTICE_MEMO = "tests/test_fodc.py -k lattice_is_built_once_per_bimodule"
 GALOIS_NUMBER = "tests/test_fodc.py -k exhaustive_enumeration_is_every_subspace_of_a_vector_space"
 PIN_TABLE = "tests/test_hygiene.py::test_pin"
+PAIR_KEY = "tests/test_scalars.py -k calculi_of_one_algebra_pushed_along_one_map_are_kept_apart"
+PAIR_WEAK = "tests/test_scalars.py -k pair_memo_keeps_neither_the_calculus_nor_the_map_alive"
+PAIR_PER_MAP = "tests/test_scalars.py -k maps_do_not_share_a_transport"
 
 MUTANTS = [
     # the prolongation builder: the sign of the right-action recursion, the
@@ -250,6 +253,23 @@ MUTANTS = [
      "        kept = x.__dict__\n",
      "        kept = _memo.__dict__\n",
      MEMO_ORACLE),
+    # the pair memo of transport keyed by the calculus's algebra instead of
+    # the calculus, in a plain dict instead of the weak table, and in one
+    # module-level table instead of one per map
+    ("src/omegacalc/fodc.py",
+     "            (key,) = y\n",
+     "            key = y[0].alg\n",
+     PAIR_KEY),
+    ("src/omegacalc/fodc.py",
+     "kept[slot] = WeakKeyDictionary()",
+     "kept[slot] = {}",
+     PAIR_WEAK),
+    ("src/omegacalc/fodc.py",
+     "            if slot not in kept:\n"
+     "                kept[slot] = WeakKeyDictionary()\n"
+     "            kept = kept[slot]\n",
+     "            kept = _memo.__dict__.setdefault(slot, WeakKeyDictionary())\n",
+     PAIR_PER_MAP),
     ("src/omegacalc/fodc.py",
      "if isinstance(c, UniversalCalculus) else",
      "if True else",
