@@ -15,8 +15,8 @@ inclusions and projections, satisfy them by construction and are built by
 the closure off its quotient map (`_closure_witness`), with one rule: a
 basis that the construction proving it closed certified for this bimodule
 (`_closed_basis`) skips the witness, and anything else runs it.  The
-quotient by such a basis is built once and kept on the basis; every other
-input builds a fresh quotient and keeps nothing.
+quotient by such a basis is kept on it by `linalg._memo` (`_basis_quotient`);
+every other input builds a fresh quotient and keeps nothing.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .linalg import (
     LinAlgError,
     Mat,
     _certified,
+    _memo,
     image_basis,
     kronecker,
     mul_id_kron,
@@ -154,12 +155,11 @@ def zero_bimodule(a: Algebra, b: Algebra) -> Bimodule:
 
 class _ClosedBasis(Mat):
     """A canonical basis of a sub-bimodule of `ambient`, certified by the
-    construction that proved it closed, and `quotient`, the quotient of
-    `ambient` by it once `quotient_bimodule` has built it (None before).
-    Every operation on it returns a plain `Mat`, uncertified, and it equals
-    its plain twin."""
+    construction that proved it closed, with a `__dict__` where
+    `_basis_quotient` keeps the quotient by it.  Every operation on it
+    returns a plain `Mat`, uncertified, and it equals its plain twin."""
 
-    __slots__ = ("ambient", "quotient")
+    __slots__ = ("ambient", "__dict__")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("_ClosedBasis is built only by bimodule._closed_basis(m, basis)")
@@ -169,7 +169,7 @@ def _closed_basis(m: Bimodule, basis: Mat) -> _ClosedBasis:
     """basis, certified for m: quotient_bimodule(m, .) skips the witness on
     it, and each caller states its proof that the span is closed."""
     return _certified(_ClosedBasis, field=basis.field, rows=basis.rows, cols=basis.cols,
-                      data=basis.data, ambient=m, quotient=None)
+                      data=basis.data, ambient=m)
 
 
 def _closure_witness(q_left: Mat, q_right: Mat, na: int, nb: int, basis: Mat) -> str | None:
@@ -230,30 +230,39 @@ def quotient_bimodule(m: Bimodule, sub_canonical: Mat) -> tuple[Bimodule, BimodM
 
     Refuses a subspace that is not action-closed, with the witness of
     `_closure_witness`, unless it is a basis certified for m itself; the
-    quotient by such a basis is built once and kept on it."""
-    certified = isinstance(sub_canonical, _ClosedBasis) and sub_canonical.ambient is m
-    if certified and sub_canonical.quotient is not None:
-        return sub_canonical.quotient
+    quotient by such a basis is built once and kept on it (`_basis_quotient`)."""
+    if isinstance(sub_canonical, _ClosedBasis) and sub_canonical.ambient is m:
+        return _basis_quotient(sub_canonical)
     q, s = quotient_maps(sub_canonical, m.dim)
     q_left, q_right = q * m.left_mat, q * m.right_mat
-    if not certified:
-        witness = _closure_witness(q_left, q_right, m.left_alg.dim, m.right_alg.dim, sub_canonical)
-        if witness is not None:
-            raise LinAlgError(f"subspace is not action-closed: {witness}")
+    witness = _closure_witness(q_left, q_right, m.left_alg.dim, m.right_alg.dim, sub_canonical)
+    if witness is not None:
+        raise LinAlgError(f"subspace is not action-closed: {witness}")
+    return _quotient_by_maps(m, q, s, q_left, q_right)
+
+
+@_memo
+def _basis_quotient(basis: _ClosedBasis) -> tuple[Bimodule, BimodMap, Mat]:
+    """The quotient of `basis.ambient` by a basis certified for it, with no
+    witness, built once per basis (`_memo`): it reads only the immutable
+    ambient and basis, and refers to the ambient, never back to the basis."""
+    m = basis.ambient
+    q, s = quotient_maps(basis, m.dim)
+    return _quotient_by_maps(m, q, s, q * m.left_mat, q * m.right_mat)
+
+
+def _quotient_by_maps(m: Bimodule, q: Mat, s: Mat, q_left: Mat, q_right: Mat
+                      ) -> tuple[Bimodule, BimodMap, Mat]:
+    """(quotient, projection, section) of m from the quotient maps (q, s) of
+    an action-closed subspace, q_left = q m.left_mat and q_right = q m.right_mat."""
     lm = _mul_section(q_left, m.left_alg.dim, s, 1)
     rm = _mul_section(q_right, 1, s, m.right_alg.dim)
     # the actions of m descend through q because its kernel is action-closed,
-    # checked above or certified, so quo is a bimodule and q an onto map
+    # checked by quotient_bimodule or certified, so quo is a bimodule and q
+    # an onto map
     quo = _certified(Bimodule, left_alg=m.left_alg, right_alg=m.right_alg, dim=q.rows,
                      left_mat=lm, right_mat=rm)
-    quotient = quo, _certified(BimodMap, source=m, target=quo, matrix=q), s
-    if certified:
-        # Certificate, in place of building the quotient on every call: m
-        # and the basis are immutable and every step above reads only them,
-        # so the triple is a function of (m, basis); it is kept on the basis,
-        # whose ambient is m, and lives as long as the basis does
-        sub_canonical.quotient = quotient
-    return quotient
+    return quo, _certified(BimodMap, source=m, target=quo, matrix=q), s
 
 
 def saturate_subspace(m: Bimodule, gens) -> Mat:

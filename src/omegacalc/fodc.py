@@ -15,19 +15,15 @@ it closed certified for this calculus's bimodule skips the witness, and
 anything else runs it.  The certifying constructions are saturation, the
 lattice enumeration and the preimage of a sub-bimodule under a bimodule
 map, so transport (`scalars`), the lattice walkers and the CLI's relation
-path pay no witness.  phi, its kernel and a section of it are memoized per
-calculus, and a quotient of the universal calculus records all three when
-it is built.  The lattice of `enumerate_action_closed_subspaces` is
-memoized per bimodule, and each of its members keeps the quotient
-bimodule that `quotient_bimodule` builds on it, so a second round over one
-lattice eliminates nothing and builds no quotient map.  Each member of the
-lattice is a saturation A . v . A or a sum of two members, and runs no
-witness.
+path pay no witness.  Every value kept below is kept by `linalg._memo`:
+phi, its kernel and a section of it per calculus, recorded by a quotient of
+the universal calculus when it is built, and the lattice of
+`enumerate_action_closed_subspaces` per bimodule.  Each lattice member is a
+saturation A . v . A or a sum of two members, runs no witness and keeps
+its quotient bimodule (`bimodule._basis_quotient`), so a second round over
+one lattice eliminates nothing and builds no quotient map.
 """
 from __future__ import annotations
-
-from functools import wraps
-from weakref import WeakKeyDictionary
 
 from .algebra import Algebra, AxiomError
 from .bimodule import (
@@ -43,6 +39,7 @@ from .linalg import (
     _certified,
     _clean,
     _mat,
+    _memo,
     _row_span,
     kernel_basis,
     mul_id_kron,
@@ -149,47 +146,6 @@ class UniversalCalculus(FirstOrderCalculus):
 
     def __init__(self, *args, **kwargs):
         raise TypeError("UniversalCalculus is built only by universal_calculus(a)")
-
-
-def _memo(build):
-    """build(x), computed once per instance x and kept in x's own __dict__;
-    or build(x, y), computed once per pair of instances and kept in a table
-    in x's __dict__ keyed weakly by y, so that it lives as long as both.
-
-    Equal but distinct instances do not share a value, a value lives as
-    long as its instance, and an exception is not kept.  Values are
-    immutable, so two threads racing on one x at most build an equal value
-    twice.  No build returns None, which would be built again on every
-    call.  `slot` names the key, for a construction that has the value in
-    hand to record it.
-
-    Certificate for the pairs, which are the transports of `scalars`, x an
-    algebra map and y a calculus: maps, calculi and `Mat`s are immutable,
-    so F_! c and F* t are functions of (f, c); `FirstOrderCalculus` has
-    identity equality, so a weak key stands for one instance; and a kept
-    value refers to neither the map nor the calculus, so the table adds no
-    reference cycle and an entry goes when its calculus does.
-    tests/test_scalars.py checks the last two and holds every kept result
-    to the one built along a freshly loaded copy of its map.
-    """
-    slot = "_memo_" + build.__name__
-
-    @wraps(build)
-    def memoized(x, *y):
-        kept = x.__dict__
-        key = slot
-        if y:
-            (key,) = y
-            if slot not in kept:
-                kept[slot] = WeakKeyDictionary()
-            kept = kept[slot]
-        value = kept.get(key)
-        if value is None:
-            value = kept[key] = build(x, *y)
-        return value
-
-    memoized.slot = slot
-    return memoized
 
 
 @_memo

@@ -23,15 +23,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from .algebra import Algebra, AxiomError
-from .fodc import FirstOrderCalculus, _kernel, _memo, _phi, _section, universal_calculus
-from .linalg import (
-    LinAlgError,
-    Mat,
-    kronecker,
-    mul_id_kron,
-    mul_kron_id,
-    swap_matrix,
-)
+from .fodc import FirstOrderCalculus, _kernel, _phi, _section, universal_calculus
+from .linalg import LinAlgError, Mat, _memo, kronecker, mul_id_kron, mul_kron_id, swap_matrix
 
 
 def _fused_products(a: Algebra, comult: Mat) -> tuple[Mat, Mat]:
@@ -167,7 +160,7 @@ class HopfCalculus:
 @_memo
 def universal_coactions(h: Bimonoid) -> HopfCalculus:
     """The Hopf structure on the universal calculus of a bimonoid, built once
-    per bimonoid instance (`fodc._memo`).
+    per bimonoid instance (`linalg._memo`).
 
     The coactions are the restrictions of the canonical A(x)A coactions
     through iota, read back by the retraction.  The bimonoid axioms of h were

@@ -18,7 +18,6 @@ from .fodc import (
     FirstOrderCalculus,
     PreconditionError,
     _kernel,
-    _memo,
     _phi,
     _section,
     _unit_complement,
@@ -28,6 +27,7 @@ from .linalg import (
     _certified,
     _clean,
     _mat,
+    _memo,
     _row_span,
     kron_id_mul,
     kronecker,

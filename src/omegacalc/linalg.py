@@ -30,6 +30,10 @@ product: m (I (x) x) (`mul_id_kron`), m (x (x) I) (`mul_kron_id`) and
 its operands and its output, and the braiding m swap as a column relabel
 (`mul_swap`).  solve reads consistency off its elimination and multiplies
 nothing out.
+
+Two private helpers serve every module: `_certified`, the one way past a
+constructor's check, and beside it `_memo`, the one way to keep a value on
+an instance.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ from __future__ import annotations
 import json
 import operator
 from fractions import Fraction
+from functools import wraps
+from weakref import WeakKeyDictionary
 
 
 class LinAlgError(ValueError):
@@ -229,6 +235,47 @@ def _certified(cls, **fields):
     for name, x in fields.items():
         setattr(value, name, x)
     return value
+
+
+def _memo(build):
+    """build(x), computed once per instance x and kept in x's own __dict__;
+    or build(x, y), computed once per pair of instances and kept in a table
+    in x's __dict__ keyed weakly by y, so that it lives as long as both.
+
+    Equal but distinct instances do not share a value, a value lives as
+    long as its instance, and an exception is not kept.  Values are
+    immutable, so two threads racing on one x at most build an equal value
+    twice.  No build returns None, which would be built again on every
+    call.  `slot` names the key, for a construction that has the value in
+    hand to record it.
+
+    Certificate for the pairs, which are the transports of `scalars`, x an
+    algebra map and y a calculus: maps, calculi and `Mat`s are immutable,
+    so F_! c and F* t are functions of (f, c); `FirstOrderCalculus` has
+    identity equality, so a weak key stands for one instance; and a kept
+    value refers to neither the map nor the calculus, so the table adds no
+    reference cycle and an entry goes when its calculus does.
+    tests/test_scalars.py checks the last two and holds every kept result
+    to the one built along a freshly loaded copy of its map.
+    """
+    slot = "_memo_" + build.__name__
+
+    @wraps(build)
+    def memoized(x, *y):
+        kept = x.__dict__
+        key = slot
+        if y:
+            (key,) = y
+            if slot not in kept:
+                kept[slot] = WeakKeyDictionary()
+            kept = kept[slot]
+        value = kept.get(key)
+        if value is None:
+            value = kept[key] = build(x, *y)
+        return value
+
+    memoized.slot = slot
+    return memoized
 
 
 class Mat:

@@ -9,35 +9,36 @@ vector spaces, and each kernel comes from one private helper,
 is checked by comparing those kernels inside the universal calculi, with
 no pushed or pulled calculus built.
 
-Transport is a value of its map (`fodc._memo`): f_u is built once per
+Transport is a value of its map (`linalg._memo`): f_u is built once per
 `AlgMap` instance, and each pushed or pulled kernel and calculus once per
 (map, calculus) pair, kept on the map in a table keyed weakly by the
-calculus, so an entry lives as long as both.  A repeated push, pull or
-adjunction builds no f_u, saturation, preimage or quotient map; a calculus
-over the wrong algebra is refused on every call, and nothing is kept for
-it.  The tests hold f_u to its functoriality and to being a bimodule map,
-the adjunction to the route that builds the calculi, each kept result to
-the one built along a freshly loaded copy of its map, and check the
-square-zero characterization of derivations and the initial and terminal
-calculi (`tests/oracles.py`).
+calculus, so an entry lives as long as both.  A pulled kernel P is a basis
+certified for Omega_u(A), and no projection is kept beside it: the
+adjunction reads the map onto F* t off the quotient kept on P
+(`bimodule._basis_quotient`), and the pull builds its calculus on that
+quotient.  A repeated push, pull or adjunction builds no f_u, saturation,
+preimage or quotient map; a calculus over the wrong algebra is refused on
+every call, and nothing is kept for it.  The tests hold f_u to its
+functoriality and to being a bimodule map, the adjunction to the route
+that builds the calculi, each kept result to the one built along a freshly
+loaded copy of its map, and check the square-zero characterization of
+derivations and the initial and terminal calculi (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
 from .algebra import AlgMap
-from .bimodule import _closed_basis, saturate_subspace
+from .bimodule import _closed_basis, quotient_bimodule, saturate_subspace
 from .fodc import (
     FirstOrderCalculus,
     PreconditionError,
-    UniversalCalculus,
     _kernel,
-    _memo,
     _phi,
     _unit_complement,
     quotient_calculus,
     universal_calculus,
 )
-from .linalg import Mat, kronecker, preimage_basis, quotient_maps
+from .linalg import Mat, _memo, kronecker, preimage_basis
 
 
 @_memo
@@ -52,55 +53,48 @@ def universal_map(f: AlgMap) -> Mat:
 
 
 @_memo
-def _pushed_kernel(f: AlgMap, c: FirstOrderCalculus) -> tuple[UniversalCalculus, Mat]:
-    """Omega_u(B) and ker(Omega_u(B) -> F_! c) = <f_u(ker(Omega_u(A) -> c))>,
-    built once per (map, calculus) pair (`_memo`)."""
+def _pushed_kernel(f: AlgMap, c: FirstOrderCalculus) -> Mat:
+    """ker(Omega_u(B) -> F_! c) = <f_u(ker(Omega_u(A) -> c))>, built once per
+    (map, calculus) pair (`_memo`)."""
     if c.alg != f.source:
         raise PreconditionError("calculus is not over the source algebra")
     # ker(Omega_u(A) -> c) is ker phi, which needs no Omega_u(A)
-    u_b = universal_calculus(f.target)
-    return u_b, saturate_subspace(u_b.omega, universal_map(f) * _kernel(c))
+    return saturate_subspace(universal_calculus(f.target).omega, universal_map(f) * _kernel(c))
 
 
 @_memo
-def _pulled_kernel(f: AlgMap, t: FirstOrderCalculus) -> tuple[UniversalCalculus, Mat, Mat]:
-    """Omega_u(A), P = ker(Omega_u(A) -> F* t) = f_u^{-1}(ker(Omega_u(B) -> t))
-    and the quotient map of P, the projection onto F* t, built once per
-    (map, calculus) pair (`_memo`)."""
+def _pulled_kernel(f: AlgMap, t: FirstOrderCalculus) -> Mat:
+    """P = ker(Omega_u(A) -> F* t) = f_u^{-1}(ker(Omega_u(B) -> t)), a basis
+    certified for Omega_u(A), built once per (map, calculus) pair (`_memo`)."""
     if t.alg != f.target:
         raise PreconditionError("calculus is not over the target algebra")
     # ker(Omega_u(B) -> t) is ker phi, which needs no Omega_u(B)
-    u_a = universal_calculus(f.source)
     # Certificate, in place of the closure witness: f_u is a bimodule map
     # along f, f_u(a x b) = f(a) f_u(x) f(b), and ker(Omega_u(B) -> t) is a
     # sub-bimodule, so its preimage is closed under both actions of A.
     # tests/test_scalars.py runs action_closed on it on every oracle map.
-    p = _closed_basis(u_a.omega, preimage_basis(universal_map(f), _kernel(t)))
-    return u_a, p, quotient_maps(p, p.rows)[0]
+    return _closed_basis(universal_calculus(f.source).omega,
+                         preimage_basis(universal_map(f), _kernel(t)))
 
 
 @_memo
 def calc_pushforward(f: AlgMap, c: FirstOrderCalculus) -> FirstOrderCalculus:
     """Pushout realization: Omega_u(B) / <f_u(ker(Omega_u(A) -> c))>, built
     once per (map, calculus) pair (`_memo`)."""
-    u_b, pushed = _pushed_kernel(f, c)
-    result, _proj = quotient_calculus(u_b, pushed)
-    return result
+    return quotient_calculus(universal_calculus(f.target), _pushed_kernel(f, c))[0]
 
 
 @_memo
 def calc_pullback(f: AlgMap, t: FirstOrderCalculus) -> FirstOrderCalculus:
     """Pullback realization: Omega_u(A) / f_u^{-1}(ker(Omega_u(B) -> t)),
     built once per (map, calculus) pair (`_memo`)."""
-    u_a, p, _proj = _pulled_kernel(f, t)
-    # Certificate, in place of checking kernel_basis(proj) == p: p is a
-    # canonical basis (preimage_basis returns one), and the quotient
-    # projects onto its echelon complement (quotient_maps), whose kernel is
-    # exactly the span of p; it records p as ker(Omega_u -> result).
+    # Certificate, in place of checking kernel_basis(proj) == p: the pulled
+    # kernel p is a canonical basis (preimage_basis returns one), and the
+    # quotient projects onto its echelon complement (quotient_maps), whose
+    # kernel is exactly the span of p; it records p as ker(Omega_u -> result).
     # tests/test_scalars.py holds the projection's kernel to p on every
     # oracle map.
-    result, _proj = quotient_calculus(u_a, p)
-    return result
+    return quotient_calculus(universal_calculus(f.source), _pulled_kernel(f, t))[0]
 
 
 def verify_poset_adjunction(f: AlgMap, cs: list[FirstOrderCalculus],
@@ -114,24 +108,21 @@ def verify_poset_adjunction(f: AlgMap, cs: list[FirstOrderCalculus],
     # gives the same verdicts.  Each is kept per (map, calculus) pair.
     # tests/test_scalars.py holds the report to the one built from the
     # pushed and pulled calculi on every oracle map.
-    pushed = [_pushed_kernel(f, c)[1] for c in cs]
+    pushed = [_pushed_kernel(f, c) for c in cs]
     ker_cs = [_kernel(c) for c in cs]
     # sub <= sup iff a map whose kernel is sup kills sub (linalg.subspace_leq):
     # one kept map per sup, not one per pair.  phi of t has kernel
-    # ker(Omega_u -> t) by the definition of _kernel, and the pulled kernel
-    # is kept with its quotient map, the projection onto F* t
+    # ker(Omega_u -> t) by the definition of _kernel, and the projection of
+    # the quotient kept on the pulled kernel P is the map onto F* t, which
+    # the pull then builds its calculus on
     to_ts = [_phi(t) for t in ts]
-    to_pulled = [_pulled_kernel(f, t)[2] for t in ts]
+    to_pulled = [quotient_bimodule(p.ambient, p)[1].matrix
+                 for p in (_pulled_kernel(f, t) for t in ts)]
     pairs = []
-    agree = True
     for ci in range(len(cs)):
         for ti in range(len(ts)):
             lhs = (to_ts[ti] * pushed[ci]).is_zero()
             rhs = (to_pulled[ti] * ker_cs[ci]).is_zero()
-            pairs.append({
-                "c_index": ci, "t_index": ti,
-                "pushforward_to_t": lhs, "c_to_pullback": rhs,
-                "agree": lhs == rhs,
-            })
-            agree = agree and lhs == rhs
-    return {"all_agree": agree, "pairs": pairs}
+            pairs.append({"c_index": ci, "t_index": ti, "pushforward_to_t": lhs,
+                          "c_to_pullback": rhs, "agree": lhs == rhs})
+    return {"all_agree": all(p["agree"] for p in pairs), "pairs": pairs}

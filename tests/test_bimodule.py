@@ -450,18 +450,20 @@ def test_quotient_bimodule_refuses_a_noncanonical_basis(qx3):
 
 @pytest.mark.parametrize("name", ["qx3", "m2q", "f2x2"])
 def test_the_quotient_by_a_certified_member_is_built_once(name, calls_of):
-    # a lattice member keeps the quotient built on it: a second quotient is
-    # the same triple, with no quotient map and no witness.  Its plain twin
-    # and member + 0 are checked and build their quotient on every call,
-    # and what the member keeps is the quotient the plain twin gives
+    # a lattice member keeps the quotient built on it, in its own memo: a
+    # second quotient is the same triple, with no quotient map and no
+    # witness.  Its plain twin and member + 0 are checked and build their
+    # quotient on every call, and what the member keeps is the quotient the
+    # plain twin gives
     m = universal_calculus(ORACLE_ALGEBRAS[name]()).omega
     members = enumerate_action_closed_subspaces(m)
     witnesses = calls_of(bimodule, "_closure_witness")
     maps = calls_of(bimodule, "quotient_maps")
+    slot = bimodule._basis_quotient.slot
     for n in members:
-        assert n.quotient is None
+        assert slot not in vars(n)
         kept = quotient_bimodule(m, n)
-        assert n.quotient is kept and len(maps) == 1
+        assert vars(n)[slot] is kept and len(maps) == 1
         maps.clear()
         assert quotient_bimodule(m, n) is kept
         assert maps == witnesses == []
@@ -472,7 +474,8 @@ def test_the_quotient_by_a_certified_member_is_built_once(name, calls_of):
             maps.clear()
             witnesses.clear()
             assert (quo, proj.source, proj.matrix, s) == (kept[0], m, kept[1].matrix, kept[2])
-        assert n.quotient is kept
+        assert vars(n)[slot] is kept
+    assert slot not in vars(m)
 
 
 def test_a_foreign_member_is_checked_and_keeps_only_its_own_quotient(calls_of):
@@ -485,6 +488,7 @@ def test_a_foreign_member_is_checked_and_keeps_only_its_own_quotient(calls_of):
     members = enumerate_action_closed_subspaces(home)
     assert m.dim == home.dim == 6
     kept = [quotient_bimodule(home, n) for n in members]
+    slot = bimodule._basis_quotient.slot
     witnesses = calls_of(bimodule, "_closure_witness")
     refused = 0
     for n, own in zip(members, kept):
@@ -498,7 +502,7 @@ def test_a_foreign_member_is_checked_and_keeps_only_its_own_quotient(calls_of):
                 with pytest.raises(LinAlgError) as exc:
                     quotient_bimodule(m, n)
                 assert str(exc.value) == f"subspace is not action-closed: {witness}"
-            assert len(witnesses) == 1 and n.quotient is own
+            assert len(witnesses) == 1 and vars(n)[slot] is own
         refused += witness is not None
     assert refused
 

@@ -372,7 +372,7 @@ def test_bicovariance_matches_the_codiagonal_chain(name, request):
 
 def test_the_coactions_of_omega_u_are_built_once_per_bimonoid(qz3, monkeypatch):
     # a sweep over one bimonoid reads one lam_u and rho_u; an equal but
-    # distinct bimonoid builds its own (fodc._memo)
+    # distinct bimonoid builds its own (linalg._memo)
     calls = []
     chain = hopf._codiagonal_coactions
     monkeypatch.setattr(hopf, "_codiagonal_coactions",

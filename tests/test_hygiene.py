@@ -149,8 +149,8 @@ CERTIFIED_CALCULI = {
     ("bimodule.py", "zero_bimodule", "Bimodule"),
     ("bimodule.py", "sub_bimodule", "Bimodule"),
     ("bimodule.py", "sub_bimodule", "BimodMap"),
-    ("bimodule.py", "quotient_bimodule", "Bimodule"),
-    ("bimodule.py", "quotient_bimodule", "BimodMap"),
+    ("bimodule.py", "_quotient_by_maps", "Bimodule"),
+    ("bimodule.py", "_quotient_by_maps", "BimodMap"),
     ("bimodule.py", "_closed_basis", "_ClosedBasis"),
     ("bimodule.py", "tensor_over_algebra", "Bimodule"),
     ("fodc.py", "universal_calculus", "Bimodule"),
@@ -219,8 +219,15 @@ PINS = [
     ("linalg.py", "subspace_leq", set(), {"image_basis", "solve"}, SUBSPACE_TAKER),
     ("linalg.py", "image_basis", {"_row_span"}, set(),
      "one canonical form, one route: the row span of the columns"),
-    ("bimodule.py", "quotient_bimodule", set(), {"mul_id_kron", "mul_kron_id", "solve"},
-     PERMUTATION + "; the closure witness is read off the quotient map"),
+    ("bimodule.py", "quotient_bimodule", {"_basis_quotient", "_closure_witness"},
+     {"mul_id_kron", "mul_kron_id", "solve"},
+     "a certified basis reads the quotient kept on it, and any other input runs the closure "
+     "witness, read off the quotient map, and keeps nothing"),
+    ("bimodule.py", "_basis_quotient", {"@_memo", "_quotient_by_maps"},
+     {"_closure_witness", "mul_id_kron", "mul_kron_id", "solve"},
+     "the quotient by a certified basis is built once per basis, with no witness"),
+    ("bimodule.py", "_quotient_by_maps", {"_mul_section"},
+     {"quotient_maps", "mul_id_kron", "mul_kron_id", "solve"}, PERMUTATION),
     ("bimodule.py", "saturate_subspace", set(), {"solve", "loop"},
      "A . V . A is two products; the fixpoint loop it replaced is a test oracle"),
     *(("bimodule.py", name, set(), {"solve"},
@@ -238,19 +245,25 @@ PINS = [
      "answer, and never multiplied or subtracted from the left"),
     ("prolong.py", "_right_action", set(), {"kronecker"},
      "the right action is written entry by entry"),
-    ("scalars.py", "verify_poset_adjunction", {"_pushed_kernel", "_pulled_kernel"},
+    ("scalars.py", None, set(), {"quotient_maps", "import quotient_maps"},
+     "transport builds every quotient map inside quotient_bimodule, which keeps the quotient "
+     "by a certified kernel on it: no second quotient map of one pulled kernel"),
+    ("scalars.py", "verify_poset_adjunction",
+     {"_pushed_kernel", "_pulled_kernel", "quotient_bimodule"},
      {"calc_pushforward", "calc_pullback", "quotient_calculus", "universal_map",
-      "quotient_maps", "saturate_subspace", "preimage_basis"},
-     "the adjunction compares the kept pushed and pulled kernels through the kept quotient "
-     "map of each sup, builds no calculus, and builds no f_u, saturation, preimage or "
-     "quotient map itself"),
-    *(("scalars.py", name, {"@_memo"}, set(),
+      "saturate_subspace", "preimage_basis"},
+     "the adjunction compares the kept pushed and pulled kernels through phi of t and the "
+     "projection of the quotient kept on each pulled kernel, builds no calculus, and builds "
+     "no f_u, saturation or preimage itself"),
+    *(("scalars.py", name, {"@_memo"}, {"quotient_bimodule", "quotient_calculus"},
        "a pushed or pulled kernel is built once per (map, calculus) pair and read by the "
-       "push or pull and by the adjunction") for name in ("_pushed_kernel", "_pulled_kernel")),
-    ("scalars.py", "calc_pushforward", {"@_memo", "_pushed_kernel"}, set(),
+       "push or pull and by the adjunction; it is the kernel alone, and no projection is "
+       "kept beside it") for name in ("_pushed_kernel", "_pulled_kernel")),
+    ("scalars.py", "calc_pushforward", {"@_memo", "_pushed_kernel", "quotient_calculus"}, set(),
      "push quotients by the kernel the adjunction compares, once per (map, calculus) pair"),
-    ("scalars.py", "calc_pullback", {"@_memo", "_pulled_kernel"}, set(),
-     "pull quotients by the kernel the adjunction compares, once per (map, calculus) pair"),
+    ("scalars.py", "calc_pullback", {"@_memo", "_pulled_kernel", "quotient_calculus"}, set(),
+     "pull quotients by the kernel the adjunction compares, on the quotient kept on it, once "
+     "per (map, calculus) pair"),
     ("scalars.py", "universal_map", {"@_memo"}, KERNEL_ROUTE,
      "f_u is " + CLOSED_FORM + ", built once per map for every pushed and pulled kernel"),
     ("fodc.py", None, set(), {"kronecker"},
@@ -457,6 +470,103 @@ def test_the_enumeration_eliminates_rows():
     done = facts(function_node(parsed("fodc.py"), "_closed_subspaces"))
     assert "_row_span" in done
     assert not done & {"image_basis", "select_cols"}
+
+
+# The functions that put a value on an instance other than self, with what
+# they put there: _certified the fields of the value it builds, _mat the
+# four slots of the matrix it builds, and _memo, the one memo, its kept
+# values and the name of each wrapper's slot.  Every other kept value goes
+# through _memo.
+KEEPERS = {("linalg.py", "_certified"), ("linalg.py", "_mat"), ("linalg.py", "_memo")}
+
+
+def hand_kept(source: str) -> list[tuple[str, str]]:
+    """(function, what) for each attribute a top-level function or a method
+    assigns on anything but self, each setattr call and each read of a
+    __dict__, a nested function counted with the one it is in."""
+    found = []
+    tree = ast.parse(source)
+    functions = [(n.name, n) for n in tree.body if isinstance(n, ast.FunctionDef)]
+    functions += [(f"{c.name}.{n.name}", n) for c in tree.body if isinstance(c, ast.ClassDef)
+                  for n in c.body if isinstance(n, ast.FunctionDef)]
+    for name, fn in functions:
+        for n in ast.walk(fn):
+            if (isinstance(n, ast.Attribute) and isinstance(n.ctx, (ast.Store, ast.Del))
+                    and not (isinstance(n.value, ast.Name) and n.value.id == "self")):
+                found.append((name, ast.unparse(n)))
+            elif isinstance(n, ast.Attribute) and n.attr == "__dict__":
+                found.append((name, ast.unparse(n)))
+            elif isinstance(n, ast.Call) and "setattr" in ast.unparse(n.func):
+                found.append((name, ast.unparse(n.func)))
+    return found
+
+
+def test_no_value_is_kept_by_hand():
+    found = [(path.name, fn, what) for path in MODULES for fn, what in hand_kept(path.read_text())
+             if (path.name, fn) not in KEEPERS]
+    assert found == []
+    keepers = {(path.name, fn) for path in MODULES for fn, _what in hand_kept(path.read_text())}
+    assert keepers == KEEPERS
+
+
+def test_a_value_kept_by_hand_is_seen():
+    source = ("def f(basis, q):\n"
+              "    basis.quotient = q\n"
+              "    setattr(basis, 'q', q)\n"
+              "    object.__setattr__(basis, 'q', q)\n"
+              "    basis.__dict__['q'] = q\n"
+              "class C:\n"
+              "    def g(self, x):\n"
+              "        self.x = x\n"
+              "        del x.y\n")
+    assert hand_kept(source) == [("f", "basis.quotient"), ("f", "setattr"),
+                                 ("f", "object.__setattr__"), ("f", "basis.__dict__"),
+                                 ("C.g", "x.y")]
+
+
+def memoized(tree: ast.Module, module: str) -> set[str]:
+    """module.function for each top-level @_memo function and
+    module.Class.name for each functools.cached_property."""
+    def decorated(nodes, name):
+        return [n.name for n in nodes if isinstance(n, ast.FunctionDef)
+                and any(ast.unparse(d).split(".")[-1] == name for d in n.decorator_list)]
+
+    return ({f"{module}.{f}" for f in decorated(tree.body, "_memo")}
+            | {f"{module}.{c.name}.{f}" for c in tree.body if isinstance(c, ast.ClassDef)
+               for f in decorated(c.body, "cached_property")})
+
+
+def memo_table(text: str) -> list[str]:
+    """The code span of the function column of each row of the README's
+    memo table, the one whose header starts `| value | function |`."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| value | function |"))
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows += re.findall(r"`([^`]+)`", line.split("|")[2])
+    return rows
+
+
+def test_every_memo_has_its_row_in_the_readme():
+    # a memo added or removed without its row in the table fails
+    table = memo_table(README)
+    found = set().union(*(memoized(parsed(path.name), path.stem) for path in MODULES))
+    assert len(table) == len(set(table))
+    assert set(table) == found
+    assert {"bimodule._basis_quotient", "hopf.HopfCalculus._transposes",
+            "prolong.MaximalProlongation.from_universal"} <= found
+
+
+def test_a_memo_missing_from_the_table_is_seen():
+    source = ("@_memo\ndef kept(a):\n    pass\n"
+              "def plain(a):\n    pass\n"
+              "class C:\n    @functools.cached_property\n    def lazy(self):\n        pass\n")
+    assert memoized(ast.parse(source), "m") == {"m.kept", "m.C.lazy"}
+    text = ("| value | function | owner instance | key | lifetime |\n|---|---|---|---|---|\n"
+            "| x | `m.kept` | `A` | it | its |\n\nprose `m.C.lazy`\n")
+    assert memo_table(text) == ["m.kept"]
 
 
 def test_every_mutant_text_occurs_once():

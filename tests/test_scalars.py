@@ -52,7 +52,7 @@ from oracles import (
     universal_map_functorial,
     universal_map_is_bimodule_map,
 )
-from oracle_algebras import ORACLE_MAPS, first_proper_quotients
+from oracle_algebras import ORACLE_MAPS, first_proper_quotients, oracle_calculi
 
 
 def load_y_to_x2(qy2, qx4):
@@ -343,9 +343,11 @@ def test_poset_adjunction_along_surjection(qx4, qx2):
 def test_transport_builds_the_universal_calculus_of_one_algebra(monkeypatch, qy2, qx4):
     # ker(Omega_u -> c) is read off phi of c: a push builds only Omega_u of
     # the target, a pull only that of the source, and the adjunction check
-    # none besides those of its pushes and pulls.  The maps are loaded here,
-    # so no transport kept on a shared map hides a build; along the map of
-    # the push and the pull, the adjunction reads their kept kernels
+    # none besides those of its pushes and pulls.  A push or pull asks for
+    # it twice, for its kernel and for its quotient, and the memoized
+    # universal_calculus builds it once.  The maps are loaded here, so no
+    # transport kept on a shared map hides a build; along the map of the
+    # push and the pull, the adjunction reads their kept kernels
     built = []
 
     def counting(a):
@@ -356,13 +358,13 @@ def test_transport_builds_the_universal_calculus_of_one_algebra(monkeypatch, qy2
     f, g = load_y_to_x2(qy2, qx4), load_y_to_x2(qy2, qx4)
     c, t = kahler_calculus(qy2), kahler_calculus(qx4)
     assert calc_pushforward(f, c).alg == qx4
-    assert built == [qx4]
+    assert built == [qx4, qx4]
     assert calc_pullback(f, t).alg == qy2
-    assert built == [qx4, qy2]
+    assert built == [qx4, qx4, qy2, qy2]
     assert verify_poset_adjunction(g, [c], [t])["all_agree"]
-    assert built == [qx4, qy2, qx4, qy2]
+    assert built == [qx4, qx4, qy2, qy2, qx4, qy2]
     assert verify_poset_adjunction(f, [c], [t])["all_agree"]
-    assert built == [qx4, qy2, qx4, qy2]
+    assert built == [qx4, qx4, qy2, qy2, qx4, qy2]
 
 
 def test_transport_refuses_a_calculus_over_the_wrong_algebra(y_to_x2, qy2, qx4):
@@ -441,19 +443,20 @@ def transports(f, cs, ts):
 
 def test_a_repeated_transport_builds_nothing(calls_of, qy2, qx4):
     # the first round along a map builds f_u, the saturations, the preimages
-    # and the quotient maps; a second round returns the same calculi and an
-    # equal report in new containers, and builds none of them
+    # and the quotient maps, each of which bimodule or linalg builds; a
+    # second round returns the same calculi and an equal report in new
+    # containers, and builds none of them
     f = load_y_to_x2(qy2, qx4)
     cs, ts = canonical_calculi(qy2), canonical_calculi(qx4)
     calls = [calls_of(scalars, "universal_map"), calls_of(scalars, "saturate_subspace"),
-             calls_of(scalars, "preimage_basis"), calls_of(scalars, "quotient_maps"),
-             calls_of(bimodule, "quotient_maps"), calls_of(linalg, "quotient_maps")]
+             calls_of(scalars, "preimage_basis"), calls_of(bimodule, "quotient_maps"),
+             calls_of(linalg, "quotient_maps")]
     pushed, pulled, report = transports(f, cs, ts)
     assert all(calls)
     for seen in calls:
         seen.clear()
     again_pushed, again_pulled, again = transports(f, cs, ts)
-    assert calls == [[], [], [], [], [], []]
+    assert calls == [[], [], [], [], []]
     assert all(a is b for a, b in zip(pushed + pulled, again_pushed + again_pulled))
     assert again == report and again is not report
     assert again["pairs"] is not report["pairs"]
@@ -538,7 +541,74 @@ def test_kept_transport_equals_transport_along_a_fresh_copy(name):
     for a, b in zip(kept[0] + kept[1], fresh[0] + fresh[1]):
         assert a is not b and (a.omega, a.d) == (b.omega, b.d) and _kernel(a) == _kernel(b)
     assert kept[2] == again[2] == fresh[2]
-    # the adjunction reads each pulled kernel through the quotient map kept
-    # with it, which is the projection the pullback records as phi
+    # the adjunction reads each pulled kernel P through the projection of
+    # the quotient kept on P, and the pullback records that very projection
+    # as its phi
     for t, pulled in zip(ts, kept[1]):
-        assert scalars._pulled_kernel(f, t)[2] == _phi(pulled)
+        p = scalars._pulled_kernel(f, t)
+        assert vars(p)[bimodule._basis_quotient.slot][1].matrix is _phi(pulled)
+
+
+# ---------------------------------------------------------------------------
+# one quotient map per pulled kernel
+# ---------------------------------------------------------------------------
+
+def quotient_map_calls(calls_of) -> list[list]:
+    """The calls of quotient_maps in every library module that binds it."""
+    modules = [importlib.import_module(f"omegacalc.{m.name}")
+               for m in pkgutil.iter_modules(omegacalc.__path__)]
+    return [calls_of(module, "quotient_maps") for module in modules
+            if hasattr(module, "quotient_maps")]
+
+
+@pytest.mark.parametrize("name", ORACLE_MAPS)
+def test_a_cold_pull_builds_two_quotient_maps(name, calls_of):
+    # with Omega_u of the source and ker phi of each target built, a pull
+    # along a fresh map builds the quotient map of ker(Omega_u(B) -> t) for
+    # the preimage and that of the pulled kernel for its quotient, once:
+    # 2 per target calculus
+    f = ORACLE_MAPS[name]()
+    ts = transport_family(f.target)
+    universal_calculus(f.source)
+    for t in ts:
+        _kernel(t)
+    calls = quotient_map_calls(calls_of)
+    for t in ts:
+        calc_pullback(f, t)
+    assert sum(map(len, calls)) == 2 * len(ts)
+
+
+@pytest.mark.parametrize("name", ORACLE_MAPS)
+def test_a_pull_after_the_adjunction_builds_no_quotient_map(name, calls_of):
+    # the adjunction reads the projection onto F* t off the quotient kept on
+    # the pulled kernel, and the pull builds its calculus on that quotient
+    f = ORACLE_MAPS[name]()
+    cs, ts = transport_family(f.source), transport_family(f.target)
+    assert verify_poset_adjunction(f, cs, ts)["all_agree"]
+    calls = quotient_map_calls(calls_of)
+    pulled = [calc_pullback(f, t) for t in ts]
+    assert sum(map(len, calls)) == 0
+    for t, result in zip(ts, pulled):
+        p = scalars._pulled_kernel(f, t)
+        kept = vars(p)[bimodule._basis_quotient.slot]
+        assert _kernel(result) is p and _phi(result) is kept[1].matrix
+
+
+# the isomorphisms among the oracle maps, with the name oracle_calculi
+# takes for their source
+ISOMORPHISMS = {"transpose: M2(Q) -> M2(Q)^op": "m2q", "qx3 -> qx3 in the basis x, 1, x^2": "qx3",
+                **{name: name.removeprefix("identity of ") for name in ORACLE_MAPS
+                   if name.startswith("identity of ")}}
+
+
+@pytest.mark.parametrize("name", ISOMORPHISMS)
+def test_pulling_back_a_pushed_calculus_along_an_isomorphism_returns_it(name):
+    # F* F_! c = c when F is invertible; the pull reads f_u^{-1} of the
+    # pushed kernel, a saturation already keeping its quotient from the push
+    f = ORACLE_MAPS[name]()
+    assert rank(f.matrix) == f.source.dim == f.target.dim
+    cs = list(oracle_calculi(ISOMORPHISMS[name], f.source).values())
+    for c in cs:
+        assert _kernel(calc_pullback(f, calc_pushforward(f, c))) == _kernel(c)
+    ts = cs if f.target is f.source else list(oracle_calculi("target", f.target).values())
+    assert verify_poset_adjunction(f, cs, ts)["all_agree"]

@@ -24,6 +24,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,6 +71,8 @@ UNCERTIFIED_WITNESS = ("tests/test_fodc.py -k "
 FOREIGN_CERTIFICATE = "tests/test_fodc.py -k basis_certified_for_another_bimodule_is_checked"
 FOREIGN_QUOTIENT = ("tests/test_bimodule.py -k "
                     "foreign_member_is_checked_and_keeps_only_its_own_quotient")
+QUOTIENT_MEMO = "tests/test_bimodule.py -k quotient_by_a_certified_member_is_built_once"
+CHECK_FODC_RANK = "tests/test_fodc.py -k test_generalized_calculus_type"
 LATTICE_MEMO = "tests/test_fodc.py -k lattice_is_built_once_per_bimodule"
 GALOIS_NUMBER = "tests/test_fodc.py -k exhaustive_enumeration_is_every_subspace_of_a_vector_space"
 PIN_TABLE = "tests/test_hygiene.py::test_pin"
@@ -222,20 +225,31 @@ MUTANTS = [
      GALOIS_NUMBER),
     # quotient_bimodule skipping the closure witness for a basis certified
     # for any bimodule (the ambient identity test dropped), and for a bare
-    # Mat (the witness run on no Mat at all); and reading the quotient kept
-    # on a certified basis without asking whether it is this bimodule's
+    # Mat (the witness run on no Mat at all); returning, once the witness
+    # passes, the quotient kept on a certified basis without asking whether
+    # it is this bimodule's; and keeping the quotient by a certified basis
+    # in a table on its ambient instead of on the basis
     ("src/omegacalc/bimodule.py",
      "isinstance(sub_canonical, _ClosedBasis) and sub_canonical.ambient is m",
      "isinstance(sub_canonical, _ClosedBasis)",
      FOREIGN_CERTIFICATE),
     ("src/omegacalc/bimodule.py",
-     "    if not certified:\n",
-     "    if not isinstance(sub_canonical, Mat):\n",
+     "    witness = _closure_witness(",
+     "    witness = None if isinstance(sub_canonical, Mat) else _closure_witness(",
      UNCERTIFIED_WITNESS),
     ("src/omegacalc/bimodule.py",
-     "    if certified and sub_canonical.quotient is not None:\n",
-     "    if isinstance(sub_canonical, _ClosedBasis) and sub_canonical.quotient is not None:\n",
+     "    return _quotient_by_maps(m, q, s, q_left, q_right)\n",
+     "    if isinstance(sub_canonical, _ClosedBasis):\n"
+     "        return _basis_quotient(sub_canonical)\n"
+     "    return _quotient_by_maps(m, q, s, q_left, q_right)\n",
      FOREIGN_QUOTIENT),
+    ("src/omegacalc/bimodule.py",
+     "        return _basis_quotient(sub_canonical)\n    q, s =",
+     "        kept = m.__dict__.setdefault(_basis_quotient.slot, {})\n"
+     "        if id(sub_canonical) not in kept:\n"
+     "            kept[id(sub_canonical)] = _basis_quotient.__wrapped__(sub_canonical)\n"
+     "        return kept[id(sub_canonical)]\n    q, s =",
+     QUOTIENT_MEMO),
     # the public enumeration handing out the memoized lattice itself
     ("src/omegacalc/fodc.py",
      "    return list(_closed_subspaces(m))\n",
@@ -245,26 +259,26 @@ MUTANTS = [
     ("src/omegacalc/fodc.py",
      "    left_rank = rank(one_d)",
      "    left_rank = omega.dim",
-     "tests/test_fodc.py"),
+     CHECK_FODC_RANK),
     # the memo: one module-level slot per function instead of one per
     # instance, the recorded kernel taken for a quotient of any calculus, and
     # the identity recorded as phi of a quotient of the universal calculus
-    ("src/omegacalc/fodc.py",
+    ("src/omegacalc/linalg.py",
      "        kept = x.__dict__\n",
      "        kept = _memo.__dict__\n",
      MEMO_ORACLE),
     # the pair memo of transport keyed by the calculus's algebra instead of
     # the calculus, in a plain dict instead of the weak table, and in one
     # module-level table instead of one per map
-    ("src/omegacalc/fodc.py",
+    ("src/omegacalc/linalg.py",
      "            (key,) = y\n",
      "            key = y[0].alg\n",
      PAIR_KEY),
-    ("src/omegacalc/fodc.py",
+    ("src/omegacalc/linalg.py",
      "kept[slot] = WeakKeyDictionary()",
      "kept[slot] = {}",
      PAIR_WEAK),
-    ("src/omegacalc/fodc.py",
+    ("src/omegacalc/linalg.py",
      "            if slot not in kept:\n"
      "                kept[slot] = WeakKeyDictionary()\n"
      "            kept = kept[slot]\n",
@@ -419,16 +433,21 @@ def main() -> int:
                 print(f"unmutated copy fails: {selection}")
                 return 1
         survivors = 0
+        total = 0.0
         for path, text, new, selection in MUTANTS:
             target = tree / path
             original = target.read_text()
             target.write_text(original.replace(text, new))
+            start = time.perf_counter()
             killed = not passes(tree, selection)
+            seconds = time.perf_counter() - start
+            total += seconds
             target.write_text(original)
             survivors += not killed
             first_line = text.strip().splitlines()[0]
-            print(f"{'killed ' if killed else 'SURVIVED'} {path}: {first_line}")
-    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+            print(f"{'killed ' if killed else 'SURVIVED'} {seconds:5.1f} s {path}: {first_line}")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed, "
+          f"{total:.1f} s in their selections")
     return 1 if survivors else 0
 
 
