@@ -1,9 +1,9 @@
 """Finite-dimensional unital associative algebras given by structure constants.
 
 An algebra is the data (field, dim, basis labels, structure tensor, unit
-coordinates) with e_i * e_j = sum_k c[i][j][k] e_k.  The structure tensor is
-the single source of truth; all axiom checks are matrix identities on the
-multiplication matrix m: A(x)A -> A.
+coordinates) with e_i * e_j = sum_k c[i][j][k] e_k, kept only as the
+multiplication matrix m: A(x)A -> A (`mult_mat`), the single source of
+truth: every axiom check, equality, commutativity and the JSON form read m.
 """
 
 from __future__ import annotations
@@ -89,8 +89,6 @@ class Algebra:
         self.mult_mat = _mult_matrix(field, dim, mult)  # checks the shape of mult first
         self.field = field
         self.dim = dim
-        cols = self.mult_mat.columns()
-        self.mult = [cols[i * dim:(i + 1) * dim] for i in range(dim)]
         self.unit = [field.coerce(x) for x in unit]
         if basis_labels is None:
             basis_labels = [f"e{i}" for i in range(dim)]
@@ -105,11 +103,10 @@ class Algebra:
             raise AxiomError(report)
 
     def __eq__(self, other):
+        # equal matrices have equal fields and shapes
         return (
             isinstance(other, Algebra)
-            and self.field == other.field
-            and self.dim == other.dim
-            and self.mult == other.mult
+            and self.mult_mat == other.mult_mat
             and self.unit == other.unit
         )
 
@@ -118,21 +115,29 @@ class Algebra:
 
 
 def is_commutative(a: Algebra) -> bool:
-    return mul_swap(a.mult_mat, a.dim, a.dim) == a.mult_mat
+    return commutativity_witness(a) is None
 
 
 def commutativity_witness(a: Algebra):
-    """A pair (i, j) with e_i e_j != e_j e_i, or None."""
-    for i in range(a.dim):
-        for j in range(i + 1, a.dim):
-            if a.mult[i][j] != a.mult[j][i]:
+    """The first pair (i, j), i < j, with e_i e_j != e_j e_i, or None."""
+    n, products = a.dim, a.mult_mat.transpose().data
+    for i in range(n):
+        for j in range(i + 1, n):
+            if products[i * n + j] != products[j * n + i]:
                 return (i, j)
     return None
 
 
+def _tensor(m: Mat) -> list:
+    """The structure tensor c[i][j] of the multiplication matrix m."""
+    n, cols = m.rows, m.columns()
+    return [cols[i * n:(i + 1) * n] for i in range(n)]
+
+
 def opposite(a: Algebra) -> Algebra:
-    mult = [[a.mult[j][i] for j in range(a.dim)] for i in range(a.dim)]
-    return Algebra(a.field, a.dim, mult, a.unit, [lb + "^op" for lb in a.basis_labels])
+    # e_i e_j in A^op is e_j e_i: m with its columns relabelled by the swap
+    return Algebra(a.field, a.dim, _tensor(mul_swap(a.mult_mat, a.dim, a.dim)), a.unit,
+                   [lb + "^op" for lb in a.basis_labels])
 
 
 class AlgMap:
@@ -263,11 +268,9 @@ def build_square_zero(a: Algebra, m) -> Algebra:
     dim = n + d
     zero = field.zero()
     mult = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            coords = a.mult[i][j]
-            for k in range(n):
-                mult[i][j][k] = coords[k]
+    for k, row in enumerate(a.mult_mat.data):
+        for col, x in row.items():
+            mult[col // n][col % n][k] = x
     for i in range(n):
         for u in range(d):
             coords = m.left_action_coords(i, u)

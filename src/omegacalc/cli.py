@@ -14,30 +14,31 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from .algebra import Algebra, AxiomError
 from .bimodule import saturate_subspace
-from .derham import CochainComplex, cohomology, de_rham, de_rham_comparison
+from .derham import de_rham, de_rham_comparison
 from .fodc import (
     FirstOrderCalculus,
     PreconditionError,
     quotient_calculus,
     universal_calculus,
 )
-from .hopf import bicovariance_check
+from .hopf import Bimonoid, bicovariance_check
 from .io import (
     algebra_from_json,
     bimonoid_from_json,
     dump_json,
     load_json,
     mat_to_lists,
-    morphism_from_json,
+    morphism_from_matrix,
     relations_from_json,
 )
 from .kahler import kahler_calculus
 from .linalg import EngineError, LinAlgError, Mat
-from .prolong import GradedCalculus, maximal_prolongation, universal_prolongation
+from .prolong import maximal_prolongation, universal_prolongation
 from .scalars import calc_pullback, calc_pushforward
 
 EXIT_OK = 0
@@ -102,6 +103,12 @@ def _parse_algebra(doc) -> Algebra:
         raise _Failure(EXIT_COMPUTE, {"error": "algebra axioms fail", "violations": exc.report})
     except (LinAlgError, KeyError, TypeError, ValueError) as exc:
         raise _Failure(EXIT_COMPUTE, {"error": f"bad algebra file: {exc}"})
+
+
+def _algebra_at(spec, base: Path) -> Algebra:
+    """The algebra a spec inside a file names: the spec itself, or the file
+    at the path it gives, relative to base, the directory of that file."""
+    return _parse_algebra(_read(base / spec) if isinstance(spec, str) else spec)
 
 
 def _load_calculus(spec: str, alg: Algebra, base: Path) -> FirstOrderCalculus:
@@ -241,22 +248,17 @@ def _cmd_kahler(args) -> dict:
     }
 
 
-def _guarded_prolongation(alg: Algebra, spec: str, max_degree: int, force: bool,
-                          base: Path) -> GradedCalculus:
-    """The universal prolongation, or the maximal prolongation of the calculus
-    that spec names, once the dimension guard passes."""
-    if spec == "universal":
-        _dim_guard(alg, max_degree, force)
-        return universal_prolongation(alg, max_degree)
-    calc = _load_calculus(spec, alg, base)
-    _dim_guard(alg, max_degree, force, calc.dim)
-    return maximal_prolongation(calc, max_degree)
-
-
 def _cmd_prolong(args) -> dict:
     alg, _ = _load_algebra(args.algebra)
-    base = Path(args.algebra).resolve().parent
-    graded = _guarded_prolongation(alg, args.calculus, args.max_degree, args.force, base)
+    # the universal prolongation, or the maximal prolongation of the calculus
+    # named, once the dimension guard passes
+    if args.calculus == "universal":
+        _dim_guard(alg, args.max_degree, args.force)
+        graded = universal_prolongation(alg, args.max_degree)
+    else:
+        calc = _load_calculus(args.calculus, alg, Path(args.algebra).resolve().parent)
+        _dim_guard(alg, args.max_degree, args.force, calc.dim)
+        graded = maximal_prolongation(calc, args.max_degree)
     out = {"dims": graded.dims, "max_degree": graded.max_degree}
     if args.matrices:
         out["differentials"] = [mat_to_lists(d) for d in graded.diff]
@@ -268,14 +270,12 @@ def _cmd_prolong(args) -> dict:
 
 def _cmd_cohomology(args) -> dict:
     alg, _ = _load_algebra(args.algebra)
-    if args.flavor == "universal":
-        # the closed form builds no prolongation; the guard bounds its
-        # reports, which are as large as the components
-        _dim_guard(alg, args.max_degree, args.force)
-        return {"degrees": _degrees(de_rham(alg, "universal", args.max_degree))}
-    base = Path(args.algebra).resolve().parent
-    graded = _guarded_prolongation(alg, args.flavor, args.max_degree, args.force, base)
-    return {"degrees": _degrees(cohomology(CochainComplex.from_graded(graded)))}
+    # the universal closed form builds no prolongation, and the guard bounds
+    # its reports, which are as large as the components; de_rham reads the
+    # Kaehler calculus that the guard measures from its memo
+    calc_dim = kahler_calculus(alg).dim if args.flavor == "kahler" else None
+    _dim_guard(alg, args.max_degree, args.force, calc_dim)
+    return {"degrees": _degrees(de_rham(alg, args.flavor, args.max_degree))}
 
 
 def _degrees(report) -> list[dict]:
@@ -295,22 +295,14 @@ def _cmd_compare(args) -> dict:
     }
 
 
-def _cmd_extend(args) -> dict:
-    return _transport(args, push=True)
-
-
-def _cmd_restrict(args) -> dict:
-    return _transport(args, push=False)
-
-
 def _transport(args, push: bool) -> dict:
+    doc = _read(args.map)
     base = Path(args.map).resolve().parent
     try:
-        fmap = morphism_from_json(load_json(args.map), base)
+        source, target = (_algebra_at(doc[end], base) for end in ("source", "target"))
+        fmap = morphism_from_matrix(source, target, doc["matrix"])
     except AxiomError as exc:
         raise _Failure(EXIT_COMPUTE, {"error": "morphism axioms fail", "violations": exc.report})
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _Failure(EXIT_USAGE, {"error": f"cannot read {args.map}: {exc}"})
     except KeyError as exc:
         raise _Failure(EXIT_USAGE, {"error": f"malformed map file {args.map}: missing {exc}"})
     except TypeError as exc:
@@ -321,8 +313,7 @@ def _transport(args, push: bool) -> dict:
     if not isinstance(calc_doc, dict) or "algebra" not in calc_doc:
         raise _Failure(EXIT_USAGE, {"error": f"calculus file {args.calculus} has no 'algebra'"})
     calc_base = Path(args.calculus).resolve().parent
-    alg = _parse_algebra(calc_doc["algebra"]) if not isinstance(calc_doc["algebra"], str) \
-        else _load_algebra(str(calc_base / calc_doc["algebra"]))[0]
+    alg = _algebra_at(calc_doc["algebra"], calc_base)
     expected = fmap.source if push else fmap.target
     if alg != expected:
         raise _Failure(EXIT_PRECONDITION, {
@@ -353,27 +344,27 @@ def _transport(args, push: bool) -> dict:
     }
 
 
-def _cmd_hopf_check(args) -> dict:
-    alg, doc = _load_algebra(args.algebra)
+def _load_bimonoid(path: str, failed: dict) -> Bimonoid:
+    """The bimonoid in an algebra file with comult and counit fields; one
+    that fails its axioms is the failure failed, with the violations."""
+    alg, doc = _load_algebra(path)
     if "comult" not in doc or "counit" not in doc:
         raise _Failure(EXIT_PRECONDITION, {"error": "file has no comult/counit fields"})
     try:
-        bimonoid_from_json(doc, alg)
+        return bimonoid_from_json(doc, alg)
     except AxiomError as exc:
-        raise _Failure(EXIT_COMPUTE, {"valid": False, "violations": exc.report})
+        raise _Failure(EXIT_COMPUTE, {**failed, "violations": exc.report})
+
+
+def _cmd_hopf_check(args) -> dict:
+    _load_bimonoid(args.algebra, {"valid": False})
     return {"valid": True, "violations": []}
 
 
 def _cmd_bicovariant(args) -> dict:
-    alg, doc = _load_algebra(args.algebra)
-    if "comult" not in doc or "counit" not in doc:
-        raise _Failure(EXIT_PRECONDITION, {"error": "file has no comult/counit fields"})
-    try:
-        h = bimonoid_from_json(doc, alg)
-    except AxiomError as exc:
-        raise _Failure(EXIT_COMPUTE, {"error": "bimonoid axioms fail", "violations": exc.report})
+    h = _load_bimonoid(args.algebra, {"error": "bimonoid axioms fail"})
     base = Path(args.algebra).resolve().parent
-    calc = _quotient_from_file(alg, base, args.relations)
+    calc = _quotient_from_file(h.alg, base, args.relations)
     result = bicovariance_check(h, calc)
     out = {
         "bicovariant": result["bicovariant"],
@@ -430,11 +421,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--force", action="store_true")
 
-    p = add("extend", _cmd_extend, help="push a calculus forward along an algebra map")
+    p = add("extend", partial(_transport, push=True),
+            help="push a calculus forward along an algebra map")
     p.add_argument("--map", required=True)
     p.add_argument("--calculus", required=True)
 
-    p = add("restrict", _cmd_restrict, help="pull a calculus back along an algebra map")
+    p = add("restrict", partial(_transport, push=False),
+            help="pull a calculus back along an algebra map")
     p.add_argument("--map", required=True)
     p.add_argument("--calculus", required=True)
 

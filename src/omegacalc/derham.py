@@ -21,7 +21,7 @@ the construction that built it.
 from __future__ import annotations
 
 from .algebra import Algebra
-from .fodc import PreconditionError
+from .fodc import PreconditionError, _unit_pivot
 from .kahler import kahler_calculus
 from .linalg import (
     EngineError,
@@ -124,7 +124,7 @@ def _universal_de_rham(a: Algebra, max_degree: int) -> CohomologyReport:
     if max_degree < 1:
         raise PreconditionError("max degree must be at least 1")
     f, n = a.field, a.dim
-    pivot = next((i for i, x in enumerate(a.unit) if x), None)
+    pivot = _unit_pivot(a)
     if pivot is None:
         # the zero algebra: every component is zero, and so is every H
         zero = Mat.zeros(f, 0, 0)
@@ -142,7 +142,8 @@ def _universal_de_rham(a: Algebra, max_degree: int) -> CohomologyReport:
                                     Mat.zeros(f, q.rows, 0)))
     # Certificate that these are the reports `cohomology` returns on the
     # universal prolongation, with u the unit and p its pivot, the first
-    # coordinate with u_p != 0 (fodc._unit_complement's):
+    # coordinate with u_p != 0, read from fodc._unit_pivot as the universal
+    # calculus reads it:
     # 1. Omega_u^k = A (x) A-bar^(x)k and d(a0 (x) w) = u (x) pi(a0) (x) w
     #    (prolong.universal_prolongation), with pi: A ->> A-bar and
     #    ker pi = k.u.  So ker d^0 = k.u, and d^(k-1) maps onto

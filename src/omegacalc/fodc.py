@@ -148,6 +148,11 @@ class UniversalCalculus(FirstOrderCalculus):
         raise TypeError("UniversalCalculus is built only by universal_calculus(a)")
 
 
+def _unit_pivot(a: Algebra) -> int | None:
+    """p, the unit's first nonzero coordinate, or None on the zero algebra."""
+    return next((i for i, x in enumerate(a.unit) if x), None)
+
+
 @_memo
 def _unit_complement(a: Algebra) -> tuple[tuple[int, ...], Mat]:
     """The coordinates of A-bar, every one but the unit's pivot p, and
@@ -155,7 +160,7 @@ def _unit_complement(a: Algebra) -> tuple[tuple[int, ...], Mat]:
     algebra has no pivot, so A-bar = 0 there and every component above
     degree 0 is zero."""
     f = a.field
-    pivot = next((i for i, x in enumerate(a.unit) if x), None)
+    pivot = _unit_pivot(a)
     if pivot is None:
         return (), Mat.zeros(f, 0, 0)
     bar = tuple(j for j in range(a.dim) if j != pivot)

@@ -2,7 +2,8 @@
 
 Scalars travel as canonical strings ("a/b" reduced with positive denominator
 over Q, decimal in [0, p) over GF(p)); all dumps sort keys so identical
-inputs produce byte-identical output.
+inputs produce byte-identical output.  Only `load_json` reads a file; the
+CLI decides which file a path inside a document names.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .algebra import Algebra, AlgMap, is_cube
+from .algebra import Algebra, AlgMap, _tensor, is_cube
 from .bimodule import Bimodule
 from .hopf import Bimonoid
 from .linalg import Field, LinAlgError, Mat, field_from_json, field_to_json
@@ -34,8 +35,8 @@ def algebra_to_json(a: Algebra, comult: Mat | None = None, counit: Mat | None = 
         "dim": a.dim,
         "basis": list(a.basis_labels),
         "mult": [
-            [[a.field.format(x) for x in a.mult[i][j]] for j in range(a.dim)]
-            for i in range(a.dim)
+            [[a.field.format(x) for x in col] for col in block]
+            for block in _tensor(a.mult_mat)
         ],
         "unit": [a.field.format(x) for x in a.unit],
     }
@@ -85,20 +86,15 @@ def bimonoid_from_json(doc: dict, alg: Algebra | None = None) -> Bimonoid:
     return Bimonoid(a, comult, counit)
 
 
-def morphism_from_json(doc: dict, base: Path | None = None) -> AlgMap:
-    src = _resolve_algebra(doc["source"], base)
-    dst = _resolve_algebra(doc["target"], base)
-    matrix = _mat_from_lists(dst.field, doc["matrix"], dst.dim, src.dim)
-    return AlgMap(src, dst, matrix)
+def morphism_from_json(doc: dict) -> AlgMap:
+    """A map document with inline source and target algebras."""
+    return morphism_from_matrix(algebra_from_json(doc["source"]),
+                                algebra_from_json(doc["target"]), doc["matrix"])
 
 
-def _resolve_algebra(spec, base: Path | None) -> Algebra:
-    if isinstance(spec, str):
-        path = Path(spec)
-        if base is not None and not path.is_absolute():
-            path = base / path
-        return algebra_from_json(load_json(path))
-    return algebra_from_json(spec)
+def morphism_from_matrix(source: Algebra, target: Algebra, rows) -> AlgMap:
+    """The algebra map source -> target whose matrix has the given rows."""
+    return AlgMap(source, target, _mat_from_lists(target.field, rows, target.dim, source.dim))
 
 
 def bimodule_from_json(doc: dict) -> Bimodule:

@@ -78,8 +78,8 @@ def kahler_calculus(a: Algebra) -> FirstOrderCalculus:
     """Omega_u / I^2 of a commutative algebra, with its recorded phi, kernel
     N and section, built once per algebra instance (`_memo`; a refusal is not
     kept)."""
-    if not is_commutative(a):
-        i, j = commutativity_witness(a)
+    if (witness := commutativity_witness(a)) is not None:
+        i, j = witness
         raise PreconditionError(
             f"algebra is not commutative: e{i}*e{j} != e{j}*e{i}"
         )

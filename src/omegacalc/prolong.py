@@ -87,8 +87,10 @@ def _check_wedge(dims: list[int], i: int, j: int, w: Mat) -> None:
 class _Wedges(Mapping):
     """The wedge maps (i, j), i + j <= max_degree, of a graded calculus with
     components of the given dims, each built by make(self, i, j) on its
-    first read, checked against dims and kept in `built`, which may hold
-    some from the start.  make gets the mapping as an argument, so no
+    first read, checked against dims and kept in `built`, which holds (0, 0)
+    and may hold more from the start.  make(i, j) reads (i, j - 1), or
+    (i - 1, 0) where j = 0; a read builds that chain's unbuilt maps in
+    order, so no read recurses.  make gets the mapping as an argument, so no
     reference cycle keeps a calculus alive past its last use."""
 
     def __init__(self, max_degree: int, dims: list[int], built: dict, make):
@@ -98,15 +100,17 @@ class _Wedges(Mapping):
         self._make = make
 
     def __getitem__(self, key):
-        try:
-            return self.built[key]
-        except KeyError:
-            if key not in self._keys:
-                raise
-        w = self._make(self, *key)
-        _check_wedge(self._dims, *key, w)
-        self.built[key] = w
-        return w
+        # the unbuilt maps key reads in turn, back to the first one built
+        chain, read = [], key
+        while read not in self.built and read in self._keys:
+            chain.append(read)
+            i, j = read
+            read = (i, j - 1) if j else (i - 1, 0)
+        for i, j in reversed(chain):
+            w = self._make(self, i, j)
+            _check_wedge(self._dims, i, j, w)
+            self.built[(i, j)] = w
+        return self.built[key]
 
     def __contains__(self, key):
         return key in self._keys

@@ -68,10 +68,35 @@ def load_fixture(name):
     return algebra_from_json(json.loads((FIXTURES / f"{name}.json").read_text()))
 
 
+def structure_tensor(alg):
+    """c[i][j], the coordinates of e_i e_j, read off the multiplication matrix."""
+    n, cols = alg.dim, alg.mult_mat.columns()
+    return [cols[i * n:(i + 1) * n] for i in range(n)]
+
+
+def dense_commutativity_witness(alg):
+    """The first pair (i, j), i < j, with e_i e_j != e_j e_i, or None: the
+    dense loop over the structure tensor that the sparse column comparison
+    of algebra.commutativity_witness replaced."""
+    c = structure_tensor(alg)
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            if c[i][j] != c[j][i]:
+                return (i, j)
+    return None
+
+
+def dense_equal(a, b):
+    """Algebra equality by the dense comparison Algebra.__eq__ replaced:
+    field, dimension, structure tensor and unit."""
+    return (a.field == b.field and a.dim == b.dim
+            and structure_tensor(a) == structure_tensor(b) and a.unit == b.unit)
+
+
 def permuted(alg, perm):
     """alg in the basis e_perm[0], e_perm[1], ..."""
-    n = alg.dim
-    mult = [[[alg.mult[perm[i]][perm[j]][perm[k]] for k in range(n)] for j in range(n)]
+    n, c = alg.dim, structure_tensor(alg)
+    mult = [[[c[perm[i]][perm[j]][perm[k]] for k in range(n)] for j in range(n)]
             for i in range(n)]
     return Algebra(alg.field, n, mult, [alg.unit[p] for p in perm])
 
@@ -83,14 +108,15 @@ def product_algebra(a: Algebra, b: Algebra) -> Algebra:
     dim = a.dim + b.dim
     zero = f.zero()
     mult = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    ca, cb = structure_tensor(a), structure_tensor(b)
     for i in range(a.dim):
         for j in range(a.dim):
             for k in range(a.dim):
-                mult[i][j][k] = a.mult[i][j][k]
+                mult[i][j][k] = ca[i][j][k]
     for i in range(b.dim):
         for j in range(b.dim):
             for k in range(b.dim):
-                mult[a.dim + i][a.dim + j][a.dim + k] = b.mult[i][j][k]
+                mult[a.dim + i][a.dim + j][a.dim + k] = cb[i][j][k]
     unit = list(a.unit) + list(b.unit)
     return Algebra(f, dim, mult, unit)
 

@@ -16,20 +16,27 @@ from omegacalc.algebra import (
 from omegacalc.fodc import universal_calculus
 from omegacalc.linalg import GF, QQ, LinAlgError, Mat, kronecker
 
+from oracle_algebras import (
+    ORACLE_ALGEBRAS,
+    commutative_in_permuted_bases,
+    dense_commutativity_witness,
+    dense_equal,
+    structure_tensor,
+)
 from oracles import regular_bimodule
 
 
 def test_truncated_poly_is_valid(qx2):
-    assert algebra_axiom_report(QQ, 2, qx2.mult, qx2.unit) == []
+    assert algebra_axiom_report(QQ, 2, structure_tensor(qx2), qx2.unit) == []
 
 
 def test_truncated_poly_dim_one_is_field():
     a = build_truncated_poly(QQ, 1)
-    assert a.dim == 1 and a.mult[0][0] == [QQ.one()]
+    assert a.dim == 1 and a.mult_mat.column(0) == [QQ.one()]
 
 
 def test_group_algebra_z2_valid(qz2):
-    assert algebra_axiom_report(QQ, 2, qz2.mult, qz2.unit) == []
+    assert algebra_axiom_report(QQ, 2, structure_tensor(qz2), qz2.unit) == []
 
 
 def test_bad_unit_reports_violations():
@@ -67,6 +74,35 @@ def test_m2q_not_commutative(m2q):
     assert commutativity_witness(m2q) is not None
 
 
+def witness_cases():
+    """Every oracle algebra and its opposite, and every commutative oracle
+    algebra in permuted bases, by name."""
+    cases = dict(ORACLE_ALGEBRAS)
+    cases.update({f"opposite({name})": (lambda build=build: opposite(build()))
+                  for name, build in ORACLE_ALGEBRAS.items()})
+    cases.update(commutative_in_permuted_bases())
+    return cases
+
+
+WITNESS_CASES = witness_cases()
+
+
+@pytest.mark.parametrize("name", WITNESS_CASES)
+def test_commutativity_witness_matches_the_dense_loop(name):
+    alg = WITNESS_CASES[name]()
+    assert commutativity_witness(alg) == dense_commutativity_witness(alg)
+    assert is_commutative(alg) == (dense_commutativity_witness(alg) is None)
+
+
+def test_equality_matches_the_dense_comparison():
+    # every pair, a fresh copy of each included: equal but distinct
+    # instances, permuted bases of one algebra and opposites that coincide
+    algs = [build() for build in WITNESS_CASES.values()]
+    algs += [build() for build in WITNESS_CASES.values()]
+    verdicts = {(a == b, dense_equal(a, b)) for a in algs for b in algs}
+    assert verdicts == {(True, True), (False, False)}
+
+
 def test_opposite_involution(m2q, qx3):
     assert opposite(opposite(m2q)) == m2q
     assert (opposite(m2q) == m2q) is False
@@ -75,7 +111,7 @@ def test_opposite_involution(m2q, qx3):
 
 def test_opposite_passes_axioms(m2q):
     op = opposite(m2q)
-    assert algebra_axiom_report(op.field, op.dim, op.mult, op.unit) == []
+    assert algebra_axiom_report(op.field, op.dim, structure_tensor(op), op.unit) == []
 
 
 def test_identity_map_valid(qs3):
@@ -117,7 +153,7 @@ def test_square_zero_extension(qx2):
     u = universal_calculus(qx2)
     ext = build_square_zero(qx2, u.omega)
     assert ext.dim == 4
-    assert algebra_axiom_report(ext.field, ext.dim, ext.mult, ext.unit) == []
+    assert algebra_axiom_report(ext.field, ext.dim, structure_tensor(ext), ext.unit) == []
 
 
 def test_square_zero_embedded_module_squares_to_zero(qx2):

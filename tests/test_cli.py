@@ -153,6 +153,8 @@ def test_restrict_map_without_source_is_usage_error(capsys, tmp_path):
 ], ids=["source-dim", "target-dim", "source-field", "target-field", "matrix-shape",
         "matrix-int"])
 def test_malformed_map_is_json_error(capsys, tmp_path, command, end, key, value, code):
+    # an endpoint is read by the one algebra resolver, so its defect is an
+    # algebra's; the matrix is the map's own
     fmap = json.loads((FIXTURES / "y_to_x2.json").read_text())
     calc = tmp_path / "calc.json"
     calc_end = "source" if command == "extend" else "target"
@@ -163,10 +165,82 @@ def test_malformed_map_is_json_error(capsys, tmp_path, command, end, key, value,
     got = main([command, "--map", str(bad), "--calculus", str(calc), "--format", "json"])
     captured = capsys.readouterr()
     assert got == code
-    prefix = "bad map file" if code == 1 else "malformed map file"
+    prefix = ("bad algebra file" if end else "bad map file" if code == 1
+              else "malformed map file")
     error = json.loads(captured.out)["error"]
-    assert error.startswith(f"{prefix} {bad}: ") and "missing" not in error
+    assert error.startswith(prefix + ("" if end else f" {bad}") + ": ")
+    assert "missing" not in error
     assert "Traceback" not in captured.err
+
+
+def map_run(capsys, tmp_path, fmap, command="extend"):
+    """Exit code and JSON output of command on the map document fmap, with
+    the y_to_x2 endpoint as the calculus's inline algebra."""
+    fixture = json.loads((FIXTURES / "y_to_x2.json").read_text())
+    calc = tmp_path / "calc.json"
+    end = "source" if command == "extend" else "target"
+    calc.write_text(json.dumps({"algebra": fixture[end], "kind": "universal"}))
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(fmap))
+    code, out = run_cli(capsys, command, "--map", str(path), "--calculus", str(calc),
+                        "--format", "json")
+    return code, json.loads(out)
+
+
+def test_an_endpoint_failing_its_unit_law_is_an_algebra_axiom_failure(capsys, tmp_path):
+    fmap = json.loads((FIXTURES / "y_to_x2.json").read_text())
+    fmap["source"]["unit"] = ["0", "1"]
+    code, out = map_run(capsys, tmp_path, fmap)
+    assert code == 1
+    assert out["error"] == "algebra axioms fail"
+    assert "left unit law fails at e0" in out["violations"]
+
+
+@pytest.mark.parametrize("text", [None, "{not json", b"\xff\xfe"],
+                         ids=["missing", "not-json", "not-utf8"])
+@pytest.mark.parametrize("end", ["source", "target"])
+def test_an_unreadable_endpoint_file_is_named(capsys, tmp_path, end, text):
+    endpoint = tmp_path / "endpoint.json"
+    if isinstance(text, str):
+        endpoint.write_text(text)
+    elif text is not None:
+        endpoint.write_bytes(text)
+    fmap = json.loads((FIXTURES / "y_to_x2.json").read_text())
+    fmap[end] = "endpoint.json"
+    code, out = map_run(capsys, tmp_path, fmap)
+    assert code == 64
+    assert out["error"].startswith(f"cannot read {endpoint}: ")
+
+
+def test_an_inline_endpoint_with_a_missing_key_is_a_bad_algebra(capsys, tmp_path):
+    # as a calculus file's inline algebra is: exit 1, not the map's 64
+    fmap = json.loads((FIXTURES / "y_to_x2.json").read_text())
+    del fmap["target"]["mult"]
+    code, out = map_run(capsys, tmp_path, fmap, "restrict")
+    assert (code, out) == (1, {"error": "bad algebra file: 'mult'"})
+
+
+def test_paths_in_files_resolve_against_their_own_directory(capsys, tmp_path, monkeypatch):
+    # endpoints next to the map, and the calculus's algebra next to it, read
+    # from a working directory that holds neither
+    fixture = json.loads((FIXTURES / "y_to_x2.json").read_text())
+    maps, calcs, elsewhere = (tmp_path / name for name in ("maps", "calcs", "elsewhere"))
+    for d in (maps, calcs, elsewhere):
+        d.mkdir()
+    (maps / "src.json").write_text(json.dumps(fixture["source"]))
+    (maps / "tgt.json").write_text(json.dumps(fixture["target"]))
+    (maps / "map.json").write_text(json.dumps({**fixture, "source": "src.json",
+                                               "target": "tgt.json"}))
+    (calcs / "alg.json").write_text(json.dumps(fixture["source"]))
+    (calcs / "calc.json").write_text(json.dumps({"algebra": "alg.json", "kind": "kahler"}))
+    monkeypatch.chdir(elsewhere)
+    code, out = run_cli(capsys, "extend", "--map", "../maps/map.json",
+                        "--calculus", "../calcs/calc.json", "--format", "json")
+    inline_calc = calcs / "inline.json"
+    inline_calc.write_text(json.dumps({"algebra": fixture["source"], "kind": "kahler"}))
+    assert (code, out) == run_cli(capsys, "extend", "--map", str(FIXTURES / "y_to_x2.json"),
+                                  "--calculus", str(inline_calc), "--format", "json")
+    assert code == 0
 
 
 def test_non_integer_max_dim_is_usage_error(capsys, monkeypatch):

@@ -197,7 +197,6 @@ def test_the_universal_theory_builds_no_prolongation(monkeypatch, capsys, qx3):
         return real(c)
 
     monkeypatch.setattr(derham, "cohomology", recording)
-    monkeypatch.setattr(cli, "cohomology", recording)
     assert de_rham(qx3, "universal", 3).dims() == [1, 0, 0]
     assert seen == []
     comp = de_rham_comparison(qx3, 3)

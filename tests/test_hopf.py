@@ -37,7 +37,7 @@ from oracles import (
     d_comodule_report,
     regular_bimodule,
 )
-from oracle_algebras import regular_coactions
+from oracle_algebras import regular_coactions, structure_tensor
 
 
 @pytest.fixture(scope="module")
@@ -166,7 +166,7 @@ def materialized_bimonoid_report(a, comult, counit):
 def bimonoid_cases(qz2, qz3, qs3):
     """(label, algebra, comult, counit): the fixture bimonoids, k(S3), the
     primitive one over GF(3) and the bad structure maps on Q[Z2]."""
-    table = [[e_ij.index(1) for e_ij in row] for row in qs3.mult]
+    table = [[e_ij.index(1) for e_ij in row] for row in structure_tensor(qs3)]
     k_s3 = function_algebra_bimonoid(table)
     cases = [(f"group-like {h.alg.dim}", h.alg, h.comult, h.counit)
              for h in (group_like_bimonoid(qz2), group_like_bimonoid(qz3),
@@ -406,7 +406,7 @@ def test_function_algebra_calculi_are_bicovariant_iff_ad_stable(side, qs3):
     # bicovariant iff C is a union of conjugacy classes (Woronowicz 1989;
     # Majid 2003); then dim Omega^1 = |G| |C|.  Every one-sided quotient
     # fails exactly one of the two subcomodule tests.
-    table = [[e_ij.index(1) for e_ij in row] for row in qs3.mult]
+    table = [[e_ij.index(1) for e_ij in row] for row in structure_tensor(qs3)]
     n = len(table)
     h = function_algebra_bimonoid(table)
     u = universal_calculus(h.alg)

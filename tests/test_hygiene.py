@@ -167,6 +167,10 @@ CERTIFIED_CALCULI = {
 }
 CALCULI = {"FirstOrderCalculus", "UniversalCalculus"}
 
+CLOSED_DE_RHAM = {"universal_prolongation", "_prolongation", "kernel_basis", "image_basis",
+                  "solve"}
+UNIVERSAL_DE_RHAM = ("the universal de Rham theory is H^0 = k.1 and H^k = 0, built without a "
+                     "prolongation")
 CLOSED_FORM = ("read off its formula; the kernel route and the bimodule-map check it "
                "replaced are test oracles")
 KERNEL_ROUTE = {"solve", "kernel_basis", "bimod_map_report"}
@@ -203,12 +207,23 @@ PINS = [
       "universal_prolongation", "_prolongation", ".from_universal"},
      "H_u is k.1 in degree 0 and zero above and h^0 = I, so the comparison is the Kaehler "
      "class of the unit: no prolongation, no chain map above degree 0, no solve and no g_n"),
-    *(("derham.py", name, set(),
-       {"universal_prolongation", "_prolongation", "kernel_basis", "image_basis", "solve"},
-       "the universal de Rham theory is H^0 = k.1 and H^k = 0, built without a prolongation")
-      for name in ("de_rham", "_universal_de_rham")),
-    ("cli.py", "_cmd_cohomology", {"de_rham"}, set(),
-     "the CLI's universal cohomology goes through the closed form of de_rham"),
+    ("derham.py", "de_rham", set(), CLOSED_DE_RHAM, UNIVERSAL_DE_RHAM),
+    ("derham.py", "_universal_de_rham", {"_unit_pivot"}, CLOSED_DE_RHAM,
+     UNIVERSAL_DE_RHAM + "; its unit class is read at the pivot fodc._unit_pivot picks for "
+     "A-bar, so the two cannot drift apart"),
+    ("fodc.py", "_unit_complement", {"_unit_pivot"}, set(),
+     "A-bar is the complement of the one unit pivot, the one the universal de Rham theory reads"),
+    ("cli.py", "_cmd_cohomology", {"de_rham", "kahler_calculus"},
+     {"cohomology", "maximal_prolongation", "_load_calculus"},
+     "the CLI names a flavour and de_rham builds its theory; the guard reads the memoized "
+     "Kaehler calculus that de_rham then uses"),
+    ("cli.py", "_transport", {"_algebra_at", "morphism_from_matrix"},
+     {"load_json", "_load_algebra", "_parse_algebra", "algebra_from_json", "morphism_from_json"},
+     "both endpoints and the calculus's algebra go through the one resolver, relative to the "
+     "file that names them, and the map's own defects are the matrix's and its keys'"),
+    ("io.py", "morphism_from_json", {"morphism_from_matrix"}, {"load_json", "Path"},
+     "a map document carries its endpoints inline; which file a path names is the CLI's "
+     "decision"),
     *(("linalg.py", name, set(), {"*"},
        "solve reads consistency off its elimination, and a right inverse of a square matrix "
        "is two-sided: neither multiplies its answer out") for name in ("solve", "inverse")),
@@ -233,10 +248,16 @@ PINS = [
     *(("bimodule.py", name, set(), {"solve"},
        "the closure check is read off the quotient map; the per-element solves it replaced "
        "are a test oracle") for name in ("_closure_witness", "action_closed")),
-    ("algebra.py", "is_commutative", set(), {"swap_matrix"}, PERMUTATION),
-    ("kahler.py", "kahler_calculus", set(), {"swap_matrix", *TOWER},
-     PERMUTATION + "; Omega^1 = I / I^2 is written from the structure constants, and the "
-     "saturated quotient of Omega_u it replaced is the test oracle"),
+    ("algebra.py", "is_commutative", {"commutativity_witness"}, {"mul_swap", "swap_matrix"},
+     "one commutativity test: the witness, which compares the columns of m"),
+    ("algebra.py", "commutativity_witness", {".mult_mat"}, {"columns", "dense_rows"},
+     "the products e_i e_j and e_j e_i are compared as sparse columns of m; the dense loop "
+     "it replaced is the test oracle"),
+    ("kahler.py", "kahler_calculus", {"commutativity_witness"},
+     {"is_commutative", "swap_matrix", *TOWER},
+     PERMUTATION + "; one commutativity test, whose witness the refusal names; "
+     "Omega^1 = I / I^2 is written from the structure constants, and the saturated quotient "
+     "of Omega_u it replaced is the test oracle"),
     ("kahler.py", "kahler_relations", {"_row_span"}, {"image_basis", *TOWER},
      "the relations I^2 are written from the structure constants and eliminated as rows"),
     ("kahler.py", "centrality_check", set(), {"swap_matrix"}, PERMUTATION),
@@ -397,7 +418,7 @@ RETIRED = [
     "validation_report", "kron_all", "unique_dg_morphism", "check_hopf_module",
     "d_comodule_report", "truncation_adjoints_check", "rank_identity_report",
     "square_zero_unit_check", "calc1_category_adjoints_check", "kernel_counit_comparison",
-    "bimodule_to_json",
+    "bimodule_to_json", "_resolve_algebra", "_cmd_extend", "_cmd_restrict",
 ]
 
 
@@ -405,6 +426,19 @@ RETIRED = [
 def test_retired_names_are_gone(name):
     for path in SRC.glob("*.py"):
         assert name not in path.read_text(), path.name
+
+
+def test_io_reads_files_only_in_load_json():
+    # every other reader takes a document; the CLI decides which file a path
+    # inside a document names
+    readers = {n.name for n in parsed("io.py").body if isinstance(n, ast.FunctionDef)
+               and facts(n) & {"read_text", "open", "load_json", "Path"}}
+    assert readers == {"load_json"}
+
+
+def test_no_module_reads_a_dense_structure_tensor():
+    # Algebra keeps the multiplication matrix alone
+    assert [path.name for path in MODULES if ".mult" in facts(parsed(path.name))] == []
 
 
 def test_hopf_raises_no_engine_error():

@@ -62,6 +62,7 @@ from oracle_algebras import (
     load_fixture,
     oracle_calculi,
     permuted,
+    structure_tensor,
 )
 
 
@@ -116,7 +117,7 @@ def universal_forms_oracle(alg, k):
             head, last = divmod(iv, n)
             for iw, y in w.items():
                 first, tail = divmod(iw, n)
-                for c, s in enumerate(alg.mult[last][first]):
+                for c, s in enumerate(alg.mult_mat.column(last * n + first)):
                     if s:
                         idx = (head * n + c) * n + tail
                         out[idx] = f.add(out.get(idx, f.zero()), f.mul(f.mul(x, y), s))
@@ -801,7 +802,7 @@ def transposition_calculus():
     spanned by the delta_x d delta_y with x^-1 y a transposition: the
     quotient of Omega_u by the delta_x (x) delta_y, x != y, with x^-1 y a
     3-cycle (Woronowicz 1989)."""
-    table = [[e_ij.index(1) for e_ij in row] for row in load_fixture("qs3").mult]
+    table = [[e_ij.index(1) for e_ij in row] for row in structure_tensor(load_fixture("qs3"))]
     n = len(table)
     e = table.index(list(range(n)))
     inv = [row.index(e) for row in table]
@@ -854,6 +855,23 @@ def test_wedges_do_not_depend_on_the_order_they_are_read(data):
     read = {key: graded.wedge[key] for key in order}
     fresh = fresh_graded(name, label)
     assert read == {key: fresh.wedge[key] for key in sorted(fresh.wedge)}
+
+
+@pytest.mark.parametrize("build", [universal_prolongation,
+                                   lambda a, top: maximal_prolongation(universal_calculus(a), top)],
+                         ids=["universal", "maximal"])
+def test_a_wedge_far_from_the_actions_is_read_first_without_recursion(build, qx2):
+    # each wedge reads the one before it in its chain, (i, j - 1) or
+    # (i - 1, 0); reading (0, 600) or (600, 0) first built 600 nested reads
+    top, half = 600, 300
+    first = build(qx2, top)
+    read = {key: first.wedge[key] for key in [(0, top), (top, 0), (half, half)]}
+    # the three chains in sorted order, each read one step past a built wedge
+    chains = ({(0, j) for j in range(top + 1)} | {(i, 0) for i in range(top + 1)}
+              | {(half, j) for j in range(half + 1)})
+    second = build(qx2, top)
+    in_order = {key: second.wedge[key] for key in sorted(chains)}
+    assert read == {key: in_order[key] for key in read}
 
 
 @pytest.mark.parametrize("name", ["qx3", "qz3", "m2q", "f2x2", "qs3", "chain 0<1<2"])

@@ -43,7 +43,7 @@ def relation(doc: dict) -> list[str]:
     b = n - 1
     vec = [f.zero()] * (n * n)
     for k, u in enumerate(alg.unit):
-        for l, c in enumerate(alg.mult[b][b]):
+        for l, c in enumerate(alg.mult_mat.column(b * n + b)):
             vec[k * n + l] = f.add(vec[k * n + l], f.mul(u, c))
     vec[b * n + b] = f.sub(vec[b * n + b], f.one())
     return [f.format(x) for x in vec]

@@ -79,6 +79,9 @@ PIN_TABLE = "tests/test_hygiene.py::test_pin"
 PAIR_KEY = "tests/test_scalars.py -k calculi_of_one_algebra_pushed_along_one_map_are_kept_apart"
 PAIR_WEAK = "tests/test_scalars.py -k pair_memo_keeps_neither_the_calculus_nor_the_map_alive"
 PAIR_PER_MAP = "tests/test_scalars.py -k maps_do_not_share_a_transport"
+OWN_DIRECTORY = "tests/test_cli.py -k paths_in_files_resolve_against_their_own_directory"
+WEDGE_CHAIN = "tests/test_prolong.py -k a_wedge_far_from_the_actions_is_read_first"
+WITNESS_ORACLE = "tests/test_algebra.py -k commutativity_witness_matches_the_dense_loop"
 
 MUTANTS = [
     # the prolongation builder: the sign of the right-action recursion, the
@@ -395,6 +398,21 @@ MUTANTS = [
      "            if x == p - 1:",
      "            if x == p + 1:",
      MILLER_RABIN),
+    # the one algebra resolver reading a relative path against the working
+    # directory, a wedge chain that skips the right actions it starts from,
+    # and a commutativity witness that compares a product with itself
+    ("src/omegacalc/cli.py",
+     "_read(base / spec)",
+     "_read(Path(spec))",
+     OWN_DIRECTORY),
+    ("src/omegacalc/prolong.py",
+     "read = (i, j - 1) if j else (i - 1, 0)",
+     "read = (i, j - 1) if j else (0, 0)",
+     WEDGE_CHAIN),
+    ("src/omegacalc/algebra.py",
+     "products[i * n + j] != products[j * n + i]",
+     "products[i * n + j] != products[i * n + j]",
+     WITNESS_ORACLE),
 ]
 
 
