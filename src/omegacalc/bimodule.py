@@ -15,8 +15,9 @@ inclusions and projections, satisfy them by construction and are built by
 the closure off its quotient map (`_closure_witness`), with one rule: a
 basis that the construction proving it closed certified for this bimodule
 (`_closed_basis`) skips the witness, and anything else runs it.  The
-quotient by such a basis is kept on it by `linalg._memo` (`_basis_quotient`);
-every other input builds a fresh quotient and keeps nothing.
+quotient by such a basis is kept on it by `linalg._memo` (`_basis_quotient`),
+and so are its quotient maps alone (`_basis_maps`); every other input
+builds a fresh quotient and keeps nothing.
 """
 
 from __future__ import annotations
@@ -247,8 +248,16 @@ def _basis_quotient(basis: _ClosedBasis) -> tuple[Bimodule, BimodMap, Mat]:
     witness, built once per basis (`_memo`): it reads only the immutable
     ambient and basis, and refers to the ambient, never back to the basis."""
     m = basis.ambient
-    q, s = quotient_maps(basis, m.dim)
+    q, s = _basis_maps(basis)
     return _quotient_by_maps(m, q, s, q * m.left_mat, q * m.right_mat)
+
+
+@_memo
+def _basis_maps(basis: _ClosedBasis) -> tuple[Mat, Mat]:
+    """`quotient_maps` of a certified basis, built once per basis (`_memo`):
+    the quotient by it reads them, and so does a caller that needs only the
+    projection, which then builds no action."""
+    return quotient_maps(basis, basis.ambient.dim)
 
 
 def _quotient_by_maps(m: Bimodule, q: Mat, s: Mat, q_left: Mat, q_right: Mat

@@ -17,16 +17,8 @@ import sys
 from functools import partial
 from pathlib import Path
 
+from . import bimodule, derham, fodc, hopf, kahler, prolong, scalars
 from .algebra import Algebra, AxiomError
-from .bimodule import saturate_subspace
-from .derham import de_rham, de_rham_comparison
-from .fodc import (
-    FirstOrderCalculus,
-    PreconditionError,
-    quotient_calculus,
-    universal_calculus,
-)
-from .hopf import Bimonoid, bicovariance_check
 from .io import (
     algebra_from_json,
     bimonoid_from_json,
@@ -36,10 +28,7 @@ from .io import (
     morphism_from_matrix,
     relations_from_json,
 )
-from .kahler import kahler_calculus
 from .linalg import EngineError, LinAlgError, Mat
-from .prolong import maximal_prolongation, universal_prolongation
-from .scalars import calc_pullback, calc_pushforward
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -111,28 +100,28 @@ def _algebra_at(spec, base: Path) -> Algebra:
     return _parse_algebra(_read(base / spec) if isinstance(spec, str) else spec)
 
 
-def _load_calculus(spec: str, alg: Algebra, base: Path) -> FirstOrderCalculus:
+def _load_calculus(spec: str, alg: Algebra, base: Path) -> fodc.FirstOrderCalculus:
     """"universal", "kahler", or "quotient:<relations.json>"."""
     if spec == "universal":
-        return universal_calculus(alg)
+        return fodc.universal_calculus(alg)
     if spec == "kahler":
-        return kahler_calculus(alg)
+        return kahler.kahler_calculus(alg)
     if spec.startswith("quotient:"):
         return _quotient_from_file(alg, base, spec.split(":", 1)[1])
     raise _Failure(EXIT_USAGE, {"error": f"unknown calculus spec {spec!r}"})
 
 
-def _quotient_from_file(alg: Algebra, base: Path, name) -> FirstOrderCalculus:
+def _quotient_from_file(alg: Algebra, base: Path, name) -> fodc.FirstOrderCalculus:
     """The universal calculus divided by the relations in the file base / name."""
     if not isinstance(name, str):
         raise _Failure(EXIT_USAGE, {"error": f"relations file must be a path, not {name!r}"})
     return _quotient_of_universal(alg, _read(base / name))
 
 
-def _quotient_of_universal(alg: Algebra, rel_doc) -> FirstOrderCalculus:
+def _quotient_of_universal(alg: Algebra, rel_doc) -> fodc.FirstOrderCalculus:
     """The universal calculus divided by the sub-bimodule generated by the
     relation vectors, which are given in A (x) A coordinates."""
-    u = universal_calculus(alg)
+    u = fodc.universal_calculus(alg)
     cols = []
     for g in relations_from_json(rel_doc, alg.field, alg.dim * alg.dim):
         v = Mat.col_vector(alg.field, g)
@@ -143,8 +132,8 @@ def _quotient_of_universal(alg: Algebra, rel_doc) -> FirstOrderCalculus:
             })
         # the retraction inverts iota on its image, the kernel of multiplication
         cols.append((u.retraction * v).column(0))
-    closed = saturate_subspace(u.omega, Mat.from_cols(alg.field, cols, rows=u.dim))
-    calc, _ = quotient_calculus(u, closed)
+    closed = bimodule.saturate_subspace(u.omega, Mat.from_cols(alg.field, cols, rows=u.dim))
+    calc, _ = fodc.quotient_calculus(u, closed)
     return calc
 
 
@@ -225,7 +214,7 @@ def _cmd_check(args) -> dict:
 
 def _cmd_universal(args) -> dict:
     alg, _ = _load_algebra(args.algebra)
-    u = universal_calculus(alg)
+    u = fodc.universal_calculus(alg)
     # the columns of iota, a0 (x) b - a0 b (x) 1 in A (x) A-bar order: a basis
     # of the kernel of multiplication, not in echelon form
     return {
@@ -239,7 +228,7 @@ def _cmd_universal(args) -> dict:
 
 def _cmd_kahler(args) -> dict:
     alg, _ = _load_algebra(args.algebra)
-    calc = kahler_calculus(alg)
+    calc = kahler.kahler_calculus(alg)
     return {
         "dim": calc.dim,
         "d": mat_to_lists(calc.d),
@@ -254,11 +243,11 @@ def _cmd_prolong(args) -> dict:
     # named, once the dimension guard passes
     if args.calculus == "universal":
         _dim_guard(alg, args.max_degree, args.force)
-        graded = universal_prolongation(alg, args.max_degree)
+        graded = prolong.universal_prolongation(alg, args.max_degree)
     else:
         calc = _load_calculus(args.calculus, alg, Path(args.algebra).resolve().parent)
         _dim_guard(alg, args.max_degree, args.force, calc.dim)
-        graded = maximal_prolongation(calc, args.max_degree)
+        graded = prolong.maximal_prolongation(calc, args.max_degree)
     out = {"dims": graded.dims, "max_degree": graded.max_degree}
     if args.matrices:
         out["differentials"] = [mat_to_lists(d) for d in graded.diff]
@@ -273,9 +262,9 @@ def _cmd_cohomology(args) -> dict:
     # the universal closed form builds no prolongation, and the guard bounds
     # its reports, which are as large as the components; de_rham reads the
     # Kaehler calculus that the guard measures from its memo
-    calc_dim = kahler_calculus(alg).dim if args.flavor == "kahler" else None
+    calc_dim = kahler.kahler_calculus(alg).dim if args.flavor == "kahler" else None
     _dim_guard(alg, args.max_degree, args.force, calc_dim)
-    return {"degrees": _degrees(de_rham(alg, args.flavor, args.max_degree))}
+    return {"degrees": _degrees(derham.de_rham(alg, args.flavor, args.max_degree))}
 
 
 def _degrees(report) -> list[dict]:
@@ -286,7 +275,7 @@ def _degrees(report) -> list[dict]:
 def _cmd_compare(args) -> dict:
     alg, _ = _load_algebra(args.algebra)
     _dim_guard(alg, args.max_degree, args.force)
-    result = de_rham_comparison(alg, args.max_degree)
+    result = derham.de_rham_comparison(alg, args.max_degree)
     # degrees describe the source (universal) theory; each comparison matrix
     # maps its classes to the Kaehler ones, so target dims are the row counts
     return {
@@ -335,7 +324,7 @@ def _transport(args, push: bool) -> dict:
         calc = _quotient_of_universal(alg, {"generators": calc_doc["relations"]})
     else:
         calc = _quotient_from_file(alg, calc_base, calc_doc["relations_file"])
-    result = calc_pushforward(fmap, calc) if push else calc_pullback(fmap, calc)
+    result = scalars.calc_pushforward(fmap, calc) if push else scalars.calc_pullback(fmap, calc)
     return {
         "input_dim": calc.dim,
         "result_dim": result.dim,
@@ -344,7 +333,7 @@ def _transport(args, push: bool) -> dict:
     }
 
 
-def _load_bimonoid(path: str, failed: dict) -> Bimonoid:
+def _load_bimonoid(path: str, failed: dict) -> hopf.Bimonoid:
     """The bimonoid in an algebra file with comult and counit fields; one
     that fails its axioms is the failure failed, with the violations."""
     alg, doc = _load_algebra(path)
@@ -365,7 +354,7 @@ def _cmd_bicovariant(args) -> dict:
     h = _load_bimonoid(args.algebra, {"error": "bimonoid axioms fail"})
     base = Path(args.algebra).resolve().parent
     calc = _quotient_from_file(h.alg, base, args.relations)
-    result = bicovariance_check(h, calc)
+    result = hopf.bicovariance_check(h, calc)
     out = {
         "bicovariant": result["bicovariant"],
         "witnesses": result["witnesses"],
@@ -455,7 +444,7 @@ def main(argv=None) -> int:
     except _Failure as failure:
         _emit(failure.payload, fmt)
         return failure.code
-    except PreconditionError as exc:
+    except fodc.PreconditionError as exc:
         _emit({"error": str(exc)}, fmt)
         return EXIT_PRECONDITION
     except AxiomError as exc:

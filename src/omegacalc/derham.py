@@ -20,9 +20,9 @@ the construction that built it.
 
 from __future__ import annotations
 
+from . import kahler, prolong
 from .algebra import Algebra
 from .fodc import PreconditionError, _unit_pivot
-from .kahler import kahler_calculus
 from .linalg import (
     EngineError,
     LinAlgError,
@@ -34,7 +34,6 @@ from .linalg import (
     quotient_maps,
     solve,
 )
-from .prolong import GradedCalculus, maximal_prolongation
 
 
 class CochainComplex:
@@ -53,7 +52,7 @@ class CochainComplex:
         self.diff = list(diff)
 
     @staticmethod
-    def from_graded(g: GradedCalculus) -> "CochainComplex":
+    def from_graded(g: prolong.GradedCalculus) -> "CochainComplex":
         # Certificate, in place of the shapes and the d.d products: the
         # GradedCalculus constructor checks both, and universal_prolongation,
         # maximal_prolongation and trivial_extension, which build theirs
@@ -178,7 +177,7 @@ def de_rham(a: Algebra, flavor: str, max_degree: int) -> CohomologyReport:
     if flavor == "universal":
         return _universal_de_rham(a, max_degree)
     if flavor == "kahler":
-        g = maximal_prolongation(kahler_calculus(a), max_degree)
+        g = prolong.maximal_prolongation(kahler.kahler_calculus(a), max_degree)
         return cohomology(CochainComplex.from_graded(g))
     raise LinAlgError(f"unknown flavor {flavor!r}")
 
@@ -194,7 +193,7 @@ def de_rham_comparison(a: Algebra, max_degree: int) -> dict:
     theory is spanned by the unit u / u_p, whose Kaehler class is the
     comparison in degree 0, and the universal H^k is 0 for k >= 1, so the
     comparison there is the dim H^k_K x 0 matrix (`_universal_de_rham`)."""
-    kp = maximal_prolongation(kahler_calculus(a), max_degree)
+    kp = prolong.maximal_prolongation(kahler.kahler_calculus(a), max_degree)
     rep_u = _universal_de_rham(a, max_degree)
     rep_k = cohomology(CochainComplex.from_graded(kp))
     # h^0 = I: the class of the universal representative, read in H^0_K

@@ -11,9 +11,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from . import bimodule, hopf
 from .algebra import Algebra, AlgMap, _tensor, is_cube
-from .bimodule import Bimodule
-from .hopf import Bimonoid
 from .linalg import Field, LinAlgError, Mat, field_from_json, field_to_json
 
 
@@ -67,7 +66,7 @@ def algebra_from_json(doc: dict) -> Algebra:
     return Algebra(field, _dim_from_json(doc), doc["mult"], doc["unit"], doc.get("basis"))
 
 
-def bimonoid_from_json(doc: dict, alg: Algebra | None = None) -> Bimonoid:
+def bimonoid_from_json(doc: dict, alg: Algebra | None = None) -> hopf.Bimonoid:
     """Reads the optional comult/counit fields; comult[i][j][k] is the
     coefficient of e_j (x) e_k in the image of e_i."""
     a = alg or algebra_from_json(doc)
@@ -83,7 +82,7 @@ def bimonoid_from_json(doc: dict, alg: Algebra | None = None) -> Bimonoid:
         (j * n + k, i, raw[i][j][k]) for i in range(n) for j in range(n) for k in range(n)
     ))
     counit = Mat(a.field, [[a.field.coerce(x) for x in doc["counit"]]])
-    return Bimonoid(a, comult, counit)
+    return hopf.Bimonoid(a, comult, counit)
 
 
 def morphism_from_json(doc: dict) -> AlgMap:
@@ -97,11 +96,11 @@ def morphism_from_matrix(source: Algebra, target: Algebra, rows) -> AlgMap:
     return AlgMap(source, target, _mat_from_lists(target.field, rows, target.dim, source.dim))
 
 
-def bimodule_from_json(doc: dict) -> Bimodule:
+def bimodule_from_json(doc: dict) -> bimodule.Bimodule:
     left_alg = algebra_from_json(doc["left_alg"])
     right_alg = algebra_from_json(doc["right_alg"])
-    return Bimodule.from_tensors(left_alg, right_alg, _dim_from_json(doc), doc["left"],
-                                 doc["right"])
+    return bimodule.Bimodule.from_tensors(left_alg, right_alg, _dim_from_json(doc),
+                                          doc["left"], doc["right"])
 
 
 def relations_from_json(doc: dict, field: Field, expected_dim: int) -> list[list]:

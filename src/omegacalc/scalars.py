@@ -14,21 +14,22 @@ Transport is a value of its map (`linalg._memo`): f_u is built once per
 (map, calculus) pair, kept on the map in a table keyed weakly by the
 calculus, so an entry lives as long as both.  A pulled kernel P is a basis
 certified for Omega_u(A), and no projection is kept beside it: the
-adjunction reads the map onto F* t off the quotient kept on P
-(`bimodule._basis_quotient`), and the pull builds its calculus on that
-quotient.  A repeated push, pull or adjunction builds no f_u, saturation,
-preimage or quotient map; a calculus over the wrong algebra is refused on
-every call, and nothing is kept for it.  The tests hold f_u to its
-functoriality and to being a bimodule map, the adjunction to the route
-that builds the calculi, each kept result to the one built along a freshly
-loaded copy of its map, and check the square-zero characterization of
-derivations and the initial and terminal calculi (`tests/oracles.py`).
+adjunction reads the map onto F* t off the quotient maps kept on P
+(`bimodule._basis_maps`), and the pull builds its calculus on the quotient
+by P (`bimodule._basis_quotient`), which reads the same maps.  A repeated
+push, pull or adjunction builds no f_u, saturation, preimage or quotient
+map; a calculus over the wrong algebra is refused on every call, and
+nothing is kept for it.  The tests hold f_u to its functoriality and to
+being a bimodule map, the adjunction to the route that builds the calculi,
+each kept result to the one built along a freshly loaded copy of its map,
+and check the square-zero characterization of derivations and the initial
+and terminal calculi (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
 from .algebra import AlgMap
-from .bimodule import _closed_basis, quotient_bimodule, saturate_subspace
+from .bimodule import _basis_maps, _closed_basis, saturate_subspace
 from .fodc import (
     FirstOrderCalculus,
     PreconditionError,
@@ -112,12 +113,11 @@ def verify_poset_adjunction(f: AlgMap, cs: list[FirstOrderCalculus],
     ker_cs = [_kernel(c) for c in cs]
     # sub <= sup iff a map whose kernel is sup kills sub (linalg.subspace_leq):
     # one kept map per sup, not one per pair.  phi of t has kernel
-    # ker(Omega_u -> t) by the definition of _kernel, and the projection of
-    # the quotient kept on the pulled kernel P is the map onto F* t, which
-    # the pull then builds its calculus on
+    # ker(Omega_u -> t) by the definition of _kernel, and the quotient map
+    # kept on the pulled kernel P is the map onto F* t, the projection the
+    # pull then builds its calculus on; no action of F* t is built here
     to_ts = [_phi(t) for t in ts]
-    to_pulled = [quotient_bimodule(p.ambient, p)[1].matrix
-                 for p in (_pulled_kernel(f, t) for t in ts)]
+    to_pulled = [_basis_maps(_pulled_kernel(f, t))[0] for t in ts]
     pairs = []
     for ci in range(len(cs)):
         for ti in range(len(ts)):

@@ -594,6 +594,21 @@ def test_a_pull_after_the_adjunction_builds_no_quotient_map(name, calls_of):
         assert _kernel(result) is p and _phi(result) is kept[1].matrix
 
 
+@pytest.mark.parametrize("name", ORACLE_MAPS)
+def test_a_cold_adjunction_builds_no_quotient_action(name, calls_of):
+    # the adjunction reads only the quotient map kept on each pulled kernel
+    # (bimodule._basis_maps); the actions of F* t are left to a pull
+    f = ORACLE_MAPS[name]()
+    cs, ts = transport_family(f.source), transport_family(f.target)
+    actions = calls_of(bimodule, "_mul_section")
+    assert verify_poset_adjunction(f, cs, ts)["all_agree"]
+    assert actions == []
+    for t in ts:
+        kept = vars(scalars._pulled_kernel(f, t))
+        assert bimodule._basis_maps.slot in kept
+        assert bimodule._basis_quotient.slot not in kept
+
+
 # the isomorphisms among the oracle maps, with the name oracle_calculi
 # takes for their source
 ISOMORPHISMS = {"transpose: M2(Q) -> M2(Q)^op": "m2q", "qx3 -> qx3 in the basis x, 1, x^2": "qx3",

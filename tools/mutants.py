@@ -82,6 +82,8 @@ PAIR_PER_MAP = "tests/test_scalars.py -k maps_do_not_share_a_transport"
 OWN_DIRECTORY = "tests/test_cli.py -k paths_in_files_resolve_against_their_own_directory"
 WEDGE_CHAIN = "tests/test_prolong.py -k a_wedge_far_from_the_actions_is_read_first"
 WITNESS_ORACLE = "tests/test_algebra.py -k commutativity_witness_matches_the_dense_loop"
+LOADER_PATHS = "tests/test_loader.py -k runs_only_the_bodies_it_reads"
+CONCURRENT_TOUCH = "tests/test_loader.py -k waits_for_a_load_in_progress"
 
 MUTANTS = [
     # the prolongation builder: the sign of the right-action recursion, the
@@ -413,6 +415,28 @@ MUTANTS = [
      "products[i * n + j] != products[j * n + i]",
      "products[i * n + j] != products[i * n + j]",
      WITNESS_ORACLE),
+    # the loader marking a module loaded before its body has run, as the
+    # stdlib's lazy loader does, and the CLI importing the prolongations at
+    # its top, so that every subcommand compiles them
+    ("src/omegacalc/__init__.py",
+     """            try:
+                module.__spec__.loader.exec_module(module)
+            finally:
+                _RUNNING.discard(module.__name__)
+            types.ModuleType.__setattr__(module, "__class__", types.ModuleType)
+""",
+     """            types.ModuleType.__setattr__(module, "__class__", types.ModuleType)
+            try:
+                module.__spec__.loader.exec_module(module)
+            finally:
+                _RUNNING.discard(module.__name__)
+""",
+     CONCURRENT_TOUCH),
+    ("src/omegacalc/cli.py",
+     "from . import bimodule, derham, fodc, hopf, kahler, prolong, scalars\n",
+     "from . import bimodule, derham, fodc, hopf, kahler, prolong, scalars\n"
+     "from .prolong import maximal_prolongation, universal_prolongation\n",
+     LOADER_PATHS),
 ]
 
 
