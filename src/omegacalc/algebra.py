@@ -254,33 +254,3 @@ def build_matrix_algebra(field: Field, k: int) -> Algebra:
     labels = [f"E{a}{b}" for a in range(k) for b in range(k)]
     return Algebra(field, n, mult, unit, labels)
 
-
-def build_square_zero(a: Algebra, m) -> Algebra:
-    """The square-zero extension A (+) M: (a,m)(a',m') = (aa', a m' + m a')."""
-    from .bimodule import Bimodule  # local import to avoid a cycle
-
-    if not isinstance(m, Bimodule):
-        raise LinAlgError("second argument must be a bimodule")
-    if m.left_alg != a or m.right_alg != a:
-        raise LinAlgError("bimodule must be an A-A bimodule over the given algebra")
-    field = a.field
-    n, d = a.dim, m.dim
-    dim = n + d
-    zero = field.zero()
-    mult = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for k, row in enumerate(a.mult_mat.data):
-        for col, x in row.items():
-            mult[col // n][col % n][k] = x
-    for i in range(n):
-        for u in range(d):
-            coords = m.left_action_coords(i, u)
-            for v in range(d):
-                mult[i][n + u][n + v] = coords[v]
-    for u in range(d):
-        for j in range(n):
-            coords = m.right_action_coords(u, j)
-            for v in range(d):
-                mult[n + u][j][n + v] = coords[v]
-    unit = list(a.unit) + [zero] * d
-    labels = list(a.basis_labels) + [f"m{u}" for u in range(d)]
-    return Algebra(field, dim, mult, unit, labels)

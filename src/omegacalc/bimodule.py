@@ -1,6 +1,6 @@
-"""A-B bimodules with explicit action tensors, and the constructions the
-calculi are built from: sub-bimodules, quotients, saturation and the tensor
-product over an algebra.
+"""A-B bimodules, and the constructions the calculi are built from:
+sub-bimodules, quotients, saturation, the tensor product over an algebra
+and the square-zero extension A (+) M.
 
 Actions are kept as matrices: left_mat: A(x)M -> M and right_mat: M(x)B -> M
 in the fixed row-major tensor basis.  Left modules and right modules are the
@@ -77,27 +77,6 @@ class Bimodule:
     def field(self):
         return self.left_alg.field
 
-    @staticmethod
-    def from_tensors(left_alg: Algebra, right_alg: Algebra, dim: int, left, right) -> "Bimodule":
-        """left[i][u] = coords of e_i.x_u, right[u][j] = coords of x_u.e_j."""
-        f = left_alg.field
-        nb = right_alg.dim
-        lm = Mat.from_entries(f, dim, left_alg.dim * dim, (
-            (v, i * dim + u, x)
-            for i in range(left_alg.dim) for u in range(dim) for v, x in enumerate(left[i][u])
-        ))
-        rm = Mat.from_entries(f, dim, dim * nb, (
-            (v, u * nb + j, x)
-            for u in range(dim) for j in range(nb) for v, x in enumerate(right[u][j])
-        ))
-        return Bimodule(left_alg, right_alg, dim, lm, rm)
-
-    def left_action_coords(self, i: int, u: int) -> list:
-        return self.left_mat.column(i * self.dim + u)
-
-    def right_action_coords(self, u: int, j: int) -> list:
-        return self.right_mat.column(u * self.right_alg.dim + j)
-
     def __eq__(self, other):
         return (
             isinstance(other, Bimodule)
@@ -140,6 +119,31 @@ def bimod_map_report(f: BimodMap) -> list[str]:
     if f.matrix * f.source.right_mat != mul_kron_id(f.target.right_mat, f.matrix, nb):
         report.append("does not commute with the right action")
     return report
+
+
+def build_square_zero(a: Algebra, m: Bimodule) -> Algebra:
+    """The square-zero extension A (+) M: (a,m)(a',m') = (aa', a m' + m a'),
+    its structure constants read off the sparse rows of the multiplication
+    of A and of the two actions of M."""
+    if not isinstance(m, Bimodule):
+        raise LinAlgError("second argument must be a bimodule")
+    if m.left_alg != a or m.right_alg != a:
+        raise LinAlgError("bimodule must be an A-A bimodule over the given algebra")
+    n, d = a.dim, m.dim
+    dim = n + d
+    mult = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for k, row in enumerate(a.mult_mat.data):
+        for col, x in row.items():
+            mult[col // n][col % n][k] = x
+    for v, row in enumerate(m.left_mat.data):
+        for col, x in row.items():
+            mult[col // d][n + col % d][n + v] = x
+    for v, row in enumerate(m.right_mat.data):
+        for col, x in row.items():
+            mult[n + col // n][col % n][n + v] = x
+    unit = list(a.unit) + [0] * d
+    labels = list(a.basis_labels) + [f"m{u}" for u in range(d)]
+    return Algebra(a.field, dim, mult, unit, labels)
 
 
 def zero_bimodule(a: Algebra, b: Algebra) -> Bimodule:

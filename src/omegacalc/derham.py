@@ -13,9 +13,10 @@ built: H^0 = k.1 and H^n = 0 above (Cuntz-Quillen 1995, section 1), in the
 canonical representatives the generic route returns (`_universal_de_rham`).
 So the comparison with the Kaehler theory is the class of the unit in
 degree 0 and the empty map above.  A complex built from bare matrices
-checks d.d = 0; one taken from a graded calculus does not, because every
-GradedCalculus has d.d = 0, checked by its constructor or certified by
-the construction that built it.
+checks its shapes and d.d = 0.  A graded calculus is its own complex, with
+the wedge forgotten, and `cohomology` takes it as given: every
+GradedCalculus has fitting shapes and d.d = 0, checked by its constructor
+or certified by the construction that built it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .linalg import (
     EngineError,
     LinAlgError,
     Mat,
-    _certified,
     image_basis,
     kernel_basis,
     kronecker,
@@ -50,14 +50,6 @@ class CochainComplex:
                 raise LinAlgError(f"d.d != 0 at degree {n}")
         self.dims = list(dims)
         self.diff = list(diff)
-
-    @staticmethod
-    def from_graded(g: prolong.GradedCalculus) -> "CochainComplex":
-        # Certificate, in place of the shapes and the d.d products: the
-        # GradedCalculus constructor checks both, and universal_prolongation,
-        # maximal_prolongation and trivial_extension, which build theirs
-        # past it, each certify a dg algebra whose dims fit its maps
-        return _certified(CochainComplex, dims=list(g.dims), diff=list(g.diff))
 
 
 class DegreeReport:
@@ -89,8 +81,11 @@ class CohomologyReport:
         return [d.dim_h for d in self.degrees]
 
 
-def cohomology(c: CochainComplex) -> CohomologyReport:
-    """H^n for every degree with an outgoing differential (n < top)."""
+def cohomology(c: CochainComplex | prolong.GradedCalculus) -> CohomologyReport:
+    """H^n for every degree with an outgoing differential (n < top).
+
+    c is a CochainComplex or a GradedCalculus, taken as given: only c.dims
+    and c.diff are read, and both kinds have fitting shapes and d.d = 0."""
     out = []
     for n in range(len(c.diff)):
         field = c.diff[n].field
@@ -118,8 +113,8 @@ def cohomology(c: CochainComplex) -> CohomologyReport:
 
 def _universal_de_rham(a: Algebra, max_degree: int) -> CohomologyReport:
     """The cohomology of the universal prolongation in closed form, equal to
-    cohomology(CochainComplex.from_graded(universal_prolongation(a, N))),
-    with no prolongation, kernel, image or solve."""
+    cohomology(universal_prolongation(a, N)), with no prolongation, kernel,
+    image or solve."""
     if max_degree < 1:
         raise PreconditionError("max degree must be at least 1")
     f, n = a.field, a.dim
@@ -178,7 +173,7 @@ def de_rham(a: Algebra, flavor: str, max_degree: int) -> CohomologyReport:
         return _universal_de_rham(a, max_degree)
     if flavor == "kahler":
         g = prolong.maximal_prolongation(kahler.kahler_calculus(a), max_degree)
-        return cohomology(CochainComplex.from_graded(g))
+        return cohomology(g)
     raise LinAlgError(f"unknown flavor {flavor!r}")
 
 
@@ -195,7 +190,7 @@ def de_rham_comparison(a: Algebra, max_degree: int) -> dict:
     comparison there is the dim H^k_K x 0 matrix (`_universal_de_rham`)."""
     kp = prolong.maximal_prolongation(kahler.kahler_calculus(a), max_degree)
     rep_u = _universal_de_rham(a, max_degree)
-    rep_k = cohomology(CochainComplex.from_graded(kp))
+    rep_k = cohomology(kp)
     # h^0 = I: the class of the universal representative, read in H^0_K
     comparison = [rep_k.degrees[0].class_coordinates(rep_u.degrees[0].representatives)]
     comparison += [Mat.zeros(a.field, d.dim_h, 0) for d in rep_k.degrees[1:]]

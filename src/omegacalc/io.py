@@ -97,10 +97,20 @@ def morphism_from_matrix(source: Algebra, target: Algebra, rows) -> AlgMap:
 
 
 def bimodule_from_json(doc: dict) -> bimodule.Bimodule:
+    """left[i][u] = coords of e_i.x_u, right[u][j] = coords of x_u.e_j, read
+    into the action matrices, the only form a Bimodule keeps."""
     left_alg = algebra_from_json(doc["left_alg"])
     right_alg = algebra_from_json(doc["right_alg"])
-    return bimodule.Bimodule.from_tensors(left_alg, right_alg, _dim_from_json(doc),
-                                          doc["left"], doc["right"])
+    dim = _dim_from_json(doc)
+    left, right = doc["left"], doc["right"]
+    f, na, nb = left_alg.field, left_alg.dim, right_alg.dim
+    lm = Mat.from_entries(f, dim, na * dim, (
+        (v, i * dim + u, x) for i in range(na) for u in range(dim) for v, x in enumerate(left[i][u])
+    ))
+    rm = Mat.from_entries(f, dim, dim * nb, (
+        (v, u * nb + j, x) for u in range(dim) for j in range(nb) for v, x in enumerate(right[u][j])
+    ))
+    return bimodule.Bimodule(left_alg, right_alg, dim, lm, rm)
 
 
 def relations_from_json(doc: dict, field: Field, expected_dim: int) -> list[list]:

@@ -28,8 +28,9 @@ elimination), three products with identity factors that form no Kronecker
 product: m (I (x) x) (`mul_id_kron`), m (x (x) I) (`mul_kron_id`) and
 (x (x) I)(I (x) m) (`kron_id_mul`), each in time linear in the nonzeros of
 its operands and its output, and the braiding m swap as a column relabel
-(`mul_swap`).  solve reads consistency off its elimination and multiplies
-nothing out.
+(`mul_swap`).  Elimination has one contract: the unique reduced row echelon
+form of a set of rows, in any row order.  solve reads consistency off it,
+a pivot in the columns of B, and multiplies nothing out.
 
 Two private helpers serve every module: `_certified`, the one way past a
 constructor's check, and beside it `_memo`, the one way to keep a value on
@@ -608,21 +609,15 @@ def mul_swap(x: Mat, m: int, n: int) -> Mat:
 # elimination core (sparse rows over the exact field)
 # ---------------------------------------------------------------------------
 
-def _rref_sparse(field: Field, rows: list[dict], pivot_limit: int | None = None):
-    """Reduced row echelon form of sparse rows; returns (pivot_rows,
-    pivot_cols, inconsistent).
+def _rref_sparse(field: Field, rows: list[dict]):
+    """Reduced row echelon form of sparse rows; returns (pivot_rows, pivot_cols).
 
     pivot_rows is a list of fully reduced rows (dicts col->val without zeros,
-    pivot value 1) ordered by pivot column.  The input rows are not changed.
-    Pivot search stops at pivot_limit columns when given (used by solvers to
-    keep augmented columns pivot-free).  inconsistent is True when some row
-    reduces to zero left of pivot_limit but not right of it: that row is a
-    combination of the input rows reading 0 = b with b != 0.  Without a
-    limit a row that is left nonzero always takes a pivot, so it is False.
+    pivot value 1) ordered by pivot column.  The form is unique, so it does
+    not depend on the order of the rows.  The input rows are not changed.
     """
     p = field.p
     pivots: dict[int, dict] = {}  # pivot col -> fully reduced row
-    inconsistent = False
 
     def axpy(r: dict, c, prow: dict) -> None:
         """r -= c * prow in place, dropping the entries that cancel."""
@@ -646,12 +641,9 @@ def _rref_sparse(field: Field, rows: list[dict], pivot_limit: int | None = None)
             r = dict(r)
             for pc in hits:
                 axpy(r, r[pc], pivots[pc])
-        live = r if pivot_limit is None else [c for c in r if c < pivot_limit]
-        if not live:
-            if r:
-                inconsistent = True
+        if not r:
             continue
-        pc = min(live)
+        pc = min(r)
         lead = r[pc]
         if lead != 1:
             inv = field.inv(lead)
@@ -665,7 +657,7 @@ def _rref_sparse(field: Field, rows: list[dict], pivot_limit: int | None = None)
                 pivots[opc] = orow
         pivots[pc] = r
     pcols = sorted(pivots)
-    return [pivots[pc] for pc in pcols], pcols, inconsistent
+    return [pivots[pc] for pc in pcols], pcols
 
 
 def _null_vectors(field: Field, prows: list[dict], pcols: list[int], ncols: int) -> list[dict]:
@@ -680,15 +672,8 @@ def _null_vectors(field: Field, prows: list[dict], pcols: list[int], ncols: int)
     return list(vecs.values())
 
 
-def rref(m: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form (unique) and pivot column indices."""
-    prows, pcols, _ = _rref_sparse(m.field, m.data)
-    return _mat(m.field, len(prows), m.cols, prows), pcols
-
-
 def rank(m: Mat) -> int:
-    _, pcols, _ = _rref_sparse(m.field, m.data)
-    return len(pcols)
+    return len(_rref_sparse(m.field, m.data)[1])
 
 
 def _row_span(field: Field, vectors: list[dict]) -> list[dict]:
@@ -721,7 +706,7 @@ def kernel_basis(m: Mat) -> Mat:
     n = m.cols
     last = n - 1
     flipped = [{last - c: v for c, v in row.items()} for row in m.data]
-    prows, pcols, _ = _rref_sparse(m.field, flipped)
+    prows, pcols = _rref_sparse(m.field, flipped)
     vecs = _null_vectors(m.field, prows, pcols, n)
     data = [{} for _ in range(n)]
     for a, vec in enumerate(reversed(vecs)):
@@ -743,14 +728,15 @@ def solve(m: Mat, b: Mat) -> Mat | None:
         row = dict(mrow)
         row.update(zip(map(n.__add__, brow), brow.values()))
         aug_rows.append(row)
-    prows, pcols, inconsistent = _rref_sparse(field, aug_rows, pivot_limit=n)
+    prows, pcols = _rref_sparse(field, aug_rows)
     # Certificate, in place of multiplying out M X = B: every reduced row is
-    # a combination of rows of (M | B).  A row left zero in M but not in B
-    # reads 0 = b != 0, so no X exists.  Otherwise each row of (M | B) is a
-    # combination of the pivot rows, and X, read off them with the free
-    # variables at 0, satisfies each pivot row: its pivot coordinate is the
+    # a combination of rows of (M | B), and every row of (M | B) is a
+    # combination of the reduced rows.  A pivot in the columns of B is a row
+    # that is zero in M and reads 0 = 1, so no X exists.  Otherwise every
+    # pivot lies in M, and X, read off the reduced rows with the free
+    # variables at 0, satisfies each of them: its pivot coordinate is the
     # row's B part and it is zero at the row's free columns.
-    if inconsistent:
+    if pcols and pcols[-1] >= n:
         return None
     data = [{} for _ in range(n)]
     for pc, row in zip(pcols, prows):

@@ -340,10 +340,25 @@ def _prolongation(a: Algebra, max_degree: int, c: FirstOrderCalculus | None = No
         if rel is not None and rel.cols:
             # Omega^(k-1) . N and Omega^(k-2) ^ dN, in Omega^(k-1) (x) A-bar
             acted = kron_id_mul(wedge[(k - 1, 0)], nb, dims[k - 1], rel)
-            if quot[k - 1] is None:
-                wedged = kronecker(Mat.identity(f, dims[k - 2]), d_rel)
-            else:
-                wedged = kron_id_mul(quot[k - 1], nb, dims[k - 2], d_rel)
+            wedged = kron_id_mul(quot[k - 1], nb, dims[k - 2], d_rel)
+            # Certificate that quot[k - 1] is a matrix, not None: with N != 0,
+            # no j >= 2 has R_j = 0 and Omega^j != 0, and Omega^(k-1) != 0
+            # here.  Let D span the c_b of every n = sum_b db c_b in N; D != 0.
+            # 1. Omega^j = dA-bar ^ Omega^(j-1), as a db ^ x = d(ab) ^ x -
+            #    da ^ bx, so dim Omega^j <= nb dim Omega^(j-1), with equality
+            #    iff R_j = 0, and then b (x) x -> db ^ x is one-to-one.
+            # 2. Say R_j = 0.  n and dn = -sum_b db ^ dc_b vanish in Omega, so
+            #    by 1 D Omega^(j-1) = 0 and dD ^ Omega^(j-2) = 0.
+            # 3. By right exactness read from the left, Omega^(j-1) is
+            #    A-bar (x) Omega^(j-2) modulo N Omega^(j-2) + dN ^ Omega^(j-3)
+            #    (Omega^(-1) = 0), relations whose right legs lie in
+            #    S = D Omega^(j-2) + dD ^ Omega^(j-3).  By 2 they hold
+            #    pi(D) (x) Omega^(j-2), so Omega^(j-2) = S, or pi(D) = 0 and
+            #    D = k.1.
+            # 4. Either way Omega^(j-1) = Omega^(j-2) ^ dA lies in
+            #    D Omega^(j-1) + dD ^ Omega^(j-2) = 0, and by 1 Omega^j = 0.
+            # tests/test_prolong.py holds every oracle calculus with N != 0
+            # to a quotient map in every degree.
             basis = image_basis(acted.hstack(wedged))
             if basis.cols:
                 q, s = quotient_maps(basis, size)

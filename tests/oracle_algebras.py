@@ -22,12 +22,11 @@ from omegacalc.algebra import (
     AlgMap,
     build_group_algebra,
     build_matrix_algebra,
-    build_square_zero,
     build_truncated_poly,
     is_commutative,
     opposite,
 )
-from omegacalc.bimodule import action_closed, saturate_subspace
+from omegacalc.bimodule import action_closed, build_square_zero, saturate_subspace
 from omegacalc.derham import CochainComplex, cohomology
 from omegacalc.fodc import (
     enumerate_action_closed_subspaces,
@@ -44,12 +43,12 @@ from omegacalc.linalg import (
     Mat,
     _mat,
     _null_vectors,
+    _row_span,
     _rref_sparse,
     image_basis,
     kronecker,
     mul_id_kron,
     mul_kron_id,
-    rref,
     solve,
     swap_matrix,
 )
@@ -363,9 +362,9 @@ def kernel_basis_by_two_eliminations(m):
     """linalg.kernel_basis in its earlier form: the null vectors read off the
     reduced row echelon form of M, then eliminated a second time into
     reduced column echelon form."""
-    prows, pcols, _ = _rref_sparse(m.field, m.data)
-    vecs = _null_vectors(m.field, prows, pcols, m.cols)
-    return rref(_mat(m.field, len(vecs), m.cols, vecs))[0].transpose()
+    prows, pcols = _rref_sparse(m.field, m.data)
+    rows = _row_span(m.field, _null_vectors(m.field, prows, pcols, m.cols))
+    return _mat(m.field, len(rows), m.cols, rows).transpose()
 
 
 def quotient_maps_by_columns(sub_canonical, ambient_dim):
@@ -403,14 +402,15 @@ def quotient_maps_by_columns(sub_canonical, ambient_dim):
 
 def solve_by_product_check(m, b):
     """linalg.solve in its earlier form: X read off the elimination of
-    (M | B) with the free variables at 0, and kept only if M X = B when
-    multiplied out; the elimination's own consistency flag is not read."""
+    (M | B) at the pivots in M with the free variables at 0, and kept only
+    if M X = B when multiplied out; a pivot in B is not read."""
     n = m.cols
     aug = [{**mrow, **{n + c: v for c, v in brow.items()}} for mrow, brow in zip(m.data, b.data)]
-    prows, pcols, _ = _rref_sparse(m.field, aug, pivot_limit=n)
+    prows, pcols = _rref_sparse(m.field, aug)
     data = [{} for _ in range(n)]
     for pc, row in zip(pcols, prows):
-        data[pc] = {c - n: v for c, v in row.items() if c >= n}
+        if pc < n:
+            data[pc] = {c - n: v for c, v in row.items() if c >= n}
     x = _mat(m.field, n, b.cols, data)
     return x if m * x == b else None
 

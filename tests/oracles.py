@@ -41,12 +41,13 @@ from __future__ import annotations
 
 from functools import reduce
 
-from omegacalc.algebra import Algebra, AlgMap, alg_map_report, build_square_zero, build_truncated_poly
+from omegacalc.algebra import Algebra, AlgMap, alg_map_report, build_truncated_poly
 from omegacalc.bimodule import (
     BimodMap,
     Bimodule,
     bimod_map_report,
     bimodule_axiom_report,
+    build_square_zero,
     tensor_over_algebra,
 )
 from omegacalc.fodc import (
@@ -439,7 +440,7 @@ def bimodule_hom_basis(m: Bimodule, n: Bimodule) -> list[Mat]:
         relation(w, u, m.right_mat.column(u * nb + j), [n.right_mat[w, y * nb + j] for y in range(mn)])
         for w in range(mn) for u in range(mm) for j in range(nb)
     ]
-    prows, pcols, _ = _rref_sparse(f, rows)
+    prows, pcols = _rref_sparse(f, rows)
     return [Mat.from_entries(f, mn, mm, [(k // mm, k % mm, v) for k, v in vec.items()])
             for vec in _null_vectors(f, prows, pcols, mn * mm)]
 
@@ -667,11 +668,12 @@ def bimodule_to_json(m: Bimodule) -> dict:
         "right_alg": algebra_to_json(m.right_alg),
         "dim": m.dim,
         "left": [
-            [[m.field.format(x) for x in m.left_action_coords(i, u)] for u in range(m.dim)]
+            [[m.field.format(x) for x in m.left_mat.column(i * m.dim + u)] for u in range(m.dim)]
             for i in range(m.left_alg.dim)
         ],
         "right": [
-            [[m.field.format(x) for x in m.right_action_coords(u, j)] for j in range(m.right_alg.dim)]
+            [[m.field.format(x) for x in m.right_mat.column(u * m.right_alg.dim + j)]
+             for j in range(m.right_alg.dim)]
             for u in range(m.dim)
         ],
     }

@@ -7,12 +7,12 @@ from omegacalc.algebra import (
     algebra_axiom_report,
     build_group_algebra,
     build_matrix_algebra,
-    build_square_zero,
     build_truncated_poly,
     commutativity_witness,
     is_commutative,
     opposite,
 )
+from omegacalc.bimodule import build_square_zero
 from omegacalc.fodc import universal_calculus
 from omegacalc.linalg import GF, QQ, LinAlgError, Mat, kronecker
 
@@ -170,3 +170,41 @@ def test_square_zero_projection_and_inclusion_are_algebra_maps(qx2):
     incl = Mat(QQ, [[1, 0], [0, 1], [0, 0], [0, 0]])
     assert alg_map_report(ext, qx2, proj) == []
     assert alg_map_report(qx2, ext, incl) == []
+
+
+QX2 = build_truncated_poly(QQ, 2)
+QX3 = build_truncated_poly(QQ, 3)
+F2X2 = build_truncated_poly(GF(2), 2)
+
+# Each refusal of outside input in algebra.py: (what is built, exception,
+# message).  The Latin square x * y = -x - y mod 3 has no identity.
+REFUSALS = {
+    "structure tensor of the wrong shape": (
+        lambda: algebra_axiom_report(QQ, 2, [[1]], [1, 0]), LinAlgError,
+        "bad structure data: mult must be 2 blocks of 2 rows of 2 scalars"),
+    "unit of the wrong length": (
+        lambda: algebra_axiom_report(QQ, 1, [[[1]]], [1, 0]), LinAlgError,
+        "unit vector has wrong length"),
+    "map between two fields": (
+        lambda: AlgMap(QX2, F2X2, Mat.identity(GF(2), 2)), LinAlgError,
+        "field mismatch between source and target"),
+    "map of the wrong shape": (
+        lambda: AlgMap(QX2, QX3, Mat.identity(QQ, 2)), LinAlgError,
+        "morphism matrix has wrong shape"),
+    "truncated polynomials of dimension 0": (
+        lambda: build_truncated_poly(QQ, 0), LinAlgError, "dimension must be at least 1"),
+    "Cayley table with a repeated entry": (
+        lambda: build_group_algebra(QQ, [[0, 0], [1, 1]]), LinAlgError,
+        "Cayley table rows must be permutations"),
+    "Cayley table with no identity": (
+        lambda: build_group_algebra(QQ, [[0, 2, 1], [2, 1, 0], [1, 0, 2]]), LinAlgError,
+        "Cayley table has no identity element"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_outside_input_is_refused(case):
+    build, error, message = REFUSALS[case]
+    with pytest.raises(error) as refused:
+        build()
+    assert str(refused.value) == message

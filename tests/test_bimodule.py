@@ -3,7 +3,7 @@ import random
 import pytest
 
 from omegacalc import bimodule
-from omegacalc.algebra import AlgMap, AxiomError, build_truncated_poly
+from omegacalc.algebra import AlgMap, AxiomError, build_matrix_algebra, build_truncated_poly
 from omegacalc.bimodule import (
     BimodMap,
     Bimodule,
@@ -12,10 +12,12 @@ from omegacalc.bimodule import (
     action_closed,
     bimod_map_report,
     bimodule_axiom_report,
+    build_square_zero,
     quotient_bimodule,
     saturate_subspace,
     sub_bimodule,
     tensor_over_algebra,
+    zero_bimodule,
 )
 from omegacalc.fodc import check_fodc, enumerate_action_closed_subspaces, universal_calculus
 from omegacalc.linalg import (
@@ -110,6 +112,77 @@ def test_bimodule_and_its_maps_take_no_check_switch(qx2):
         Bimodule(qx2, qx2, 2, qx2.mult_mat, qx2.mult_mat, check=False)
     with pytest.raises(TypeError):
         BimodMap(reg, reg, Mat.identity(QQ, 2), check=False)
+
+
+QX2 = build_truncated_poly(QQ, 2)
+QX3 = build_truncated_poly(QQ, 3)
+F2X2 = build_truncated_poly(GF(2), 2)
+
+
+# Each refusal of outside input in bimodule.py: (what is built, exception,
+# message).  The algebras are built once, at collection.
+REFUSALS = {
+    "left action of the wrong shape": (
+        lambda: Bimodule(QX2, QX2, 2, Mat.zeros(QQ, 2, 3), QX2.mult_mat),
+        LinAlgError, "left action matrix has wrong shape"),
+    "right action of the wrong shape": (
+        lambda: Bimodule(QX2, QX2, 2, QX2.mult_mat, Mat.zeros(QQ, 2, 3)),
+        LinAlgError, "right action matrix has wrong shape"),
+    "algebras over two fields": (
+        lambda: Bimodule(QX2, F2X2, 2, QX2.mult_mat, QX2.mult_mat),
+        LinAlgError, "bimodule algebras over different fields"),
+    "zero bimodule over two fields": (
+        lambda: zero_bimodule(QX2, F2X2),
+        LinAlgError, "bimodule algebras over different fields"),
+    "map between two algebra pairs": (
+        lambda: BimodMap(regular_bimodule(QX2), regular_bimodule(QX3), Mat.zeros(QQ, 3, 2)),
+        LinAlgError, "bimodule morphism between different algebra pairs"),
+    "map of the wrong shape": (
+        lambda: BimodMap(regular_bimodule(QX2), regular_bimodule(QX2), Mat.identity(QQ, 3)),
+        LinAlgError, "morphism matrix has wrong shape"),
+    "generator of the wrong length": (
+        lambda: saturate_subspace(regular_bimodule(QX2), [[1, 0, 0]]),
+        LinAlgError, "generator has wrong dimension"),
+    "tensor over two algebras": (
+        lambda: tensor_over_algebra(regular_bimodule(QX2), regular_bimodule(QX3)),
+        LinAlgError, "tensor product over mismatched algebras"),
+    "square-zero extension by a matrix": (
+        lambda: build_square_zero(QX2, QX2.mult_mat),
+        LinAlgError, "second argument must be a bimodule"),
+    "square-zero extension by a bimodule of another algebra": (
+        lambda: build_square_zero(QX3, regular_bimodule(QX2)),
+        LinAlgError, "bimodule must be an A-A bimodule over the given algebra"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_outside_input_is_refused(case):
+    build, error, message = REFUSALS[case]
+    with pytest.raises(error) as refused:
+        build()
+    assert str(refused.value) == message
+
+
+def multiplication_by(alg, c, side):
+    """The linear map x -> c x (side "left") or x -> x c of alg."""
+    col = Mat.col_vector(alg.field, c)
+    ident = Mat.identity(alg.field, alg.dim)
+    return alg.mult_mat * (kronecker(col, ident) if side == "left" else kronecker(ident, col))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_bimod_map_refuses_a_map_that_breaks_an_action(side):
+    # on the regular bimodule of M2, x -> c x commutes with the right action
+    # and x -> x c with the left one; for c = E01, which is not central, each
+    # breaks the action on its own side, and BimodMap names that side alone
+    m2 = build_matrix_algebra(QQ, 2)
+    reg = regular_bimodule(m2)
+    f = multiplication_by(m2, [0, 1, 0, 0], side)
+    with pytest.raises(AxiomError) as refused:
+        BimodMap(reg, reg, f)
+    assert refused.value.report == [f"does not commute with the {side} action"]
+    # multiplication by the unit is the identity, a bimodule map
+    assert BimodMap(reg, reg, multiplication_by(m2, m2.unit, side)).matrix == Mat.identity(QQ, 4)
 
 
 def test_tensor_cancels_the_algebra(qx2):

@@ -1,6 +1,7 @@
 import pytest
 
 from omegacalc import cli, derham, prolong
+from omegacalc.algebra import build_truncated_poly
 from omegacalc.derham import CochainComplex, cohomology, de_rham, de_rham_comparison
 from omegacalc.fodc import PreconditionError, universal_calculus
 from omegacalc.kahler import kahler_calculus, kahler_relations
@@ -38,9 +39,9 @@ def test_d_squared_violation_rejected():
 
 def test_universal_prolongation_cohomology_qx2(qx2):
     up = universal_prolongation(qx2, 4)
-    rep = cohomology(CochainComplex.from_graded(up))
+    rep = cohomology(up)
     assert rep.dims() == [1, 0, 0, 0]
-    assert rank_identity_report(CochainComplex.from_graded(up), rep) == []
+    assert rank_identity_report(up, rep) == []
 
 
 def test_de_rham_of_the_field(qq_alg):
@@ -71,8 +72,7 @@ def test_unit_is_always_a_cycle(qx3, qz3, m2q):
 
 def test_rank_identity_all_interior_degrees(qx3):
     g = maximal_prolongation(kahler_calculus(qx3), 3)
-    c = CochainComplex.from_graded(g)
-    assert rank_identity_report(c, cohomology(c)) == []
+    assert rank_identity_report(g, cohomology(g)) == []
 
 
 def test_comparison_on_the_field(qq_alg):
@@ -115,9 +115,9 @@ def test_cohomology_functoriality(qx3):
     g_maps = unique_dg_morphism(mk, te, ident)
     assert f_maps is not None and g_maps is not None
     gf_maps = [g * f for g, f in zip(g_maps, f_maps)]
-    rep_up = cohomology(CochainComplex.from_graded(up))
-    rep_mk = cohomology(CochainComplex.from_graded(mk))
-    rep_te = cohomology(CochainComplex.from_graded(te))
+    rep_up = cohomology(up)
+    rep_mk = cohomology(mk)
+    rep_te = cohomology(te)
     h_f = h_matrix(f_maps, rep_up, rep_mk)
     h_g = h_matrix(g_maps, rep_mk, rep_te)
     h_gf = h_matrix(gf_maps, rep_up, rep_te)
@@ -127,11 +127,10 @@ def test_cohomology_functoriality(qx3):
 
 def test_representatives_are_cycles_mod_boundaries(qz2):
     up = universal_prolongation(qz2, 3)
-    c = CochainComplex.from_graded(up)
-    rep = cohomology(c)
+    rep = cohomology(up)
     for deg in rep.degrees:
         if deg.dim_h:
-            assert (c.diff[deg.n] * deg.representatives).is_zero()
+            assert (up.diff[deg.n] * deg.representatives).is_zero()
             coords = deg.class_coordinates(deg.representatives)
             assert rank(coords) == coords.rows == coords.cols
 
@@ -212,7 +211,7 @@ def test_the_universal_theory_builds_no_prolongation(monkeypatch, capsys, qx3):
 
 
 def test_a_user_built_graded_calculus_keeps_the_d_squared_check():
-    # the GradedCalculus constructor checks d.d = 0, so from_graded need not
+    # the GradedCalculus constructor checks d.d = 0, so cohomology need not
     qq = ORACLE_ALGEBRAS["q"]()
     one = Mat.identity(QQ, 1)
     wedge = {(0, 0): qq.mult_mat, (0, 1): one, (1, 0): one, (0, 2): one, (2, 0): one,
@@ -225,15 +224,38 @@ def test_a_user_built_graded_calculus_keeps_the_d_squared_check():
                                   "Q[x]/x^2 in the basis 2, x"])
 def test_library_prolongations_pass_the_d_squared_check(name):
     # the certificates behind the library's graded calculi skipping the
-    # GradedCalculus constructor, and from_graded skipping d.d, against the
-    # checks they skip, on the universal prolongation and on the maximal
-    # prolongation and trivial extension of every oracle calculus
+    # GradedCalculus constructor, and cohomology taking them as given,
+    # against the checks they skip, on the universal prolongation and on the
+    # maximal prolongation and trivial extension of every oracle calculus
     alg = ORACLE_ALGEBRAS[name]()
     gradeds = [universal_prolongation(alg, 3)]
     for c in oracle_calculi(name, alg).values():
         gradeds += [maximal_prolongation(c, 3), trivial_extension(c, 3)]
     for g in gradeds:
         GradedCalculus(alg, g.max_degree, g.dims, g.diff, dict(g.wedge))
-        checked = CochainComplex(g.dims, g.diff)
-        taken = CochainComplex.from_graded(g)
-        assert (taken.dims, taken.diff) == (checked.dims, checked.diff)
+        CochainComplex(g.dims, g.diff)
+
+
+QX2 = build_truncated_poly(QQ, 2)
+ONE = Mat.identity(QQ, 1)
+
+# Each refusal of outside input in derham.py: (what is built, exception,
+# message).  Degree 0 of d = I has no cycle but 0, so [1] is no cycle.
+REFUSALS = {
+    "one differential too few": (lambda: CochainComplex([1, 1], []), LinAlgError,
+                                 "need exactly one differential per adjacent pair"),
+    "differential of the wrong shape": (lambda: CochainComplex([1, 2], [ONE]), LinAlgError,
+                                        "differential 0 has wrong shape"),
+    "class of a non-cycle": (
+        lambda: cohomology(CochainComplex([1, 1], [ONE])).degrees[0].class_coordinates(ONE),
+        LinAlgError, "vector is not a cycle class in this degree"),
+    "unknown flavor": (lambda: de_rham(QX2, "sheaf", 2), LinAlgError, "unknown flavor 'sheaf'"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_outside_input_is_refused(case):
+    build, error, message = REFUSALS[case]
+    with pytest.raises(error) as refused:
+        build()
+    assert str(refused.value) == message

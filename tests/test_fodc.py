@@ -677,3 +677,26 @@ def test_calculus_morphisms_refuse_calculi_over_different_algebras(morphism, qx2
                      (zero_calculus(qx2), kahler_calculus(qx3))):
         with pytest.raises(LinAlgError, match="calculi over different algebras"):
             morphism(src, dst)
+
+
+QX2 = build_truncated_poly(QQ, 2)
+QX3 = build_truncated_poly(QQ, 3)
+
+# Each refusal of outside input in fodc.py: (what is built, exception,
+# message).
+REFUSALS = {
+    "bimodule of another algebra": (
+        lambda: check_fodc(QX3, universal_calculus(QX2).omega, universal_calculus(QX2).d),
+        LinAlgError, "omega must be an A-A bimodule over the given algebra"),
+    "differential of the wrong shape": (
+        lambda: check_fodc(QX2, universal_calculus(QX2).omega, Mat.zeros(QQ, 1, 2)),
+        LinAlgError, "differential has wrong shape"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_outside_input_is_refused(case):
+    build, error, message = REFUSALS[case]
+    with pytest.raises(error) as refused:
+        build()
+    assert str(refused.value) == message

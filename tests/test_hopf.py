@@ -450,3 +450,26 @@ def test_z2_diagonal_quotients_not_bicovariant(h_z2, qz2):
             calc, _ = quotient_calculus(u, nbasis)
             found.append(bicovariance_check(h_z2, calc)["bicovariant"])
     assert found and not any(found)
+
+
+QZ2 = build_group_algebra(QQ, [[0, 1], [1, 0]])
+GROUP_LIKE = Mat.from_entries(QQ, 4, 2, [(0, 0, 1), (3, 1, 1)])
+
+# Each refusal of outside input in hopf.py: (what is built, exception,
+# message).
+REFUSALS = {
+    "comultiplication of the wrong shape": (
+        lambda: Bimonoid(QZ2, Mat.zeros(QQ, 3, 2), Mat(QQ, [[1, 1]])), LinAlgError,
+        "comultiplication has wrong shape"),
+    "counit of the wrong shape": (
+        lambda: Bimonoid(QZ2, GROUP_LIKE, Mat(QQ, [[1, 1, 1]])), LinAlgError,
+        "counit has wrong shape"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_outside_input_is_refused(case):
+    build, error, message = REFUSALS[case]
+    with pytest.raises(error) as refused:
+        build()
+    assert str(refused.value) == message

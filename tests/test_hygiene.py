@@ -163,7 +163,6 @@ CERTIFIED_CALCULI = {
     ("prolong.py", "universal_prolongation", "GradedCalculus"),
     ("prolong.py", "trivial_extension", "GradedCalculus"),
     ("prolong.py", "maximal_prolongation", "MaximalProlongation"),
-    ("derham.py", "CochainComplex.from_graded", "CochainComplex"),
 }
 CALCULI = {"FirstOrderCalculus", "UniversalCalculus"}
 
@@ -200,8 +199,9 @@ PINS = [
      {"kron_all", "kronecker", ".wedge", ".diff"},
      "the dg morphism is factored one degree at a time through Omega^(n-1) (x) A and reads "
      "each calculus only through g_n: both are generated in degree 0 by d and wedge"),
-    ("derham.py", None, set(), {"import universal_prolongation"},
-     "derham reads the universal theory off its closed form"),
+    ("derham.py", None, set(), {"import universal_prolongation", "CochainComplex"},
+     "derham reads the universal theory off its closed form, and a graded calculus is its "
+     "own cochain complex: cohomology takes it as given, and no copy of it is built"),
     ("derham.py", "de_rham_comparison", set(),
      {"factor_through_surjection", "generator_map",
       "universal_prolongation", "_prolongation", ".from_universal"},
@@ -227,7 +227,7 @@ PINS = [
     *(("linalg.py", name, set(), {"*"},
        "solve reads consistency off its elimination, and a right inverse of a square matrix "
        "is two-sided: neither multiplies its answer out") for name in ("solve", "inverse")),
-    ("linalg.py", "kernel_basis", {"_rref_sparse"}, {"rref", "image_basis", "rank"},
+    ("linalg.py", "kernel_basis", {"_rref_sparse"}, {"_row_span", "image_basis", "rank"},
      "the reversed column order leaves the null vectors in reduced column echelon form, so "
      "no second elimination brings them into it"),
     ("linalg.py", "preimage_basis", set(), {"image_basis", "solve"}, SUBSPACE_TAKER),
@@ -422,7 +422,8 @@ RETIRED = [
     "validation_report", "kron_all", "unique_dg_morphism", "check_hopf_module",
     "d_comodule_report", "truncation_adjoints_check", "rank_identity_report",
     "square_zero_unit_check", "calc1_category_adjoints_check", "kernel_counit_comparison",
-    "bimodule_to_json", "_resolve_algebra", "_cmd_extend", "_cmd_restrict",
+    "bimodule_to_json", "_resolve_algebra", "_cmd_extend", "_cmd_restrict", "pivot_limit",
+    "from_graded", "from_tensors", "_action_coords",
 ]
 
 

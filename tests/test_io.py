@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from omegacalc.algebra import Algebra
 from omegacalc.fodc import universal_calculus
+from omegacalc.hopf import Bimonoid
 from omegacalc.io import (
     algebra_from_json,
     algebra_to_json,
@@ -14,9 +16,10 @@ from omegacalc.io import (
     morphism_from_json,
     relations_from_json,
 )
-from omegacalc.linalg import GF, QQ, LinAlgError
+from omegacalc.linalg import GF, QQ, LinAlgError, Mat
 
 from oracles import bimodule_to_json, free_bimodule, regular_bimodule
+from oracle_algebras import structure_tensor
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "omegacalc" / "fixtures"
 
@@ -43,6 +46,23 @@ def test_bimodule_roundtrip(qx2):
 def test_morphism_fixture_loads():
     f = morphism_from_json(load_json(FIXTURES / "y_to_x2.json"))
     assert (f.source.dim, f.target.dim) == (2, 4)
+
+
+def test_a_bimonoid_round_trips_through_its_comultiplication_and_counit(qs3):
+    # k(S3) on the delta functions: Delta delta_g = sum over xy = g of
+    # delta_x (x) delta_y is not cocommutative and eps is 1 at e alone, so
+    # algebra_to_json writing either leg or a coordinate in the wrong place
+    # reads back as another bimonoid
+    table = [[e_ij.index(1) for e_ij in row] for row in structure_tensor(qs3)]
+    n = len(table)
+    e = table.index(list(range(n)))
+    mult = [[[int(k == i == j) for k in range(n)] for j in range(n)] for i in range(n)]
+    comult = Mat.from_entries(QQ, n * n, n, [(x * n + y, table[x][y], 1)
+                                            for x in range(n) for y in range(n)])
+    h = Bimonoid(Algebra(QQ, n, mult, [1] * n), comult, Mat.from_entries(QQ, 1, n, [(0, e, 1)]))
+    doc = algebra_to_json(h.alg, h.comult, h.counit)
+    back = bimonoid_from_json(json.loads(dump_json(doc)))
+    assert (back.alg, back.comult, back.counit) == (h.alg, h.comult, h.counit)
 
 
 def test_bimonoid_requires_fields(qx2):

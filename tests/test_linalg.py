@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from omegacalc.algebra import is_commutative
-from omegacalc.derham import CochainComplex, cohomology, de_rham
+from omegacalc.derham import cohomology, de_rham
 from omegacalc.linalg import (
     GF,
     QQ,
@@ -12,6 +12,7 @@ from omegacalc.linalg import (
     LinAlgError,
     Mat,
     factor_through_surjection,
+    field_from_json,
     image_basis,
     inverse,
     kernel_basis,
@@ -215,7 +216,7 @@ def test_pipeline_keeps_q_normal_form(request, monkeypatch, storage_violations, 
 
     monkeypatch.setattr(Mat, "data", property(slot.__get__, set_data))
     de_rham(alg, "universal", 2)  # the closed form, and the generic route
-    cohomology(CochainComplex.from_graded(universal_prolongation(alg, 2)))
+    cohomology(universal_prolongation(alg, 2))
     if is_commutative(alg):
         de_rham(alg, "kahler", 2)
     sweep()
@@ -307,3 +308,45 @@ def test_factor_through_surjection():
 def test_field_mismatch_rejected():
     with pytest.raises(LinAlgError):
         Mat(QQ, [[1]]) * Mat(GF(2), [[1]])
+
+
+I2, I3 = Mat.identity(QQ, 2), Mat.identity(QQ, 3)
+F5I2 = Mat.identity(GF(5), 2)
+
+# Each refusal of outside input in linalg.py: (what is built, exception,
+# message).
+REFUSALS = {
+    "field of one element": (lambda: Field(1), LinAlgError, "1 is not prime"),
+    "float into Q": (lambda: QQ.coerce(1.5), LinAlgError, "cannot coerce 1.5 into QQ"),
+    "word into GF(5)": (lambda: GF(5).coerce("x"), LinAlgError, "cannot coerce 'x' into GF(5)"),
+    "fraction into GF(5)": (lambda: GF(5).coerce(Fraction(1, 2)), LinAlgError,
+                            "cannot coerce 1/2 into GF(5)"),
+    "float into GF(5)": (lambda: GF(5).coerce(1.5), LinAlgError, "cannot coerce 1.5 into GF(5)"),
+    "inverse of 0 in Q": (lambda: QQ.inv(0), ZeroDivisionError, "inverse of 0"),
+    "inverse of 0 in GF(5)": (lambda: GF(5).inv(5), ZeroDivisionError, "inverse of 0"),
+    "unknown field": (lambda: field_from_json("R"), LinAlgError, "bad field spec 'R'"),
+    "ragged rows": (lambda: Mat(QQ, [[1, 2], [3]]), LinAlgError, "ragged rows"),
+    "no columns and no height": (lambda: Mat.from_cols(QQ, []), LinAlgError,
+                                 "from_cols with no columns needs explicit row count"),
+    "ragged columns": (lambda: Mat.from_cols(QQ, [[1, 2], [3]]), LinAlgError, "ragged columns"),
+    "sum over two fields": (lambda: I2 + F5I2, LinAlgError, "field mismatch"),
+    "sum of two shapes": (lambda: I2 - I3, LinAlgError, "shape mismatch 2x2 vs 3x3"),
+    "product of two shapes": (lambda: I2 * I3, LinAlgError, "cannot multiply 2x2 by 3x3"),
+    "kronecker over two fields": (lambda: kronecker(I2, F5I2), LinAlgError, "field mismatch"),
+    "solve over two fields": (lambda: solve(I2, F5I2), LinAlgError, "field mismatch"),
+    "solve of two heights": (lambda: solve(I2, I3), LinAlgError, "solve: row mismatch"),
+    "inverse of a non-square matrix": (lambda: inverse(Mat.zeros(QQ, 2, 3)), LinAlgError,
+                                       "inverse of non-square matrix"),
+    "preimage in another space": (lambda: preimage_basis(I2, Mat.zeros(QQ, 3, 0)), LinAlgError,
+                                  "preimage: ambient mismatch"),
+    "factor of another width": (lambda: factor_through_surjection(Mat.zeros(QQ, 1, 2), I3),
+                                LinAlgError, "factor: shape mismatch"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_outside_input_is_refused(case):
+    build, error, message = REFUSALS[case]
+    with pytest.raises(error) as refused:
+        build()
+    assert str(refused.value) == message

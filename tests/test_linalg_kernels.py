@@ -8,7 +8,8 @@ Kronecker factors.  The elimination and the solve run over GF(7) and
 GF(11) too, where an inverse is not the element's cube.  kernel_basis and
 solve are held to their earlier routes, kept in tests/oracle_algebras.py
 (the second elimination, and the product check), over Q and GF(2, 3, 5, 7,
-11); the braiding as a column relabel is held to the product by the swap.
+11); the braiding as a column relabel is held to the product by the swap,
+and the elimination to itself on every order of its rows.
 hypothesis and sympy are test-only.
 """
 
@@ -24,6 +25,7 @@ from omegacalc.linalg import (  # noqa: E402
     QQ,
     LinAlgError,
     Mat,
+    _rref_sparse,
     image_basis,
     kernel_basis,
     kron_id_mul,
@@ -372,7 +374,7 @@ def test_kernel_basis_matches_its_two_elimination_oracle(storage_violations, dat
 @given(st.data(), st.sampled_from(ORACLE_FIELDS), st.sampled_from(["consistent", "random",
                                                                    "inconsistent"]))
 def test_solve_matches_its_product_check_oracle(data, field, kind):
-    # the inconsistency flag of the elimination decides exactly what
+    # a pivot of the elimination in the columns of B decides exactly what
     # multiplying the answer out decided
     m = data.draw(matrices(field, rows=data.draw(st.integers(0, 7)),
                            cols=data.draw(st.integers(0, 7))))
@@ -393,6 +395,18 @@ def test_solve_matches_its_product_check_oracle(data, field, kind):
         assert x is not None and m * x == b
     if kind == "inconsistent":
         assert x is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(ORACLE_FIELDS))
+def test_elimination_does_not_depend_on_the_row_order(data, field):
+    # the one contract of _rref_sparse: the reduced row echelon form of a
+    # set of rows is unique, dependent and repeated rows included
+    m = data.draw(matrices(field, rows=data.draw(st.integers(0, 7)),
+                           cols=data.draw(st.integers(0, 7))))
+    rows = m.data + data.draw(st.lists(st.sampled_from(m.data), max_size=3)) if m.rows else []
+    order = data.draw(st.permutations(rows))
+    assert _rref_sparse(field, order) == _rref_sparse(field, rows)
 
 
 def test_rank_matches_sympy():

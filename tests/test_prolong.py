@@ -11,6 +11,7 @@ from omegacalc.derham import CochainComplex, cohomology, de_rham, de_rham_compar
 from omegacalc.fodc import (
     FirstOrderCalculus,
     PreconditionError,
+    _kernel,
     _section,
     enumerate_action_closed_subspaces,
     induced_map,
@@ -519,8 +520,8 @@ def test_maps_from_the_universal_prolongation_match_unique_dg_morphism(name):
         if label == "universal":
             assert maps == [Mat.identity(alg.field, d) for d in up.dims]
         if label == "kahler":
-            rep_u = cohomology(CochainComplex.from_graded(up))
-            rep_k = cohomology(CochainComplex.from_graded(maxi))
+            rep_u = cohomology(up)
+            rep_k = cohomology(maxi)
             assert de_rham_comparison(alg, top)["comparison"] == [
                 dk.class_coordinates(maps[du.n] * du.representatives)
                 for du, dk in zip(rep_u.degrees, rep_k.degrees)]
@@ -571,8 +572,6 @@ def test_universal_prolongation_noncommutative(m2q):
 @pytest.mark.parametrize("fixture", ["qx2", "qz2", "qx3"])
 def test_amitsur_cohomology_is_contractible(fixture, request):
     # unit insertion splits the complex: scalars in degree 0, nothing above
-    from omegacalc.derham import CochainComplex, cohomology
-
     alg = request.getfixturevalue(fixture)
     dims = [alg.dim ** (n + 1) for n in range(4)]
     rep = cohomology(CochainComplex(dims, [amitsur_differential(alg, n) for n in range(3)]))
@@ -898,6 +897,39 @@ def test_dims_and_de_rham_build_no_wedge_beyond_the_actions(name, monkeypatch):
     if is_commutative(alg):
         de_rham_comparison(alg, top)
         assert [(i, j) for i, j in built if j >= 1 and i + j >= 2] == []
+
+
+@pytest.mark.parametrize("build", [universal_prolongation,
+                                   lambda a, top: maximal_prolongation(kahler_calculus(a), top)],
+                         ids=["universal", "maximal"])
+def test_asking_for_a_wedge_builds_none(build, qx3):
+    # `in` reads the keys alone: Mapping's own __contains__ would read the
+    # wedge, and so build it and the chain before it
+    top = 3
+    g = build(qx3, top)
+    before = dict(g.wedge.built)
+    assert all((i, j) in g.wedge for i in range(top + 1) for j in range(top + 1 - i))
+    assert (top + 1, 0) not in g.wedge and (0, top + 1) not in g.wedge
+    assert g.wedge.built == before and (1, 1) not in before
+
+
+@pytest.mark.parametrize("name", [*ORACLE_ALGEBRAS, "k(S3)"])
+def test_a_proper_quotient_has_relations_in_every_degree(name):
+    # the certificate in _prolongation: with N != 0, R_k = 0 would make
+    # Omega^k = 0, so every degree of such a calculus has a quotient map,
+    # and past a zero component it is the zero map; the transposition
+    # calculus on k(S3) has nonzero components up to degree 4
+    if name == "k(S3)":
+        calculi = {"transpositions": transposition_calculus()}
+    else:
+        alg = ORACLE_ALGEBRAS[name]()
+        calculi = oracle_calculi(name, alg)
+    for label, c in calculi.items():
+        if _kernel(c).cols:
+            g = maximal_prolongation(c, 4)
+            assert all(q is not None for q in g._quot[1:]), label
+            if name == "k(S3)":
+                assert 0 not in g.dims
 
 
 def test_a_lazy_wedge_of_the_wrong_shape_raises_when_read(qx3):

@@ -84,6 +84,7 @@ WEDGE_CHAIN = "tests/test_prolong.py -k a_wedge_far_from_the_actions_is_read_fir
 WITNESS_ORACLE = "tests/test_algebra.py -k commutativity_witness_matches_the_dense_loop"
 LOADER_PATHS = "tests/test_loader.py -k runs_only_the_bodies_it_reads"
 CONCURRENT_TOUCH = "tests/test_loader.py -k waits_for_a_load_in_progress"
+BIMOD_MAP_REFUSAL = "tests/test_bimodule.py -k bimod_map_refuses_a_map_that_breaks_an_action"
 
 MUTANTS = [
     # the prolongation builder: the sign of the right-action recursion, the
@@ -336,22 +337,27 @@ MUTANTS = [
      "boundaries = Mat.zeros(field, c.dims[0], 0)",
      "boundaries = Mat.zeros(field, c.dims[1], 0)",
      RANK_IDENTITY),
-    # solve with the inconsistency flag of its elimination ignored
+    # solve ignoring a pivot in the columns of B, and missing one in the
+    # first column of B
     ("src/omegacalc/linalg.py",
-     "    if inconsistent:\n        return None\n",
+     "    if pcols and pcols[-1] >= n:\n        return None\n",
      "    if False:\n        return None\n",
+     SOLVE_ORACLE),
+    ("src/omegacalc/linalg.py",
+     "if pcols and pcols[-1] >= n:",
+     "if pcols and pcols[-1] > n:",
      SOLVE_ORACLE),
     # kernel_basis read off the elimination in the given column order: the
     # null space, but not in reduced column echelon form
     ("src/omegacalc/linalg.py",
      "    flipped = [{last - c: v for c, v in row.items()} for row in m.data]\n"
-     "    prows, pcols, _ = _rref_sparse(m.field, flipped)\n"
+     "    prows, pcols = _rref_sparse(m.field, flipped)\n"
      "    vecs = _null_vectors(m.field, prows, pcols, n)\n"
      "    data = [{} for _ in range(n)]\n"
      "    for a, vec in enumerate(reversed(vecs)):\n"
      "        for c, v in vec.items():\n"
      "            data[last - c][a] = v\n",
-     "    prows, pcols, _ = _rref_sparse(m.field, m.data)\n"
+     "    prows, pcols = _rref_sparse(m.field, m.data)\n"
      "    vecs = _null_vectors(m.field, prows, pcols, n)\n"
      "    data = [{} for _ in range(n)]\n"
      "    for a, vec in enumerate(vecs):\n"
@@ -359,7 +365,8 @@ MUTANTS = [
      "            data[c][a] = v\n",
      KERNEL_BASIS_ORACLE),
     # the public GradedCalculus constructor without its d.d check, which
-    # from_graded relies on; and Bimodule without its axiom report
+    # cohomology relies on when it takes a graded calculus as given;
+    # Bimodule without its axiom report, and BimodMap without its own
     ("src/omegacalc/prolong.py",
      "        for k in range(max_degree - 1):\n"
      "            if not (diff[k + 1] * diff[k]).is_zero():\n"
@@ -370,6 +377,10 @@ MUTANTS = [
      "        report = bimodule_axiom_report(left_alg, right_alg, dim, left_mat, right_mat)\n",
      "        report = []\n",
      BIMODULE_REFUSAL),
+    ("src/omegacalc/bimodule.py",
+     "        report = bimod_map_report(self)\n",
+     "        report = []\n",
+     BIMOD_MAP_REFUSAL),
     # quotient_maps read row by row, taking a row with an entry right of
     # the next pivot column for a quotient coordinate
     ("src/omegacalc/linalg.py",
